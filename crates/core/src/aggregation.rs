@@ -10,6 +10,8 @@ use heap_simnet::bandwidth::Bandwidth;
 use heap_simnet::node::NodeId;
 use heap_simnet::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One capability sample: a node, its advertised upload capability, and when
@@ -25,6 +27,32 @@ pub struct CapabilitySample {
 }
 
 /// Per-node state of the aggregation protocol.
+///
+/// The table holds the freshest known sample per node. Two derived values
+/// are kept in step with it by the private `upsert` and by
+/// [`forget`](Self::forget), the only two places that write the table:
+///
+/// 1. `sum_bps` is the exact `u64` sum of every stored capability, so
+///    [`estimated_average`](Self::estimated_average) is one division.
+/// 2. While `cached_n` is `Some(n)`, `freshest` is the first `n` stored
+///    samples in `(timestamp desc, node asc)` order: the payload of the
+///    next aggregation round.
+///
+/// A stored sample is normally replaced only by a fresher one, which can
+/// only raise its rank, so the new top `n` is a subset of the old top `n`
+/// plus the written sample. One comparison against the cached tail rejects a
+/// sample that does not make it; one that does costs O(`n`). Three
+/// operations can lower a rank or remove a cached entry and therefore only
+/// mark the cache stale (`cached_n = None`): `forget` of a known node, a
+/// write of the own sample with an earlier `now` (`set_own_capability`,
+/// `freshest_samples`), and `freshest_samples` with a different `n`. The next
+/// `freshest_samples` then rebuilds the cache with a full sort.
+///
+/// Costs per call, with `N` known nodes and `n` the payload size:
+/// `estimated_average` O(1); `merge` one table lookup per sample plus O(`n`)
+/// per accepted one; `freshest_samples` O(`n`), or O(`N` log `N`) after an
+/// invalidation; `forget` O(1). A node that never calls `freshest_samples`
+/// (standard gossip) never builds the cache and allocates nothing for it.
 ///
 /// # Examples
 ///
@@ -52,25 +80,33 @@ pub struct CapabilityAggregator {
     own_capability: Bandwidth,
     /// Freshest known sample per node (including our own).
     samples: HashMap<NodeId, CapabilitySample>,
+    /// Sum of the capabilities in `samples`, in bps.
+    sum_bps: u64,
+    /// The `cached_n` freshest samples in payload order; meaningful only
+    /// while `cached_n` is `Some`.
+    freshest: Vec<CapabilitySample>,
+    /// The payload size `freshest` is maintained for; `None` while stale.
+    cached_n: Option<usize>,
+}
+
+/// Payload order: freshest first, ties by ascending node id.
+fn payload_order(a: &CapabilitySample, b: &CapabilitySample) -> Ordering {
+    b.timestamp.cmp(&a.timestamp).then(a.node.cmp(&b.node))
 }
 
 impl CapabilityAggregator {
     /// Creates the aggregation state of `own` with its advertised capability.
     pub fn new(own: NodeId, own_capability: Bandwidth) -> Self {
-        let mut samples = HashMap::new();
-        samples.insert(
-            own,
-            CapabilitySample {
-                node: own,
-                capability: own_capability,
-                timestamp: SimTime::ZERO,
-            },
-        );
-        CapabilityAggregator {
+        let mut aggregator = CapabilityAggregator {
             own,
             own_capability,
-            samples,
-        }
+            samples: HashMap::new(),
+            sum_bps: 0,
+            freshest: Vec::new(),
+            cached_n: None,
+        };
+        aggregator.upsert(aggregator.own_sample(SimTime::ZERO));
+        aggregator
     }
 
     /// The node owning this aggregator.
@@ -83,18 +119,84 @@ impl CapabilityAggregator {
         self.own_capability
     }
 
+    fn own_sample(&self, now: SimTime) -> CapabilitySample {
+        CapabilitySample {
+            node: self.own,
+            capability: self.own_capability,
+            timestamp: now,
+        }
+    }
+
+    /// The single point that adds to or replaces in the sample table; keeps
+    /// `sum_bps` and the freshest cache in step. Our own sample is always
+    /// overwritten (only the owner writes it); anyone else's only by a
+    /// strictly fresher one. Returns whether `sample` was stored.
+    fn upsert(&mut self, sample: CapabilitySample) -> bool {
+        let old = match self.samples.entry(sample.node) {
+            Entry::Occupied(mut held) => {
+                if sample.node != self.own && sample.timestamp <= held.get().timestamp {
+                    return false;
+                }
+                Some(held.insert(sample))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(sample);
+                None
+            }
+        };
+        self.sum_bps += sample.capability.as_bps();
+        if let Some(old) = old {
+            self.sum_bps -= old.capability.as_bps();
+            if sample.timestamp < old.timestamp {
+                // The rank fell: an uncached sample may now outrank it.
+                self.cached_n = None;
+            }
+        }
+        if let Some(n) = self.cached_n {
+            self.promote(sample, n);
+        }
+        true
+    }
+
+    /// Places a just-stored sample, whose rank did not fall, in the valid
+    /// cache of the `n` freshest.
+    fn promote(&mut self, sample: CapabilitySample, n: usize) {
+        let full = self.freshest.len() == n;
+        // A full cache whose tail outranks the sample keeps it out. (Were the
+        // node cached, its new rank would be at least the tail's.)
+        if full
+            && self
+                .freshest
+                .last()
+                .is_none_or(|tail| payload_order(tail, &sample) == Ordering::Less)
+        {
+            return;
+        }
+        if let Some(at) = self.freshest.iter().position(|s| s.node == sample.node) {
+            self.freshest.remove(at);
+        } else if full {
+            self.freshest.pop();
+        }
+        let at = self
+            .freshest
+            .partition_point(|s| payload_order(s, &sample) == Ordering::Less);
+        self.freshest.insert(at, sample);
+    }
+
+    /// The `n` freshest samples by full scan: what the cache must equal, and
+    /// how it is rebuilt after an invalidation.
+    fn scan_freshest(&self, n: usize) -> Vec<CapabilitySample> {
+        let mut all: Vec<CapabilitySample> = self.samples.values().copied().collect();
+        all.sort_by(payload_order);
+        all.truncate(n);
+        all
+    }
+
     /// Updates the node's own capability (e.g. when the user changes the
     /// budget given to the application, or a bandwidth probe refines it).
     pub fn set_own_capability(&mut self, capability: Bandwidth, now: SimTime) {
         self.own_capability = capability;
-        self.samples.insert(
-            self.own,
-            CapabilitySample {
-                node: self.own,
-                capability,
-                timestamp: now,
-            },
-        );
+        self.upsert(self.own_sample(now));
     }
 
     /// Number of distinct nodes we hold a sample for (including ourselves).
@@ -111,15 +213,7 @@ impl CapabilityAggregator {
         let mut updated = 0;
         for sample in received {
             // Never let someone else overwrite our own advertised capability.
-            if sample.node == self.own {
-                continue;
-            }
-            let fresher = match self.samples.get(&sample.node) {
-                Some(existing) => sample.timestamp > existing.timestamp,
-                None => true,
-            };
-            if fresher {
-                self.samples.insert(sample.node, *sample);
+            if sample.node != self.own && self.upsert(*sample) {
                 updated += 1;
             }
         }
@@ -128,9 +222,19 @@ impl CapabilityAggregator {
 
     /// Drops the sample of a node known to have failed so the average is not
     /// skewed by departed peers.
+    ///
+    /// There are no tombstones: the node is excluded from the next payload
+    /// and from the average, but any later [`merge`](Self::merge) carrying a
+    /// sample of it, however old, re-admits it. Peers that have not noticed
+    /// the failure keep gossiping the sample, so it can return until they
+    /// forget it too.
     pub fn forget(&mut self, node: NodeId) {
-        if node != self.own {
-            self.samples.remove(&node);
+        if node == self.own {
+            return;
+        }
+        if let Some(old) = self.samples.remove(&node) {
+            self.sum_bps -= old.capability.as_bps();
+            self.cached_n = None;
         }
     }
 
@@ -139,25 +243,31 @@ impl CapabilityAggregator {
     ///
     /// [Aggregation]: crate::message::GossipMessage::Aggregation
     pub fn freshest_samples(&mut self, n: usize, now: SimTime) -> Vec<CapabilitySample> {
-        self.samples.insert(
-            self.own,
-            CapabilitySample {
-                node: self.own,
-                capability: self.own_capability,
-                timestamp: now,
-            },
-        );
-        let mut all: Vec<CapabilitySample> = self.samples.values().copied().collect();
-        all.sort_by(|a, b| b.timestamp.cmp(&a.timestamp).then(a.node.cmp(&b.node)));
-        all.truncate(n);
-        all
+        if self.cached_n != Some(n) {
+            self.cached_n = None;
+        }
+        self.upsert(self.own_sample(now));
+        if self.cached_n.is_none() {
+            // Copied, not moved: the scan's buffer has room for every known
+            // node.
+            self.freshest.clone_from(&self.scan_freshest(n));
+            self.cached_n = Some(n);
+        }
+        debug_assert_eq!(self.freshest, self.scan_freshest(n));
+        self.freshest.clone()
     }
 
     /// The current estimate of the system-wide average upload capability
     /// (mean of all known samples; at least our own).
     pub fn estimated_average(&self) -> Bandwidth {
-        let sum: u64 = self.samples.values().map(|s| s.capability.as_bps()).sum();
-        Bandwidth::from_bps(sum / self.samples.len() as u64)
+        debug_assert_eq!(
+            self.sum_bps,
+            self.samples
+                .values()
+                .map(|s| s.capability.as_bps())
+                .sum::<u64>()
+        );
+        Bandwidth::from_bps(self.sum_bps / self.samples.len() as u64)
     }
 
     /// `b_p / b̄`: the node's capability relative to the estimated average —

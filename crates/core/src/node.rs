@@ -443,12 +443,11 @@ impl GossipNode {
         self.served_recent.contains(&key) || self.served_prev.contains(&key)
     }
 
-    /// Records that `id` was served to `requester` at `now`.
-    fn mark_served(&mut self, requester: NodeId, id: PacketId, now: SimTime) {
+    /// Records that `id` was served to `requester`.
+    fn mark_served(&mut self, requester: NodeId, id: PacketId) {
         if self.config.serve_dedup_window.is_none() {
             return;
         }
-        let _ = now;
         self.served_recent.insert((requester.as_u32(), id.seq()));
     }
 
@@ -481,10 +480,8 @@ impl GossipNode {
             return;
         }
         let targets = self.select_targets(fanout, ctx.rng());
-        for target in targets {
-            ctx.send(target, GossipMessage::propose(ids.clone(), &self.config));
-            self.stats.proposals_sent += 1;
-        }
+        self.stats.proposals_sent += targets.len() as u64;
+        send_to_each(ctx, &targets, GossipMessage::propose(ids, &self.config));
     }
 
     fn arm_gossip_timer(&self, ctx: &mut Context<'_, GossipMessage>, delay: SimDuration) {
@@ -506,20 +503,19 @@ impl GossipNode {
         self.arm_gossip_timer(ctx, self.config.gossip_period);
     }
 
+    /// One aggregation round; the timer is armed on adaptive nodes only (see
+    /// `start_participation`).
     fn on_aggregation_round(&mut self, ctx: &mut Context<'_, GossipMessage>) {
-        if self.policy.is_adaptive() {
-            let samples = self
-                .aggregator
-                .freshest_samples(self.config.aggregation_freshest, ctx.now());
-            let targets = self.select_targets(self.config.aggregation_fanout, ctx.rng());
-            for target in targets {
-                ctx.send(
-                    target,
-                    GossipMessage::aggregation(samples.clone(), &self.config),
-                );
-                self.stats.aggregation_sent += 1;
-            }
-        }
+        let samples = self
+            .aggregator
+            .freshest_samples(self.config.aggregation_freshest, ctx.now());
+        let targets = self.select_targets(self.config.aggregation_fanout, ctx.rng());
+        self.stats.aggregation_sent += targets.len() as u64;
+        send_to_each(
+            ctx,
+            &targets,
+            GossipMessage::aggregation(samples, &self.config),
+        );
         self.arm_aggregation_timer(ctx, self.config.aggregation_period);
     }
 
@@ -567,13 +563,12 @@ impl GossipNode {
                 if pressure >= adaptation.request_threshold {
                     self.stats.adaptation_boosts += 1;
                     let targets = self.select_targets(adaptation.fanout_boost, ctx.rng());
-                    for target in targets {
-                        ctx.send(
-                            target,
-                            GossipMessage::propose(vec![published], &self.config),
-                        );
-                        self.stats.proposals_sent += 1;
-                    }
+                    self.stats.proposals_sent += targets.len() as u64;
+                    send_to_each(
+                        ctx,
+                        &targets,
+                        GossipMessage::propose(vec![published], &self.config),
+                    );
                 }
             }
             self.next_source_seq += 1;
@@ -610,6 +605,18 @@ impl GossipNode {
             .register(pending.proposer, missing, pending.retries_left - 1);
         ctx.set_timer(self.config.retransmit_period, new_tag);
     }
+}
+
+/// Sends `msg` to every target: a clone to all but the last, which takes the
+/// original, so a single-target round allocates its payload once.
+fn send_to_each(ctx: &mut Context<'_, GossipMessage>, targets: &[NodeId], msg: GossipMessage) {
+    let Some((&last, rest)) = targets.split_last() else {
+        return;
+    };
+    for &target in rest {
+        ctx.send(target, msg.clone());
+    }
+    ctx.send(last, msg);
 }
 
 impl Protocol for GossipNode {
@@ -687,7 +694,12 @@ impl GossipNode {
                 .gen_range(0..=self.config.aggregation_period.as_micros()),
         )
         .max(min_phase);
-        self.arm_aggregation_timer(ctx, agg_phase);
+        // Standard gossip never gossips capabilities, so it arms no
+        // aggregation timer; the phase is drawn regardless so every node's
+        // RNG stream is the same under either policy.
+        if self.policy.is_adaptive() {
+            self.arm_aggregation_timer(ctx, agg_phase);
+        }
         if let Some(partial) = &self.partial {
             let shuffle_phase = SimDuration::from_micros(
                 ctx.rng()
@@ -742,7 +754,7 @@ impl GossipNode {
                 let served = self.engine.handle_request(&fresh_ids);
                 if !served.is_empty() {
                     for packet in &served {
-                        self.mark_served(from, packet.id, ctx.now());
+                        self.mark_served(from, packet.id);
                     }
                     self.stats.serves_sent += 1;
                     self.stats.packets_served += served.len() as u64;
@@ -794,6 +806,19 @@ mod tests {
         policy: impl Fn(NodeId) -> FanoutPolicy,
         capability: impl Fn(NodeId) -> Bandwidth,
     ) -> Simulator<GossipNode> {
+        build_wrapped_sim(n, seed, windows, loss, policy, capability, |node| node)
+    }
+
+    /// `build_sim` with every node passed through `wrap` (e.g. a timer spy).
+    fn build_wrapped_sim<P: Protocol<Message = GossipMessage>>(
+        n: usize,
+        seed: u64,
+        windows: u64,
+        loss: LossModel,
+        policy: impl Fn(NodeId) -> FanoutPolicy,
+        capability: impl Fn(NodeId) -> Bandwidth,
+        wrap: impl Fn(GossipNode) -> P,
+    ) -> Simulator<P> {
         let sched = schedule(windows);
         SimulatorBuilder::new(n, seed)
             .latency(LatencyModel::uniform(
@@ -807,17 +832,47 @@ mod tests {
                     .collect(),
             )
             .build(|id| {
-                GossipNode::builder(id, n, sched)
-                    .config(GossipConfig::paper().with_fanout(5.0))
-                    .fanout(policy(id))
-                    .capability(capability(id))
-                    .role(if id.index() == 0 {
-                        Role::Source
-                    } else {
-                        Role::Receiver
-                    })
-                    .build()
+                wrap(
+                    GossipNode::builder(id, n, sched)
+                        .config(GossipConfig::paper().with_fanout(5.0))
+                        .fanout(policy(id))
+                        .capability(capability(id))
+                        .role(if id.index() == 0 {
+                            Role::Source
+                        } else {
+                            Role::Receiver
+                        })
+                        .build(),
+                )
             })
+    }
+
+    /// Counts the aggregation timers that fire on the wrapped node.
+    struct AggregationTimerSpy {
+        node: GossipNode,
+        fired: u64,
+    }
+
+    impl Protocol for AggregationTimerSpy {
+        type Message = GossipMessage;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, GossipMessage>) {
+            self.node.on_start(ctx);
+        }
+
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, GossipMessage>,
+            from: NodeId,
+            msg: GossipMessage,
+        ) {
+            self.node.on_message(ctx, from, msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, GossipMessage>, timer: TimerId, tag: u64) {
+            self.fired += u64::from(tag == TAG_AGGREGATION);
+            self.node.on_timer(ctx, timer, tag);
+        }
     }
 
     #[test]
@@ -1020,18 +1075,27 @@ mod tests {
 
     #[test]
     fn standard_gossip_does_not_send_aggregation_traffic() {
-        let mut sim = build_sim(
-            10,
-            5,
-            1,
-            LossModel::none(),
-            |_| FanoutPolicy::fixed(4.0),
-            |_| Bandwidth::from_mbps(100),
-        );
-        sim.run_until(SimTime::from_secs(10));
-        for (_, node) in sim.iter_nodes() {
-            assert_eq!(node.stats().aggregation_sent, 0);
-            assert_eq!(node.stats().aggregation_received, 0);
+        let spied = |policy: FanoutPolicy| {
+            let mut sim = build_wrapped_sim(
+                10,
+                5,
+                1,
+                LossModel::none(),
+                |_| policy,
+                |_| Bandwidth::from_mbps(100),
+                |node| AggregationTimerSpy { node, fired: 0 },
+            );
+            sim.run_until(SimTime::from_secs(10));
+            sim
+        };
+        for (id, spy) in spied(FanoutPolicy::fixed(4.0)).iter_nodes() {
+            assert_eq!(spy.node.stats().aggregation_sent, 0);
+            assert_eq!(spy.node.stats().aggregation_received, 0);
+            assert_eq!(spy.fired, 0, "{id:?} ran an aggregation timer");
+        }
+        // The spy does see the timer where it is armed.
+        for (id, spy) in spied(FanoutPolicy::heap(4.0)).iter_nodes() {
+            assert!(spy.fired >= 40, "{id:?} fired {} in 10 s", spy.fired);
         }
     }
 
@@ -1047,6 +1111,49 @@ mod tests {
         assert_eq!(
             node.view().death_noticed_at(NodeId::new(3)),
             Some(SimTime::from_secs(70))
+        );
+    }
+
+    #[test]
+    fn notify_failure_forgets_the_sample_until_a_merge_readmits_it() {
+        use crate::aggregation::CapabilitySample;
+        let peer = NodeId::new(3);
+        let peers_sample = CapabilitySample {
+            node: peer,
+            capability: Bandwidth::from_mbps(3),
+            timestamp: SimTime::from_secs(60),
+        };
+        let mut node = GossipNode::builder(NodeId::new(0), 5, schedule(1))
+            .capability(Bandwidth::from_kbps(512))
+            .build();
+        let payload_has_peer = |node: &mut GossipNode, secs| {
+            let payload = node
+                .aggregator
+                .freshest_samples(10, SimTime::from_secs(secs));
+            payload.iter().any(|s| s.node == peer)
+        };
+        node.aggregator.merge(&[peers_sample]);
+        assert!(payload_has_peer(&mut node, 69));
+        assert_eq!(
+            node.aggregator().estimated_average(),
+            Bandwidth::from_kbps((512 + 3000) / 2)
+        );
+
+        node.notify_failure(peer, SimTime::from_secs(70));
+        assert!(!payload_has_peer(&mut node, 70));
+        assert_eq!(
+            node.aggregator().estimated_average(),
+            Bandwidth::from_kbps(512)
+        );
+        assert_eq!(node.aggregator().known_nodes(), 1);
+
+        // No tombstone: the very same (now older) sample, relayed by a peer
+        // that has not noticed the failure yet, brings the node back.
+        assert_eq!(node.aggregator.merge(&[peers_sample]), 1);
+        assert!(payload_has_peer(&mut node, 71));
+        assert_eq!(
+            node.aggregator().estimated_average(),
+            Bandwidth::from_kbps((512 + 3000) / 2)
         );
     }
 
