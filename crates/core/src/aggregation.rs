@@ -11,8 +11,6 @@ use heap_simnet::node::NodeId;
 use heap_simnet::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// One capability sample: a node, its advertised upload capability, and when
 /// the sample was taken at its origin.
@@ -28,17 +26,27 @@ pub struct CapabilitySample {
 
 /// Per-node state of the aggregation protocol.
 ///
-/// The table holds the freshest known sample per node. Two derived values
-/// are kept in step with it by the private `upsert` and by
-/// [`forget`](Self::forget), the only two places that write the table:
+/// The owner's sample lives in its own field. The freshest known sample of
+/// every *other* node sits in a dense table indexed by [`NodeId::index`],
+/// which only [`merge`](Self::merge) grows, to exactly the highest id heard
+/// so far. An aggregator that never merged (every node at build, every
+/// standard-gossip node for good) therefore owns no heap memory at all; one
+/// that did pays 32 B per id up to the highest it heard, and a lookup is one
+/// bounds check and one load. Ids arrive in random order, so the table is
+/// regrown O(log highest id) times in expectation.
 ///
-/// 1. `sum_bps` is the exact `u64` sum of every stored capability, so
-///    [`estimated_average`](Self::estimated_average) is one division.
-/// 2. While `cached_n` is `Some(n)`, `freshest` is the first `n` stored
+/// Two derived values are kept in step with the samples by the private
+/// `upsert` and by [`forget`](Self::forget), the only two places that write
+/// them:
+///
+/// 1. `sum_bps` is the exact `u64` sum of every held capability, the
+///    owner's included, so [`estimated_average`](Self::estimated_average) is
+///    one division.
+/// 2. While `cached_n` is `Some(n)`, `freshest` is the first `n` held
 ///    samples in `(timestamp desc, node asc)` order: the payload of the
 ///    next aggregation round.
 ///
-/// A stored sample is normally replaced only by a fresher one, which can
+/// A held sample is normally replaced only by a fresher one, which can
 /// only raise its rank, so the new top `n` is a subset of the old top `n`
 /// plus the written sample. One comparison against the cached tail rejects a
 /// sample that does not make it; one that does costs O(`n`). Three
@@ -48,9 +56,13 @@ pub struct CapabilitySample {
 /// `freshest_samples`), and `freshest_samples` with a different `n`. The next
 /// `freshest_samples` then rebuilds the cache with a full sort.
 ///
-/// Costs per call, with `N` known nodes and `n` the payload size:
-/// `estimated_average` O(1); `merge` one table lookup per sample plus O(`n`)
-/// per accepted one; `freshest_samples` O(`n`), or O(`N` log `N`) after an
+/// No table order reaches behaviour: the table is read by index, and the
+/// one full pass over it (`scan_freshest`) sorts what it collects by
+/// `(timestamp desc, node asc)`, a total order over distinct nodes.
+///
+/// Costs per call, with `n` the payload size: `estimated_average` O(1);
+/// `merge` one indexed load per sample plus O(`n`) per accepted one;
+/// `freshest_samples` O(`n`), or a scan and sort of the table after an
 /// invalidation; `forget` O(1). A node that never calls `freshest_samples`
 /// (standard gossip) never builds the cache and allocates nothing for it.
 ///
@@ -76,11 +88,14 @@ pub struct CapabilitySample {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CapabilityAggregator {
-    own: NodeId,
-    own_capability: Bandwidth,
-    /// Freshest known sample per node (including our own).
-    samples: HashMap<NodeId, CapabilitySample>,
-    /// Sum of the capabilities in `samples`, in bps.
+    /// Our own sample: who we are, what we advertise, and when it was last
+    /// refreshed.
+    own: CapabilitySample,
+    /// Freshest known sample of every other node, at `NodeId::index()`.
+    samples: Vec<Option<CapabilitySample>>,
+    /// Number of occupied slots in `samples`.
+    known: usize,
+    /// Sum of the capabilities in `own` and `samples`, in bps.
     sum_bps: u64,
     /// The `cached_n` freshest samples in payload order; meaningful only
     /// while `cached_n` is `Some`.
@@ -97,52 +112,52 @@ fn payload_order(a: &CapabilitySample, b: &CapabilitySample) -> Ordering {
 impl CapabilityAggregator {
     /// Creates the aggregation state of `own` with its advertised capability.
     pub fn new(own: NodeId, own_capability: Bandwidth) -> Self {
-        let mut aggregator = CapabilityAggregator {
-            own,
-            own_capability,
-            samples: HashMap::new(),
-            sum_bps: 0,
+        CapabilityAggregator {
+            own: CapabilitySample {
+                node: own,
+                capability: own_capability,
+                timestamp: SimTime::ZERO,
+            },
+            samples: Vec::new(),
+            known: 0,
+            sum_bps: own_capability.as_bps(),
             freshest: Vec::new(),
             cached_n: None,
-        };
-        aggregator.upsert(aggregator.own_sample(SimTime::ZERO));
-        aggregator
+        }
     }
 
     /// The node owning this aggregator.
     pub fn owner(&self) -> NodeId {
-        self.own
+        self.own.node
     }
 
     /// The node's own advertised capability.
     pub fn own_capability(&self) -> Bandwidth {
-        self.own_capability
+        self.own.capability
     }
 
-    fn own_sample(&self, now: SimTime) -> CapabilitySample {
-        CapabilitySample {
-            node: self.own,
-            capability: self.own_capability,
-            timestamp: now,
-        }
-    }
-
-    /// The single point that adds to or replaces in the sample table; keeps
-    /// `sum_bps` and the freshest cache in step. Our own sample is always
-    /// overwritten (only the owner writes it); anyone else's only by a
-    /// strictly fresher one. Returns whether `sample` was stored.
+    /// The single point that adds or replaces a held sample; keeps `sum_bps`
+    /// and the freshest cache in step. Our own sample is always overwritten
+    /// (only the owner writes it); anyone else's only by a strictly fresher
+    /// one. Returns whether `sample` was stored.
     fn upsert(&mut self, sample: CapabilitySample) -> bool {
-        let old = match self.samples.entry(sample.node) {
-            Entry::Occupied(mut held) => {
-                if sample.node != self.own && sample.timestamp <= held.get().timestamp {
-                    return false;
-                }
-                Some(held.insert(sample))
+        let old = if sample.node == self.own.node {
+            Some(std::mem::replace(&mut self.own, sample))
+        } else {
+            let at = sample.node.index();
+            if at >= self.samples.len() {
+                // Exactly as far as the highest id heard, not amortised: the
+                // table stands for the whole run and regrowth is rare.
+                self.samples.reserve_exact(at + 1 - self.samples.len());
+                self.samples.resize(at + 1, None);
             }
-            Entry::Vacant(slot) => {
-                slot.insert(sample);
-                None
+            let slot = &mut self.samples[at];
+            if slot.is_some_and(|held| sample.timestamp <= held.timestamp) {
+                return false;
             }
+            let old = slot.replace(sample);
+            self.known += usize::from(old.is_none());
+            old
         };
         self.sum_bps += sample.capability.as_bps();
         if let Some(old) = old {
@@ -183,10 +198,16 @@ impl CapabilityAggregator {
         self.freshest.insert(at, sample);
     }
 
+    /// Every held sample, our own first. Callers must not let the order reach
+    /// behaviour.
+    fn held(&self) -> impl Iterator<Item = CapabilitySample> + '_ {
+        std::iter::once(self.own).chain(self.samples.iter().flatten().copied())
+    }
+
     /// The `n` freshest samples by full scan: what the cache must equal, and
     /// how it is rebuilt after an invalidation.
     fn scan_freshest(&self, n: usize) -> Vec<CapabilitySample> {
-        let mut all: Vec<CapabilitySample> = self.samples.values().copied().collect();
+        let mut all: Vec<CapabilitySample> = self.held().collect();
         all.sort_by(payload_order);
         all.truncate(n);
         all
@@ -195,13 +216,25 @@ impl CapabilityAggregator {
     /// Updates the node's own capability (e.g. when the user changes the
     /// budget given to the application, or a bandwidth probe refines it).
     pub fn set_own_capability(&mut self, capability: Bandwidth, now: SimTime) {
-        self.own_capability = capability;
-        self.upsert(self.own_sample(now));
+        self.upsert(CapabilitySample {
+            capability,
+            timestamp: now,
+            ..self.own
+        });
     }
 
     /// Number of distinct nodes we hold a sample for (including ourselves).
     pub fn known_nodes(&self) -> usize {
-        self.samples.len()
+        self.known + 1
+    }
+
+    /// Resident heap bytes held by this aggregator (beyond
+    /// `size_of::<Self>()`): the sample table and the payload cache. Zero
+    /// until the first [`merge`](Self::merge) or
+    /// [`freshest_samples`](Self::freshest_samples).
+    pub fn heap_bytes(&self) -> usize {
+        self.samples.capacity() * std::mem::size_of::<Option<CapabilitySample>>()
+            + self.freshest.capacity() * std::mem::size_of::<CapabilitySample>()
     }
 
     /// Merges samples received in an [Aggregation] message, keeping the
@@ -213,7 +246,7 @@ impl CapabilityAggregator {
         let mut updated = 0;
         for sample in received {
             // Never let someone else overwrite our own advertised capability.
-            if sample.node != self.own && self.upsert(*sample) {
+            if sample.node != self.own.node && self.upsert(*sample) {
                 updated += 1;
             }
         }
@@ -229,10 +262,12 @@ impl CapabilityAggregator {
     /// the failure keep gossiping the sample, so it can return until they
     /// forget it too.
     pub fn forget(&mut self, node: NodeId) {
-        if node == self.own {
+        if node == self.own.node {
             return;
         }
-        if let Some(old) = self.samples.remove(&node) {
+        // An id beyond the table end was never heard of.
+        if let Some(old) = self.samples.get_mut(node.index()).and_then(Option::take) {
+            self.known -= 1;
             self.sum_bps -= old.capability.as_bps();
             self.cached_n = None;
         }
@@ -246,7 +281,10 @@ impl CapabilityAggregator {
         if self.cached_n != Some(n) {
             self.cached_n = None;
         }
-        self.upsert(self.own_sample(now));
+        self.upsert(CapabilitySample {
+            timestamp: now,
+            ..self.own
+        });
         if self.cached_n.is_none() {
             // Copied, not moved: the scan's buffer has room for every known
             // node.
@@ -262,12 +300,10 @@ impl CapabilityAggregator {
     pub fn estimated_average(&self) -> Bandwidth {
         debug_assert_eq!(
             self.sum_bps,
-            self.samples
-                .values()
-                .map(|s| s.capability.as_bps())
-                .sum::<u64>()
+            self.held().map(|s| s.capability.as_bps()).sum::<u64>()
         );
-        Bandwidth::from_bps(self.sum_bps / self.samples.len() as u64)
+        debug_assert_eq!(self.known, self.samples.iter().flatten().count());
+        Bandwidth::from_bps(self.sum_bps / self.known_nodes() as u64)
     }
 
     /// `b_p / b̄`: the node's capability relative to the estimated average —
@@ -277,7 +313,7 @@ impl CapabilityAggregator {
         if avg.as_bps() == 0 {
             1.0
         } else {
-            self.own_capability.ratio(avg)
+            self.own.capability.ratio(avg)
         }
     }
 }

@@ -176,19 +176,20 @@ impl DisseminationEngine {
     }
 
     /// Phase 3 (receiver side): handles an incoming [Serve]; delivers new
-    /// packets, queues their ids for the next proposal round and returns the
-    /// ids that were new.
+    /// packets, queues their ids for the next proposal round (read them with
+    /// [`take_proposals`](Self::take_proposals)) and returns how many were
+    /// new.
     ///
     /// [Serve]: crate::message::GossipMessage::Serve
-    pub fn handle_serve(&mut self, packets: &[StreamPacket], now: SimTime) -> Vec<PacketId> {
-        let mut fresh = Vec::new();
+    pub fn handle_serve(&mut self, packets: &[StreamPacket], now: SimTime) -> usize {
+        let mut fresh = 0;
         for packet in packets {
             if self.log.record(packet.id, now) {
                 self.stats.packets_delivered += 1;
                 self.stats.ids_learned += 1;
                 self.health.on_packet(packet.published_at, now);
                 self.to_propose.push(packet.id);
-                fresh.push(packet.id);
+                fresh += 1;
             } else {
                 self.stats.duplicate_payloads += 1;
             }
@@ -243,8 +244,7 @@ mod tests {
 
         // a received packets 0 and 1 from somewhere.
         let packets = vec![pkt(&a, 0), pkt(&a, 1)];
-        let fresh = a.handle_serve(&packets, now);
-        assert_eq!(fresh.len(), 2);
+        assert_eq!(a.handle_serve(&packets, now), 2);
         assert_eq!(a.pending_proposals(), 2);
         assert!(a.is_delivered(PacketId::new(0)));
 
@@ -260,8 +260,7 @@ mod tests {
         // a serves; b delivers and queues for its own next round.
         let served = a.handle_request(&wanted);
         assert_eq!(served.len(), 2);
-        let delivered = b.handle_serve(&served, now);
-        assert_eq!(delivered.len(), 2);
+        assert_eq!(b.handle_serve(&served, now), 2);
         assert!(b.is_delivered(PacketId::new(1)));
         assert_eq!(b.receiver_log().received_count(), 2);
         assert_eq!(b.stats().packets_delivered, 2);
@@ -285,8 +284,8 @@ mod tests {
     fn duplicate_serves_are_counted_not_redelivered() {
         let mut e = engine();
         let p = pkt(&e, 5);
-        assert_eq!(e.handle_serve(&[p], SimTime::from_secs(1)).len(), 1);
-        assert!(e.handle_serve(&[p], SimTime::from_secs(2)).is_empty());
+        assert_eq!(e.handle_serve(&[p], SimTime::from_secs(1)), 1);
+        assert_eq!(e.handle_serve(&[p], SimTime::from_secs(2)), 0);
         assert_eq!(e.stats().duplicate_payloads, 1);
         assert_eq!(e.receiver_log().arrival(p.id), Some(SimTime::from_secs(1)));
         // The id is only queued for proposal once.

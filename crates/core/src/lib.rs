@@ -79,6 +79,7 @@ pub mod fanout;
 pub mod message;
 pub mod node;
 pub mod retransmit;
+mod serve_dedup;
 
 pub use aggregation::{CapabilityAggregator, CapabilitySample};
 pub use config::{GossipConfig, PartialMembershipConfig, SourceAdaptation};

@@ -19,6 +19,7 @@ use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
 use crate::message::GossipMessage;
 use crate::retransmit::RetransmitTracker;
+use crate::serve_dedup::ServeDedup;
 use heap_membership::partial::PartialView;
 use heap_membership::sampler::UniformSampler;
 use heap_membership::view::MembershipView;
@@ -249,15 +250,13 @@ impl GossipNodeBuilder {
             aggregator: CapabilityAggregator::new(self.id, self.capability),
             retransmit: RetransmitTracker::new(),
             stats: ProtocolStats::default(),
+            served: ServeDedup::new(self.config.serve_dedup_window),
             config: self.config,
             next_source_seq: 0,
             serve_fraction: self.serve_fraction,
             adaptation_requests_seen: 0,
             join_at: self.join_at,
             joined: self.join_at.is_none(),
-            served_recent: std::collections::HashSet::new(),
-            served_prev: std::collections::HashSet::new(),
-            served_generation_start: SimTime::ZERO,
         }
     }
 }
@@ -299,13 +298,8 @@ pub struct GossipNode {
     join_at: Option<SimTime>,
     /// Whether the node participates yet (always `true` without `join_at`).
     joined: bool,
-    /// Serve-side duplicate suppression: `(requester, packet)` pairs served
-    /// during the current and the previous dedup generation (rotated every
-    /// `serve_dedup_window`), so a retransmitted request does not duplicate
-    /// payload that is merely queued.
-    served_recent: std::collections::HashSet<(u32, u64)>,
-    served_prev: std::collections::HashSet<(u32, u64)>,
-    served_generation_start: SimTime,
+    /// Serve-side duplicate suppression over `config.serve_dedup_window`.
+    served: ServeDedup,
 }
 
 impl GossipNode {
@@ -428,28 +422,6 @@ impl GossipNode {
     // ------------------------------------------------------------------
     // Internal helpers
     // ------------------------------------------------------------------
-
-    /// Whether `id` was served to `requester` within the dedup window.
-    fn recently_served(&mut self, requester: NodeId, id: PacketId, now: SimTime) -> bool {
-        let Some(window) = self.config.serve_dedup_window else {
-            return false;
-        };
-        // Rotate generations so membership is bounded to ~2 windows of serves.
-        if now.saturating_since(self.served_generation_start) >= window {
-            self.served_prev = std::mem::take(&mut self.served_recent);
-            self.served_generation_start = now;
-        }
-        let key = (requester.as_u32(), id.seq());
-        self.served_recent.contains(&key) || self.served_prev.contains(&key)
-    }
-
-    /// Records that `id` was served to `requester`.
-    fn mark_served(&mut self, requester: NodeId, id: PacketId) {
-        if self.config.serve_dedup_window.is_none() {
-            return;
-        }
-        self.served_recent.insert((requester.as_u32(), id.seq()));
-    }
 
     /// Draws up to `fanout` gossip targets: uniformly from the full view, or
     /// from the Cyclon partial view in partial membership mode.
@@ -742,7 +714,7 @@ impl GossipNode {
                 // payload traffic (see `GossipConfig::serve_dedup_window`).
                 let mut fresh_ids: Vec<_> = ids
                     .into_iter()
-                    .filter(|id| !self.recently_served(from, *id, ctx.now()))
+                    .filter(|id| !self.served.recently_served(from, *id, ctx.now()))
                     .collect();
                 // A free-rider quietly drops part of the request before it
                 // reaches the engine, so its serve counters reflect what it
@@ -754,7 +726,7 @@ impl GossipNode {
                 let served = self.engine.handle_request(&fresh_ids);
                 if !served.is_empty() {
                     for packet in &served {
-                        self.mark_served(from, packet.id);
+                        self.served.mark_served(from, packet.id);
                     }
                     self.stats.serves_sent += 1;
                     self.stats.packets_served += served.len() as u64;
@@ -1092,10 +1064,14 @@ mod tests {
             assert_eq!(spy.node.stats().aggregation_sent, 0);
             assert_eq!(spy.node.stats().aggregation_received, 0);
             assert_eq!(spy.fired, 0, "{id:?} ran an aggregation timer");
+            // Nor did its aggregator ever allocate.
+            assert_eq!(spy.node.aggregator().heap_bytes(), 0, "{id:?}");
         }
-        // The spy does see the timer where it is armed.
+        // The spy does see the timer where it is armed, and the accounting
+        // the table it fills.
         for (id, spy) in spied(FanoutPolicy::heap(4.0)).iter_nodes() {
             assert!(spy.fired >= 40, "{id:?} fired {} in 10 s", spy.fired);
+            assert!(spy.node.aggregator().heap_bytes() > 0, "{id:?}");
         }
     }
 

@@ -11,7 +11,7 @@
 
 use heap_simnet::node::NodeId;
 use heap_streaming::packet::PacketId;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// A pending request whose answer has not been fully received yet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +25,18 @@ pub struct PendingRequest {
 }
 
 /// Tracks outstanding requests keyed by the timer tag armed for them.
+///
+/// Tags are handed out consecutively from [`RETRANSMIT_TAG_BASE`] and their
+/// timers all run for the same period, so requests leave in roughly the
+/// order they came. The tracker is therefore a FIFO slab: slot `i` of a
+/// deque holds the request registered under tag `front_tag + i`, a taken
+/// slot is blanked, and blank slots are popped off the front. `register`
+/// is a push, [`take`](Self::take) an index, and the deque spans only the
+/// tags between the oldest request still pending and the newest.
+///
+/// No slot order reaches behaviour: slots are read by tag, and
+/// [`forget_proposer`](Self::forget_proposer), the one pass over them,
+/// blanks each matching slot independently of the others.
 ///
 /// # Examples
 ///
@@ -40,37 +52,47 @@ pub struct PendingRequest {
 /// assert_eq!(pending.retries_left, 2);
 /// assert!(tracker.take(tag).is_none(), "taking twice yields nothing");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RetransmitTracker {
-    pending: HashMap<u64, PendingRequest>,
-    next_tag: u64,
+    /// Slot `i` belongs to tag `front_tag + i`. The front slot, if there is
+    /// one, is occupied.
+    pending: VecDeque<Option<PendingRequest>>,
+    /// The tag of the front slot; the next tag to hand out when `pending`
+    /// is empty.
+    front_tag: u64,
+    /// Number of occupied slots.
+    live: usize,
 }
 
 /// Timer tags below this value are reserved for the node's periodic timers;
 /// retransmission tags start here.
 pub const RETRANSMIT_TAG_BASE: u64 = 1_000;
 
+impl Default for RetransmitTracker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RetransmitTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         RetransmitTracker {
-            pending: HashMap::new(),
-            next_tag: RETRANSMIT_TAG_BASE,
+            pending: VecDeque::new(),
+            front_tag: RETRANSMIT_TAG_BASE,
+            live: 0,
         }
     }
 
     /// Registers a pending request and returns the timer tag to arm for it.
     pub fn register(&mut self, proposer: NodeId, ids: Vec<PacketId>, retries: u32) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.pending.insert(
-            tag,
-            PendingRequest {
-                proposer,
-                ids,
-                retries_left: retries,
-            },
-        );
+        let tag = self.front_tag + self.pending.len() as u64;
+        self.pending.push_back(Some(PendingRequest {
+            proposer,
+            ids,
+            retries_left: retries,
+        }));
+        self.live += 1;
         tag
     }
 
@@ -78,7 +100,19 @@ impl RetransmitTracker {
     /// Called when the retransmission timer fires (or, as an optimisation,
     /// when the request has been fully answered).
     pub fn take(&mut self, tag: u64) -> Option<PendingRequest> {
-        self.pending.remove(&tag)
+        let at = usize::try_from(tag.checked_sub(self.front_tag)?).ok()?;
+        let taken = self.pending.get_mut(at)?.take()?;
+        self.live -= 1;
+        self.pop_blank_front();
+        Some(taken)
+    }
+
+    /// Restores the invariant that the front slot is occupied.
+    fn pop_blank_front(&mut self) {
+        while let Some(None) = self.pending.front() {
+            self.pending.pop_front();
+            self.front_tag += 1;
+        }
     }
 
     /// Returns `true` if `tag` identifies a retransmission timer (as opposed
@@ -89,15 +123,21 @@ impl RetransmitTracker {
 
     /// Number of requests currently awaiting their answer.
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Drops every pending request aimed at `proposer` (used when the peer is
     /// detected as failed: re-requesting from it is pointless).
     pub fn forget_proposer(&mut self, proposer: NodeId) -> usize {
-        let before = self.pending.len();
-        self.pending.retain(|_, p| p.proposer != proposer);
-        before - self.pending.len()
+        let before = self.live;
+        for slot in &mut self.pending {
+            if slot.as_ref().is_some_and(|p| p.proposer == proposer) {
+                *slot = None;
+                self.live -= 1;
+            }
+        }
+        self.pop_blank_front();
+        before - self.live
     }
 }
 
@@ -141,8 +181,64 @@ mod tests {
 
     #[test]
     fn default_is_empty() {
-        let t = RetransmitTracker::default();
+        let mut t = RetransmitTracker::default();
         assert_eq!(t.outstanding(), 0);
+        // Not tag 0, which is the gossip timer's.
+        let first = t.register(NodeId::new(1), ids(&[1]), 1);
+        assert!(RetransmitTracker::is_retransmit_tag(first));
+        assert_eq!(
+            first,
+            RetransmitTracker::new().register(NodeId::new(1), ids(&[1]), 1)
+        );
+    }
+
+    #[test]
+    fn blank_slots_leave_with_the_head() {
+        let mut t = RetransmitTracker::new();
+        let tags: Vec<u64> = (0..8)
+            .map(|i| t.register(NodeId::new(i), ids(&[i as u64]), 1))
+            .collect();
+        // Middle entries blank their slots but cannot shorten the deque.
+        for &tag in &tags[1..6] {
+            assert!(t.take(tag).is_some());
+        }
+        assert_eq!((t.outstanding(), t.pending.len()), (3, 8));
+        // Taking the head pops it and every blank behind it.
+        assert!(t.take(tags[0]).is_some());
+        assert_eq!((t.outstanding(), t.pending.len()), (2, 2));
+        assert_eq!(t.front_tag, tags[6]);
+        // A popped tag is below the front now and stays unknown.
+        assert!(t.take(tags[3]).is_none());
+        // `forget_proposer` pops what it blanks at the front too.
+        assert_eq!(t.forget_proposer(NodeId::new(6)), 1);
+        assert_eq!((t.outstanding(), t.pending.len()), (1, 1));
+        assert!(t.take(tags[7]).is_some());
+        assert!(t.pending.is_empty());
+        assert_eq!(t.register(NodeId::new(0), ids(&[9]), 1), tags[7] + 1);
+    }
+
+    #[test]
+    fn the_deque_spans_only_the_requests_in_flight() {
+        // A node's steady state: every request is taken `IN_FLIGHT`
+        // registrations later, now and then out of order.
+        const IN_FLIGHT: u64 = 50;
+        let mut t = RetransmitTracker::new();
+        for i in 0..100_000u64 {
+            let tag = t.register(NodeId::new((i % 7) as u32), ids(&[i]), 1);
+            if i >= IN_FLIGHT {
+                let due = tag - IN_FLIGHT;
+                // Every third pair fires in swapped order.
+                let swapped = match (due - RETRANSMIT_TAG_BASE) % 6 {
+                    0 => due + 1,
+                    1 => due - 1,
+                    _ => due,
+                };
+                assert!(t.take(swapped).is_some(), "tag {swapped}");
+            }
+            assert!(t.pending.len() as u64 <= IN_FLIGHT + 2, "step {i}");
+        }
+        assert_eq!(t.outstanding() as u64, IN_FLIGHT);
+        assert!(t.pending.capacity() <= 128, "{}", t.pending.capacity());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! Node ids and timestamps come from small ranges so that duplicates within
 //! one payload, stale and equal timestamps, and timestamp ties broken by node
 //! id are the common case rather than the rare one. The owner's id is inside
-//! the node range, so merges and forgets aimed at it occur too. The run
+//! the node range, so merges and forgets aimed at it occur too. A second
+//! property draws one id in eight from a range of thousands instead, so the
+//! aggregator's dense table grows in jumps, forgets land beyond its end, and
+//! now and then the owner itself sits far above everyone it hears of. The run
 //! continues on a clone of the aggregator now and then, and every payload
 //! check after a step works on a clone, as the benchmark probes do.
 
@@ -23,6 +26,12 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 const NODES: u32 = 24;
+/// The occasional far id; no sample is ever drawn at or above it.
+const FAR_NODES: u32 = 5_000;
+/// Bytes per slot of the aggregator's table.
+const SLOT_BYTES: usize = 32;
+/// Bytes the payload cache may hold, whatever payload sizes were asked for.
+const CACHE_BYTES: usize = 4 * 1024;
 
 /// The aggregation state as the paper describes it, with nothing cached.
 #[derive(Clone)]
@@ -100,6 +109,8 @@ impl Model {
 struct Inputs {
     rng: SmallRng,
     clock_secs: u64,
+    /// Whether one node id in eight is drawn below `FAR_NODES`, not `NODES`.
+    far_ids: bool,
 }
 
 impl Inputs {
@@ -112,7 +123,11 @@ impl Inputs {
     }
 
     fn node(&mut self) -> NodeId {
-        NodeId::new(self.rng.gen_range(0..NODES))
+        let range = match self.far_ids && self.rng.gen_range(0u32..8) == 0 {
+            true => FAR_NODES,
+            false => NODES,
+        };
+        NodeId::new(self.rng.gen_range(0..range))
     }
 
     fn capability(&mut self) -> Bandwidth {
@@ -155,15 +170,20 @@ impl Drop for ReportSeed {
 }
 
 /// One differential run: `ops` random operations derived from `seed`.
-fn drive(seed: u64, ops: usize) {
+fn drive(seed: u64, ops: usize, far_ids: bool) {
     let _report = ReportSeed(seed);
     let mut inputs = Inputs {
         rng: SmallRng::seed_from_u64(seed),
         clock_secs: 0,
+        far_ids,
     };
     let (own, capability) = (inputs.node(), inputs.capability());
     let mut aggregator = CapabilityAggregator::new(own, capability);
     let mut model = Model::new(own, capability);
+    assert_eq!(aggregator.heap_bytes(), 0, "fresh aggregator");
+    // The highest foreign id merged so far: what the table may span.
+    let mut highest_heard: Option<usize> = None;
+    let mut payload_taken = false;
     for step in 0..ops {
         let at = format!("step {step}");
         match inputs.rng.gen_range(0u32..20) {
@@ -171,6 +191,8 @@ fn drive(seed: u64, ops: usize) {
                 let received: Vec<CapabilitySample> = (0..inputs.rng.gen_range(0..12))
                     .map(|_| inputs.sample())
                     .collect();
+                let heard = received.iter().filter(|s| s.node != own);
+                highest_heard = highest_heard.max(heard.map(|s| s.node.index()).max());
                 assert_eq!(
                     aggregator.merge(&received),
                     model.merge(&received),
@@ -179,6 +201,7 @@ fn drive(seed: u64, ops: usize) {
             }
             10..=14 => {
                 let (n, now) = (inputs.payload_size(), inputs.now());
+                payload_taken = true;
                 assert_eq!(
                     aggregator.freshest_samples(n, now),
                     model.freshest_samples(n, now),
@@ -186,7 +209,11 @@ fn drive(seed: u64, ops: usize) {
                 );
             }
             15 | 16 => {
-                let node = inputs.node();
+                // One forget in four is of an id nobody can have heard of.
+                let node = match inputs.rng.gen_range(0u32..4) {
+                    0 => NodeId::new(FAR_NODES + inputs.rng.gen_range(0..100)),
+                    _ => inputs.node(),
+                };
                 aggregator.forget(node);
                 model.forget(node);
             }
@@ -213,6 +240,15 @@ fn drive(seed: u64, ops: usize) {
             model.samples.len(),
             "known nodes, {at}"
         );
+        // The table spans the ids heard, never the owner's; nothing is
+        // allocated before the first foreign sample or payload.
+        let table_bytes = highest_heard.map_or(0, |highest| SLOT_BYTES * (highest + 1));
+        let cache_bytes = if payload_taken { CACHE_BYTES } else { 0 };
+        assert!(
+            aggregator.heap_bytes() <= table_bytes + cache_bytes,
+            "{} heap bytes with highest heard {highest_heard:?}, {at}",
+            aggregator.heap_bytes()
+        );
         // The payload, taken from clones so that checking it does not itself
         // refresh the own sample or rebuild the cache.
         let (n, now) = (inputs.payload_size(), inputs.now());
@@ -224,12 +260,51 @@ fn drive(seed: u64, ops: usize) {
     }
 }
 
+/// An owner with a high id keeps its sample out of the table: neither its own
+/// writes nor a relayed sample carrying its id allocate anything.
+#[test]
+fn the_owners_sample_never_touches_the_table() {
+    let own = NodeId::new(FAR_NODES - 1);
+    let mut aggregator = CapabilityAggregator::new(own, Bandwidth::from_kbps(512));
+    let relayed = CapabilitySample {
+        node: own,
+        capability: Bandwidth::from_mbps(9),
+        timestamp: SimTime::from_secs(50),
+    };
+    assert_eq!(aggregator.merge(&[relayed]), 0);
+    aggregator.set_own_capability(Bandwidth::from_kbps(768), SimTime::from_secs(1));
+    aggregator.forget(own);
+    aggregator.forget(NodeId::new(3));
+    assert_eq!(aggregator.heap_bytes(), 0);
+    assert_eq!(aggregator.known_nodes(), 1);
+    assert_eq!(aggregator.estimated_average(), Bandwidth::from_kbps(768));
+    // The first foreign sample sizes the table by its id, not the owner's.
+    let heard = CapabilitySample {
+        node: NodeId::new(3),
+        ..relayed
+    };
+    assert_eq!(aggregator.merge(&[heard]), 1);
+    assert_eq!(aggregator.heap_bytes(), 4 * SLOT_BYTES);
+    assert_eq!(aggregator.known_nodes(), 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The cached aggregator and the naive model agree after every step.
     #[test]
     fn aggregator_matches_naive_model(seed in 0u64..1_000_000) {
-        drive(seed, 600);
+        drive(seed, 600, false);
+    }
+}
+
+proptest! {
+    // Every step clones and scans a table of thousands of slots.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same over ids in the thousands: the table grows as it hears them.
+    #[test]
+    fn aggregator_matches_naive_model_as_its_table_grows(seed in 0u64..1_000_000) {
+        drive(seed, 600, true);
     }
 }
