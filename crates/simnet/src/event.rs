@@ -42,9 +42,12 @@
 //! reference [`BinaryHeapQueue`] — a property checked by differential
 //! property tests (`crates/simnet/tests/prop_queue_differential.rs`).
 //!
-//! Memory behaviour: bucket `Vec`s are drained in place and keep their
-//! capacity, so after a warm-up period the steady-state event loop performs
-//! no allocation per event.
+//! Memory behaviour: inner-ring bucket `Vec`s are drained in place and keep
+//! their capacity; a cascaded outer bucket's allocation goes to a free list
+//! and is handed to whichever outer slot is pushed to next. After a warm-up
+//! period the steady-state event loop performs no allocation per event, and
+//! the capacity the queue retains follows the peak *pending* population, not
+//! the virtual time the cursor has travelled.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -150,10 +153,18 @@ pub struct EventQueue<E> {
     /// OUTER_WIDTH_BITS`) maps to slot `o % NUM_OUTER_BUCKETS`; it holds the
     /// events with `o ∈ (cursor's outer bucket, cursor's outer bucket +
     /// NUM_OUTER_BUCKETS)`, unsorted, in arrival order (the cursor's own
-    /// outer bucket has already cascaded into the inner ring).
+    /// outer bucket has already cascaded into the inner ring). An empty
+    /// slot owns no allocation: its buffer is on
+    /// [`free_outer`](Self::free_outer).
     outer: Box<[Vec<ScheduledEvent<E>>; NUM_OUTER_BUCKETS]>,
     /// Number of events currently in the outer wheel.
     outer_len: usize,
+    /// Drained outer-bucket allocations, all empty, reused most recent
+    /// first. A slot's next cascade is a full turn of the outer wheel
+    /// (≈ 268 s) away, so a buffer parked in its slot would sit idle for
+    /// longer than most runs last; pooled, the outer buffers in existence
+    /// number the outer buckets that were ever non-empty at once.
+    free_outer: Vec<Vec<ScheduledEvent<E>>>,
     /// Events pushed before the current bucket (see module docs).
     past: BinaryHeap<ScheduledEvent<E>>,
     /// Events at or beyond the outer wheel's reach.
@@ -268,6 +279,7 @@ impl<E> EventQueue<E> {
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("built with NUM_OUTER_BUCKETS entries")),
             outer_len: 0,
+            free_outer: Vec::new(),
             past: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             keys: Vec::new(),
@@ -427,9 +439,23 @@ impl<E> EventQueue<E> {
                 break;
             }
             let event = self.overflow.pop().expect("peeked event exists");
-            self.outer[outer_slot_of(outer_bucket)].push(event);
-            self.outer_len += 1;
+            self.push_outer(outer_bucket, event);
         }
+    }
+
+    /// Appends `event` to its outer bucket. A slot without an allocation
+    /// (never used, or cascaded since) first takes the most recently
+    /// drained buffer off the free list.
+    #[inline]
+    fn push_outer(&mut self, outer_bucket: u64, event: ScheduledEvent<E>) {
+        let bucket = &mut self.outer[outer_slot_of(outer_bucket)];
+        if bucket.capacity() == 0 {
+            if let Some(buffer) = self.free_outer.pop() {
+                *bucket = buffer;
+            }
+        }
+        bucket.push(event);
+        self.outer_len += 1;
     }
 
     /// Cascades the cursor's outer bucket into the inner ring: one linear
@@ -448,8 +474,9 @@ impl<E> EventQueue<E> {
             debug_assert!(bucket >= self.cursor_bucket, "cascade into the past");
             self.buckets[slot_of(bucket)].push(event);
         }
-        // Hand the drained allocation back for the next cascade of this slot.
-        self.outer[outer_slot] = events;
+        // The slot's next cascade is a full wheel turn away: pool the
+        // drained allocation for whichever outer slot is pushed to next.
+        self.free_outer.push(events);
     }
 
     /// The earliest event beyond the (empty) inner ring, if any: the
@@ -580,8 +607,7 @@ impl<E> EventQueue<E> {
         } else {
             let outer_bucket = outer_bucket_of(micros);
             if outer_bucket - outer_of(self.cursor_bucket) < NUM_OUTER_BUCKETS as u64 {
-                self.outer[outer_slot_of(outer_bucket)].push(event);
-                self.outer_len += 1;
+                self.push_outer(outer_bucket, event);
             } else {
                 self.overflow.push(event);
             }
@@ -786,6 +812,24 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.past.len() + self.wheel_len + self.outer_len + self.overflow.len()
+    }
+
+    /// Bytes of event storage the queue holds on to, pending or not:
+    /// capacity × entry size over the inner ring, the outer wheel, the free
+    /// list, the sort scratch and both heaps. Subtracting
+    /// `len() × size_of::<ScheduledEvent<E>>()` leaves the slack.
+    pub fn retained_bytes(&self) -> u64 {
+        let entries = self
+            .buckets
+            .iter()
+            .chain(self.outer.iter())
+            .chain(&self.free_outer)
+            .chain([&self.scratch])
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + self.past.capacity()
+            + self.overflow.capacity();
+        (entries * std::mem::size_of::<ScheduledEvent<E>>()) as u64
     }
 
     /// Returns `true` if no events are pending.
@@ -1403,6 +1447,42 @@ mod tests {
         q.push(t, 1);
         assert!(q.drain_intruded());
         assert_eq!(q.peek().map(|e| e.seq), Some(1));
+    }
+
+    #[test]
+    fn retained_capacity_follows_pending_events_not_elapsed_time() {
+        // A constant population in which every event, once popped, is
+        // re-armed 600 ms ahead: always beyond the (≤ 524 ms) window, so
+        // always through the outer wheel.
+        const POPULATION: u64 = 10_000;
+        const DELAY: SimDuration = SimDuration::from_millis(600);
+        let entry = std::mem::size_of::<ScheduledEvent<u64>>() as u64;
+        let mut q = EventQueue::new();
+        for i in 0..POPULATION {
+            q.push(SimTime::from_micros(i * 60), i);
+        }
+        let outer_width = NUM_BUCKETS as u64 * BUCKET_WIDTH_MICROS;
+        let horizon = SimTime::from_micros(420 * outer_width);
+        loop {
+            let event = q.pop().expect("the population is constant");
+            if event.time >= horizon {
+                break;
+            }
+            q.push(event.time + DELAY, event.payload);
+            assert_eq!(q.len() as u64, POPULATION);
+        }
+        // The inner ring and the two outer buckets being filled each peak
+        // at ~8 700 events, and `Vec` doubling rounds each to 16 384
+        // entries: 4.9× the pending bytes. One parked buffer per cascaded
+        // outer slot retained 690× over this horizon.
+        let retained = q.retained_bytes();
+        assert!(
+            retained <= 6 * POPULATION * entry,
+            "retained {retained} B for {POPULATION} pending events of {entry} B"
+        );
+        assert!(q.free_outer.iter().all(Vec::is_empty));
+        let buffers = q.outer.iter().chain(&q.free_outer);
+        assert_eq!(buffers.filter(|b| b.capacity() > 0).count(), 2);
     }
 
     #[test]

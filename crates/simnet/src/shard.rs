@@ -467,10 +467,10 @@ impl<M> ShardState<M> {
     fn record_footprint(&self, f: &mut MemoryFootprint) {
         use std::mem::size_of;
         f.record("net stats columns", self.stats.heap_bytes());
-        f.record(
-            "pending events",
-            (self.queue.len() * size_of::<crate::event::ScheduledEvent<EventKind<M>>>()) as u64,
-        );
+        let pending =
+            (self.queue.len() * size_of::<crate::event::ScheduledEvent<EventKind<M>>>()) as u64;
+        f.record("pending events", pending);
+        f.record("event queue slack", self.queue.retained_bytes() - pending);
         f.record(
             "upload queues",
             (self.uploads.capacity() * size_of::<UploadQueue>()) as u64,

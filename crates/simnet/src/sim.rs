@@ -484,9 +484,10 @@ impl<M> SimQueue<M> {
     }
 
     /// Bytes held by the pending events themselves (entry count × entry
-    /// size, per the backing queue's entry layout). Bucket-vector slack and
-    /// the wheel's fixed arrays are not counted — they are per-simulator
-    /// constants, not per-node state.
+    /// size, per the backing queue's entry layout). Bucket capacity beyond
+    /// the entries is not a constant — it follows the peak event population
+    /// — and is reported by [`SimQueue::slack_bytes`]; only the wheels'
+    /// fixed slot arrays go uncounted.
     fn event_bytes(&self) -> u64 {
         let slim = std::mem::size_of::<ScheduledEvent<EventKind<M>>>();
         let fat = std::mem::size_of::<ScheduledEvent<FatEventKind<M>>>();
@@ -495,6 +496,16 @@ impl<M> SimQueue<M> {
             SimQueue::CalendarFat(_) | SimQueue::BaselineFat(_) => fat,
         };
         (self.len() * entry) as u64
+    }
+
+    /// Event storage the calendar queue retains beyond the pending events
+    /// ([`EventQueue::retained_bytes`] minus [`SimQueue::event_bytes`]).
+    /// The benchmark baselines and ablation queues are not instrumented.
+    fn slack_bytes(&self) -> u64 {
+        match self {
+            SimQueue::Calendar(q) => q.retained_bytes() - self.event_bytes(),
+            _ => 0,
+        }
     }
 
     /// The firing time of the earliest scheduled event, if any. (On the
@@ -630,6 +641,7 @@ impl<M: WireSize> Core<M> {
     fn record_footprint(&self, f: &mut MemoryFootprint) {
         f.record("net stats columns", self.stats.heap_bytes());
         f.record("pending events", self.queue.event_bytes());
+        f.record("event queue slack", self.queue.slack_bytes());
         f.record(
             "upload queues",
             (self.uploads.capacity() * std::mem::size_of::<UploadQueue>()) as u64,
@@ -1386,7 +1398,8 @@ impl<P: Protocol> Simulator<P> {
     /// An itemised, capacity-based estimate of the simulator's resident
     /// heap — the `bytes_per_node` accounting hook of the scale campaign
     /// (`docs/SCALE.md`). Covers the substrate (statistics columns, pending
-    /// events, upload queues, RNG streams, liveness, timer slots) plus the
+    /// events and the queue capacity retained beyond them, upload queues,
+    /// RNG streams, liveness, timer slots) plus the
     /// protocol instances at `size_of::<P>()` each; heap owned *inside*
     /// protocol state is invisible here and is enforced separately by the
     /// counting-allocator regression guard. The sharded engine sums its
@@ -2001,6 +2014,18 @@ mod tests {
             .iter()
             .find(|(l, _)| *l == "net stats columns")
             .is_some_and(|(_, b)| *b >= 32 * 56));
+
+        // Drained buckets keep their capacity: once events have flowed,
+        // both engines report it next to the pending entries.
+        for mut sim in [flat, sharded] {
+            sim.run_until(SimTime::from_secs(1));
+            let f = sim.memory_footprint();
+            let slack = f
+                .components()
+                .iter()
+                .find(|(l, _)| *l == "event queue slack");
+            assert!(slack.is_some_and(|(_, b)| *b > 0), "{slack:?}");
+        }
     }
 
     #[test]

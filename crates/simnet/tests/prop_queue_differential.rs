@@ -14,8 +14,23 @@
 //! path and come back through an epoch rollover. Because pops interleave
 //! with pushes, "push earlier than the current cursor bucket" (the
 //! cursor-rewind and past-heap paths) occurs naturally as well.
+//!
+//! That mix keeps the cursor inside the first hour of virtual time and
+//! mostly inside the first few outer buckets. The *long-horizon* mix
+//! ([`Horizon::Long`]) draws delays relative to the latest popped instant
+//! instead, so the cursor travels several turns of the outer wheel: bursts
+//! leave 1–8 outer buckets non-empty at once, deeper timers and overflow
+//! events land beyond them, and periodic full drains empty the queue so the
+//! next push re-anchors it. Outer buckets hand their allocation to a shared
+//! free list when they cascade; this is the mix under which a buffer is
+//! reused by many different slots, across the ring's wrap.
+//!
+//! Every run prints its mix and seed when an assertion fails.
 
-use heap_simnet::event::{BinaryHeapQueue, EventQueue, Pr3CalendarQueue};
+use heap_simnet::event::{
+    BinaryHeapQueue, EventQueue, Pr3CalendarQueue, BUCKET_WIDTH_MICROS, NUM_BUCKETS,
+    NUM_OUTER_BUCKETS,
+};
 use heap_simnet::time::SimTime;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -38,9 +53,91 @@ fn arbitrary_micros(rng: &mut SmallRng) -> u64 {
     }
 }
 
+/// Virtual time one outer-wheel bucket spans.
+const OUTER_WIDTH_MICROS: u64 = NUM_BUCKETS as u64 * BUCKET_WIDTH_MICROS;
+
+/// Draws a scheduling instant relative to `clock`, the latest popped
+/// instant: the long-horizon mix described in the module docs.
+fn long_horizon_micros(rng: &mut SmallRng, clock: u64) -> u64 {
+    let within_bucket = rng.gen_range(0u64..OUTER_WIDTH_MICROS);
+    let buckets_ahead = match rng.gen_range(0u32..20) {
+        // The past guard (or a re-anchor, when the queue is empty).
+        0 => return clock.saturating_sub(rng.gen_range(0u64..3 * OUTER_WIDTH_MICROS)),
+        // A tie with the clock, or a sub-bucket step from it.
+        1 | 2 => return clock + rng.gen_range(0u64..2),
+        // The current window or the next outer bucket.
+        3..=5 => 0,
+        // The burst: the next eight outer buckets.
+        6..=15 => rng.gen_range(1u64..=8),
+        // Deep in the outer wheel, up to its last reachable bucket.
+        16 | 17 => rng.gen_range(9u64..NUM_OUTER_BUCKETS as u64),
+        // Beyond the wheel: the overflow heap, revealed turns later.
+        _ => rng.gen_range(NUM_OUTER_BUCKETS as u64..3 * NUM_OUTER_BUCKETS as u64),
+    };
+    clock + buckets_ahead * OUTER_WIDTH_MICROS + within_bucket
+}
+
+/// Which time distribution a run draws from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Horizon {
+    /// [`arbitrary_micros`]: absolute instants, adversarial for the layout.
+    Adversarial,
+    /// [`long_horizon_micros`]: delays from the latest popped instant, plus
+    /// a full drain every [`DRAIN_EVERY`] operations on average.
+    Long,
+}
+
+/// Mean operations between two full drains of a [`Horizon::Long`] run.
+const DRAIN_EVERY: u32 = 48;
+
+impl Horizon {
+    fn micros(self, rng: &mut SmallRng, clock: u64) -> u64 {
+        match self {
+            Horizon::Adversarial => arbitrary_micros(rng),
+            Horizon::Long => long_horizon_micros(rng, clock),
+        }
+    }
+}
+
+/// Names the run on stderr when an assertion unwinds through it.
+struct FailingRun(&'static str, Horizon, u64);
+
+impl Drop for FailingRun {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing run: {}({:?}, seed {})", self.0, self.1, self.2);
+        }
+    }
+}
+
+/// Pops all three queues empty, asserting they agree event for event, and
+/// advances `clock` to the latest instant popped.
+fn drain_all(
+    calendar: &mut EventQueue<u64>,
+    pr3: &mut Pr3CalendarQueue<u64>,
+    reference: &mut BinaryHeapQueue<u64>,
+    clock: &mut u64,
+) {
+    loop {
+        match (calendar.pop(), reference.pop(), pr3.pop()) {
+            (Some(x), Some(y), Some(z)) => {
+                assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                assert_eq!((z.time, z.seq, z.payload), (y.time, y.seq, y.payload));
+                *clock = (*clock).max(y.time.as_micros());
+            }
+            (None, None, None) => return,
+            other => panic!("queues diverged while draining: {other:?}"),
+        }
+    }
+}
+
 /// One differential run: `ops` random operations derived from `seed`.
-fn drive(seed: u64, ops: usize) {
+/// Returns the latest instant popped.
+fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
+    let _run = FailingRun("drive", horizon, seed);
     let mut rng = SmallRng::seed_from_u64(seed);
+    // The latest instant popped so far.
+    let mut clock = 0u64;
     let mut calendar: EventQueue<u64> = EventQueue::new();
     let mut pr3: Pr3CalendarQueue<u64> = Pr3CalendarQueue::new();
     let mut reference: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
@@ -50,7 +147,10 @@ fn drive(seed: u64, ops: usize) {
         // calendars exercise epoch rollovers and cursor rewinds; half of
         // those pops are deadline-bounded.
         let r = rng.gen_range(0u32..10);
-        if r < 2 {
+        if horizon == Horizon::Long && rng.gen_range(0..DRAIN_EVERY) == 0 {
+            // Empty the queues: the next push re-anchors the calendar.
+            drain_all(&mut calendar, &mut pr3, &mut reference, &mut clock);
+        } else if r < 2 {
             let a = calendar.pop();
             let c = pr3.pop();
             let b = reference.pop();
@@ -61,6 +161,7 @@ fn drive(seed: u64, ops: usize) {
                         (y.time, y.seq, y.payload),
                         "calendar diverged at step {step}"
                     );
+                    clock = clock.max(y.time.as_micros());
                 }
                 (None, None) => {}
                 other => panic!("one queue empty, the other not, at step {step}: {other:?}"),
@@ -83,7 +184,7 @@ fn drive(seed: u64, ops: usize) {
                 SimTime::from_micros(match (rng.gen_range(0u32..3), reference.peek_time()) {
                     (0, Some(t)) => t.as_micros(),
                     (1, Some(t)) => t.as_micros().saturating_sub(1),
-                    _ => arbitrary_micros(&mut rng),
+                    _ => horizon.micros(&mut rng, clock),
                 });
             // Reference semantics: pop iff the front fires by the deadline.
             let expected = if reference.peek_time().is_some_and(|t| t <= deadline) {
@@ -111,12 +212,13 @@ fn drive(seed: u64, ops: usize) {
                         (y.time, y.seq, y.payload),
                         "pr3 bounded pop diverged at step {step}"
                     );
+                    clock = clock.max(y.time.as_micros());
                 }
                 (None, None, None) => {}
                 other => panic!("bounded pops disagree at step {step}: {other:?}"),
             }
         } else {
-            let micros = arbitrary_micros(&mut rng);
+            let micros = horizon.micros(&mut rng, clock);
             calendar.push(SimTime::from_micros(micros), payload);
             pr3.push(SimTime::from_micros(micros), payload);
             reference.push(SimTime::from_micros(micros), payload);
@@ -157,20 +259,13 @@ fn drive(seed: u64, ops: usize) {
         assert_eq!(calendar.is_empty(), reference.is_empty());
     }
     // Drain completely: the tail order must match too.
-    loop {
-        match (calendar.pop(), reference.pop(), pr3.pop()) {
-            (Some(x), Some(y), Some(z)) => {
-                assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
-                assert_eq!((z.time, z.seq, z.payload), (y.time, y.seq, y.payload));
-            }
-            (None, None, None) => break,
-            other => panic!("queues diverged while draining: {other:?}"),
-        }
-    }
+    drain_all(&mut calendar, &mut pr3, &mut reference, &mut clock);
+    clock
 }
 
-/// One batched-drain differential run: the batch pipeline (PR 8) against a
-/// single-pop oracle on the same random workload.
+/// One batched-drain differential run: the batch pipeline (PR 8) against
+/// the reference heap's single pops on the same random workload. Returns
+/// the latest instant popped.
 ///
 /// Mirrors `run_flat_batched` exactly: drain whole buckets
 /// ([`EventQueue::drain_bucket`]), fall back to single pops where the queue
@@ -179,24 +274,29 @@ fn drive(seed: u64, ops: usize) {
 /// global `(time, seq)` order. Mid-batch pushes — the "callback" pushes of a
 /// real run — are biased toward the drain guard so the intrusion machinery
 /// fires constantly.
-fn drive_batched(seed: u64, ops: usize) {
+fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
+    let _run = FailingRun("drive_batched", horizon, seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut batched: EventQueue<u64> = EventQueue::new();
-    let mut single: EventQueue<u64> = EventQueue::new();
+    let mut single: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
     let mut batch = Vec::new();
     let mut payload = 0u64;
+    // The latest instant popped so far.
+    let mut clock = 0u64;
     for step in 0..ops {
         if rng.gen_range(0u32..10) < 6 {
-            let micros = arbitrary_micros(&mut rng);
+            let micros = horizon.micros(&mut rng, clock);
             batched.push(SimTime::from_micros(micros), payload);
             single.push(SimTime::from_micros(micros), payload);
             payload += 1;
             continue;
         }
         // Consume a whole deadline region through the batch pipeline.
+        // (An unbounded region empties the queue, so the long-horizon mix
+        // needs no separate drain step here.)
         let deadline = match rng.gen_range(0u32..3) {
             0 => None,
-            _ => Some(SimTime::from_micros(arbitrary_micros(&mut rng))),
+            _ => Some(SimTime::from_micros(horizon.micros(&mut rng, clock))),
         };
         loop {
             if batched.drain_bucket(deadline, &mut batch) {
@@ -222,6 +322,7 @@ fn drive_batched(seed: u64, ops: usize) {
                         (want.time, want.seq, want.payload),
                         "batch entry diverged at step {step}"
                     );
+                    clock = clock.max(got.time.as_micros());
                     // Mid-batch "callback" pushes, biased to land at or just
                     // after the consumed event — i.e. at or before the drain
                     // guard — so the intrusion path fires constantly.
@@ -229,7 +330,7 @@ fn drive_batched(seed: u64, ops: usize) {
                         let micros = match rng.gen_range(0u32..3) {
                             0 => got.time.as_micros() + rng.gen_range(0u64..3),
                             1 => got.time.as_micros() + rng.gen_range(0u64..2_048),
-                            _ => arbitrary_micros(&mut rng).max(got.time.as_micros()),
+                            _ => horizon.micros(&mut rng, clock).max(got.time.as_micros()),
                         };
                         batched.push(SimTime::from_micros(micros), payload);
                         single.push(SimTime::from_micros(micros), payload);
@@ -256,6 +357,7 @@ fn drive_batched(seed: u64, ops: usize) {
                         (y.time, y.seq, y.payload),
                         "fallback pop diverged at step {step}"
                     );
+                    clock = clock.max(y.time.as_micros());
                 }
                 (None, None) => break,
                 other => panic!("region exhaustion diverged at step {step}: {other:?}"),
@@ -274,8 +376,9 @@ fn drive_batched(seed: u64, ops: usize) {
         match (batched.pop(), single.pop()) {
             (Some(x), Some(y)) => {
                 assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                clock = clock.max(y.time.as_micros());
             }
-            (None, None) => break,
+            (None, None) => return clock,
             other => panic!("queues diverged while draining: {other:?}"),
         }
     }
@@ -288,7 +391,7 @@ proptest! {
     /// pops, under plain and deadline-bounded pops.
     #[test]
     fn calendar_queues_match_binary_heap_reference(seed in 0u64..1_000_000) {
-        drive(seed, 3_000);
+        drive(Horizon::Adversarial, seed, 3_000);
     }
 
     /// The bucket-at-a-time drain path yields the exact single-pop sequence
@@ -296,18 +399,35 @@ proptest! {
     /// straddlers.
     #[test]
     fn batched_drain_matches_single_pop_oracle(seed in 0u64..1_000_000) {
-        drive_batched(seed, 3_000);
+        drive_batched(Horizon::Adversarial, seed, 3_000);
+    }
+
+    /// The same two properties while the cursor travels turns of the outer
+    /// wheel and cascaded buckets' buffers pass from slot to slot.
+    #[test]
+    fn queues_match_reference_over_a_long_horizon(seed in 0u64..1_000_000) {
+        drive(Horizon::Long, seed, 3_000);
+        drive_batched(Horizon::Long, seed, 3_000);
     }
 }
 
 /// A long single run for deeper epoch churn than the proptest cases afford.
 #[test]
 fn calendar_queue_matches_reference_on_a_long_run() {
-    drive(0xC0FF_EE42, 60_000);
+    drive(Horizon::Adversarial, 0xC0FF_EE42, 60_000);
 }
 
 /// A long batched-drain run for deeper epoch churn and guard traffic.
 #[test]
 fn batched_drain_matches_single_pop_on_a_long_run() {
-    drive_batched(0xBA7C_4ED0, 60_000);
+    drive_batched(Horizon::Adversarial, 0xBA7C_4ED0, 60_000);
+}
+
+/// Long-horizon runs must actually take the cursor across the outer ring's
+/// wrap, more than twice.
+#[test]
+fn long_horizon_runs_cross_the_outer_ring_wrap() {
+    let two_turns = 2 * NUM_OUTER_BUCKETS as u64 * OUTER_WIDTH_MICROS;
+    assert!(drive(Horizon::Long, 0x0074_0A11, 60_000) > two_turns);
+    assert!(drive_batched(Horizon::Long, 0x0BA7_0A11, 60_000) > two_turns);
 }

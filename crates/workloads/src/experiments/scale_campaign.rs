@@ -6,8 +6,9 @@
 //! The figure reports the 99 %-delivery lag CDF exactly like Fig. 1, the
 //! run-level packet-lag distribution (the streaming per-bucket aggregate
 //! that replaces whole-run per-packet vectors at this scale) and a summary
-//! table with delivery ratio and per-node result memory. `docs/SCALE.md`
-//! documents the memory budget and how to drive the campaign.
+//! table with delivery ratio, per-node result memory and the process's peak
+//! resident set. `docs/SCALE.md` documents the memory budget and how to
+//! drive the campaign.
 
 use super::common::{lag_cdf_series, Figure, LagKind};
 use crate::bandwidth_dist::BandwidthDistribution;
@@ -38,6 +39,14 @@ pub fn scenario(n: usize, windows: u64, seed: u64) -> Scenario {
         ProtocolChoice::Standard { fanout: 7.0 },
     )
     .with_detail(ResultDetail::Compact)
+}
+
+/// The process's peak resident set in kB (`VmHWM` of `/proc/self/status`),
+/// on platforms that have the file.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Runs the campaign figure at `n` nodes / `windows` windows.
@@ -77,14 +86,13 @@ pub fn run(n: usize, windows: u64, seed: u64) -> Figure {
             NodeMetrics::Full(_) => unreachable!("campaign runs are compact"),
         })
         .sum();
-    let mut table = TextTable::new("scale summary");
-    table.header(vec![
+    let mut header = vec![
         "nodes",
         "receivers >= 99% delivery",
         "packets recorded",
         "metrics bytes/node",
-    ]);
-    table.row(vec![
+    ];
+    let mut row = vec![
         n.to_string(),
         format!(
             "{delivered} ({:.1}%)",
@@ -92,7 +100,17 @@ pub fn run(n: usize, windows: u64, seed: u64) -> Figure {
         ),
         total.to_string(),
         format!("{:.0}", result_bytes as f64 / result.nodes.len() as f64),
-    ]);
+    ];
+    // The whole process's high-water mark, so a campaign run reports its
+    // own memory against the scale targets without an external wrapper.
+    if let Some(kb) = peak_rss_kb() {
+        header.push("peak RSS");
+        let per_node = kb as f64 * 1024.0 / n as f64;
+        row.push(format!("{} MiB ({per_node:.0} B/node)", kb / 1024));
+    }
+    let mut table = TextTable::new("scale summary");
+    table.header(header);
+    table.row(row);
     fig.tables.push(table);
     fig
 }
