@@ -19,8 +19,8 @@
 //! ```
 //!
 //! Output is plain text: one block per figure with its tables and/or
-//! gnuplot-friendly series. `EXPERIMENTS.md` records a run of this binary and
-//! compares the measured shapes against the paper.
+//! gnuplot-friendly series. The README section "Reproducing the paper" maps
+//! each experiment to the paper artefact and claim it reproduces.
 //!
 //! `--metrics-out PATH` additionally writes a Prometheus-style text
 //! exposition of the six baseline runs (see `docs/METRICS.md`) to `PATH`,

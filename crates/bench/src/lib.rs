@@ -1,36 +1,20 @@
 //! # heap-bench
 //!
-//! Benchmark harness of the HEAP reproduction.
+//! Home of the **`repro`** binary (`cargo run --release -p heap-bench --bin
+//! repro -- all`), which regenerates every figure and table of the paper as
+//! text series/tables, plus the golden test of its metrics exposition
+//! (`tests/metrics_golden.rs`). See `repro --help` for experiment selection
+//! and scaling options, and the README section "Reproducing the paper" for
+//! what each experiment reproduces.
 //!
-//! Three entry points:
-//!
-//! * **`repro`** (`cargo run --release -p heap-bench --bin repro -- all`) —
-//!   regenerates every figure and table of the paper as text series/tables.
-//!   See `repro --help` for experiment selection and scaling options; the
-//!   measured outputs are recorded in `EXPERIMENTS.md`.
-//! * **`bench-json`** (`cargo run --release -p heap-bench --bin bench-json`)
-//!   — measures the scheduling-core events/s (all four core generations:
-//!   sharded, flat, PR 3 calendar, seed `BinaryHeap`) at 100–10000 nodes
-//!   including the shard-count sweep, the figure-regeneration wall-clock and
-//!   the bit-identity checks, and writes them as JSON with host metadata;
-//!   `BENCH_5.json` at the repo root is its checked-in output (earlier
-//!   `BENCH_*.json` files hold the PR 2–4 trajectories).
-//! * **Criterion benches** (`cargo bench -p heap-bench`) — one benchmark per
-//!   figure/table (at a reduced scale so Criterion's repeated sampling stays
-//!   affordable) plus micro-benchmarks of the substrates (FEC coding,
-//!   simulator event throughput via [`simloop`], dissemination rounds) and
-//!   ablation benches (HEAP vs oracle estimate, retransmission on/off). The
-//!   shim reports min/mean±σ with outlier rejection; `HEAP_BENCH_SAMPLES` /
-//!   `HEAP_BENCH_SAMPLE_MS` shrink the measurement for CI smoke runs.
+//! Performance is measured elsewhere: the repo benchmark is the `benchmark/`
+//! package (its own workspace; see `benchmark/README.md`).
 
 #![deny(missing_docs)]
 
 use heap_workloads::Scale;
 
-pub mod hostmeta;
-pub mod simloop;
-
-/// Parses the `--scale` argument shared by the repro binary and the benches.
+/// Parses the `--scale` argument of the repro binary.
 ///
 /// Accepted values: `test`, `default`, `paper`.
 pub fn parse_scale(value: &str) -> Option<Scale> {
@@ -40,12 +24,6 @@ pub fn parse_scale(value: &str) -> Option<Scale> {
         "paper" => Some(Scale::paper()),
         _ => None,
     }
-}
-
-/// The scale used by the Criterion figure benches: small enough that a full
-/// figure regeneration fits in a Criterion sample.
-pub fn bench_scale() -> Scale {
-    Scale::test()
 }
 
 #[cfg(test)]
@@ -58,10 +36,5 @@ mod tests {
         assert_eq!(parse_scale("default"), Some(Scale::default_scale()));
         assert_eq!(parse_scale("paper"), Some(Scale::paper()));
         assert_eq!(parse_scale("huge"), None);
-    }
-
-    #[test]
-    fn bench_scale_is_small() {
-        assert!(bench_scale().n_nodes <= Scale::default_scale().n_nodes);
     }
 }

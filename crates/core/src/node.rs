@@ -2,16 +2,16 @@
 //! fanout policy, the aggregation protocol and the retransmission tracker to
 //! the simulator's [`Protocol`] trait.
 //!
-//! Since the simulator's PR 4 hot-path flattening, several
-//! [`Protocol::on_message`] invocations may share one [`Context`] activation
-//! (same-tick deliveries to one node are drained as a batch) and context
-//! commands take effect eagerly rather than after the callback returns.
-//! `GossipNode` is compatible with both dispatch disciplines by
+//! Several [`Protocol::on_message`] invocations may share one [`Context`]
+//! activation (the simulator drains same-tick deliveries to one node as a
+//! batch) and context commands take effect eagerly rather than after the
+//! callback returns. `GossipNode` is indifferent to either by
 //! construction: every callback reads only its own state plus the
 //! callback's arguments, draws randomness exclusively from
 //! [`Context::rng`]'s per-node stream, and never depends on *when* its
-//! issued sends are charged to the network — the cross-core differential
-//! tests in `heap-simnet` pin the two schedules to bit-identical results.
+//! issued sends are charged to the network — the differential tests in
+//! `heap-simnet` pin the engine to its one-event-per-activation,
+//! deferred-command reference core bit for bit.
 
 use crate::aggregation::CapabilityAggregator;
 use crate::config::{GossipConfig, PartialMembershipConfig};

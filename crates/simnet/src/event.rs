@@ -2,11 +2,10 @@
 //!
 //! [`EventQueue`] orders events by their firing time and breaks ties by
 //! insertion order, which makes simulations fully deterministic for a given
-//! seed. Since PR 3 it is no longer a [`BinaryHeap`] but a hierarchical
-//! *calendar queue* — two timer wheels and a far-future overflow heap (the
-//! outer wheel is new in PR 8; PR 3–7 ran a single wheel over the heap) —
-//! which turns the hot `push`/`pop` pair from `O(log n)` pointer-chasing
-//! sifts into amortised `O(1)` appends and pops on contiguous buckets:
+//! seed. It is a hierarchical *calendar queue* — two timer wheels and a
+//! far-future overflow heap — which turns the hot `push`/`pop` pair from a
+//! [`BinaryHeap`]'s `O(log n)` pointer-chasing sifts into amortised `O(1)`
+//! appends and pops on contiguous buckets:
 //!
 //! * **Near horizon** — a ring of [`NUM_BUCKETS`] inner buckets, each
 //!   covering [`BUCKET_WIDTH_MICROS`] of virtual time. The ring holds the
@@ -171,11 +170,10 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<ScheduledEvent<E>>,
     /// Sort-key scratch for [`order_bucket`](Self::order_bucket)'s sparse
     /// path, rebuilt from the bucket's events each time a small bucket
-    /// becomes current. PR 3 appended keys at push time into one key vector
-    /// per bucket; PR 4 builds them in a single sequential scan instead,
-    /// which halves the cache lines a push touches (the key tails are gone)
-    /// and doubles as a prefetch pass that warms the bucket for the gather
-    /// that follows.
+    /// becomes current. Building the keys in a single sequential scan here,
+    /// rather than appending them at push time, keeps a push to one cache
+    /// line and doubles as a prefetch pass that warms the bucket for the
+    /// gather that follows.
     keys: Vec<u32>,
     /// Per-µs-offset rank counters for [`order_bucket`](Self::order_bucket)'s
     /// dense path (counting sort), zeroed at the start of each use (a 4 KiB
@@ -313,8 +311,8 @@ impl<E> EventQueue<E> {
     ///   per-offset histogram, an exclusive prefix sum turns it into ranks,
     ///   and the scatter pass places each event directly — O(k) ordering
     ///   work per bucket instead of the comparison sort's O(k log k), which
-    ///   flattens the per-event queue cost against bucket density (PR 8;
-    ///   the `BENCH_6.json` batch ablation quantifies it). Scanning arrival
+    ///   flattens the per-event queue cost against bucket density
+    ///   (`BENCH_6.json` quantifies it). Scanning arrival
     ///   order and incrementing each offset's rank keeps equal-offset
     ///   events in ascending `seq`, exactly as the packed keys did.
     fn order_bucket(&mut self, slot: usize) {
@@ -838,275 +836,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The PR 3 calendar queue, retained verbatim as a benchmark baseline and
-/// differential reference (like [`BinaryHeapQueue`] before it).
-///
-/// It differs from the live [`EventQueue`] in two ways that PR 4 changed:
-/// per-bucket sort keys are appended at *push* time into one key vector per
-/// bucket (two cache lines touched per push instead of one, no prefetching
-/// scan), and `pop` resolves the queue front with an unguarded heap pop.
-/// Pop order is identical to [`EventQueue`] and [`BinaryHeapQueue`]:
-/// ascending `(time, seq)` — pinned by the differential property tests.
-#[derive(Debug)]
-pub struct Pr3CalendarQueue<E> {
-    /// The sliding ring. Absolute bucket number `b` (`time_µs >>
-    /// BUCKET_WIDTH_BITS`) maps to slot `b % NUM_BUCKETS`; the ring holds
-    /// exactly the events with `b ∈ [cursor_bucket, cursor_bucket +
-    /// NUM_BUCKETS)`. A boxed fixed-size array so that masked slot indexing
-    /// needs no bounds check.
-    buckets: Box<[Vec<ScheduledEvent<E>>; NUM_BUCKETS]>,
-    /// Absolute bucket number of the current bucket. Invariants: every ring
-    /// event is in `[cursor_bucket, cursor_bucket + NUM_BUCKETS)`, and if
-    /// the ring is non-empty, the current bucket's slot is non-empty and
-    /// sorted (earliest event last).
-    cursor_bucket: u64,
-    /// Number of events currently in the ring.
-    wheel_len: usize,
-    /// Events pushed before the current bucket (see module docs).
-    past: BinaryHeap<ScheduledEvent<E>>,
-    /// Events at or beyond the end of the sliding window.
-    overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Per-slot packed sort keys `(offset << KEY_IDX_BITS) | arrival index`,
-    /// appended on push so [`order_bucket`](Self::order_bucket) never has to
-    /// re-read the (cold) event data to build its keys. A slot's keys are
-    /// only meaningful while their length matches the bucket's; they are
-    /// consumed and cleared when the bucket is ordered.
-    key_buckets: Box<[Vec<u32>; NUM_BUCKETS]>,
-    /// Gather buffer for [`order_bucket`](Self::order_bucket); its capacity
-    /// is recycled across buckets.
-    scratch: Vec<ScheduledEvent<E>>,
-    next_seq: u64,
-}
-
-impl<E> Default for Pr3CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Pr3CalendarQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        let buckets: Vec<Vec<ScheduledEvent<E>>> = (0..NUM_BUCKETS).map(|_| Vec::new()).collect();
-        Pr3CalendarQueue {
-            buckets: buckets
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("built with NUM_BUCKETS entries")),
-            cursor_bucket: 0,
-            wheel_len: 0,
-            past: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            key_buckets: {
-                let keys: Vec<Vec<u32>> = (0..NUM_BUCKETS).map(|_| Vec::new()).collect();
-                keys.try_into()
-                    .unwrap_or_else(|_| unreachable!("built with NUM_BUCKETS entries"))
-            },
-            scratch: Vec::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Puts `buckets[slot]` into drain order — descending `(time, seq)`, so
-    /// the earliest event sits at the tail.
-    ///
-    /// Within a bucket an event's time is fully determined by its µs offset
-    /// and elements arrive in ascending `seq` order, so the packed key
-    /// `(offset << KEY_IDX_BITS) | arrival index` (appended on push)
-    /// carries the complete `(time, seq)` order. Sorting those 4-byte keys
-    /// and gathering the events through the resulting permutation moves
-    /// each 48-byte event exactly once — profiling showed a comparison sort
-    /// on the events themselves dominating the queue cost on dense buckets.
-    fn order_bucket(&mut self, slot: usize) {
-        let bucket = &mut self.buckets[slot];
-        let keys = &mut self.key_buckets[slot];
-        let k = bucket.len();
-        if k <= 1 {
-            keys.clear();
-            return;
-        }
-        if keys.len() != k || k > (1 << KEY_IDX_BITS) as usize {
-            // The rare paths: a bucket that was current (sorted, keys
-            // consumed) fell back behind the cursor and then received new
-            // events, or a pathologically dense bucket overflowed the index
-            // field. Sort the events directly.
-            keys.clear();
-            bucket.sort_unstable();
-            return;
-        }
-        keys.sort_unstable();
-        self.scratch.clear();
-        self.scratch.reserve(k);
-        // SAFETY: the keys hold each index 0..k exactly once, so every
-        // source element is read exactly once and every output position
-        // 0..k is written exactly once; the source length is zeroed before
-        // ownership transfers, so nothing is dropped twice (a panic cannot
-        // occur between `set_len(0)` and `set_len(k)`).
-        unsafe {
-            let src = bucket.as_ptr();
-            bucket.set_len(0);
-            let out = self.scratch.as_mut_ptr();
-            // Reverse key order = descending (offset, arrival) = descending
-            // (time, seq): the storage order with the earliest event last.
-            for (pos, key) in keys.iter().rev().enumerate() {
-                let idx = (key & ((1 << KEY_IDX_BITS) - 1)) as usize;
-                std::ptr::write(out.add(pos), std::ptr::read(src.add(idx)));
-            }
-            self.scratch.set_len(k);
-        }
-        keys.clear();
-        // The drained bucket keeps its capacity and becomes the next
-        // scratch; the scratch becomes the ordered bucket.
-        std::mem::swap(bucket, &mut self.scratch);
-    }
-
-    /// Migrates every overflow event that now falls inside the sliding
-    /// window into the ring. Called whenever `cursor_bucket` moves. In
-    /// steady state the loop body never runs: it is one heap peek.
-    #[inline]
-    fn reveal_overflow(&mut self) {
-        // `bucket_of` of any time is ≤ 2^54, so this cannot wrap.
-        let window_end = self.cursor_bucket + NUM_BUCKETS as u64;
-        while let Some(head) = self.overflow.peek() {
-            let bucket = bucket_of(head.time.as_micros());
-            if bucket >= window_end {
-                break;
-            }
-            let event = self.overflow.pop().expect("peeked event exists");
-            // Migration never targets the current bucket mid-life: events
-            // enter either the newly revealed farthest bucket (cursor
-            // advance) or the buckets of a fresh window (cursor jump, before
-            // the current bucket is sorted) — all ordered later, so keys
-            // are appended alongside.
-            let slot = slot_of(bucket);
-            let target = &mut self.buckets[slot];
-            self.key_buckets[slot].push(key_of(event.time.as_micros(), target.len()));
-            target.push(event);
-            self.wheel_len += 1;
-        }
-    }
-
-    /// Schedules `payload` to fire at `time`. Returns the sequence number
-    /// assigned to the event.
-    pub fn push(&mut self, time: SimTime, payload: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let event = ScheduledEvent { time, seq, payload };
-        let micros = time.as_micros();
-        let bucket = bucket_of(micros);
-        if bucket < self.cursor_bucket {
-            if self.is_empty() {
-                // Nothing pending constrains the window: re-anchor on the
-                // event instead of treating it as out-of-order.
-                self.cursor_bucket = bucket;
-                self.buckets[slot_of(bucket)].push(event);
-                self.wheel_len = 1;
-            } else {
-                // Before the current bucket: an out-of-order push by an
-                // external user (the simulator never schedules in the past).
-                self.past.push(event);
-            }
-        } else if bucket - self.cursor_bucket < NUM_BUCKETS as u64 {
-            if self.wheel_len == 0 {
-                // Empty ring: re-point the cursor at this event (a singleton
-                // bucket is trivially sorted), then pull in any overflow
-                // events the moved window now covers.
-                self.buckets[slot_of(bucket)].push(event);
-                self.wheel_len = 1;
-                if bucket > self.cursor_bucket {
-                    self.cursor_bucket = bucket;
-                    self.reveal_overflow();
-                }
-            } else if bucket == self.cursor_bucket {
-                // The current bucket is kept sorted; insert in place.
-                // `(time, seq)` is unique, so binary_search always errs.
-                let bucket_vec = &mut self.buckets[slot_of(bucket)];
-                let pos = bucket_vec.binary_search(&event).unwrap_err();
-                bucket_vec.insert(pos, event);
-                self.wheel_len += 1;
-            } else {
-                let slot = slot_of(bucket);
-                let target = &mut self.buckets[slot];
-                self.key_buckets[slot].push(key_of(micros, target.len()));
-                target.push(event);
-                self.wheel_len += 1;
-            }
-        } else {
-            self.overflow.push(event);
-        }
-        seq
-    }
-
-    /// Removes and returns the earliest scheduled event, if any.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        // Past events are strictly earlier than every ring/overflow event.
-        if let Some(event) = self.past.pop() {
-            return Some(event);
-        }
-        if self.wheel_len == 0 {
-            if self.overflow.is_empty() {
-                return None;
-            }
-            // Jump the window straight to the earliest overflow event and
-            // migrate everything the new window covers. The migrated events
-            // arrive in ascending (time, seq) order, so the current bucket
-            // sees a reversed run — cheap to sort.
-            self.cursor_bucket = bucket_of(
-                self.overflow
-                    .peek()
-                    .expect("overflow is non-empty")
-                    .time
-                    .as_micros(),
-            );
-            self.reveal_overflow();
-            self.order_bucket(slot_of(self.cursor_bucket));
-        }
-        let slot = slot_of(self.cursor_bucket);
-        let event = self.buckets[slot]
-            .pop()
-            .expect("cursor bucket is non-empty");
-        self.wheel_len -= 1;
-        if self.buckets[slot].is_empty() && self.wheel_len > 0 {
-            // Advance to the next non-empty bucket, revealing overflow
-            // events bucket by bucket, and sort the destination once.
-            loop {
-                self.cursor_bucket += 1;
-                self.reveal_overflow();
-                if !self.buckets[slot_of(self.cursor_bucket)].is_empty() {
-                    break;
-                }
-            }
-            self.order_bucket(slot_of(self.cursor_bucket));
-        }
-        Some(event)
-    }
-
-    /// The firing time of the earliest scheduled event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(event) = self.past.peek() {
-            return Some(event.time);
-        }
-        if self.wheel_len > 0 {
-            return self.buckets[slot_of(self.cursor_bucket)]
-                .last()
-                .map(|e| e.time);
-        }
-        self.overflow.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.past.len() + self.wheel_len + self.overflow.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The pre-PR-3 [`BinaryHeap`]-backed event queue, kept as the differential
-/// reference for [`EventQueue`] and as the measurement baseline of the
-/// scheduling-core benchmarks (`BENCH_3.json`).
+/// The [`BinaryHeap`]-backed event queue: the ordering oracle of
+/// [`EventQueue`] in the queue differential tests, and the queue of the
+/// simulator's whole-engine reference core.
 ///
 /// Pop order is identical to [`EventQueue`]: ascending `(time, seq)`.
 #[derive(Debug)]

@@ -106,31 +106,6 @@ impl LatencyModel {
         }
     }
 
-    /// Like [`LatencyModel::sample`] — same draws, same values — but the
-    /// uniform reduction is done with the seed rand shim's 128-bit modulo
-    /// arithmetic instead of the word-sized/masked reduction the shim uses
-    /// since PR 3. `x mod span` is the same number either way; only the cost
-    /// differs (a `u128` division is a libcall on x86-64). Exists so the
-    /// baseline scheduling core can reproduce the pre-PR-3 event-loop cost
-    /// faithfully in benchmarks; see
-    /// [`SimulatorBuilder::baseline_scheduling_core`](crate::sim::SimulatorBuilder::baseline_scheduling_core).
-    pub fn sample_seed_compat<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        from: NodeId,
-        to: NodeId,
-    ) -> SimDuration {
-        match self {
-            LatencyModel::Uniform { min, max } if min != max => {
-                let span = (max.as_micros() - min.as_micros() + 1) as u128;
-                let raw = rand::RngCore::next_u64(rng);
-                let draw = (raw as u128 % span) as u64;
-                SimDuration::from_micros(min.as_micros() + draw)
-            }
-            _ => self.sample(rng, from, to),
-        }
-    }
-
     /// The smallest delay the model can produce (used for sanity checks).
     pub fn min_delay(&self) -> SimDuration {
         match self {
@@ -154,13 +129,14 @@ impl Default for LatencyModel {
 /// uniform path recomputes the span, re-checks degeneracy and goes through the
 /// rand shim's generic `i128`-widened range reduction; the exponential path
 /// reconverts the mean to seconds. The simulator samples a latency for every
-/// transmitted message, so PR 4 hoists that work out of the loop: the model is
+/// transmitted message, so that work is hoisted out of the loop: the model is
 /// classified once at simulator construction and each draw is a single match
 /// on a precomputed variant (mask, modulus or cached float constants).
 ///
 /// Draw-for-draw equivalence with [`LatencyModel::sample`] — same RNG
 /// consumption, bit-identical values — is pinned by unit tests here and by
-/// the cross-core fingerprint tests in `tests/scheduler_core.rs`.
+/// the engine-vs-reference fingerprint tests in `tests/scheduler_core.rs`
+/// (the reference core samples through [`LatencyModel::sample`]).
 #[derive(Debug, Clone)]
 pub(crate) enum LatencySampler {
     /// Fixed delay (also degenerate uniform ranges): no RNG draw.

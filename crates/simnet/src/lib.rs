@@ -25,41 +25,44 @@
 //! [`sim::Context`] command buffer, and are completely unaware of whether they
 //! run above a simulated or a real transport.
 //!
-//! ## The scheduling core
+//! ## The engine and its reference
 //!
-//! The inner event loop was rebuilt in PR 3 (calendar queue) and flattened
-//! in PR 4; protocols see no difference (same `Protocol`/`Context` seam,
-//! same event order, same results for a given seed), only the cost per
-//! event changed:
+//! One deterministic event engine runs every simulation; what varies between
+//! runs is policy passed in as data ([`ShardPolicy`], [`LossModel`],
+//! [`LatencyModel`], [`FaultPlan`]), never the mechanism:
 //!
 //! * **Calendar queue** ([`event::EventQueue`]) — events within the next
 //!   ~0.5 s of virtual time live in [`event::NUM_BUCKETS`] buckets of
 //!   [`event::BUCKET_WIDTH_MICROS`] µs each (append-only until the cursor
-//!   reaches a bucket, which is when it is ordered, exactly once); events
-//!   beyond the horizon wait in an overflow min-heap and migrate wheel-ward
-//!   one epoch at a time. Pop order is ascending `(time, insertion seq)` —
-//!   bit-identical to the retained references.
-//! * **Eager command dispatch** (PR 4) — [`sim::Context::send`] runs the
-//!   transmit path (upload queue, statistics, loss and latency draws, event
-//!   push) inline instead of buffering a command that is replayed after the
-//!   callback returns; per-node state lives in struct-of-arrays form so the
-//!   context can borrow the whole substrate while the protocol instance is
-//!   borrowed separately. Same-tick deliveries to one node are drained in a
-//!   single callback context, and queued events are slim: a delivery's wire
-//!   size is recomputed at the fire site and a timer's node and tag live in
-//!   its timer slot, not in the queue.
+//!   reaches a bucket, which is when it is ordered, exactly once); later
+//!   events wait in an outer wheel of [`event::NUM_OUTER_BUCKETS`] coarser
+//!   buckets, and beyond that in an overflow min-heap. Pop order is
+//!   ascending `(time, insertion seq)`.
+//! * **The flat form** (the default) — one loop over the whole population.
+//!   It drains a calendar bucket at a time and applies commands eagerly:
+//!   [`sim::Context::send`] runs the transmit path (upload queue,
+//!   statistics, loss and latency draws, event push) inline; per-node state
+//!   lives in struct-of-arrays form so the context can borrow the whole
+//!   substrate while the protocol instance is borrowed separately. Same-tick
+//!   deliveries to one node are drained in a single callback context, and
+//!   queued events are slim: a delivery's wire size is recomputed at the
+//!   fire site and a timer's node and tag live in its timer slot, not in
+//!   the queue.
+//! * **The sharded form** ([`sim::SimulatorBuilder::sharded`], [`shard`]) —
+//!   the same loop per partition of the population, synchronised by a
+//!   serial exchange at window boundaries; bit-identical to the flat form
+//!   for every shard count, policy and execution mode.
 //! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
 //!   index and a generation; firing frees the slot, so cancellation — even of
 //!   a timer that already fired — is an O(1) stamp comparison and the
 //!   simulator's timer state is bounded by the number of *concurrently
 //!   pending* timers ([`sim::Simulator::timer_slots`]).
-//! * **Retained baselines** — the PR 3 core (calendar queue with a pooled
-//!   deferred command buffer and fat events,
-//!   [`sim::SimulatorBuilder::pr3_scheduling_core`], backed by
-//!   [`event::Pr3CalendarQueue`]) and the pre-PR-3 seed core
-//!   ([`sim::SimulatorBuilder::baseline_scheduling_core`], backed by
-//!   [`event::BinaryHeapQueue`]) are kept for differential tests and
-//!   same-binary benchmarking; all three cores are asserted bit-identical.
+//! * **One reference** — a second, deliberately naive implementation of the
+//!   whole engine ([`event::BinaryHeapQueue`], one popped event per
+//!   callback, deferred commands, uncompiled loss and latency models) exists
+//!   only as the oracle of the differential tests, which assert every form
+//!   of the engine bit-identical to it. It is not a configuration: its one
+//!   entry point is hidden from the documented builder API.
 //!
 //! ## Example
 //!
@@ -111,7 +114,7 @@ pub mod stats;
 pub mod time;
 
 pub use bandwidth::{Bandwidth, UploadQueue};
-pub use event::{BinaryHeapQueue, EventQueue, Pr3CalendarQueue, ScheduledEvent};
+pub use event::{BinaryHeapQueue, EventQueue, ScheduledEvent};
 pub use fault::FaultPlan;
 pub use latency::LatencyModel;
 pub use loss::LossModel;

@@ -30,7 +30,7 @@
 //! shard's queue ([`EventQueue::push_at_seq`]). Every shard queue thus pops
 //! the restriction of the flat core's global `(time, seq)` order, every RNG
 //! stream is consumed identically, and the per-shard statistics columns sum
-//! to the flat core's counters exactly — asserted by the four-core
+//! to the flat core's counters exactly — asserted by the cross-engine
 //! fingerprint test and the shard differential proptests.
 //!
 //! ## The determinism contract (lookahead bound)
@@ -92,7 +92,10 @@ use crate::latency::LatencySampler;
 use crate::loss::LossSampler;
 use crate::node::NodeId;
 use crate::rng::stream_rng;
-use crate::sim::{Context, EventKind, Protocol, SimulatorBuilder, TimerId, TimerTable, WireSize};
+use crate::sim::{
+    extends_run, Context, Event, EventKind, Protocol, SimulatorBuilder, TimerId, TimerTable,
+    WireSize,
+};
 use crate::stats::{MemoryFootprint, NetStats};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -467,8 +470,7 @@ impl<M> ShardState<M> {
     fn record_footprint(&self, f: &mut MemoryFootprint) {
         use std::mem::size_of;
         f.record("net stats columns", self.stats.heap_bytes());
-        let pending =
-            (self.queue.len() * size_of::<crate::event::ScheduledEvent<EventKind<M>>>()) as u64;
+        let pending = (self.queue.len() * size_of::<Event<M>>()) as u64;
         f.record("pending events", pending);
         f.record("event queue slack", self.queue.retained_bytes() - pending);
         f.record(
@@ -583,13 +585,9 @@ struct Shard<P: Protocol> {
     /// Protocol instances, indexed by shard-local index.
     protocols: Vec<P>,
     state: ShardState<P::Message>,
-    /// Whether bucket runs use the batch pipeline
-    /// ([`EventQueue::drain_bucket`]) or single pops
-    /// ([`SimulatorBuilder::single_pop_dispatch`]).
-    batched: bool,
     /// Reusable batch buffer; capacity is recycled through the queue's
     /// bucket storage via `mem::swap`.
-    batch: Vec<crate::event::ScheduledEvent<EventKind<P::Message>>>,
+    batch: Vec<Event<P::Message>>,
 }
 
 impl<P: Protocol> Shard<P> {
@@ -598,35 +596,31 @@ impl<P: Protocol> Shard<P> {
     /// `(time, seq)` order — the restriction of the flat core's global order
     /// to this shard. Returns the number of events processed.
     ///
-    /// By default this drains whole calendar buckets
-    /// ([`EventQueue::drain_bucket`]), exactly like the flat core's batched
-    /// loop but without its intrusion merging: shard callbacks defer every
-    /// push to the exchange outbox, so the shard queue cannot change while a
-    /// batch is outstanding (asserted). The cutoff lands on a calendar-bucket
-    /// boundary except when truncated by a run deadline, in which case the
-    /// straddling bucket falls back to single pops.
+    /// This drains whole calendar buckets ([`EventQueue::drain_bucket`]),
+    /// exactly like the flat engine's loop but without its intrusion
+    /// merging: shard callbacks defer every push to the exchange outbox, so
+    /// the shard queue cannot change while a batch is outstanding
+    /// (asserted). The cutoff lands on a calendar-bucket boundary except
+    /// when truncated by a run deadline, in which case the straddling bucket
+    /// falls back to single pops.
     fn run_bucket(&mut self, cutoff: SimTime) -> u64 {
         let mut processed = 0;
-        if self.batched {
-            let mut batch = std::mem::take(&mut self.batch);
-            debug_assert!(batch.is_empty());
-            while self.state.queue.drain_bucket(Some(cutoff), &mut batch) {
-                while let Some(ev) = batch.pop() {
-                    self.state.now = ev.time;
-                    processed += 1;
-                    processed += self.dispatch(ev.seq, ev.payload, &mut batch);
-                }
-                debug_assert!(
-                    !self.state.queue.drain_intruded(),
-                    "shard callbacks defer pushes to the exchange"
-                );
-                self.state.queue.finish_drain();
+        let mut batch = std::mem::take(&mut self.batch);
+        debug_assert!(batch.is_empty());
+        while self.state.queue.drain_bucket(Some(cutoff), &mut batch) {
+            while let Some(ev) = batch.pop() {
+                self.state.now = ev.time;
+                processed += 1;
+                processed += self.dispatch(ev.seq, ev.payload, &mut batch);
             }
-            self.batch = batch;
+            debug_assert!(
+                !self.state.queue.drain_intruded(),
+                "shard callbacks defer pushes to the exchange"
+            );
+            self.state.queue.finish_drain();
         }
-        // Single-pop dispatch: the whole bucket region in the unbatched
-        // mode, or only the deadline-straddling remainder in the batched
-        // mode.
+        self.batch = batch;
+        // Single pops for the deadline-straddling remainder.
         while let Some(ev) = self.state.queue.pop_at_or_before(cutoff) {
             self.state.now = ev.time;
             processed += 1;
@@ -636,14 +630,14 @@ impl<P: Protocol> Shard<P> {
     }
 
     /// Dispatches one event; same-tick delivery runs extend from `batch`
-    /// when it is non-empty (the batched mode) and from the queue otherwise.
+    /// (empty on the single-pop path, where every delivery is its own run).
     /// Returns the number of *additional* events consumed.
     #[inline]
     fn dispatch(
         &mut self,
         seq: u64,
         payload: EventKind<P::Message>,
-        batch: &mut Vec<crate::event::ScheduledEvent<EventKind<P::Message>>>,
+        batch: &mut Vec<Event<P::Message>>,
     ) -> u64 {
         match payload {
             EventKind::Deliver { from, to, msg } => self.deliver_run(seq, from, to, msg, batch),
@@ -672,10 +666,9 @@ impl<P: Protocol> Shard<P> {
 
     /// The shard counterpart of the flat core's batched delivery run: drains
     /// every same-tick delivery to `to` pending *at the batch tail* into one
-    /// callback context (under single-pop dispatch the batch is empty and
-    /// every delivery is its own run). Run grouping may therefore differ
-    /// from the flat core — events of other shards' nodes no longer
-    /// interleave, and the unbatched mode never groups — but activation
+    /// callback context. Run grouping may therefore differ from the flat
+    /// core — events of other shards' nodes no longer interleave, and the
+    /// straddling single pops never group — but activation
     /// boundaries are invisible to protocols and the batched statistics sum
     /// identically, so the difference is unobservable; the per-command
     /// exchange keys are re-anchored on each extension's own event
@@ -688,14 +681,14 @@ impl<P: Protocol> Shard<P> {
         from: NodeId,
         to: NodeId,
         msg: P::Message,
-        batch: &mut Vec<crate::event::ScheduledEvent<EventKind<P::Message>>>,
+        batch: &mut Vec<Event<P::Message>>,
     ) -> u64 {
         let local = self.state.local_of[to.index()] as usize;
         let now = self.state.now;
         if !self.state.alive[local] {
             // Drain the dead-destination run without a context.
             let mut count = 1u64;
-            while batch_extends_shard_run(batch, now, to) {
+            while extends_run(batch.last(), now, to) {
                 let _ = batch.pop();
                 count += 1;
             }
@@ -709,7 +702,7 @@ impl<P: Protocol> Shard<P> {
         let protocol = &mut self.protocols[local];
         let mut ctx = Context::shard(to, local as u32, trigger_seq, &mut self.state);
         protocol.on_message(&mut ctx, from, msg);
-        while batch_extends_shard_run(batch, now, to) {
+        while extends_run(batch.last(), now, to) {
             let ev = batch.pop().expect("tail was checked");
             let EventKind::Deliver { from, msg, .. } = ev.payload else {
                 unreachable!("run extension is a delivery");
@@ -743,22 +736,6 @@ impl<P: Protocol> Shard<P> {
     }
 }
 
-/// Whether the tail of the drained batch extends a same-tick delivery run
-/// to `to`.
-#[inline]
-fn batch_extends_shard_run<M>(
-    batch: &[crate::event::ScheduledEvent<EventKind<M>>],
-    now: SimTime,
-    to: NodeId,
-) -> bool {
-    match batch.last() {
-        Some(ev) if ev.time == now => {
-            matches!(&ev.payload, EventKind::Deliver { to: t, .. } if *t == to)
-        }
-        _ => false,
-    }
-}
-
 /// The serial, globally ordered state of the sharded simulator: everything
 /// the exchange touches between bucket rounds.
 struct ExchangeState {
@@ -782,12 +759,6 @@ struct ExchangeState {
     /// The lookahead width in calendar buckets, carried for violation
     /// reporting.
     lookahead_buckets: u64,
-    /// Whether the exchange bulk-draws loss/latency for whole delivery
-    /// batches through the vectorized samplers (where the model gates
-    /// allow; see [`run_exchange`]). Mirrors
-    /// [`SimulatorBuilder::single_pop_dispatch`] so the unbatched mode is a
-    /// pure differential oracle.
-    batched: bool,
     /// Raw-word scratch for the bulk RNG path.
     raw_scratch: Vec<u64>,
     /// Pre-drawn latency samples for the current exchange.
@@ -818,7 +789,7 @@ fn run_exchange<M, I>(
     I: DerefMut<Target = Inbox<M>>,
 {
     merged.sort_unstable_by_key(|e| e.key());
-    // Vectorized pre-draw (PR 8): when the model combination keeps the RNG
+    // Vectorized pre-draw: when the model combination keeps the RNG
     // stream order intact, all draws of this exchange are bulk-generated
     // through the lane-blocked samplers and the loop below just consumes
     // them. Exactly one sampler can draw per delivery without reordering:
@@ -837,7 +808,7 @@ fn run_exchange<M, I>(
     let mut cursor = 0usize;
     let mut latency_batched = false;
     let mut loss_batched = false;
-    if exch.batched && (exch.loss.is_draw_free() || exch.latency.is_draw_free()) {
+    if exch.loss.is_draw_free() || exch.latency.is_draw_free() {
         let n = merged
             .iter()
             .filter(|e| match e {
@@ -1036,7 +1007,6 @@ impl<P: Protocol> ShardedSim<P> {
                 .collect();
             shards.push(Shard {
                 protocols,
-                batched: builder.batch_dispatch,
                 batch: Vec::new(),
                 state: ShardState {
                     queue: EventQueue::new(),
@@ -1071,7 +1041,6 @@ impl<P: Protocol> ShardedSim<P> {
                 violations: 0,
                 first_violation: None,
                 lookahead_buckets,
-                batched: builder.batch_dispatch,
                 raw_scratch: Vec::new(),
                 lat_batch: Vec::new(),
                 loss_batch: Vec::new(),

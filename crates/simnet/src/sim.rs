@@ -8,25 +8,38 @@
 //! can send messages, arm and cancel timers and draw deterministic per-node
 //! randomness.
 //!
-//! ## The flat event loop (PR 4)
+//! ## The engine and its reference
 //!
-//! The default core keeps per-node state in struct-of-arrays form (protocol
-//! instances, upload queues, RNGs and liveness in separate dense vectors, the
-//! traffic counters column-wise in [`NetStats`]), applies context commands
-//! *eagerly* — `Context::send` runs the transmit path inline instead of
-//! buffering a command and replaying it after the callback — and drains
-//! same-tick deliveries to one node in a single callback context (one
-//! liveness check, one context activation and one statistics update per run
-//! instead of per message). Loss and latency sampling go through state cached
-//! at build time ([`LatencySampler`](crate::latency)). All of this is
-//! invisible to protocols: callback order, RNG consumption and results are
-//! bit-identical to the PR 3 core, which is retained as
-//! [`SimulatorBuilder::pr3_scheduling_core`] for differential tests and
-//! same-binary benchmarking (as is the pre-PR-3 core,
-//! [`SimulatorBuilder::baseline_scheduling_core`]).
+//! One production engine runs every simulation, in two forms:
+//!
+//! * **Flat** (the default) — one event loop over the whole population.
+//!   Per-node state lives in struct-of-arrays form (protocol instances,
+//!   upload queues, RNGs and liveness in separate dense vectors, the traffic
+//!   counters column-wise in [`NetStats`]); context commands apply *eagerly*
+//!   — `Context::send` runs the transmit path inline — and the loop drains a
+//!   whole calendar bucket at a time ([`EventQueue::drain_bucket`]), handing
+//!   same-tick deliveries to one node to a single callback context (one
+//!   liveness check, one context activation and one statistics update per
+//!   run instead of per message). Loss and latency sampling go through state
+//!   compiled at build time ([`LatencySampler`](crate::latency),
+//!   [`LossSampler`]).
+//! * **Sharded** ([`SimulatorBuilder::sharded`], [`crate::shard`]) — the
+//!   same loop per partition of the population, with a deterministic
+//!   exchange at window boundaries.
+//!
+//! Beside it sits one whole-engine *reference*, reachable only through the
+//! hidden [`SimulatorBuilder::reference_core`]: a [`BinaryHeapQueue`], one
+//! popped event per callback activation, commands deferred to a buffer
+//! allocated per callback and replayed after it returns, loss and latency
+//! drawn through the models' own per-call paths ([`LatencyModel::sample`],
+//! [`LossState::is_lost`]). It shares the transmit path, the timer table and
+//! the statistics with the engine and nothing else, which is what makes it
+//! an oracle: callback order, RNG consumption and results of every engine
+//! form are asserted bit-identical to it (`tests/scheduler_core.rs` and the
+//! differential suites beside it).
 
 use crate::bandwidth::{UploadCapacity, UploadQueue};
-use crate::event::{BinaryHeapQueue, EventQueue, Pr3CalendarQueue, ScheduledEvent};
+use crate::event::{BinaryHeapQueue, EventQueue, ScheduledEvent};
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, LatencySampler};
 use crate::loss::{LossModel, LossSampler, LossState};
@@ -222,43 +235,16 @@ pub trait Protocol {
     fn on_crash(&mut self, _now: SimTime) {}
 }
 
-/// Commands a protocol can issue during a callback (deferred cores only; the
-/// flat core applies the equivalent actions eagerly inside [`Context`]).
+/// Commands a protocol can issue during a callback (reference core only; the
+/// engine applies the equivalent actions eagerly inside [`Context`]).
 #[derive(Debug)]
 enum Command<M> {
-    Send {
-        to: NodeId,
-        msg: M,
-    },
-    SetTimer {
-        id: TimerId,
-        delay: SimDuration,
-        tag: u64,
-    },
-    CancelTimer {
-        id: TimerId,
-    },
+    Send { to: NodeId, msg: M },
+    SetTimer { id: TimerId, delay: SimDuration },
+    CancelTimer { id: TimerId },
 }
 
-/// Which generation of the scheduling core a [`Simulator`] runs.
-///
-/// All three produce bit-identical simulations (asserted by differential
-/// tests); they differ only in per-event cost, and exist so benchmarks can
-/// measure each overhaul against its predecessor in the same binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreMode {
-    /// The PR 4 core: calendar queue, eager command dispatch, batched
-    /// same-tick deliveries, cached loss/latency samplers (the default).
-    Flat,
-    /// The PR 3 core: calendar queue, deferred commands via a pooled buffer,
-    /// per-event dispatch, uncached model sampling.
-    Pr3,
-    /// The pre-PR-3 core: `BinaryHeap` queue, deferred commands via a buffer
-    /// freshly allocated per callback, seed-shim `u128` uniform reductions.
-    Seed,
-}
-
-/// What an event in the simulator queue does when it fires (flat core).
+/// What an event in the simulator queue does when it fires.
 ///
 /// Kept deliberately small — queue entries are the dominant memory traffic
 /// of the event loop. A delivery's wire size is recomputed from the message
@@ -286,313 +272,103 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-/// The PR 3-era event payload, retained verbatim for the compat cores: the
-/// wire size rides with every delivery and the owning node and tag with
-/// every timer, exactly as the PR 3 scheduler queued them. Benchmarking the
-/// PR 3 core against the flat core is only meaningful if its per-event
-/// memory traffic is reproduced faithfully, layout included.
-#[derive(Debug, Clone)]
-enum FatEventKind<M> {
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        bytes: usize,
-    },
-    Timer {
-        node: NodeId,
-        timer: TimerId,
-        tag: u64,
-    },
-    Crash {
-        node: NodeId,
-    },
-}
+/// A queue entry of the simulator.
+pub(crate) type Event<M> = ScheduledEvent<EventKind<M>>;
 
-/// Which queue-substitution ablation to run, if any. See
-/// [`SimulatorBuilder::lifo_queue_for_ablation`] and
-/// [`SimulatorBuilder::fifo_queue_for_ablation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueAblation {
-    Lifo,
-    Fifo,
-}
-
-/// The scheduler backing the simulator: the calendar queue over slim
-/// [`EventKind`] entries by default, or — for the retained benchmark
-/// baselines — the PR 3 calendar queue ([`Pr3CalendarQueue`]) or the seed
-/// [`BinaryHeapQueue`], both over the original fat [`FatEventKind`]
-/// entries.
+/// The scheduler backing the single-core simulator: the calendar queue of
+/// the engine, or the [`BinaryHeapQueue`] of the reference core
+/// ([`SimulatorBuilder::reference_core`]). Which arm is live is also what
+/// tells the two cores apart ([`Core::is_reference`]).
 #[derive(Debug)]
 enum SimQueue<M> {
     Calendar(EventQueue<EventKind<M>>),
-    CalendarFat(Pr3CalendarQueue<FatEventKind<M>>),
-    BaselineFat(BinaryHeapQueue<FatEventKind<M>>),
-    /// LIFO-stack substitution for the queue-share ablation
-    /// ([`SimulatorBuilder::lifo_queue_for_ablation`]): `push` appends,
-    /// `pop` takes the most recent entry, both O(1) with no ordering work
-    /// at all. Event *times are ignored* — the run is not a valid
-    /// simulation — but for workloads whose event population is
-    /// order-invariant (no losses, no cancels, payload-driven chains) the
-    /// total event count is unchanged, so timing a LIFO run isolates the
-    /// non-queue pipeline cost per event.
-    Lifo {
-        stack: Vec<ScheduledEvent<EventKind<M>>>,
-        next_seq: u64,
-    },
-    /// FIFO-deque substitution for the queue-share ablation
-    /// ([`SimulatorBuilder::fifo_queue_for_ablation`]): like
-    /// [`SimQueue::Lifo`] but consuming in push order. Push order tracks
-    /// virtual time statistically (modulo the latency shuffle), so the
-    /// *node-access pattern* of the run — which nodes' protocol state, RNG
-    /// streams and statistics each consecutive event touches — matches a
-    /// real time-ordered run, where the LIFO stack's depth-first chain
-    /// walk keeps one chain's state artificially hot. The FIFO time is
-    /// therefore the locality-matched non-queue baseline; the LIFO time
-    /// bounds it from below.
-    Fifo {
-        deque: std::collections::VecDeque<ScheduledEvent<EventKind<M>>>,
-        next_seq: u64,
-    },
+    Reference(BinaryHeapQueue<EventKind<M>>),
 }
 
 impl<M> SimQueue<M> {
-    /// Schedules a delivery event.
     #[inline]
-    fn push_deliver(&mut self, time: SimTime, from: NodeId, to: NodeId, msg: M, bytes: usize) {
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         match self {
-            SimQueue::Calendar(q) => {
-                q.push(time, EventKind::Deliver { from, to, msg });
-            }
-            SimQueue::CalendarFat(q) => {
-                q.push(
-                    time,
-                    FatEventKind::Deliver {
-                        from,
-                        to,
-                        msg,
-                        bytes,
-                    },
-                );
-            }
-            SimQueue::BaselineFat(q) => {
-                q.push(
-                    time,
-                    FatEventKind::Deliver {
-                        from,
-                        to,
-                        msg,
-                        bytes,
-                    },
-                );
-            }
-            SimQueue::Lifo { stack, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                stack.push(ScheduledEvent {
-                    time,
-                    seq,
-                    payload: EventKind::Deliver { from, to, msg },
-                });
-            }
-            SimQueue::Fifo { deque, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                deque.push_back(ScheduledEvent {
-                    time,
-                    seq,
-                    payload: EventKind::Deliver { from, to, msg },
-                });
-            }
-        }
-    }
-
-    /// Schedules a timer event.
-    fn push_timer(&mut self, time: SimTime, node: NodeId, timer: TimerId, tag: u64) {
-        match self {
-            SimQueue::Calendar(q) => {
-                q.push(time, EventKind::Timer { timer });
-            }
-            SimQueue::CalendarFat(q) => {
-                q.push(time, FatEventKind::Timer { node, timer, tag });
-            }
-            SimQueue::BaselineFat(q) => {
-                q.push(time, FatEventKind::Timer { node, timer, tag });
-            }
-            SimQueue::Lifo { stack, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                stack.push(ScheduledEvent {
-                    time,
-                    seq,
-                    payload: EventKind::Timer { timer },
-                });
-            }
-            SimQueue::Fifo { deque, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                deque.push_back(ScheduledEvent {
-                    time,
-                    seq,
-                    payload: EventKind::Timer { timer },
-                });
-            }
-        }
-    }
-
-    /// Schedules a crash event.
-    fn push_crash(&mut self, time: SimTime, node: NodeId) {
-        match self {
-            SimQueue::Calendar(q) => {
-                q.push(time, EventKind::Crash { node });
-            }
-            SimQueue::CalendarFat(q) => {
-                q.push(time, FatEventKind::Crash { node });
-            }
-            SimQueue::BaselineFat(q) => {
-                q.push(time, FatEventKind::Crash { node });
-            }
-            SimQueue::Lifo { stack, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                stack.push(ScheduledEvent {
-                    time,
-                    seq,
-                    payload: EventKind::Crash { node },
-                });
-            }
-            SimQueue::Fifo { deque, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                deque.push_back(ScheduledEvent {
-                    time,
-                    seq,
-                    payload: EventKind::Crash { node },
-                });
-            }
-        }
+            SimQueue::Calendar(q) => q.push(time, kind),
+            SimQueue::Reference(q) => q.push(time, kind),
+        };
     }
 
     fn len(&self) -> usize {
         match self {
             SimQueue::Calendar(q) => q.len(),
-            SimQueue::CalendarFat(q) => q.len(),
-            SimQueue::BaselineFat(q) => q.len(),
-            SimQueue::Lifo { stack, .. } => stack.len(),
-            SimQueue::Fifo { deque, .. } => deque.len(),
+            SimQueue::Reference(q) => q.len(),
         }
     }
 
     /// Bytes held by the pending events themselves (entry count × entry
-    /// size, per the backing queue's entry layout). Bucket capacity beyond
-    /// the entries is not a constant — it follows the peak event population
-    /// — and is reported by [`SimQueue::slack_bytes`]; only the wheels'
-    /// fixed slot arrays go uncounted.
+    /// size). Bucket capacity beyond the entries is not a constant — it
+    /// follows the peak event population — and is reported by
+    /// [`SimQueue::slack_bytes`]; only the wheels' fixed slot arrays go
+    /// uncounted.
     fn event_bytes(&self) -> u64 {
-        let slim = std::mem::size_of::<ScheduledEvent<EventKind<M>>>();
-        let fat = std::mem::size_of::<ScheduledEvent<FatEventKind<M>>>();
-        let entry = match self {
-            SimQueue::Calendar(_) | SimQueue::Lifo { .. } | SimQueue::Fifo { .. } => slim,
-            SimQueue::CalendarFat(_) | SimQueue::BaselineFat(_) => fat,
-        };
-        (self.len() * entry) as u64
+        (self.len() * std::mem::size_of::<Event<M>>()) as u64
     }
 
     /// Event storage the calendar queue retains beyond the pending events
     /// ([`EventQueue::retained_bytes`] minus [`SimQueue::event_bytes`]).
-    /// The benchmark baselines and ablation queues are not instrumented.
+    /// The reference heap is not instrumented.
     fn slack_bytes(&self) -> u64 {
         match self {
             SimQueue::Calendar(q) => q.retained_bytes() - self.event_bytes(),
-            _ => 0,
-        }
-    }
-
-    /// The firing time of the earliest scheduled event, if any. (On the
-    /// LIFO ablation stack: the time of the *most recent* entry — the one
-    /// the next pop returns — which is all its callers need.)
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            SimQueue::Calendar(q) => q.peek_time(),
-            SimQueue::CalendarFat(q) => q.peek_time(),
-            SimQueue::BaselineFat(q) => q.peek_time(),
-            SimQueue::Lifo { stack, .. } => stack.last().map(|ev| ev.time),
-            SimQueue::Fifo { deque, .. } => deque.front().map(|ev| ev.time),
-        }
-    }
-
-    /// Slim-queue accessors for the flat event loop; the flat core runs on
-    /// [`SimQueue::Calendar`] (or the [`SimQueue::Lifo`] ablation stack).
-    #[inline]
-    fn pop_slim(&mut self) -> Option<ScheduledEvent<EventKind<M>>> {
-        match self {
-            SimQueue::Calendar(q) => q.pop(),
-            SimQueue::Lifo { stack, .. } => stack.pop(),
-            SimQueue::Fifo { deque, .. } => deque.pop_front(),
-            _ => unreachable!("flat core runs on the slim calendar queue"),
+            SimQueue::Reference(_) => 0,
         }
     }
 
     #[inline]
-    fn pop_slim_at_or_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<EventKind<M>>> {
-        match self {
-            SimQueue::Calendar(q) => q.pop_at_or_before(deadline),
-            SimQueue::Lifo { .. } | SimQueue::Fifo { .. } => {
-                unreachable!("the ablation queues only support run_to_completion")
-            }
-            _ => unreachable!("flat core runs on the slim calendar queue"),
-        }
-    }
-
-    #[inline]
-    fn peek_slim(&self) -> Option<&ScheduledEvent<EventKind<M>>> {
+    fn peek(&self) -> Option<&Event<M>> {
         match self {
             SimQueue::Calendar(q) => q.peek(),
-            SimQueue::Lifo { stack, .. } => stack.last(),
-            SimQueue::Fifo { deque, .. } => deque.front(),
-            _ => unreachable!("flat core runs on the slim calendar queue"),
+            SimQueue::Reference(q) => q.peek(),
         }
     }
 
-    /// [`EventQueue::drain_bucket`] on the slim calendar queue (the batched
-    /// dispatch path).
     #[inline]
-    fn drain_bucket_slim(
-        &mut self,
-        deadline: Option<SimTime>,
-        out: &mut Vec<ScheduledEvent<EventKind<M>>>,
-    ) -> bool {
+    fn pop(&mut self) -> Option<Event<M>> {
+        match self {
+            SimQueue::Calendar(q) => q.pop(),
+            SimQueue::Reference(q) => q.pop(),
+        }
+    }
+
+    /// Pops the earliest event, provided it fires at or before `deadline`
+    /// when one is set.
+    #[inline]
+    fn pop_by(&mut self, deadline: Option<SimTime>) -> Option<Event<M>> {
+        match (self, deadline) {
+            (SimQueue::Calendar(q), Some(d)) => q.pop_at_or_before(d),
+            (SimQueue::Reference(q), Some(d)) => q.pop_at_or_before(d),
+            (queue, None) => queue.pop(),
+        }
+    }
+
+    /// [`EventQueue::drain_bucket`]. The reference heap has no buckets and
+    /// never surrenders a batch.
+    #[inline]
+    fn drain_bucket(&mut self, deadline: Option<SimTime>, out: &mut Vec<Event<M>>) -> bool {
         match self {
             SimQueue::Calendar(q) => q.drain_bucket(deadline, out),
-            _ => unreachable!("flat core runs on the slim calendar queue"),
+            SimQueue::Reference(_) => false,
         }
     }
 
     #[inline]
-    fn drain_intruded_slim(&self) -> bool {
+    fn drain_intruded(&self) -> bool {
         match self {
             SimQueue::Calendar(q) => q.drain_intruded(),
-            _ => unreachable!("flat core runs on the slim calendar queue"),
+            SimQueue::Reference(_) => false,
         }
     }
 
     #[inline]
-    fn finish_drain_slim(&mut self) {
-        match self {
-            SimQueue::Calendar(q) => q.finish_drain(),
-            _ => unreachable!("flat core runs on the slim calendar queue"),
-        }
-    }
-
-    /// Fat-queue accessor for the deferred event loop of the compat cores.
-    fn pop_fat(&mut self) -> Option<ScheduledEvent<FatEventKind<M>>> {
-        match self {
-            SimQueue::CalendarFat(q) => q.pop(),
-            SimQueue::BaselineFat(q) => q.pop(),
-            SimQueue::Calendar(_) | SimQueue::Lifo { .. } | SimQueue::Fifo { .. } => {
-                unreachable!("compat cores run on a fat queue")
-            }
+    fn finish_drain(&mut self) {
+        if let SimQueue::Calendar(q) = self {
+            q.finish_drain();
         }
     }
 }
@@ -610,21 +386,19 @@ impl<M> SimQueue<M> {
 /// buffer replayed after the callback returns.
 struct Core<M> {
     queue: SimQueue<M>,
+    /// The link models as configured, sampled per call (reference core).
     latency: LatencyModel,
-    /// [`Core::latency`] compiled into its per-draw fast path (flat core).
+    /// [`Core::latency`] compiled into its per-draw fast path (engine).
     latency_fast: LatencySampler,
     loss: LossModel,
     loss_state: LossState,
-    /// [`Core::loss`] compiled into its per-draw fast path (flat core).
+    /// [`Core::loss`] compiled into its per-draw fast path (engine).
     loss_fast: LossSampler,
     /// The fault-injection schedule (inert by default).
     fault: FaultPlan,
     net_rng: SmallRng,
     now: SimTime,
     timers: TimerTable,
-    /// Pooled command buffer handed to callbacks (PR 3 core only).
-    command_scratch: Vec<Command<M>>,
-    mode: CoreMode,
     stats: NetStats,
     /// Per-node upload rate limiters, indexed by [`NodeId::index`].
     uploads: Vec<UploadQueue>,
@@ -635,6 +409,13 @@ struct Core<M> {
 }
 
 impl<M: WireSize> Core<M> {
+    /// Whether this is the reference core
+    /// ([`SimulatorBuilder::reference_core`]) rather than the engine.
+    #[inline]
+    fn is_reference(&self) -> bool {
+        matches!(self.queue, SimQueue::Reference(_))
+    }
+
     /// Records this core's substrate components into `f` (see
     /// [`MemoryFootprint`]). Everything here scales with n or with the
     /// in-flight event population.
@@ -655,9 +436,10 @@ impl<M: WireSize> Core<M> {
     }
 
     /// Sends `msg` through `from`'s upload queue, drawing loss and latency,
-    /// and schedules the delivery event. The single transmit path shared by
-    /// every core mode; only the latency reduction differs per mode (same
-    /// values, different cost — see [`LatencyModel::sample_seed_compat`]).
+    /// and schedules the delivery event. The one transmit path of the engine
+    /// and the reference core; only how loss and latency are drawn differs
+    /// (same draws, same values: compiled samplers against the models' own
+    /// per-call paths).
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: M) {
         let bytes = msg.wire_size();
         let now = self.now;
@@ -680,36 +462,36 @@ impl<M: WireSize> Core<M> {
             self.stats.record_loss(from);
             return;
         }
-        let lost = match self.mode {
-            CoreMode::Flat => self.loss_fast.is_lost(&mut self.net_rng, from, to),
-            _ => self
-                .loss_state
-                .is_lost(&self.loss, &mut self.net_rng, from, to),
+        let reference = self.is_reference();
+        let lost = if reference {
+            self.loss_state
+                .is_lost(&self.loss, &mut self.net_rng, from, to)
+        } else {
+            self.loss_fast.is_lost(&mut self.net_rng, from, to)
         };
         if lost {
             self.stats.record_loss(from);
             return;
         }
-        let latency = match self.mode {
-            CoreMode::Flat => self.latency_fast.sample(&mut self.net_rng),
-            CoreMode::Pr3 => self.latency.sample(&mut self.net_rng, from, to),
-            CoreMode::Seed => self.latency.sample_seed_compat(&mut self.net_rng, from, to),
+        let latency = if reference {
+            self.latency.sample(&mut self.net_rng, from, to)
+        } else {
+            self.latency_fast.sample(&mut self.net_rng)
         };
-        let arrival = departure + latency;
-        self.queue.push_deliver(arrival, from, to, msg, bytes);
+        self.queue
+            .push(departure + latency, EventKind::Deliver { from, to, msg });
     }
 
-    /// Replays a deferred command buffer in issue order (compat cores).
-    fn apply_commands(&mut self, from: NodeId, commands: &mut Vec<Command<M>>) {
-        for cmd in commands.drain(..) {
+    /// Replays a deferred command buffer in issue order (reference core).
+    fn apply_commands(&mut self, from: NodeId, commands: Vec<Command<M>>) {
+        for cmd in commands {
             match cmd {
                 Command::Send { to, msg } => self.transmit(from, to, msg),
-                Command::SetTimer { id, delay, tag } => {
-                    self.queue.push_timer(self.now + delay, from, id, tag);
+                Command::SetTimer { id, delay } => {
+                    self.queue
+                        .push(self.now + delay, EventKind::Timer { timer: id });
                 }
-                Command::CancelTimer { id } => {
-                    self.timers.cancel(id);
-                }
+                Command::CancelTimer { id } => self.timers.cancel(id),
             }
         }
     }
@@ -717,29 +499,29 @@ impl<M: WireSize> Core<M> {
 
 /// Command surface handed to protocol callbacks.
 ///
-/// In the default (flat) core, commands take effect immediately: `send` runs
-/// the transmit path inline, `set_timer` schedules the timer event as it
-/// arms. In the retained compat cores the context instead records commands
-/// into a buffer the simulator replays after the callback returns — the
-/// pre-PR-4 behaviour. The two schedules are indistinguishable to protocols:
+/// Commands take effect immediately: `send` runs the sender-side transmit
+/// path inline (on the flat engine all of it, on a shard everything up to
+/// the globally ordered loss and latency draws, which wait for the next
+/// exchange), `set_timer` arms the slot and schedules the fire event. The
+/// reference core instead records commands into a buffer it replays after
+/// the callback returns. The schedules are indistinguishable to protocols:
 /// commands act in issue order either way, protocols cannot observe network
 /// state mid-callback, and per-node and network RNG streams are independent,
-/// so every draw lands identically (asserted by the cross-core differential
-/// tests).
+/// so every draw lands identically (asserted by the differential tests).
 pub struct Context<'a, M> {
     node: NodeId,
     inner: CtxInner<'a, M>,
 }
 
-/// The dispatch target behind a [`Context`]: the single-core simulator (flat
-/// eager dispatch or a deferred command buffer) or one shard of the sharded
-/// simulator (eager per-shard state plus a deferred exchange outbox).
+/// The dispatch target behind a [`Context`]: the single-core simulator (the
+/// flat engine's eager dispatch, or the reference core's command buffer) or
+/// one shard of the sharded engine (eager per-shard state plus a deferred
+/// exchange outbox).
 enum CtxInner<'a, M> {
     /// A single-core simulator callback.
     Single {
         core: &'a mut Core<M>,
-        /// `Some` in the deferred-dispatch compat cores, `None` in the flat
-        /// core.
+        /// `Some` in the reference core, `None` in the flat engine.
         commands: Option<&'a mut Vec<Command<M>>>,
     },
     /// A sharded-simulator callback: per-node and per-shard state is touched
@@ -764,7 +546,7 @@ enum CtxInner<'a, M> {
 }
 
 impl<'a, M: WireSize> Context<'a, M> {
-    /// A flat-core or compat-core context (the single-core simulator).
+    /// A flat-engine or reference-core context (the single-core simulator).
     fn single(
         node: NodeId,
         core: &'a mut Core<M>,
@@ -882,10 +664,10 @@ impl<'a, M: WireSize> Context<'a, M> {
             CtxInner::Single { core, commands } => {
                 let id = core.timers.arm(self.node, tag);
                 match commands {
-                    None => {
-                        core.queue.push_timer(core.now + delay, self.node, id, tag);
-                    }
-                    Some(buffer) => buffer.push(Command::SetTimer { id, delay, tag }),
+                    None => core
+                        .queue
+                        .push(core.now + delay, EventKind::Timer { timer: id }),
+                    Some(buffer) => buffer.push(Command::SetTimer { id, delay }),
                 }
                 id
             }
@@ -933,14 +715,9 @@ pub struct SimulatorBuilder {
     pub(crate) fault: FaultPlan,
     pub(crate) capacities: Vec<UploadCapacity>,
     pub(crate) queue_limit: Option<SimDuration>,
-    mode: CoreMode,
-    /// Whether the flat core dispatches whole calendar buckets at a time
-    /// (the PR 8 batch pipeline) instead of popping events one by one.
-    pub(crate) batch_dispatch: bool,
-    /// Queue-substitution ablation, if any
-    /// ([`SimulatorBuilder::lifo_queue_for_ablation`],
-    /// [`SimulatorBuilder::fifo_queue_for_ablation`]).
-    ablation: Option<QueueAblation>,
+    /// Whether to build the reference core instead of the engine
+    /// ([`SimulatorBuilder::reference_core`]).
+    reference: bool,
     /// Number of shards (`0` = the unsharded single-core simulator).
     pub(crate) shards: usize,
     /// How the node population is partitioned when sharded.
@@ -961,9 +738,7 @@ impl SimulatorBuilder {
             fault: FaultPlan::default(),
             capacities: vec![UploadCapacity::Unlimited; n],
             queue_limit: None,
-            mode: CoreMode::Flat,
-            batch_dispatch: true,
-            ablation: None,
+            reference: false,
             shards: 0,
             shard_policy: ShardPolicy::Contiguous,
             mailbox_capacity: None,
@@ -993,9 +768,8 @@ impl SimulatorBuilder {
     ///
     /// # Panics
     ///
-    /// `build` panics if `shards` is zero, if a compat scheduling core was
-    /// also selected, or if the latency model's minimum delay is shorter
-    /// than one calendar bucket.
+    /// `build` panics if `shards` is zero or if the latency model's minimum
+    /// delay is shorter than one calendar bucket.
     pub fn sharded(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "sharded() needs at least one shard");
         self.shards = shards;
@@ -1019,80 +793,18 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Routes the simulator through the pre-PR-3 scheduling core: the
-    /// [`BinaryHeapQueue`] event queue, a freshly allocated command buffer
-    /// for every callback, and the seed rand shim's 128-bit-modulo uniform
-    /// latency draws ([`LatencyModel::sample_seed_compat`]). Simulation
-    /// results are bit-identical to the default core (the pop order is the
-    /// same `(time, seq)` order and every random draw yields the same value
-    /// — asserted in tests); only speed and memory behaviour differ. Exists
-    /// so benchmarks can measure the scheduling-core overhauls against the
-    /// original seed implementation in the same run.
-    pub fn baseline_scheduling_core(mut self) -> Self {
-        self.mode = CoreMode::Seed;
-        self
-    }
-
-    /// Routes the simulator through the PR 3 scheduling core: the calendar
-    /// queue with per-event dispatch through a pooled deferred command
-    /// buffer, and uncached loss/latency model sampling. Bit-identical to
-    /// the default flat core (asserted in tests); retained as the
-    /// measurement baseline of the PR 4 hot-path flattening (`BENCH_4.json`)
-    /// and as the differential reference for the batched dispatch path.
-    pub fn pr3_scheduling_core(mut self) -> Self {
-        self.mode = CoreMode::Pr3;
-        self
-    }
-
-    /// Routes the flat core (and each shard of a sharded simulator) through
-    /// single-pop dispatch instead of the default bucket-at-a-time batch
-    /// pipeline ([`EventQueue::drain_bucket`]). Bit-identical to the batched
-    /// path — same callback order, same RNG draws, same statistics (asserted
-    /// differentially in tests and CI) — retained as the differential oracle
-    /// and the measurement baseline of the PR 8 batching. No effect on the
-    /// compat cores, which never batch.
-    pub fn single_pop_dispatch(mut self) -> Self {
-        self.batch_dispatch = false;
-        self
-    }
-
-    /// Replaces the calendar queue with an unordered LIFO stack: push
-    /// appends, pop takes the most recent entry, both O(1) with zero
-    /// ordering work. **The run is not a valid simulation** — events fire
-    /// in stack order, virtual time regresses freely and every
-    /// time-derived observable (latencies, completion times, statistics)
-    /// is meaningless. What *is* preserved, for workloads whose event
-    /// population is independent of processing order (lossless delivery,
-    /// no timer cancels, payload-driven chains, count-budgeted re-arms),
-    /// is the total number of events processed: every push is popped
-    /// exactly once either way. Timing such a run therefore measures the
-    /// full non-queue pipeline — dispatch, protocol callbacks, RNG draws,
-    /// statistics — at the real event count, and the difference against a
-    /// real run isolates the event queue's share of per-event cost. Used
-    /// by the `bench-json` queue-share ablation; hidden because it is an
-    /// instrument, not a simulator configuration. Only
-    /// [`Simulator::run_to_completion`] is supported (deadlines are
-    /// meaningless without event ordering); batched dispatch is forced
-    /// off.
+    /// Builds the whole-engine *reference* instead of the engine: a
+    /// [`BinaryHeapQueue`], one popped event per callback activation,
+    /// commands deferred to a buffer allocated per callback, loss and
+    /// latency drawn through [`LossState::is_lost`] and
+    /// [`LatencyModel::sample`]. Results are bit-identical to the engine in
+    /// every form — the pop order is the same `(time, seq)` order and every
+    /// random draw yields the same value — which is the point: it is the
+    /// oracle of the differential tests, not a simulator configuration, and
+    /// it cannot be sharded.
     #[doc(hidden)]
-    pub fn lifo_queue_for_ablation(mut self) -> Self {
-        self.ablation = Some(QueueAblation::Lifo);
-        self
-    }
-
-    /// [`SimulatorBuilder::lifo_queue_for_ablation`] with a FIFO deque
-    /// instead of a stack: events are consumed in *push* order, which
-    /// tracks virtual time statistically and therefore preserves the
-    /// node-access locality of a real time-ordered run (the LIFO stack's
-    /// depth-first chain walk keeps one chain's protocol state
-    /// artificially hot). The FIFO time is the locality-matched non-queue
-    /// baseline of the queue-share ablation; the LIFO time bounds it from
-    /// below. All the LIFO caveats apply: not a valid simulation,
-    /// event-count-preserving only for order-invariant workloads,
-    /// `run_to_completion` only.
-    #[doc(hidden)]
-    pub fn fifo_queue_for_ablation(mut self) -> Self {
-        self.ablation = Some(QueueAblation::Fifo);
+    pub fn reference_core(mut self) -> Self {
+        self.reference = true;
         self
     }
 
@@ -1169,17 +881,8 @@ impl SimulatorBuilder {
                 "a fault plan with partition epochs needs one group per node"
             );
         }
-        if self.ablation.is_some() {
-            assert!(
-                self.shards == 0 && self.mode == CoreMode::Flat,
-                "the ablation queues apply to the unsharded flat core only"
-            );
-        }
         if self.shards > 0 {
-            assert!(
-                self.mode == CoreMode::Flat,
-                "sharding applies to the default flat scheduling core only"
-            );
+            assert!(!self.reference, "the reference core cannot be sharded");
             return Simulator {
                 inner: SimInner::Sharded(crate::shard::ShardedSim::build(self, make_node)),
             };
@@ -1189,7 +892,8 @@ impl SimulatorBuilder {
         }
     }
 
-    /// Builds the single-core simulator (the pre-sharding engine).
+    /// Builds the single-core simulator: the flat engine or the reference
+    /// core.
     fn build_single<P, F>(self, mut make_node: F) -> SingleSim<P>
     where
         P: Protocol,
@@ -1210,25 +914,15 @@ impl SimulatorBuilder {
         let rngs: Vec<SmallRng> = (0..self.n)
             .map(|i| stream_rng(self.seed, 1 + i as u64))
             .collect();
-        let queue = match (self.mode, self.ablation) {
-            (CoreMode::Flat, Some(QueueAblation::Lifo)) => SimQueue::Lifo {
-                stack: Vec::new(),
-                next_seq: 0,
-            },
-            (CoreMode::Flat, Some(QueueAblation::Fifo)) => SimQueue::Fifo {
-                deque: std::collections::VecDeque::new(),
-                next_seq: 0,
-            },
-            (CoreMode::Flat, None) => SimQueue::Calendar(EventQueue::new()),
-            (CoreMode::Pr3, _) => SimQueue::CalendarFat(Pr3CalendarQueue::new()),
-            (CoreMode::Seed, _) => SimQueue::BaselineFat(BinaryHeapQueue::new()),
+        let queue = if self.reference {
+            SimQueue::Reference(BinaryHeapQueue::new())
+        } else {
+            SimQueue::Calendar(EventQueue::new())
         };
         let latency_fast = LatencySampler::new(&self.latency);
         let loss_fast = LossSampler::new(&self.loss, self.n);
-        let batched = self.batch_dispatch && self.mode == CoreMode::Flat && self.ablation.is_none();
         let mut sim = SingleSim {
             protocols,
-            batched,
             batch: Vec::new(),
             core: Core {
                 queue,
@@ -1241,8 +935,6 @@ impl SimulatorBuilder {
                 net_rng: stream_rng(self.seed, 0),
                 now: SimTime::ZERO,
                 timers: TimerTable::default(),
-                command_scratch: Vec::new(),
-                mode: self.mode,
                 stats: NetStats::new(self.n),
                 uploads,
                 rngs,
@@ -1256,7 +948,7 @@ impl SimulatorBuilder {
         // the global event order.
         for epoch in sim.core.fault.crashes().to_vec() {
             for node in epoch.nodes {
-                sim.core.queue.push_crash(epoch.at, node);
+                sim.core.queue.push(epoch.at, EventKind::Crash { node });
             }
         }
         sim
@@ -1265,13 +957,13 @@ impl SimulatorBuilder {
 
 /// The discrete-event simulator hosting one [`Protocol`] instance per node.
 ///
-/// Since PR 5 this is a dispatch front over two engines: the *single-core*
-/// simulator (the flat event loop plus the retained compat cores) and the
-/// *sharded* simulator ([`SimulatorBuilder::sharded`]), which partitions the
-/// node population into per-region event loops that exchange cross-shard
-/// deliveries at calendar-bucket boundaries. Both produce bit-identical
-/// simulations for a given seed (asserted by the differential tests); the
-/// public API is engine-agnostic.
+/// A dispatch front over the two forms of the engine: the *flat* form, one
+/// event loop over the whole population (the default), and the *sharded*
+/// form ([`SimulatorBuilder::sharded`]), which partitions the node
+/// population into per-region event loops that exchange cross-shard
+/// deliveries at window boundaries. Both produce bit-identical simulations
+/// for a given seed (asserted by the differential tests); the public API is
+/// form-agnostic.
 pub struct Simulator<P: Protocol> {
     inner: SimInner<P>,
 }
@@ -1282,7 +974,8 @@ pub struct Simulator<P: Protocol> {
 // indirection on every event-loop dispatch.
 #[allow(clippy::large_enum_variant)]
 enum SimInner<P: Protocol> {
-    /// One event loop over the whole population (flat or compat cores).
+    /// One event loop over the whole population (the flat engine, or the
+    /// reference core).
     Single(SingleSim<P>),
     /// Per-region event loops with bucket-boundary exchange.
     Sharded(crate::shard::ShardedSim<P>),
@@ -1295,13 +988,9 @@ struct SingleSim<P: Protocol> {
     /// simultaneously (the eager-dispatch seam).
     protocols: Vec<P>,
     core: Core<P::Message>,
-    /// Whether the flat core runs the bucket-at-a-time batch pipeline
-    /// (default) or single-pop dispatch
-    /// ([`SimulatorBuilder::single_pop_dispatch`]).
-    batched: bool,
     /// Reusable batch buffer for [`EventQueue::drain_bucket`]; its capacity
     /// is recycled through the queue's bucket storage via `mem::swap`.
-    batch: Vec<ScheduledEvent<EventKind<P::Message>>>,
+    batch: Vec<Event<P::Message>>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -1439,7 +1128,7 @@ impl<P: Protocol> Simulator<P> {
         match &mut self.inner {
             SimInner::Single(s) => {
                 assert!(at >= s.core.now, "cannot schedule a crash in the past");
-                s.core.queue.push_crash(at, node);
+                s.core.queue.push(at, EventKind::Crash { node });
             }
             SimInner::Sharded(s) => s.schedule_crash(node, at),
         }
@@ -1553,11 +1242,7 @@ impl<P: Protocol> SingleSim<P> {
     /// Runs until the event queue is exhausted or `deadline` is reached,
     /// whichever comes first. Returns the number of events processed.
     fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let processed = match self.core.mode {
-            CoreMode::Flat if self.batched => self.run_flat_batched(Some(deadline)),
-            CoreMode::Flat => self.run_flat(Some(deadline)),
-            _ => self.run_deferred(Some(deadline)),
-        };
+        let processed = self.run(Some(deadline));
         // Advance the clock to the deadline even if the queue drained early,
         // so that subsequent scheduling is relative to the requested time.
         if self.core.now < deadline {
@@ -1568,36 +1253,23 @@ impl<P: Protocol> SingleSim<P> {
 
     /// Runs until the event queue is completely exhausted.
     fn run_to_completion(&mut self) -> u64 {
-        match self.core.mode {
-            CoreMode::Flat if self.batched => self.run_flat_batched(None),
-            CoreMode::Flat => self.run_flat(None),
-            _ => self.run_deferred(None),
+        self.run(None)
+    }
+
+    fn run(&mut self, deadline: Option<SimTime>) -> u64 {
+        if self.core.is_reference() {
+            self.run_reference(deadline)
+        } else {
+            self.run_batched(deadline)
         }
     }
 
-    /// The flat event loop: fused pop, inline dispatch, batched deliveries.
-    /// Retained unchanged as the differential oracle for the batched loop
-    /// ([`SimulatorBuilder::single_pop_dispatch`]).
-    fn run_flat(&mut self, deadline: Option<SimTime>) -> u64 {
-        let mut processed = 0;
-        loop {
-            let popped = match deadline {
-                Some(d) => self.core.queue.pop_slim_at_or_before(d),
-                None => self.core.queue.pop_slim(),
-            };
-            let Some(ev) = popped else { break };
-            self.core.now = ev.time;
-            processed += 1;
-            processed += self.dispatch_slim(ev.payload);
-        }
-        processed
-    }
-
-    /// The PR 8 flat event loop: drains a whole calendar bucket at a time
+    /// The flat event loop: drains a whole calendar bucket at a time
     /// ([`EventQueue::drain_bucket`]) and dispatches the sorted batch from
     /// its tail (earliest first), amortising the per-event pop machinery —
     /// cursor walking, overflow reveal, run-extension peeks — over the
-    /// bucket. Bit-identical to [`SingleSim::run_flat`]:
+    /// bucket. The callback order is exactly that of popping one event at a
+    /// time:
     ///
     /// - Buckets whose latest event fires after the deadline, past-guard
     ///   events and empty-wheel states make `drain_bucket` stand down; the
@@ -1611,42 +1283,36 @@ impl<P: Protocol> SingleSim<P> {
     ///   receive sequence numbers above every batch entry, so an intruder
     ///   can never order *between* same-time batch entries — consuming a
     ///   same-tick delivery run from the batch alone stays exact.
-    fn run_flat_batched(&mut self, deadline: Option<SimTime>) -> u64 {
+    fn run_batched(&mut self, deadline: Option<SimTime>) -> u64 {
         let mut processed = 0;
         let mut batch = std::mem::take(&mut self.batch);
         debug_assert!(batch.is_empty());
         loop {
-            if !self.core.queue.drain_bucket_slim(deadline, &mut batch) {
+            if !self.core.queue.drain_bucket(deadline, &mut batch) {
                 // Straddling bucket, past-guard events or an empty queue:
                 // dispatch a single event the classic way and retry.
-                let popped = match deadline {
-                    Some(d) => self.core.queue.pop_slim_at_or_before(d),
-                    None => self.core.queue.pop_slim(),
+                let Some(ev) = self.core.queue.pop_by(deadline) else {
+                    break;
                 };
-                let Some(ev) = popped else { break };
-                self.core.now = ev.time;
-                processed += 1;
-                processed += self.dispatch_slim(ev.payload);
+                processed += self.dispatch_popped(ev);
                 continue;
             }
             while let Some(next) = batch.last().map(|ev| (ev.time, ev.seq)) {
-                if self.core.queue.drain_intruded_slim() {
+                if self.core.queue.drain_intruded() {
                     // Merge intruders that fire before the next batch entry.
                     // They are all later pushes (seq above the whole batch),
                     // so a matching front is strictly earlier in time and
                     // its same-tick run never overlaps batch entries.
                     loop {
                         let front_first = matches!(
-                            self.core.queue.peek_slim(),
+                            self.core.queue.peek(),
                             Some(front) if (front.time, front.seq) < next
                         );
                         if !front_first {
                             break;
                         }
-                        let ev = self.core.queue.pop_slim().expect("front was peeked");
-                        self.core.now = ev.time;
-                        processed += 1;
-                        processed += self.dispatch_slim(ev.payload);
+                        let ev = self.core.queue.pop().expect("front was peeked");
+                        processed += self.dispatch_popped(ev);
                     }
                 }
                 let ev = batch.pop().expect("last() was Some");
@@ -1656,54 +1322,54 @@ impl<P: Protocol> SingleSim<P> {
                     EventKind::Deliver { from, to, msg } => {
                         processed += self.deliver_run_batched(from, to, msg, &mut batch);
                     }
-                    EventKind::Timer { timer } => {
-                        if let Some((node, tag)) = self.core.timers.fire(timer) {
-                            if self.core.alive[node.index()] {
-                                let mut ctx = Context::single(node, &mut self.core, None);
-                                self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
-                            }
-                        }
-                    }
-                    EventKind::Crash { node } => {
-                        let idx = node.index();
-                        if self.core.alive[idx] {
-                            self.core.alive[idx] = false;
-                            self.protocols[idx].on_crash(self.core.now);
-                        }
-                    }
+                    EventKind::Timer { timer } => self.fire_timer(timer),
+                    EventKind::Crash { node } => self.crash(node),
                 }
             }
-            self.core.queue.finish_drain_slim();
+            self.core.queue.finish_drain();
         }
         self.batch = batch;
         processed
     }
 
-    /// Dispatches one popped slim event (single-pop paths). Returns the
-    /// number of *additional* events consumed (same-tick delivery runs).
+    /// Dispatches one event popped off the queue itself (the straddle and
+    /// intrusion paths of [`SingleSim::run_batched`]). Returns the number of
+    /// events consumed: the event plus its same-tick delivery run.
     #[inline]
-    fn dispatch_slim(&mut self, payload: EventKind<P::Message>) -> u64 {
-        match payload {
-            EventKind::Deliver { from, to, msg } => self.deliver_run(from, to, msg),
+    fn dispatch_popped(&mut self, ev: Event<P::Message>) -> u64 {
+        self.core.now = ev.time;
+        match ev.payload {
+            EventKind::Deliver { from, to, msg } => 1 + self.deliver_run(from, to, msg),
             EventKind::Timer { timer } => {
-                // Firing always frees the slot; a cancelled (or stale)
-                // timer is simply not delivered.
-                if let Some((node, tag)) = self.core.timers.fire(timer) {
-                    if self.core.alive[node.index()] {
-                        let mut ctx = Context::single(node, &mut self.core, None);
-                        self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
-                    }
-                }
-                0
+                self.fire_timer(timer);
+                1
             }
             EventKind::Crash { node } => {
-                let idx = node.index();
-                if self.core.alive[idx] {
-                    self.core.alive[idx] = false;
-                    self.protocols[idx].on_crash(self.core.now);
-                }
-                0
+                self.crash(node);
+                1
             }
+        }
+    }
+
+    /// Fires `timer`'s queue event on the engine. Firing always frees the
+    /// slot; a cancelled (or stale) timer, or one whose owner has crashed,
+    /// is simply not delivered.
+    #[inline]
+    fn fire_timer(&mut self, timer: TimerId) {
+        if let Some((node, tag)) = self.core.timers.fire(timer) {
+            if self.core.alive[node.index()] {
+                let mut ctx = Context::single(node, &mut self.core, None);
+                self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
+            }
+        }
+    }
+
+    #[inline]
+    fn crash(&mut self, node: NodeId) {
+        let idx = node.index();
+        if self.core.alive[idx] {
+            self.core.alive[idx] = false;
+            self.protocols[idx].on_crash(self.core.now);
         }
     }
 
@@ -1720,8 +1386,8 @@ impl<P: Protocol> SingleSim<P> {
         if !self.core.alive[idx] {
             // Drain the dead-destination run without a context.
             let mut count = 1u64;
-            while next_extends_run(&self.core, now, to) {
-                let _ = self.core.queue.pop_slim();
+            while extends_run(self.core.queue.peek(), now, to) {
+                let _ = self.core.queue.pop();
                 count += 1;
             }
             self.core.stats.record_to_dead_n(to, count);
@@ -1732,12 +1398,8 @@ impl<P: Protocol> SingleSim<P> {
         let protocol = &mut self.protocols[idx];
         let mut ctx = Context::single(to, &mut self.core, None);
         protocol.on_message(&mut ctx, from, msg);
-        while next_extends_run(ctx.single_core(), now, to) {
-            let ev = ctx
-                .single_core()
-                .queue
-                .pop_slim()
-                .expect("peeked event exists");
+        while extends_run(ctx.single_core().queue.peek(), now, to) {
+            let ev = ctx.single_core().queue.pop().expect("peeked event exists");
             let EventKind::Deliver { from, msg, .. } = ev.payload else {
                 unreachable!("run extension is a delivery");
             };
@@ -1765,14 +1427,14 @@ impl<P: Protocol> SingleSim<P> {
         from: NodeId,
         to: NodeId,
         msg: P::Message,
-        batch: &mut Vec<ScheduledEvent<EventKind<P::Message>>>,
+        batch: &mut Vec<Event<P::Message>>,
     ) -> u64 {
         let idx = to.index();
         let now = self.core.now;
         if !self.core.alive[idx] {
             // Drain the dead-destination run without a context.
             let mut count = 1u64;
-            while batch_extends_run(batch, now, to) {
+            while extends_run(batch.last(), now, to) {
                 let _ = batch.pop();
                 count += 1;
             }
@@ -1784,7 +1446,7 @@ impl<P: Protocol> SingleSim<P> {
         let protocol = &mut self.protocols[idx];
         let mut ctx = Context::single(to, &mut self.core, None);
         protocol.on_message(&mut ctx, from, msg);
-        while batch_extends_run(batch, now, to) {
+        while extends_run(batch.last(), now, to) {
             let ev = batch.pop().expect("tail was checked");
             let EventKind::Deliver { from, msg, .. } = ev.payload else {
                 unreachable!("run extension is a delivery");
@@ -1799,67 +1461,37 @@ impl<P: Protocol> SingleSim<P> {
         count - 1
     }
 
-    /// The deferred event loop of the compat cores: peek, pop, dispatch one
-    /// event at a time through the command buffer (the pre-PR-4 control
-    /// flow, retained for same-binary benchmarking and differential tests).
-    fn run_deferred(&mut self, deadline: Option<SimTime>) -> u64 {
+    /// The reference event loop: pop one event, run its callback, replay the
+    /// commands it issued; no batching of any kind.
+    fn run_reference(&mut self, deadline: Option<SimTime>) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.core.queue.peek_time() {
-            if let Some(d) = deadline {
-                if t > d {
-                    break;
-                }
-            }
-            let ev = self.core.queue.pop_fat().expect("peeked event must exist");
+        while let Some(ev) = self.core.queue.pop_by(deadline) {
             self.core.now = ev.time;
-            self.dispatch_one(ev.payload);
             processed += 1;
+            match ev.payload {
+                EventKind::Deliver { from, to, msg } => {
+                    if self.core.alive[to.index()] {
+                        self.core.stats.record_delivery(to, msg.wire_size());
+                        self.with_context(to, |proto, ctx| proto.on_message(ctx, from, msg));
+                    } else {
+                        self.core.stats.record_to_dead(to);
+                    }
+                }
+                EventKind::Timer { timer } => {
+                    if let Some((node, tag)) = self.core.timers.fire(timer) {
+                        self.with_context(node, |proto, ctx| proto.on_timer(ctx, timer, tag));
+                    }
+                }
+                EventKind::Crash { node } => self.crash(node),
+            }
         }
         processed
     }
 
-    /// Dispatches a single fat event (compat cores). Uses the bytes, node
-    /// and tag carried by the event — as the PR 3 dispatcher did — which are
-    /// identical to the values the flat core derives at the fire site.
-    fn dispatch_one(&mut self, event: FatEventKind<P::Message>) {
-        match event {
-            FatEventKind::Deliver {
-                from,
-                to,
-                msg,
-                bytes,
-            } => {
-                if !self.core.alive[to.index()] {
-                    self.core.stats.record_to_dead(to);
-                    return;
-                }
-                self.core.stats.record_delivery(to, bytes);
-                self.with_context(to, |proto, ctx| proto.on_message(ctx, from, msg));
-            }
-            FatEventKind::Timer { node, timer, tag } => {
-                // Firing always frees the slot; a cancelled (or stale) timer
-                // is simply not delivered.
-                if self.core.timers.fire(timer).is_none() {
-                    return;
-                }
-                if !self.core.alive[node.index()] {
-                    return;
-                }
-                self.with_context(node, |proto, ctx| proto.on_timer(ctx, timer, tag));
-            }
-            FatEventKind::Crash { node } => {
-                let idx = node.index();
-                if self.core.alive[idx] {
-                    self.core.alive[idx] = false;
-                    self.protocols[idx].on_crash(self.core.now);
-                }
-            }
-        }
-    }
-
-    /// Runs a protocol callback for `id` in the mode-appropriate context:
-    /// eager dispatch in the flat core, a deferred command buffer (pooled
-    /// for PR 3, freshly allocated for the seed baseline) otherwise.
+    /// Runs a protocol callback for `id`, if it is alive, in the context of
+    /// its core: eager dispatch on the engine; on the reference core a
+    /// command buffer allocated for this callback alone and replayed once it
+    /// returns (callbacks never nest: replaying only schedules events).
     fn with_context<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut P, &mut Context<'_, P::Message>),
@@ -1868,45 +1500,23 @@ impl<P: Protocol> SingleSim<P> {
         if !self.core.alive[idx] {
             return;
         }
-        if self.core.mode == CoreMode::Flat {
+        if !self.core.is_reference() {
             let mut ctx = Context::single(id, &mut self.core, None);
             f(&mut self.protocols[idx], &mut ctx);
             return;
         }
-        // Callbacks never nest (applying commands only schedules events), so
-        // a single pooled buffer suffices; the seed baseline core allocates a
-        // fresh one per callback, as the seed simulator did.
-        let mut commands = if self.core.mode == CoreMode::Pr3 {
-            std::mem::take(&mut self.core.command_scratch)
-        } else {
-            Vec::new()
-        };
-        {
-            let mut ctx = Context::single(id, &mut self.core, Some(&mut commands));
-            f(&mut self.protocols[idx], &mut ctx);
-        }
-        self.core.apply_commands(id, &mut commands);
-        if self.core.mode == CoreMode::Pr3 {
-            self.core.command_scratch = commands;
-        }
+        let mut commands = Vec::new();
+        let mut ctx = Context::single(id, &mut self.core, Some(&mut commands));
+        f(&mut self.protocols[idx], &mut ctx);
+        self.core.apply_commands(id, commands);
     }
 }
 
-/// Whether the front of the queue extends a same-tick delivery run to `to`.
+/// Whether `next` — the queue front, or the tail of a drained batch —
+/// extends a same-tick delivery run to `to`.
 #[inline]
-fn next_extends_run<M>(core: &Core<M>, now: SimTime, to: NodeId) -> bool {
-    match core.queue.peek_slim() {
-        Some(ev) if ev.time == now => {
-            matches!(&ev.payload, EventKind::Deliver { to: t, .. } if *t == to)
-        }
-        _ => false,
-    }
-}
-
-/// [`next_extends_run`] against a drained batch consumed from its tail.
-#[inline]
-fn batch_extends_run<M>(batch: &[ScheduledEvent<EventKind<M>>], now: SimTime, to: NodeId) -> bool {
-    match batch.last() {
+pub(crate) fn extends_run<M>(next: Option<&Event<M>>, now: SimTime, to: NodeId) -> bool {
+    match next {
         Some(ev) if ev.time == now => {
             matches!(&ev.payload, EventKind::Deliver { to: t, .. } if *t == to)
         }
@@ -2259,17 +1869,17 @@ mod tests {
 
     /// Same-tick deliveries to one node are batched into one context
     /// activation; the observable outcome (callback count and order, stats)
-    /// must match the one-event-per-activation compat core exactly. Constant
+    /// must match the one-event-per-activation reference core exactly. Constant
     /// zero latency plus an instant echo makes every delivery share tick 0,
     /// so this run exercises batches interleaved with eager pushes into the
     /// current tick.
     #[test]
     fn batched_same_tick_deliveries_match_deferred_core() {
-        let run = |pr3: bool| {
+        let run = |reference: bool| {
             let mut builder = SimulatorBuilder::new(6, 11)
                 .latency(LatencyModel::constant(SimDuration::from_millis(0)));
-            if pr3 {
-                builder = builder.pr3_scheduling_core();
+            if reference {
+                builder = builder.reference_core();
             }
             let mut sim = builder.build(|_| Echo::new(6));
             sim.run_until(SimTime::from_secs(1));
@@ -2282,14 +1892,14 @@ mod tests {
     /// A crash event firing at the same instant as (and, by insertion order,
     /// ahead of) a same-tick delivery run to the crashed node: the batch path
     /// must drain the whole run as dead-destination messages, exactly like
-    /// the one-event-per-dispatch compat core.
+    /// the one-event-per-dispatch reference core.
     #[test]
     fn same_tick_crash_turns_the_delivery_run_dead() {
-        let run = |pr3: bool| {
+        let run = |reference: bool| {
             let mut builder = SimulatorBuilder::new(4, 2)
                 .latency(LatencyModel::constant(SimDuration::from_millis(5)));
-            if pr3 {
-                builder = builder.pr3_scheduling_core();
+            if reference {
+                builder = builder.reference_core();
             }
             let mut sim = builder.build(|_| Echo::new(4));
             // The flood arrives at nodes 1..3 at 5 ms; their echoes all

@@ -3,8 +3,8 @@
 //! Generates random [`FaultPlan`]s — random region assignments, partition
 //! windows, correlated regional crashes and diurnal bandwidth cycles — plus
 //! random Gilbert–Elliott bursty loss, drives a relay workload under each
-//! plan through the flat single-core simulator and through 1-, 2- and
-//! 4-shard configurations (sequential and threaded), and requires *bit
+//! plan through the flat engine, the whole-engine reference core and 1-, 2-
+//! and 4-shard configurations (sequential and threaded), and requires *bit
 //! identity* on every observable: per-node callback histories, the complete
 //! [`NetStats`](heap_simnet::NetStats) rendering, the processed-event count
 //! and the final clock.
@@ -125,8 +125,8 @@ struct Outcome {
 }
 
 /// Builds and runs one configuration under the seed's fault plan.
-/// `shards == 0` means the flat core; `single_pop` opts out of the PR 8
-/// batched bucket-drain dispatch so the batch path crosses the differential.
+/// `shards == 0` means the flat engine, or with `reference` the reference
+/// core, so the batch path and the compiled samplers cross the differential.
 /// `floor_us` sets the latency model's minimum delay and with it the
 /// exchange lookahead (`floor_us / 1024` buckets).
 fn run(
@@ -136,7 +136,7 @@ fn run(
     shards: usize,
     policy: Option<ShardPolicy>,
     threaded: bool,
-    single_pop: bool,
+    reference: bool,
 ) -> Outcome {
     let horizon = SimTime::from_secs(8);
     let mut cfg = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xFA17);
@@ -168,8 +168,9 @@ fn run(
         .capacities(capacities)
         .upload_queue_limit(SimDuration::from_secs(2))
         .fault_plan(plan);
-    if single_pop {
-        builder = builder.single_pop_dispatch();
+    if reference {
+        assert_eq!(shards, 0, "the reference core is unsharded");
+        builder = builder.reference_core();
     }
     if shards > 0 {
         builder = builder.sharded(shards);
@@ -200,18 +201,18 @@ fn run(
     }
 }
 
-/// Flat vs sharded {1, 2, 4}, sequential and threaded, under one fault plan,
-/// with batched dispatch pinned against single-pop dispatch on both engines,
-/// at the given latency floor (`floor_us / 1024` buckets of lookahead).
+/// Flat vs reference vs sharded {1, 2, 4}, sequential and threaded, under
+/// one fault plan, at the given latency floor (`floor_us / 1024` buckets of
+/// lookahead).
 fn differential(seed: u64, n: u32, floor_us: u64) {
     let flat = run(seed, n, floor_us, 0, None, false, false);
     assert!(flat.processed > 0, "workload must process events");
     // Fault schedules (partitions, regional crashes, diurnal cycling) and
-    // Gilbert–Elliott loss must survive the batch pipeline bit-for-bit.
-    let flat_single = run(seed, n, floor_us, 0, None, false, true);
+    // Gilbert–Elliott loss must mean the same on the reference core.
+    let reference = run(seed, n, floor_us, 0, None, false, true);
     assert_eq!(
-        flat, flat_single,
-        "faulted flat batched dispatch diverged from single-pop: seed {seed}"
+        flat, reference,
+        "faulted flat engine diverged from the reference core: seed {seed}"
     );
     for shards in [1usize, 2, 4] {
         let sequential = run(
@@ -241,20 +242,6 @@ fn differential(seed: u64, n: u32, floor_us: u64) {
             flat, threaded,
             "faulted threaded sharded run diverged: seed {seed}, {shards} shards, floor \
              {floor_us} us"
-        );
-        let single = run(
-            seed,
-            n,
-            floor_us,
-            shards,
-            Some(ShardPolicy::Contiguous),
-            false,
-            true,
-        );
-        assert_eq!(
-            flat, single,
-            "faulted sharded single-pop run diverged from batched: seed {seed}, {shards} \
-             shards, floor {floor_us} us"
         );
     }
 }

@@ -1,10 +1,8 @@
-//! Differential property test of the calendar-queue schedulers.
+//! Differential property test of the calendar-queue scheduler.
 //!
-//! Drives [`EventQueue`] (the live PR 4 calendar queue, scan-built sort
-//! keys) and [`Pr3CalendarQueue`] (the PR 3 snapshot, push-time keys)
-//! against [`BinaryHeapQueue`] (the pre-PR-3 reference) with the same
-//! randomly generated operation sequences and asserts they agree on every
-//! observable: pop order (time, sequence number *and* payload), `peek_time`,
+//! Drives [`EventQueue`] against [`BinaryHeapQueue`] (the ordering oracle)
+//! with the same randomly generated operation sequences and asserts they
+//! agree on every observable: pop order (time, sequence number *and* payload), `peek_time`,
 //! `peek`, deadline-bounded pops ([`EventQueue::pop_at_or_before`]) and
 //! `len` after every step.
 //!
@@ -28,8 +26,7 @@
 //! Every run prints its mix and seed when an assertion fails.
 
 use heap_simnet::event::{
-    BinaryHeapQueue, EventQueue, Pr3CalendarQueue, BUCKET_WIDTH_MICROS, NUM_BUCKETS,
-    NUM_OUTER_BUCKETS,
+    BinaryHeapQueue, EventQueue, BUCKET_WIDTH_MICROS, NUM_BUCKETS, NUM_OUTER_BUCKETS,
 };
 use heap_simnet::time::SimTime;
 use proptest::prelude::*;
@@ -110,22 +107,20 @@ impl Drop for FailingRun {
     }
 }
 
-/// Pops all three queues empty, asserting they agree event for event, and
+/// Pops both queues empty, asserting they agree event for event, and
 /// advances `clock` to the latest instant popped.
 fn drain_all(
     calendar: &mut EventQueue<u64>,
-    pr3: &mut Pr3CalendarQueue<u64>,
     reference: &mut BinaryHeapQueue<u64>,
     clock: &mut u64,
 ) {
     loop {
-        match (calendar.pop(), reference.pop(), pr3.pop()) {
-            (Some(x), Some(y), Some(z)) => {
+        match (calendar.pop(), reference.pop()) {
+            (Some(x), Some(y)) => {
                 assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
-                assert_eq!((z.time, z.seq, z.payload), (y.time, y.seq, y.payload));
                 *clock = (*clock).max(y.time.as_micros());
             }
-            (None, None, None) => return,
+            (None, None) => return,
             other => panic!("queues diverged while draining: {other:?}"),
         }
     }
@@ -139,7 +134,6 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
     // The latest instant popped so far.
     let mut clock = 0u64;
     let mut calendar: EventQueue<u64> = EventQueue::new();
-    let mut pr3: Pr3CalendarQueue<u64> = Pr3CalendarQueue::new();
     let mut reference: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
     let mut payload = 0u64;
     for step in 0..ops {
@@ -149,10 +143,9 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
         let r = rng.gen_range(0u32..10);
         if horizon == Horizon::Long && rng.gen_range(0..DRAIN_EVERY) == 0 {
             // Empty the queues: the next push re-anchors the calendar.
-            drain_all(&mut calendar, &mut pr3, &mut reference, &mut clock);
+            drain_all(&mut calendar, &mut reference, &mut clock);
         } else if r < 2 {
             let a = calendar.pop();
-            let c = pr3.pop();
             let b = reference.pop();
             match (&a, &b) {
                 (Some(x), Some(y)) => {
@@ -165,17 +158,6 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                 }
                 (None, None) => {}
                 other => panic!("one queue empty, the other not, at step {step}: {other:?}"),
-            }
-            match (&c, &b) {
-                (Some(z), Some(y)) => {
-                    assert_eq!(
-                        (z.time, z.seq, z.payload),
-                        (y.time, y.seq, y.payload),
-                        "pr3 queue diverged at step {step}"
-                    );
-                }
-                (None, None) => {}
-                other => panic!("pr3 queue emptiness diverged at step {step}: {other:?}"),
             }
         } else if r < 4 {
             // Deadline-bounded pop: sometimes before the front, sometimes
@@ -192,35 +174,22 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
             } else {
                 None
             };
-            // The PR 3 snapshot predates pop_at_or_before; emulate it the
-            // way the PR 3 run loop did (peek_time, then pop).
-            let from_pr3 = if pr3.peek_time().is_some_and(|t| t <= deadline) {
-                pr3.pop()
-            } else {
-                None
-            };
             let got = calendar.pop_at_or_before(deadline);
-            match (&got, &expected, &from_pr3) {
-                (Some(x), Some(y), Some(z)) => {
+            match (&got, &expected) {
+                (Some(x), Some(y)) => {
                     assert_eq!(
                         (x.time, x.seq, x.payload),
                         (y.time, y.seq, y.payload),
                         "bounded pop diverged at step {step}"
                     );
-                    assert_eq!(
-                        (z.time, z.seq, z.payload),
-                        (y.time, y.seq, y.payload),
-                        "pr3 bounded pop diverged at step {step}"
-                    );
                     clock = clock.max(y.time.as_micros());
                 }
-                (None, None, None) => {}
+                (None, None) => {}
                 other => panic!("bounded pops disagree at step {step}: {other:?}"),
             }
         } else {
             let micros = horizon.micros(&mut rng, clock);
             calendar.push(SimTime::from_micros(micros), payload);
-            pr3.push(SimTime::from_micros(micros), payload);
             reference.push(SimTime::from_micros(micros), payload);
             payload += 1;
         }
@@ -230,19 +199,9 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
             "len diverged at step {step}"
         );
         assert_eq!(
-            pr3.len(),
-            reference.len(),
-            "pr3 len diverged at step {step}"
-        );
-        assert_eq!(
             calendar.peek_time(),
             reference.peek_time(),
             "peek diverged at step {step}"
-        );
-        assert_eq!(
-            pr3.peek_time(),
-            reference.peek_time(),
-            "pr3 peek diverged at step {step}"
         );
         // peek() must surface the exact event pop would yield next.
         match (calendar.peek(), reference.peek()) {
@@ -259,15 +218,15 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
         assert_eq!(calendar.is_empty(), reference.is_empty());
     }
     // Drain completely: the tail order must match too.
-    drain_all(&mut calendar, &mut pr3, &mut reference, &mut clock);
+    drain_all(&mut calendar, &mut reference, &mut clock);
     clock
 }
 
-/// One batched-drain differential run: the batch pipeline (PR 8) against
-/// the reference heap's single pops on the same random workload. Returns
-/// the latest instant popped.
+/// One batched-drain differential run: the batch pipeline against the
+/// reference heap's single pops on the same random workload. Returns the
+/// latest instant popped.
 ///
-/// Mirrors `run_flat_batched` exactly: drain whole buckets
+/// Mirrors the simulator's `run_batched` exactly: drain whole buckets
 /// ([`EventQueue::drain_bucket`]), fall back to single pops where the queue
 /// stands down (deadline straddlers, past-guard events), consume batches
 /// from the tail, and merge intruding pushes against the next batch entry by
@@ -387,8 +346,8 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both calendar generations pop the exact sequence the reference heap
-    /// pops, under plain and deadline-bounded pops.
+    /// The calendar queue pops the exact sequence the reference heap pops,
+    /// under plain and deadline-bounded pops.
     #[test]
     fn calendar_queues_match_binary_heap_reference(seed in 0u64..1_000_000) {
         drive(Horizon::Adversarial, seed, 3_000);

@@ -132,10 +132,10 @@ struct Outcome {
     armed: usize,
 }
 
-/// Builds and runs one configuration. `shards == 0` means the flat core;
-/// `single_pop` opts out of the PR 8 batched bucket-drain dispatch so the
-/// batch path is differentially pinned against the sequential one.
-/// `floor_us` is the latency model's minimum delay — the lookahead bound,
+/// Builds and runs one configuration. `shards == 0` means the flat engine,
+/// or with `reference` the reference core (unsharded by construction), so
+/// the batch path is differentially pinned against one-event-at-a-time
+/// dispatch. `floor_us` is the latency model's minimum delay — the lookahead bound,
 /// so `floor_us / 1024` is the exchange-window width in buckets.
 fn run(
     seed: u64,
@@ -144,7 +144,7 @@ fn run(
     shards: usize,
     policy: Option<ShardPolicy>,
     threaded: bool,
-    single_pop: bool,
+    reference: bool,
 ) -> Outcome {
     let mut cfg = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xD1FF);
     // Latency: minimum = the requested floor (>= one bucket of 1.024 ms, as
@@ -181,8 +181,9 @@ fn run(
         .loss(loss)
         .capacities(capacities)
         .upload_queue_limit(SimDuration::from_secs(2));
-    if single_pop {
-        builder = builder.single_pop_dispatch();
+    if reference {
+        assert_eq!(shards, 0, "the reference core is unsharded");
+        builder = builder.reference_core();
     }
     if shards > 0 {
         builder = builder.sharded(shards);
@@ -231,18 +232,18 @@ fn run(
     }
 }
 
-/// Flat vs sharded {1, 2, 4} x every policy x both execution modes, with the
-/// batched dispatch pinned against single-pop dispatch on every axis, at the
-/// given latency floor (`floor_us / 1024` buckets of exchange lookahead).
+/// Flat vs reference vs sharded {1, 2, 4} x every policy x both execution
+/// modes, at the given latency floor (`floor_us / 1024` buckets of exchange
+/// lookahead).
 fn differential(seed: u64, n: u32, floor_us: u64) {
     let flat = run(seed, n, floor_us, 0, None, false, false);
     assert!(flat.processed > 0, "workload must process events");
-    // The PR 8 batch pipeline (on by default) must be bit-identical to the
-    // plain single-pop dispatcher on the flat core.
-    let flat_single = run(seed, n, floor_us, 0, None, false, true);
+    // The engine's batch pipeline must be bit-identical to the reference
+    // core's pop-one-dispatch-one loop over a binary heap.
+    let reference = run(seed, n, floor_us, 0, None, false, true);
     assert_eq!(
-        flat, flat_single,
-        "flat batched dispatch diverged from single-pop: seed {seed}"
+        flat, reference,
+        "flat engine diverged from the reference core: seed {seed}"
     );
     for shards in [1usize, 2, 4] {
         for policy in [
@@ -279,22 +280,6 @@ fn differential(seed: u64, n: u32, floor_us: u64) {
         assert_eq!(
             flat, threaded,
             "threaded sharded run diverged: seed {seed}, {shards} shards, floor {floor_us} us"
-        );
-        // And the sharded batch path (per-shard bucket drains plus the
-        // vectorized exchange pre-draw) against sharded single-pop.
-        let single = run(
-            seed,
-            n,
-            floor_us,
-            shards,
-            Some(ShardPolicy::RoundRobin),
-            false,
-            true,
-        );
-        assert_eq!(
-            flat, single,
-            "sharded single-pop run diverged from batched: seed {seed}, {shards} shards, \
-             floor {floor_us} us"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Integration tests of the rebuilt scheduling core: timer-slot memory
-//! bounds, stale-cancellation semantics, baseline-core equivalence and a
+//! Integration tests of the scheduling core: timer-slot memory bounds,
+//! stale-cancellation semantics, engine-vs-reference equivalence and a
 //! pinned 1000-node determinism fingerprint.
 
 use heap_simnet::prelude::*;
@@ -61,9 +61,16 @@ impl Protocol for Flood {
     }
 }
 
-/// Which scheduling core to build: 0 = flat (default), 1 = PR 3, 2 = seed,
-/// 3 = sharded (PR 5; two shards, round-robin partition).
-fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: u8) -> Simulator<Flood> {
+/// What to build: the flat engine (the default), the whole-engine reference
+/// core, or the sharded engine (two shards, round-robin partition).
+#[derive(Debug, Clone, Copy)]
+enum Core {
+    Flat,
+    Reference,
+    Sharded,
+}
+
+fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: Core) -> Simulator<Flood> {
     let mut builder = SimulatorBuilder::new(n, seed)
         .latency(LatencyModel::uniform(
             SimDuration::from_millis(2),
@@ -71,10 +78,9 @@ fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: u8) -> Simulator<
         ))
         .loss(LossModel::bernoulli(0.02));
     builder = match core {
-        1 => builder.pr3_scheduling_core(),
-        2 => builder.baseline_scheduling_core(),
-        3 => builder.sharded(2).shard_policy(ShardPolicy::RoundRobin),
-        _ => builder,
+        Core::Flat => builder,
+        Core::Reference => builder.reference_core(),
+        Core::Sharded => builder.sharded(2).shard_policy(ShardPolicy::RoundRobin),
     };
     builder.build(|_| Flood {
         n,
@@ -96,28 +102,26 @@ fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline-core equivalence
+// Engine-vs-reference equivalence
 // ---------------------------------------------------------------------------
 
-/// All four scheduling-core generations — the PR 5 sharded core (per-region
-/// event loops with bucket-boundary exchange), the PR 4 flat core (eager
-/// dispatch, batched deliveries, slim events), the PR 3 core (calendar
-/// queue with a pooled deferred command buffer, fat events) and the
-/// pre-PR-3 seed core (BinaryHeap, per-callback allocation) — must produce
-/// bit-identical simulations: same event count, same stats, same per-node
-/// state, same final clock — with crashes mixed in.
+/// Both forms of the engine — flat (eager dispatch, bucket-at-a-time
+/// batches, slim events) and sharded (per-region event loops with
+/// window-boundary exchange) — and the whole-engine reference (BinaryHeap,
+/// one event per activation, deferred commands, uncompiled models) must
+/// produce bit-identical simulations: same event count, same stats, same
+/// per-node state, same final clock — with crashes mixed in.
 #[test]
 fn all_scheduling_cores_are_bit_identical() {
-    let run = |core: u8| {
+    let run = |core: Core| {
         let mut sim = flood_sim(150, 3, 40, 20, core);
         sim.schedule_crash(NodeId::new(7), SimTime::from_millis(300));
         sim.schedule_crash(NodeId::new(31), SimTime::from_secs(1));
         run_fingerprint(&mut sim)
     };
-    let flat = run(0);
-    assert_eq!(flat, run(1), "flat vs pr3 core diverged");
-    assert_eq!(flat, run(2), "flat vs seed core diverged");
-    assert_eq!(flat, run(3), "flat vs sharded core diverged");
+    let reference = run(Core::Reference);
+    assert_eq!(run(Core::Flat), reference, "flat engine vs reference");
+    assert_eq!(run(Core::Sharded), reference, "sharded engine vs reference");
 }
 
 /// The sharded core must be bit-identical to the flat core for every shard
@@ -185,33 +189,23 @@ fn sharded_runs_are_bit_identical_across_counts_policies_and_modes() {
 /// delivery semantics changes these constants; future PRs must keep them.
 #[test]
 fn thousand_node_run_matches_pinned_fingerprint() {
-    let mut sim = flood_sim(1000, 42, 60, 5, 0);
+    let mut sim = flood_sim(1000, 42, 60, 5, Core::Flat);
     let (processed, fingerprint) = run_fingerprint(&mut sim);
     assert_eq!(processed, 55_722);
     assert_eq!(fingerprint, 8_177_022_352_140_872_795);
 }
 
-/// The same constants must hold with the PR 8 batched bucket-drain dispatch
-/// switched off: the batch pipeline is an execution strategy, not a
-/// semantics change.
+/// The same constants must hold on the reference core, which pops one event
+/// per activation, and on two shards: batching and sharding are execution
+/// strategies, not semantics changes.
 #[test]
 fn thousand_node_fingerprint_is_dispatch_mode_independent() {
-    let mut sim = SimulatorBuilder::new(1000, 42)
-        .latency(LatencyModel::uniform(
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(80),
-        ))
-        .loss(LossModel::bernoulli(0.02))
-        .single_pop_dispatch()
-        .build(|_| Flood {
-            n: 1000,
-            ttl: 60,
-            rounds: 5,
-            received: 0,
-        });
-    let (processed, fingerprint) = run_fingerprint(&mut sim);
-    assert_eq!(processed, 55_722);
-    assert_eq!(fingerprint, 8_177_022_352_140_872_795);
+    for core in [Core::Reference, Core::Sharded] {
+        let mut sim = flood_sim(1000, 42, 60, 5, core);
+        let (processed, fingerprint) = run_fingerprint(&mut sim);
+        assert_eq!(processed, 55_722, "{core:?}");
+        assert_eq!(fingerprint, 8_177_022_352_140_872_795, "{core:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

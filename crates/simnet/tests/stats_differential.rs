@@ -1,6 +1,6 @@
 //! Regression tests pinning the struct-of-arrays [`NetStats`] layout to the
 //! retained Vec-of-structs reference accumulator, and the batched delivery
-//! path to the per-event compat cores, on randomized 271-node workloads.
+//! path to the per-event reference core, on randomized 271-node workloads.
 
 use heap_simnet::prelude::*;
 use heap_simnet::stats::{NetStats, ReferenceNetStats};
@@ -104,8 +104,8 @@ fn batched_deliveries_match_reference_singles() {
 
 /// A full randomized 271-node simulation: the flat core's batched dispatch
 /// and SoA stats must produce byte-identical `NetStats` (Debug rendering
-/// included — it is what determinism fingerprints hash) to the PR 3 and
-/// seed compat cores, which record through the original per-event paths.
+/// included — it is what determinism fingerprints hash) to the reference
+/// core, which records through the per-event paths.
 #[test]
 fn randomized_sim_stats_identical_across_cores() {
     struct Walk {
@@ -137,16 +137,14 @@ fn randomized_sim_stats_identical_across_cores() {
         }
         fn on_timer(&mut self, _: &mut Context<'_, Hop>, _: TimerId, _: u64) {}
     }
-    let run = |core: u8| {
+    let run = |reference: bool| {
         let mut builder = SimulatorBuilder::new(N, 0xBEEF)
             .latency(LatencyModel::planetlab_like())
             .loss(LossModel::bernoulli(0.03))
             .uniform_capacity(heap_simnet::bandwidth::Bandwidth::from_kbps(512).into());
-        builder = match core {
-            1 => builder.pr3_scheduling_core(),
-            2 => builder.baseline_scheduling_core(),
-            _ => builder,
-        };
+        if reference {
+            builder = builder.reference_core();
+        }
         let mut sim = builder.build(|_| Walk {
             n: N as u32,
             ttl: 25,
@@ -155,7 +153,5 @@ fn randomized_sim_stats_identical_across_cores() {
         sim.run_until(SimTime::from_secs(5));
         format!("{:?}", sim.stats())
     };
-    let flat = run(0);
-    assert_eq!(flat, run(1), "flat vs pr3 stats diverged");
-    assert_eq!(flat, run(2), "flat vs seed stats diverged");
+    assert_eq!(run(false), run(true), "flat vs reference stats diverged");
 }

@@ -4,7 +4,8 @@
 //! pre-computed runs it can reuse), executes the necessary scenarios and
 //! returns a [`Figure`]: named series and/or tables that print the same rows
 //! and curves the paper reports. The `repro` binary in `heap-bench` calls
-//! each of them in turn; `EXPERIMENTS.md` records the measured outcomes.
+//! each of them in turn; the README section "Reproducing the paper" maps
+//! each to the paper artefact and claim it reproduces.
 
 pub mod adversarial;
 pub mod common;

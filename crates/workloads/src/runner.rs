@@ -661,9 +661,8 @@ pub fn run_scenarios_stealing(scenarios: &[Scenario], workers: usize) -> Vec<Exp
 
 /// The legacy thread-per-scenario fan-out: one scoped thread per scenario
 /// regardless of the host's core count. Retained as the differential
-/// reference for [`run_scenarios_stealing`] in the bit-identity tests (and
-/// `bench-json`'s sweep check) so a threaded path is exercised even on
-/// single-core CI hosts; prefer [`run_scenarios_parallel`] everywhere else.
+/// reference for [`run_scenarios_stealing`] in the bit-identity tests, so a
+/// threaded path is exercised even on single-core CI hosts; prefer [`run_scenarios_parallel`] everywhere else.
 pub fn run_scenarios_threaded(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
     let mut results: Vec<Option<ExperimentResult>> = scenarios.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
