@@ -38,20 +38,22 @@
 //!   events wait in an outer wheel of [`event::NUM_OUTER_BUCKETS`] coarser
 //!   buckets, and beyond that in an overflow min-heap. Pop order is
 //!   ascending `(time, insertion seq)`.
-//! * **The flat form** (the default) — one loop over the whole population.
-//!   It drains a calendar bucket at a time and applies commands eagerly:
-//!   [`sim::Context::send`] runs the transmit path (upload queue,
-//!   statistics, loss and latency draws, event push) inline; per-node state
-//!   lives in struct-of-arrays form so the context can borrow the whole
-//!   substrate while the protocol instance is borrowed separately. Same-tick
-//!   deliveries to one node are drained in a single callback context, and
-//!   queued events are slim: a delivery's wire size is recomputed at the
-//!   fire site and a timer's node and tag live in its timer slot, not in
-//!   the queue.
-//! * **The sharded form** ([`sim::SimulatorBuilder::sharded`], [`shard`]) —
-//!   the same loop per partition of the population, synchronised by a
-//!   serial exchange at window boundaries; bit-identical to the flat form
-//!   for every shard count, policy and execution mode.
+//! * **One run loop** — a partition of the population drains a calendar
+//!   bucket at a time and applies commands eagerly: [`sim::Context::send`]
+//!   runs the transmit path (upload queue, statistics, then a sink) inline;
+//!   per-node state lives in struct-of-arrays form so the context can
+//!   borrow the whole substrate while the protocol instance is borrowed
+//!   separately. Same-tick deliveries to one node are drained in a single
+//!   callback context, and queued events are slim: a delivery's wire size
+//!   is recomputed at the fire site and a timer's node and tag live in its
+//!   timer slot, not in the queue.
+//! * **Two sinks, picked from the partition count** — one partition (the
+//!   default) draws loss and latency and pushes the delivery on the spot;
+//!   several ([`sim::SimulatorBuilder::sharded`], [`shard`]) defer that to a
+//!   serial exchange at window boundaries, bit-identical for every
+//!   partition count and policy. Partitioning splits a population; it is
+//!   not a speed knob (one partition is the fastest configuration
+//!   measured).
 //! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
 //!   index and a generation; firing frees the slot, so cancellation — even of
 //!   a timer that already fired — is an O(1) stamp comparison and the
@@ -60,8 +62,8 @@
 //! * **One reference** — a second, deliberately naive implementation of the
 //!   whole engine ([`event::BinaryHeapQueue`], one popped event per
 //!   callback, deferred commands, uncompiled loss and latency models) exists
-//!   only as the oracle of the differential tests, which assert every form
-//!   of the engine bit-identical to it. It is not a configuration: its one
+//!   only as the oracle of the differential tests, which assert the engine
+//!   bit-identical to it at every partition count. It is not a configuration: its one
 //!   entry point is hidden from the documented builder API.
 //!
 //! ## Example

@@ -10,33 +10,43 @@
 //!
 //! ## The engine and its reference
 //!
-//! One production engine runs every simulation, in two forms:
+//! One engine runs every simulation. The simulator owns one or more
+//! *partitions* of the node population plus the one globally ordered
+//! network state (`Net`: network RNG, compiled loss and latency samplers,
+//! fault plan, sequence stream). A partition keeps its nodes' state in
+//! struct-of-arrays form (protocol instances, upload queues, RNGs and
+//! liveness in separate dense vectors, the traffic counters column-wise in
+//! [`NetStats`]) beside its own calendar queue and timer table, and runs the
+//! one event loop: it drains a whole calendar bucket at a time
+//! ([`EventQueue::drain_bucket`]) and hands same-tick deliveries to one node
+//! to a single callback context. Context commands apply *eagerly* —
+//! `Context::send` runs the one transmit path inline: the upload-queue pass
+//! and the sender's statistics, then a *sink*, which the simulator picks
+//! from the partition count, never the caller:
 //!
-//! * **Flat** (the default) — one event loop over the whole population.
-//!   Per-node state lives in struct-of-arrays form (protocol instances,
-//!   upload queues, RNGs and liveness in separate dense vectors, the traffic
-//!   counters column-wise in [`NetStats`]); context commands apply *eagerly*
-//!   — `Context::send` runs the transmit path inline — and the loop drains a
-//!   whole calendar bucket at a time ([`EventQueue::drain_bucket`]), handing
-//!   same-tick deliveries to one node to a single callback context (one
-//!   liveness check, one context activation and one statistics update per
-//!   run instead of per message). Loss and latency sampling go through state
-//!   compiled at build time ([`LatencySampler`](crate::latency),
-//!   [`LossSampler`]).
-//! * **Sharded** ([`SimulatorBuilder::sharded`], [`crate::shard`]) — the
-//!   same loop per partition of the population, with a deterministic
-//!   exchange at window boundaries.
+//! * **one partition** (the default, and [`SimulatorBuilder::sharded`]`(1)`)
+//!   — loss, latency and the queue push resolve on the spot. No partition
+//!   table, outbox or merged statistics exist.
+//! * **several partitions** ([`SimulatorBuilder::sharded`], [`crate::shard`])
+//!   — the command waits in the partition's outbox and resolves, in the
+//!   order one partition would have resolved it, at the next window
+//!   exchange.
 //!
-//! Beside it sits one whole-engine *reference*, reachable only through the
-//! hidden [`SimulatorBuilder::reference_core`]: a [`BinaryHeapQueue`], one
-//! popped event per callback activation, commands deferred to a buffer
-//! allocated per callback and replayed after it returns, loss and latency
-//! drawn through the models' own per-call paths ([`LatencyModel::sample`],
-//! [`LossState::is_lost`]). It shares the transmit path, the timer table and
-//! the statistics with the engine and nothing else, which is what makes it
-//! an oracle: callback order, RNG consumption and results of every engine
-//! form are asserted bit-identical to it (`tests/scheduler_core.rs` and the
-//! differential suites beside it).
+//! The choice is not a speed knob: on the 30 000-node scale-campaign shape,
+//! routing one partition through the outbox costs 1.15× and two partitions
+//! 1.25× the direct sink's wall time (`docs/SCALE.md`). Partitioning exists
+//! to split a population, and the differential suites hold it bit-identical
+//! to one partition.
+//!
+//! Beside the engine sits one whole-engine *reference*, reachable only
+//! through the hidden [`SimulatorBuilder::reference_core`]: a
+//! [`BinaryHeapQueue`], its own loop with one popped event per callback
+//! activation, commands deferred to a buffer allocated per callback and
+//! replayed after it returns, loss and latency drawn through the models' own
+//! per-call paths ([`LatencyModel::sample`], [`LossState::is_lost`]). It
+//! shares the transmit path, the timer table and the statistics with the
+//! engine and nothing else, which is what makes it an oracle
+//! (`tests/scheduler_core.rs` and the differential suites beside it).
 
 use crate::bandwidth::{UploadCapacity, UploadQueue};
 use crate::event::{BinaryHeapQueue, EventQueue, ScheduledEvent};
@@ -45,10 +55,12 @@ use crate::latency::{LatencyModel, LatencySampler};
 use crate::loss::{LossModel, LossSampler, LossState};
 use crate::node::NodeId;
 use crate::rng::stream_rng;
-use crate::shard::{ContractViolation, ShardPolicy};
+use crate::shard::{ContractViolation, Exchange, ExchangeKey, OutEntry, ShardPolicy};
 use crate::stats::{MemoryFootprint, NetStats};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Wire-size annotation for protocol messages.
 ///
@@ -91,26 +103,17 @@ impl TimerId {
 /// Arming allocates a slot (reusing freed ones), cancelling disarms it in
 /// O(1), and firing frees the slot and bumps its generation so stale handles
 /// — in particular cancellations of timers that already fired — are
-/// recognised and ignored without recording them anywhere. The table size is
-/// bounded by the peak number of *concurrently pending* timers, not by the
-/// number ever armed or cancelled (the previous `HashSet<u64>` of cancelled
-/// ids leaked an entry for every cancel-after-fire).
+/// recognised and ignored without recording them anywhere: the table is
+/// bounded by the peak number of *concurrently pending* timers. The slot
+/// also stores the timer's owning node and user tag, needed exactly once, at
+/// the fire site, which touches the slot anyway — so the queued `Timer`
+/// event is a bare [`TimerId`] (see [`EventKind`]).
 ///
-/// The slot also stores the timer's owning node and user tag. Both are fixed
-/// at arm time and needed exactly once, at the fire site — and the fire path
-/// touches the slot anyway for the generation check — so keeping them here
-/// shrinks the queued `Timer` event to a bare [`TimerId`]. Smaller queue
-/// entries mean less memory traffic in the (cache-bound) event loop; the
-/// `Timer` variant previously inflated *every* queue slot of a
-/// small-message protocol, because an enum is as large as its widest
-/// variant.
-///
-/// The sharded simulator keeps one table per shard (timers are armed and
-/// fired on the owning node, which never changes shards), so [`TimerId`]
-/// values are shard-relative there — an opaque-handle property protocols
-/// already must not rely on.
+/// Every partition keeps its own table (a timer's owner never changes
+/// partitions), so [`TimerId`] values are partition-relative — an
+/// opaque-handle property protocols already must not rely on.
 #[derive(Debug, Default)]
-pub(crate) struct TimerTable {
+struct TimerTable {
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
 }
@@ -128,7 +131,7 @@ struct TimerSlot {
 impl TimerTable {
     /// Allocates an armed slot for `node` carrying `tag`, returning its
     /// handle.
-    pub(crate) fn arm(&mut self, node: NodeId, tag: u64) -> TimerId {
+    fn arm(&mut self, node: NodeId, tag: u64) -> TimerId {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -151,7 +154,7 @@ impl TimerTable {
     }
 
     /// Disarms `id` if it is still pending; stale handles are ignored.
-    pub(crate) fn cancel(&mut self, id: TimerId) {
+    fn cancel(&mut self, id: TimerId) {
         let (slot, generation) = id.unpack();
         if let Some(entry) = self.slots.get_mut(slot as usize) {
             if entry.generation == generation {
@@ -163,7 +166,7 @@ impl TimerTable {
     /// Consumes the firing of `id`'s queue event: frees the slot and, if the
     /// timer was still armed (i.e. the callback should run), returns the
     /// owning node and tag.
-    pub(crate) fn fire(&mut self, id: TimerId) -> Option<(NodeId, u64)> {
+    fn fire(&mut self, id: TimerId) -> Option<(NodeId, u64)> {
         let (slot, generation) = id.unpack();
         let entry = &mut self.slots[slot as usize];
         if entry.generation != generation {
@@ -183,18 +186,24 @@ impl TimerTable {
         }
     }
 
+    /// The node that armed the still pending `id`, and the tag it chose.
+    fn owner(&self, id: TimerId) -> (NodeId, u64) {
+        let entry = &self.slots[id.unpack().0 as usize];
+        (NodeId::new(entry.node), entry.tag)
+    }
+
     /// Number of timers currently armed.
-    pub(crate) fn armed(&self) -> usize {
+    fn armed(&self) -> usize {
         self.slots.iter().filter(|s| s.armed).count()
     }
 
     /// Number of slots ever allocated.
-    pub(crate) fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Resident heap held by the slot and free-list vectors, in bytes.
-    pub(crate) fn heap_bytes(&self) -> u64 {
+    fn heap_bytes(&self) -> u64 {
         (self.slots.capacity() * std::mem::size_of::<TimerSlot>()
             + self.free.capacity() * std::mem::size_of::<u32>()) as u64
     }
@@ -247,251 +256,257 @@ enum Command<M> {
 /// What an event in the simulator queue does when it fires.
 ///
 /// Kept deliberately small — queue entries are the dominant memory traffic
-/// of the event loop. A delivery's wire size is recomputed from the message
-/// at the fire site ([`WireSize`] is a pure function of the message), and a
-/// timer's owning node and tag live in its [`TimerTable`] slot, so neither
-/// rides along in the queue. An enum is as wide as its widest variant, so
-/// slimming `Timer` shrinks *every* queue slot of a small-message protocol.
+/// of the event loop, and an enum is as wide as its widest variant. A
+/// delivery's wire size is recomputed from the message at the fire site
+/// ([`WireSize`] is a pure function of the message), and a timer's owning
+/// node and tag live in its [`TimerTable`] slot.
 #[derive(Debug, Clone)]
 pub(crate) enum EventKind<M> {
-    Deliver {
-        /// The sending node.
-        from: NodeId,
-        /// The destination node.
-        to: NodeId,
-        /// The message being delivered.
-        msg: M,
-    },
-    Timer {
-        /// Handle of the firing timer (owner and tag live in its slot).
-        timer: TimerId,
-    },
-    Crash {
-        /// The crashing node.
-        node: NodeId,
-    },
+    Deliver { from: NodeId, to: NodeId, msg: M },
+    Timer { timer: TimerId },
+    Crash { node: NodeId },
 }
 
 /// A queue entry of the simulator.
-pub(crate) type Event<M> = ScheduledEvent<EventKind<M>>;
+type Event<M> = ScheduledEvent<EventKind<M>>;
 
-/// The scheduler backing the single-core simulator: the calendar queue of
-/// the engine, or the [`BinaryHeapQueue`] of the reference core
-/// ([`SimulatorBuilder::reference_core`]). Which arm is live is also what
-/// tells the two cores apart ([`Core::is_reference`]).
-#[derive(Debug)]
-enum SimQueue<M> {
-    Calendar(EventQueue<EventKind<M>>),
-    Reference(BinaryHeapQueue<EventKind<M>>),
+/// The globally ordered network state, owned by the [`Simulator`] beside its
+/// partitions: whatever the partition count, every send consumes these in
+/// the one global `(time, seq)` order of the events that triggered them.
+pub(crate) struct Net {
+    /// The network RNG: every loss and latency draw.
+    pub(crate) rng: SmallRng,
+    /// The loss and latency models, compiled into their per-draw fast paths.
+    pub(crate) loss: LossSampler,
+    pub(crate) latency: LatencySampler,
+    /// The fault-injection schedule (inert by default); a send's partition
+    /// check is made against this copy.
+    pub(crate) fault: FaultPlan,
+    /// The sequence stream shared by several partitions' queues, assigned
+    /// at exchange points. One partition numbers events with its queue's
+    /// own counter — the same stream, assigned at the push sites.
+    pub(crate) next_seq: u64,
 }
 
-impl<M> SimQueue<M> {
-    #[inline]
-    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
-        match self {
-            SimQueue::Calendar(q) => q.push(time, kind),
-            SimQueue::Reference(q) => q.push(time, kind),
-        };
+impl Net {
+    /// Hands out the next global sequence number.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
+}
 
-    fn len(&self) -> usize {
+/// What only the reference core has
+/// ([`SimulatorBuilder::reference_core`]): the ordering oracle as its queue
+/// and the link models as configured, sampled per call.
+pub(crate) struct Reference<M> {
+    queue: BinaryHeapQueue<EventKind<M>>,
+    latency: LatencyModel,
+    loss: LossModel,
+    loss_state: LossState,
+}
+
+/// Where the transmit path hands a command once the sender-side work is
+/// done. Chosen by the simulator from the partition count.
+pub(crate) enum Sink<'a, M> {
+    /// One partition: loss, latency and the queue push resolve on the spot.
+    Direct(&'a mut Net),
+    /// Several partitions: everything that needs global coordination — loss
+    /// and latency draws from the shared network RNG, global sequence
+    /// numbers — waits in the partition's outbox, keyed by `(trigger event,
+    /// command index)`, and is resolved at the next window exchange in
+    /// exactly the order one partition would have resolved it.
+    Outbox {
+        /// Global sequence number of the event that triggered the callback
+        /// (the node's global index for `on_start`).
+        trigger_seq: u64,
+        /// Position of the next command within this callback.
+        cmd: u32,
+        /// Global id → column in the node's partition (one partition needs
+        /// no such table: its columns are the global ids).
+        local_of: &'a [u32],
+    },
+    /// The reference core replaying a command buffer: resolved on the spot
+    /// like [`Sink::Direct`], but through the models' own per-call paths and
+    /// into the binary heap.
+    Reference(&'a mut Net, &'a mut Reference<M>),
+}
+
+impl<M> Sink<'_, M> {
+    /// This sink for the callback triggered by the event numbered `seq`.
+    #[inline]
+    fn at(&mut self, seq: u64) -> Sink<'_, M> {
         match self {
-            SimQueue::Calendar(q) => q.len(),
-            SimQueue::Reference(q) => q.len(),
+            Sink::Direct(net) => Sink::Direct(net),
+            Sink::Outbox { local_of, .. } => Sink::Outbox {
+                trigger_seq: seq,
+                cmd: 0,
+                local_of,
+            },
+            Sink::Reference(net, reference) => Sink::Reference(net, reference),
         }
     }
 
-    /// Bytes held by the pending events themselves (entry count × entry
-    /// size). Bucket capacity beyond the entries is not a constant — it
-    /// follows the peak event population — and is reported by
-    /// [`SimQueue::slack_bytes`]; only the wheels' fixed slot arrays go
-    /// uncounted.
-    fn event_bytes(&self) -> u64 {
-        (self.len() * std::mem::size_of::<Event<M>>()) as u64
-    }
-
-    /// Event storage the calendar queue retains beyond the pending events
-    /// ([`EventQueue::retained_bytes`] minus [`SimQueue::event_bytes`]).
-    /// The reference heap is not instrumented.
-    fn slack_bytes(&self) -> u64 {
+    /// The column of `node` in its partition's arrays.
+    #[inline]
+    fn column(&self, node: NodeId) -> usize {
         match self {
-            SimQueue::Calendar(q) => q.retained_bytes() - self.event_bytes(),
-            SimQueue::Reference(_) => 0,
-        }
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<&Event<M>> {
-        match self {
-            SimQueue::Calendar(q) => q.peek(),
-            SimQueue::Reference(q) => q.peek(),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Event<M>> {
-        match self {
-            SimQueue::Calendar(q) => q.pop(),
-            SimQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    /// Pops the earliest event, provided it fires at or before `deadline`
-    /// when one is set.
-    #[inline]
-    fn pop_by(&mut self, deadline: Option<SimTime>) -> Option<Event<M>> {
-        match (self, deadline) {
-            (SimQueue::Calendar(q), Some(d)) => q.pop_at_or_before(d),
-            (SimQueue::Reference(q), Some(d)) => q.pop_at_or_before(d),
-            (queue, None) => queue.pop(),
-        }
-    }
-
-    /// [`EventQueue::drain_bucket`]. The reference heap has no buckets and
-    /// never surrenders a batch.
-    #[inline]
-    fn drain_bucket(&mut self, deadline: Option<SimTime>, out: &mut Vec<Event<M>>) -> bool {
-        match self {
-            SimQueue::Calendar(q) => q.drain_bucket(deadline, out),
-            SimQueue::Reference(_) => false,
-        }
-    }
-
-    #[inline]
-    fn drain_intruded(&self) -> bool {
-        match self {
-            SimQueue::Calendar(q) => q.drain_intruded(),
-            SimQueue::Reference(_) => false,
-        }
-    }
-
-    #[inline]
-    fn finish_drain(&mut self) {
-        if let SimQueue::Calendar(q) = self {
-            q.finish_drain();
+            Sink::Outbox { local_of, .. } => local_of[node.index()] as usize,
+            Sink::Direct(_) | Sink::Reference(..) => node.index(),
         }
     }
 }
 
-/// Everything the simulator owns *except* the protocol instances, in
-/// struct-of-arrays form: the network (queue, models, network RNG), the
-/// per-node substrate state (upload queues, RNG streams, liveness) and the
-/// traffic statistics.
+/// Everything a partition owns *except* its protocol instances, in
+/// struct-of-arrays form over the partition's columns (the global node index
+/// with one partition, a dense partition-local index with several).
 ///
 /// Splitting this from the protocols is what lets [`Context`] dispatch
 /// eagerly: during a callback the protocol is borrowed from
-/// `Simulator::protocols` while the context holds the whole core, so
-/// `Context::send` can run the transmit path (upload queue, stats, loss and
-/// latency draws, event push) inline instead of deferring it to a command
-/// buffer replayed after the callback returns.
-struct Core<M> {
-    queue: SimQueue<M>,
-    /// The link models as configured, sampled per call (reference core).
-    latency: LatencyModel,
-    /// [`Core::latency`] compiled into its per-draw fast path (engine).
-    latency_fast: LatencySampler,
-    loss: LossModel,
-    loss_state: LossState,
-    /// [`Core::loss`] compiled into its per-draw fast path (engine).
-    loss_fast: LossSampler,
-    /// The fault-injection schedule (inert by default).
-    fault: FaultPlan,
-    net_rng: SmallRng,
+/// `Partition::protocols` while the context holds the whole state, so
+/// `Context::send` can run the transmit path inline.
+pub(crate) struct PartState<M> {
+    /// The partition's calendar queue. With several partitions it holds
+    /// exactly its members' events under globally assigned sequence numbers
+    /// (empty on the reference core, which queues in [`Reference`]).
+    pub(crate) queue: EventQueue<EventKind<M>>,
+    /// The partition clock: the time of the event being processed.
     now: SimTime,
     timers: TimerTable,
-    stats: NetStats,
-    /// Per-node upload rate limiters, indexed by [`NodeId::index`].
+    /// Traffic counters, by column.
+    pub(crate) stats: NetStats,
     uploads: Vec<UploadQueue>,
-    /// Per-node deterministic RNG streams, indexed by [`NodeId::index`].
+    /// Per-node RNG streams (`stream_rng(seed, 1 + global id)` whatever the
+    /// partitioning).
     rngs: Vec<SmallRng>,
-    /// Per-node liveness, indexed by [`NodeId::index`].
     alive: Vec<bool>,
+    /// The fault-injection schedule. Only the diurnal cycle is consulted
+    /// partition-side — at the enqueue instant, which every partitioning
+    /// evaluates at the same trigger time.
+    fault: FaultPlan,
+    /// Commands waiting for the next exchange ([`Sink::Outbox`]); never
+    /// allocated with one partition.
+    pub(crate) outbox: Vec<OutEntry<M>>,
+    /// Fire times (µs) of timer events routed into this partition's queue,
+    /// a min-heap feeding the window driver's pending-timer clamp
+    /// (`PartState::timer_floor` in [`crate::shard`]). Maintained when
+    /// [`PartState::track_timer_fires`] is set: several partitions and a
+    /// lookahead of more than one bucket (with one the clamp is vacuous).
+    pub(crate) timer_fires: BinaryHeap<Reverse<u64>>,
+    pub(crate) track_timer_fires: bool,
 }
 
-impl<M: WireSize> Core<M> {
-    /// Whether this is the reference core
-    /// ([`SimulatorBuilder::reference_core`]) rather than the engine.
-    #[inline]
-    fn is_reference(&self) -> bool {
-        matches!(self.queue, SimQueue::Reference(_))
-    }
-
-    /// Records this core's substrate components into `f` (see
-    /// [`MemoryFootprint`]). Everything here scales with n or with the
-    /// in-flight event population.
+impl<M> PartState<M> {
+    /// Records this partition's substrate components into `f`; partitions
+    /// sum in place under the same labels (see [`MemoryFootprint::record`]).
+    /// Bucket capacity beyond the pending entries follows the peak event
+    /// population and is reported as slack; only the wheels' fixed slot
+    /// arrays go uncounted.
     fn record_footprint(&self, f: &mut MemoryFootprint) {
+        use std::mem::size_of;
         f.record("net stats columns", self.stats.heap_bytes());
-        f.record("pending events", self.queue.event_bytes());
-        f.record("event queue slack", self.queue.slack_bytes());
+        let pending = (self.queue.len() * size_of::<Event<M>>()) as u64;
+        f.record("pending events", pending);
+        f.record("event queue slack", self.queue.retained_bytes() - pending);
         f.record(
             "upload queues",
-            (self.uploads.capacity() * std::mem::size_of::<UploadQueue>()) as u64,
+            (self.uploads.capacity() * size_of::<UploadQueue>()) as u64,
         );
         f.record(
             "node rng streams",
-            (self.rngs.capacity() * std::mem::size_of::<SmallRng>()) as u64,
+            (self.rngs.capacity() * size_of::<SmallRng>()) as u64,
         );
         f.record("liveness flags", self.alive.capacity() as u64);
         f.record("timer slots", self.timers.heap_bytes());
     }
+}
 
-    /// Sends `msg` through `from`'s upload queue, drawing loss and latency,
-    /// and schedules the delivery event. The one transmit path of the engine
-    /// and the reference core; only how loss and latency are drawn differs
-    /// (same draws, same values: compiled samplers against the models' own
-    /// per-call paths).
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: M) {
+impl<M: WireSize> PartState<M> {
+    /// The one transmit path: `msg` passes through the upload queue of
+    /// `from` (column `local`) and is charged to the sender's statistics,
+    /// then goes to the sink — resolved on the spot or deferred to the
+    /// exchange under the command's [`ExchangeKey`]. The engine and the
+    /// reference core differ only in how loss and latency are drawn (same
+    /// draws, same values).
+    fn transmit(&mut self, sink: &mut Sink<'_, M>, from: NodeId, local: usize, to: NodeId, msg: M) {
         let bytes = msg.wire_size();
         let now = self.now;
-        let upload = &mut self.uploads[from.index()];
+        let column = NodeId::new(local as u32);
+        let upload = &mut self.uploads[local];
         let departure = match self.fault.bandwidth_scale(now) {
             None => upload.enqueue_if_accepted(now, bytes),
             Some(scale) => upload.enqueue_if_accepted_scaled(now, bytes, scale),
         };
         let Some(departure) = departure else {
             // Finite send buffer: the message is dropped at the sender.
-            self.stats.record_queue_drop(from);
+            self.stats.record_queue_drop(column);
             return;
         };
-        self.stats.record_send(from, bytes);
+        self.stats.record_send(column, bytes);
         self.stats.total_queueing_delay += departure - now;
-        if self.fault.blocks(now, from, to) {
-            // Severed by an active partition epoch: dropped exactly like a
-            // network loss, consuming no randomness (the sharded exchange
-            // performs the identical check at the identical instant).
-            self.stats.record_loss(from);
-            return;
+        // A send severed by an active partition epoch is dropped exactly
+        // like a network loss, consuming no randomness (the exchange makes
+        // the identical check for the identical instant).
+        match sink {
+            Sink::Direct(net) => {
+                if net.fault.blocks(now, from, to) || net.loss.is_lost(&mut net.rng, from, to) {
+                    self.stats.record_loss(column);
+                    return;
+                }
+                let latency = net.latency.sample(&mut net.rng);
+                self.queue
+                    .push(departure + latency, EventKind::Deliver { from, to, msg });
+            }
+            Sink::Outbox {
+                trigger_seq, cmd, ..
+            } => {
+                self.outbox.push(OutEntry::Deliver {
+                    key: ExchangeKey::new(now, *trigger_seq, *cmd),
+                    departure,
+                    from,
+                    to,
+                    msg,
+                });
+                *cmd += 1;
+            }
+            Sink::Reference(net, r) => {
+                if net.fault.blocks(now, from, to)
+                    || r.loss_state.is_lost(&r.loss, &mut net.rng, from, to)
+                {
+                    self.stats.record_loss(column);
+                    return;
+                }
+                let latency = r.latency.sample(&mut net.rng, from, to);
+                r.queue
+                    .push(departure + latency, EventKind::Deliver { from, to, msg });
+            }
         }
-        let reference = self.is_reference();
-        let lost = if reference {
-            self.loss_state
-                .is_lost(&self.loss, &mut self.net_rng, from, to)
-        } else {
-            self.loss_fast.is_lost(&mut self.net_rng, from, to)
-        };
-        if lost {
-            self.stats.record_loss(from);
-            return;
-        }
-        let latency = if reference {
-            self.latency.sample(&mut self.net_rng, from, to)
-        } else {
-            self.latency_fast.sample(&mut self.net_rng)
-        };
-        self.queue
-            .push(departure + latency, EventKind::Deliver { from, to, msg });
     }
 
-    /// Replays a deferred command buffer in issue order (reference core).
-    fn apply_commands(&mut self, from: NodeId, commands: Vec<Command<M>>) {
-        for cmd in commands {
-            match cmd {
-                Command::Send { to, msg } => self.transmit(from, to, msg),
-                Command::SetTimer { id, delay } => {
-                    self.queue
-                        .push(self.now + delay, EventKind::Timer { timer: id });
-                }
-                Command::CancelTimer { id } => self.timers.cancel(id),
+    /// Schedules the fire event of the already armed `timer`, `delay` from
+    /// now, through the sink.
+    fn schedule_timer(&mut self, sink: &mut Sink<'_, M>, timer: TimerId, delay: SimDuration) {
+        let fire = self.now + delay;
+        match sink {
+            Sink::Direct(_) => {
+                self.queue.push(fire, EventKind::Timer { timer });
+            }
+            Sink::Outbox {
+                trigger_seq, cmd, ..
+            } => {
+                let (node, tag) = self.timers.owner(timer);
+                self.outbox.push(OutEntry::Timer {
+                    key: ExchangeKey::new(self.now, *trigger_seq, *cmd),
+                    fire,
+                    node,
+                    timer,
+                    tag,
+                });
+                *cmd += 1;
+            }
+            Sink::Reference(_, r) => {
+                r.queue.push(fire, EventKind::Timer { timer });
             }
         }
     }
@@ -499,114 +514,53 @@ impl<M: WireSize> Core<M> {
 
 /// Command surface handed to protocol callbacks.
 ///
-/// Commands take effect immediately: `send` runs the sender-side transmit
-/// path inline (on the flat engine all of it, on a shard everything up to
-/// the globally ordered loss and latency draws, which wait for the next
-/// exchange), `set_timer` arms the slot and schedules the fire event. The
-/// reference core instead records commands into a buffer it replays after
-/// the callback returns. The schedules are indistinguishable to protocols:
-/// commands act in issue order either way, protocols cannot observe network
-/// state mid-callback, and per-node and network RNG streams are independent,
-/// so every draw lands identically (asserted by the differential tests).
+/// Commands take effect immediately: `send` runs the transmit path inline
+/// (with several partitions up to the globally ordered loss and latency
+/// draws, which wait for the next exchange), `set_timer` arms the slot and
+/// schedules the fire event. The reference core instead records commands
+/// into a buffer it replays after the callback returns. The schedules are
+/// indistinguishable to protocols: commands act in issue order either way,
+/// protocols cannot observe network state mid-callback, and per-node and
+/// network RNG streams are independent, so every draw lands identically.
 pub struct Context<'a, M> {
     node: NodeId,
-    inner: CtxInner<'a, M>,
+    /// Index of `node` in the partition's columns.
+    local: usize,
+    part: &'a mut PartState<M>,
+    commands: Commands<'a, M>,
 }
 
-/// The dispatch target behind a [`Context`]: the single-core simulator (the
-/// flat engine's eager dispatch, or the reference core's command buffer) or
-/// one shard of the sharded engine (eager per-shard state plus a deferred
-/// exchange outbox).
-enum CtxInner<'a, M> {
-    /// A single-core simulator callback.
-    Single {
-        core: &'a mut Core<M>,
-        /// `Some` in the reference core, `None` in the flat engine.
-        commands: Option<&'a mut Vec<Command<M>>>,
-    },
-    /// A sharded-simulator callback: per-node and per-shard state is touched
-    /// eagerly (upload queue, sender-side statistics, timer table), while
-    /// everything that needs global coordination — loss and latency draws
-    /// from the shared network RNG, global sequence numbers — is recorded in
-    /// the shard's outbox keyed by `(trigger event, command index)` and
-    /// resolved at the next bucket-boundary exchange in exactly the order
-    /// the flat core would have resolved it.
-    Shard {
-        state: &'a mut crate::shard::ShardState<M>,
-        /// Shard-local index of the node executing the callback.
-        local: u32,
-        /// Global sequence number of the event that triggered the callback
-        /// (the node's global index for `on_start`, which runs before any
-        /// event exists).
-        trigger_seq: u64,
-        /// Position of the next command within this callback, breaking
-        /// exchange-ordering ties among commands of one callback.
-        cmd_idx: u32,
-    },
+/// How a callback's commands take effect.
+enum Commands<'a, M> {
+    /// The engine: at once, through the partition's sink.
+    Eager(Sink<'a, M>),
+    /// The reference core: recorded, and replayed through
+    /// [`Sink::Reference`] once the callback has returned.
+    Deferred(&'a mut Vec<Command<M>>),
 }
 
 impl<'a, M: WireSize> Context<'a, M> {
-    /// A flat-engine or reference-core context (the single-core simulator).
-    fn single(
-        node: NodeId,
-        core: &'a mut Core<M>,
-        commands: Option<&'a mut Vec<Command<M>>>,
-    ) -> Self {
+    /// An engine context for `node` (column `local` of `part`).
+    fn eager(node: NodeId, local: usize, part: &'a mut PartState<M>, sink: Sink<'a, M>) -> Self {
         Context {
             node,
-            inner: CtxInner::Single { core, commands },
+            local,
+            part,
+            commands: Commands::Eager(sink),
         }
     }
 
-    /// A shard context for `node` (shard-local index `local`), triggered by
-    /// the event with global sequence number `trigger_seq`.
-    pub(crate) fn shard(
-        node: NodeId,
-        local: u32,
-        trigger_seq: u64,
-        state: &'a mut crate::shard::ShardState<M>,
-    ) -> Self {
-        Context {
-            node,
-            inner: CtxInner::Shard {
-                state,
-                local,
-                trigger_seq,
-                cmd_idx: 0,
-            },
-        }
-    }
-
-    /// Re-keys a shard context to a new triggering event (the batched
-    /// delivery path reuses one context across a same-tick run) and resets
-    /// the command index.
-    pub(crate) fn retrigger(&mut self, seq: u64) {
-        match &mut self.inner {
-            CtxInner::Shard {
-                trigger_seq,
-                cmd_idx,
-                ..
-            } => {
-                *trigger_seq = seq;
-                *cmd_idx = 0;
-            }
-            CtxInner::Single { .. } => unreachable!("retrigger is a shard-context operation"),
-        }
-    }
-
-    /// The shard state this context acts on (shard contexts only).
-    pub(crate) fn shard_state(&mut self) -> &mut crate::shard::ShardState<M> {
-        match &mut self.inner {
-            CtxInner::Shard { state, .. } => state,
-            CtxInner::Single { .. } => unreachable!("shard_state on a single-core context"),
-        }
-    }
-
-    /// The single-core state this context acts on (single contexts only).
-    fn single_core(&mut self) -> &mut Core<M> {
-        match &mut self.inner {
-            CtxInner::Single { core, .. } => core,
-            CtxInner::Shard { .. } => unreachable!("single_core on a shard context"),
+    /// Re-keys an outbox context to a new triggering event (a same-tick
+    /// delivery run reuses one context) and resets the command index, so the
+    /// global command order is preserved exactly.
+    #[inline]
+    fn retrigger(&mut self, seq: u64) {
+        if let Commands::Eager(Sink::Outbox {
+            trigger_seq, cmd, ..
+        }) = &mut self.commands
+        {
+            *trigger_seq = seq;
+            *cmd = 0;
         }
     }
 
@@ -617,86 +571,44 @@ impl<'a, M: WireSize> Context<'a, M> {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Single { core, .. } => core.now,
-            CtxInner::Shard { state, .. } => state.now,
-        }
+        self.part.now
     }
 
     /// The node's deterministic random-number generator.
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
-        match &mut self.inner {
-            CtxInner::Single { core, .. } => &mut core.rngs[self.node.index()],
-            CtxInner::Shard { state, local, .. } => &mut state.rngs[*local as usize],
-        }
+        &mut self.part.rngs[self.local]
     }
 
     /// Sends `msg` to `to`. The message passes through this node's upload
     /// queue, may be lost, and otherwise arrives after the sampled latency.
     #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
-        match &mut self.inner {
-            CtxInner::Single {
-                core,
-                commands: None,
-            } => core.transmit(self.node, to, msg),
-            CtxInner::Single {
-                commands: Some(buffer),
-                ..
-            } => buffer.push(Command::Send { to, msg }),
-            CtxInner::Shard {
-                state,
-                local,
-                trigger_seq,
-                cmd_idx,
-            } => {
-                state.transmit_local(self.node, *local, to, msg, *trigger_seq, *cmd_idx);
-                *cmd_idx += 1;
-            }
+        match &mut self.commands {
+            Commands::Eager(sink) => self.part.transmit(sink, self.node, self.local, to, msg),
+            Commands::Deferred(buffer) => buffer.push(Command::Send { to, msg }),
         }
     }
 
     /// Arms a timer that fires `delay` from now, carrying an arbitrary `tag`
     /// the protocol can use to distinguish timer purposes.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        match &mut self.inner {
-            CtxInner::Single { core, commands } => {
-                let id = core.timers.arm(self.node, tag);
-                match commands {
-                    None => core
-                        .queue
-                        .push(core.now + delay, EventKind::Timer { timer: id }),
-                    Some(buffer) => buffer.push(Command::SetTimer { id, delay }),
-                }
-                id
-            }
-            CtxInner::Shard {
-                state,
-                trigger_seq,
-                cmd_idx,
-                ..
-            } => {
-                let id = state.arm_timer_local(self.node, tag, delay, *trigger_seq, *cmd_idx);
-                *cmd_idx += 1;
-                id
-            }
+        // The slot is armed at once either way, so the returned id is live
+        // and cancellable within the same callback.
+        let id = self.part.timers.arm(self.node, tag);
+        match &mut self.commands {
+            Commands::Eager(sink) => self.part.schedule_timer(sink, id, delay),
+            Commands::Deferred(buffer) => buffer.push(Command::SetTimer { id, delay }),
         }
+        id
     }
 
     /// Cancels a previously armed timer. Cancelling an already-fired or
     /// unknown timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.inner {
-            CtxInner::Single {
-                core,
-                commands: None,
-            } => core.timers.cancel(id),
-            CtxInner::Single {
-                commands: Some(buffer),
-                ..
-            } => buffer.push(Command::CancelTimer { id }),
-            CtxInner::Shard { state, .. } => state.timers.cancel(id),
+        match &mut self.commands {
+            Commands::Eager(_) => self.part.timers.cancel(id),
+            Commands::Deferred(buffer) => buffer.push(Command::CancelTimer { id }),
         }
     }
 }
@@ -709,22 +621,19 @@ impl<'a, M: WireSize> Context<'a, M> {
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
     pub(crate) n: usize,
-    pub(crate) seed: u64,
-    pub(crate) latency: LatencyModel,
-    pub(crate) loss: LossModel,
-    pub(crate) fault: FaultPlan,
+    seed: u64,
+    latency: LatencyModel,
+    loss: LossModel,
+    fault: FaultPlan,
     pub(crate) capacities: Vec<UploadCapacity>,
-    pub(crate) queue_limit: Option<SimDuration>,
+    queue_limit: Option<SimDuration>,
     /// Whether to build the reference core instead of the engine
     /// ([`SimulatorBuilder::reference_core`]).
     reference: bool,
-    /// Number of shards (`0` = the unsharded single-core simulator).
+    /// Number of partitions (default 1).
     pub(crate) shards: usize,
-    /// How the node population is partitioned when sharded.
+    /// How the node population is split over several partitions.
     pub(crate) shard_policy: ShardPolicy,
-    /// Outbox/inbox preallocation per shard (`None` = a size-derived
-    /// default).
-    pub(crate) mailbox_capacity: Option<usize>,
 }
 
 impl SimulatorBuilder {
@@ -739,37 +648,36 @@ impl SimulatorBuilder {
             capacities: vec![UploadCapacity::Unlimited; n],
             queue_limit: None,
             reference: false,
-            shards: 0,
+            shards: 1,
             shard_policy: ShardPolicy::Contiguous,
-            mailbox_capacity: None,
         }
     }
 
-    /// Splits the simulation into `shards` per-region event loops that
-    /// exchange cross-shard deliveries at calendar-bucket boundaries.
+    /// Splits the node population into `shards` partitions that run the
+    /// event loop window by window and exchange what they sent at the window
+    /// boundaries ([`crate::shard`]).
     ///
-    /// Each shard owns a partition of the node population (see
-    /// [`SimulatorBuilder::shard_policy`]) with its own calendar queue,
-    /// struct-of-arrays node/statistics columns and per-node RNG streams.
-    /// Results are *bit-identical* to the default flat core for any shard
-    /// count — same callback order per node, same RNG draws, same statistics
-    /// — provided the determinism contract holds: every scheduling delay
-    /// (link latency and timer delay) must span at least one calendar bucket
-    /// ([`BUCKET_WIDTH_MICROS`](crate::event::BUCKET_WIDTH_MICROS)), which
-    /// bounds the conservative lookahead. The latency bound is asserted at
-    /// build time; timer-delay violations are detected at the next exchange,
-    /// stop the run and surface as a structured [`ContractViolation`]
+    /// Results are *bit-identical* for any partition count and
+    /// [`SimulatorBuilder::shard_policy`] — same callback order per node,
+    /// same RNG draws, same statistics — provided the determinism contract
+    /// holds: every scheduling delay (link latency and timer delay) must span
+    /// at least one calendar bucket
+    /// ([`BUCKET_WIDTH_MICROS`](crate::event::BUCKET_WIDTH_MICROS)). The
+    /// latency bound is asserted at build time; timer-delay violations stop
+    /// the run at the next exchange and surface as a [`ContractViolation`]
     /// ([`Simulator::run_to_completion`],
     /// [`Simulator::contract_violation`]).
     ///
-    /// Shards step sequentially by default ([`Simulator::run_until`]) — the
-    /// cache-locality configuration for single-core hosts — or one shard per
-    /// core on scoped threads via [`Simulator::run_until_threaded`].
+    /// `sharded(1)` is the default simulator: one partition has nothing to
+    /// exchange, so no partition table is built and no contract applies.
+    /// Partitioning is not a speed knob — one partition is the fastest
+    /// configuration measured on every host so far (`docs/SCALE.md`).
     ///
     /// # Panics
     ///
-    /// `build` panics if `shards` is zero or if the latency model's minimum
-    /// delay is shorter than one calendar bucket.
+    /// Panics if `shards` is zero; `build` panics if there are several
+    /// partitions and the latency model's minimum delay is shorter than one
+    /// calendar bucket.
     pub fn sharded(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "sharded() needs at least one shard");
         self.shards = shards;
@@ -783,25 +691,11 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Overrides the fixed mailbox capacity preallocated per shard for the
-    /// bucket-boundary exchange (outbox and inbox entries). The default is
-    /// derived from the shard size; exceeding the capacity is not an error —
-    /// the mailbox grows and the overflow is counted
-    /// ([`Simulator::mailbox_high_water`]).
-    pub fn shard_mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = Some(capacity);
-        self
-    }
-
-    /// Builds the whole-engine *reference* instead of the engine: a
-    /// [`BinaryHeapQueue`], one popped event per callback activation,
-    /// commands deferred to a buffer allocated per callback, loss and
-    /// latency drawn through [`LossState::is_lost`] and
-    /// [`LatencyModel::sample`]. Results are bit-identical to the engine in
-    /// every form — the pop order is the same `(time, seq)` order and every
-    /// random draw yields the same value — which is the point: it is the
-    /// oracle of the differential tests, not a simulator configuration, and
-    /// it cannot be sharded.
+    /// Builds the whole-engine *reference* of the [module docs](self)
+    /// instead of the engine. Results are bit-identical — the pop order is
+    /// the same `(time, seq)` order and every random draw yields the same
+    /// value — which is the point: it is the oracle of the differential
+    /// tests, not a simulator configuration, and it cannot be sharded.
     #[doc(hidden)]
     pub fn reference_core(mut self) -> Self {
         self.reference = true;
@@ -829,12 +723,10 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Installs a fault-injection schedule (default: inert). See
-    /// [`FaultPlan`] for the fault classes applied inside the event loop:
-    /// partition/heal epochs between node groups, correlated crashes and
-    /// diurnal upload-capacity cycling. Identically interpreted by the
-    /// single-core and sharded engines, so faulted runs stay bit-identical
-    /// across every engine configuration.
+    /// Installs a fault-injection schedule (default: inert; see
+    /// [`FaultPlan`] for the fault classes). Interpreted identically at
+    /// every partition count, so faulted runs stay bit-identical across
+    /// them.
     ///
     /// # Panics
     ///
@@ -868,8 +760,9 @@ impl SimulatorBuilder {
     }
 
     /// Builds the simulator, constructing one protocol instance per node via
-    /// `make_node`, and schedules every node's `on_start` at time zero.
-    pub fn build<P, F>(self, make_node: F) -> Simulator<P>
+    /// `make_node` in id order, and runs every node's `on_start` at time
+    /// zero.
+    pub fn build<P, F>(self, mut make_node: F) -> Simulator<P>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P,
@@ -881,395 +774,131 @@ impl SimulatorBuilder {
                 "a fault plan with partition epochs needs one group per node"
             );
         }
-        if self.shards > 0 {
-            assert!(!self.reference, "the reference core cannot be sharded");
-            return Simulator {
-                inner: SimInner::Sharded(crate::shard::ShardedSim::build(self, make_node)),
-            };
-        }
-        Simulator {
-            inner: SimInner::Single(self.build_single(make_node)),
-        }
-    }
-
-    /// Builds the single-core simulator: the flat engine or the reference
-    /// core.
-    fn build_single<P, F>(self, mut make_node: F) -> SingleSim<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId) -> P,
-    {
-        let protocols: Vec<P> = (0..self.n)
-            .map(|i| make_node(NodeId::new(i as u32)))
-            .collect();
-        let uploads: Vec<UploadQueue> = self
-            .capacities
-            .iter()
-            .map(|&capacity| {
-                let mut upload = UploadQueue::new(capacity);
-                upload.set_max_backlog(self.queue_limit);
-                upload
-            })
-            .collect();
-        let rngs: Vec<SmallRng> = (0..self.n)
-            .map(|i| stream_rng(self.seed, 1 + i as u64))
-            .collect();
-        let queue = if self.reference {
-            SimQueue::Reference(BinaryHeapQueue::new())
-        } else {
-            SimQueue::Calendar(EventQueue::new())
-        };
-        let latency_fast = LatencySampler::new(&self.latency);
-        let loss_fast = LossSampler::new(&self.loss, self.n);
-        let mut sim = SingleSim {
-            protocols,
-            batch: Vec::new(),
-            core: Core {
-                queue,
-                latency: self.latency,
-                latency_fast,
-                loss: self.loss,
+        assert!(
+            !(self.reference && self.shards > 1),
+            "the reference core cannot be sharded"
+        );
+        let n = self.n as u32;
+        let latency = LatencySampler::new(&self.latency);
+        let shape = if self.shards > 1 {
+            Shape::Several(Box::new(Exchange::new(&self, latency.min_delay())))
+        } else if self.reference {
+            Shape::Reference(Reference {
+                queue: BinaryHeapQueue::new(),
+                latency: self.latency.clone(),
+                loss: self.loss.clone(),
                 loss_state: LossState::new(self.n),
-                loss_fast,
+            })
+        } else {
+            Shape::One
+        };
+        let parts = match &shape {
+            Shape::One | Shape::Reference(_) => {
+                vec![Partition::new(&self, 0..n, |g| make_node(NodeId::new(g)))]
+            }
+            Shape::Several(exchange) => {
+                // Construction in global id order, then distribution.
+                let mut nodes: Vec<Option<P>> =
+                    (0..n).map(|g| Some(make_node(NodeId::new(g)))).collect();
+                exchange
+                    .plan
+                    .members
+                    .iter()
+                    .map(|members| {
+                        let mut part = Partition::new(&self, members.iter().copied(), |g| {
+                            nodes[g as usize].take().expect("one partition per node")
+                        });
+                        // Preallocated once; a fuller window grows it.
+                        part.state.outbox = Vec::with_capacity((8 * members.len()).max(1024));
+                        part.state.track_timer_fires = exchange.lookahead_buckets > 1;
+                        part
+                    })
+                    .collect()
+            }
+        };
+        let mut sim = Simulator {
+            parts,
+            net: Net {
+                rng: stream_rng(self.seed, 0),
+                loss: LossSampler::new(&self.loss, self.n),
+                latency,
                 fault: self.fault,
-                net_rng: stream_rng(self.seed, 0),
-                now: SimTime::ZERO,
-                timers: TimerTable::default(),
-                stats: NetStats::new(self.n),
-                uploads,
-                rngs,
-                alive: vec![true; self.n],
+                next_seq: 0,
             },
+            shape,
         };
         sim.start_all();
         // Correlated crashes from the fault plan are scheduled right after
-        // the start round — the same logical instant the sharded engine
-        // schedules them, so both engines assign them identical positions in
-        // the global event order.
-        for epoch in sim.core.fault.crashes().to_vec() {
+        // the start round, so they take the same positions in the global
+        // event order at every partition count.
+        for epoch in sim.net.fault.crashes().to_vec() {
             for node in epoch.nodes {
-                sim.core.queue.push(epoch.at, EventKind::Crash { node });
+                sim.schedule_crash(node, epoch.at);
             }
         }
         sim
     }
 }
 
-/// The discrete-event simulator hosting one [`Protocol`] instance per node.
-///
-/// A dispatch front over the two forms of the engine: the *flat* form, one
-/// event loop over the whole population (the default), and the *sharded*
-/// form ([`SimulatorBuilder::sharded`]), which partitions the node
-/// population into per-region event loops that exchange cross-shard
-/// deliveries at window boundaries. Both produce bit-identical simulations
-/// for a given seed (asserted by the differential tests); the public API is
-/// form-agnostic.
-pub struct Simulator<P: Protocol> {
-    inner: SimInner<P>,
-}
-
-/// The engine behind a [`Simulator`].
-// One instance per simulation, held by value in `Simulator` — the variant
-// size gap costs a few hundred bytes once, while boxing would put an extra
-// indirection on every event-loop dispatch.
-#[allow(clippy::large_enum_variant)]
-enum SimInner<P: Protocol> {
-    /// One event loop over the whole population (the flat engine, or the
-    /// reference core).
-    Single(SingleSim<P>),
-    /// Per-region event loops with bucket-boundary exchange.
-    Sharded(crate::shard::ShardedSim<P>),
-}
-
-/// The single-core engine: one event loop over the whole node population.
-struct SingleSim<P: Protocol> {
-    /// Protocol instances, indexed by [`NodeId::index`]. Kept apart from
-    /// [`Core`] so a callback can borrow its protocol and the core
-    /// simultaneously (the eager-dispatch seam).
+/// One partition of the node population: its protocol instances plus its
+/// [`PartState`]. The simulator holds one (the whole population, columns
+/// indexed by global id) or several (columns indexed through the exchange's
+/// `local_of` table).
+pub(crate) struct Partition<P: Protocol> {
+    /// Protocol instances, by column.
     protocols: Vec<P>,
-    core: Core<P::Message>,
+    pub(crate) state: PartState<P::Message>,
     /// Reusable batch buffer for [`EventQueue::drain_bucket`]; its capacity
     /// is recycled through the queue's bucket storage via `mem::swap`.
     batch: Vec<Event<P::Message>>,
 }
 
-impl<P: Protocol> Simulator<P> {
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        match &self.inner {
-            SimInner::Single(s) => s.core.now,
-            SimInner::Sharded(s) => s.now(),
+impl<P: Protocol> Partition<P> {
+    /// A partition of `members` (global ids, ascending — the column order),
+    /// each running the protocol instance `node` hands over.
+    fn new(
+        builder: &SimulatorBuilder,
+        members: impl Iterator<Item = u32> + Clone,
+        node: impl FnMut(u32) -> P,
+    ) -> Self {
+        let protocols: Vec<P> = members.clone().map(node).collect();
+        let uploads = members
+            .clone()
+            .map(|g| {
+                let mut upload = UploadQueue::new(builder.capacities[g as usize]);
+                upload.set_max_backlog(builder.queue_limit);
+                upload
+            })
+            .collect();
+        let rngs = members
+            .map(|g| stream_rng(builder.seed, 1 + g as u64))
+            .collect();
+        Partition {
+            state: PartState {
+                queue: EventQueue::new(),
+                now: SimTime::ZERO,
+                timers: TimerTable::default(),
+                stats: NetStats::new(protocols.len()),
+                uploads,
+                rngs,
+                alive: vec![true; protocols.len()],
+                fault: builder.fault.clone(),
+                outbox: Vec::new(),
+                timer_fires: BinaryHeap::new(),
+                track_timer_fires: false,
+            },
+            protocols,
+            batch: Vec::new(),
         }
     }
 
-    /// The number of nodes (alive or crashed).
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.protocols.len(),
-            SimInner::Sharded(s) => s.len(),
-        }
-    }
-
-    /// Returns `true` if the simulation hosts no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The number of shards the simulation runs on (1 when unsharded).
-    pub fn shards(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(_) => 1,
-            SimInner::Sharded(s) => s.shards(),
-        }
-    }
-
-    /// The exchange-window width of a sharded run, in calendar buckets:
-    /// `floor(min_latency / bucket_width)`, at least 1. Returns 1 for the
-    /// single-core engine, which has no exchange to bound.
-    pub fn lookahead_buckets(&self) -> u64 {
-        match &self.inner {
-            SimInner::Single(_) => 1,
-            SimInner::Sharded(s) => s.lookahead_buckets(),
-        }
-    }
-
-    /// The peak number of entries any shard mailbox held at one exchange
-    /// (0 when unsharded). Diagnostic for sizing
-    /// [`SimulatorBuilder::shard_mailbox_capacity`].
-    pub fn mailbox_high_water(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(_) => 0,
-            SimInner::Sharded(s) => s.mailbox_high_water(),
-        }
-    }
-
-    /// Whether `id` is still alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        match &self.inner {
-            SimInner::Single(s) => s.core.alive[id.index()],
-            SimInner::Sharded(s) => s.is_alive(id),
-        }
-    }
-
-    /// Read access to the protocol state of `id`.
-    pub fn node(&self, id: NodeId) -> &P {
-        match &self.inner {
-            SimInner::Single(s) => &s.protocols[id.index()],
-            SimInner::Sharded(s) => s.node(id),
-        }
-    }
-
-    /// Mutable access to the protocol state of `id` (for experiment oracles;
-    /// protocol logic itself should only act through callbacks).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        match &mut self.inner {
-            SimInner::Single(s) => &mut s.protocols[id.index()],
-            SimInner::Sharded(s) => s.node_mut(id),
-        }
-    }
-
-    /// Iterates over all protocol instances with their ids, in id order.
-    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        (0..self.len() as u32).map(move |i| {
-            let id = NodeId::new(i);
-            (id, self.node(id))
-        })
-    }
-
-    /// The upload queue (and thus traffic counters) of `id`.
-    pub fn upload_queue(&self, id: NodeId) -> &UploadQueue {
-        match &self.inner {
-            SimInner::Single(s) => &s.core.uploads[id.index()],
-            SimInner::Sharded(s) => s.upload_queue(id),
-        }
-    }
-
-    /// An itemised, capacity-based estimate of the simulator's resident
-    /// heap — the `bytes_per_node` accounting hook of the scale campaign
-    /// (`docs/SCALE.md`). Covers the substrate (statistics columns, pending
-    /// events and the queue capacity retained beyond them, upload queues,
-    /// RNG streams, liveness, timer slots) plus the
-    /// protocol instances at `size_of::<P>()` each; heap owned *inside*
-    /// protocol state is invisible here and is enforced separately by the
-    /// counting-allocator regression guard. The sharded engine sums its
-    /// shards under the same component labels.
-    pub fn memory_footprint(&self) -> MemoryFootprint {
-        let mut f = MemoryFootprint::new(self.len());
-        match &self.inner {
-            SimInner::Single(s) => {
-                f.record(
-                    "protocol state",
-                    (s.protocols.capacity() * std::mem::size_of::<P>()) as u64,
-                );
-                s.core.record_footprint(&mut f);
-            }
-            SimInner::Sharded(s) => s.record_footprint(&mut f),
-        }
-        f
-    }
-
-    /// Network-wide traffic statistics.
-    ///
-    /// In the sharded engine this is the merged view of the per-shard
-    /// statistics columns, refreshed at the end of every run call.
-    pub fn stats(&self) -> &NetStats {
-        match &self.inner {
-            SimInner::Single(s) => &s.core.stats,
-            SimInner::Sharded(s) => s.stats(),
-        }
-    }
-
-    /// Schedules a crash of `node` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
-        match &mut self.inner {
-            SimInner::Single(s) => {
-                assert!(at >= s.core.now, "cannot schedule a crash in the past");
-                s.core.queue.push(at, EventKind::Crash { node });
-            }
-            SimInner::Sharded(s) => s.schedule_crash(node, at),
-        }
-    }
-
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.core.queue.len(),
-            SimInner::Sharded(s) => s.pending_events(),
-        }
-    }
-
-    /// Number of timers currently armed (set and neither fired nor
-    /// cancelled).
-    pub fn armed_timers(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.core.timers.armed(),
-            SimInner::Sharded(s) => s.armed_timers(),
-        }
-    }
-
-    /// Number of timer slots ever allocated. Bounded by the peak number of
-    /// *concurrently pending* timers: firing frees a slot for reuse and
-    /// cancelling an already-fired timer leaves no state behind (regression
-    /// guard for the pre-PR-3 cancelled-id-set leak).
-    pub fn timer_slots(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.core.timers.capacity(),
-            SimInner::Sharded(s) => s.timer_slots(),
-        }
-    }
-
-    /// Runs until the event queue is exhausted or `deadline` is reached,
-    /// whichever comes first. Returns the number of events processed.
-    ///
-    /// On a sharded simulator this steps the shards *sequentially*, bucket
-    /// by bucket — the cache-locality configuration for single-core hosts
-    /// (each shard's working set fits hotter cache levels); see
-    /// [`Simulator::run_until_threaded`] for the shard-per-core mode.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        match &mut self.inner {
-            SimInner::Single(s) => s.run_until(deadline),
-            SimInner::Sharded(s) => s.run_until(deadline),
-        }
-    }
-
-    /// Runs until the event queue is completely exhausted. Returns the number
-    /// of events processed, or — on a sharded simulator whose run broke the
-    /// determinism contract (a timer delay shorter than one calendar bucket)
-    /// — a [`ContractViolation`] describing the breach. The single-core
-    /// engine has no such contract and always succeeds. Use with care:
-    /// protocols with periodic timers never drain their queue — prefer
-    /// [`Simulator::run_until`].
-    pub fn run_to_completion(&mut self) -> Result<u64, ContractViolation> {
-        match &mut self.inner {
-            SimInner::Single(s) => Ok(s.run_to_completion()),
-            SimInner::Sharded(s) => s.run_to_completion(),
-        }
-    }
-
-    /// The determinism-contract breach observed so far, if any. Always `None`
-    /// on the single-core engine. A sharded run that breached the contract
-    /// stops early ([`Simulator::run_until`] returns without reaching its
-    /// deadline) and latches the violation here;
-    /// [`Simulator::run_to_completion`] additionally surfaces it as an `Err`.
-    pub fn contract_violation(&self) -> Option<ContractViolation> {
-        match &self.inner {
-            SimInner::Single(_) => None,
-            SimInner::Sharded(s) => s.contract_violation(),
-        }
-    }
-}
-
-impl<P: Protocol> Simulator<P>
-where
-    P: Send,
-    P::Message: Send,
-{
-    /// [`Simulator::run_until`], stepping shards on scoped threads — one
-    /// shard per core, synchronised at every calendar-bucket boundary by the
-    /// serial exchange. Results are bit-identical to the sequential path
-    /// (and therefore to the unsharded flat core); only wall-clock time
-    /// differs. On an unsharded (or single-shard) simulator this is exactly
-    /// [`Simulator::run_until`].
-    pub fn run_until_threaded(&mut self, deadline: SimTime) -> u64 {
-        match &mut self.inner {
-            SimInner::Single(s) => s.run_until(deadline),
-            SimInner::Sharded(s) => s.run_until_threaded(deadline),
-        }
-    }
-
-    /// [`Simulator::run_to_completion`] on scoped threads; see
-    /// [`Simulator::run_until_threaded`].
-    pub fn run_to_completion_threaded(&mut self) -> Result<u64, ContractViolation> {
-        match &mut self.inner {
-            SimInner::Single(s) => Ok(s.run_to_completion()),
-            SimInner::Sharded(s) => s.run_to_completion_threaded(),
-        }
-    }
-}
-
-impl<P: Protocol> SingleSim<P> {
-    fn start_all(&mut self) {
-        for i in 0..self.protocols.len() {
-            let id = NodeId::new(i as u32);
-            self.with_context(id, |proto, ctx| proto.on_start(ctx));
-        }
-    }
-
-    /// Runs until the event queue is exhausted or `deadline` is reached,
-    /// whichever comes first. Returns the number of events processed.
-    fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let processed = self.run(Some(deadline));
-        // Advance the clock to the deadline even if the queue drained early,
-        // so that subsequent scheduling is relative to the requested time.
-        if self.core.now < deadline {
-            self.core.now = deadline;
-        }
-        processed
-    }
-
-    /// Runs until the event queue is completely exhausted.
-    fn run_to_completion(&mut self) -> u64 {
-        self.run(None)
-    }
-
-    fn run(&mut self, deadline: Option<SimTime>) -> u64 {
-        if self.core.is_reference() {
-            self.run_reference(deadline)
-        } else {
-            self.run_batched(deadline)
-        }
-    }
-
-    /// The flat event loop: drains a whole calendar bucket at a time
-    /// ([`EventQueue::drain_bucket`]) and dispatches the sorted batch from
-    /// its tail (earliest first), amortising the per-event pop machinery —
-    /// cursor walking, overflow reveal, run-extension peeks — over the
-    /// bucket. The callback order is exactly that of popping one event at a
-    /// time:
+    /// The event loop: processes every pending event that fires at or
+    /// before `deadline` (all of them without one) in ascending `(time,
+    /// seq)` order and returns their number. It drains a whole calendar
+    /// bucket at a time ([`EventQueue::drain_bucket`]) and dispatches the
+    /// sorted batch from its tail (earliest first), amortising the per-event
+    /// pop machinery over the bucket. The callback order is exactly that of
+    /// popping one event at a time:
     ///
     /// - Buckets whose latest event fires after the deadline, past-guard
     ///   events and empty-wheel states make `drain_bucket` stand down; the
@@ -1282,245 +911,539 @@ impl<P: Protocol> SingleSim<P> {
     ///   seq)` order before each top-level dispatch. New pushes always
     ///   receive sequence numbers above every batch entry, so an intruder
     ///   can never order *between* same-time batch entries — consuming a
-    ///   same-tick delivery run from the batch alone stays exact.
-    fn run_batched(&mut self, deadline: Option<SimTime>) -> u64 {
+    ///   same-tick delivery run from the batch alone stays exact. A
+    ///   partition on [`Sink::Outbox`] pushes nothing while a batch is
+    ///   outstanding and never triggers the merge.
+    ///
+    /// Force-inlined, like the dispatch under it, so each of the two call
+    /// sites folds the branches of the sink it passes: one shared
+    /// out-of-line copy measured +25 % on the `flood-10k` benchmark.
+    #[inline(always)]
+    pub(crate) fn run(
+        &mut self,
+        deadline: Option<SimTime>,
+        sink: &mut Sink<'_, P::Message>,
+    ) -> u64 {
         let mut processed = 0;
         let mut batch = std::mem::take(&mut self.batch);
         debug_assert!(batch.is_empty());
         loop {
-            if !self.core.queue.drain_bucket(deadline, &mut batch) {
+            if !self.state.queue.drain_bucket(deadline, &mut batch) {
                 // Straddling bucket, past-guard events or an empty queue:
                 // dispatch a single event the classic way and retry.
-                let Some(ev) = self.core.queue.pop_by(deadline) else {
+                let popped = match deadline {
+                    Some(deadline) => self.state.queue.pop_at_or_before(deadline),
+                    None => self.state.queue.pop(),
+                };
+                let Some(ev) = popped else {
                     break;
                 };
-                processed += self.dispatch_popped(ev);
+                processed += self.dispatch_popped(ev, sink);
                 continue;
             }
             while let Some(next) = batch.last().map(|ev| (ev.time, ev.seq)) {
-                if self.core.queue.drain_intruded() {
+                if self.state.queue.drain_intruded() {
                     // Merge intruders that fire before the next batch entry.
                     // They are all later pushes (seq above the whole batch),
                     // so a matching front is strictly earlier in time and
                     // its same-tick run never overlaps batch entries.
-                    loop {
-                        let front_first = matches!(
-                            self.core.queue.peek(),
-                            Some(front) if (front.time, front.seq) < next
-                        );
-                        if !front_first {
-                            break;
-                        }
-                        let ev = self.core.queue.pop().expect("front was peeked");
-                        processed += self.dispatch_popped(ev);
+                    while matches!(
+                        self.state.queue.peek(),
+                        Some(front) if (front.time, front.seq) < next
+                    ) {
+                        let ev = self.state.queue.pop().expect("front was peeked");
+                        processed += self.dispatch_popped(ev, sink);
                     }
                 }
                 let ev = batch.pop().expect("last() was Some");
-                self.core.now = ev.time;
-                processed += 1;
-                match ev.payload {
-                    EventKind::Deliver { from, to, msg } => {
-                        processed += self.deliver_run_batched(from, to, msg, &mut batch);
-                    }
-                    EventKind::Timer { timer } => self.fire_timer(timer),
-                    EventKind::Crash { node } => self.crash(node),
-                }
+                processed += self.dispatch(ev, &mut batch, sink);
             }
-            self.core.queue.finish_drain();
+            self.state.queue.finish_drain();
         }
         self.batch = batch;
         processed
     }
 
-    /// Dispatches one event popped off the queue itself (the straddle and
-    /// intrusion paths of [`SingleSim::run_batched`]). Returns the number of
-    /// events consumed: the event plus its same-tick delivery run.
-    #[inline]
-    fn dispatch_popped(&mut self, ev: Event<P::Message>) -> u64 {
-        self.core.now = ev.time;
+    /// [`Partition::dispatch`] for an event popped off the queue itself (the
+    /// straddle and intrusion paths of [`Partition::run`]), where every
+    /// delivery is its own run. Out of line so the loop carries one inlined
+    /// copy of the dispatch, the batch's.
+    #[inline(never)]
+    fn dispatch_popped(&mut self, ev: Event<P::Message>, sink: &mut Sink<'_, P::Message>) -> u64 {
+        self.dispatch(ev, &mut Vec::new(), sink)
+    }
+
+    /// Dispatches one event; a delivery's same-tick run extends from
+    /// `batch`. Returns the number of events consumed.
+    #[inline(always)]
+    fn dispatch(
+        &mut self,
+        ev: Event<P::Message>,
+        batch: &mut Vec<Event<P::Message>>,
+        sink: &mut Sink<'_, P::Message>,
+    ) -> u64 {
+        self.state.now = ev.time;
         match ev.payload {
-            EventKind::Deliver { from, to, msg } => 1 + self.deliver_run(from, to, msg),
+            EventKind::Deliver { from, to, msg } => {
+                1 + self.deliver_run(ev.seq, from, to, msg, batch, sink)
+            }
             EventKind::Timer { timer } => {
-                self.fire_timer(timer);
+                // Firing always frees the slot; a cancelled (or stale)
+                // timer, or one whose owner has crashed, is simply not
+                // delivered.
+                if let Some((node, tag)) = self.state.timers.fire(timer) {
+                    let local = sink.column(node);
+                    if self.state.alive[local] {
+                        let mut ctx = Context::eager(node, local, &mut self.state, sink.at(ev.seq));
+                        self.protocols[local].on_timer(&mut ctx, timer, tag);
+                    }
+                }
                 1
             }
             EventKind::Crash { node } => {
-                self.crash(node);
+                self.crash(sink.column(node));
                 1
             }
         }
     }
 
-    /// Fires `timer`'s queue event on the engine. Firing always frees the
-    /// slot; a cancelled (or stale) timer, or one whose owner has crashed,
-    /// is simply not delivered.
-    #[inline]
-    fn fire_timer(&mut self, timer: TimerId) {
-        if let Some((node, tag)) = self.core.timers.fire(timer) {
-            if self.core.alive[node.index()] {
-                let mut ctx = Context::single(node, &mut self.core, None);
-                self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
-            }
-        }
-    }
-
-    #[inline]
-    fn crash(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.core.alive[idx] {
-            self.core.alive[idx] = false;
-            self.protocols[idx].on_crash(self.core.now);
+    fn crash(&mut self, local: usize) {
+        if self.state.alive[local] {
+            self.state.alive[local] = false;
+            self.protocols[local].on_crash(self.state.now);
         }
     }
 
     /// Delivers `msg` to `to` and drains every further delivery to `to`
-    /// scheduled for the same instant into the same callback context: one
-    /// liveness check, one context activation and one batched statistics
-    /// update for the whole run. Any interleaved timer, crash or
-    /// other-destination event at the same tick ends the run, so the
-    /// callback order is exactly the sequential dispatch order. Returns the
-    /// number of *additional* events consumed beyond the first.
-    fn deliver_run(&mut self, from: NodeId, to: NodeId, msg: P::Message) -> u64 {
-        let idx = to.index();
-        let now = self.core.now;
-        if !self.core.alive[idx] {
-            // Drain the dead-destination run without a context.
-            let mut count = 1u64;
-            while extends_run(self.core.queue.peek(), now, to) {
-                let _ = self.core.queue.pop();
-                count += 1;
-            }
-            self.core.stats.record_to_dead_n(to, count);
-            return count - 1;
-        }
-        let mut count = 1u64;
-        let mut total_bytes = msg.wire_size() as u64;
-        let protocol = &mut self.protocols[idx];
-        let mut ctx = Context::single(to, &mut self.core, None);
-        protocol.on_message(&mut ctx, from, msg);
-        while extends_run(ctx.single_core().queue.peek(), now, to) {
-            let ev = ctx.single_core().queue.pop().expect("peeked event exists");
-            let EventKind::Deliver { from, msg, .. } = ev.payload else {
-                unreachable!("run extension is a delivery");
-            };
-            count += 1;
-            total_bytes += msg.wire_size() as u64;
-            protocol.on_message(&mut ctx, from, msg);
-        }
-        ctx.single_core()
-            .stats
-            .record_deliveries(to, count, total_bytes);
-        count - 1
-    }
-
-    /// [`SingleSim::deliver_run`] over a drained batch: the same-tick run to
-    /// `to` extends from the batch tail instead of queue peeks — no pop
-    /// machinery at all. An intruder pushed mid-run always carries a
-    /// sequence number above the whole batch, so it orders after every
-    /// same-time batch entry and the batch tail alone decides run extension
-    /// exactly as the global queue front would. (Sequential dispatch would
-    /// splice such an intruder into the *same* run; the batched loop
-    /// dispatches it as a follow-up run at the same tick — identical
-    /// callback order and statistics sums, the only observables.)
-    fn deliver_run_batched(
+    /// scheduled for the same instant *at the batch tail* into the same
+    /// callback context: one liveness check, one context activation and one
+    /// batched statistics update for the whole run. Any interleaved timer,
+    /// crash or other-destination event at the same tick ends the run, so
+    /// the callback order is exactly the sequential dispatch order. Returns
+    /// the number of *additional* events consumed beyond the first.
+    ///
+    /// An intruder pushed mid-run carries a sequence number above the whole
+    /// batch, so it orders after every same-time batch entry and the batch
+    /// tail alone decides run extension as the global queue front would.
+    /// Where runs end is not an observable (sequential dispatch would splice
+    /// such an intruder into the *same* run; several partitions group
+    /// differently again): activation boundaries are invisible to protocols
+    /// and the batched statistics sum identically.
+    #[inline(always)]
+    fn deliver_run(
         &mut self,
+        trigger_seq: u64,
         from: NodeId,
         to: NodeId,
         msg: P::Message,
         batch: &mut Vec<Event<P::Message>>,
+        sink: &mut Sink<'_, P::Message>,
     ) -> u64 {
-        let idx = to.index();
-        let now = self.core.now;
-        if !self.core.alive[idx] {
+        let local = sink.column(to);
+        let stats_column = NodeId::new(local as u32);
+        let now = self.state.now;
+        if !self.state.alive[local] {
             // Drain the dead-destination run without a context.
             let mut count = 1u64;
             while extends_run(batch.last(), now, to) {
                 let _ = batch.pop();
                 count += 1;
             }
-            self.core.stats.record_to_dead_n(to, count);
+            self.state.stats.record_to_dead_n(stats_column, count);
             return count - 1;
         }
         let mut count = 1u64;
         let mut total_bytes = msg.wire_size() as u64;
-        let protocol = &mut self.protocols[idx];
-        let mut ctx = Context::single(to, &mut self.core, None);
+        let protocol = &mut self.protocols[local];
+        let mut ctx = Context::eager(to, local, &mut self.state, sink.at(trigger_seq));
         protocol.on_message(&mut ctx, from, msg);
         while extends_run(batch.last(), now, to) {
             let ev = batch.pop().expect("tail was checked");
             let EventKind::Deliver { from, msg, .. } = ev.payload else {
                 unreachable!("run extension is a delivery");
             };
+            ctx.retrigger(ev.seq);
             count += 1;
             total_bytes += msg.wire_size() as u64;
             protocol.on_message(&mut ctx, from, msg);
         }
-        ctx.single_core()
+        ctx.part
             .stats
-            .record_deliveries(to, count, total_bytes);
+            .record_deliveries(stats_column, count, total_bytes);
         count - 1
-    }
-
-    /// The reference event loop: pop one event, run its callback, replay the
-    /// commands it issued; no batching of any kind.
-    fn run_reference(&mut self, deadline: Option<SimTime>) -> u64 {
-        let mut processed = 0;
-        while let Some(ev) = self.core.queue.pop_by(deadline) {
-            self.core.now = ev.time;
-            processed += 1;
-            match ev.payload {
-                EventKind::Deliver { from, to, msg } => {
-                    if self.core.alive[to.index()] {
-                        self.core.stats.record_delivery(to, msg.wire_size());
-                        self.with_context(to, |proto, ctx| proto.on_message(ctx, from, msg));
-                    } else {
-                        self.core.stats.record_to_dead(to);
-                    }
-                }
-                EventKind::Timer { timer } => {
-                    if let Some((node, tag)) = self.core.timers.fire(timer) {
-                        self.with_context(node, |proto, ctx| proto.on_timer(ctx, timer, tag));
-                    }
-                }
-                EventKind::Crash { node } => self.crash(node),
-            }
-        }
-        processed
-    }
-
-    /// Runs a protocol callback for `id`, if it is alive, in the context of
-    /// its core: eager dispatch on the engine; on the reference core a
-    /// command buffer allocated for this callback alone and replayed once it
-    /// returns (callbacks never nest: replaying only schedules events).
-    fn with_context<F>(&mut self, id: NodeId, f: F)
-    where
-        F: FnOnce(&mut P, &mut Context<'_, P::Message>),
-    {
-        let idx = id.index();
-        if !self.core.alive[idx] {
-            return;
-        }
-        if !self.core.is_reference() {
-            let mut ctx = Context::single(id, &mut self.core, None);
-            f(&mut self.protocols[idx], &mut ctx);
-            return;
-        }
-        let mut commands = Vec::new();
-        let mut ctx = Context::single(id, &mut self.core, Some(&mut commands));
-        f(&mut self.protocols[idx], &mut ctx);
-        self.core.apply_commands(id, commands);
     }
 }
 
-/// Whether `next` — the queue front, or the tail of a drained batch —
-/// extends a same-tick delivery run to `to`.
+/// Whether `next` — the tail of a drained batch — extends a same-tick
+/// delivery run to `to`.
 #[inline]
-pub(crate) fn extends_run<M>(next: Option<&Event<M>>, now: SimTime, to: NodeId) -> bool {
+fn extends_run<M>(next: Option<&Event<M>>, now: SimTime, to: NodeId) -> bool {
     match next {
         Some(ev) if ev.time == now => {
             matches!(&ev.payload, EventKind::Deliver { to: t, .. } if *t == to)
         }
         _ => false,
+    }
+}
+
+/// The reference event loop: pop one event off the heap, run its callback,
+/// replay the commands it issued; no batching of any kind.
+fn run_reference<P: Protocol>(
+    part: &mut Partition<P>,
+    net: &mut Net,
+    reference: &mut Reference<P::Message>,
+    deadline: Option<SimTime>,
+) -> u64 {
+    let mut processed = 0;
+    loop {
+        let popped = match deadline {
+            Some(deadline) => reference.queue.pop_at_or_before(deadline),
+            None => reference.queue.pop(),
+        };
+        let Some(ev) = popped else {
+            break;
+        };
+        part.state.now = ev.time;
+        processed += 1;
+        match ev.payload {
+            EventKind::Deliver { from, to, msg } => {
+                if part.state.alive[to.index()] {
+                    part.state.stats.record_delivery(to, msg.wire_size());
+                    reference_callback(part, net, reference, to, |proto, ctx| {
+                        proto.on_message(ctx, from, msg)
+                    });
+                } else {
+                    part.state.stats.record_to_dead(to);
+                }
+            }
+            EventKind::Timer { timer } => {
+                if let Some((node, tag)) = part.state.timers.fire(timer) {
+                    reference_callback(part, net, reference, node, |proto, ctx| {
+                        proto.on_timer(ctx, timer, tag)
+                    });
+                }
+            }
+            EventKind::Crash { node } => part.crash(node.index()),
+        }
+    }
+    processed
+}
+
+/// Runs a reference-core callback for `id`, if it is alive: the commands go
+/// to a buffer allocated for this callback alone and are replayed in issue
+/// order once it returns (callbacks never nest: replaying only schedules
+/// events).
+fn reference_callback<P, F>(
+    part: &mut Partition<P>,
+    net: &mut Net,
+    reference: &mut Reference<P::Message>,
+    id: NodeId,
+    f: F,
+) where
+    P: Protocol,
+    F: FnOnce(&mut P, &mut Context<'_, P::Message>),
+{
+    let idx = id.index();
+    if !part.state.alive[idx] {
+        return;
+    }
+    let mut commands = Vec::new();
+    let mut ctx = Context {
+        node: id,
+        local: idx,
+        part: &mut part.state,
+        commands: Commands::Deferred(&mut commands),
+    };
+    f(&mut part.protocols[idx], &mut ctx);
+    let mut sink = Sink::Reference(net, reference);
+    for cmd in commands {
+        match cmd {
+            Command::Send { to, msg } => part.state.transmit(&mut sink, id, idx, to, msg),
+            Command::SetTimer { id, delay } => part.state.schedule_timer(&mut sink, id, delay),
+            Command::CancelTimer { id } => part.state.timers.cancel(id),
+        }
+    }
+}
+
+/// The discrete-event simulator hosting one [`Protocol`] instance per node.
+///
+/// It owns the partitions of the node population — one by default, several
+/// under [`SimulatorBuilder::sharded`] — and the globally ordered network
+/// state they share. Every partition count produces the bit-identical
+/// simulation for a given seed; the public API does not depend on it.
+pub struct Simulator<P: Protocol> {
+    parts: Vec<Partition<P>>,
+    net: Net,
+    shape: Shape<P::Message>,
+}
+
+/// What a simulator is made of besides its partitions and network state.
+enum Shape<M> {
+    /// The engine on one partition: nothing else.
+    One,
+    /// The engine on several partitions: their tables and exchange state.
+    Several(Box<Exchange<M>>),
+    /// The reference core (one partition, by construction).
+    Reference(Reference<M>),
+}
+
+impl<P: Protocol> Simulator<P> {
+    /// Runs every node's `on_start` in global id order. With several
+    /// partitions the deferred commands are then exchanged under `(node
+    /// index, command index)` keys — no cutoff: nothing has been processed,
+    /// so even sub-bucket timer phases are in-contract here.
+    fn start_all(&mut self) {
+        for g in 0..self.len() as u32 {
+            let id = NodeId::new(g);
+            let (p, local) = self.locate(id);
+            let part = &mut self.parts[p];
+            let sink = match &mut self.shape {
+                Shape::One => Sink::Direct(&mut self.net),
+                Shape::Several(exchange) => Sink::Outbox {
+                    trigger_seq: g as u64,
+                    cmd: 0,
+                    local_of: &exchange.plan.local_of,
+                },
+                Shape::Reference(reference) => {
+                    reference_callback(part, &mut self.net, reference, id, |proto, ctx| {
+                        proto.on_start(ctx)
+                    });
+                    continue;
+                }
+            };
+            let mut ctx = Context::eager(id, local, &mut part.state, sink);
+            part.protocols[local].on_start(&mut ctx);
+        }
+        if let Shape::Several(exchange) = &mut self.shape {
+            exchange.exchange(&mut self.parts, &mut self.net, None);
+            exchange.refresh_stats(&self.parts);
+        }
+    }
+
+    /// The partition and column holding `id`.
+    fn locate(&self, id: NodeId) -> (usize, usize) {
+        match &self.shape {
+            Shape::Several(exchange) => exchange.locate(id),
+            Shape::One | Shape::Reference(_) => (0, id.index()),
+        }
+    }
+
+    /// The current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.parts
+            .iter()
+            .fold(SimTime::ZERO, |now, part| now.max(part.state.now))
+    }
+
+    /// The number of nodes (alive or crashed).
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(|part| part.protocols.len()).sum()
+    }
+
+    /// Returns `true` if the simulation hosts no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The exchange-window width of a run on several partitions, in
+    /// calendar buckets: `floor(min_latency / bucket_width)`, at least 1.
+    /// Returns 1 with one partition, which has no exchange to bound.
+    pub fn lookahead_buckets(&self) -> u64 {
+        match &self.shape {
+            Shape::Several(exchange) => exchange.lookahead_buckets,
+            Shape::One | Shape::Reference(_) => 1,
+        }
+    }
+
+    /// Whether `id` is still alive.
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        let (p, local) = self.locate(id);
+        self.parts[p].state.alive[local]
+    }
+
+    /// Read access to the protocol state of `id`.
+    pub fn node(&self, id: NodeId) -> &P {
+        let (p, local) = self.locate(id);
+        &self.parts[p].protocols[local]
+    }
+
+    /// Mutable access to the protocol state of `id` (for experiment oracles;
+    /// protocol logic itself should only act through callbacks).
+    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
+        let (p, local) = self.locate(id);
+        &mut self.parts[p].protocols[local]
+    }
+
+    /// Iterates over all protocol instances with their ids, in id order.
+    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        (0..self.len() as u32).map(move |i| {
+            let id = NodeId::new(i);
+            (id, self.node(id))
+        })
+    }
+
+    /// The upload queue (and thus traffic counters) of `id`.
+    pub fn upload_queue(&self, id: NodeId) -> &UploadQueue {
+        let (p, local) = self.locate(id);
+        &self.parts[p].state.uploads[local]
+    }
+
+    /// An itemised, capacity-based estimate of the simulator's resident
+    /// heap — the `bytes_per_node` accounting hook of the scale campaign
+    /// (`docs/SCALE.md`). Covers the substrate (statistics columns, pending
+    /// events and the queue capacity retained beyond them, upload queues,
+    /// RNG streams, liveness, timer slots) plus the protocol instances at
+    /// `size_of::<P>()` each; heap owned *inside* protocol state is
+    /// invisible here (the counting-allocator regression guard covers it).
+    /// Several partitions sum under the same component labels and add their
+    /// merged statistics cache.
+    pub fn memory_footprint(&self) -> MemoryFootprint {
+        let mut f = MemoryFootprint::new(self.len());
+        for part in &self.parts {
+            f.record(
+                "protocol state",
+                (part.protocols.capacity() * std::mem::size_of::<P>()) as u64,
+            );
+            part.state.record_footprint(&mut f);
+        }
+        match &self.shape {
+            Shape::One => {}
+            Shape::Several(exchange) => {
+                f.record("merged stats cache", exchange.stats.heap_bytes());
+            }
+            Shape::Reference(reference) => {
+                let entry = std::mem::size_of::<Event<P::Message>>();
+                f.record("pending events", (reference.queue.len() * entry) as u64);
+            }
+        }
+        f
+    }
+
+    /// Network-wide traffic statistics.
+    ///
+    /// With several partitions this is the merged view of their statistics
+    /// columns, refreshed at the end of every run call.
+    pub fn stats(&self) -> &NetStats {
+        match &self.shape {
+            Shape::Several(exchange) => &exchange.stats,
+            Shape::One | Shape::Reference(_) => &self.parts[0].state.stats,
+        }
+    }
+
+    /// Schedules a crash of `node` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not one of the simulation's nodes
+    /// (`node.index() >= len()`) or if `at` is in the past.
+    pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
+        assert!(
+            node.index() < self.len(),
+            "cannot schedule a crash of node {}: the simulation has {} nodes",
+            node.index(),
+            self.len()
+        );
+        assert!(at >= self.now(), "cannot schedule a crash in the past");
+        let crash = EventKind::Crash { node };
+        let (p, _) = self.locate(node);
+        let queue = &mut self.parts[p].state.queue;
+        match &mut self.shape {
+            Shape::One => {
+                queue.push(at, crash);
+            }
+            // Serial context (between runs): take the next global sequence
+            // number exactly where one partition's push would.
+            Shape::Several(_) => queue.push_at_seq(at, self.net.take_seq(), crash),
+            Shape::Reference(reference) => {
+                reference.queue.push(at, crash);
+            }
+        }
+    }
+
+    /// Number of events still pending.
+    pub fn pending_events(&self) -> usize {
+        match &self.shape {
+            Shape::Reference(reference) => reference.queue.len(),
+            _ => self.parts.iter().map(|part| part.state.queue.len()).sum(),
+        }
+    }
+
+    /// Number of timers currently armed (set and neither fired nor
+    /// cancelled).
+    pub fn armed_timers(&self) -> usize {
+        self.parts
+            .iter()
+            .map(|part| part.state.timers.armed())
+            .sum()
+    }
+
+    /// Number of timer slots ever allocated. Bounded by the peak number of
+    /// *concurrently pending* timers: firing frees a slot for reuse and
+    /// cancelling an already-fired timer leaves no state behind.
+    pub fn timer_slots(&self) -> usize {
+        self.parts
+            .iter()
+            .map(|part| part.state.timers.capacity())
+            .sum()
+    }
+
+    /// Runs until the event queue is exhausted or `deadline` is reached,
+    /// whichever comes first. Returns the number of events processed.
+    ///
+    /// Several partitions are stepped one after another, window by window
+    /// ([`crate::shard`]); a run that breaches their determinism contract
+    /// stops at the breach, short of the deadline
+    /// ([`Simulator::contract_violation`]).
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        self.run(Some(deadline))
+    }
+
+    /// Runs until the event queue is completely exhausted. Returns the number
+    /// of events processed, or — on several partitions whose run broke the
+    /// determinism contract — the [`ContractViolation`]. One partition has
+    /// no such contract and always succeeds. Use with care: protocols with
+    /// periodic timers never drain their queue — prefer
+    /// [`Simulator::run_until`].
+    pub fn run_to_completion(&mut self) -> Result<u64, ContractViolation> {
+        let processed = self.run(None);
+        match self.contract_violation() {
+            Some(violation) => Err(violation),
+            None => Ok(processed),
+        }
+    }
+
+    /// The determinism-contract breach observed so far, if any. Always `None`
+    /// with one partition. A run on several partitions that breached the
+    /// contract stops early ([`Simulator::run_until`] returns without
+    /// reaching its deadline) and latches the violation here;
+    /// [`Simulator::run_to_completion`] additionally surfaces it as an `Err`.
+    pub fn contract_violation(&self) -> Option<ContractViolation> {
+        match &self.shape {
+            Shape::Several(exchange) => exchange.violation(),
+            Shape::One | Shape::Reference(_) => None,
+        }
+    }
+
+    /// Processes every event up to `deadline` with the loop the simulator's
+    /// shape calls for, then advances the clocks to the deadline — even if
+    /// the queues drained early, so that subsequent scheduling is relative
+    /// to the requested time — unless a contract breach stopped the run.
+    fn run(&mut self, deadline: Option<SimTime>) -> u64 {
+        let Simulator { parts, net, shape } = self;
+        let processed = match shape {
+            Shape::One => parts[0].run(deadline, &mut Sink::Direct(net)),
+            Shape::Several(exchange) => exchange.run_windows(parts, net, deadline),
+            Shape::Reference(reference) => run_reference(&mut parts[0], net, reference, deadline),
+        };
+        if let (Some(deadline), None) = (deadline, self.contract_violation()) {
+            for part in &mut self.parts {
+                part.state.now = part.state.now.max(deadline);
+            }
+        }
+        if let Shape::Several(exchange) = &mut self.shape {
+            exchange.refresh_stats(&self.parts);
+        }
+        processed
     }
 }
 
@@ -1585,7 +1508,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_covers_both_engines() {
+    fn memory_footprint_covers_every_partition_count() {
         let flat = build(32);
         let f = flat.memory_footprint();
         assert_eq!(f.n_nodes(), 32);
@@ -1607,14 +1530,26 @@ mod tests {
         }
         assert!(f.bytes_per_node() > 0.0);
 
-        let sharded = SimulatorBuilder::new(32, 1)
-            .latency(LatencyModel::constant(SimDuration::from_millis(10)))
-            .sharded(4)
-            .build(|_| Echo::new(32));
+        // `sharded(1)` is the default simulator: one partition materialises
+        // no partition table, outbox or merged statistics.
+        let partitioned = |shards: usize| {
+            SimulatorBuilder::new(32, 1)
+                .latency(LatencyModel::constant(SimDuration::from_millis(10)))
+                .sharded(shards)
+                .build(|_| Echo::new(32))
+        };
+        let one = partitioned(1).memory_footprint();
+        assert_eq!(one.components(), f.components());
+        assert!(one
+            .components()
+            .iter()
+            .all(|(l, _)| *l != "merged stats cache"));
+
+        let sharded = partitioned(4);
         let g = sharded.memory_footprint();
         assert_eq!(g.n_nodes(), 32);
-        // The sharded engine sums shards under the flat labels and adds its
-        // merged statistics cache.
+        // Several partitions sum under the same labels and add their merged
+        // statistics cache.
         assert!(g
             .components()
             .iter()
@@ -1625,8 +1560,8 @@ mod tests {
             .find(|(l, _)| *l == "net stats columns")
             .is_some_and(|(_, b)| *b >= 32 * 56));
 
-        // Drained buckets keep their capacity: once events have flowed,
-        // both engines report it next to the pending entries.
+        // Drained buckets keep their capacity: once events have flowed, it
+        // is reported next to the pending entries.
         for mut sim in [flat, sharded] {
             sim.run_until(SimTime::from_secs(1));
             let f = sim.memory_footprint();
@@ -1636,6 +1571,12 @@ mod tests {
                 .find(|(l, _)| *l == "event queue slack");
             assert!(slack.is_some_and(|(_, b)| *b > 0), "{slack:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule a crash of node 3: the simulation has 3 nodes")]
+    fn scheduling_a_crash_of_an_unknown_node_is_rejected_at_the_call() {
+        build(3).schedule_crash(NodeId::new(3), SimTime::from_millis(1));
     }
 
     #[test]

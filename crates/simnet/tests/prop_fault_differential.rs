@@ -3,9 +3,9 @@
 //! Generates random [`FaultPlan`]s — random region assignments, partition
 //! windows, correlated regional crashes and diurnal bandwidth cycles — plus
 //! random Gilbert–Elliott bursty loss, drives a relay workload under each
-//! plan through the flat engine, the whole-engine reference core and 1-, 2-
-//! and 4-shard configurations (sequential and threaded), and requires *bit
-//! identity* on every observable: per-node callback histories, the complete
+//! plan through the engine on one partition, the whole-engine reference core
+//! and 2- and 4-partition configurations, and requires *bit identity* on
+//! every observable: per-node callback histories, the complete
 //! [`NetStats`](heap_simnet::NetStats) rendering, the processed-event count
 //! and the final clock.
 //!
@@ -135,7 +135,6 @@ fn run(
     floor_us: u64,
     shards: usize,
     policy: Option<ShardPolicy>,
-    threaded: bool,
     reference: bool,
 ) -> Outcome {
     let horizon = SimTime::from_secs(8);
@@ -183,11 +182,7 @@ fn run(
         history: 0,
         rounds: 6,
     });
-    let processed = if threaded {
-        sim.run_until_threaded(horizon + SimDuration::from_secs(4))
-    } else {
-        sim.run_until(horizon + SimDuration::from_secs(4))
-    };
+    let processed = sim.run_until(horizon + SimDuration::from_secs(4));
 
     let mut h = DefaultHasher::new();
     for (id, node) in sim.iter_nodes() {
@@ -201,57 +196,36 @@ fn run(
     }
 }
 
-/// Flat vs reference vs sharded {1, 2, 4}, sequential and threaded, under
-/// one fault plan, at the given latency floor (`floor_us / 1024` buckets of
-/// lookahead).
+/// One partition vs reference vs {2, 4} partitions (contiguous and
+/// round-robin) under one fault plan, at the given latency floor (`floor_us
+/// / 1024` buckets of lookahead).
 fn differential(seed: u64, n: u32, floor_us: u64) {
-    let flat = run(seed, n, floor_us, 0, None, false, false);
+    let flat = run(seed, n, floor_us, 0, None, false);
     assert!(flat.processed > 0, "workload must process events");
     // Fault schedules (partitions, regional crashes, diurnal cycling) and
     // Gilbert–Elliott loss must mean the same on the reference core.
-    let reference = run(seed, n, floor_us, 0, None, false, true);
+    let reference = run(seed, n, floor_us, 0, None, true);
     assert_eq!(
         flat, reference,
         "faulted flat engine diverged from the reference core: seed {seed}"
     );
-    for shards in [1usize, 2, 4] {
-        let sequential = run(
-            seed,
-            n,
-            floor_us,
-            shards,
-            Some(ShardPolicy::Contiguous),
-            false,
-            false,
-        );
-        assert_eq!(
-            flat, sequential,
-            "faulted sequential sharded run diverged: seed {seed}, {shards} shards, floor \
-             {floor_us} us"
-        );
-        let threaded = run(
-            seed,
-            n,
-            floor_us,
-            shards,
-            Some(ShardPolicy::RoundRobin),
-            true,
-            false,
-        );
-        assert_eq!(
-            flat, threaded,
-            "faulted threaded sharded run diverged: seed {seed}, {shards} shards, floor \
-             {floor_us} us"
-        );
+    for shards in [2usize, 4] {
+        for policy in [ShardPolicy::Contiguous, ShardPolicy::RoundRobin] {
+            let sharded = run(seed, n, floor_us, shards, Some(policy.clone()), false);
+            assert_eq!(
+                flat, sharded,
+                "faulted sharded run diverged: seed {seed}, {shards} shards, {policy:?}, floor \
+                 {floor_us} us"
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Any random fault plan yields bit-identical results across the flat
-    /// core and 1/2/4-shard configurations in both execution modes, at
-    /// exchange lookaheads from 1 to 31 buckets: crash events, partition
+    /// Any random fault plan yields bit-identical results across 1, 2 and 4
+    /// partitions, at exchange lookaheads from 1 to 31 buckets: crash events, partition
     /// epochs and diurnal phases all land inside multi-bucket windows.
     #[test]
     fn fault_plans_are_bit_identical_across_engines(

@@ -2,10 +2,9 @@
 //!
 //! Drives randomly generated protocol workloads — random message walks,
 //! random timer arm/cancel churn, random upload-capacity caps with finite
-//! send buffers, random loss rates and mid-run crashes — through the flat
-//! single-core simulator and through 1-, 2- and 4-shard configurations of
-//! every partition policy, in both execution modes, and requires *bit
-//! identity* on every observable:
+//! send buffers, random loss rates and mid-run crashes — through the engine
+//! on one partition and through 2- and 4-partition configurations of every
+//! partition policy, and requires *bit identity* on every observable:
 //!
 //! * the per-node callback history (a rolling hash over every delivery,
 //!   timer firing and crash a node observes, including `now` at each),
@@ -25,7 +24,7 @@
 //! A *latency floor* axis varies the minimum latency — and with it the
 //! exchange lookahead `k = floor(min_latency / bucket_width)` — from one
 //! bucket up to tens of buckets, so the k-bucket exchange cadence is pinned
-//! bit-identical to the flat core for k ≥ 2, including timer re-arms that
+//! bit-identical to one partition for k ≥ 2, including timer re-arms that
 //! straddle exchange-window boundaries.
 
 use heap_simnet::prelude::*;
@@ -143,7 +142,6 @@ fn run(
     floor_us: u64,
     shards: usize,
     policy: Option<ShardPolicy>,
-    threaded: bool,
     reference: bool,
 ) -> Outcome {
     let mut cfg = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xD1FF);
@@ -212,11 +210,7 @@ fn run(
     let mut processed = sim.run_until(SimTime::from_micros(399_999));
     let c2 = NodeId::new(cfg.gen_range(0..n));
     sim.schedule_crash(c2, SimTime::from_micros(cfg.gen_range(400_000..900_000u64)));
-    processed += if threaded {
-        sim.run_until_threaded(SimTime::from_secs(12))
-    } else {
-        sim.run_until(SimTime::from_secs(12))
-    };
+    processed += sim.run_until(SimTime::from_secs(12));
 
     let mut h = DefaultHasher::new();
     for (id, node) in sim.iter_nodes() {
@@ -232,62 +226,38 @@ fn run(
     }
 }
 
-/// Flat vs reference vs sharded {1, 2, 4} x every policy x both execution
-/// modes, at the given latency floor (`floor_us / 1024` buckets of exchange
-/// lookahead).
+/// One partition vs reference vs {2, 4} partitions x every policy, at the
+/// given latency floor (`floor_us / 1024` buckets of exchange lookahead).
 fn differential(seed: u64, n: u32, floor_us: u64) {
-    let flat = run(seed, n, floor_us, 0, None, false, false);
+    let flat = run(seed, n, floor_us, 0, None, false);
     assert!(flat.processed > 0, "workload must process events");
     // The engine's batch pipeline must be bit-identical to the reference
     // core's pop-one-dispatch-one loop over a binary heap.
-    let reference = run(seed, n, floor_us, 0, None, false, true);
+    let reference = run(seed, n, floor_us, 0, None, true);
     assert_eq!(
         flat, reference,
         "flat engine diverged from the reference core: seed {seed}"
     );
-    for shards in [1usize, 2, 4] {
+    for shards in [2usize, 4] {
         for policy in [
             ShardPolicy::RoundRobin,
             ShardPolicy::Contiguous,
             ShardPolicy::ByCapacityClass,
         ] {
-            let sequential = run(
-                seed,
-                n,
-                floor_us,
-                shards,
-                Some(policy.clone()),
-                false,
-                false,
-            );
+            let sharded = run(seed, n, floor_us, shards, Some(policy.clone()), false);
             assert_eq!(
-                flat, sequential,
-                "sequential sharded run diverged: seed {seed}, {shards} shards, {policy:?}, \
-                 floor {floor_us} us"
+                flat, sharded,
+                "sharded run diverged: seed {seed}, {shards} shards, {policy:?}, floor \
+                 {floor_us} us"
             );
         }
-        // The threaded mode shares the exchange with the sequential mode;
-        // one policy per shard count keeps the case affordable.
-        let threaded = run(
-            seed,
-            n,
-            floor_us,
-            shards,
-            Some(ShardPolicy::RoundRobin),
-            true,
-            false,
-        );
-        assert_eq!(
-            flat, threaded,
-            "threaded sharded run diverged: seed {seed}, {shards} shards, floor {floor_us} us"
-        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random workloads through 1/2/4-shard configurations: identical event
+    /// Random workloads through 1/2/4-partition configurations: identical event
     /// order, statistics and fingerprints in every configuration. The floor
     /// axis spans lookaheads of 1 (the pre-widening cadence) up to 31
     /// buckets.
@@ -318,7 +288,7 @@ fn sharded_simulations_match_the_flat_core_at_wide_lookahead() {
 /// 8-bucket lookahead).
 #[test]
 fn custom_policy_matches_the_flat_core() {
-    let flat = run(7, 48, 8_192, 0, None, false, false);
+    let flat = run(7, 48, 8_192, 0, None, false);
     let custom = run(
         7,
         48,
@@ -328,7 +298,6 @@ fn custom_policy_matches_the_flat_core() {
             // A deliberately unbalanced deterministic assignment.
             (0..n).map(|i| ((i * i) % shards) as u32).collect()
         })),
-        false,
         false,
     );
     assert_eq!(flat, custom);
@@ -413,8 +382,8 @@ fn sub_bucket_timer_delay_is_detected_when_sharded() {
         .expect_err("sub-bucket timer delay must fail the run");
     assert!(err.violations > 0);
     assert_eq!(sim.contract_violation(), Some(err));
-    // The single-core engine has no such contract: the identical protocol
-    // runs clean there.
+    // One partition has no such contract: the identical protocol runs clean
+    // there.
     let mut sim = SimulatorBuilder::new(2, 1)
         .latency(LatencyModel::constant(SimDuration::from_millis(10)))
         .build(|_| TightTimer);

@@ -61,8 +61,9 @@ impl Protocol for Flood {
     }
 }
 
-/// What to build: the flat engine (the default), the whole-engine reference
-/// core, or the sharded engine (two shards, round-robin partition).
+/// What to build: the engine on one partition (the default), the
+/// whole-engine reference core, or the engine on two partitions
+/// (round-robin).
 #[derive(Debug, Clone, Copy)]
 enum Core {
     Flat,
@@ -105,12 +106,11 @@ fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 // Engine-vs-reference equivalence
 // ---------------------------------------------------------------------------
 
-/// Both forms of the engine — flat (eager dispatch, bucket-at-a-time
-/// batches, slim events) and sharded (per-region event loops with
-/// window-boundary exchange) — and the whole-engine reference (BinaryHeap,
-/// one event per activation, deferred commands, uncompiled models) must
-/// produce bit-identical simulations: same event count, same stats, same
-/// per-node state, same final clock — with crashes mixed in.
+/// The engine on one partition (commands resolved on the spot) and on two
+/// (commands resolved at the window exchange) and the whole-engine reference
+/// (BinaryHeap, one event per activation, deferred commands, uncompiled
+/// models) must produce bit-identical simulations: same event count, same
+/// stats, same per-node state, same final clock — with crashes mixed in.
 #[test]
 fn all_scheduling_cores_are_bit_identical() {
     let run = |core: Core| {
@@ -124,13 +124,12 @@ fn all_scheduling_cores_are_bit_identical() {
     assert_eq!(run(Core::Sharded), reference, "sharded engine vs reference");
 }
 
-/// The sharded core must be bit-identical to the flat core for every shard
-/// count, partition policy and execution mode — including a deadline that
-/// cuts a calendar bucket in half (`run_until` to an odd microsecond) and
-/// crashes scheduled mid-run.
+/// Several partitions must be bit-identical to one for every partition
+/// count and policy — including a deadline that cuts a calendar bucket in
+/// half (`run_until` to an odd microsecond) and crashes scheduled mid-run.
 #[test]
-fn sharded_runs_are_bit_identical_across_counts_policies_and_modes() {
-    let run = |configure: &dyn Fn(SimulatorBuilder) -> SimulatorBuilder, threaded: bool| {
+fn sharded_runs_are_bit_identical_across_counts_and_policies() {
+    let run = |configure: &dyn Fn(SimulatorBuilder) -> SimulatorBuilder| {
         let n = 120;
         let builder = SimulatorBuilder::new(n, 11)
             .latency(LatencyModel::uniform(
@@ -150,32 +149,23 @@ fn sharded_runs_are_bit_identical_across_counts_policies_and_modes() {
         // sequence-number assignment between runs.
         let mut processed = sim.run_until(SimTime::from_micros(777_777));
         sim.schedule_crash(NodeId::new(9), SimTime::from_secs(2));
-        processed += if threaded {
-            sim.run_to_completion_threaded().expect("contract holds")
-        } else {
-            sim.run_to_completion().expect("contract holds")
-        };
+        processed += sim.run_to_completion().expect("contract holds");
         let (drained, fingerprint) = run_fingerprint(&mut sim);
         (processed + drained, fingerprint, sim.now())
     };
-    let flat = run(&|b| b, false);
+    let flat = run(&|b| b);
     for policy in [
         ShardPolicy::RoundRobin,
         ShardPolicy::Contiguous,
         ShardPolicy::ByCapacityClass,
     ] {
-        for shards in [1usize, 2, 4] {
-            for threaded in [false, true] {
-                let p = policy.clone();
-                let result = run(
-                    &move |b| b.sharded(shards).shard_policy(p.clone()),
-                    threaded,
-                );
-                assert_eq!(
-                    flat, result,
-                    "sharded run diverged: {policy:?}, {shards} shards, threaded={threaded}"
-                );
-            }
+        for shards in [2usize, 4] {
+            let p = policy.clone();
+            let result = run(&move |b| b.sharded(shards).shard_policy(p.clone()));
+            assert_eq!(
+                flat, result,
+                "sharded run diverged: {policy:?}, {shards} shards"
+            );
         }
     }
 }
@@ -196,8 +186,8 @@ fn thousand_node_run_matches_pinned_fingerprint() {
 }
 
 /// The same constants must hold on the reference core, which pops one event
-/// per activation, and on two shards: batching and sharding are execution
-/// strategies, not semantics changes.
+/// per activation, and on two partitions: batching and partitioning are
+/// execution strategies, not semantics changes.
 #[test]
 fn thousand_node_fingerprint_is_dispatch_mode_independent() {
     for core in [Core::Reference, Core::Sharded] {

@@ -149,8 +149,11 @@ impl ExperimentResult {
 ///
 /// # Panics
 ///
-/// Panics if the scenario's gossip configuration is invalid or the scale has
-/// fewer than two nodes.
+/// Panics if the scenario's gossip configuration is invalid, if the scale
+/// has fewer than two nodes, or if a partitioned run ([`ShardingChoice`])
+/// breaches the simulator's lookahead contract — with the
+/// [`ContractViolation`](heap_simnet::ContractViolation)'s description of
+/// the offending node, timer tag and lookahead.
 pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     let scale = scenario.scale;
     assert!(
@@ -325,7 +328,7 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     if let Some(limit) = scenario.upload_queue_limit {
         builder = builder.upload_queue_limit(limit);
     }
-    if let ShardingChoice::Sharded { shards, policy, .. } = scenario.sharding {
+    if let ShardingChoice::Sharded { shards, policy } = scenario.sharding {
         builder = builder.sharded(shards).shard_policy(policy.resolve());
     }
     let partial_membership = scenario.membership.partial_config();
@@ -405,17 +408,13 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     notifications.sort_by_key(|(t, _)| *t);
 
     // --- Run ----------------------------------------------------------------
-    // Sharded scenarios pick their execution mode here; both modes (and the
-    // single-core engine) are bit-identical, so this only changes wall-clock.
-    let threaded = matches!(
-        scenario.sharding,
-        ShardingChoice::Sharded { threaded: true, .. }
-    );
+    // A partitioned run that breaches the lookahead contract stops stepping
+    // at the breach; everything collected after that would be a truncated
+    // run presented as a complete one.
     let run_to = |sim: &mut Simulator<GossipNode>, to: SimTime| {
-        if threaded {
-            sim.run_until_threaded(to)
-        } else {
-            sim.run_until(to)
+        sim.run_until(to);
+        if let Some(violation) = sim.contract_violation() {
+            panic!("scenario {:?}: {violation}", scenario.name);
         }
     };
     // Health sampling rides on the advance path: before crossing a bucket
@@ -597,13 +596,8 @@ pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
 /// longer strand a core the way one-thread-per-scenario did: finished
 /// workers drain the stragglers' queues instead of exiting.
 ///
-/// The *unit* of stealable work is one scenario. A scenario whose
-/// [`ShardingChoice`] requests threaded
-/// shards still fans out shard-per-core inside its worker — overlapping
-/// scenarios *and* shards — but one scenario's shards never split across
-/// the pool: shard stepping synchronises at every calendar-bucket boundary,
-/// and a global deque cannot honour that barrier without serialising the
-/// pool on it.
+/// The *unit* of stealable work is one scenario: a simulation runs on one
+/// thread whatever its [`ShardingChoice`].
 ///
 /// Results are returned in input order and are bit-identical to the
 /// sequential loop for any worker count ([`run_scenario`] is a pure
@@ -1003,16 +997,14 @@ mod tests {
         let reference = run_scenario(&base).fingerprint();
         for sharding in [
             ShardingChoice::sharded(2),
-            ShardingChoice::sharded_threaded(4),
+            ShardingChoice::sharded(4),
             ShardingChoice::Sharded {
                 shards: 3,
                 policy: ShardPolicyChoice::ByCapacityClass,
-                threaded: false,
             },
             ShardingChoice::Sharded {
                 shards: 2,
                 policy: ShardPolicyChoice::RoundRobin,
-                threaded: true,
             },
         ] {
             let sharded = base.clone().with_sharding(sharding);
@@ -1023,6 +1015,26 @@ mod tests {
                 sharding.label()
             );
         }
+    }
+
+    /// A retransmit period of 0.5 ms arms timers from message handlers with
+    /// less than one calendar bucket of delay: fine on one partition, a
+    /// breach of the lookahead contract on two — where the simulator stops
+    /// stepping at the breach. The runner must not hand back that truncated
+    /// run (996 messages instead of 103 056) as a result.
+    #[test]
+    #[should_panic(expected = "timer (tag ")]
+    fn a_partitioned_run_that_breaches_the_lookahead_contract_panics() {
+        use crate::scenario::ShardingChoice;
+        let mut scenario = Scenario::new(
+            "sub-bucket retransmit",
+            Scale::test().with_seed(1),
+            BandwidthDistribution::ref_691(),
+            ProtocolChoice::Heap { fanout: 7.0 },
+        );
+        scenario.gossip.retransmit_period = SimDuration::from_micros(500);
+        assert!(run_scenario(&scenario).net.messages_sent > 100_000);
+        run_scenario(&scenario.with_sharding(ShardingChoice::sharded(2)));
     }
 
     #[test]
@@ -1060,10 +1072,7 @@ mod tests {
                 .any(|n| n.joined_at.is_some() && n.joined_at != Some(SimTime::MAX)),
             "the run must contain mid-run joiners for this test to bite"
         );
-        for sharding in [
-            ShardingChoice::sharded(3),
-            ShardingChoice::sharded_threaded(2),
-        ] {
+        for sharding in [ShardingChoice::sharded(3), ShardingChoice::sharded(2)] {
             let sharded = run_scenario(&base.clone().with_sharding(sharding));
             assert_eq!(
                 sharded.fingerprint(),
@@ -1245,10 +1254,7 @@ mod tests {
         )
         .with_free_riders(FreeRiderSpec::default_adversary());
         let reference = run_scenario(&base).fingerprint();
-        for sharding in [
-            ShardingChoice::sharded(2),
-            ShardingChoice::sharded_threaded(4),
-        ] {
+        for sharding in [ShardingChoice::sharded(2), ShardingChoice::sharded(4)] {
             let sharded = base.clone().with_sharding(sharding);
             assert_eq!(
                 run_scenario(&sharded).fingerprint(),

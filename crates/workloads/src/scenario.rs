@@ -119,46 +119,33 @@ impl MembershipChoice {
     }
 }
 
-/// Which simulator engine executes the scenario.
+/// How many partitions the simulator splits the node population into.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum ShardingChoice {
-    /// The single-core flat simulator (the default).
+    /// One partition (the default): every send resolves on the spot.
     #[default]
     Single,
-    /// The sharded simulator: per-region event loops with deterministic
-    /// bucket-boundary exchange
+    /// Several partitions exchanging what they sent at window boundaries
     /// ([`SimulatorBuilder::sharded`](heap_simnet::SimulatorBuilder::sharded)).
     /// Results are bit-identical to [`ShardingChoice::Single`] — asserted in
-    /// tests — so sharding is purely an execution-speed knob.
+    /// tests — and slower: on the 30 000-node scale-campaign shape two
+    /// partitions take 1.25× the wall time of one (`docs/SCALE.md`), so no
+    /// experiment selects this. It exists to split a population, and the
+    /// differential suites exist to keep that split invisible.
     Sharded {
-        /// Number of shards the node population is split into.
+        /// Number of partitions the node population is split into.
         shards: usize,
         /// The partitioning policy.
         policy: ShardPolicyChoice,
-        /// `true` runs one shard per core on scoped threads; `false` steps
-        /// the shards sequentially (the cache-locality mode for single-core
-        /// hosts).
-        threaded: bool,
     },
 }
 
 impl ShardingChoice {
-    /// A sequential sharded configuration with the default (contiguous)
-    /// partition.
+    /// A partitioned configuration with the default (contiguous) policy.
     pub fn sharded(shards: usize) -> Self {
         ShardingChoice::Sharded {
             shards,
             policy: ShardPolicyChoice::Contiguous,
-            threaded: false,
-        }
-    }
-
-    /// A shard-per-core threaded configuration with the default partition.
-    pub fn sharded_threaded(shards: usize) -> Self {
-        ShardingChoice::Sharded {
-            shards,
-            policy: ShardPolicyChoice::Contiguous,
-            threaded: true,
         }
     }
 
@@ -166,15 +153,7 @@ impl ShardingChoice {
     pub fn label(&self) -> String {
         match self {
             ShardingChoice::Single => "single".to_string(),
-            ShardingChoice::Sharded {
-                shards,
-                policy,
-                threaded,
-            } => format!(
-                "{shards}x{}{}",
-                policy.label(),
-                if *threaded { "-threaded" } else { "" }
-            ),
+            ShardingChoice::Sharded { shards, policy } => format!("{shards}x{}", policy.label()),
         }
     }
 }
@@ -319,9 +298,9 @@ pub struct DiurnalSpec {
 /// Fault *regions* are derived by partitioning the node population with
 /// `region_policy` — the same policies that drive simulator sharding — but
 /// they are independent of the scenario's actual [`ShardingChoice`]: a
-/// 2-region partition fault means exactly the same thing on the flat core as
-/// on an 8-shard threaded run, which is what makes faulted runs bit-identical
-/// across engines.
+/// 2-region partition fault means exactly the same thing on one simulator
+/// partition as on eight, which is what makes faulted runs bit-identical
+/// across partition counts.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSpec {
     /// Number of fault regions the population is split into.
@@ -497,9 +476,8 @@ pub struct Scenario {
     /// messages (the finite application/UDP send buffer of the paper's
     /// rate limiter). `None` = unbounded queue (ablation).
     pub upload_queue_limit: Option<SimDuration>,
-    /// Which simulator engine runs the scenario (default: the single-core
-    /// flat simulator). Bit-identical results either way; sharding is an
-    /// execution-speed knob for large populations.
+    /// How many partitions the simulator runs the scenario on (default:
+    /// one, the fastest measured). Bit-identical results either way.
     pub sharding: ShardingChoice,
     /// When set, the runner samples every live receiver's health score at
     /// this interval and folds the samples into a bounded-memory
@@ -598,7 +576,7 @@ impl Scenario {
         self
     }
 
-    /// Sets the simulator engine (sharding) configuration.
+    /// Sets the simulator's partitioning.
     pub fn with_sharding(mut self, sharding: ShardingChoice) -> Self {
         self.sharding = sharding;
         self
