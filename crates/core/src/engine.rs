@@ -28,7 +28,48 @@ pub struct EngineStats {
     pub ids_served: u64,
 }
 
+/// `eRequested`: one bit per stream packet, in `u64` words.
+#[derive(Debug, Clone)]
+struct RequestedSet {
+    words: Box<[u64]>,
+    len: usize,
+}
+
+impl RequestedSet {
+    /// `len` packets, none requested.
+    fn new(len: usize) -> Self {
+        RequestedSet {
+            words: vec![0; len.div_ceil(64)].into_boxed_slice(),
+            len,
+        }
+    }
+
+    /// Whether packet `idx` belongs to the stream.
+    fn in_range(&self, idx: usize) -> bool {
+        idx < self.len
+    }
+
+    /// Whether packet `idx` was requested; `idx` must be in the stream.
+    fn get(&self, idx: usize) -> bool {
+        (self.words[idx / 64] >> (idx % 64)) & 1 == 1
+    }
+
+    /// Marks packet `idx` requested or not; `idx` must be in the stream.
+    fn set(&mut self, idx: usize, requested: bool) {
+        let bit = 1u64 << (idx % 64);
+        let word = &mut self.words[idx / 64];
+        if requested {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+}
+
 /// Per-node dissemination state (Algorithm 1).
+///
+/// Per stream packet it holds 4 bytes of receive log (see [`ReceiverLog`])
+/// and one `eRequested` bit.
 ///
 /// # Examples
 ///
@@ -51,7 +92,7 @@ pub struct DisseminationEngine {
     schedule: StreamSchedule,
     log: ReceiverLog,
     /// `eRequested`: ids we have already pulled (never pull twice).
-    requested: Vec<bool>,
+    requested: RequestedSet,
     /// `eToPropose`: ids to advertise in the next gossip round
     /// (cleared after every round — infect-and-die).
     to_propose: Vec<PacketId>,
@@ -67,7 +108,7 @@ impl DisseminationEngine {
         let total = schedule.total_packets() as usize;
         DisseminationEngine {
             log: ReceiverLog::for_schedule(&schedule),
-            requested: vec![false; total],
+            requested: RequestedSet::new(total),
             to_propose: Vec::new(),
             health: ReceiverHealth::new(HealthConfig::for_schedule(&schedule)),
             schedule,
@@ -103,10 +144,8 @@ impl DisseminationEngine {
 
     /// Whether the packet has already been requested by this node.
     pub fn is_requested(&self, id: PacketId) -> bool {
-        self.requested
-            .get(id.seq() as usize)
-            .copied()
-            .unwrap_or(true)
+        let idx = id.seq() as usize;
+        !self.requested.in_range(idx) || self.requested.get(idx)
     }
 
     /// Number of ids currently queued for the next proposal round.
@@ -124,8 +163,9 @@ impl DisseminationEngine {
             self.health.on_packet(packet.published_at, now);
         }
         // Mark as requested so proposals from other nodes never pull it back.
-        if let Some(slot) = self.requested.get_mut(packet.id.seq() as usize) {
-            *slot = true;
+        let idx = packet.id.seq() as usize;
+        if self.requested.in_range(idx) {
+            self.requested.set(idx, true);
         }
         packet.id
     }
@@ -145,13 +185,13 @@ impl DisseminationEngine {
         let mut wanted = Vec::new();
         for &id in proposed {
             let idx = id.seq() as usize;
-            if idx >= self.requested.len() {
+            if !self.requested.in_range(idx) {
                 continue; // not a packet of this stream
             }
-            if self.requested[idx] || self.log.has(id) {
+            if self.requested.get(idx) || self.log.has(id) {
                 continue;
             }
-            self.requested[idx] = true;
+            self.requested.set(idx, true);
             wanted.push(id);
         }
         self.stats.ids_requested += wanted.len() as u64;
@@ -202,7 +242,7 @@ impl DisseminationEngine {
     pub fn still_missing(&self, ids: &[PacketId]) -> Vec<PacketId> {
         ids.iter()
             .copied()
-            .filter(|&id| !self.log.has(id) && (id.seq() as usize) < self.requested.len())
+            .filter(|&id| !self.log.has(id) && self.requested.in_range(id.seq() as usize))
             .collect()
     }
 
@@ -215,8 +255,8 @@ impl DisseminationEngine {
     pub fn unrequest(&mut self, ids: &[PacketId]) {
         for &id in ids {
             let idx = id.seq() as usize;
-            if idx < self.requested.len() && !self.log.has(id) {
-                self.requested[idx] = false;
+            if self.requested.in_range(idx) && !self.log.has(id) {
+                self.requested.set(idx, false);
             }
         }
     }
@@ -361,6 +401,25 @@ mod tests {
         let p = pkt(&src, 0);
         src.publish(&p, p.published_at);
         assert_eq!(src.health().samples(), 1);
+    }
+
+    #[test]
+    fn requested_bits_are_independent_across_word_boundaries() {
+        // 12 small windows = 144 packets: three words, the last one partial.
+        let schedule = StreamSchedule::new(StreamConfig::small(12), SimTime::ZERO);
+        let mut e = DisseminationEngine::new(schedule);
+        let edges: Vec<PacketId> = [0, 63, 64, 127, 128, 143].map(PacketId::new).to_vec();
+        assert_eq!(e.handle_propose(&edges), edges);
+        for seq in 0..144 {
+            let id = PacketId::new(seq);
+            assert_eq!(e.is_requested(id), edges.contains(&id), "packet {seq}");
+        }
+        e.unrequest(&[PacketId::new(64)]);
+        assert!(!e.is_requested(PacketId::new(64)));
+        assert!(e.is_requested(PacketId::new(63)) && e.is_requested(PacketId::new(127)));
+        // Past the end of the stream every id reads as requested.
+        assert!(e.is_requested(PacketId::new(144)));
+        assert!(e.handle_propose(&[PacketId::new(144)]).is_empty());
     }
 
     #[test]

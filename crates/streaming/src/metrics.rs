@@ -6,13 +6,55 @@
 //! packet of the window is published by the source (the earliest time the
 //! window is even complete at the source); per-packet metrics are anchored at
 //! each packet's own publication time.
+//!
+//! [`NodeStreamMetrics`] (full detail) keeps the log's 4-byte arrival column
+//! and one decode lag per window, and derives every per-packet and
+//! per-window-source lag inside the query that needs it.
+//! [`CompactNodeMetrics`] keeps the decode lags and a few aggregates read
+//! from that column once.
 
 use crate::packet::{PacketId, WindowId};
-use crate::receiver::ReceiverLog;
+use crate::receiver::{Arrivals, ReceiverLog};
 use crate::source::StreamSchedule;
 use heap_simnet::time::{SimDuration, SimTime};
 
+/// When packet `seq` of the stream is published.
+fn publish_time(schedule: &StreamSchedule, seq: u64) -> SimTime {
+    schedule
+        .publish_time(PacketId::new(seq))
+        .expect("sequence bounded by total_packets")
+}
+
+/// The smallest lag at which at most `max_jitter` of the windows are
+/// jittered, given every window's decode lag: shared by both metric forms.
+fn lag_for_jitter_free(
+    max_jitter: f64,
+    decode_lags: &[Option<SimDuration>],
+) -> Option<SimDuration> {
+    let total = decode_lags.len();
+    // `as usize` saturates: NaN and negative values allow 0 windows, +inf
+    // allows them all.
+    let allowed = (max_jitter * total as f64).floor() as usize;
+    let needed = total.saturating_sub(allowed);
+    if needed == 0 {
+        return Some(SimDuration::ZERO);
+    }
+    let mut finite: Vec<SimDuration> = decode_lags.iter().flatten().copied().collect();
+    if finite.len() < needed {
+        return None;
+    }
+    Some(*finite.select_nth_unstable(needed - 1).1)
+}
+
 /// Stream-quality metrics of a single node.
+///
+/// Holds the schedule, its own copy of the log's arrival column sized to
+/// `schedule.total_packets()` (4 bytes per packet, the encoding of
+/// [`ReceiverLog`]), the decode lag of every window (16 bytes per window)
+/// and the clock-anomaly count. Per-packet lags (arrival minus the packet's
+/// publication, clamped at zero) and per-window source lags (arrival minus
+/// the window's publication completion, clamped at zero) are derived from
+/// the column by the queries that read them.
 ///
 /// # Examples
 ///
@@ -32,16 +74,15 @@ use heap_simnet::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone)]
 pub struct NodeStreamMetrics {
+    schedule: StreamSchedule,
+    /// The log's arrivals of packets `0..schedule.total_packets()`: a log
+    /// shorter than the schedule reads as not received past its end, a
+    /// longer one is cut at the end of the stream.
+    arrivals: Arrivals,
     /// Decode lag of every window: time from the window's publication
     /// completion until its `decode_threshold`-th packet arrived
     /// (`None` = never became decodable).
     window_decode_lags: Vec<Option<SimDuration>>,
-    /// For every window, arrival lags (relative to window publication) of the
-    /// *source* packets that did arrive.
-    window_source_lags: Vec<Vec<SimDuration>>,
-    /// Arrival lag of every packet relative to its own publication time
-    /// (`None` = never received).
-    packet_lags: Vec<Option<SimDuration>>,
     /// Packets whose recorded arrival *preceded* their own publication — a
     /// determinism/ordering bug upstream if it ever happens. The per-packet
     /// lag is clamped to zero in that case, but the clamp is counted here
@@ -50,74 +91,75 @@ pub struct NodeStreamMetrics {
     /// publication *completion*) legitimately clamp: packets relayed before
     /// the window completes count as lag 0 by design, and are not counted.
     clock_anomalies: u64,
-    data_packets_per_window: usize,
-    decode_threshold: usize,
 }
 
 impl NodeStreamMetrics {
     /// Computes the metrics of one node from its receive log.
     pub fn compute(schedule: &StreamSchedule, log: &ReceiverLog) -> Self {
         let params = schedule.config().window;
-        let n_windows = schedule.total_windows();
-        let mut window_decode_lags = Vec::with_capacity(n_windows as usize);
-        let mut window_source_lags = Vec::with_capacity(n_windows as usize);
+        let per_window = params.total_packets() as u64;
+        let threshold = params.decode_threshold();
+        let arrivals = log.arrivals().resized(schedule.total_packets() as usize);
 
-        for w in 0..n_windows {
-            let window = WindowId::new(w);
-            let publish = schedule
-                .window_publish_time(window)
-                .expect("window index bounded by total_windows");
-            let arrivals = log.window_arrivals(schedule, window);
-
-            // Lag of each received packet of this window, relative to the
-            // window's publication completion (clamped at zero: packets
-            // relayed before the window is complete count as lag 0).
-            let mut lags: Vec<SimDuration> = arrivals
-                .iter()
-                .flatten()
-                .map(|&t| t.saturating_since(publish))
-                .collect();
-            lags.sort_unstable();
-            let decode_lag = if lags.len() >= params.decode_threshold() {
-                Some(lags[params.decode_threshold() - 1])
-            } else {
-                None
-            };
-            window_decode_lags.push(decode_lag);
-
-            let source_lags: Vec<SimDuration> = arrivals
-                .iter()
-                .take(params.data_packets)
-                .flatten()
-                .map(|&t| t.saturating_since(publish))
-                .collect();
-            window_source_lags.push(source_lags);
-        }
-
-        let mut clock_anomalies = 0u64;
-        let packet_lags: Vec<Option<SimDuration>> = (0..schedule.total_packets())
-            .map(|seq| {
-                let id = PacketId::new(seq);
+        // A window's decode lag is the `threshold`-th smallest of its
+        // arrivals' lags after the window's publication completion. The lag
+        // (clamped at zero: packets relayed before the window is complete
+        // count as lag 0) grows with the arrival, so it is the lag of the
+        // `threshold`-th earliest arrival.
+        let mut window: Vec<SimTime> = Vec::with_capacity(per_window as usize);
+        let window_decode_lags = (0..schedule.total_windows())
+            .map(|w| {
                 let publish = schedule
-                    .publish_time(id)
-                    .expect("sequence bounded by total_packets");
-                log.arrival(id).map(|t| {
-                    if t < publish {
-                        clock_anomalies += 1;
-                    }
-                    t.saturating_since(publish)
+                    .window_publish_time(WindowId::new(w))
+                    .expect("window index bounded by total_windows");
+                window.clear();
+                window.extend(
+                    arrivals
+                        .received_in(w * per_window..(w + 1) * per_window)
+                        .map(|(_, at)| at),
+                );
+                (window.len() >= threshold).then(|| {
+                    window
+                        .select_nth_unstable(threshold - 1)
+                        .1
+                        .saturating_since(publish)
                 })
             })
             .collect();
 
+        let clock_anomalies = arrivals
+            .received()
+            .filter(|&(seq, at)| at < publish_time(schedule, seq))
+            .count() as u64;
+
         NodeStreamMetrics {
+            schedule: *schedule,
+            arrivals,
             window_decode_lags,
-            window_source_lags,
-            packet_lags,
             clock_anomalies,
-            data_packets_per_window: params.data_packets,
-            decode_threshold: params.decode_threshold(),
         }
+    }
+
+    /// The source packets of `window` that arrived within `lag` of the
+    /// window's publication completion, or `None` past the last window.
+    fn source_arrived_within(&self, window: WindowId, lag: SimDuration) -> Option<usize> {
+        let publish = self.schedule.window_publish_time(window)?;
+        let params = self.schedule.config().window;
+        let first = window.index() * params.total_packets() as u64;
+        let got = self
+            .arrivals
+            .received_in(first..first + params.data_packets as u64)
+            .filter(|&(_, at)| at.saturating_since(publish) <= lag)
+            .count();
+        Some(got)
+    }
+
+    /// Resident heap bytes: 4 per stream packet for the arrival column (plus
+    /// its spill list, empty unless an arrival is 71.6 simulated minutes or
+    /// later) and 16 per window for the decode lags.
+    pub fn heap_bytes(&self) -> usize {
+        self.arrivals.heap_bytes()
+            + self.window_decode_lags.capacity() * std::mem::size_of::<Option<SimDuration>>()
     }
 
     /// Packets whose recorded arrival preceded their own publication (their
@@ -186,30 +228,17 @@ impl NodeStreamMetrics {
     ///
     /// `max_jitter = 0.0` asks for a completely jitter-free stream (Fig. 8 and
     /// 9's "no jitter" curves); `0.01` reproduces the "max 1 % jitter" curves.
+    /// NaN and negative values behave as `0.0`; values of `1.0` or more allow
+    /// every window to be jittered and return `Some(SimDuration::ZERO)`.
     pub fn lag_for_jitter_free(&self, max_jitter: f64) -> Option<SimDuration> {
-        let total = self.window_decode_lags.len();
-        if total == 0 {
-            return Some(SimDuration::ZERO);
-        }
-        let allowed = (max_jitter * total as f64).floor() as usize;
-        let mut finite: Vec<SimDuration> =
-            self.window_decode_lags.iter().flatten().copied().collect();
-        finite.sort_unstable();
-        let needed = total - allowed;
-        if needed == 0 {
-            return Some(SimDuration::ZERO);
-        }
-        if finite.len() < needed {
-            return None;
-        }
-        Some(finite[needed - 1])
+        lag_for_jitter_free(max_jitter, &self.window_decode_lags)
     }
 
     /// The smallest stream lag at which at least `ratio` of all stream
     /// packets have arrived (Fig. 1–3 plot the CDF over nodes of this value
     /// for `ratio = 0.99`), or `None` if the node never received that much.
     pub fn lag_for_full_delivery(&self, ratio: f64) -> Option<SimDuration> {
-        let total = self.packet_lags.len();
+        let total = self.arrivals.len();
         if total == 0 {
             return Some(SimDuration::ZERO);
         }
@@ -217,33 +246,28 @@ impl NodeStreamMetrics {
         if needed == 0 {
             return Some(SimDuration::ZERO);
         }
-        let mut finite: Vec<SimDuration> = self.packet_lags.iter().flatten().copied().collect();
+        let mut finite: Vec<SimDuration> = self.received_packet_lags().collect();
         if finite.len() < needed {
             return None;
         }
-        finite.sort_unstable();
-        Some(finite[needed - 1])
+        Some(*finite.select_nth_unstable(needed - 1).1)
     }
 
     /// Overall fraction of stream packets this node eventually received.
     pub fn delivery_ratio(&self) -> f64 {
-        if self.packet_lags.is_empty() {
+        if self.arrivals.len() == 0 {
             return 0.0;
         }
-        self.packet_lags.iter().filter(|l| l.is_some()).count() as f64
-            / self.packet_lags.len() as f64
+        self.arrivals.received_count() as f64 / self.arrivals.len() as f64
     }
 
     /// Delivery ratio of *source* packets inside a window at the given lag:
     /// how much of the window is still viewable verbatim even if it cannot be
     /// FEC-decoded (systematic coding, Table 2).
     pub fn window_source_delivery_ratio(&self, window: WindowId, lag: SimDuration) -> f64 {
-        match self.window_source_lags.get(window.index() as usize) {
+        match self.source_arrived_within(window, lag) {
             None => 0.0,
-            Some(lags) => {
-                let got = lags.iter().filter(|&&l| l <= lag).count();
-                got as f64 / self.data_packets_per_window as f64
-            }
+            Some(got) => got as f64 / self.schedule.config().window.data_packets as f64,
         }
     }
 
@@ -276,24 +300,25 @@ impl NodeStreamMetrics {
 
     /// The number of packets required to decode a window.
     pub fn decode_threshold(&self) -> usize {
-        self.decode_threshold
+        self.schedule.config().window.decode_threshold()
     }
 
     /// Mean arrival lag of received packets (diagnostic; not a paper metric).
     pub fn mean_packet_lag(&self) -> Option<SimDuration> {
-        let finite: Vec<SimDuration> = self.packet_lags.iter().flatten().copied().collect();
-        if finite.is_empty() {
-            return None;
-        }
-        let total_micros: u64 = finite.iter().map(|d| d.as_micros()).sum();
-        Some(SimDuration::from_micros(total_micros / finite.len() as u64))
+        let (count, total_micros) = self
+            .received_packet_lags()
+            .fold((0u64, 0u64), |(n, sum), lag| (n + 1, sum + lag.as_micros()));
+        (count > 0).then(|| SimDuration::from_micros(total_micros / count))
     }
 
-    /// Arrival lags of the packets that were received, in sequence order.
+    /// Arrival lags of the packets that were received, in sequence order:
+    /// each arrival minus the packet's own publication, clamped at zero.
     /// Lets a collector fold the per-packet distribution into a streaming
     /// aggregate before dropping the full metrics.
     pub fn received_packet_lags(&self) -> impl Iterator<Item = SimDuration> + '_ {
-        self.packet_lags.iter().flatten().copied()
+        self.arrivals
+            .received()
+            .map(|(seq, at)| at.saturating_since(publish_time(&self.schedule, seq)))
     }
 }
 
@@ -308,16 +333,17 @@ pub const COMPACT_VIEW_LAG: SimDuration = SimDuration::from_secs(10);
 
 /// Slimmed per-node metrics for large-scale campaigns.
 ///
-/// [`NodeStreamMetrics`] keeps three whole-run vectors per node — every
-/// packet's lag, plus every window's source-packet lags — which multiplies
-/// to gigabytes once a run holds 10⁵–10⁶ receivers. This type is computed
-/// from the full metrics while the node is being collected and then replaces
-/// them: it keeps only the per-window decode lags (one entry per window, the
-/// basis of every jitter query) plus a handful of scalar aggregates, so its
-/// footprint is `O(n_windows)` instead of `O(total_packets)`.
+/// [`NodeStreamMetrics`] keeps a whole-run arrival column per node (4 bytes
+/// per stream packet), which multiplies to gigabytes once a run holds
+/// 10⁵–10⁶ receivers of a long stream. This type is computed from the full
+/// metrics while the node is being collected and then replaces them: it
+/// keeps only the per-window decode lags (one entry per window, the basis of
+/// every jitter query) plus per-window source counts and a handful of scalar
+/// aggregates read from the column once, so its footprint is `O(n_windows)`
+/// instead of `O(total_packets)`.
 ///
 /// Every query it answers is **bit-identical** to the full metrics. Queries
-/// whose exact answer requires the dropped vectors are only retained at the
+/// whose exact answer requires the dropped column are only retained at the
 /// arguments the reproduced figures actually use — delivery lag at the
 /// [`COMPACT_DELIVERY_RATIO`] and source delivery at the
 /// [`COMPACT_VIEW_LAG`] — and panic for any other argument rather than
@@ -346,18 +372,19 @@ impl CompactNodeMetrics {
     pub fn from_full(full: &NodeStreamMetrics) -> Self {
         CompactNodeMetrics {
             window_decode_lags: full.window_decode_lags.clone(),
-            source_within_view_lag: full
-                .window_source_lags
-                .iter()
-                .map(|lags| lags.iter().filter(|&&l| l <= COMPACT_VIEW_LAG).count() as u32)
+            source_within_view_lag: (0..full.schedule.total_windows())
+                .map(|w| {
+                    full.source_arrived_within(WindowId::new(w), COMPACT_VIEW_LAG)
+                        .expect("window index bounded by total_windows") as u32
+                })
                 .collect(),
-            packets_total: full.packet_lags.len() as u64,
-            packets_received: full.packet_lags.iter().flatten().count() as u64,
+            packets_total: full.arrivals.len() as u64,
+            packets_received: full.arrivals.received_count() as u64,
             lag_full_delivery: full.lag_for_full_delivery(COMPACT_DELIVERY_RATIO),
             mean_packet_lag: full.mean_packet_lag(),
             clock_anomalies: full.clock_anomalies,
-            data_packets_per_window: full.data_packets_per_window,
-            decode_threshold: full.decode_threshold,
+            data_packets_per_window: full.schedule.config().window.data_packets,
+            decode_threshold: full.decode_threshold(),
         }
     }
 
@@ -417,22 +444,7 @@ impl CompactNodeMetrics {
 
     /// See [`NodeStreamMetrics::lag_for_jitter_free`].
     pub fn lag_for_jitter_free(&self, max_jitter: f64) -> Option<SimDuration> {
-        let total = self.window_decode_lags.len();
-        if total == 0 {
-            return Some(SimDuration::ZERO);
-        }
-        let allowed = (max_jitter * total as f64).floor() as usize;
-        let mut finite: Vec<SimDuration> =
-            self.window_decode_lags.iter().flatten().copied().collect();
-        finite.sort_unstable();
-        let needed = total - allowed;
-        if needed == 0 {
-            return Some(SimDuration::ZERO);
-        }
-        if finite.len() < needed {
-            return None;
-        }
-        Some(finite[needed - 1])
+        lag_for_jitter_free(max_jitter, &self.window_decode_lags)
     }
 
     /// See [`NodeStreamMetrics::lag_for_full_delivery`]. Only the
@@ -904,6 +916,58 @@ mod tests {
         assert_eq!(as_enum.delivery_ratio(), full.delivery_ratio());
         assert!(as_enum.as_full().is_some());
         assert!(NodeMetrics::Compact(compact).as_full().is_none());
+    }
+
+    #[test]
+    fn jitter_allowances_of_one_or_more_need_no_lag() {
+        let s = schedule(4);
+        let lags = vec![
+            Some(SimDuration::from_secs(1)),
+            None,
+            Some(SimDuration::from_secs(30)),
+            Some(SimDuration::from_secs(2)),
+        ];
+        let full = NodeStreamMetrics::compute(&s, &log_with_window_lags(&s, &lags));
+        let compact = CompactNodeMetrics::from_full(&full);
+        // Allowing every window (or more than every window) to be jittered
+        // needs no lag at all.
+        for max_jitter in [1.0, 1.5, f64::INFINITY] {
+            assert_eq!(
+                full.lag_for_jitter_free(max_jitter),
+                Some(SimDuration::ZERO),
+                "max jitter {max_jitter}"
+            );
+            assert_eq!(
+                compact.lag_for_jitter_free(max_jitter),
+                full.lag_for_jitter_free(max_jitter)
+            );
+        }
+        // NaN and negative allowances behave as 0: window 1 never decodes.
+        for max_jitter in [f64::NAN, -0.5, f64::NEG_INFINITY, 0.0] {
+            assert_eq!(full.lag_for_jitter_free(max_jitter), None, "{max_jitter}");
+            assert_eq!(
+                compact.lag_for_jitter_free(max_jitter),
+                None,
+                "{max_jitter}"
+            );
+        }
+    }
+
+    #[test]
+    fn full_metrics_own_four_bytes_per_packet_and_sixteen_per_window() {
+        let s = StreamSchedule::new(StreamConfig::paper(90), SimTime::from_secs(2));
+        let mut log = ReceiverLog::for_schedule(&s);
+        for p in s.iter().step_by(3) {
+            log.record(p.id, p.published_at + SimDuration::from_millis(700));
+        }
+        let m = NodeStreamMetrics::compute(&s, &log);
+        assert_eq!(m.heap_bytes(), 4 * 9_900 + 16 * 90);
+        // A log longer than the schedule is cut to it.
+        let long = ReceiverLog::new(20_000);
+        assert_eq!(
+            NodeStreamMetrics::compute(&s, &long).heap_bytes(),
+            4 * 9_900 + 16 * 90
+        );
     }
 
     #[test]

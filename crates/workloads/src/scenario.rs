@@ -415,8 +415,9 @@ impl FreeRiderSpec {
 /// How much per-node detail the runner retains in the result.
 ///
 /// The knob never changes what is *simulated* — only what survives
-/// collection. Full detail keeps every per-packet and per-window-source lag
-/// per node (`O(total_packets)` each); compact detail collapses each node to
+/// collection. Full detail keeps each node's arrival column, 4 bytes per
+/// stream packet, from which every per-packet and per-window-source lag is
+/// derived (`O(total_packets)`); compact detail collapses each node to
 /// [`CompactNodeMetrics`](heap_streaming::CompactNodeMetrics)
 /// (`O(n_windows)`) and folds the per-packet lag distribution into one
 /// run-level [`BucketSeries`](heap_analytics::BucketSeries), which is what
