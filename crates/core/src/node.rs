@@ -646,10 +646,10 @@ impl GossipNode {
         // De-synchronise the periodic timers across nodes with a random phase,
         // as real deployments (and PlanetLab nodes started at different
         // instants) naturally are. A *mid-run* joiner floors its phases to
-        // one calendar bucket: the sharded engine's determinism contract
-        // forbids sub-bucket timer delays outside `on_start`, and the floor
-        // is applied identically under every engine so they stay
-        // bit-identical (the RNG draws themselves are unchanged).
+        // one calendar bucket (the RNG draws themselves are unchanged). The
+        // engine needs no such floor; it stays because it is part of the
+        // pinned continuous-churn and flash-crowd fingerprints, and dropping
+        // it means deliberately re-pinning them.
         let min_phase = if mid_run {
             SimDuration::from_micros(heap_simnet::event::BUCKET_WIDTH_MICROS)
         } else {

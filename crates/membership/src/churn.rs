@@ -16,13 +16,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// A standby joiner fires its `TAG_JOIN` timer at its scheduled instant and
 /// only then draws its periodic-timer phases, flooring them to one calendar
-/// bucket so the sharded engine's determinism contract holds. A join that
-/// lands *exactly* on a bucket boundary leaves no slack for that floor: the
-/// floored phase lands exactly on the next boundary, where any later
-/// rounding (or an engine with a different cutoff convention) degenerates it
-/// into a zero-delay phase inside a completed bucket. Nudging the join one
-/// microsecond into the bucket costs nothing at simulation resolution and
-/// keeps every join strictly interior, under every engine identically.
+/// bucket. A join that lands *exactly* on a bucket boundary is nudged one
+/// microsecond into the bucket, which costs nothing at simulation
+/// resolution. The engine needs neither the floor nor the nudge; both stay
+/// because they are part of the pinned continuous-churn and flash-crowd
+/// fingerprints, and dropping them means deliberately re-pinning those.
 fn nudge_off_bucket_boundary(at: SimTime) -> SimTime {
     if at.as_micros().is_multiple_of(BUCKET_WIDTH_MICROS) {
         at + SimDuration::from_micros(1)

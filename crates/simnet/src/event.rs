@@ -541,27 +541,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_event(ScheduledEvent { time, seq, payload });
-        seq
-    }
-
-    /// Schedules `payload` to fire at `time` under an *externally assigned*
-    /// sequence number, bypassing the queue's own counter.
-    ///
-    /// The sharded simulator assigns one global sequence stream across all
-    /// shard queues at its exchange points (so the `(time, seq)` pop order
-    /// of every shard queue is the restriction of the flat core's global
-    /// order); this is the entry point exchanged events are routed through.
-    /// Callers must keep the calendar's ordering invariant: pushes into any
-    /// one bucket must arrive in ascending `seq` order — which exchanges
-    /// guarantee by applying events in ascending assigned-seq order.
-    pub fn push_at_seq(&mut self, time: SimTime, seq: u64, payload: E) {
-        self.push_event(ScheduledEvent { time, seq, payload });
-    }
-
-    /// Shared insertion path of [`EventQueue::push`] and
-    /// [`EventQueue::push_at_seq`].
-    fn push_event(&mut self, event: ScheduledEvent<E>) {
+        let event = ScheduledEvent { time, seq, payload };
         if let Some(guard) = self.drain_guard {
             if event.time <= guard {
                 self.intruded = true;
@@ -610,6 +590,7 @@ impl<E> EventQueue<E> {
                 self.overflow.push(event);
             }
         }
+        seq
     }
 
     /// Removes and returns the earliest scheduled event, if any.

@@ -9,14 +9,12 @@
 //!   [`PartitionEpoch`] every message between nodes of *different* groups is
 //!   dropped at the sender (counted as a loss, exactly like a network drop);
 //!   traffic within a group is untouched. Groups typically come from a
-//!   [`ShardPolicy`](crate::shard::ShardPolicy) region assignment
-//!   ([`ShardPolicy::assign`](crate::shard::ShardPolicy::assign)),
-//!   so partitions align with the simulated regions whatever the engine's
-//!   actual shard count is.
+//!   [`RegionPolicy`] assignment ([`RegionPolicy::assign`]): how nodes group
+//!   into fault regions is data, not a property of the engine.
 //! * **correlated regional crash** ([`FaultPlan::regional_crash`]) — a whole
-//!   node group (a capacity class, a shard's population) dies at one instant.
-//!   The simulator schedules the crash events at build time, after the
-//!   `on_start` round, identically in the flat and sharded engines.
+//!   node group (a region, a capacity class) dies at one instant. The
+//!   simulator schedules the crash events at build time, right after the
+//!   `on_start` round.
 //! * **diurnal bandwidth cycling** ([`FaultPlan::diurnal`]) — every node's
 //!   upload cap is scaled by a piecewise-constant factor cycling over a
 //!   period (a day compressed to stream time), evaluated at the instant a
@@ -31,15 +29,80 @@
 //!
 //! Every check is a pure function of virtual time and the static plan:
 //! partition drops consume **no** RNG draw and no sequence number (exactly
-//! like the flat core treats messages that are never pushed), and diurnal
-//! scaling changes only the departure time computed at the enqueue site —
-//! which both engines evaluate at the same trigger instant. A fault schedule
-//! therefore yields bit-identical results across the flat core and every
-//! sharded configuration; `tests/prop_fault_differential.rs` pins this.
+//! like a message that is never pushed), and diurnal scaling changes only
+//! the departure time computed at the enqueue site. A fault schedule
+//! therefore means the same on the engine and on its reference core;
+//! `tests/prop_fault_differential.rs` pins this.
 
+use crate::bandwidth::UploadCapacity;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// How the node population groups into fault regions (the
+/// [`FaultPlan::with_groups`] assignment behind partitions and regional
+/// crashes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RegionPolicy {
+    /// Node `i` lives in region `i % regions`: neighbouring ids land in
+    /// different regions.
+    RoundRobin,
+    /// Equal-size contiguous id ranges, the first `n % regions` regions one
+    /// node larger.
+    Contiguous,
+    /// Nodes of the same upload-capability class — the heterogeneity axis of
+    /// the paper's bandwidth distributions — share a region (stable sort by
+    /// capacity, then a contiguous equal-size split).
+    ByCapacityClass,
+}
+
+impl RegionPolicy {
+    /// One region id per node (`n` entries, each `< regions`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regions` is zero.
+    pub fn assign(&self, n: usize, regions: usize, capacities: &[UploadCapacity]) -> Vec<u32> {
+        assert!(regions >= 1, "need at least one region");
+        match self {
+            RegionPolicy::RoundRobin => (0..n).map(|i| (i % regions) as u32).collect(),
+            RegionPolicy::Contiguous => contiguous_split(n, regions, (0..n as u32).collect()),
+            RegionPolicy::ByCapacityClass => {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                // Stable: ids stay ascending within one capacity class.
+                order.sort_by_key(|&i| capacity_key(capacities.get(i as usize)));
+                contiguous_split(n, regions, order)
+            }
+        }
+    }
+}
+
+/// Sort key of [`RegionPolicy::ByCapacityClass`]: capped upload rate in bps,
+/// with unconstrained nodes sorting last as one class.
+fn capacity_key(capacity: Option<&UploadCapacity>) -> u64 {
+    match capacity {
+        Some(UploadCapacity::Limited(b)) => b.as_bps(),
+        _ => u64::MAX,
+    }
+}
+
+/// Assigns the nodes listed in `order` to regions in equal-size contiguous
+/// runs (the first `n % regions` regions take one extra node).
+fn contiguous_split(n: usize, regions: usize, order: Vec<u32>) -> Vec<u32> {
+    let base = n / regions;
+    let rem = n % regions;
+    let mut out = vec![0u32; n];
+    let mut pos = 0usize;
+    for r in 0..regions {
+        let size = base + usize::from(r < rem);
+        for _ in 0..size {
+            out[order[pos] as usize] = r as u32;
+            pos += 1;
+        }
+    }
+    out
+}
 
 /// One network-partition window: from `start` (inclusive) until `end`
 /// (exclusive, the heal instant), messages between different node groups are
@@ -99,7 +162,7 @@ impl DiurnalCycle {
     }
 
     /// The capacity factor in effect at `at`. Pure integer phase arithmetic,
-    /// so both simulator engines compute the identical factor for the
+    /// so the engine and its reference compute the identical factor for the
     /// identical enqueue instant.
     #[inline]
     pub fn scale_at(&self, at: SimTime) -> f64 {
@@ -232,6 +295,41 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bandwidth::Bandwidth;
+
+    fn caps(pattern: &[u64]) -> Vec<UploadCapacity> {
+        pattern
+            .iter()
+            .map(|&kbps| {
+                if kbps == 0 {
+                    UploadCapacity::Unlimited
+                } else {
+                    UploadCapacity::Limited(Bandwidth::from_kbps(kbps))
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn round_robin_cycles_over_regions() {
+        let a = RegionPolicy::RoundRobin.assign(7, 3, &caps(&[0; 7]));
+        assert_eq!(a, vec![0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn contiguous_splits_evenly_with_remainder_up_front() {
+        let a = RegionPolicy::Contiguous.assign(7, 3, &caps(&[0; 7]));
+        assert_eq!(a, vec![0, 0, 0, 1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn by_capacity_class_groups_equal_capacities() {
+        // Two capacity classes interleaved over six nodes, two regions: the
+        // slow class must land in region 0, the fast class in region 1.
+        let a =
+            RegionPolicy::ByCapacityClass.assign(6, 2, &caps(&[512, 3000, 512, 3000, 512, 3000]));
+        assert_eq!(a, vec![0, 1, 0, 1, 0, 1]);
+    }
 
     #[test]
     fn empty_plan_is_inert_and_blocks_nothing() {

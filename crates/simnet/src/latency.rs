@@ -8,7 +8,6 @@
 
 use crate::node::NodeId;
 use crate::time::SimDuration;
-use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -165,31 +164,6 @@ pub(crate) enum LatencySampler {
 }
 
 impl LatencySampler {
-    /// The smallest delay the compiled sampler can produce — the *lookahead
-    /// bound* of the sharded simulator: a delivery scheduled at `now` cannot
-    /// arrive before `now + min_delay()`, so shards that synchronise every
-    /// calendar bucket stay conservative as long as this bound spans at
-    /// least one bucket ([`BUCKET_WIDTH_MICROS`](crate::event)).
-    pub(crate) fn min_delay(&self) -> SimDuration {
-        match self {
-            LatencySampler::Constant(d) => *d,
-            LatencySampler::UniformPow2 { min_micros, .. }
-            | LatencySampler::UniformSpan { min_micros, .. } => {
-                SimDuration::from_micros(*min_micros)
-            }
-            LatencySampler::BasePlusExp { base, .. } => *base,
-        }
-    }
-
-    /// Whether the compiled sampler never consumes randomness (constant and
-    /// degenerate-uniform models) — the gate under which an exchange may
-    /// bulk-draw all loss decisions of a delivery batch without reordering
-    /// the RNG stream.
-    #[inline]
-    pub(crate) fn is_draw_free(&self) -> bool {
-        matches!(self, LatencySampler::Constant(_))
-    }
-
     /// Classifies `model` into its fast path.
     pub(crate) fn new(model: &LatencyModel) -> Self {
         match model {
@@ -240,51 +214,6 @@ impl LatencySampler {
                 let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
                 let u = f64::EPSILON + unit * (1.0 - f64::EPSILON);
                 *base + SimDuration::from_secs_f64(-u.ln() * mean_secs)
-            }
-        }
-    }
-
-    /// Samples `n` delays into `out` — bit-identical, draw for draw, to `n`
-    /// sequential [`LatencySampler::sample`] calls. The raw words come from
-    /// the RNG's lane-blocked bulk path ([`SmallRng::fill_u64`]) and the
-    /// distribution transform runs as a second struct-of-arrays pass over
-    /// the buffer — for the uniform variants a pure add/mask (or modulo)
-    /// kernel the compiler vectorizes. `raw` is caller-owned scratch so
-    /// steady-state batches allocate nothing.
-    pub(crate) fn sample_batch(
-        &self,
-        rng: &mut SmallRng,
-        n: usize,
-        raw: &mut Vec<u64>,
-        out: &mut Vec<SimDuration>,
-    ) {
-        out.clear();
-        match self {
-            LatencySampler::Constant(d) => out.resize(n, *d),
-            LatencySampler::UniformPow2 { min_micros, mask } => {
-                raw.resize(n, 0);
-                rng.fill_u64(raw);
-                out.extend(
-                    raw.iter()
-                        .map(|&r| SimDuration::from_micros(min_micros.wrapping_add(r & mask))),
-                );
-            }
-            LatencySampler::UniformSpan { min_micros, span } => {
-                raw.resize(n, 0);
-                rng.fill_u64(raw);
-                out.extend(
-                    raw.iter()
-                        .map(|&r| SimDuration::from_micros(min_micros + r % span)),
-                );
-            }
-            LatencySampler::BasePlusExp { base, mean_secs } => {
-                raw.resize(n, 0);
-                rng.fill_u64(raw);
-                out.extend(raw.iter().map(|&r| {
-                    let unit = (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    let u = f64::EPSILON + unit * (1.0 - f64::EPSILON);
-                    *base + SimDuration::from_secs_f64(-u.ln() * mean_secs)
-                }));
             }
         }
     }
@@ -395,39 +324,6 @@ mod tests {
             }
             // RNG positions must agree too (same number of draws consumed).
             assert_eq!(slow.next_u64(), fast.next_u64(), "{model:?} desynced");
-        }
-    }
-
-    #[test]
-    fn batch_sampler_is_draw_identical_to_sequential() {
-        // Every sampler variant × batch sizes covering empty batches, every
-        // sub-lane-block tail length and multi-block runs: the vectorized
-        // batch must return bit-identical durations to sequential draws and
-        // leave the RNG at the identical position.
-        let models = [
-            LatencyModel::constant(SimDuration::from_millis(42)),
-            LatencyModel::uniform(
-                SimDuration::from_micros(2_000),
-                SimDuration::from_micros(2_000 + (1 << 18) - 1),
-            ),
-            LatencyModel::uniform(SimDuration::from_millis(10), SimDuration::from_millis(73)),
-            LatencyModel::planetlab_like(),
-        ];
-        let mut raw = Vec::new();
-        let mut out = Vec::new();
-        for model in &models {
-            let sampler = LatencySampler::new(model);
-            for n in (0..18).chain([64, 257]) {
-                let mut seq = SmallRng::seed_from_u64(1_000 + n as u64);
-                let mut bat = seq.clone();
-                sampler.sample_batch(&mut bat, n, &mut raw, &mut out);
-                assert_eq!(out.len(), n);
-                for (i, &got) in out.iter().enumerate() {
-                    let want = sampler.sample(&mut seq);
-                    assert_eq!(got, want, "{model:?} n={n} draw {i} diverged");
-                }
-                assert_eq!(seq.next_u64(), bat.next_u64(), "{model:?} n={n} desynced");
-            }
         }
     }
 

@@ -28,8 +28,8 @@
 //! ## The engine and its reference
 //!
 //! One deterministic event engine runs every simulation; what varies between
-//! runs is policy passed in as data ([`ShardPolicy`], [`LossModel`],
-//! [`LatencyModel`], [`FaultPlan`]), never the mechanism:
+//! runs is policy passed in as data ([`LossModel`], [`LatencyModel`],
+//! [`FaultPlan`] and its [`RegionPolicy`] grouping), never the mechanism:
 //!
 //! * **Calendar queue** ([`event::EventQueue`]) — events within the next
 //!   ~0.5 s of virtual time live in [`event::NUM_BUCKETS`] buckets of
@@ -38,22 +38,15 @@
 //!   events wait in an outer wheel of [`event::NUM_OUTER_BUCKETS`] coarser
 //!   buckets, and beyond that in an overflow min-heap. Pop order is
 //!   ascending `(time, insertion seq)`.
-//! * **One run loop** — a partition of the population drains a calendar
-//!   bucket at a time and applies commands eagerly: [`sim::Context::send`]
-//!   runs the transmit path (upload queue, statistics, then a sink) inline;
-//!   per-node state lives in struct-of-arrays form so the context can
-//!   borrow the whole substrate while the protocol instance is borrowed
-//!   separately. Same-tick deliveries to one node are drained in a single
-//!   callback context, and queued events are slim: a delivery's wire size
-//!   is recomputed at the fire site and a timer's node and tag live in its
+//! * **One run loop** — the simulator drains a calendar bucket at a time and
+//!   applies commands eagerly: [`sim::Context::send`] runs the transmit path
+//!   (upload queue, statistics, loss, latency, queue push) inline; per-node
+//!   state lives in struct-of-arrays form so the context can borrow the
+//!   whole substrate while the protocol instance is borrowed separately.
+//!   Same-tick deliveries to one node are drained in a single callback
+//!   context, and queued events are slim: a delivery's wire size is
+//!   recomputed at the fire site and a timer's node and tag live in its
 //!   timer slot, not in the queue.
-//! * **Two sinks, picked from the partition count** — one partition (the
-//!   default) draws loss and latency and pushes the delivery on the spot;
-//!   several ([`sim::SimulatorBuilder::sharded`], [`shard`]) defer that to a
-//!   serial exchange at window boundaries, bit-identical for every
-//!   partition count and policy. Partitioning splits a population; it is
-//!   not a speed knob (one partition is the fastest configuration
-//!   measured).
 //! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
 //!   index and a generation; firing frees the slot, so cancellation — even of
 //!   a timer that already fired — is an O(1) stamp comparison and the
@@ -63,8 +56,8 @@
 //!   whole engine ([`event::BinaryHeapQueue`], one popped event per
 //!   callback, deferred commands, uncompiled loss and latency models) exists
 //!   only as the oracle of the differential tests, which assert the engine
-//!   bit-identical to it at every partition count. It is not a configuration: its one
-//!   entry point is hidden from the documented builder API.
+//!   bit-identical to it. It is not a configuration: its one entry point is
+//!   hidden from the documented builder API.
 //!
 //! ## Example
 //!
@@ -110,18 +103,16 @@ pub mod latency;
 pub mod loss;
 pub mod node;
 pub mod rng;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
 
 pub use bandwidth::{Bandwidth, UploadQueue};
 pub use event::{BinaryHeapQueue, EventQueue, ScheduledEvent};
-pub use fault::FaultPlan;
+pub use fault::{FaultPlan, RegionPolicy};
 pub use latency::LatencyModel;
 pub use loss::LossModel;
 pub use node::NodeId;
-pub use shard::{ContractViolation, ShardPolicy, ViolationDetail};
 pub use sim::{Context, Protocol, Simulator, SimulatorBuilder, TimerId, WireSize};
 pub use stats::{MemoryFootprint, NetStats, NodeStats, ReferenceNetStats};
 pub use time::{SimDuration, SimTime};
@@ -133,7 +124,6 @@ pub mod prelude {
     pub use crate::latency::LatencyModel;
     pub use crate::loss::LossModel;
     pub use crate::node::NodeId;
-    pub use crate::shard::{ContractViolation, ShardPolicy, ViolationDetail};
     pub use crate::sim::{Context, Protocol, Simulator, SimulatorBuilder, TimerId, WireSize};
     pub use crate::time::{SimDuration, SimTime};
 }

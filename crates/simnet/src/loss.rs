@@ -7,7 +7,6 @@
 //! bursty loss, which is closer to what congested PlanetLab paths exhibit.
 
 use crate::node::NodeId;
-use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -232,58 +231,6 @@ impl LossSampler {
             }
         }
     }
-
-    /// Whether the compiled sampler never consumes randomness (the `None`
-    /// model) — the gate under which an exchange may bulk-draw all latency
-    /// samples of a delivery batch without reordering the RNG stream.
-    #[inline]
-    pub fn is_draw_free(&self) -> bool {
-        matches!(self.kind, LossKind::None)
-    }
-
-    /// Draws `n` loss decisions into `out` — bit-identical, draw for draw,
-    /// to `n` sequential [`LossSampler::is_lost`] calls — for the batchable
-    /// models: `None` (no draws at all) and `Bernoulli`, whose decisions are
-    /// sender-independent, so the raw words come from the RNG's lane-blocked
-    /// bulk path ([`SmallRng::fill_u64`]) and the threshold test runs as a
-    /// second struct-of-arrays pass over the buffer. Returns `false` without
-    /// touching the RNG for Gilbert–Elliott, whose per-sender state machine
-    /// makes each draw depend on the previous decisions' order — that model
-    /// stays on the sequential path. `raw` is caller-owned scratch so
-    /// steady-state batches allocate nothing.
-    pub fn is_lost_batch(
-        &mut self,
-        rng: &mut SmallRng,
-        n: usize,
-        raw: &mut Vec<u64>,
-        out: &mut Vec<bool>,
-    ) -> bool {
-        match &self.kind {
-            LossKind::None => {
-                out.clear();
-                out.resize(n, false);
-                true
-            }
-            LossKind::Bernoulli { p } => {
-                let p = *p;
-                // Upheld by construction, but keep the panic contract of
-                // `gen_bool` — the sequential path this must mirror exactly.
-                assert!(
-                    (0.0..=1.0).contains(&p),
-                    "gen_bool: p = {p} is outside [0, 1]"
-                );
-                raw.resize(n, 0);
-                rng.fill_u64(raw);
-                out.clear();
-                out.extend(
-                    raw.iter()
-                        .map(|&r| ((r >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p),
-                );
-                true
-            }
-            LossKind::GilbertElliott { .. } => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -378,45 +325,6 @@ mod tests {
         // Index beyond the initial size must not panic.
         let _ = state.is_lost(&model, &mut r, NodeId::new(10), NodeId::new(0));
         assert!(state.bad.len() >= 11);
-    }
-
-    /// The vectorized batch path must make the same decisions and consume
-    /// the same RNG values as sequential `is_lost` calls for the batchable
-    /// models (batch sizes cover empty, every sub-lane-block tail and
-    /// multi-block runs), and must refuse — RNG untouched — for the
-    /// order-dependent Gilbert–Elliott state machine.
-    #[test]
-    fn batch_loss_sampler_is_draw_identical_to_sequential() {
-        let mut raw = Vec::new();
-        let mut out = Vec::new();
-        for model in [
-            LossModel::none(),
-            LossModel::bernoulli(0.0),
-            LossModel::bernoulli(0.07),
-            LossModel::bernoulli(1.0),
-        ] {
-            for n in (0..18).chain([64, 257]) {
-                let mut seq_rng = SmallRng::seed_from_u64(2_000 + n as u64);
-                let mut bat_rng = seq_rng.clone();
-                let mut seq = LossSampler::new(&model, 3);
-                let mut bat = seq.clone();
-                assert!(bat.is_lost_batch(&mut bat_rng, n, &mut raw, &mut out));
-                assert_eq!(out.len(), n);
-                for (i, &got) in out.iter().enumerate() {
-                    let want = seq.is_lost(&mut seq_rng, NodeId::new(0), NodeId::new(1));
-                    assert_eq!(got, want, "{model:?} n={n} draw {i} diverged");
-                }
-                assert_eq!(seq_rng.next_u64(), bat_rng.next_u64(), "{model:?} desynced");
-            }
-        }
-        let mut rng_before = SmallRng::seed_from_u64(3);
-        let mut ge = LossSampler::new(&LossModel::bursty_default(), 2);
-        assert!(!ge.is_lost_batch(&mut rng_before, 8, &mut raw, &mut out));
-        assert_eq!(
-            rng_before.next_u64(),
-            SmallRng::seed_from_u64(3).next_u64(),
-            "a refused batch must not consume randomness"
-        );
     }
 
     /// The compiled sampler must make the same decisions *and* consume the

@@ -10,33 +10,17 @@
 //!
 //! ## The engine and its reference
 //!
-//! One engine runs every simulation. The simulator owns one or more
-//! *partitions* of the node population plus the one globally ordered
-//! network state (`Net`: network RNG, compiled loss and latency samplers,
-//! fault plan, sequence stream). A partition keeps its nodes' state in
-//! struct-of-arrays form (protocol instances, upload queues, RNGs and
-//! liveness in separate dense vectors, the traffic counters column-wise in
-//! [`NetStats`]) beside its own calendar queue and timer table, and runs the
-//! one event loop: it drains a whole calendar bucket at a time
-//! ([`EventQueue::drain_bucket`]) and hands same-tick deliveries to one node
-//! to a single callback context. Context commands apply *eagerly* —
+//! One engine runs every simulation. The simulator owns the node population
+//! as one *partition* plus the network state (`Net`: network RNG, compiled
+//! loss and latency samplers, fault plan). The partition keeps its nodes'
+//! state in struct-of-arrays form (protocol instances, upload queues, RNGs
+//! and liveness in separate dense vectors indexed by node id, the traffic
+//! counters column-wise in [`NetStats`]) beside its calendar queue and timer
+//! table, and runs the one event loop: it drains a whole calendar bucket at
+//! a time ([`EventQueue::drain_bucket`]) and hands same-tick deliveries to
+//! one node to a single callback context. Context commands apply *eagerly* —
 //! `Context::send` runs the one transmit path inline: the upload-queue pass
-//! and the sender's statistics, then a *sink*, which the simulator picks
-//! from the partition count, never the caller:
-//!
-//! * **one partition** (the default, and [`SimulatorBuilder::sharded`]`(1)`)
-//!   — loss, latency and the queue push resolve on the spot. No partition
-//!   table, outbox or merged statistics exist.
-//! * **several partitions** ([`SimulatorBuilder::sharded`], [`crate::shard`])
-//!   — the command waits in the partition's outbox and resolves, in the
-//!   order one partition would have resolved it, at the next window
-//!   exchange.
-//!
-//! The choice is not a speed knob: on the 30 000-node scale-campaign shape,
-//! routing one partition through the outbox costs 1.15× and two partitions
-//! 1.25× the direct sink's wall time (`docs/SCALE.md`). Partitioning exists
-//! to split a population, and the differential suites hold it bit-identical
-//! to one partition.
+//! and the sender's statistics, then loss, latency and the queue push.
 //!
 //! Beside the engine sits one whole-engine *reference*, reachable only
 //! through the hidden [`SimulatorBuilder::reference_core`]: a
@@ -55,12 +39,9 @@ use crate::latency::{LatencyModel, LatencySampler};
 use crate::loss::{LossModel, LossSampler, LossState};
 use crate::node::NodeId;
 use crate::rng::stream_rng;
-use crate::shard::{ContractViolation, Exchange, ExchangeKey, OutEntry, ShardPolicy};
 use crate::stats::{MemoryFootprint, NetStats};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Wire-size annotation for protocol messages.
 ///
@@ -108,10 +89,6 @@ impl TimerId {
 /// also stores the timer's owning node and user tag, needed exactly once, at
 /// the fire site, which touches the slot anyway — so the queued `Timer`
 /// event is a bare [`TimerId`] (see [`EventKind`]).
-///
-/// Every partition keeps its own table (a timer's owner never changes
-/// partitions), so [`TimerId`] values are partition-relative — an
-/// opaque-handle property protocols already must not rely on.
 #[derive(Debug, Default)]
 struct TimerTable {
     slots: Vec<TimerSlot>,
@@ -186,12 +163,6 @@ impl TimerTable {
         }
     }
 
-    /// The node that armed the still pending `id`, and the tag it chose.
-    fn owner(&self, id: TimerId) -> (NodeId, u64) {
-        let entry = &self.slots[id.unpack().0 as usize];
-        (NodeId::new(entry.node), entry.tag)
-    }
-
     /// Number of timers currently armed.
     fn armed(&self) -> usize {
         self.slots.iter().filter(|s| s.armed).count()
@@ -261,7 +232,7 @@ enum Command<M> {
 /// ([`WireSize`] is a pure function of the message), and a timer's owning
 /// node and tag live in its [`TimerTable`] slot.
 #[derive(Debug, Clone)]
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
     Timer { timer: TimerId },
     Crash { node: NodeId },
@@ -270,37 +241,22 @@ pub(crate) enum EventKind<M> {
 /// A queue entry of the simulator.
 type Event<M> = ScheduledEvent<EventKind<M>>;
 
-/// The globally ordered network state, owned by the [`Simulator`] beside its
-/// partitions: whatever the partition count, every send consumes these in
-/// the one global `(time, seq)` order of the events that triggered them.
-pub(crate) struct Net {
+/// The network state every send consumes, owned by the [`Simulator`] beside
+/// its partition.
+struct Net {
     /// The network RNG: every loss and latency draw.
-    pub(crate) rng: SmallRng,
+    rng: SmallRng,
     /// The loss and latency models, compiled into their per-draw fast paths.
-    pub(crate) loss: LossSampler,
-    pub(crate) latency: LatencySampler,
-    /// The fault-injection schedule (inert by default); a send's partition
-    /// check is made against this copy.
-    pub(crate) fault: FaultPlan,
-    /// The sequence stream shared by several partitions' queues, assigned
-    /// at exchange points. One partition numbers events with its queue's
-    /// own counter — the same stream, assigned at the push sites.
-    pub(crate) next_seq: u64,
-}
-
-impl Net {
-    /// Hands out the next global sequence number.
-    pub(crate) fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
+    loss: LossSampler,
+    latency: LatencySampler,
+    /// The fault-injection schedule (inert by default).
+    fault: FaultPlan,
 }
 
 /// What only the reference core has
 /// ([`SimulatorBuilder::reference_core`]): the ordering oracle as its queue
 /// and the link models as configured, sampled per call.
-pub(crate) struct Reference<M> {
+struct Reference<M> {
     queue: BinaryHeapQueue<EventKind<M>>,
     latency: LatencyModel,
     loss: LossModel,
@@ -308,25 +264,10 @@ pub(crate) struct Reference<M> {
 }
 
 /// Where the transmit path hands a command once the sender-side work is
-/// done. Chosen by the simulator from the partition count.
-pub(crate) enum Sink<'a, M> {
-    /// One partition: loss, latency and the queue push resolve on the spot.
+/// done.
+enum Sink<'a, M> {
+    /// The engine: loss, latency and the queue push resolve on the spot.
     Direct(&'a mut Net),
-    /// Several partitions: everything that needs global coordination — loss
-    /// and latency draws from the shared network RNG, global sequence
-    /// numbers — waits in the partition's outbox, keyed by `(trigger event,
-    /// command index)`, and is resolved at the next window exchange in
-    /// exactly the order one partition would have resolved it.
-    Outbox {
-        /// Global sequence number of the event that triggered the callback
-        /// (the node's global index for `on_start`).
-        trigger_seq: u64,
-        /// Position of the next command within this callback.
-        cmd: u32,
-        /// Global id → column in the node's partition (one partition needs
-        /// no such table: its columns are the global ids).
-        local_of: &'a [u32],
-    },
     /// The reference core replaying a command buffer: resolved on the spot
     /// like [`Sink::Direct`], but through the models' own per-call paths and
     /// into the binary heap.
@@ -334,75 +275,41 @@ pub(crate) enum Sink<'a, M> {
 }
 
 impl<M> Sink<'_, M> {
-    /// This sink for the callback triggered by the event numbered `seq`.
+    /// The network state behind either sink.
     #[inline]
-    fn at(&mut self, seq: u64) -> Sink<'_, M> {
+    fn net(&mut self) -> &mut Net {
         match self {
-            Sink::Direct(net) => Sink::Direct(net),
-            Sink::Outbox { local_of, .. } => Sink::Outbox {
-                trigger_seq: seq,
-                cmd: 0,
-                local_of,
-            },
-            Sink::Reference(net, reference) => Sink::Reference(net, reference),
-        }
-    }
-
-    /// The column of `node` in its partition's arrays.
-    #[inline]
-    fn column(&self, node: NodeId) -> usize {
-        match self {
-            Sink::Outbox { local_of, .. } => local_of[node.index()] as usize,
-            Sink::Direct(_) | Sink::Reference(..) => node.index(),
+            Sink::Direct(net) | Sink::Reference(net, _) => net,
         }
     }
 }
 
-/// Everything a partition owns *except* its protocol instances, in
-/// struct-of-arrays form over the partition's columns (the global node index
-/// with one partition, a dense partition-local index with several).
+/// Everything the partition owns *except* its protocol instances, in
+/// struct-of-arrays form indexed by node id.
 ///
 /// Splitting this from the protocols is what lets [`Context`] dispatch
 /// eagerly: during a callback the protocol is borrowed from
 /// `Partition::protocols` while the context holds the whole state, so
 /// `Context::send` can run the transmit path inline.
-pub(crate) struct PartState<M> {
-    /// The partition's calendar queue. With several partitions it holds
-    /// exactly its members' events under globally assigned sequence numbers
-    /// (empty on the reference core, which queues in [`Reference`]).
-    pub(crate) queue: EventQueue<EventKind<M>>,
-    /// The partition clock: the time of the event being processed.
+struct PartState<M> {
+    /// The engine's calendar queue (empty on the reference core, which
+    /// queues in [`Reference`]).
+    queue: EventQueue<EventKind<M>>,
+    /// The clock: the time of the event being processed.
     now: SimTime,
     timers: TimerTable,
-    /// Traffic counters, by column.
-    pub(crate) stats: NetStats,
+    /// Traffic counters, by node.
+    stats: NetStats,
     uploads: Vec<UploadQueue>,
-    /// Per-node RNG streams (`stream_rng(seed, 1 + global id)` whatever the
-    /// partitioning).
+    /// Per-node RNG streams (`stream_rng(seed, 1 + node id)`).
     rngs: Vec<SmallRng>,
     alive: Vec<bool>,
-    /// The fault-injection schedule. Only the diurnal cycle is consulted
-    /// partition-side — at the enqueue instant, which every partitioning
-    /// evaluates at the same trigger time.
-    fault: FaultPlan,
-    /// Commands waiting for the next exchange ([`Sink::Outbox`]); never
-    /// allocated with one partition.
-    pub(crate) outbox: Vec<OutEntry<M>>,
-    /// Fire times (µs) of timer events routed into this partition's queue,
-    /// a min-heap feeding the window driver's pending-timer clamp
-    /// (`PartState::timer_floor` in [`crate::shard`]). Maintained when
-    /// [`PartState::track_timer_fires`] is set: several partitions and a
-    /// lookahead of more than one bucket (with one the clamp is vacuous).
-    pub(crate) timer_fires: BinaryHeap<Reverse<u64>>,
-    pub(crate) track_timer_fires: bool,
 }
 
 impl<M> PartState<M> {
-    /// Records this partition's substrate components into `f`; partitions
-    /// sum in place under the same labels (see [`MemoryFootprint::record`]).
-    /// Bucket capacity beyond the pending entries follows the peak event
-    /// population and is reported as slack; only the wheels' fixed slot
-    /// arrays go uncounted.
+    /// Records the substrate components into `f`. Bucket capacity beyond
+    /// the pending entries follows the peak event population and is reported
+    /// as slack; only the wheels' fixed slot arrays go uncounted.
     fn record_footprint(&self, f: &mut MemoryFootprint) {
         use std::mem::size_of;
         f.record("net stats columns", self.stats.heap_bytes());
@@ -424,57 +331,42 @@ impl<M> PartState<M> {
 
 impl<M: WireSize> PartState<M> {
     /// The one transmit path: `msg` passes through the upload queue of
-    /// `from` (column `local`) and is charged to the sender's statistics,
-    /// then goes to the sink — resolved on the spot or deferred to the
-    /// exchange under the command's [`ExchangeKey`]. The engine and the
+    /// `from` and is charged to the sender's statistics, then the sink draws
+    /// loss and latency and schedules the delivery. The engine and the
     /// reference core differ only in how loss and latency are drawn (same
     /// draws, same values).
-    fn transmit(&mut self, sink: &mut Sink<'_, M>, from: NodeId, local: usize, to: NodeId, msg: M) {
+    fn transmit(&mut self, sink: &mut Sink<'_, M>, from: NodeId, to: NodeId, msg: M) {
         let bytes = msg.wire_size();
         let now = self.now;
-        let column = NodeId::new(local as u32);
-        let upload = &mut self.uploads[local];
-        let departure = match self.fault.bandwidth_scale(now) {
+        let upload = &mut self.uploads[from.index()];
+        let departure = match sink.net().fault.bandwidth_scale(now) {
             None => upload.enqueue_if_accepted(now, bytes),
             Some(scale) => upload.enqueue_if_accepted_scaled(now, bytes, scale),
         };
         let Some(departure) = departure else {
             // Finite send buffer: the message is dropped at the sender.
-            self.stats.record_queue_drop(column);
+            self.stats.record_queue_drop(from);
             return;
         };
-        self.stats.record_send(column, bytes);
+        self.stats.record_send(from, bytes);
         self.stats.total_queueing_delay += departure - now;
         // A send severed by an active partition epoch is dropped exactly
-        // like a network loss, consuming no randomness (the exchange makes
-        // the identical check for the identical instant).
+        // like a network loss, consuming no randomness.
         match sink {
             Sink::Direct(net) => {
                 if net.fault.blocks(now, from, to) || net.loss.is_lost(&mut net.rng, from, to) {
-                    self.stats.record_loss(column);
+                    self.stats.record_loss(from);
                     return;
                 }
                 let latency = net.latency.sample(&mut net.rng);
                 self.queue
                     .push(departure + latency, EventKind::Deliver { from, to, msg });
             }
-            Sink::Outbox {
-                trigger_seq, cmd, ..
-            } => {
-                self.outbox.push(OutEntry::Deliver {
-                    key: ExchangeKey::new(now, *trigger_seq, *cmd),
-                    departure,
-                    from,
-                    to,
-                    msg,
-                });
-                *cmd += 1;
-            }
             Sink::Reference(net, r) => {
                 if net.fault.blocks(now, from, to)
                     || r.loss_state.is_lost(&r.loss, &mut net.rng, from, to)
                 {
-                    self.stats.record_loss(column);
+                    self.stats.record_loss(from);
                     return;
                 }
                 let latency = r.latency.sample(&mut net.rng, from, to);
@@ -492,19 +384,6 @@ impl<M: WireSize> PartState<M> {
             Sink::Direct(_) => {
                 self.queue.push(fire, EventKind::Timer { timer });
             }
-            Sink::Outbox {
-                trigger_seq, cmd, ..
-            } => {
-                let (node, tag) = self.timers.owner(timer);
-                self.outbox.push(OutEntry::Timer {
-                    key: ExchangeKey::new(self.now, *trigger_seq, *cmd),
-                    fire,
-                    node,
-                    timer,
-                    tag,
-                });
-                *cmd += 1;
-            }
             Sink::Reference(_, r) => {
                 r.queue.push(fire, EventKind::Timer { timer });
             }
@@ -514,25 +393,22 @@ impl<M: WireSize> PartState<M> {
 
 /// Command surface handed to protocol callbacks.
 ///
-/// Commands take effect immediately: `send` runs the transmit path inline
-/// (with several partitions up to the globally ordered loss and latency
-/// draws, which wait for the next exchange), `set_timer` arms the slot and
-/// schedules the fire event. The reference core instead records commands
-/// into a buffer it replays after the callback returns. The schedules are
-/// indistinguishable to protocols: commands act in issue order either way,
-/// protocols cannot observe network state mid-callback, and per-node and
-/// network RNG streams are independent, so every draw lands identically.
+/// Commands take effect immediately: `send` runs the transmit path inline,
+/// `set_timer` arms the slot and schedules the fire event. The reference
+/// core instead records commands into a buffer it replays after the
+/// callback returns. The schedules are indistinguishable to protocols:
+/// commands act in issue order either way, protocols cannot observe network
+/// state mid-callback, and per-node and network RNG streams are independent,
+/// so every draw lands identically.
 pub struct Context<'a, M> {
     node: NodeId,
-    /// Index of `node` in the partition's columns.
-    local: usize,
     part: &'a mut PartState<M>,
     commands: Commands<'a, M>,
 }
 
 /// How a callback's commands take effect.
 enum Commands<'a, M> {
-    /// The engine: at once, through the partition's sink.
+    /// The engine: at once, through [`Sink::Direct`].
     Eager(Sink<'a, M>),
     /// The reference core: recorded, and replayed through
     /// [`Sink::Reference`] once the callback has returned.
@@ -540,27 +416,12 @@ enum Commands<'a, M> {
 }
 
 impl<'a, M: WireSize> Context<'a, M> {
-    /// An engine context for `node` (column `local` of `part`).
-    fn eager(node: NodeId, local: usize, part: &'a mut PartState<M>, sink: Sink<'a, M>) -> Self {
+    /// An engine context for `node`.
+    fn eager(node: NodeId, part: &'a mut PartState<M>, net: &'a mut Net) -> Self {
         Context {
             node,
-            local,
             part,
-            commands: Commands::Eager(sink),
-        }
-    }
-
-    /// Re-keys an outbox context to a new triggering event (a same-tick
-    /// delivery run reuses one context) and resets the command index, so the
-    /// global command order is preserved exactly.
-    #[inline]
-    fn retrigger(&mut self, seq: u64) {
-        if let Commands::Eager(Sink::Outbox {
-            trigger_seq, cmd, ..
-        }) = &mut self.commands
-        {
-            *trigger_seq = seq;
-            *cmd = 0;
+            commands: Commands::Eager(Sink::Direct(net)),
         }
     }
 
@@ -577,7 +438,7 @@ impl<'a, M: WireSize> Context<'a, M> {
     /// The node's deterministic random-number generator.
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.part.rngs[self.local]
+        &mut self.part.rngs[self.node.index()]
     }
 
     /// Sends `msg` to `to`. The message passes through this node's upload
@@ -585,7 +446,7 @@ impl<'a, M: WireSize> Context<'a, M> {
     #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
         match &mut self.commands {
-            Commands::Eager(sink) => self.part.transmit(sink, self.node, self.local, to, msg),
+            Commands::Eager(sink) => self.part.transmit(sink, self.node, to, msg),
             Commands::Deferred(buffer) => buffer.push(Command::Send { to, msg }),
         }
     }
@@ -620,20 +481,16 @@ impl<'a, M: WireSize> Context<'a, M> {
 /// See the [crate-level documentation](crate).
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
-    pub(crate) n: usize,
+    n: usize,
     seed: u64,
     latency: LatencyModel,
     loss: LossModel,
     fault: FaultPlan,
-    pub(crate) capacities: Vec<UploadCapacity>,
+    capacities: Vec<UploadCapacity>,
     queue_limit: Option<SimDuration>,
     /// Whether to build the reference core instead of the engine
     /// ([`SimulatorBuilder::reference_core`]).
     reference: bool,
-    /// Number of partitions (default 1).
-    pub(crate) shards: usize,
-    /// How the node population is split over several partitions.
-    pub(crate) shard_policy: ShardPolicy,
 }
 
 impl SimulatorBuilder {
@@ -648,54 +505,14 @@ impl SimulatorBuilder {
             capacities: vec![UploadCapacity::Unlimited; n],
             queue_limit: None,
             reference: false,
-            shards: 1,
-            shard_policy: ShardPolicy::Contiguous,
         }
-    }
-
-    /// Splits the node population into `shards` partitions that run the
-    /// event loop window by window and exchange what they sent at the window
-    /// boundaries ([`crate::shard`]).
-    ///
-    /// Results are *bit-identical* for any partition count and
-    /// [`SimulatorBuilder::shard_policy`] — same callback order per node,
-    /// same RNG draws, same statistics — provided the determinism contract
-    /// holds: every scheduling delay (link latency and timer delay) must span
-    /// at least one calendar bucket
-    /// ([`BUCKET_WIDTH_MICROS`](crate::event::BUCKET_WIDTH_MICROS)). The
-    /// latency bound is asserted at build time; timer-delay violations stop
-    /// the run at the next exchange and surface as a [`ContractViolation`]
-    /// ([`Simulator::run_to_completion`],
-    /// [`Simulator::contract_violation`]).
-    ///
-    /// `sharded(1)` is the default simulator: one partition has nothing to
-    /// exchange, so no partition table is built and no contract applies.
-    /// Partitioning is not a speed knob — one partition is the fastest
-    /// configuration measured on every host so far (`docs/SCALE.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero; `build` panics if there are several
-    /// partitions and the latency model's minimum delay is shorter than one
-    /// calendar bucket.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "sharded() needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the node-partitioning policy used by [`SimulatorBuilder::sharded`]
-    /// (default: [`ShardPolicy::Contiguous`]).
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
-        self
     }
 
     /// Builds the whole-engine *reference* of the [module docs](self)
     /// instead of the engine. Results are bit-identical — the pop order is
     /// the same `(time, seq)` order and every random draw yields the same
     /// value — which is the point: it is the oracle of the differential
-    /// tests, not a simulator configuration, and it cannot be sharded.
+    /// tests, not a simulator configuration.
     #[doc(hidden)]
     pub fn reference_core(mut self) -> Self {
         self.reference = true;
@@ -724,9 +541,7 @@ impl SimulatorBuilder {
     }
 
     /// Installs a fault-injection schedule (default: inert; see
-    /// [`FaultPlan`] for the fault classes). Interpreted identically at
-    /// every partition count, so faulted runs stay bit-identical across
-    /// them.
+    /// [`FaultPlan`] for the fault classes).
     ///
     /// # Panics
     ///
@@ -762,7 +577,7 @@ impl SimulatorBuilder {
     /// Builds the simulator, constructing one protocol instance per node via
     /// `make_node` in id order, and runs every node's `on_start` at time
     /// zero.
-    pub fn build<P, F>(self, mut make_node: F) -> Simulator<P>
+    pub fn build<P, F>(self, make_node: F) -> Simulator<P>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P,
@@ -774,63 +589,25 @@ impl SimulatorBuilder {
                 "a fault plan with partition epochs needs one group per node"
             );
         }
-        assert!(
-            !(self.reference && self.shards > 1),
-            "the reference core cannot be sharded"
-        );
-        let n = self.n as u32;
-        let latency = LatencySampler::new(&self.latency);
-        let shape = if self.shards > 1 {
-            Shape::Several(Box::new(Exchange::new(&self, latency.min_delay())))
-        } else if self.reference {
-            Shape::Reference(Reference {
-                queue: BinaryHeapQueue::new(),
-                latency: self.latency.clone(),
-                loss: self.loss.clone(),
-                loss_state: LossState::new(self.n),
-            })
-        } else {
-            Shape::One
-        };
-        let parts = match &shape {
-            Shape::One | Shape::Reference(_) => {
-                vec![Partition::new(&self, 0..n, |g| make_node(NodeId::new(g)))]
-            }
-            Shape::Several(exchange) => {
-                // Construction in global id order, then distribution.
-                let mut nodes: Vec<Option<P>> =
-                    (0..n).map(|g| Some(make_node(NodeId::new(g)))).collect();
-                exchange
-                    .plan
-                    .members
-                    .iter()
-                    .map(|members| {
-                        let mut part = Partition::new(&self, members.iter().copied(), |g| {
-                            nodes[g as usize].take().expect("one partition per node")
-                        });
-                        // Preallocated once; a fuller window grows it.
-                        part.state.outbox = Vec::with_capacity((8 * members.len()).max(1024));
-                        part.state.track_timer_fires = exchange.lookahead_buckets > 1;
-                        part
-                    })
-                    .collect()
-            }
-        };
+        let reference = self.reference.then(|| Reference {
+            queue: BinaryHeapQueue::new(),
+            latency: self.latency.clone(),
+            loss: self.loss.clone(),
+            loss_state: LossState::new(self.n),
+        });
         let mut sim = Simulator {
-            parts,
+            part: Partition::new(&self, make_node),
             net: Net {
                 rng: stream_rng(self.seed, 0),
                 loss: LossSampler::new(&self.loss, self.n),
-                latency,
+                latency: LatencySampler::new(&self.latency),
                 fault: self.fault,
-                next_seq: 0,
             },
-            shape,
+            reference,
         };
         sim.start_all();
         // Correlated crashes from the fault plan are scheduled right after
-        // the start round, so they take the same positions in the global
-        // event order at every partition count.
+        // the start round.
         for epoch in sim.net.fault.crashes().to_vec() {
             for node in epoch.nodes {
                 sim.schedule_crash(node, epoch.at);
@@ -840,37 +617,33 @@ impl SimulatorBuilder {
     }
 }
 
-/// One partition of the node population: its protocol instances plus its
-/// [`PartState`]. The simulator holds one (the whole population, columns
-/// indexed by global id) or several (columns indexed through the exchange's
-/// `local_of` table).
-pub(crate) struct Partition<P: Protocol> {
-    /// Protocol instances, by column.
+/// The node population: its protocol instances plus its [`PartState`],
+/// both indexed by node id.
+struct Partition<P: Protocol> {
+    /// Protocol instances, by node id.
     protocols: Vec<P>,
-    pub(crate) state: PartState<P::Message>,
+    state: PartState<P::Message>,
     /// Reusable batch buffer for [`EventQueue::drain_bucket`]; its capacity
     /// is recycled through the queue's bucket storage via `mem::swap`.
     batch: Vec<Event<P::Message>>,
 }
 
 impl<P: Protocol> Partition<P> {
-    /// A partition of `members` (global ids, ascending — the column order),
-    /// each running the protocol instance `node` hands over.
-    fn new(
-        builder: &SimulatorBuilder,
-        members: impl Iterator<Item = u32> + Clone,
-        node: impl FnMut(u32) -> P,
-    ) -> Self {
-        let protocols: Vec<P> = members.clone().map(node).collect();
-        let uploads = members
-            .clone()
-            .map(|g| {
-                let mut upload = UploadQueue::new(builder.capacities[g as usize]);
+    /// The builder's population, each node running the protocol instance
+    /// `make_node` returns for it (called in id order).
+    fn new(builder: &SimulatorBuilder, mut make_node: impl FnMut(NodeId) -> P) -> Self {
+        let n = builder.n as u32;
+        let protocols: Vec<P> = (0..n).map(|g| make_node(NodeId::new(g))).collect();
+        let uploads = builder
+            .capacities
+            .iter()
+            .map(|&capacity| {
+                let mut upload = UploadQueue::new(capacity);
                 upload.set_max_backlog(builder.queue_limit);
                 upload
             })
             .collect();
-        let rngs = members
+        let rngs = (0..n)
             .map(|g| stream_rng(builder.seed, 1 + g as u64))
             .collect();
         Partition {
@@ -882,10 +655,6 @@ impl<P: Protocol> Partition<P> {
                 uploads,
                 rngs,
                 alive: vec![true; protocols.len()],
-                fault: builder.fault.clone(),
-                outbox: Vec::new(),
-                timer_fires: BinaryHeap::new(),
-                track_timer_fires: false,
             },
             protocols,
             batch: Vec::new(),
@@ -911,19 +680,12 @@ impl<P: Protocol> Partition<P> {
     ///   seq)` order before each top-level dispatch. New pushes always
     ///   receive sequence numbers above every batch entry, so an intruder
     ///   can never order *between* same-time batch entries — consuming a
-    ///   same-tick delivery run from the batch alone stays exact. A
-    ///   partition on [`Sink::Outbox`] pushes nothing while a batch is
-    ///   outstanding and never triggers the merge.
+    ///   same-tick delivery run from the batch alone stays exact.
     ///
-    /// Force-inlined, like the dispatch under it, so each of the two call
-    /// sites folds the branches of the sink it passes: one shared
-    /// out-of-line copy measured +25 % on the `flood-10k` benchmark.
+    /// Force-inlined, like the dispatch under it: an out-of-line copy
+    /// measured +25 % on the `flood-10k` benchmark.
     #[inline(always)]
-    pub(crate) fn run(
-        &mut self,
-        deadline: Option<SimTime>,
-        sink: &mut Sink<'_, P::Message>,
-    ) -> u64 {
+    fn run(&mut self, deadline: Option<SimTime>, net: &mut Net) -> u64 {
         let mut processed = 0;
         let mut batch = std::mem::take(&mut self.batch);
         debug_assert!(batch.is_empty());
@@ -938,7 +700,7 @@ impl<P: Protocol> Partition<P> {
                 let Some(ev) = popped else {
                     break;
                 };
-                processed += self.dispatch_popped(ev, sink);
+                processed += self.dispatch_popped(ev, net);
                 continue;
             }
             while let Some(next) = batch.last().map(|ev| (ev.time, ev.seq)) {
@@ -952,11 +714,11 @@ impl<P: Protocol> Partition<P> {
                         Some(front) if (front.time, front.seq) < next
                     ) {
                         let ev = self.state.queue.pop().expect("front was peeked");
-                        processed += self.dispatch_popped(ev, sink);
+                        processed += self.dispatch_popped(ev, net);
                     }
                 }
                 let ev = batch.pop().expect("last() was Some");
-                processed += self.dispatch(ev, &mut batch, sink);
+                processed += self.dispatch(ev, &mut batch, net);
             }
             self.state.queue.finish_drain();
         }
@@ -969,8 +731,8 @@ impl<P: Protocol> Partition<P> {
     /// delivery is its own run. Out of line so the loop carries one inlined
     /// copy of the dispatch, the batch's.
     #[inline(never)]
-    fn dispatch_popped(&mut self, ev: Event<P::Message>, sink: &mut Sink<'_, P::Message>) -> u64 {
-        self.dispatch(ev, &mut Vec::new(), sink)
+    fn dispatch_popped(&mut self, ev: Event<P::Message>, net: &mut Net) -> u64 {
+        self.dispatch(ev, &mut Vec::new(), net)
     }
 
     /// Dispatches one event; a delivery's same-tick run extends from
@@ -980,37 +742,35 @@ impl<P: Protocol> Partition<P> {
         &mut self,
         ev: Event<P::Message>,
         batch: &mut Vec<Event<P::Message>>,
-        sink: &mut Sink<'_, P::Message>,
+        net: &mut Net,
     ) -> u64 {
         self.state.now = ev.time;
         match ev.payload {
-            EventKind::Deliver { from, to, msg } => {
-                1 + self.deliver_run(ev.seq, from, to, msg, batch, sink)
-            }
+            EventKind::Deliver { from, to, msg } => 1 + self.deliver_run(from, to, msg, batch, net),
             EventKind::Timer { timer } => {
                 // Firing always frees the slot; a cancelled (or stale)
                 // timer, or one whose owner has crashed, is simply not
                 // delivered.
                 if let Some((node, tag)) = self.state.timers.fire(timer) {
-                    let local = sink.column(node);
-                    if self.state.alive[local] {
-                        let mut ctx = Context::eager(node, local, &mut self.state, sink.at(ev.seq));
-                        self.protocols[local].on_timer(&mut ctx, timer, tag);
+                    if self.state.alive[node.index()] {
+                        let mut ctx = Context::eager(node, &mut self.state, net);
+                        self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
                     }
                 }
                 1
             }
             EventKind::Crash { node } => {
-                self.crash(sink.column(node));
+                self.crash(node);
                 1
             }
         }
     }
 
-    fn crash(&mut self, local: usize) {
-        if self.state.alive[local] {
-            self.state.alive[local] = false;
-            self.protocols[local].on_crash(self.state.now);
+    fn crash(&mut self, node: NodeId) {
+        let idx = node.index();
+        if self.state.alive[idx] {
+            self.state.alive[idx] = false;
+            self.protocols[idx].on_crash(self.state.now);
         }
     }
 
@@ -1026,50 +786,43 @@ impl<P: Protocol> Partition<P> {
     /// batch, so it orders after every same-time batch entry and the batch
     /// tail alone decides run extension as the global queue front would.
     /// Where runs end is not an observable (sequential dispatch would splice
-    /// such an intruder into the *same* run; several partitions group
-    /// differently again): activation boundaries are invisible to protocols
-    /// and the batched statistics sum identically.
+    /// such an intruder into the *same* run): activation boundaries are
+    /// invisible to protocols and the batched statistics sum identically.
     #[inline(always)]
     fn deliver_run(
         &mut self,
-        trigger_seq: u64,
         from: NodeId,
         to: NodeId,
         msg: P::Message,
         batch: &mut Vec<Event<P::Message>>,
-        sink: &mut Sink<'_, P::Message>,
+        net: &mut Net,
     ) -> u64 {
-        let local = sink.column(to);
-        let stats_column = NodeId::new(local as u32);
         let now = self.state.now;
-        if !self.state.alive[local] {
+        if !self.state.alive[to.index()] {
             // Drain the dead-destination run without a context.
             let mut count = 1u64;
             while extends_run(batch.last(), now, to) {
                 let _ = batch.pop();
                 count += 1;
             }
-            self.state.stats.record_to_dead_n(stats_column, count);
+            self.state.stats.record_to_dead_n(to, count);
             return count - 1;
         }
         let mut count = 1u64;
         let mut total_bytes = msg.wire_size() as u64;
-        let protocol = &mut self.protocols[local];
-        let mut ctx = Context::eager(to, local, &mut self.state, sink.at(trigger_seq));
+        let protocol = &mut self.protocols[to.index()];
+        let mut ctx = Context::eager(to, &mut self.state, net);
         protocol.on_message(&mut ctx, from, msg);
         while extends_run(batch.last(), now, to) {
             let ev = batch.pop().expect("tail was checked");
             let EventKind::Deliver { from, msg, .. } = ev.payload else {
                 unreachable!("run extension is a delivery");
             };
-            ctx.retrigger(ev.seq);
             count += 1;
             total_bytes += msg.wire_size() as u64;
             protocol.on_message(&mut ctx, from, msg);
         }
-        ctx.part
-            .stats
-            .record_deliveries(stats_column, count, total_bytes);
+        ctx.part.stats.record_deliveries(to, count, total_bytes);
         count - 1
     }
 }
@@ -1123,7 +876,7 @@ fn run_reference<P: Protocol>(
                     });
                 }
             }
-            EventKind::Crash { node } => part.crash(node.index()),
+            EventKind::Crash { node } => part.crash(node),
         }
     }
     processed
@@ -1150,7 +903,6 @@ fn reference_callback<P, F>(
     let mut commands = Vec::new();
     let mut ctx = Context {
         node: id,
-        local: idx,
         part: &mut part.state,
         commands: Commands::Deferred(&mut commands),
     };
@@ -1158,7 +910,7 @@ fn reference_callback<P, F>(
     let mut sink = Sink::Reference(net, reference);
     for cmd in commands {
         match cmd {
-            Command::Send { to, msg } => part.state.transmit(&mut sink, id, idx, to, msg),
+            Command::Send { to, msg } => part.state.transmit(&mut sink, id, to, msg),
             Command::SetTimer { id, delay } => part.state.schedule_timer(&mut sink, id, delay),
             Command::CancelTimer { id } => part.state.timers.cancel(id),
         }
@@ -1167,77 +919,45 @@ fn reference_callback<P, F>(
 
 /// The discrete-event simulator hosting one [`Protocol`] instance per node.
 ///
-/// It owns the partitions of the node population — one by default, several
-/// under [`SimulatorBuilder::sharded`] — and the globally ordered network
-/// state they share. Every partition count produces the bit-identical
-/// simulation for a given seed; the public API does not depend on it.
+/// It owns the node population, the network state and — only when built
+/// with the hidden [`SimulatorBuilder::reference_core`] — the reference
+/// core's queue and models.
 pub struct Simulator<P: Protocol> {
-    parts: Vec<Partition<P>>,
+    part: Partition<P>,
     net: Net,
-    shape: Shape<P::Message>,
-}
-
-/// What a simulator is made of besides its partitions and network state.
-enum Shape<M> {
-    /// The engine on one partition: nothing else.
-    One,
-    /// The engine on several partitions: their tables and exchange state.
-    Several(Box<Exchange<M>>),
-    /// The reference core (one partition, by construction).
-    Reference(Reference<M>),
+    reference: Option<Reference<P::Message>>,
 }
 
 impl<P: Protocol> Simulator<P> {
-    /// Runs every node's `on_start` in global id order. With several
-    /// partitions the deferred commands are then exchanged under `(node
-    /// index, command index)` keys — no cutoff: nothing has been processed,
-    /// so even sub-bucket timer phases are in-contract here.
+    /// Runs every node's `on_start` in id order.
     fn start_all(&mut self) {
-        for g in 0..self.len() as u32 {
-            let id = NodeId::new(g);
-            let (p, local) = self.locate(id);
-            let part = &mut self.parts[p];
-            let sink = match &mut self.shape {
-                Shape::One => Sink::Direct(&mut self.net),
-                Shape::Several(exchange) => Sink::Outbox {
-                    trigger_seq: g as u64,
-                    cmd: 0,
-                    local_of: &exchange.plan.local_of,
-                },
-                Shape::Reference(reference) => {
-                    reference_callback(part, &mut self.net, reference, id, |proto, ctx| {
-                        proto.on_start(ctx)
-                    });
-                    continue;
+        let Simulator {
+            part,
+            net,
+            reference,
+        } = self;
+        for g in 0..part.protocols.len() {
+            let id = NodeId::new(g as u32);
+            match reference {
+                None => {
+                    let mut ctx = Context::eager(id, &mut part.state, net);
+                    part.protocols[g].on_start(&mut ctx);
                 }
-            };
-            let mut ctx = Context::eager(id, local, &mut part.state, sink);
-            part.protocols[local].on_start(&mut ctx);
-        }
-        if let Shape::Several(exchange) = &mut self.shape {
-            exchange.exchange(&mut self.parts, &mut self.net, None);
-            exchange.refresh_stats(&self.parts);
-        }
-    }
-
-    /// The partition and column holding `id`.
-    fn locate(&self, id: NodeId) -> (usize, usize) {
-        match &self.shape {
-            Shape::Several(exchange) => exchange.locate(id),
-            Shape::One | Shape::Reference(_) => (0, id.index()),
+                Some(reference) => {
+                    reference_callback(part, net, reference, id, |proto, ctx| proto.on_start(ctx))
+                }
+            }
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.parts
-            .iter()
-            .fold(SimTime::ZERO, |now, part| now.max(part.state.now))
+        self.part.state.now
     }
 
     /// The number of nodes (alive or crashed).
     pub fn len(&self) -> usize {
-        self.parts.iter().map(|part| part.protocols.len()).sum()
+        self.part.protocols.len()
     }
 
     /// Returns `true` if the simulation hosts no nodes.
@@ -1245,47 +965,34 @@ impl<P: Protocol> Simulator<P> {
         self.len() == 0
     }
 
-    /// The exchange-window width of a run on several partitions, in
-    /// calendar buckets: `floor(min_latency / bucket_width)`, at least 1.
-    /// Returns 1 with one partition, which has no exchange to bound.
-    pub fn lookahead_buckets(&self) -> u64 {
-        match &self.shape {
-            Shape::Several(exchange) => exchange.lookahead_buckets,
-            Shape::One | Shape::Reference(_) => 1,
-        }
-    }
-
     /// Whether `id` is still alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        let (p, local) = self.locate(id);
-        self.parts[p].state.alive[local]
+        self.part.state.alive[id.index()]
     }
 
     /// Read access to the protocol state of `id`.
     pub fn node(&self, id: NodeId) -> &P {
-        let (p, local) = self.locate(id);
-        &self.parts[p].protocols[local]
+        &self.part.protocols[id.index()]
     }
 
     /// Mutable access to the protocol state of `id` (for experiment oracles;
     /// protocol logic itself should only act through callbacks).
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        let (p, local) = self.locate(id);
-        &mut self.parts[p].protocols[local]
+        &mut self.part.protocols[id.index()]
     }
 
     /// Iterates over all protocol instances with their ids, in id order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        (0..self.len() as u32).map(move |i| {
-            let id = NodeId::new(i);
-            (id, self.node(id))
-        })
+        self.part
+            .protocols
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (NodeId::new(i as u32), node))
     }
 
     /// The upload queue (and thus traffic counters) of `id`.
     pub fn upload_queue(&self, id: NodeId) -> &UploadQueue {
-        let (p, local) = self.locate(id);
-        &self.parts[p].state.uploads[local]
+        &self.part.state.uploads[id.index()]
     }
 
     /// An itemised, capacity-based estimate of the simulator's resident
@@ -1295,39 +1002,23 @@ impl<P: Protocol> Simulator<P> {
     /// RNG streams, liveness, timer slots) plus the protocol instances at
     /// `size_of::<P>()` each; heap owned *inside* protocol state is
     /// invisible here (the counting-allocator regression guard covers it).
-    /// Several partitions sum under the same component labels and add their
-    /// merged statistics cache.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let mut f = MemoryFootprint::new(self.len());
-        for part in &self.parts {
-            f.record(
-                "protocol state",
-                (part.protocols.capacity() * std::mem::size_of::<P>()) as u64,
-            );
-            part.state.record_footprint(&mut f);
-        }
-        match &self.shape {
-            Shape::One => {}
-            Shape::Several(exchange) => {
-                f.record("merged stats cache", exchange.stats.heap_bytes());
-            }
-            Shape::Reference(reference) => {
-                let entry = std::mem::size_of::<Event<P::Message>>();
-                f.record("pending events", (reference.queue.len() * entry) as u64);
-            }
+        f.record(
+            "protocol state",
+            (self.part.protocols.capacity() * std::mem::size_of::<P>()) as u64,
+        );
+        self.part.state.record_footprint(&mut f);
+        if let Some(reference) = &self.reference {
+            let entry = std::mem::size_of::<Event<P::Message>>();
+            f.record("pending events", (reference.queue.len() * entry) as u64);
         }
         f
     }
 
     /// Network-wide traffic statistics.
-    ///
-    /// With several partitions this is the merged view of their statistics
-    /// columns, refreshed at the end of every run call.
     pub fn stats(&self) -> &NetStats {
-        match &self.shape {
-            Shape::Several(exchange) => &exchange.stats,
-            Shape::One | Shape::Reference(_) => &self.parts[0].state.stats,
-        }
+        &self.part.state.stats
     }
 
     /// Schedules a crash of `node` at absolute time `at`.
@@ -1345,103 +1036,64 @@ impl<P: Protocol> Simulator<P> {
         );
         assert!(at >= self.now(), "cannot schedule a crash in the past");
         let crash = EventKind::Crash { node };
-        let (p, _) = self.locate(node);
-        let queue = &mut self.parts[p].state.queue;
-        match &mut self.shape {
-            Shape::One => {
-                queue.push(at, crash);
-            }
-            // Serial context (between runs): take the next global sequence
-            // number exactly where one partition's push would.
-            Shape::Several(_) => queue.push_at_seq(at, self.net.take_seq(), crash),
-            Shape::Reference(reference) => {
-                reference.queue.push(at, crash);
-            }
-        }
+        match &mut self.reference {
+            None => self.part.state.queue.push(at, crash),
+            Some(reference) => reference.queue.push(at, crash),
+        };
     }
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        match &self.shape {
-            Shape::Reference(reference) => reference.queue.len(),
-            _ => self.parts.iter().map(|part| part.state.queue.len()).sum(),
+        match &self.reference {
+            None => self.part.state.queue.len(),
+            Some(reference) => reference.queue.len(),
         }
     }
 
     /// Number of timers currently armed (set and neither fired nor
     /// cancelled).
     pub fn armed_timers(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|part| part.state.timers.armed())
-            .sum()
+        self.part.state.timers.armed()
     }
 
     /// Number of timer slots ever allocated. Bounded by the peak number of
     /// *concurrently pending* timers: firing frees a slot for reuse and
     /// cancelling an already-fired timer leaves no state behind.
     pub fn timer_slots(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|part| part.state.timers.capacity())
-            .sum()
+        self.part.state.timers.capacity()
     }
 
     /// Runs until the event queue is exhausted or `deadline` is reached,
     /// whichever comes first. Returns the number of events processed.
-    ///
-    /// Several partitions are stepped one after another, window by window
-    /// ([`crate::shard`]); a run that breaches their determinism contract
-    /// stops at the breach, short of the deadline
-    /// ([`Simulator::contract_violation`]).
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.run(Some(deadline))
     }
 
-    /// Runs until the event queue is completely exhausted. Returns the number
-    /// of events processed, or — on several partitions whose run broke the
-    /// determinism contract — the [`ContractViolation`]. One partition has
-    /// no such contract and always succeeds. Use with care: protocols with
-    /// periodic timers never drain their queue — prefer
-    /// [`Simulator::run_until`].
-    pub fn run_to_completion(&mut self) -> Result<u64, ContractViolation> {
-        let processed = self.run(None);
-        match self.contract_violation() {
-            Some(violation) => Err(violation),
-            None => Ok(processed),
-        }
+    /// Runs until the event queue is completely exhausted and returns the
+    /// number of events processed. Use with care: protocols with periodic
+    /// timers never drain their queue — prefer [`Simulator::run_until`].
+    ///
+    /// Infallible; the `Result` stays for the repo benchmark until ROADMAP item 2(b) removes it.
+    pub fn run_to_completion(&mut self) -> Result<u64, std::convert::Infallible> {
+        Ok(self.run(None))
     }
 
-    /// The determinism-contract breach observed so far, if any. Always `None`
-    /// with one partition. A run on several partitions that breached the
-    /// contract stops early ([`Simulator::run_until`] returns without
-    /// reaching its deadline) and latches the violation here;
-    /// [`Simulator::run_to_completion`] additionally surfaces it as an `Err`.
-    pub fn contract_violation(&self) -> Option<ContractViolation> {
-        match &self.shape {
-            Shape::Several(exchange) => exchange.violation(),
-            Shape::One | Shape::Reference(_) => None,
-        }
-    }
-
-    /// Processes every event up to `deadline` with the loop the simulator's
-    /// shape calls for, then advances the clocks to the deadline — even if
-    /// the queues drained early, so that subsequent scheduling is relative
-    /// to the requested time — unless a contract breach stopped the run.
+    /// Processes every event up to `deadline` on the engine or the
+    /// reference, then advances the clock to the deadline — even if the
+    /// queue drained early, so that subsequent scheduling is relative to the
+    /// requested time.
     fn run(&mut self, deadline: Option<SimTime>) -> u64 {
-        let Simulator { parts, net, shape } = self;
-        let processed = match shape {
-            Shape::One => parts[0].run(deadline, &mut Sink::Direct(net)),
-            Shape::Several(exchange) => exchange.run_windows(parts, net, deadline),
-            Shape::Reference(reference) => run_reference(&mut parts[0], net, reference, deadline),
+        let Simulator {
+            part,
+            net,
+            reference,
+        } = self;
+        let processed = match reference {
+            None => part.run(deadline, net),
+            Some(reference) => run_reference(part, net, reference, deadline),
         };
-        if let (Some(deadline), None) = (deadline, self.contract_violation()) {
-            for part in &mut self.parts {
-                part.state.now = part.state.now.max(deadline);
-            }
-        }
-        if let Shape::Several(exchange) = &mut self.shape {
-            exchange.refresh_stats(&self.parts);
+        if let Some(deadline) = deadline {
+            part.state.now = part.state.now.max(deadline);
         }
         processed
     }
@@ -1508,9 +1160,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_covers_every_partition_count() {
-        let flat = build(32);
-        let f = flat.memory_footprint();
+    fn memory_footprint_covers_every_substrate_column() {
+        let mut sim = build(32);
+        let f = sim.memory_footprint();
         assert_eq!(f.n_nodes(), 32);
         // Every per-node substrate column must be accounted.
         for label in [
@@ -1530,47 +1182,15 @@ mod tests {
         }
         assert!(f.bytes_per_node() > 0.0);
 
-        // `sharded(1)` is the default simulator: one partition materialises
-        // no partition table, outbox or merged statistics.
-        let partitioned = |shards: usize| {
-            SimulatorBuilder::new(32, 1)
-                .latency(LatencyModel::constant(SimDuration::from_millis(10)))
-                .sharded(shards)
-                .build(|_| Echo::new(32))
-        };
-        let one = partitioned(1).memory_footprint();
-        assert_eq!(one.components(), f.components());
-        assert!(one
-            .components()
-            .iter()
-            .all(|(l, _)| *l != "merged stats cache"));
-
-        let sharded = partitioned(4);
-        let g = sharded.memory_footprint();
-        assert_eq!(g.n_nodes(), 32);
-        // Several partitions sum under the same labels and add their merged
-        // statistics cache.
-        assert!(g
-            .components()
-            .iter()
-            .any(|(l, _)| *l == "merged stats cache"));
-        assert!(g
-            .components()
-            .iter()
-            .find(|(l, _)| *l == "net stats columns")
-            .is_some_and(|(_, b)| *b >= 32 * 56));
-
         // Drained buckets keep their capacity: once events have flowed, it
         // is reported next to the pending entries.
-        for mut sim in [flat, sharded] {
-            sim.run_until(SimTime::from_secs(1));
-            let f = sim.memory_footprint();
-            let slack = f
-                .components()
-                .iter()
-                .find(|(l, _)| *l == "event queue slack");
-            assert!(slack.is_some_and(|(_, b)| *b > 0), "{slack:?}");
-        }
+        sim.run_until(SimTime::from_secs(1));
+        let f = sim.memory_footprint();
+        let slack = f
+            .components()
+            .iter()
+            .find(|(l, _)| *l == "event queue slack");
+        assert!(slack.is_some_and(|(_, b)| *b > 0), "{slack:?}");
     }
 
     #[test]
@@ -1700,10 +1320,9 @@ mod tests {
     #[test]
     fn run_to_completion_drains_queue() {
         let mut sim = build(4);
-        let processed = sim.run_to_completion().expect("single core cannot breach");
+        let Ok(processed) = sim.run_to_completion();
         assert!(processed > 0);
         assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.contract_violation(), None);
     }
 
     #[test]

@@ -162,44 +162,6 @@ impl NetStats {
         self.messages_dropped_queue.iter().sum()
     }
 
-    /// Zeroes every counter column and the queueing-delay sum, keeping the
-    /// allocations. The sharded simulator rebuilds its merged accumulator
-    /// into the same buffer at the end of every run call.
-    pub fn reset(&mut self) {
-        self.messages_sent.fill(0);
-        self.bytes_sent.fill(0);
-        self.messages_delivered.fill(0);
-        self.bytes_delivered.fill(0);
-        self.messages_lost.fill(0);
-        self.messages_to_dead.fill(0);
-        self.messages_dropped_queue.fill(0);
-        self.total_queueing_delay = SimDuration::ZERO;
-    }
-
-    /// Adds a whole per-node counter row to `id`'s columns.
-    ///
-    /// The merge primitive of the sharded simulator: each shard accumulates
-    /// its counters in a local `NetStats` indexed by shard-local ids, and at
-    /// the end of a run the rows are added into one network-wide accumulator
-    /// under their global ids. Addition is exact and commutative, so the
-    /// merged columns are bit-identical to what a single accumulator would
-    /// have recorded (`total_queueing_delay` is merged separately by the
-    /// caller — it is a network-wide sum, not a per-node column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn add_node_stats(&mut self, id: NodeId, row: &NodeStats) {
-        let i = id.index();
-        self.messages_sent[i] += row.messages_sent;
-        self.bytes_sent[i] += row.bytes_sent;
-        self.messages_delivered[i] += row.messages_delivered;
-        self.bytes_delivered[i] += row.bytes_delivered;
-        self.messages_lost[i] += row.messages_lost;
-        self.messages_to_dead[i] += row.messages_to_dead;
-        self.messages_dropped_queue[i] += row.messages_dropped_queue;
-    }
-
     /// Counters of a single node, assembled from the per-counter columns.
     ///
     /// # Panics
@@ -318,8 +280,8 @@ impl MemoryFootprint {
     }
 
     /// Adds `bytes` under `label`, accumulating into an existing entry with
-    /// the same label (the sharded engine records each shard's components
-    /// under shared labels).
+    /// the same label (the reference core adds its heap's pending events to
+    /// the engine queue's).
     pub fn record(&mut self, label: &'static str, bytes: u64) {
         match self.components.iter_mut().find(|(l, _)| *l == label) {
             Some((_, total)) => *total += bytes,

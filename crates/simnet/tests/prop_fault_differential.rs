@@ -3,15 +3,14 @@
 //! Generates random [`FaultPlan`]s — random region assignments, partition
 //! windows, correlated regional crashes and diurnal bandwidth cycles — plus
 //! random Gilbert–Elliott bursty loss, drives a relay workload under each
-//! plan through the engine on one partition, the whole-engine reference core
-//! and 2- and 4-partition configurations, and requires *bit identity* on
-//! every observable: per-node callback histories, the complete
-//! [`NetStats`](heap_simnet::NetStats) rendering, the processed-event count
-//! and the final clock.
+//! plan through the engine and the whole-engine reference core, and requires
+//! *bit identity* on every observable: per-node callback histories, the
+//! complete [`NetStats`](heap_simnet::NetStats) rendering, the
+//! processed-event count and the final clock.
 //!
-//! This is the determinism contract of `docs/FAULTS.md`: a fault schedule is
-//! part of the simulation's definition, not of its execution, so it must
-//! mean exactly the same thing on every engine.
+//! This is the determinism guarantee of `docs/FAULTS.md`: a fault schedule
+//! is part of the simulation's definition, not of its execution, so it must
+//! mean exactly the same thing on the engine and on its oracle.
 
 use heap_simnet::prelude::*;
 use proptest::prelude::*;
@@ -20,8 +19,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// A relaying protocol that records everything it observes into a rolling
-/// hash. All its delays respect the sharded determinism contract (≥ one
-/// calendar bucket).
+/// hash.
 struct Relay {
     n: u32,
     history: u64,
@@ -124,19 +122,10 @@ struct Outcome {
     now_micros: u64,
 }
 
-/// Builds and runs one configuration under the seed's fault plan.
-/// `shards == 0` means the flat engine, or with `reference` the reference
-/// core, so the batch path and the compiled samplers cross the differential.
-/// `floor_us` sets the latency model's minimum delay and with it the
-/// exchange lookahead (`floor_us / 1024` buckets).
-fn run(
-    seed: u64,
-    n: u32,
-    floor_us: u64,
-    shards: usize,
-    policy: Option<ShardPolicy>,
-    reference: bool,
-) -> Outcome {
+/// Builds and runs the seed's workload under its fault plan on the engine,
+/// or with `reference` on the reference core. `floor_us` sets the latency
+/// model's minimum delay.
+fn run(seed: u64, n: u32, floor_us: u64, reference: bool) -> Outcome {
     let horizon = SimTime::from_secs(8);
     let mut cfg = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xFA17);
     let plan = random_plan(&mut cfg, n, horizon);
@@ -168,14 +157,7 @@ fn run(
         .upload_queue_limit(SimDuration::from_secs(2))
         .fault_plan(plan);
     if reference {
-        assert_eq!(shards, 0, "the reference core is unsharded");
         builder = builder.reference_core();
-    }
-    if shards > 0 {
-        builder = builder.sharded(shards);
-        if let Some(policy) = policy {
-            builder = builder.shard_policy(policy);
-        }
     }
     let mut sim = builder.build(|_| Relay {
         n,
@@ -196,41 +178,28 @@ fn run(
     }
 }
 
-/// One partition vs reference vs {2, 4} partitions (contiguous and
-/// round-robin) under one fault plan, at the given latency floor (`floor_us
-/// / 1024` buckets of lookahead).
+/// The engine against the reference core under one fault plan.
 fn differential(seed: u64, n: u32, floor_us: u64) {
-    let flat = run(seed, n, floor_us, 0, None, false);
-    assert!(flat.processed > 0, "workload must process events");
+    let engine = run(seed, n, floor_us, false);
+    assert!(engine.processed > 0, "workload must process events");
     // Fault schedules (partitions, regional crashes, diurnal cycling) and
     // Gilbert–Elliott loss must mean the same on the reference core.
-    let reference = run(seed, n, floor_us, 0, None, true);
     assert_eq!(
-        flat, reference,
-        "faulted flat engine diverged from the reference core: seed {seed}"
+        engine,
+        run(seed, n, floor_us, true),
+        "faulted engine diverged from the reference core: seed {seed}, floor {floor_us} us"
     );
-    for shards in [2usize, 4] {
-        for policy in [ShardPolicy::Contiguous, ShardPolicy::RoundRobin] {
-            let sharded = run(seed, n, floor_us, shards, Some(policy.clone()), false);
-            assert_eq!(
-                flat, sharded,
-                "faulted sharded run diverged: seed {seed}, {shards} shards, {policy:?}, floor \
-                 {floor_us} us"
-            );
-        }
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Any random fault plan yields bit-identical results across 1, 2 and 4
-    /// partitions, at exchange lookaheads from 1 to 31 buckets: crash events, partition
-    /// epochs and diurnal phases all land inside multi-bucket windows.
+    /// Any random fault plan yields bit-identical results on the engine and
+    /// the reference, at latency floors from zero up to 31 buckets.
     #[test]
     fn fault_plans_are_bit_identical_across_engines(
         seed in 0u64..1_000_000,
-        floor in 1_024u64..32_768,
+        floor in 0u64..32_768,
     ) {
         differential(seed, 32, floor);
     }
@@ -238,14 +207,8 @@ proptest! {
 
 /// A deeper single case than the proptest budget affords: more nodes, a
 /// pinned seed whose plan exercises partitions, crashes and diurnal cycling
-/// together, at the single-bucket cadence.
+/// together.
 #[test]
 fn fault_plans_match_on_a_larger_population() {
     differential(0xFEED, 96, 2_000);
-}
-
-/// The larger faulted population at a wide (16-bucket) lookahead.
-#[test]
-fn fault_plans_match_at_wide_lookahead() {
-    differential(0xFEED, 96, 16_384);
 }

@@ -61,14 +61,11 @@ impl Protocol for Flood {
     }
 }
 
-/// What to build: the engine on one partition (the default), the
-/// whole-engine reference core, or the engine on two partitions
-/// (round-robin).
+/// What to build: the engine or the whole-engine reference core.
 #[derive(Debug, Clone, Copy)]
 enum Core {
     Flat,
     Reference,
-    Sharded,
 }
 
 fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: Core) -> Simulator<Flood> {
@@ -78,11 +75,9 @@ fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: Core) -> Simulato
             SimDuration::from_millis(80),
         ))
         .loss(LossModel::bernoulli(0.02));
-    builder = match core {
-        Core::Flat => builder,
-        Core::Reference => builder.reference_core(),
-        Core::Sharded => builder.sharded(2).shard_policy(ShardPolicy::RoundRobin),
-    };
+    if let Core::Reference = core {
+        builder = builder.reference_core();
+    }
     builder.build(|_| Flood {
         n,
         ttl,
@@ -92,7 +87,7 @@ fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: Core) -> Simulato
 }
 
 fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
-    let processed = sim.run_to_completion().expect("contract holds");
+    let Ok(processed) = sim.run_to_completion();
     let mut hasher = DefaultHasher::new();
     format!("{:?}", sim.stats()).hash(&mut hasher);
     sim.now().as_micros().hash(&mut hasher);
@@ -106,68 +101,23 @@ fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 // Engine-vs-reference equivalence
 // ---------------------------------------------------------------------------
 
-/// The engine on one partition (commands resolved on the spot) and on two
-/// (commands resolved at the window exchange) and the whole-engine reference
-/// (BinaryHeap, one event per activation, deferred commands, uncompiled
-/// models) must produce bit-identical simulations: same event count, same
-/// stats, same per-node state, same final clock — with crashes mixed in.
+/// The engine and the whole-engine reference (BinaryHeap, one event per
+/// activation, deferred commands, uncompiled models) must produce
+/// bit-identical simulations: same event count, same stats, same per-node
+/// state, same final clock — with crashes mixed in, including one scheduled
+/// between two runs whose first deadline cuts a calendar bucket in half.
 #[test]
 fn all_scheduling_cores_are_bit_identical() {
     let run = |core: Core| {
         let mut sim = flood_sim(150, 3, 40, 20, core);
         sim.schedule_crash(NodeId::new(7), SimTime::from_millis(300));
         sim.schedule_crash(NodeId::new(31), SimTime::from_secs(1));
-        run_fingerprint(&mut sim)
-    };
-    let reference = run(Core::Reference);
-    assert_eq!(run(Core::Flat), reference, "flat engine vs reference");
-    assert_eq!(run(Core::Sharded), reference, "sharded engine vs reference");
-}
-
-/// Several partitions must be bit-identical to one for every partition
-/// count and policy — including a deadline that cuts a calendar bucket in
-/// half (`run_until` to an odd microsecond) and crashes scheduled mid-run.
-#[test]
-fn sharded_runs_are_bit_identical_across_counts_and_policies() {
-    let run = |configure: &dyn Fn(SimulatorBuilder) -> SimulatorBuilder| {
-        let n = 120;
-        let builder = SimulatorBuilder::new(n, 11)
-            .latency(LatencyModel::uniform(
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(80),
-            ))
-            .loss(LossModel::bernoulli(0.02));
-        let mut sim = configure(builder).build(|_| Flood {
-            n,
-            ttl: 30,
-            rounds: 10,
-            received: 0,
-        });
-        sim.schedule_crash(NodeId::new(5), SimTime::from_millis(123));
-        // A deadline that splits a bucket, then a crash scheduled mid-run,
-        // then the drain: exercises partial-bucket cutoffs and the serial
-        // sequence-number assignment between runs.
-        let mut processed = sim.run_until(SimTime::from_micros(777_777));
+        let processed = sim.run_until(SimTime::from_micros(777_777));
         sim.schedule_crash(NodeId::new(9), SimTime::from_secs(2));
-        processed += sim.run_to_completion().expect("contract holds");
         let (drained, fingerprint) = run_fingerprint(&mut sim);
         (processed + drained, fingerprint, sim.now())
     };
-    let flat = run(&|b| b);
-    for policy in [
-        ShardPolicy::RoundRobin,
-        ShardPolicy::Contiguous,
-        ShardPolicy::ByCapacityClass,
-    ] {
-        for shards in [2usize, 4] {
-            let p = policy.clone();
-            let result = run(&move |b| b.sharded(shards).shard_policy(p.clone()));
-            assert_eq!(
-                flat, result,
-                "sharded run diverged: {policy:?}, {shards} shards"
-            );
-        }
-    }
+    assert_eq!(run(Core::Flat), run(Core::Reference));
 }
 
 // ---------------------------------------------------------------------------
@@ -186,16 +136,14 @@ fn thousand_node_run_matches_pinned_fingerprint() {
 }
 
 /// The same constants must hold on the reference core, which pops one event
-/// per activation, and on two partitions: batching and partitioning are
-/// execution strategies, not semantics changes.
+/// per activation: batching is an execution strategy, not a semantics
+/// change.
 #[test]
 fn thousand_node_fingerprint_is_dispatch_mode_independent() {
-    for core in [Core::Reference, Core::Sharded] {
-        let mut sim = flood_sim(1000, 42, 60, 5, core);
-        let (processed, fingerprint) = run_fingerprint(&mut sim);
-        assert_eq!(processed, 55_722, "{core:?}");
-        assert_eq!(fingerprint, 8_177_022_352_140_872_795, "{core:?}");
-    }
+    let mut sim = flood_sim(1000, 42, 60, 5, Core::Reference);
+    let (processed, fingerprint) = run_fingerprint(&mut sim);
+    assert_eq!(processed, 55_722);
+    assert_eq!(fingerprint, 8_177_022_352_140_872_795);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +201,7 @@ fn cancelling_fired_timers_does_not_grow_simulator_memory() {
         limit: per_node,
         last: None,
     });
-    let processed = sim.run_to_completion().expect("contract holds");
+    let Ok(processed) = sim.run_to_completion();
     // One million timer events were processed and two million (stale)
     // cancellations issued...
     assert_eq!(processed, n as u64 * per_node);

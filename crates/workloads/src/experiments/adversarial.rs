@@ -8,7 +8,7 @@
 //! run — the curve that must visibly dip during a fault epoch and climb back
 //! after it heals. Faults are injected through the seed-deterministic
 //! [`FaultSpec`]/[`FaultPlan`](heap_simnet::FaultPlan) pipeline, so every run
-//! here is bit-identical on the flat and sharded engines.
+//! here is a pure function of its seed.
 
 use super::common::Figure;
 use crate::bandwidth_dist::BandwidthDistribution;

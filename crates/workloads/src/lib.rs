@@ -30,11 +30,10 @@ pub mod scenario;
 
 pub use bandwidth_dist::{BandwidthClass, BandwidthDistribution};
 pub use runner::{
-    run_scenario, run_scenarios_parallel, run_scenarios_stealing, run_scenarios_threaded,
-    ExperimentResult, NetTotals, NodeResult,
+    run_scenario, run_scenarios_parallel, run_scenarios_stealing, ExperimentResult, NetTotals,
+    NodeResult,
 };
 pub use scale::Scale;
 pub use scenario::{
-    ChurnSpec, MembershipChoice, ProtocolChoice, ResultDetail, Scenario, ShardPolicyChoice,
-    ShardingChoice,
+    ChurnSpec, MembershipChoice, ProtocolChoice, ResultDetail, Scenario, ShardingChoice,
 };

@@ -1,6 +1,6 @@
 //! Executes a [`Scenario`] on the simulator and collects per-node results.
 
-use crate::scenario::{ChurnSpec, ResultDetail, Scenario, ShardingChoice};
+use crate::scenario::{ChurnSpec, ResultDetail, Scenario};
 use heap_analytics::BucketSeries;
 use heap_gossip::fanout::FanoutPolicy;
 use heap_gossip::node::{GossipNode, ProtocolStats, Role};
@@ -149,11 +149,8 @@ impl ExperimentResult {
 ///
 /// # Panics
 ///
-/// Panics if the scenario's gossip configuration is invalid, if the scale
-/// has fewer than two nodes, or if a partitioned run ([`ShardingChoice`])
-/// breaches the simulator's lookahead contract — with the
-/// [`ContractViolation`](heap_simnet::ContractViolation)'s description of
-/// the offending node, timer tag and lookahead.
+/// Panics if the scenario's gossip configuration is invalid or if the scale
+/// has fewer than two nodes.
 pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     let scale = scenario.scale;
     assert!(
@@ -271,15 +268,9 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     };
 
     // --- Faults -------------------------------------------------------------
-    // Fault regions come from a ShardPolicy partition of the population —
-    // deliberately independent of the engine's actual sharding configuration,
-    // so a fault spec means exactly the same thing on the flat core as on
-    // any sharded run (the bit-identity the differential tests pin).
+    // Fault regions come from the spec's region policy over the population.
     let fault_regions: Vec<u32> = match &scenario.fault {
-        Some(spec) => spec
-            .region_policy
-            .resolve()
-            .assign(n, spec.regions, &capacities),
+        Some(spec) => spec.region_policy.assign(n, spec.regions, &capacities),
         None => Vec::new(),
     };
     let mut fault_plan = FaultPlan::new();
@@ -327,9 +318,6 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     }
     if let Some(limit) = scenario.upload_queue_limit {
         builder = builder.upload_queue_limit(limit);
-    }
-    if let ShardingChoice::Sharded { shards, policy } = scenario.sharding {
-        builder = builder.sharded(shards).shard_policy(policy.resolve());
     }
     let partial_membership = scenario.membership.partial_config();
     let mut sim: Simulator<GossipNode> = builder.build(|id| {
@@ -408,15 +396,6 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     notifications.sort_by_key(|(t, _)| *t);
 
     // --- Run ----------------------------------------------------------------
-    // A partitioned run that breaches the lookahead contract stops stepping
-    // at the breach; everything collected after that would be a truncated
-    // run presented as a complete one.
-    let run_to = |sim: &mut Simulator<GossipNode>, to: SimTime| {
-        sim.run_until(to);
-        if let Some(violation) = sim.contract_violation() {
-            panic!("scenario {:?}: {violation}", scenario.name);
-        }
-    };
     // Health sampling rides on the advance path: before crossing a bucket
     // boundary the simulator is stepped exactly to it and every live
     // receiver's score is folded into the bucket ending there, so the series
@@ -432,7 +411,7 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
         if let Some((series, next_sample, bucket)) = sampler.as_mut() {
             while *next_sample <= to {
                 let at = *next_sample;
-                run_to(sim, at);
+                sim.run_until(at);
                 // Place the sample at the midpoint of the bucket it closes.
                 let x = (at - schedule.start()).as_secs_f64() - bucket.as_secs_f64() / 2.0;
                 for i in 1..n {
@@ -444,7 +423,7 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
                 *next_sample = at + *bucket;
             }
         }
-        run_to(sim, to);
+        sim.run_until(to);
     };
     let end = schedule.start() + scenario.run_duration();
     for (at, crashed) in notifications {
@@ -559,30 +538,16 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
 /// On a single-core host the batch runs inline: interleaving several
 /// simulators on one core thrashes the cache of the (memory-bound) event
 /// loop — `BENCH_3.json`'s 1-core container measured thread-per-scenario at
-/// ~0.5× sequential at paper scale.
-///
-/// The `HEAP_RUNNER` environment variable overrides the strategy: `inline`
-/// forces the sequential loop, `steal` forces the work-stealing pool
-/// ([`run_scenarios_stealing`], with at least two workers so the stealing
-/// path is exercised even on one core — the CI smoke configuration),
-/// `threads` forces the legacy thread-per-scenario fan-out, and anything
-/// else (or unset) picks adaptively: inline on one core, work-stealing
-/// otherwise.
+/// ~0.5× sequential at paper scale. Otherwise it runs on the work-stealing
+/// pool ([`run_scenarios_stealing`]) with one worker per core.
 pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    match std::env::var("HEAP_RUNNER").as_deref() {
-        Ok("inline") => scenarios.iter().map(run_scenario).collect(),
-        Ok("steal") => run_scenarios_stealing(scenarios, cores.max(2)),
-        Ok("threads") => run_scenarios_threaded(scenarios),
-        _ => {
-            if cores <= 1 || scenarios.len() <= 1 {
-                scenarios.iter().map(run_scenario).collect()
-            } else {
-                run_scenarios_stealing(scenarios, cores)
-            }
-        }
+    if cores <= 1 || scenarios.len() <= 1 {
+        scenarios.iter().map(run_scenario).collect()
+    } else {
+        run_scenarios_stealing(scenarios, cores)
     }
 }
 
@@ -597,7 +562,7 @@ pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
 /// workers drain the stragglers' queues instead of exiting.
 ///
 /// The *unit* of stealable work is one scenario: a simulation runs on one
-/// thread whatever its [`ShardingChoice`].
+/// thread.
 ///
 /// Results are returned in input order and are bit-identical to the
 /// sequential loop for any worker count ([`run_scenario`] is a pure
@@ -651,23 +616,6 @@ pub fn run_scenarios_stealing(scenarios: &[Scenario], workers: usize) -> Vec<Exp
             .map(|r| r.expect("every scenario was claimed exactly once"))
             .collect()
     })
-}
-
-/// The legacy thread-per-scenario fan-out: one scoped thread per scenario
-/// regardless of the host's core count. Retained as the differential
-/// reference for [`run_scenarios_stealing`] in the bit-identity tests, so a
-/// threaded path is exercised even on single-core CI hosts; prefer [`run_scenarios_parallel`] everywhere else.
-pub fn run_scenarios_threaded(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
-    let mut results: Vec<Option<ExperimentResult>> = scenarios.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (scenario, slot) in scenarios.iter().zip(results.iter_mut()) {
-            scope.spawn(move || *slot = Some(run_scenario(scenario)));
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("scenario thread completed"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -899,50 +847,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_is_bit_identical_to_sequential() {
-        // A mixed batch: different distributions, protocols, churn and
-        // membership modes, all in one parallel sweep.
-        let scenarios = vec![
-            quick_scenario(
-                BandwidthDistribution::unconstrained(),
-                ProtocolChoice::Standard { fanout: 6.0 },
-                ChurnSpec::None,
-            ),
-            quick_scenario(
-                BandwidthDistribution::ms_691(),
-                ProtocolChoice::Heap { fanout: 6.0 },
-                ChurnSpec::Catastrophic {
-                    fraction: 0.2,
-                    at_secs: 4,
-                    detection_secs: 5,
-                },
-            ),
-            quick_scenario(
-                BandwidthDistribution::ref_691(),
-                ProtocolChoice::Heap { fanout: 6.0 },
-                ChurnSpec::None,
-            )
-            .with_membership(MembershipChoice::cyclon()),
-        ];
-        // Exercise the genuinely threaded path even on single-core CI.
-        let parallel = run_scenarios_threaded(&scenarios);
-        let sequential: Vec<ExperimentResult> = scenarios.iter().map(run_scenario).collect();
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.scenario_name, s.scenario_name);
-            assert_eq!(
-                p.fingerprint(),
-                s.fingerprint(),
-                "{} diverged",
-                p.scenario_name
-            );
-        }
-    }
-
-    #[test]
     fn stealing_runner_is_bit_identical_to_sequential() {
-        // Worker counts below, at and above the batch size, so both the
-        // striping and the stealing paths run even on single-core CI.
+        // A mixed batch (distributions, protocols, churn and membership
+        // modes) at worker counts below, at and above the batch size, so
+        // real threads, striping and stealing all run even on one core.
         let scenarios = vec![
             quick_scenario(
                 BandwidthDistribution::unconstrained(),
@@ -981,51 +889,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_scenarios_are_bit_identical_to_single_core() {
-        use crate::scenario::{ShardPolicyChoice, ShardingChoice};
-        let base = quick_scenario(
-            BandwidthDistribution::ms_691(),
-            ProtocolChoice::Heap { fanout: 6.0 },
-            ChurnSpec::Catastrophic {
-                fraction: 0.2,
-                at_secs: 4,
-                detection_secs: 5,
-            },
-        )
-        .with_membership(MembershipChoice::cyclon());
-        let reference = run_scenario(&base).fingerprint();
-        for sharding in [
-            ShardingChoice::sharded(2),
-            ShardingChoice::sharded(4),
-            ShardingChoice::Sharded {
-                shards: 3,
-                policy: ShardPolicyChoice::ByCapacityClass,
-            },
-            ShardingChoice::Sharded {
-                shards: 2,
-                policy: ShardPolicyChoice::RoundRobin,
-            },
-        ] {
-            let sharded = base.clone().with_sharding(sharding);
-            assert_eq!(
-                run_scenario(&sharded).fingerprint(),
-                reference,
-                "sharded scenario diverged from the single-core engine: {}",
-                sharding.label()
-            );
-        }
-    }
-
     /// A retransmit period of 0.5 ms arms timers from message handlers with
-    /// less than one calendar bucket of delay: fine on one partition, a
-    /// breach of the lookahead contract on two — where the simulator stops
-    /// stepping at the breach. The runner must not hand back that truncated
-    /// run (996 messages instead of 103 056) as a result.
+    /// less than one calendar bucket of delay. The engine runs it to the end
+    /// like any other scenario.
     #[test]
-    #[should_panic(expected = "timer (tag ")]
-    fn a_partitioned_run_that_breaches_the_lookahead_contract_panics() {
-        use crate::scenario::ShardingChoice;
+    fn sub_bucket_retransmit_timers_run_to_completion() {
         let mut scenario = Scenario::new(
             "sub-bucket retransmit",
             Scale::test().with_seed(1),
@@ -1034,53 +902,6 @@ mod tests {
         );
         scenario.gossip.retransmit_period = SimDuration::from_micros(500);
         assert!(run_scenario(&scenario).net.messages_sent > 100_000);
-        run_scenario(&scenario.with_sharding(ShardingChoice::sharded(2)));
-    }
-
-    #[test]
-    fn sharded_engine_runs_continuous_churn_bit_identically() {
-        // The adversarial combination: standby joiners fire TAG_JOIN *mid
-        // run* and re-draw random timer phases, which must respect the
-        // sharded determinism contract (phases are floored to one calendar
-        // bucket on mid-run joins) — and the sharded result must still match
-        // the single-core engine exactly, Cyclon shuffles included.
-        use crate::scenario::ShardingChoice;
-        let mut base = quick_scenario(
-            BandwidthDistribution::ref_691(),
-            ProtocolChoice::Heap { fanout: 6.0 },
-            ChurnSpec::Continuous {
-                standby_fraction: 0.4,
-                joins_per_min: 90.0,
-                leaves_per_min: 30.0,
-                detection_secs: 5,
-            },
-        )
-        .with_membership(MembershipChoice::cyclon());
-        // A small population keeps the tight-period run affordable; 2 ms
-        // periods make a *sub-bucket* phase draw (< 1.024 ms, ~51 % per
-        // draw) at each mid-run join near-certain across the joiners, so a
-        // missing phase floor would trip the sharded determinism contract
-        // here with overwhelming probability.
-        base.scale = Scale::test().with_nodes(12).with_windows(2);
-        base.gossip.gossip_period = SimDuration::from_millis(2);
-        base.gossip.aggregation_period = SimDuration::from_millis(2);
-        let reference = run_scenario(&base);
-        assert!(
-            reference
-                .nodes
-                .iter()
-                .any(|n| n.joined_at.is_some() && n.joined_at != Some(SimTime::MAX)),
-            "the run must contain mid-run joiners for this test to bite"
-        );
-        for sharding in [ShardingChoice::sharded(3), ShardingChoice::sharded(2)] {
-            let sharded = run_scenario(&base.clone().with_sharding(sharding));
-            assert_eq!(
-                sharded.fingerprint(),
-                reference.fingerprint(),
-                "sharded + continuous churn diverged ({})",
-                sharding.label()
-            );
-        }
     }
 
     #[test]
@@ -1230,13 +1051,13 @@ mod tests {
     }
 
     #[test]
-    fn faulted_scenarios_are_bit_identical_across_engines() {
-        use crate::scenario::{FaultSpec, FreeRiderSpec, ShardingChoice};
+    fn faulted_scenarios_are_deterministic() {
+        use crate::scenario::{FaultSpec, FreeRiderSpec};
         // Pile every adversarial feature into one run: partition + heal,
         // a regional crash, diurnal cycling, bursty loss, a flash crowd and
-        // free-riders — and require the sharded engines to reproduce the
-        // flat core bit for bit.
-        let base = quick_scenario(
+        // free-riders — and require a second run to reproduce it bit for
+        // bit.
+        let scenario = quick_scenario(
             BandwidthDistribution::ref_691(),
             ProtocolChoice::Heap { fanout: 6.0 },
             ChurnSpec::FlashCrowd {
@@ -1253,16 +1074,10 @@ mod tests {
                 .diurnal(25.0, vec![1.0, 0.6]),
         )
         .with_free_riders(FreeRiderSpec::default_adversary());
-        let reference = run_scenario(&base).fingerprint();
-        for sharding in [ShardingChoice::sharded(2), ShardingChoice::sharded(4)] {
-            let sharded = base.clone().with_sharding(sharding);
-            assert_eq!(
-                run_scenario(&sharded).fingerprint(),
-                reference,
-                "faulted scenario diverged from the single-core engine: {}",
-                sharding.label()
-            );
-        }
+        assert_eq!(
+            run_scenario(&scenario).fingerprint(),
+            run_scenario(&scenario).fingerprint()
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::scale::Scale;
 use heap_gossip::config::GossipConfig;
 use heap_gossip::fanout::FanoutPolicy;
 use heap_simnet::bandwidth::Bandwidth;
+use heap_simnet::fault::RegionPolicy;
 use heap_simnet::latency::LatencyModel;
 use heap_simnet::loss::LossModel;
 use heap_simnet::time::SimDuration;
@@ -119,76 +120,12 @@ impl MembershipChoice {
     }
 }
 
-/// How many partitions the simulator splits the node population into.
+/// One execution shape, kept for the repo benchmark until ROADMAP item 2(b) removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum ShardingChoice {
-    /// One partition (the default): every send resolves on the spot.
+    /// The one partition every scenario runs on.
     #[default]
     Single,
-    /// Several partitions exchanging what they sent at window boundaries
-    /// ([`SimulatorBuilder::sharded`](heap_simnet::SimulatorBuilder::sharded)).
-    /// Results are bit-identical to [`ShardingChoice::Single`] — asserted in
-    /// tests — and slower: on the 30 000-node scale-campaign shape two
-    /// partitions take 1.25× the wall time of one (`docs/SCALE.md`), so no
-    /// experiment selects this. It exists to split a population, and the
-    /// differential suites exist to keep that split invisible.
-    Sharded {
-        /// Number of partitions the node population is split into.
-        shards: usize,
-        /// The partitioning policy.
-        policy: ShardPolicyChoice,
-    },
-}
-
-impl ShardingChoice {
-    /// A partitioned configuration with the default (contiguous) policy.
-    pub fn sharded(shards: usize) -> Self {
-        ShardingChoice::Sharded {
-            shards,
-            policy: ShardPolicyChoice::Contiguous,
-        }
-    }
-
-    /// A short label for logs and bench output.
-    pub fn label(&self) -> String {
-        match self {
-            ShardingChoice::Single => "single".to_string(),
-            ShardingChoice::Sharded { shards, policy } => format!("{shards}x{}", policy.label()),
-        }
-    }
-}
-
-/// The scenario-level mirror of [`heap_simnet::ShardPolicy`]'s built-in
-/// partition policies (the `Custom` variant is a function pointer and stays
-/// a simulator-level concern).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub enum ShardPolicyChoice {
-    /// Node `i` on shard `i % shards`.
-    RoundRobin,
-    /// Equal-size contiguous id ranges.
-    Contiguous,
-    /// Nodes grouped by upload-capability class.
-    ByCapacityClass,
-}
-
-impl ShardPolicyChoice {
-    /// Resolves into the simulator's policy type.
-    pub fn resolve(&self) -> heap_simnet::ShardPolicy {
-        match self {
-            ShardPolicyChoice::RoundRobin => heap_simnet::ShardPolicy::RoundRobin,
-            ShardPolicyChoice::Contiguous => heap_simnet::ShardPolicy::Contiguous,
-            ShardPolicyChoice::ByCapacityClass => heap_simnet::ShardPolicy::ByCapacityClass,
-        }
-    }
-
-    /// A short label for logs and bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShardPolicyChoice::RoundRobin => "rr",
-            ShardPolicyChoice::Contiguous => "contig",
-            ShardPolicyChoice::ByCapacityClass => "class",
-        }
-    }
 }
 
 /// Churn injected during a run.
@@ -295,18 +232,16 @@ pub struct DiurnalSpec {
 /// Declarative fault injection layered on a scenario, compiled by the runner
 /// into a seed-deterministic [`FaultPlan`](heap_simnet::FaultPlan).
 ///
-/// Fault *regions* are derived by partitioning the node population with
-/// `region_policy` — the same policies that drive simulator sharding — but
-/// they are independent of the scenario's actual [`ShardingChoice`]: a
-/// 2-region partition fault means exactly the same thing on one simulator
-/// partition as on eight, which is what makes faulted runs bit-identical
-/// across partition counts.
+/// Fault *regions* are derived by grouping the node population with
+/// `region_policy`. The grouping is data: it decides which nodes a partition
+/// window separates and which die together in a regional crash, and nothing
+/// about how the simulator executes the run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSpec {
     /// Number of fault regions the population is split into.
     pub regions: usize,
     /// How nodes map onto fault regions.
-    pub region_policy: ShardPolicyChoice,
+    pub region_policy: RegionPolicy,
     /// Partition/heal windows (all regions mutually isolated while open).
     pub partitions: Vec<PartitionWindow>,
     /// Correlated regional crashes.
@@ -322,7 +257,7 @@ impl FaultSpec {
         assert!(regions >= 1, "a fault spec needs at least one region");
         FaultSpec {
             regions,
-            region_policy: ShardPolicyChoice::Contiguous,
+            region_policy: RegionPolicy::Contiguous,
             partitions: Vec::new(),
             regional_crashes: Vec::new(),
             diurnal: None,
@@ -330,7 +265,7 @@ impl FaultSpec {
     }
 
     /// Sets the region-assignment policy.
-    pub fn with_region_policy(mut self, policy: ShardPolicyChoice) -> Self {
+    pub fn with_region_policy(mut self, policy: RegionPolicy) -> Self {
         self.region_policy = policy;
         self
     }
@@ -477,8 +412,7 @@ pub struct Scenario {
     /// messages (the finite application/UDP send buffer of the paper's
     /// rate limiter). `None` = unbounded queue (ablation).
     pub upload_queue_limit: Option<SimDuration>,
-    /// How many partitions the simulator runs the scenario on (default:
-    /// one, the fastest measured). Bit-identical results either way.
+    /// Always [`ShardingChoice::Single`]; ROADMAP item 2(b) removes it.
     pub sharding: ShardingChoice,
     /// When set, the runner samples every live receiver's health score at
     /// this interval and folds the samples into a bounded-memory
@@ -577,12 +511,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the simulator's partitioning.
-    pub fn with_sharding(mut self, sharding: ShardingChoice) -> Self {
-        self.sharding = sharding;
-        self
-    }
-
     /// Enables periodic health-score sampling with the given bucket width.
     pub fn with_health_series(mut self, bucket: SimDuration) -> Self {
         self.health_series = Some(bucket);
@@ -660,7 +588,7 @@ mod tests {
     #[test]
     fn fault_spec_builders_accumulate() {
         let spec = FaultSpec::regions(3)
-            .with_region_policy(ShardPolicyChoice::RoundRobin)
+            .with_region_policy(RegionPolicy::RoundRobin)
             .partition(30.0, 60.0)
             .partition(90.0, 95.0)
             .regional_crash(2, 120.0, 10)

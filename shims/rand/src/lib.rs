@@ -136,65 +136,6 @@ pub mod rngs {
             result
         }
     }
-
-    impl SmallRng {
-        /// Advances the xoshiro256++ recurrence one step without computing
-        /// the output word.
-        #[inline(always)]
-        fn step(&mut self) {
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
-        }
-
-        /// Fills `out` with the next `out.len()` draws of this generator —
-        /// bit-identical, draw for draw, to calling
-        /// [`RngCore::next_u64`] in a loop — using `L`-wide lane blocks.
-        ///
-        /// The xoshiro256++ *recurrence* is inherently serial (each state is
-        /// a function of the previous one), so the lane structure covers the
-        /// *output map*: a block gathers the `(s0, s3)` columns of `L`
-        /// successive states struct-of-arrays style while stepping the
-        /// recurrence, then evaluates the `(s0 + s3) rotl 23 + s0` output
-        /// map for all `L` lanes in one pass over the columns — a pure
-        /// add/rotate/add kernel the compiler vectorizes 4-wide on AVX2.
-        /// Downstream batch samplers run their distribution transforms over
-        /// the filled buffer the same way. The sub-block tail falls back to
-        /// scalar draws.
-        pub fn fill_u64_lanes<const L: usize>(&mut self, out: &mut [u64]) {
-            assert!(L >= 1, "need at least one lane");
-            let mut chunks = out.chunks_exact_mut(L);
-            let mut c0 = [0u64; L];
-            let mut c3 = [0u64; L];
-            for chunk in &mut chunks {
-                for lane in 0..L {
-                    c0[lane] = self.s[0];
-                    c3[lane] = self.s[3];
-                    self.step();
-                }
-                for lane in 0..L {
-                    chunk[lane] = c0[lane]
-                        .wrapping_add(c3[lane])
-                        .rotate_left(23)
-                        .wrapping_add(c0[lane]);
-                }
-            }
-            for slot in chunks.into_remainder() {
-                *slot = self.next_u64();
-            }
-        }
-
-        /// [`SmallRng::fill_u64_lanes`] at the default lane width (8: two
-        /// AVX2 vectors of `u64`s per block).
-        #[inline]
-        pub fn fill_u64(&mut self, out: &mut [u64]) {
-            self.fill_u64_lanes::<8>(out);
-        }
-    }
 }
 
 pub mod distributions {
@@ -435,50 +376,4 @@ pub mod prelude {
     pub use super::rngs::SmallRng;
     pub use super::seq::SliceRandom;
     pub use super::{Rng, RngCore, SeedableRng};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::rngs::SmallRng;
-    use super::{RngCore, SeedableRng};
-
-    /// The lane-blocked bulk path must be bit-identical to sequential
-    /// `next_u64` draws — for every lane count and every tail length (buffer
-    /// lengths sweep 0..3 full blocks plus every possible remainder), and it
-    /// must leave the generator in the identical state afterwards.
-    #[test]
-    fn fill_u64_matches_sequential_for_every_lane_count_and_tail() {
-        fn check<const L: usize>() {
-            for len in 0..(3 * L + 2) {
-                let mut bulk = SmallRng::seed_from_u64(0xF00D + len as u64);
-                let mut seq = bulk.clone();
-                let mut out = vec![0u64; len];
-                bulk.fill_u64_lanes::<L>(&mut out);
-                for (i, &got) in out.iter().enumerate() {
-                    assert_eq!(got, seq.next_u64(), "lanes={L} len={len} draw={i}");
-                }
-                // Post-state resync: the next draw from each must agree.
-                assert_eq!(bulk.next_u64(), seq.next_u64(), "lanes={L} len={len} state");
-            }
-        }
-        check::<1>();
-        check::<2>();
-        check::<3>();
-        check::<4>();
-        check::<5>();
-        check::<6>();
-        check::<7>();
-        check::<8>();
-    }
-
-    #[test]
-    fn fill_u64_default_width_matches_sequential() {
-        let mut bulk = SmallRng::seed_from_u64(42);
-        let mut seq = bulk.clone();
-        let mut out = vec![0u64; 1021];
-        bulk.fill_u64(&mut out);
-        for &got in &out {
-            assert_eq!(got, seq.next_u64());
-        }
-    }
 }
