@@ -18,7 +18,7 @@ use crate::config::{GossipConfig, PartialMembershipConfig};
 use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
 use crate::message::GossipMessage;
-use crate::retransmit::RetransmitTracker;
+use crate::retransmit::{RetransmitTracker, RETRANSMIT_TAG_BASE};
 use crate::serve_dedup::ServeDedup;
 use heap_membership::partial::PartialView;
 use heap_membership::sampler::UniformSampler;
@@ -257,6 +257,7 @@ impl GossipNodeBuilder {
             adaptation_requests_seen: 0,
             join_at: self.join_at,
             joined: self.join_at.is_none(),
+            gossip_idle_at: None,
         }
     }
 }
@@ -300,6 +301,10 @@ pub struct GossipNode {
     joined: bool,
     /// Serve-side duplicate suppression over `config.serve_dedup_window`.
     served: ServeDedup,
+    /// The instant of the gossip tick that found nothing to propose and so
+    /// left the gossip timer unarmed; `None` while the timer is armed (or
+    /// before the node participates).
+    gossip_idle_at: Option<SimTime>,
 }
 
 impl GossipNode {
@@ -469,10 +474,36 @@ impl GossipNode {
         ctx.set_timer(delay, TAG_SOURCE);
     }
 
+    /// One gossip round. A round with nothing to propose leaves the timer
+    /// unarmed until a fresh packet arrives (see `wake_gossip_timer`); it
+    /// draws no randomness either way.
     fn on_gossip_round(&mut self, ctx: &mut Context<'_, GossipMessage>) {
         let ids = self.engine.take_proposals();
+        if ids.is_empty() {
+            self.gossip_idle_at = Some(ctx.now());
+            return;
+        }
         self.gossip_ids(ctx, ids);
         self.arm_gossip_timer(ctx, self.config.gossip_period);
+    }
+
+    /// Re-arms an idle gossip timer for the next instant of its grid, the
+    /// idle tick plus a whole number of periods, so the node's phase and
+    /// period are those of a timer that never stopped.
+    fn wake_gossip_timer(&mut self, ctx: &mut Context<'_, GossipMessage>) {
+        let Some(idle_at) = self.gossip_idle_at.take() else {
+            return;
+        };
+        let period = self.config.gossip_period.as_micros();
+        let since = ctx.now().saturating_since(idle_at).as_micros();
+        // The tick at `idle_at` itself has run: an arrival at that instant
+        // waits a full period, as it would behind a re-armed timer.
+        let next = since.div_ceil(period).max(1) * period;
+        self.arm_gossip_timer(ctx, SimDuration::from_micros(next - since));
+    }
+
+    fn arm_retransmit_timer(&self, ctx: &mut Context<'_, GossipMessage>, due: SimTime) {
+        ctx.set_timer(due.saturating_since(ctx.now()), RETRANSMIT_TAG_BASE);
     }
 
     /// One aggregation round; the timer is armed on adaptive nodes only (see
@@ -550,32 +581,49 @@ impl GossipNode {
         }
     }
 
-    fn on_retransmit_timer(&mut self, ctx: &mut Context<'_, GossipMessage>, tag: u64) {
-        let Some(pending) = self.retransmit.take(tag) else {
-            return;
-        };
-        let missing = self.engine.still_missing(&pending.ids);
-        if missing.is_empty() {
-            return;
+    /// Re-examines every request due by now, then re-arms the timer at the
+    /// deadline of the oldest request still unanswered.
+    fn on_retransmit_timer(&mut self, ctx: &mut Context<'_, GossipMessage>) {
+        let now = ctx.now();
+        while let Some(pending) = self.retransmit.pop_due(now) {
+            let missing = self.engine.still_missing(&pending.ids);
+            if missing.is_empty() {
+                continue;
+            }
+            // Give up on this proposer — because it failed or because every
+            // retransmission towards it was exhausted — and clear eRequested
+            // so a later proposal from another peer can pull the packets
+            // instead.
+            if pending.retries_left == 0 || !self.view.is_live(pending.proposer) {
+                self.engine.unrequest(&missing);
+                continue;
+            }
+            ctx.send(
+                pending.proposer,
+                GossipMessage::request(missing.clone(), &self.config),
+            );
+            self.stats.retransmit_requests += 1;
+            // Always re-queue: the follow-up deadline either retries again
+            // or, once retries are exhausted, releases the ids via
+            // `unrequest`. The firing timer covers it; `rearm` re-arms.
+            let _ = self.retransmit.push(
+                pending.proposer,
+                missing,
+                pending.retries_left - 1,
+                now + self.config.retransmit_period,
+            );
         }
-        // Give up on this proposer — because it failed or because every
-        // retransmission towards it was exhausted — and clear eRequested so a
-        // later proposal from another peer can pull the packets instead.
-        if pending.retries_left == 0 || !self.view.is_live(pending.proposer) {
-            self.engine.unrequest(&missing);
-            return;
-        }
-        ctx.send(
-            pending.proposer,
-            GossipMessage::request(missing.clone(), &self.config),
-        );
-        self.stats.retransmit_requests += 1;
-        // Always re-arm: the follow-up timer either retries again or, once
-        // retries are exhausted, releases the ids via `unrequest`.
-        let new_tag = self
+        // A delivered packet stays delivered, so an answered request would
+        // only ever be discarded when it falls due: discard it now instead.
+        // Every queued id lies in the stream (`handle_propose` drops the
+        // rest), so "answered" is "every id delivered".
+        let engine = &self.engine;
+        if let Some(due) = self
             .retransmit
-            .register(pending.proposer, missing, pending.retries_left - 1);
-        ctx.set_timer(self.config.retransmit_period, new_tag);
+            .rearm(|p| p.ids.iter().all(|&id| engine.is_delivered(id)))
+        {
+            self.arm_retransmit_timer(ctx, due);
+        }
     }
 }
 
@@ -630,7 +678,7 @@ impl Protocol for GossipNode {
             TAG_AGGREGATION => self.on_aggregation_round(ctx),
             TAG_SOURCE => self.on_source_tick(ctx),
             TAG_SHUFFLE => self.on_shuffle_round(ctx),
-            t if RetransmitTracker::is_retransmit_tag(t) => self.on_retransmit_timer(ctx, t),
+            RETRANSMIT_TAG_BASE => self.on_retransmit_timer(ctx),
             other => debug_assert!(false, "unknown timer tag {other}"),
         }
     }
@@ -700,10 +748,13 @@ impl GossipNode {
                     ctx.send(from, GossipMessage::request(wanted.clone(), &self.config));
                     self.stats.requests_sent += 1;
                     if self.config.max_retransmits > 0 {
-                        let tag =
+                        let due = ctx.now() + self.config.retransmit_period;
+                        if let Some(due) =
                             self.retransmit
-                                .register(from, wanted, self.config.max_retransmits);
-                        ctx.set_timer(self.config.retransmit_period, tag);
+                                .push(from, wanted, self.config.max_retransmits, due)
+                        {
+                            self.arm_retransmit_timer(ctx, due);
+                        }
                     }
                 }
             }
@@ -735,7 +786,9 @@ impl GossipNode {
             }
             GossipMessage::Serve { packets, .. } => {
                 self.stats.serves_received += 1;
-                self.engine.handle_serve(&packets, ctx.now());
+                if self.engine.handle_serve(&packets, ctx.now()) > 0 {
+                    self.wake_gossip_timer(ctx);
+                }
             }
             GossipMessage::Aggregation { samples, .. } => {
                 self.stats.aggregation_received += 1;
@@ -819,13 +872,31 @@ mod tests {
             })
     }
 
-    /// Counts the aggregation timers that fire on the wrapped node.
-    struct AggregationTimerSpy {
+    /// Records every timer that fires on the wrapped node: its tag, instant
+    /// and the ids queued for proposal when it fired.
+    struct TimerSpy {
         node: GossipNode,
-        fired: u64,
+        fired: Vec<(u64, SimTime, usize)>,
     }
 
-    impl Protocol for AggregationTimerSpy {
+    impl TimerSpy {
+        fn wrap(node: GossipNode) -> Self {
+            TimerSpy {
+                node,
+                fired: Vec::new(),
+            }
+        }
+
+        /// `(instant, ids to propose)` of each gossip tick.
+        fn gossip_ticks(&self) -> impl Iterator<Item = (SimTime, usize)> + '_ {
+            self.fired
+                .iter()
+                .filter(|&&(tag, ..)| tag == TAG_GOSSIP)
+                .map(|&(_, at, queued)| (at, queued))
+        }
+    }
+
+    impl Protocol for TimerSpy {
         type Message = GossipMessage;
 
         fn on_start(&mut self, ctx: &mut Context<'_, GossipMessage>) {
@@ -842,9 +913,102 @@ mod tests {
         }
 
         fn on_timer(&mut self, ctx: &mut Context<'_, GossipMessage>, timer: TimerId, tag: u64) {
-            self.fired += u64::from(tag == TAG_AGGREGATION);
+            let queued = self.node.engine().pending_proposals();
+            self.fired.push((tag, ctx.now(), queued));
             self.node.on_timer(ctx, timer, tag);
         }
+    }
+
+    /// A lossy run of HEAP over a 512 kbps–3 Mbps mix, every node spied on.
+    fn lossy_spied_sim(n: usize, seed: u64, windows: u64) -> Simulator<TimerSpy> {
+        build_wrapped_sim(
+            n,
+            seed,
+            windows,
+            LossModel::bernoulli(0.05),
+            |_| FanoutPolicy::heap(5.0),
+            |id| Bandwidth::from_kbps([512, 768, 3_000][id.index() % 3]),
+            TimerSpy::wrap,
+        )
+    }
+
+    #[test]
+    fn gossip_ticks_stay_on_the_node_grid() {
+        let mut sim = lossy_spied_sim(30, 8, 3);
+        sim.run_until(SimTime::from_secs(20));
+        let period = GossipConfig::paper().gossip_period.as_micros();
+        let mut woken = 0;
+        for (id, spy) in sim.iter_nodes() {
+            let ticks: Vec<SimTime> = spy.gossip_ticks().map(|(at, _)| at).collect();
+            // The first tick fires at the node's phase.
+            let phase = ticks[0].as_micros();
+            assert!(phase <= period, "{id:?} phase {phase}");
+            for at in &ticks {
+                let since = at.as_micros() - phase;
+                assert_eq!(since % period, 0, "{id:?} ticked off its grid at {at}");
+            }
+            woken += ticks
+                .windows(2)
+                .filter(|w| w[1] - w[0] > SimDuration::from_micros(period))
+                .count();
+        }
+        assert!(woken > 0, "no timer went idle and woke again");
+    }
+
+    #[test]
+    fn an_idle_stretch_costs_one_empty_tick() {
+        let mut sim = lossy_spied_sim(30, 8, 3);
+        sim.run_until(SimTime::from_secs(20));
+        for (id, spy) in sim.iter_nodes() {
+            let ticks: Vec<(SimTime, usize)> = spy.gossip_ticks().collect();
+            for pair in ticks.windows(2) {
+                assert!(
+                    pair[0].1 > 0 || pair[1].1 > 0,
+                    "{id:?} ticked empty at {} and again at {}",
+                    pair[0].0,
+                    pair[1].0
+                );
+            }
+            // The stream ended long ago: the node's last tick found nothing
+            // and left the timer unarmed.
+            assert_eq!(ticks.last().unwrap().1, 0, "{id:?}");
+        }
+        // The source publishes without queueing: its first tick is empty and
+        // it never ticks again.
+        assert_eq!(sim.node(NodeId::new(0)).gossip_ticks().count(), 1);
+    }
+
+    #[test]
+    fn armed_timers_stay_a_handful_per_node() {
+        // Per node: gossip, aggregation and one retransmission timer, plus
+        // the source's publication timer.
+        let n = 40;
+        let mut sim = lossy_spied_sim(n, 3, 10);
+        let mut peak = 0;
+        for step in 1..=80 {
+            sim.run_until(SimTime::from_millis(step * 100));
+            peak = peak.max(sim.armed_timers());
+            assert!(
+                sim.armed_timers() <= 4 * n,
+                "{} timers armed at {} ms",
+                sim.armed_timers(),
+                step * 100
+            );
+        }
+        // The run did request under loss and so did arm retransmissions.
+        let retransmit_fires: usize = sim
+            .iter_nodes()
+            .map(|(_, spy)| {
+                spy.fired
+                    .iter()
+                    .filter(|f| f.0 == RETRANSMIT_TAG_BASE)
+                    .count()
+            })
+            .sum();
+        assert!(
+            retransmit_fires > 0 && peak > 2 * n,
+            "peak {peak}, fires {retransmit_fires}"
+        );
     }
 
     #[test]
@@ -948,14 +1112,14 @@ mod tests {
     #[test]
     fn retransmission_recovers_losses() {
         // With 10% loss and no retransmission some packets are lost for good;
-        // with retransmission enabled delivery should be (near) perfect.
-        let run = |retransmits: u32| -> f64 {
+        // with retransmission enabled delivery should be near perfect. Gossip
+        // coverage itself misses a few nodes on some seeds (see the note in
+        // `lossless_dissemination_reaches_everyone`), so the bar is a mean
+        // over 30 seeds.
+        let run = |seed: u64, retransmits: u32| -> f64 {
             let sched = schedule(2);
             let n = 20;
-            // Deterministic seed chosen so gossip coverage (see the note in
-            // `lossless_dissemination_reaches_everyone`) leaves the >99%
-            // delivery bar reachable by retransmission alone.
-            let mut sim = SimulatorBuilder::new(n, 16)
+            let mut sim = SimulatorBuilder::new(n, seed)
                 .latency(LatencyModel::constant(SimDuration::from_millis(20)))
                 .loss(LossModel::bernoulli(0.10))
                 .build(|id| {
@@ -979,10 +1143,13 @@ mod tests {
                 .sum();
             total / (n - 1) as f64
         };
-        let without = run(0);
-        let with = run(3);
-        assert!(with >= without, "retransmission must not hurt delivery");
-        assert!(with > 0.99, "with retransmission delivery was only {with}");
+        let mean = |retransmits| (0..30).map(|seed| run(seed, retransmits)).sum::<f64>() / 30.0;
+        let (without, with) = (mean(0), mean(3));
+        assert!(
+            with > without,
+            "retransmission must help: {with} vs {without}"
+        );
+        assert!(with >= 0.98, "with retransmission delivery was only {with}");
     }
 
     #[test]
@@ -1055,7 +1222,7 @@ mod tests {
                 LossModel::none(),
                 |_| policy,
                 |_| Bandwidth::from_mbps(100),
-                |node| AggregationTimerSpy { node, fired: 0 },
+                TimerSpy::wrap,
             );
             sim.run_until(SimTime::from_secs(10));
             sim
@@ -1063,14 +1230,19 @@ mod tests {
         for (id, spy) in spied(FanoutPolicy::fixed(4.0)).iter_nodes() {
             assert_eq!(spy.node.stats().aggregation_sent, 0);
             assert_eq!(spy.node.stats().aggregation_received, 0);
-            assert_eq!(spy.fired, 0, "{id:?} ran an aggregation timer");
+            let aggregation_fires = spy.fired.iter().filter(|f| f.0 == TAG_AGGREGATION).count();
+            assert_eq!(aggregation_fires, 0, "{id:?} ran an aggregation timer");
             // Nor did its aggregator ever allocate.
             assert_eq!(spy.node.aggregator().heap_bytes(), 0, "{id:?}");
         }
         // The spy does see the timer where it is armed, and the accounting
         // the table it fills.
         for (id, spy) in spied(FanoutPolicy::heap(4.0)).iter_nodes() {
-            assert!(spy.fired >= 40, "{id:?} fired {} in 10 s", spy.fired);
+            let aggregation_fires = spy.fired.iter().filter(|f| f.0 == TAG_AGGREGATION).count();
+            assert!(
+                aggregation_fires >= 40,
+                "{id:?} fired {aggregation_fires} in 10 s"
+            );
             assert!(spy.node.aggregator().heap_bytes() > 0, "{id:?}");
         }
     }

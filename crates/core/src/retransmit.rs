@@ -1,15 +1,33 @@
 //! Retransmission bookkeeping (Algorithm 2, "Retransmission" block).
 //!
 //! The protocols run over an unreliable, UDP-like transport, so a [Request]
-//! or its [Serve] answer may be lost. After requesting packets from a
-//! proposer, a node arms a retransmission timer; if some of the requested
-//! packets are still missing when it fires, the request is re-issued (up to a
-//! configurable number of times).
+//! or its [Serve] answer may be lost. A node that requests packets from a
+//! proposer gives the answer `retransmit_period` to arrive; if some of the
+//! requested packets are still missing by then, the request is re-issued (up
+//! to a configurable number of times).
+//!
+//! Every request of a node waits the same period, so the pending requests
+//! fall due in the order they were made. The tracker is therefore a FIFO of
+//! deadlines, and the node keeps one timer, tagged [`RETRANSMIT_TAG_BASE`],
+//! armed at the front's deadline rather than one timer per request. The
+//! tracker decides when that timer is armed:
+//! - [`push`] returns the instant to arm it at when it is not armed yet;
+//! - when it fires, the node pops every request due by then ([`pop_due`]);
+//!   requests it re-queues meanwhile arm nothing;
+//! - [`rearm`] then drops the answered requests now at the front and returns
+//!   the deadline of the first one still waiting, if any.
+//!
+//! A request answered before its deadline therefore costs an event only if
+//! it is still at the front when the timer fires.
 //!
 //! [Request]: crate::message::GossipMessage::Request
 //! [Serve]: crate::message::GossipMessage::Serve
+//! [`push`]: RetransmitTracker::push
+//! [`pop_due`]: RetransmitTracker::pop_due
+//! [`rearm`]: RetransmitTracker::rearm
 
 use heap_simnet::node::NodeId;
+use heap_simnet::time::SimTime;
 use heap_streaming::packet::PacketId;
 use std::collections::VecDeque;
 
@@ -22,122 +40,130 @@ pub struct PendingRequest {
     pub ids: Vec<PacketId>,
     /// How many more times the request may be re-issued.
     pub retries_left: u32,
+    /// When the request is re-examined if its answer has not arrived.
+    pub due: SimTime,
 }
 
-/// Tracks outstanding requests keyed by the timer tag armed for them.
-///
-/// Tags are handed out consecutively from [`RETRANSMIT_TAG_BASE`] and their
-/// timers all run for the same period, so requests leave in roughly the
-/// order they came. The tracker is therefore a FIFO slab: slot `i` of a
-/// deque holds the request registered under tag `front_tag + i`, a taken
-/// slot is blanked, and blank slots are popped off the front. `register`
-/// is a push, [`take`](Self::take) an index, and the deque spans only the
-/// tags between the oldest request still pending and the newest.
-///
-/// No slot order reaches behaviour: slots are read by tag, and
-/// [`forget_proposer`](Self::forget_proposer), the one pass over them,
-/// blanks each matching slot independently of the others.
+/// Outstanding requests in deadline order.
 ///
 /// # Examples
 ///
 /// ```
 /// use heap_gossip::retransmit::RetransmitTracker;
 /// use heap_simnet::node::NodeId;
+/// use heap_simnet::time::SimTime;
 /// use heap_streaming::PacketId;
 ///
 /// let mut tracker = RetransmitTracker::new();
-/// let tag = tracker.register(NodeId::new(3), vec![PacketId::new(0)], 2);
-/// let pending = tracker.take(tag).unwrap();
-/// assert_eq!(pending.proposer, NodeId::new(3));
-/// assert_eq!(pending.retries_left, 2);
-/// assert!(tracker.take(tag).is_none(), "taking twice yields nothing");
+/// let (t2, t3) = (SimTime::from_secs(2), SimTime::from_secs(3));
+/// // The first request arms the timer; the second waits behind it.
+/// assert_eq!(tracker.push(NodeId::new(3), vec![PacketId::new(0)], 2, t2), Some(t2));
+/// assert_eq!(tracker.push(NodeId::new(4), vec![PacketId::new(1)], 2, t3), None);
+/// // The timer fires at 2 s: one request is due.
+/// let pending = tracker.pop_due(t2).unwrap();
+/// assert_eq!((pending.proposer, pending.retries_left), (NodeId::new(3), 2));
+/// assert!(tracker.pop_due(t2).is_none(), "the other is due at 3 s");
+/// // Re-arm for it, unless its answer has arrived meanwhile.
+/// assert_eq!(tracker.rearm(|_| false), Some(t3));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RetransmitTracker {
-    /// Slot `i` belongs to tag `front_tag + i`. The front slot, if there is
-    /// one, is occupied.
-    pending: VecDeque<Option<PendingRequest>>,
-    /// The tag of the front slot; the next tag to hand out when `pending`
-    /// is empty.
-    front_tag: u64,
-    /// Number of occupied slots.
-    live: usize,
+    /// Pending requests; `due` is non-decreasing from front to back.
+    pending: VecDeque<PendingRequest>,
+    /// Whether the node's retransmission timer is armed (or firing). While
+    /// `pending` is not empty it is, at or before the front's deadline.
+    armed: bool,
 }
 
-/// Timer tags below this value are reserved for the node's periodic timers;
-/// retransmission tags start here.
+/// Timer tag of a node's one retransmission timer. Tags below it are the
+/// node's periodic timers.
 pub const RETRANSMIT_TAG_BASE: u64 = 1_000;
-
-impl Default for RetransmitTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 impl RetransmitTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
-        RetransmitTracker {
-            pending: VecDeque::new(),
-            front_tag: RETRANSMIT_TAG_BASE,
-            live: 0,
-        }
+        Self::default()
     }
 
-    /// Registers a pending request and returns the timer tag to arm for it.
-    pub fn register(&mut self, proposer: NodeId, ids: Vec<PacketId>, retries: u32) -> u64 {
-        let tag = self.front_tag + self.pending.len() as u64;
-        self.pending.push_back(Some(PendingRequest {
+    /// Queues a request to re-examine at `due` and returns `due` if the
+    /// retransmission timer must be armed for it, `None` if the timer is
+    /// armed already (or firing).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `due` precedes the deadline of the request
+    /// queued before it: deadlines must arrive in order.
+    pub fn push(
+        &mut self,
+        proposer: NodeId,
+        ids: Vec<PacketId>,
+        retries: u32,
+        due: SimTime,
+    ) -> Option<SimTime> {
+        debug_assert!(
+            self.pending.back().is_none_or(|last| last.due <= due),
+            "retransmit deadlines out of order"
+        );
+        self.pending.push_back(PendingRequest {
             proposer,
             ids,
             retries_left: retries,
-        }));
-        self.live += 1;
-        tag
+            due,
+        });
+        (!std::mem::replace(&mut self.armed, true)).then_some(due)
     }
 
-    /// Removes and returns the pending request associated with `tag`, if any.
-    /// Called when the retransmission timer fires (or, as an optimisation,
-    /// when the request has been fully answered).
-    pub fn take(&mut self, tag: u64) -> Option<PendingRequest> {
-        let at = usize::try_from(tag.checked_sub(self.front_tag)?).ok()?;
-        let taken = self.pending.get_mut(at)?.take()?;
-        self.live -= 1;
-        self.pop_blank_front();
-        Some(taken)
+    /// Queues a request due with the last one queued (at time zero when the
+    /// tracker is empty) and returns the retransmission timer's tag.
+    ///
+    /// Kept only because `benchmark/` compiles against it; the node queues
+    /// through [`push`](Self::push). Removed with ROADMAP item 2(b).
+    pub fn register(&mut self, proposer: NodeId, ids: Vec<PacketId>, retries: u32) -> u64 {
+        let due = self.pending.back().map_or(SimTime::ZERO, |last| last.due);
+        let _ = self.push(proposer, ids, retries, due);
+        RETRANSMIT_TAG_BASE
     }
 
-    /// Restores the invariant that the front slot is occupied.
-    fn pop_blank_front(&mut self) {
-        while let Some(None) = self.pending.front() {
-            self.pending.pop_front();
-            self.front_tag += 1;
+    /// Removes and returns the front request if it is due by `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<PendingRequest> {
+        if self.pending.front()?.due > now {
+            return None;
         }
+        self.pending.pop_front()
     }
 
-    /// Returns `true` if `tag` identifies a retransmission timer (as opposed
-    /// to one of the node's periodic timers).
+    /// Ends a firing of the retransmission timer: drops the front requests
+    /// for which `answered` holds and returns the deadline of the first one
+    /// left, the instant to arm the timer at; `None` leaves it unarmed.
+    pub fn rearm(&mut self, mut answered: impl FnMut(&PendingRequest) -> bool) -> Option<SimTime> {
+        while let Some(front) = self.pending.front() {
+            if !answered(front) {
+                self.armed = true;
+                return Some(front.due);
+            }
+            self.pending.pop_front();
+        }
+        self.armed = false;
+        None
+    }
+
+    /// Returns `true` if `tag` is the retransmission timer's (as opposed to
+    /// one of the node's periodic timers).
     pub fn is_retransmit_tag(tag: u64) -> bool {
-        tag >= RETRANSMIT_TAG_BASE
+        tag == RETRANSMIT_TAG_BASE
     }
 
     /// Number of requests currently awaiting their answer.
     pub fn outstanding(&self) -> usize {
-        self.live
+        self.pending.len()
     }
 
     /// Drops every pending request aimed at `proposer` (used when the peer is
     /// detected as failed: re-requesting from it is pointless).
     pub fn forget_proposer(&mut self, proposer: NodeId) -> usize {
-        let before = self.live;
-        for slot in &mut self.pending {
-            if slot.as_ref().is_some_and(|p| p.proposer == proposer) {
-                *slot = None;
-                self.live -= 1;
-            }
-        }
-        self.pop_blank_front();
-        before - self.live
+        let before = self.pending.len();
+        self.pending.retain(|p| p.proposer != proposer);
+        before - self.pending.len()
     }
 }
 
@@ -149,106 +175,99 @@ mod tests {
         v.iter().map(|&i| PacketId::new(i)).collect()
     }
 
-    #[test]
-    fn register_take_roundtrip() {
-        let mut t = RetransmitTracker::new();
-        let tag1 = t.register(NodeId::new(1), ids(&[1, 2]), 3);
-        let tag2 = t.register(NodeId::new(2), ids(&[3]), 1);
-        assert_ne!(tag1, tag2);
-        assert!(RetransmitTracker::is_retransmit_tag(tag1));
-        assert!(!RetransmitTracker::is_retransmit_tag(5));
-        assert_eq!(t.outstanding(), 2);
+    fn at(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
 
-        let p1 = t.take(tag1).unwrap();
-        assert_eq!(p1.proposer, NodeId::new(1));
-        assert_eq!(p1.ids, ids(&[1, 2]));
-        assert_eq!(p1.retries_left, 3);
+    #[test]
+    fn requests_fall_due_in_order() {
+        let mut t = RetransmitTracker::new();
+        let _ = t.push(NodeId::new(1), ids(&[1, 2]), 3, at(10));
+        let _ = t.push(NodeId::new(2), ids(&[3]), 1, at(10));
+        let _ = t.push(NodeId::new(3), ids(&[4]), 0, at(20));
+        assert_eq!(t.outstanding(), 3);
+        assert!(t.pop_due(at(9)).is_none());
+
+        let p1 = t.pop_due(at(15)).unwrap();
+        assert_eq!(
+            (p1.proposer, p1.ids, p1.retries_left, p1.due),
+            (NodeId::new(1), ids(&[1, 2]), 3, at(10))
+        );
+        assert_eq!(t.pop_due(at(15)).unwrap().proposer, NodeId::new(2));
+        assert!(t.pop_due(at(15)).is_none(), "the third is due at 20");
         assert_eq!(t.outstanding(), 1);
-        assert!(t.take(tag1).is_none());
-        assert!(t.take(999_999).is_none());
+    }
+
+    #[test]
+    fn rearm_skips_answered_front_requests_only() {
+        let mut t = RetransmitTracker::new();
+        for (i, due) in [10, 20, 30, 40].into_iter().enumerate() {
+            let _ = t.push(NodeId::new(i as u32), ids(&[i as u64]), 1, at(due));
+        }
+        // Requests 0 and 2 are answered: only 0 is at the front.
+        let answered = |p: &PendingRequest| p.ids[0].seq().is_multiple_of(2);
+        assert_eq!(t.rearm(answered), Some(at(20)));
+        assert_eq!(t.outstanding(), 3);
+        t.pop_due(at(20)).unwrap();
+        assert_eq!(t.rearm(answered), Some(at(40)));
+        assert_eq!(t.outstanding(), 1);
+        assert_eq!(t.rearm(|_| true), None);
+        assert_eq!(t.outstanding(), 0);
+    }
+
+    #[test]
+    fn one_timer_is_armed_at_a_time() {
+        let mut t = RetransmitTracker::new();
+        assert_eq!(t.push(NodeId::new(1), ids(&[1]), 1, at(10)), Some(at(10)));
+        assert_eq!(t.push(NodeId::new(1), ids(&[2]), 1, at(11)), None);
+        // Firing at 10 ms: requests re-queued while draining arm nothing.
+        let first = t.pop_due(at(10)).unwrap();
+        assert_eq!(t.push(first.proposer, first.ids, 0, at(20)), None);
+        assert_eq!(t.rearm(|_| false), Some(at(11)));
+        // Once a firing leaves nothing pending, the next request arms again.
+        t.pop_due(at(11)).unwrap();
+        t.pop_due(at(20)).unwrap();
+        assert_eq!(t.rearm(|_| false), None);
+        assert_eq!(t.push(NodeId::new(2), ids(&[3]), 1, at(30)), Some(at(30)));
+        // Forgetting every request leaves the timer armed; its firing finds
+        // nothing and leaves it unarmed.
+        assert_eq!(t.forget_proposer(NodeId::new(2)), 1);
+        assert_eq!(t.push(NodeId::new(3), ids(&[4]), 1, at(31)), None);
+        assert_eq!(t.forget_proposer(NodeId::new(3)), 1);
+        assert!(t.pop_due(at(30)).is_none());
+        assert_eq!(t.rearm(|_| false), None);
     }
 
     #[test]
     fn forget_proposer_drops_its_requests() {
         let mut t = RetransmitTracker::new();
-        t.register(NodeId::new(1), ids(&[1]), 1);
-        t.register(NodeId::new(1), ids(&[2]), 1);
-        let keep = t.register(NodeId::new(2), ids(&[3]), 1);
+        let _ = t.push(NodeId::new(1), ids(&[1]), 1, at(1));
+        let _ = t.push(NodeId::new(2), ids(&[3]), 1, at(2));
+        let _ = t.push(NodeId::new(1), ids(&[2]), 1, at(3));
         assert_eq!(t.forget_proposer(NodeId::new(1)), 2);
         assert_eq!(t.outstanding(), 1);
-        assert!(t.take(keep).is_some());
+        assert_eq!(t.pop_due(at(5)).unwrap().proposer, NodeId::new(2));
     }
 
     #[test]
-    fn default_is_empty() {
+    fn one_tag_for_every_request() {
         let mut t = RetransmitTracker::default();
         assert_eq!(t.outstanding(), 0);
-        // Not tag 0, which is the gossip timer's.
         let first = t.register(NodeId::new(1), ids(&[1]), 1);
+        let second = t.register(NodeId::new(2), ids(&[2]), 1);
+        assert_eq!((first, second), (RETRANSMIT_TAG_BASE, RETRANSMIT_TAG_BASE));
         assert!(RetransmitTracker::is_retransmit_tag(first));
-        assert_eq!(
-            first,
-            RetransmitTracker::new().register(NodeId::new(1), ids(&[1]), 1)
-        );
+        // Not tag 0, which is the gossip timer's.
+        assert!(!RetransmitTracker::is_retransmit_tag(0));
+        assert_eq!(t.outstanding(), 2);
     }
 
     #[test]
-    fn blank_slots_leave_with_the_head() {
+    #[should_panic(expected = "out of order")]
+    #[cfg(debug_assertions)]
+    fn deadlines_must_not_go_backwards() {
         let mut t = RetransmitTracker::new();
-        let tags: Vec<u64> = (0..8)
-            .map(|i| t.register(NodeId::new(i), ids(&[i as u64]), 1))
-            .collect();
-        // Middle entries blank their slots but cannot shorten the deque.
-        for &tag in &tags[1..6] {
-            assert!(t.take(tag).is_some());
-        }
-        assert_eq!((t.outstanding(), t.pending.len()), (3, 8));
-        // Taking the head pops it and every blank behind it.
-        assert!(t.take(tags[0]).is_some());
-        assert_eq!((t.outstanding(), t.pending.len()), (2, 2));
-        assert_eq!(t.front_tag, tags[6]);
-        // A popped tag is below the front now and stays unknown.
-        assert!(t.take(tags[3]).is_none());
-        // `forget_proposer` pops what it blanks at the front too.
-        assert_eq!(t.forget_proposer(NodeId::new(6)), 1);
-        assert_eq!((t.outstanding(), t.pending.len()), (1, 1));
-        assert!(t.take(tags[7]).is_some());
-        assert!(t.pending.is_empty());
-        assert_eq!(t.register(NodeId::new(0), ids(&[9]), 1), tags[7] + 1);
-    }
-
-    #[test]
-    fn the_deque_spans_only_the_requests_in_flight() {
-        // A node's steady state: every request is taken `IN_FLIGHT`
-        // registrations later, now and then out of order.
-        const IN_FLIGHT: u64 = 50;
-        let mut t = RetransmitTracker::new();
-        for i in 0..100_000u64 {
-            let tag = t.register(NodeId::new((i % 7) as u32), ids(&[i]), 1);
-            if i >= IN_FLIGHT {
-                let due = tag - IN_FLIGHT;
-                // Every third pair fires in swapped order.
-                let swapped = match (due - RETRANSMIT_TAG_BASE) % 6 {
-                    0 => due + 1,
-                    1 => due - 1,
-                    _ => due,
-                };
-                assert!(t.take(swapped).is_some(), "tag {swapped}");
-            }
-            assert!(t.pending.len() as u64 <= IN_FLIGHT + 2, "step {i}");
-        }
-        assert_eq!(t.outstanding() as u64, IN_FLIGHT);
-        assert!(t.pending.capacity() <= 128, "{}", t.pending.capacity());
-    }
-
-    #[test]
-    fn tags_are_unique_across_many_registrations() {
-        let mut t = RetransmitTracker::new();
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..1000u64 {
-            let tag = t.register(NodeId::new((i % 7) as u32), ids(&[i]), 1);
-            assert!(seen.insert(tag));
-        }
-        assert_eq!(t.outstanding(), 1000);
+        let _ = t.push(NodeId::new(1), ids(&[1]), 1, at(10));
+        let _ = t.push(NodeId::new(1), ids(&[2]), 1, at(9));
     }
 }

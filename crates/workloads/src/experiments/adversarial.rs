@@ -275,27 +275,44 @@ mod tests {
 
     #[test]
     fn heap_outperforms_standard_under_most_fault_classes() {
-        let scenarios = scenarios(Scale::test());
-        let results = run_scenarios_parallel(&scenarios);
+        // At this scale a class's score margin spreads by 1.5–3 points from
+        // seed to seed around a mean of 1.2–3.8, so one seed's win count is
+        // noisy: over seeds 1..=1000 HEAP wins 4.8 classes on average and
+        // fewer than three on 1.4 % of the seeds. The claim is therefore
+        // checked on twenty consecutive seeds: four wins per seed on average
+        // (a drop of about one class per seed fails it), and never fewer
+        // than two.
+        const SEEDS: std::ops::Range<u64> = 0..20;
         let mut heap_wins = 0;
-        for (i, class) in FaultClass::ALL.iter().enumerate() {
-            let (standard, heap) = (&results[2 * i], &results[2 * i + 1]);
-            let (std_score, heap_score) = (mean_score(standard), mean_score(heap));
-            if heap_score >= std_score {
-                heap_wins += 1;
+        for seed in SEEDS {
+            let results = run_scenarios_parallel(&scenarios(Scale::test().with_seed(seed)));
+            let mut seed_wins = 0;
+            for (i, class) in FaultClass::ALL.iter().enumerate() {
+                let (standard, heap) = (&results[2 * i], &results[2 * i + 1]);
+                if mean_score(heap) >= mean_score(standard) {
+                    seed_wins += 1;
+                }
+                // Whatever the ordering, no fault class may collapse HEAP
+                // entirely at this scale.
+                assert!(
+                    mean_delivery(heap) > 0.5,
+                    "{}, seed {seed}: HEAP delivery collapsed",
+                    class.label()
+                );
             }
-            // Whatever the ordering, no fault class may collapse HEAP
-            // entirely at this scale.
             assert!(
-                mean_delivery(heap) > 0.5,
-                "{}: HEAP delivery collapsed",
-                class.label()
+                seed_wins >= 2,
+                "seed {seed}: HEAP matched or beat standard gossip under only \
+                 {seed_wins} fault classes"
             );
+            heap_wins += seed_wins;
         }
+        let runs = SEEDS.end - SEEDS.start;
         assert!(
-            heap_wins >= 3,
-            "HEAP must match or beat standard gossip's health score under at \
-             least three fault classes, won {heap_wins}"
+            heap_wins >= 4 * runs,
+            "HEAP must match or beat standard gossip's health score under \
+             four fault classes per seed on average, won {heap_wins} of {}",
+            FaultClass::ALL.len() as u64 * runs
         );
     }
 }
