@@ -54,34 +54,6 @@ pub struct GossipConfig {
     ///
     /// [Aggregation]: crate::message::GossipMessage::Aggregation
     pub capability_sample_bytes: usize,
-    /// Source-side graceful degradation: when set, the source watches the
-    /// retransmit pressure it receives and widens its own proposal fanout
-    /// while the pressure stays above the threshold (see
-    /// [`SourceAdaptation`]). `None` (the default) disables adaptation and
-    /// leaves the source's behaviour byte-for-byte unchanged.
-    pub source_adaptation: Option<SourceAdaptation>,
-}
-
-/// Parameters of the source's graceful-degradation response (see
-/// [`GossipConfig::source_adaptation`]).
-///
-/// Retransmitted [Request]s reaching the source are the cheapest observable
-/// proxy for system-wide dissemination distress: they only appear once
-/// first-hand proposals went unserved somewhere downstream. When the number
-/// of requests that arrived since the previous publication tick crosses
-/// `request_threshold`, the source proposes the freshly published packet to
-/// `fanout_boost` *additional* uniformly drawn peers — widening the first
-/// dissemination wave exactly while the relay mesh is struggling (a crude
-/// stand-in for the source-side FEC/rate adaptation a deployment would run).
-///
-/// [Request]: crate::message::GossipMessage::Request
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SourceAdaptation {
-    /// Requests received since the last publication tick at (or above) which
-    /// the source considers the system under retransmit pressure.
-    pub request_threshold: u64,
-    /// Number of additional proposal targets drawn while under pressure.
-    pub fanout_boost: usize,
 }
 
 impl GossipConfig {
@@ -99,14 +71,7 @@ impl GossipConfig {
             header_bytes: 28,
             id_bytes: 8,
             capability_sample_bytes: 10,
-            source_adaptation: None,
         }
-    }
-
-    /// Enables source-side graceful degradation with the given parameters.
-    pub fn with_source_adaptation(mut self, adaptation: SourceAdaptation) -> Self {
-        self.source_adaptation = Some(adaptation);
-        self
     }
 
     /// Overrides the average fanout, keeping everything else.
@@ -143,14 +108,6 @@ impl GossipConfig {
         }
         if self.max_retransmits > 0 && self.retransmit_period.is_zero() {
             return Err("retransmit_period must be positive when retransmission is enabled".into());
-        }
-        if let Some(adaptation) = self.source_adaptation {
-            if adaptation.request_threshold == 0 {
-                return Err("source_adaptation.request_threshold must be at least 1".into());
-            }
-            if adaptation.fanout_boost == 0 {
-                return Err("source_adaptation.fanout_boost must be at least 1".into());
-            }
         }
         Ok(())
     }
@@ -312,28 +269,6 @@ mod tests {
         assert!(ok.validate().is_ok());
         let mut bad = GossipConfig::paper();
         bad.aggregation_period = SimDuration::ZERO;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn source_adaptation_knob_validates() {
-        assert_eq!(GossipConfig::paper().source_adaptation, None);
-        let c = GossipConfig::paper().with_source_adaptation(SourceAdaptation {
-            request_threshold: 4,
-            fanout_boost: 3,
-        });
-        assert!(c.validate().is_ok());
-        let mut bad = c.clone();
-        bad.source_adaptation = Some(SourceAdaptation {
-            request_threshold: 0,
-            fanout_boost: 3,
-        });
-        assert!(bad.validate().is_err());
-        let mut bad = c;
-        bad.source_adaptation = Some(SourceAdaptation {
-            request_threshold: 4,
-            fanout_boost: 0,
-        });
         assert!(bad.validate().is_err());
     }
 }

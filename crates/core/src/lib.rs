@@ -82,7 +82,7 @@ pub mod retransmit;
 mod serve_dedup;
 
 pub use aggregation::{CapabilityAggregator, CapabilitySample};
-pub use config::{GossipConfig, PartialMembershipConfig, SourceAdaptation};
+pub use config::{GossipConfig, PartialMembershipConfig};
 pub use engine::DisseminationEngine;
 pub use fanout::FanoutPolicy;
 pub use message::GossipMessage;

@@ -2,15 +2,12 @@
 //! fanout policy, the aggregation protocol and the retransmission tracker to
 //! the simulator's [`Protocol`] trait.
 //!
-//! Several [`Protocol::on_message`] invocations may share one [`Context`]
-//! activation (the simulator drains same-tick deliveries to one node as a
-//! batch) and context commands take effect eagerly rather than after the
-//! callback returns. `GossipNode` is indifferent to either by
-//! construction: every callback reads only its own state plus the
-//! callback's arguments, draws randomness exclusively from
-//! [`Context::rng`]'s per-node stream, and never depends on *when* its
-//! issued sends are charged to the network — the differential tests in
-//! `heap-simnet` pin the engine to its one-event-per-activation,
+//! [`Context`] commands take effect eagerly rather than after the callback
+//! returns. `GossipNode` is indifferent to that by construction: every
+//! callback reads only its own state plus the callback's arguments, draws
+//! randomness exclusively from [`Context::rng`]'s per-node stream, and never
+//! depends on *when* its issued sends are charged to the network — the
+//! differential tests in `heap-simnet` pin the engine to its
 //! deferred-command reference core bit for bit.
 
 use crate::aggregation::CapabilityAggregator;
@@ -114,11 +111,6 @@ pub struct ProtocolStats {
     ///
     /// [Shuffle]: GossipMessage::Shuffle
     pub shuffles_received: u64,
-    /// Publication ticks on which the source widened its proposal fanout
-    /// because retransmit pressure crossed the adaptation threshold
-    /// ([`GossipConfig::source_adaptation`]); always 0 for receivers and for
-    /// sources without the knob.
-    pub adaptation_boosts: u64,
 }
 
 impl ProtocolStats {
@@ -254,7 +246,6 @@ impl GossipNodeBuilder {
             config: self.config,
             next_source_seq: 0,
             serve_fraction: self.serve_fraction,
-            adaptation_requests_seen: 0,
             join_at: self.join_at,
             joined: self.join_at.is_none(),
             gossip_idle_at: None,
@@ -291,9 +282,6 @@ pub struct GossipNode {
     /// Fraction of requested packet ids the node actually serves (1.0 =
     /// honest; below = free-rider, see [`GossipNodeBuilder::serve_fraction`]).
     serve_fraction: f64,
-    /// Requests-received watermark at the previous publication tick, used by
-    /// the source-adaptation knob to measure per-tick retransmit pressure.
-    adaptation_requests_seen: u64,
     /// The deferred join instant of a standby node (`None` = present from
     /// the start).
     join_at: Option<SimTime>,
@@ -556,24 +544,6 @@ impl GossipNode {
             let published = self.engine.publish(&packet, ctx.now());
             // Algorithm 1 line 5: fresh ids are gossiped immediately.
             self.gossip_ids(ctx, vec![published]);
-            // Graceful degradation: when retransmit pressure reached the
-            // source since the previous tick, widen this packet's first
-            // dissemination wave with extra proposal targets. Gated on the
-            // knob so the default configuration draws nothing extra.
-            if let Some(adaptation) = self.config.source_adaptation {
-                let pressure = self.stats.requests_received - self.adaptation_requests_seen;
-                self.adaptation_requests_seen = self.stats.requests_received;
-                if pressure >= adaptation.request_threshold {
-                    self.stats.adaptation_boosts += 1;
-                    let targets = self.select_targets(adaptation.fanout_boost, ctx.rng());
-                    self.stats.proposals_sent += targets.len() as u64;
-                    send_to_each(
-                        ctx,
-                        &targets,
-                        GossipMessage::propose(vec![published], &self.config),
-                    );
-                }
-            }
             self.next_source_seq += 1;
             if let Some(next_time) = schedule.publish_time(PacketId::new(self.next_source_seq)) {
                 self.arm_source_timer(ctx, next_time);
@@ -1453,52 +1423,6 @@ mod tests {
         let _ = GossipNode::builder(NodeId::new(0), 5, schedule(1))
             .serve_fraction(1.5)
             .build();
-    }
-
-    #[test]
-    fn source_adaptation_boosts_fanout_under_retransmit_pressure() {
-        use crate::config::SourceAdaptation;
-        // Heavy loss generates retransmitted requests back to the source
-        // (fanout covers the whole tiny population, so the source fields
-        // requests directly). With a threshold of 1 request per tick the
-        // source must engage its boost; without the knob it must not.
-        let run = |adapt: Option<SourceAdaptation>| {
-            let n = 8;
-            let sched = schedule(2);
-            let mut sim = SimulatorBuilder::new(n, 9)
-                .latency(LatencyModel::constant(SimDuration::from_millis(15)))
-                .loss(LossModel::bernoulli(0.25))
-                .build(|id| {
-                    let mut cfg = GossipConfig::paper().with_fanout(7.0);
-                    cfg.source_adaptation = adapt;
-                    GossipNode::builder(id, n, sched)
-                        .config(cfg)
-                        .role(if id.index() == 0 {
-                            Role::Source
-                        } else {
-                            Role::Receiver
-                        })
-                        .build()
-                });
-            sim.run_until(SimTime::from_secs(25));
-            sim.node(NodeId::new(0)).stats()
-        };
-        let plain = run(None);
-        assert_eq!(plain.adaptation_boosts, 0);
-        let adapted = run(Some(SourceAdaptation {
-            request_threshold: 1,
-            fanout_boost: 3,
-        }));
-        assert!(
-            adapted.adaptation_boosts > 0,
-            "25% loss must trip a 1-request threshold at least once"
-        );
-        assert!(
-            adapted.proposals_sent > plain.proposals_sent,
-            "boost ticks must widen the proposal wave ({} vs {})",
-            adapted.proposals_sent,
-            plain.proposals_sent
-        );
     }
 
     #[test]

@@ -653,9 +653,8 @@ impl<E> EventQueue<E> {
     /// would yield (when the ring is empty, `beyond_wheel`
     /// resolves the earliest `(time, seq)` pending in the outer wheel or the
     /// overflow heap, which is also what the window refill in `pop` surfaces
-    /// first). The simulator's batched delivery dispatch uses this to decide
-    /// whether the next event extends the current same-tick,
-    /// same-destination delivery run.
+    /// first). The simulator's run loop uses this to merge intruding pushes
+    /// against a drained batch.
     pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
         if let Some(event) = self.past.peek() {
             return Some(event);

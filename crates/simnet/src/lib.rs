@@ -38,13 +38,13 @@
 //!   events wait in an outer wheel of [`event::NUM_OUTER_BUCKETS`] coarser
 //!   buckets, and beyond that in an overflow min-heap. Pop order is
 //!   ascending `(time, insertion seq)`.
-//! * **One run loop** — the simulator drains a calendar bucket at a time and
-//!   applies commands eagerly: [`sim::Context::send`] runs the transmit path
-//!   (upload queue, statistics, loss, latency, queue push) inline; per-node
-//!   state lives in struct-of-arrays form so the context can borrow the
-//!   whole substrate while the protocol instance is borrowed separately.
-//!   Same-tick deliveries to one node are drained in a single callback
-//!   context, and queued events are slim: a delivery's wire size is
+//! * **One run loop** — the simulator drains a calendar bucket at a time,
+//!   dispatches each event in its own callback context and applies commands
+//!   eagerly: [`sim::Context::send`] runs the transmit path (upload queue,
+//!   statistics, loss, latency, queue push) inline; per-node state lives in
+//!   dense vectors apart from the protocol instances, so the context can
+//!   borrow the whole substrate while the protocol instance is borrowed
+//!   separately. Queued events are slim: a delivery's wire size is
 //!   recomputed at the fire site and a timer's node and tag live in its
 //!   timer slot, not in the queue.
 //! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
@@ -53,8 +53,8 @@
 //!   simulator's timer state is bounded by the number of *concurrently
 //!   pending* timers ([`sim::Simulator::timer_slots`]).
 //! * **One reference** — a second, deliberately naive implementation of the
-//!   whole engine ([`event::BinaryHeapQueue`], one popped event per
-//!   callback, deferred commands, uncompiled loss and latency models) exists
+//!   whole engine ([`event::BinaryHeapQueue`], one popped event at a time,
+//!   deferred commands, the uncompiled latency model) exists
 //!   only as the oracle of the differential tests, which assert the engine
 //!   bit-identical to it. It is not a configuration: its one entry point is
 //!   hidden from the documented builder API.
@@ -114,7 +114,7 @@ pub use latency::LatencyModel;
 pub use loss::LossModel;
 pub use node::NodeId;
 pub use sim::{Context, Protocol, Simulator, SimulatorBuilder, TimerId, WireSize};
-pub use stats::{MemoryFootprint, NetStats, NodeStats, ReferenceNetStats};
+pub use stats::{MemoryFootprint, NetStats, NodeStats};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for downstream crates and examples.

@@ -85,7 +85,8 @@ impl LossModel {
 ///
 /// Keeps one channel state per sender for the Gilbert–Elliott model. The
 /// state type is separate from [`LossModel`] so that the model itself stays
-/// an immutable, serialisable configuration value.
+/// an immutable, serialisable configuration value. The simulator draws every
+/// loss decision through [`LossState::is_lost`].
 #[derive(Debug, Clone)]
 pub struct LossState {
     /// `true` = the sender's channel is currently in the bad state.
@@ -93,15 +94,22 @@ pub struct LossState {
 }
 
 impl LossState {
-    /// Creates loss state for `n` senders, all starting in the good state.
-    pub fn new(n: usize) -> Self {
+    /// Creates the state `model` needs for `n` senders, all starting in the
+    /// good state. Only the Gilbert–Elliott model keeps per-sender state;
+    /// for the others this allocates nothing.
+    pub fn new(model: &LossModel, n: usize) -> Self {
+        let senders = match model {
+            LossModel::GilbertElliott { .. } => n,
+            LossModel::None | LossModel::Bernoulli { .. } => 0,
+        };
         LossState {
-            bad: vec![false; n],
+            bad: vec![false; senders],
         }
     }
 
     /// Draws whether a message from `from` to `to` is lost and advances the
     /// channel state.
+    #[inline]
     pub fn is_lost<R: Rng + ?Sized>(
         &mut self,
         model: &LossModel,
@@ -140,104 +148,11 @@ impl LossState {
     }
 }
 
-/// A [`LossModel`] compiled into its per-draw fast path, with the per-sender
-/// channel state of the Gilbert–Elliott model folded in.
-///
-/// The simulator hot loop draws one loss decision per transmitted message;
-/// classifying the model once at build time (and owning the burst state
-/// directly) removes the per-draw enum match over the configuration value and
-/// the separate [`LossState`] indirection. Draw-identical to
-/// [`LossState::is_lost`]: same decisions, same RNG consumption — pinned by
-/// `cached_loss_sampler_is_draw_identical_to_model`.
-#[derive(Debug, Clone)]
-pub struct LossSampler {
-    kind: LossKind,
-}
-
-/// The compiled per-draw representation behind [`LossSampler`].
-#[derive(Debug, Clone)]
-enum LossKind {
-    /// No draw at all.
-    None,
-    /// One `gen_bool(p)` per message.
-    Bernoulli { p: f64 },
-    /// Stateful two-draw Gilbert–Elliott: loss draw from the sender's current
-    /// state, then the state-transition draw.
-    GilbertElliott {
-        p_good_to_bad: f64,
-        p_bad_to_good: f64,
-        p_good: f64,
-        p_bad: f64,
-        /// `true` = the sender's channel is currently in the bad state.
-        bad: Vec<bool>,
-    },
-}
-
-impl LossSampler {
-    /// Compiles `model` for `n` senders (Gilbert–Elliott state grows on
-    /// demand beyond `n`, exactly like [`LossState`]).
-    pub fn new(model: &LossModel, n: usize) -> Self {
-        let kind = match model {
-            LossModel::None => LossKind::None,
-            LossModel::Bernoulli { p } => LossKind::Bernoulli { p: *p },
-            LossModel::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                p_good,
-                p_bad,
-            } => LossKind::GilbertElliott {
-                p_good_to_bad: *p_good_to_bad,
-                p_bad_to_good: *p_bad_to_good,
-                p_good: *p_good,
-                p_bad: *p_bad,
-                bad: vec![false; n],
-            },
-        };
-        LossSampler { kind }
-    }
-
-    /// Draws whether a message from `from` to `to` is lost and advances the
-    /// channel state. Consumes exactly the RNG values [`LossState::is_lost`]
-    /// would under the same model.
-    #[inline]
-    pub fn is_lost<R: Rng + ?Sized>(&mut self, rng: &mut R, from: NodeId, _to: NodeId) -> bool {
-        match &mut self.kind {
-            LossKind::None => false,
-            LossKind::Bernoulli { p } => rng.gen_bool(*p),
-            LossKind::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                p_good,
-                p_bad,
-                bad,
-            } => {
-                let idx = from.index();
-                if idx >= bad.len() {
-                    bad.resize(idx + 1, false);
-                }
-                let in_bad = bad[idx];
-                let loss_p = if in_bad { *p_bad } else { *p_good };
-                let lost = rng.gen_bool(loss_p);
-                // Transition after the draw.
-                let flip_p = if in_bad {
-                    *p_bad_to_good
-                } else {
-                    *p_good_to_bad
-                };
-                if rng.gen_bool(flip_p) {
-                    bad[idx] = !in_bad;
-                }
-                lost
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(11)
@@ -246,7 +161,7 @@ mod tests {
     #[test]
     fn none_never_loses() {
         let model = LossModel::none();
-        let mut state = LossState::new(4);
+        let mut state = LossState::new(&model, 4);
         let mut r = rng();
         for _ in 0..1000 {
             assert!(!state.is_lost(&model, &mut r, NodeId::new(0), NodeId::new(1)));
@@ -257,7 +172,7 @@ mod tests {
     #[test]
     fn bernoulli_rate_is_close_to_p() {
         let model = LossModel::bernoulli(0.1);
-        let mut state = LossState::new(1);
+        let mut state = LossState::new(&model, 1);
         let mut r = rng();
         let n = 100_000;
         let lost = (0..n)
@@ -283,7 +198,7 @@ mod tests {
             p_good: 0.01,
             p_bad: 0.3,
         };
-        let mut state = LossState::new(1);
+        let mut state = LossState::new(&model, 1);
         let mut r = rng();
         let n = 200_000;
         let lost = (0..n)
@@ -305,7 +220,7 @@ mod tests {
             p_good: 0.0,
             p_bad: 1.0,
         };
-        let mut state = LossState::new(2);
+        let mut state = LossState::new(&model, 2);
         let mut r = rng();
         // First message from node 0: good state, never lost, then flips to bad.
         assert!(!state.is_lost(&model, &mut r, NodeId::new(0), NodeId::new(1)));
@@ -320,55 +235,18 @@ mod tests {
     #[test]
     fn loss_state_grows_on_demand() {
         let model = LossModel::bursty_default();
-        let mut state = LossState::new(1);
+        let mut state = LossState::new(&model, 1);
         let mut r = rng();
         // Index beyond the initial size must not panic.
         let _ = state.is_lost(&model, &mut r, NodeId::new(10), NodeId::new(0));
         assert!(state.bad.len() >= 11);
     }
 
-    /// The compiled sampler must make the same decisions *and* consume the
-    /// same RNG values as the interpreted model for every variant — the
-    /// simulator swaps one for the other, so any divergence would silently
-    /// change every downstream draw of the run.
     #[test]
-    fn cached_loss_sampler_is_draw_identical_to_model() {
-        let models = [
-            LossModel::none(),
-            LossModel::bernoulli(0.0),
-            LossModel::bernoulli(0.07),
-            LossModel::bernoulli(1.0),
-            LossModel::bursty_default(),
-            LossModel::GilbertElliott {
-                p_good_to_bad: 0.3,
-                p_bad_to_good: 0.05,
-                p_good: 0.0,
-                p_bad: 0.9,
-            },
-        ];
-        for model in models {
-            let mut slow = SmallRng::seed_from_u64(0xDEAD);
-            let mut fast = SmallRng::seed_from_u64(0xDEAD);
-            let mut state = LossState::new(3);
-            let mut sampler = LossSampler::new(&model, 3);
-            for i in 0..10_000u32 {
-                // Cycle senders (including one past the preallocated size) so
-                // the per-sender burst state paths are exercised.
-                let from = NodeId::new(i % 5);
-                let to = NodeId::new((i + 1) % 5);
-                assert_eq!(
-                    state.is_lost(&model, &mut slow, from, to),
-                    sampler.is_lost(&mut fast, from, to),
-                    "decision diverged for {model:?} at draw {i}"
-                );
-            }
-            // Same RNG position after the run: neither path may consume more
-            // or fewer values than the other.
-            assert_eq!(
-                slow.next_u64(),
-                fast.next_u64(),
-                "RNG position diverged for {model:?}"
-            );
-        }
+    fn only_gilbert_elliott_allocates_sender_state() {
+        let flags = |model: LossModel| LossState::new(&model, 100).bad.len();
+        assert_eq!(flags(LossModel::none()), 0);
+        assert_eq!(flags(LossModel::bernoulli(0.1)), 0);
+        assert_eq!(flags(LossModel::bursty_default()), 100);
     }
 }

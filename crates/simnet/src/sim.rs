@@ -11,32 +11,32 @@
 //! ## The engine and its reference
 //!
 //! One engine runs every simulation. The simulator owns the node population
-//! as one *partition* plus the network state (`Net`: network RNG, compiled
-//! loss and latency samplers, fault plan). The partition keeps its nodes'
-//! state in struct-of-arrays form (protocol instances, upload queues, RNGs
-//! and liveness in separate dense vectors indexed by node id, the traffic
-//! counters column-wise in [`NetStats`]) beside its calendar queue and timer
-//! table, and runs the one event loop: it drains a whole calendar bucket at
-//! a time ([`EventQueue::drain_bucket`]) and hands same-tick deliveries to
-//! one node to a single callback context. Context commands apply *eagerly* —
-//! `Context::send` runs the one transmit path inline: the upload-queue pass
-//! and the sender's statistics, then loss, latency and the queue push.
+//! as one *partition* plus the network state (`Net`: network RNG, the loss
+//! model and its [`LossState`], the compiled latency sampler, fault plan).
+//! The partition keeps its nodes' state in separate dense vectors indexed by
+//! node id (protocol instances, upload queues, RNGs, liveness, one
+//! [`NetStats`] row each) beside its calendar queue and timer table, and
+//! runs the one event loop: it drains a whole calendar bucket at a time
+//! ([`EventQueue::drain_bucket`]) and dispatches each event in its own
+//! callback context. Context commands apply *eagerly* — `Context::send` runs
+//! the one transmit path inline: the upload-queue pass and the sender's
+//! statistics, then loss, latency and the queue push.
 //!
 //! Beside the engine sits one whole-engine *reference*, reachable only
 //! through the hidden [`SimulatorBuilder::reference_core`]: a
-//! [`BinaryHeapQueue`], its own loop with one popped event per callback
-//! activation, commands deferred to a buffer allocated per callback and
-//! replayed after it returns, loss and latency drawn through the models' own
-//! per-call paths ([`LatencyModel::sample`], [`LossState::is_lost`]). It
-//! shares the transmit path, the timer table and the statistics with the
-//! engine and nothing else, which is what makes it an oracle
-//! (`tests/scheduler_core.rs` and the differential suites beside it).
+//! [`BinaryHeapQueue`], its own loop popping one event at a time, commands
+//! deferred to a buffer allocated per callback and replayed after it
+//! returns, latency drawn through the model's own per-call path
+//! ([`LatencyModel::sample`]). It shares the transmit path, the loss state,
+//! the timer table and the statistics with the engine and nothing else,
+//! which is what makes it an oracle (`tests/scheduler_core.rs` and the
+//! differential suites beside it).
 
 use crate::bandwidth::{UploadCapacity, UploadQueue};
 use crate::event::{BinaryHeapQueue, EventQueue, ScheduledEvent};
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, LatencySampler};
-use crate::loss::{LossModel, LossSampler, LossState};
+use crate::loss::{LossModel, LossState};
 use crate::node::NodeId;
 use crate::rng::stream_rng;
 use crate::stats::{MemoryFootprint, NetStats};
@@ -184,14 +184,6 @@ impl TimerTable {
 ///
 /// All callbacks receive a [`Context`] scoped to this node. A node that has
 /// crashed receives no further callbacks.
-///
-/// Implementations must not assume a fresh context activation per message:
-/// the simulator may invoke [`Protocol::on_message`] several times within one
-/// context when multiple messages arrive at the same node at the same virtual
-/// instant (the batched delivery path). Each invocation still observes the
-/// exact state it would have observed under one-activation-per-message
-/// dispatch — the two schedules are bit-identical, which the differential
-/// tests in `tests/scheduler_core.rs` pin.
 pub trait Protocol {
     /// The message type exchanged between nodes running this protocol.
     type Message: Clone + WireSize;
@@ -246,8 +238,10 @@ type Event<M> = ScheduledEvent<EventKind<M>>;
 struct Net {
     /// The network RNG: every loss and latency draw.
     rng: SmallRng,
-    /// The loss and latency models, compiled into their per-draw fast paths.
-    loss: LossSampler,
+    /// The loss model and its per-sender channel state.
+    loss: LossModel,
+    loss_state: LossState,
+    /// The latency model, compiled into its per-draw fast path.
     latency: LatencySampler,
     /// The fault-injection schedule (inert by default).
     fault: FaultPlan,
@@ -255,22 +249,20 @@ struct Net {
 
 /// What only the reference core has
 /// ([`SimulatorBuilder::reference_core`]): the ordering oracle as its queue
-/// and the link models as configured, sampled per call.
+/// and the latency model as configured, sampled per call.
 struct Reference<M> {
     queue: BinaryHeapQueue<EventKind<M>>,
     latency: LatencyModel,
-    loss: LossModel,
-    loss_state: LossState,
 }
 
 /// Where the transmit path hands a command once the sender-side work is
 /// done.
 enum Sink<'a, M> {
-    /// The engine: loss, latency and the queue push resolve on the spot.
+    /// The engine: latency and the queue push resolve on the spot.
     Direct(&'a mut Net),
     /// The reference core replaying a command buffer: resolved on the spot
-    /// like [`Sink::Direct`], but through the models' own per-call paths and
-    /// into the binary heap.
+    /// like [`Sink::Direct`], but through the latency model's own per-call
+    /// path and into the binary heap.
     Reference(&'a mut Net, &'a mut Reference<M>),
 }
 
@@ -284,8 +276,8 @@ impl<M> Sink<'_, M> {
     }
 }
 
-/// Everything the partition owns *except* its protocol instances, in
-/// struct-of-arrays form indexed by node id.
+/// Everything the partition owns *except* its protocol instances, in dense
+/// vectors indexed by node id.
 ///
 /// Splitting this from the protocols is what lets [`Context`] dispatch
 /// eagerly: during a callback the protocol is borrowed from
@@ -331,10 +323,10 @@ impl<M> PartState<M> {
 
 impl<M: WireSize> PartState<M> {
     /// The one transmit path: `msg` passes through the upload queue of
-    /// `from` and is charged to the sender's statistics, then the sink draws
-    /// loss and latency and schedules the delivery. The engine and the
-    /// reference core differ only in how loss and latency are drawn (same
-    /// draws, same values).
+    /// `from` and is charged to the sender's statistics, then loss is drawn
+    /// and the sink draws latency and schedules the delivery. The engine and
+    /// the reference core differ only in how latency is drawn (same draws,
+    /// same values) and which queue takes the delivery.
     fn transmit(&mut self, sink: &mut Sink<'_, M>, from: NodeId, to: NodeId, msg: M) {
         let bytes = msg.wire_size();
         let now = self.now;
@@ -352,23 +344,20 @@ impl<M: WireSize> PartState<M> {
         self.stats.total_queueing_delay += departure - now;
         // A send severed by an active partition epoch is dropped exactly
         // like a network loss, consuming no randomness.
+        let net = sink.net();
+        if net.fault.blocks(now, from, to)
+            || net.loss_state.is_lost(&net.loss, &mut net.rng, from, to)
+        {
+            self.stats.record_loss(from);
+            return;
+        }
         match sink {
             Sink::Direct(net) => {
-                if net.fault.blocks(now, from, to) || net.loss.is_lost(&mut net.rng, from, to) {
-                    self.stats.record_loss(from);
-                    return;
-                }
                 let latency = net.latency.sample(&mut net.rng);
                 self.queue
                     .push(departure + latency, EventKind::Deliver { from, to, msg });
             }
             Sink::Reference(net, r) => {
-                if net.fault.blocks(now, from, to)
-                    || r.loss_state.is_lost(&r.loss, &mut net.rng, from, to)
-                {
-                    self.stats.record_loss(from);
-                    return;
-                }
                 let latency = r.latency.sample(&mut net.rng, from, to);
                 r.queue
                     .push(departure + latency, EventKind::Deliver { from, to, msg });
@@ -592,14 +581,13 @@ impl SimulatorBuilder {
         let reference = self.reference.then(|| Reference {
             queue: BinaryHeapQueue::new(),
             latency: self.latency.clone(),
-            loss: self.loss.clone(),
-            loss_state: LossState::new(self.n),
         });
         let mut sim = Simulator {
             part: Partition::new(&self, make_node),
             net: Net {
                 rng: stream_rng(self.seed, 0),
-                loss: LossSampler::new(&self.loss, self.n),
+                loss_state: LossState::new(&self.loss, self.n),
+                loss: self.loss,
                 latency: LatencySampler::new(&self.latency),
                 fault: self.fault,
             },
@@ -677,10 +665,7 @@ impl<P: Protocol> Partition<P> {
     ///   batch's latest firing time ("intrusions": same-tick timers,
     ///   zero-bucket delays). The queue latches a flag and the loop merges
     ///   the queue front against the next batch entry by global `(time,
-    ///   seq)` order before each top-level dispatch. New pushes always
-    ///   receive sequence numbers above every batch entry, so an intruder
-    ///   can never order *between* same-time batch entries — consuming a
-    ///   same-tick delivery run from the batch alone stays exact.
+    ///   seq)` order before each top-level dispatch.
     ///
     /// Force-inlined, like the dispatch under it: an out-of-line copy
     /// measured +25 % on the `flood-10k` benchmark.
@@ -700,25 +685,27 @@ impl<P: Protocol> Partition<P> {
                 let Some(ev) = popped else {
                     break;
                 };
-                processed += self.dispatch_popped(ev, net);
+                self.dispatch_popped(ev, net);
+                processed += 1;
                 continue;
             }
             while let Some(next) = batch.last().map(|ev| (ev.time, ev.seq)) {
                 if self.state.queue.drain_intruded() {
                     // Merge intruders that fire before the next batch entry.
                     // They are all later pushes (seq above the whole batch),
-                    // so a matching front is strictly earlier in time and
-                    // its same-tick run never overlaps batch entries.
+                    // so a matching front is strictly earlier in time.
                     while matches!(
                         self.state.queue.peek(),
                         Some(front) if (front.time, front.seq) < next
                     ) {
                         let ev = self.state.queue.pop().expect("front was peeked");
-                        processed += self.dispatch_popped(ev, net);
+                        self.dispatch_popped(ev, net);
+                        processed += 1;
                     }
                 }
                 let ev = batch.pop().expect("last() was Some");
-                processed += self.dispatch(ev, &mut batch, net);
+                self.dispatch(ev, net);
+                processed += 1;
             }
             self.state.queue.finish_drain();
         }
@@ -727,26 +714,27 @@ impl<P: Protocol> Partition<P> {
     }
 
     /// [`Partition::dispatch`] for an event popped off the queue itself (the
-    /// straddle and intrusion paths of [`Partition::run`]), where every
-    /// delivery is its own run. Out of line so the loop carries one inlined
-    /// copy of the dispatch, the batch's.
+    /// straddle and intrusion paths of [`Partition::run`]). Out of line so
+    /// the loop carries one inlined copy of the dispatch, the batch's.
     #[inline(never)]
-    fn dispatch_popped(&mut self, ev: Event<P::Message>, net: &mut Net) -> u64 {
-        self.dispatch(ev, &mut Vec::new(), net)
+    fn dispatch_popped(&mut self, ev: Event<P::Message>, net: &mut Net) {
+        self.dispatch(ev, net)
     }
 
-    /// Dispatches one event; a delivery's same-tick run extends from
-    /// `batch`. Returns the number of events consumed.
+    /// Dispatches one event, in its own callback context.
     #[inline(always)]
-    fn dispatch(
-        &mut self,
-        ev: Event<P::Message>,
-        batch: &mut Vec<Event<P::Message>>,
-        net: &mut Net,
-    ) -> u64 {
+    fn dispatch(&mut self, ev: Event<P::Message>, net: &mut Net) {
         self.state.now = ev.time;
         match ev.payload {
-            EventKind::Deliver { from, to, msg } => 1 + self.deliver_run(from, to, msg, batch, net),
+            EventKind::Deliver { from, to, msg } => {
+                if self.state.alive[to.index()] {
+                    self.state.stats.record_delivery(to, msg.wire_size());
+                    let mut ctx = Context::eager(to, &mut self.state, net);
+                    self.protocols[to.index()].on_message(&mut ctx, from, msg);
+                } else {
+                    self.state.stats.record_to_dead(to);
+                }
+            }
             EventKind::Timer { timer } => {
                 // Firing always frees the slot; a cancelled (or stale)
                 // timer, or one whose owner has crashed, is simply not
@@ -757,12 +745,8 @@ impl<P: Protocol> Partition<P> {
                         self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
                     }
                 }
-                1
             }
-            EventKind::Crash { node } => {
-                self.crash(node);
-                1
-            }
+            EventKind::Crash { node } => self.crash(node),
         }
     }
 
@@ -773,74 +757,10 @@ impl<P: Protocol> Partition<P> {
             self.protocols[idx].on_crash(self.state.now);
         }
     }
-
-    /// Delivers `msg` to `to` and drains every further delivery to `to`
-    /// scheduled for the same instant *at the batch tail* into the same
-    /// callback context: one liveness check, one context activation and one
-    /// batched statistics update for the whole run. Any interleaved timer,
-    /// crash or other-destination event at the same tick ends the run, so
-    /// the callback order is exactly the sequential dispatch order. Returns
-    /// the number of *additional* events consumed beyond the first.
-    ///
-    /// An intruder pushed mid-run carries a sequence number above the whole
-    /// batch, so it orders after every same-time batch entry and the batch
-    /// tail alone decides run extension as the global queue front would.
-    /// Where runs end is not an observable (sequential dispatch would splice
-    /// such an intruder into the *same* run): activation boundaries are
-    /// invisible to protocols and the batched statistics sum identically.
-    #[inline(always)]
-    fn deliver_run(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: P::Message,
-        batch: &mut Vec<Event<P::Message>>,
-        net: &mut Net,
-    ) -> u64 {
-        let now = self.state.now;
-        if !self.state.alive[to.index()] {
-            // Drain the dead-destination run without a context.
-            let mut count = 1u64;
-            while extends_run(batch.last(), now, to) {
-                let _ = batch.pop();
-                count += 1;
-            }
-            self.state.stats.record_to_dead_n(to, count);
-            return count - 1;
-        }
-        let mut count = 1u64;
-        let mut total_bytes = msg.wire_size() as u64;
-        let protocol = &mut self.protocols[to.index()];
-        let mut ctx = Context::eager(to, &mut self.state, net);
-        protocol.on_message(&mut ctx, from, msg);
-        while extends_run(batch.last(), now, to) {
-            let ev = batch.pop().expect("tail was checked");
-            let EventKind::Deliver { from, msg, .. } = ev.payload else {
-                unreachable!("run extension is a delivery");
-            };
-            count += 1;
-            total_bytes += msg.wire_size() as u64;
-            protocol.on_message(&mut ctx, from, msg);
-        }
-        ctx.part.stats.record_deliveries(to, count, total_bytes);
-        count - 1
-    }
-}
-
-/// Whether `next` — the tail of a drained batch — extends a same-tick
-/// delivery run to `to`.
-#[inline]
-fn extends_run<M>(next: Option<&Event<M>>, now: SimTime, to: NodeId) -> bool {
-    match next {
-        Some(ev) if ev.time == now => {
-            matches!(&ev.payload, EventKind::Deliver { to: t, .. } if *t == to)
-        }
-        _ => false,
-    }
 }
 
 /// The reference event loop: pop one event off the heap, run its callback,
-/// replay the commands it issued; no batching of any kind.
+/// replay the commands it issued; no bucket drains.
 fn run_reference<P: Protocol>(
     part: &mut Partition<P>,
     net: &mut Net,
@@ -1427,14 +1347,12 @@ mod tests {
             .build(|_| Echo::new(5));
     }
 
-    /// Same-tick deliveries to one node are batched into one context
-    /// activation; the observable outcome (callback count and order, stats)
-    /// must match the one-event-per-activation reference core exactly. Constant
-    /// zero latency plus an instant echo makes every delivery share tick 0,
-    /// so this run exercises batches interleaved with eager pushes into the
-    /// current tick.
+    /// Constant zero latency plus an instant echo makes every delivery share
+    /// instant 0, so drained batches interleave with eager pushes into the
+    /// current instant; the outcome (callback counts, stats) must match the
+    /// reference core exactly.
     #[test]
-    fn batched_same_tick_deliveries_match_deferred_core() {
+    fn zero_latency_same_instant_deliveries_match_the_reference() {
         let run = |reference: bool| {
             let mut builder = SimulatorBuilder::new(6, 11)
                 .latency(LatencyModel::constant(SimDuration::from_millis(0)));
@@ -1450,11 +1368,10 @@ mod tests {
     }
 
     /// A crash event firing at the same instant as (and, by insertion order,
-    /// ahead of) a same-tick delivery run to the crashed node: the batch path
-    /// must drain the whole run as dead-destination messages, exactly like
-    /// the one-event-per-dispatch reference core.
+    /// ahead of) three deliveries to the crashed node: each must count as a
+    /// dead-destination message, exactly like the reference core.
     #[test]
-    fn same_tick_crash_turns_the_delivery_run_dead() {
+    fn same_instant_crash_matches_the_reference() {
         let run = |reference: bool| {
             let mut builder = SimulatorBuilder::new(4, 2)
                 .latency(LatencyModel::constant(SimDuration::from_millis(5)));
@@ -1465,8 +1382,7 @@ mod tests {
             // The flood arrives at nodes 1..3 at 5 ms; their echoes all
             // arrive at node 0 at exactly 10 ms. The crash event below is
             // pushed *now* (lower sequence number), so at 10 ms it fires
-            // before the three echoes — which then form a same-tick
-            // delivery run to a dead node.
+            // before the three echoes, which all reach a dead node.
             sim.schedule_crash(NodeId::new(0), SimTime::from_millis(10));
             sim.run_until(SimTime::from_secs(1));
             (

@@ -101,8 +101,8 @@ fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 // Engine-vs-reference equivalence
 // ---------------------------------------------------------------------------
 
-/// The engine and the whole-engine reference (BinaryHeap, one event per
-/// activation, deferred commands, uncompiled models) must produce
+/// The engine and the whole-engine reference (BinaryHeap, single pops,
+/// deferred commands, the uncompiled latency model) must produce
 /// bit-identical simulations: same event count, same stats, same per-node
 /// state, same final clock — with crashes mixed in, including one scheduled
 /// between two runs whose first deadline cuts a calendar bucket in half.
@@ -118,6 +118,61 @@ fn all_scheduling_cores_are_bit_identical() {
         (processed + drained, fingerprint, sim.now())
     };
     assert_eq!(run(Core::Flat), run(Core::Reference));
+}
+
+/// A randomized 271-node simulation with latency spread, loss, a finite
+/// uplink and a mid-run crash: the engine must produce a byte-identical
+/// `NetStats` rendering (what determinism fingerprints hash) to the
+/// reference core.
+#[test]
+fn randomized_sim_stats_identical_across_cores() {
+    const N: usize = 271;
+    struct Walk {
+        n: u32,
+        ttl: u32,
+    }
+    #[derive(Clone, Debug)]
+    struct Hop(u32);
+    impl WireSize for Hop {
+        fn wire_size(&self) -> usize {
+            200
+        }
+    }
+    impl Protocol for Walk {
+        type Message = Hop;
+        fn on_start(&mut self, ctx: &mut Context<'_, Hop>) {
+            if ctx.node_id().index() == 0 {
+                for i in 1..self.n {
+                    ctx.send(NodeId::new(i), Hop(self.ttl));
+                }
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Hop>, _from: NodeId, msg: Hop) {
+            if msg.0 > 0 {
+                let n = self.n;
+                let target = NodeId::new(ctx.rng().gen_range(0..n));
+                ctx.send(target, Hop(msg.0 - 1));
+            }
+        }
+        fn on_timer(&mut self, _: &mut Context<'_, Hop>, _: TimerId, _: u64) {}
+    }
+    let run = |reference: bool| {
+        let mut builder = SimulatorBuilder::new(N, 0xBEEF)
+            .latency(LatencyModel::planetlab_like())
+            .loss(LossModel::bernoulli(0.03))
+            .uniform_capacity(Bandwidth::from_kbps(512).into());
+        if reference {
+            builder = builder.reference_core();
+        }
+        let mut sim = builder.build(|_| Walk {
+            n: N as u32,
+            ttl: 25,
+        });
+        sim.schedule_crash(NodeId::new(13), SimTime::from_millis(700));
+        sim.run_until(SimTime::from_secs(5));
+        format!("{:?}", sim.stats())
+    };
+    assert_eq!(run(false), run(true), "engine vs reference stats diverged");
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +191,7 @@ fn thousand_node_run_matches_pinned_fingerprint() {
 }
 
 /// The same constants must hold on the reference core, which pops one event
-/// per activation: batching is an execution strategy, not a semantics
+/// at a time: bucket drains are an execution strategy, not a semantics
 /// change.
 #[test]
 fn thousand_node_fingerprint_is_dispatch_mode_independent() {

@@ -30,7 +30,7 @@ pub mod scenario;
 
 pub use bandwidth_dist::{BandwidthClass, BandwidthDistribution};
 pub use runner::{
-    run_scenario, run_scenarios_parallel, run_scenarios_stealing, ExperimentResult, NetTotals,
+    run_scenario, run_scenarios_parallel, run_scenarios_pooled, ExperimentResult, NetTotals,
     NodeResult,
 };
 pub use scale::Scale;

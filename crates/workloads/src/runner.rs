@@ -15,8 +15,7 @@ use heap_streaming::health::HealthReport;
 use heap_streaming::metrics::{CompactNodeMetrics, NodeMetrics, NodeStreamMetrics};
 use heap_streaming::source::{StreamConfig, StreamSchedule};
 use rand::Rng;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How long the system runs before the source starts streaming, giving the
 /// aggregation protocol a few rounds to seed its capability estimates (the
@@ -61,8 +60,8 @@ pub struct NodeResult {
 }
 
 /// Network-level traffic totals of one run, read from the simulator's
-/// [`NetStats`](heap_simnet::stats::NetStats) accumulator (the
-/// struct-of-arrays column sums). Complements the per-node
+/// [`NetStats`](heap_simnet::stats::NetStats) accumulator (sums over its
+/// per-node rows). Complements the per-node
 /// [`ProtocolStats`]: these counters see every wire message — including
 /// aggregation and membership traffic — plus the transport-level drops that
 /// no protocol counter observes.
@@ -538,8 +537,8 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
 /// On a single-core host the batch runs inline: interleaving several
 /// simulators on one core thrashes the cache of the (memory-bound) event
 /// loop — `BENCH_3.json`'s 1-core container measured thread-per-scenario at
-/// ~0.5× sequential at paper scale. Otherwise it runs on the work-stealing
-/// pool ([`run_scenarios_stealing`]) with one worker per core.
+/// ~0.5× sequential at paper scale. Otherwise it runs on a pool of one
+/// worker per core ([`run_scenarios_pooled`]).
 pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -547,60 +546,40 @@ pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
     if cores <= 1 || scenarios.len() <= 1 {
         scenarios.iter().map(run_scenario).collect()
     } else {
-        run_scenarios_stealing(scenarios, cores)
+        run_scenarios_pooled(scenarios, cores)
     }
 }
 
-/// Runs a scenario batch on a work-stealing pool of `workers` threads (PR
-/// 8, replacing thread-per-scenario as the multi-core strategy): scenario
-/// indices are striped across per-worker deques; a worker pops its own
-/// deque from the back (LIFO — its most recently queued, cache-warmest
-/// stripe) and, when empty, steals from the front of the others (FIFO — the
-/// victim's coldest item) round-robin from its right-hand neighbour. Long
-/// scenarios (paper-scale figure sweeps mix 10³- and 10⁴-node runs) no
-/// longer strand a core the way one-thread-per-scenario did: finished
-/// workers drain the stragglers' queues instead of exiting.
-///
-/// The *unit* of stealable work is one scenario: a simulation runs on one
-/// thread.
+/// Runs a scenario batch on a pool of `workers` scoped threads that claim
+/// scenario indices from one shared cursor, in input order. A worker that
+/// finishes claims the next unclaimed scenario, so no core sits idle while
+/// unclaimed scenarios remain, however unevenly long they are (paper-scale
+/// sweeps mix 10³- and 10⁴-node runs). The unit of work is one scenario: a
+/// simulation runs on one thread.
 ///
 /// Results are returned in input order and are bit-identical to the
 /// sequential loop for any worker count ([`run_scenario`] is a pure
 /// function of its scenario; asserted in tests).
-pub fn run_scenarios_stealing(scenarios: &[Scenario], workers: usize) -> Vec<ExperimentResult> {
+pub fn run_scenarios_pooled(scenarios: &[Scenario], workers: usize) -> Vec<ExperimentResult> {
     let workers = workers.clamp(1, scenarios.len().max(1));
     if workers <= 1 {
         return scenarios.iter().map(run_scenario).collect();
     }
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..scenarios.len()).step_by(workers).collect()))
-        .collect();
-    let queues = &queues;
+    let next = AtomicUsize::new(0);
+    let next = &next;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut ran: Vec<(usize, ExperimentResult)> = Vec::new();
                     loop {
-                        // Claim under the lock, run outside it. No work is
-                        // ever produced mid-run, so one empty sweep over
-                        // every deque is a sound exit condition.
-                        let claimed = queues[w]
-                            .lock()
-                            .expect("queue lock poisoned")
-                            .pop_back()
-                            .or_else(|| {
-                                (1..workers).find_map(|off| {
-                                    queues[(w + off) % workers]
-                                        .lock()
-                                        .expect("queue lock poisoned")
-                                        .pop_front()
-                                })
-                            });
-                        match claimed {
-                            Some(i) => ran.push((i, run_scenario(&scenarios[i]))),
-                            None => break ran,
-                        }
+                        // Relaxed: the cursor only hands out indices; the
+                        // results travel back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(scenario) = scenarios.get(i) else {
+                            break ran;
+                        };
+                        ran.push((i, run_scenario(scenario)));
                     }
                 })
             })
@@ -847,10 +826,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_runner_is_bit_identical_to_sequential() {
+    fn pooled_runner_is_bit_identical_to_sequential() {
         // A mixed batch (distributions, protocols, churn and membership
         // modes) at worker counts below, at and above the batch size, so
-        // real threads, striping and stealing all run even on one core.
+        // real threads share the cursor even on one core.
         let scenarios = vec![
             quick_scenario(
                 BandwidthDistribution::unconstrained(),
@@ -875,9 +854,9 @@ mod tests {
         ];
         let sequential: Vec<ExperimentResult> = scenarios.iter().map(run_scenario).collect();
         for workers in [1, 2, 3, 8] {
-            let stolen = run_scenarios_stealing(&scenarios, workers);
-            assert_eq!(stolen.len(), sequential.len());
-            for (p, s) in stolen.iter().zip(&sequential) {
+            let pooled = run_scenarios_pooled(&scenarios, workers);
+            assert_eq!(pooled.len(), sequential.len());
+            for (p, s) in pooled.iter().zip(&sequential) {
                 assert_eq!(p.scenario_name, s.scenario_name, "workers={workers}");
                 assert_eq!(
                     p.fingerprint(),
