@@ -126,6 +126,13 @@ impl DisseminationEngine {
         &self.log
     }
 
+    /// Moves the receive log out, leaving an empty log (no packets, no
+    /// allocation) behind: for collecting results once the run is over,
+    /// after which the engine no longer knows which packets it delivered.
+    pub fn take_receiver_log(&mut self) -> ReceiverLog {
+        std::mem::replace(&mut self.log, ReceiverLog::new(0))
+    }
+
     /// Engine counters.
     pub fn stats(&self) -> EngineStats {
         self.stats

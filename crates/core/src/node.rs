@@ -355,6 +355,12 @@ impl GossipNode {
         self.engine.receiver_log()
     }
 
+    /// Moves the receive log out once the run is over; see
+    /// [`DisseminationEngine::take_receiver_log`].
+    pub fn take_receiver_log(&mut self) -> ReceiverLog {
+        self.engine.take_receiver_log()
+    }
+
     /// The dissemination engine (exposes `eRequested`/`eDelivered` state).
     pub fn engine(&self) -> &DisseminationEngine {
         &self.engine

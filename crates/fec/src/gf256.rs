@@ -235,9 +235,12 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
     }
     let (lo, hi) = nibble_tables(c);
     match kernel() {
-        // SAFETY: the feature was detected at runtime by `kernel()`.
+        // SAFETY: `kernel()` detected AVX2 at runtime, and the lengths are
+        // equal (asserted above).
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { mul_add_avx2(dst, src, &lo, &hi) },
+        // SAFETY: `kernel()` detected SSSE3 at runtime, and the lengths are
+        // equal (asserted above).
         #[cfg(target_arch = "x86_64")]
         Kernel::Ssse3 => unsafe { mul_add_ssse3(dst, src, &lo, &hi) },
         Kernel::Portable => mul_add_portable(dst, src, &lo, &hi),
@@ -258,9 +261,10 @@ pub fn mul_slice(data: &mut [u8], c: u8) {
     }
     let (lo, hi) = nibble_tables(c);
     match kernel() {
-        // SAFETY: the feature was detected at runtime by `kernel()`.
+        // SAFETY: `kernel()` detected AVX2 at runtime.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { mul_avx2(data, &lo, &hi) },
+        // SAFETY: `kernel()` detected SSSE3 at runtime.
         #[cfg(target_arch = "x86_64")]
         Kernel::Ssse3 => unsafe { mul_ssse3(data, &lo, &hi) },
         Kernel::Portable => mul_portable(data, &lo, &hi),
@@ -305,10 +309,16 @@ fn mul_portable(data: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
 
 /// AVX2 tier: `VPSHUFB` does 32 nibble lookups per instruction, so each
 /// 32-byte chunk costs two loads, two shuffles, two XORs and one store.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `src` must hold at least `dst.len()`
+/// bytes: the vector loop reads `src` at every whole 32-byte chunk of `dst`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     use std::arch::x86_64::*;
+    debug_assert!(src.len() >= dst.len());
     let lo_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
     let hi_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
     let mask = _mm256_set1_epi8(0x0F);
@@ -330,6 +340,12 @@ unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16])
     mul_add_portable(&mut dst[done..], &src[done..], lo, hi);
 }
 
+/// The in-place AVX2 tier of [`mul_slice`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2. There is no length precondition: every load
+/// and store lies inside `data`'s whole 32-byte chunks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn mul_avx2(data: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
@@ -354,10 +370,16 @@ unsafe fn mul_avx2(data: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
 }
 
 /// SSSE3 tier: the 16-byte `PSHUFB` variant of the AVX2 loop.
+///
+/// # Safety
+///
+/// The CPU must support SSSE3, and `src` must hold at least `dst.len()`
+/// bytes: the vector loop reads `src` at every whole 16-byte chunk of `dst`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3")]
 unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     use std::arch::x86_64::*;
+    debug_assert!(src.len() >= dst.len());
     let lo_v = _mm_loadu_si128(lo.as_ptr().cast());
     let hi_v = _mm_loadu_si128(hi.as_ptr().cast());
     let mask = _mm_set1_epi8(0x0F);
@@ -379,6 +401,12 @@ unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]
     mul_add_portable(&mut dst[done..], &src[done..], lo, hi);
 }
 
+/// The in-place SSSE3 tier of [`mul_slice`].
+///
+/// # Safety
+///
+/// The CPU must support SSSE3. There is no length precondition: every load
+/// and store lies inside `data`'s whole 16-byte chunks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3")]
 unsafe fn mul_ssse3(data: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
@@ -580,13 +608,13 @@ mod tests {
                 assert_eq!(portable, expect, "portable c={c} len={len}");
                 if std::arch::is_x86_feature_detected!("ssse3") {
                     let mut v = base[..len].to_vec();
-                    // SAFETY: feature detected above.
+                    // SAFETY: feature detected above; equal lengths.
                     unsafe { mul_add_ssse3(&mut v, &src[..len], &lo, &hi) };
                     assert_eq!(v, expect, "ssse3 c={c} len={len}");
                 }
                 if std::arch::is_x86_feature_detected!("avx2") {
                     let mut v = base[..len].to_vec();
-                    // SAFETY: feature detected above.
+                    // SAFETY: feature detected above; equal lengths.
                     unsafe { mul_add_avx2(&mut v, &src[..len], &lo, &hi) };
                     assert_eq!(v, expect, "avx2 c={c} len={len}");
                 }

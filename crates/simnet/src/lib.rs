@@ -36,8 +36,10 @@
 //!   [`event::BUCKET_WIDTH_MICROS`] µs each (append-only until the cursor
 //!   reaches a bucket, which is when it is ordered, exactly once); later
 //!   events wait in an outer wheel of [`event::NUM_OUTER_BUCKETS`] coarser
-//!   buckets, and beyond that in an overflow min-heap. Pop order is
-//!   ascending `(time, insertion seq)`.
+//!   buckets, and beyond that in an overflow min-heap. Both wheels keep
+//!   their buckets as chains of [`event::PAGE_EVENTS`]-event pages from one
+//!   shared pool, so the queue retains what its peak pending population
+//!   needs. Pop order is ascending `(time, insertion seq)`.
 //! * **One run loop** — the simulator drains a calendar bucket at a time,
 //!   dispatches each event in its own callback context and applies commands
 //!   eagerly: [`sim::Context::send`] runs the transmit path (upload queue,

@@ -299,15 +299,19 @@ struct PartState<M> {
 }
 
 impl<M> PartState<M> {
-    /// Records the substrate components into `f`. Bucket capacity beyond
-    /// the pending entries follows the peak event population and is reported
-    /// as slack; only the wheels' fixed slot arrays go uncounted.
-    fn record_footprint(&self, f: &mut MemoryFootprint) {
+    /// Records the substrate components into `f`, the event queue's
+    /// capacity beyond its pending entries as slack together with `batch`,
+    /// the run loop's batch buffer (see [`EventQueue::retained_bytes`]).
+    fn record_footprint(&self, f: &mut MemoryFootprint, batch: &Vec<Event<M>>) {
         use std::mem::size_of;
         f.record("net stats columns", self.stats.heap_bytes());
         let pending = (self.queue.len() * size_of::<Event<M>>()) as u64;
         f.record("pending events", pending);
-        f.record("event queue slack", self.queue.retained_bytes() - pending);
+        let batch = (batch.capacity() * size_of::<Event<M>>()) as u64;
+        f.record(
+            "event queue slack",
+            self.queue.retained_bytes() + batch - pending,
+        );
         f.record(
             "upload queues",
             (self.uploads.capacity() * size_of::<UploadQueue>()) as u64,
@@ -611,8 +615,8 @@ struct Partition<P: Protocol> {
     /// Protocol instances, by node id.
     protocols: Vec<P>,
     state: PartState<P::Message>,
-    /// Reusable batch buffer for [`EventQueue::drain_bucket`]; its capacity
-    /// is recycled through the queue's bucket storage via `mem::swap`.
+    /// Reusable batch buffer for [`EventQueue::drain_bucket`]; it trades
+    /// places with the queue's current-bucket buffer on every drain.
     batch: Vec<Event<P::Message>>,
 }
 
@@ -928,7 +932,7 @@ impl<P: Protocol> Simulator<P> {
             "protocol state",
             (self.part.protocols.capacity() * std::mem::size_of::<P>()) as u64,
         );
-        self.part.state.record_footprint(&mut f);
+        self.part.state.record_footprint(&mut f, &self.part.batch);
         if let Some(reference) = &self.reference {
             let entry = std::mem::size_of::<Event<P::Message>>();
             f.record("pending events", (reference.queue.len() * entry) as u64);
@@ -1102,15 +1106,28 @@ mod tests {
         }
         assert!(f.bytes_per_node() > 0.0);
 
-        // Drained buckets keep their capacity: once events have flowed, it
-        // is reported next to the pending entries.
+        // Once events have flowed, the page pool, the current-bucket buffer
+        // and the run loop's batch buffer hold capacity beyond the pending
+        // entries, reported next to them: here the 31 echoes have all been
+        // delivered, so the queue is empty and every byte it keeps is slack.
         sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.pending_events(), 0);
         let f = sim.memory_footprint();
-        let slack = f
-            .components()
-            .iter()
-            .find(|(l, _)| *l == "event queue slack");
-        assert!(slack.is_some_and(|(_, b)| *b > 0), "{slack:?}");
+        let component = |label: &str| {
+            f.components()
+                .iter()
+                .find(|(l, _)| *l == label)
+                .map(|(_, b)| *b)
+        };
+        assert_eq!(component("pending events"), Some(0));
+        let entry = std::mem::size_of::<Event<Msg>>() as u64;
+        let queue = &sim.part.state.queue;
+        let batch = sim.part.batch.capacity() as u64 * entry;
+        assert!(batch > 0, "the batch buffer took a drained bucket");
+        assert_eq!(
+            component("event queue slack"),
+            Some(queue.retained_bytes() + batch)
+        );
     }
 
     #[test]

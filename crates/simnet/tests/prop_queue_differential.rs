@@ -19,19 +19,26 @@
 //! instead, so the cursor travels several turns of the outer wheel: bursts
 //! leave 1–8 outer buckets non-empty at once, deeper timers and overflow
 //! events land beyond them, and periodic full drains empty the queue so the
-//! next push re-anchors it. Outer buckets hand their allocation to a shared
-//! free list when they cascade; this is the mix under which a buffer is
-//! reused by many different slots, across the ring's wrap.
+//! next push re-anchors it. Every bucket's pages go back to one shared free
+//! list as they empty; this is the mix under which a page is reused by many
+//! different buckets of both wheels, across the rings' wrap.
+//!
+//! After every step both runners also hold the queue's retained bytes to
+//! the page pool's bound ([`Retention`]): a page that leaks — taken and
+//! never returned — grows the pool with elapsed time, not pending events,
+//! and breaks it.
 //!
 //! Every run prints its mix and seed when an assertion fails.
 
 use heap_simnet::event::{
-    BinaryHeapQueue, EventQueue, BUCKET_WIDTH_MICROS, NUM_BUCKETS, NUM_OUTER_BUCKETS,
+    BinaryHeapQueue, EventQueue, ScheduledEvent, BUCKET_WIDTH_MICROS, NUM_BUCKETS,
+    NUM_OUTER_BUCKETS, PAGE_EVENTS,
 };
 use heap_simnet::time::SimTime;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Draws a scheduling instant from the adversarial mix described in the
 /// module docs.
@@ -96,6 +103,69 @@ impl Horizon {
     }
 }
 
+/// The inputs of the retention bound, tracked from the events the test
+/// pushed and popped. The bound is 1.25 × (the peak pending events plus one
+/// page for each bucket that can hold a partly filled tail page, plus the
+/// page a cascade lends out), plus the current-bucket buffer, plus the two
+/// heaps' first allocation of 4 entries each. Events that share a 1 024 µs
+/// bucket number share any inner or outer bucket they sit in, so the peak
+/// number of distinct bucket numbers among pending events bounds the
+/// non-empty buckets; the current-bucket buffer holds one bucket and grows
+/// by doubling, so its capacity stays within twice the largest bucket (and
+/// `Vec`'s minimum of 4). The 0.25 covers the page table and the heaps'
+/// growth.
+#[derive(Default)]
+struct Retention {
+    /// Pending events by bucket number.
+    buckets: BTreeMap<u64, usize>,
+    pending: usize,
+    peak_pending: usize,
+    peak_buckets: usize,
+    largest_bucket: usize,
+}
+
+impl Retention {
+    fn pushed(&mut self, micros: u64) {
+        let n = self
+            .buckets
+            .entry(micros / BUCKET_WIDTH_MICROS)
+            .or_default();
+        *n += 1;
+        self.largest_bucket = self.largest_bucket.max(*n);
+        self.pending += 1;
+        self.peak_pending = self.peak_pending.max(self.pending);
+        self.peak_buckets = self.peak_buckets.max(self.buckets.len());
+    }
+
+    fn popped(&mut self, event: &ScheduledEvent<u64>) {
+        let bucket = event.time.as_micros() / BUCKET_WIDTH_MICROS;
+        let n = self
+            .buckets
+            .get_mut(&bucket)
+            .expect("popped a pushed event");
+        *n -= 1;
+        if *n == 0 {
+            self.buckets.remove(&bucket);
+        }
+        self.pending -= 1;
+    }
+
+    fn check(&self, queue: &EventQueue<u64>, step: usize) {
+        let entry = std::mem::size_of::<ScheduledEvent<u64>>();
+        let chained = self.peak_pending + (self.peak_buckets + 1) * PAGE_EVENTS;
+        let bound = chained * entry * 5 / 4 + (2 * self.largest_bucket).max(4) * entry + 8 * entry;
+        let retained = queue.retained_bytes() as usize;
+        assert!(
+            retained <= bound,
+            "retained {retained} B > bound {bound} B at step {step} (peak pending {}, \
+             peak buckets {}, largest bucket {})",
+            self.peak_pending,
+            self.peak_buckets,
+            self.largest_bucket
+        );
+    }
+}
+
 /// Names the run on stderr when an assertion unwinds through it.
 struct FailingRun(&'static str, Horizon, u64);
 
@@ -113,11 +183,13 @@ fn drain_all(
     calendar: &mut EventQueue<u64>,
     reference: &mut BinaryHeapQueue<u64>,
     clock: &mut u64,
+    retention: &mut Retention,
 ) {
     loop {
         match (calendar.pop(), reference.pop()) {
             (Some(x), Some(y)) => {
                 assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                retention.popped(&x);
                 *clock = (*clock).max(y.time.as_micros());
             }
             (None, None) => return,
@@ -135,6 +207,7 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
     let mut clock = 0u64;
     let mut calendar: EventQueue<u64> = EventQueue::new();
     let mut reference: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+    let mut retention = Retention::default();
     let mut payload = 0u64;
     for step in 0..ops {
         // Pop with ~40% probability so the queues repeatedly drain and the
@@ -143,7 +216,7 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
         let r = rng.gen_range(0u32..10);
         if horizon == Horizon::Long && rng.gen_range(0..DRAIN_EVERY) == 0 {
             // Empty the queues: the next push re-anchors the calendar.
-            drain_all(&mut calendar, &mut reference, &mut clock);
+            drain_all(&mut calendar, &mut reference, &mut clock, &mut retention);
         } else if r < 2 {
             let a = calendar.pop();
             let b = reference.pop();
@@ -154,6 +227,7 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                         (y.time, y.seq, y.payload),
                         "calendar diverged at step {step}"
                     );
+                    retention.popped(x);
                     clock = clock.max(y.time.as_micros());
                 }
                 (None, None) => {}
@@ -182,6 +256,7 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                         (y.time, y.seq, y.payload),
                         "bounded pop diverged at step {step}"
                     );
+                    retention.popped(x);
                     clock = clock.max(y.time.as_micros());
                 }
                 (None, None) => {}
@@ -191,6 +266,7 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
             let micros = horizon.micros(&mut rng, clock);
             calendar.push(SimTime::from_micros(micros), payload);
             reference.push(SimTime::from_micros(micros), payload);
+            retention.pushed(micros);
             payload += 1;
         }
         assert_eq!(
@@ -216,9 +292,11 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
             other => panic!("peek disagrees at step {step}: {other:?}"),
         }
         assert_eq!(calendar.is_empty(), reference.is_empty());
+        retention.check(&calendar, step);
     }
     // Drain completely: the tail order must match too.
-    drain_all(&mut calendar, &mut reference, &mut clock);
+    drain_all(&mut calendar, &mut reference, &mut clock, &mut retention);
+    retention.check(&calendar, ops);
     clock
 }
 
@@ -239,6 +317,7 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
     let mut batched: EventQueue<u64> = EventQueue::new();
     let mut single: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
     let mut batch = Vec::new();
+    let mut retention = Retention::default();
     let mut payload = 0u64;
     // The latest instant popped so far.
     let mut clock = 0u64;
@@ -247,7 +326,9 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
             let micros = horizon.micros(&mut rng, clock);
             batched.push(SimTime::from_micros(micros), payload);
             single.push(SimTime::from_micros(micros), payload);
+            retention.pushed(micros);
             payload += 1;
+            retention.check(&batched, step);
             continue;
         }
         // Consume a whole deadline region through the batch pipeline.
@@ -271,6 +352,7 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                                 (want.time, want.seq, want.payload),
                                 "merged intruder diverged at step {step}"
                             );
+                            retention.popped(&got);
                             continue;
                         }
                     }
@@ -281,6 +363,7 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                         (want.time, want.seq, want.payload),
                         "batch entry diverged at step {step}"
                     );
+                    retention.popped(&got);
                     clock = clock.max(got.time.as_micros());
                     // Mid-batch "callback" pushes, biased to land at or just
                     // after the consumed event — i.e. at or before the drain
@@ -293,6 +376,7 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                         };
                         batched.push(SimTime::from_micros(micros), payload);
                         single.push(SimTime::from_micros(micros), payload);
+                        retention.pushed(micros);
                         payload += 1;
                     }
                 }
@@ -316,6 +400,7 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
                         (y.time, y.seq, y.payload),
                         "fallback pop diverged at step {step}"
                     );
+                    retention.popped(x);
                     clock = clock.max(y.time.as_micros());
                 }
                 (None, None) => break,
@@ -328,6 +413,7 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
             single.peek_time(),
             "peek diverged at step {step}"
         );
+        retention.check(&batched, step);
     }
     // Drain the remainder through plain pops: the batch path must leave the
     // queue in a state indistinguishable from the oracle's.
@@ -335,9 +421,13 @@ fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
         match (batched.pop(), single.pop()) {
             (Some(x), Some(y)) => {
                 assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                retention.popped(&x);
                 clock = clock.max(y.time.as_micros());
             }
-            (None, None) => return clock,
+            (None, None) => {
+                retention.check(&batched, ops);
+                return clock;
+            }
             other => panic!("queues diverged while draining: {other:?}"),
         }
     }
@@ -362,7 +452,7 @@ proptest! {
     }
 
     /// The same two properties while the cursor travels turns of the outer
-    /// wheel and cascaded buckets' buffers pass from slot to slot.
+    /// wheel and pooled pages pass from bucket to bucket.
     #[test]
     fn queues_match_reference_over_a_long_horizon(seed in 0u64..1_000_000) {
         drive(Horizon::Long, seed, 3_000);

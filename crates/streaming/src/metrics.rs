@@ -48,13 +48,14 @@ fn lag_for_jitter_free(
 
 /// Stream-quality metrics of a single node.
 ///
-/// Holds the schedule, its own copy of the log's arrival column sized to
+/// Holds the schedule, the log's arrival column sized to
 /// `schedule.total_packets()` (4 bytes per packet, the encoding of
-/// [`ReceiverLog`]), the decode lag of every window (16 bytes per window)
-/// and the clock-anomaly count. Per-packet lags (arrival minus the packet's
-/// publication, clamped at zero) and per-window source lags (arrival minus
-/// the window's publication completion, clamped at zero) are derived from
-/// the column by the queries that read them.
+/// [`ReceiverLog`]; [`NodeStreamMetrics::from_log`] takes it over,
+/// [`NodeStreamMetrics::compute`] copies it), the decode lag of every window
+/// (16 bytes per window) and the clock-anomaly count. Per-packet lags
+/// (arrival minus the packet's publication, clamped at zero) and per-window
+/// source lags (arrival minus the window's publication completion, clamped
+/// at zero) are derived from the column by the queries that read them.
 ///
 /// # Examples
 ///
@@ -94,12 +95,32 @@ pub struct NodeStreamMetrics {
 }
 
 impl NodeStreamMetrics {
-    /// Computes the metrics of one node from its receive log.
+    /// Computes the metrics of one node from its receive log, copying the
+    /// log's arrival column.
     pub fn compute(schedule: &StreamSchedule, log: &ReceiverLog) -> Self {
+        let arrivals = log.arrivals().resized(schedule.total_packets() as usize);
+        Self::from_arrivals(schedule, arrivals)
+    }
+
+    /// [`NodeStreamMetrics::compute`] that consumes the log: its arrival
+    /// column becomes the metrics' own when it holds exactly
+    /// `schedule.total_packets()` packets (the log of a node built for the
+    /// schedule), and is resized as `compute` resizes it otherwise. Every
+    /// query answers as on `compute`'s result.
+    pub fn from_log(schedule: &StreamSchedule, log: ReceiverLog) -> Self {
+        let arrivals = log
+            .into_arrivals()
+            .into_resized(schedule.total_packets() as usize);
+        Self::from_arrivals(schedule, arrivals)
+    }
+
+    /// The metrics over `arrivals`, which hold exactly the schedule's
+    /// packets.
+    fn from_arrivals(schedule: &StreamSchedule, arrivals: Arrivals) -> Self {
         let params = schedule.config().window;
         let per_window = params.total_packets() as u64;
         let threshold = params.decode_threshold();
-        let arrivals = log.arrivals().resized(schedule.total_packets() as usize);
+        debug_assert_eq!(arrivals.len() as u64, schedule.total_packets());
 
         // A window's decode lag is the `threshold`-th smallest of its
         // arrivals' lags after the window's publication completion. The lag

@@ -7,7 +7,9 @@
 //! paper's PlanetLab experiments were analysed. The log is one 4-byte
 //! arrival per stream packet (see [`ReceiverLog`] for the encoding); the
 //! full-detail [`NodeStreamMetrics`](crate::metrics::NodeStreamMetrics)
-//! keeps a copy of the same column instead of per-packet lag vectors.
+//! takes the column over from the log
+//! ([`NodeStreamMetrics::from_log`](crate::metrics::NodeStreamMetrics::from_log))
+//! instead of keeping per-packet lag vectors.
 //!
 //! The [`StreamReassembler`] complements the log with the *payload* path: it
 //! feeds arriving packets into per-window FEC decoders that share one
@@ -133,16 +135,27 @@ impl Arrivals {
         let mut column = Vec::with_capacity(len);
         column.extend_from_slice(&self.column[..len.min(self.column.len())]);
         column.resize(len, NOT_RECEIVED);
-        let spill = self
+        let mut spill: Vec<(u64, SimTime)> = self
             .spill
             .iter()
             .filter(|&&(seq, _)| seq < len as u64)
             .copied()
             .collect();
+        spill.shrink_to_fit();
         Arrivals {
             column: column.into_boxed_slice(),
             spill,
         }
+    }
+
+    /// [`Arrivals::resized`] by value: a column of length `len` is kept as
+    /// it is, with its spill list trimmed to fit exactly as a copy's would be.
+    pub(crate) fn into_resized(mut self, len: usize) -> Self {
+        if self.column.len() != len {
+            return self.resized(len);
+        }
+        self.spill.shrink_to_fit();
+        self
     }
 
     /// Heap bytes owned: the column plus the spill list.
@@ -261,6 +274,11 @@ impl ReceiverLog {
     /// The arrival column, for the metrics computed from this log.
     pub(crate) fn arrivals(&self) -> &Arrivals {
         &self.arrivals
+    }
+
+    /// The arrival column, for the metrics that take it over.
+    pub(crate) fn into_arrivals(self) -> Arrivals {
+        self.arrivals
     }
 }
 
@@ -569,6 +587,22 @@ mod tests {
             log.record(p.id, p.published_at + SimDuration::from_secs(1));
         }
         assert_eq!(log.heap_bytes(), 4 * 9_900, "no spill inside 71 minutes");
+    }
+
+    #[test]
+    fn a_column_of_the_schedule_length_moves_without_a_copy() {
+        let mut log = ReceiverLog::new(10);
+        log.record(PacketId::new(3), SimTime::from_secs(1));
+        log.record(PacketId::new(4), SimTime::MAX);
+        let column = log.arrivals.column.as_ptr();
+        let kept = log.into_arrivals().into_resized(10);
+        assert_eq!(kept.column.as_ptr(), column, "same allocation");
+        assert_eq!(kept.get(3), Some(SimTime::from_secs(1)));
+        assert_eq!(kept.get(4), Some(SimTime::MAX));
+        // Any other length is a resized copy, as `resized` makes it.
+        let cut = kept.into_resized(4);
+        assert_eq!((cut.len(), cut.spill.len()), (4, 0));
+        assert_eq!(cut.get(3), Some(SimTime::from_secs(1)));
     }
 
     use heap_fec::WindowEncoder;

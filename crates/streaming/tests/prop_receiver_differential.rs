@@ -12,6 +12,10 @@
 //! than the schedule, empty logs — with every query compared at random
 //! arguments, and [`CompactNodeMetrics::from_full`] compared through its
 //! retained queries.
+//!
+//! (c) [`NodeStreamMetrics::from_log`], which takes the log's column over,
+//! against [`NodeStreamMetrics::compute`], which copies it, on the same
+//! random logs: whole state and every query identical.
 
 use heap_simnet::time::{SimDuration, SimTime};
 use heap_streaming::metrics::{CompactNodeMetrics, COMPACT_DELIVERY_RATIO, COMPACT_VIEW_LAG};
@@ -537,6 +541,88 @@ fn drive_metrics(seed: u64, rounds: usize) {
     }
 }
 
+/// One differential run of the metrics that take the log over against the
+/// ones that copy it, over `rounds` random query rounds.
+fn drive_from_log(seed: u64, rounds: usize) {
+    let _report = ReportSeed("drive_from_log", seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (schedule, log) = random_case(&mut rng);
+    let copied = NodeStreamMetrics::compute(&schedule, &log);
+    let moved = NodeStreamMetrics::from_log(&schedule, log);
+    // The whole state: schedule, arrival column and spill list, decode lags
+    // and the anomaly count.
+    assert_eq!(format!("{moved:?}"), format!("{copied:?}"));
+    assert_eq!(moved.heap_bytes(), copied.heap_bytes());
+    assert_eq!(moved.n_windows(), copied.n_windows());
+    assert_eq!(moved.clock_anomalies(), copied.clock_anomalies());
+    assert_eq!(moved.decode_threshold(), copied.decode_threshold());
+    assert_eq!(moved.delivery_ratio(), copied.delivery_ratio());
+    assert_eq!(moved.mean_packet_lag(), copied.mean_packet_lag());
+    assert_eq!(
+        moved.offline_jitter_free_fraction(),
+        copied.offline_jitter_free_fraction()
+    );
+    assert!(moved
+        .received_packet_lags()
+        .eq(copied.received_packet_lags()));
+    let n = moved.n_windows() as u64;
+    for w in 0..n + 2 {
+        let window = WindowId::new(w);
+        assert_eq!(
+            moved.window_decode_lag(window),
+            copied.window_decode_lag(window),
+            "window_decode_lag({w})"
+        );
+    }
+    for round in 0..rounds {
+        let lag = any_lag(&mut rng);
+        let at = format!("round {round}, lag {}µs", lag.as_micros());
+        let w = WindowId::new(rng.gen_range(0..n + 2));
+        assert_eq!(
+            moved.window_jitter_free(w, lag),
+            copied.window_jitter_free(w, lag),
+            "{at}"
+        );
+        assert_eq!(
+            moved.window_source_delivery_ratio(w, lag),
+            copied.window_source_delivery_ratio(w, lag),
+            "{at}"
+        );
+        assert_eq!(
+            moved.jitter_free_fraction(lag),
+            copied.jitter_free_fraction(lag),
+            "{at}"
+        );
+        assert_eq!(
+            moved.jitter_fraction(lag),
+            copied.jitter_fraction(lag),
+            "{at}"
+        );
+        assert_eq!(
+            moved.jittered_window_delivery_ratio(lag),
+            copied.jittered_window_delivery_ratio(lag),
+            "{at}"
+        );
+        assert_eq!(
+            moved.windows_decodable_at(lag),
+            copied.windows_decodable_at(lag),
+            "{at}"
+        );
+        let ratio = rng.gen_range(0.0..1.2);
+        assert_eq!(
+            moved.lag_for_full_delivery(ratio),
+            copied.lag_for_full_delivery(ratio),
+            "lag_for_full_delivery({ratio}), {at}"
+        );
+        let max_jitter = rng.gen_range(-0.1..1.2);
+        assert_eq!(
+            moved.lag_for_jitter_free(max_jitter),
+            copied.lag_for_jitter_free(max_jitter),
+            "lag_for_jitter_free({max_jitter}), {at}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -551,5 +637,12 @@ proptest! {
     #[test]
     fn metrics_match_the_three_vector_oracle(seed in 0u64..1_000_000) {
         drive_metrics(seed, 40);
+    }
+
+    /// Metrics that take the log's column over answer exactly as metrics
+    /// that copy it, whatever the log's length and spill list.
+    #[test]
+    fn metrics_from_a_moved_log_match_a_copied_one(seed in 0u64..1_000_000) {
+        drive_from_log(seed, 40);
     }
 }

@@ -456,7 +456,20 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
     for (i, &advertised_cap) in advertised.iter().enumerate().skip(1) {
         let id = NodeId::new(i as u32);
         let node = sim.node(id);
-        let full_metrics = NodeStreamMetrics::compute(&schedule, node.receiver_log());
+        let health = node.health().report(end);
+        let protocol_stats = node.stats();
+        let queue = sim.upload_queue(id);
+        let upload_utilization = match queue.capacity() {
+            UploadCapacity::Unlimited => None,
+            UploadCapacity::Limited(_) => {
+                Some((queue.busy_time().as_secs_f64() / streaming_span.as_secs_f64()).min(1.0))
+            }
+        };
+        let upload_rate_kbps = queue.achieved_rate_bps(streaming_span) / 1_000.0;
+        // Everything else is read: the metrics take the log's arrival column
+        // over instead of copying it while the node still holds it.
+        let log = sim.node_mut(id).take_receiver_log();
+        let full_metrics = NodeStreamMetrics::from_log(&schedule, log);
         let metrics = match scenario.detail {
             ResultDetail::Full => NodeMetrics::Full(full_metrics),
             ResultDetail::Compact => {
@@ -468,7 +481,6 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
                 NodeMetrics::Compact(CompactNodeMetrics::from_full(&full_metrics))
             }
         };
-        let health = node.health().report(end);
         // Simulated clocks cannot run backwards: any anomaly in a
         // simnet-driven run is a harness bug, not a measurement artefact.
         debug_assert_eq!(
@@ -480,14 +492,6 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
             0,
             "node {id} log contains arrival-before-publish in simulation"
         );
-        let queue = sim.upload_queue(id);
-        let upload_utilization = match queue.capacity() {
-            UploadCapacity::Unlimited => None,
-            UploadCapacity::Limited(_) => {
-                Some((queue.busy_time().as_secs_f64() / streaming_span.as_secs_f64()).min(1.0))
-            }
-        };
-        let upload_rate_kbps = queue.achieved_rate_bps(streaming_span) / 1_000.0;
         nodes.push(NodeResult {
             node: id,
             class: scenario.distribution.class_label(advertised_cap),
@@ -499,7 +503,7 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
             health,
             upload_utilization,
             upload_rate_kbps,
-            protocol_stats: node.stats(),
+            protocol_stats,
         });
     }
 

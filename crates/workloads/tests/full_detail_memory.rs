@@ -4,9 +4,9 @@
 //! (the detail of every paper figure) under a byte-counting
 //! `#[global_allocator]` (copied from `memory_guard.rs`) and asserts the peak
 //! heap watermark per node. Per-packet receive state is 4 bytes in the
-//! receive log, 4 bytes in each node's `NodeStreamMetrics` and one
-//! `eRequested` bit; a 16-byte `Option<SimTime>` log or per-packet lag
-//! vectors coming back fail here. The 10⁴-node compact guard cannot see
+//! receive log, which each node's `NodeStreamMetrics` takes over at
+//! collection, and one `eRequested` bit; a 16-byte `Option<SimTime>` log, a
+//! copied log or per-packet lag vectors coming back fail here. The 10⁴-node compact guard cannot see
 //! that: its one-window stream moves it by about 1.4 KB/node.
 //!
 //! The counting allocator wraps the system allocator; this file holds
@@ -54,18 +54,19 @@ unsafe impl GlobalAlloc for PeakAlloc {
 static COUNTER: PeakAlloc = PeakAlloc;
 
 /// The full-detail peak bound, in bytes per node, for the guard scenario
-/// (40 nodes, 4 windows of 110 packets, seed 7). The peak falls while the
-/// results are collected, with the simulation still alive. Measured
-/// 2026-10-15: 36 604 B/node in release and 36 621 in debug with 4-byte
-/// per-packet receive state and one retransmission timer per node, against
-/// 46 218 B/node on the commit before (a timer per request, each waiting in
-/// the event queue until its deadline) and 57 435 B/node before that (a
-/// 16-byte receive-log entry, a 1-byte `eRequested` flag and 16-byte
-/// per-packet lags plus per-window source-lag vectors in the result). The
-/// bound is the debug measurement plus 10 %: a 16-byte log alone adds
-/// 5 280 B/node and trips it. The figure is an allocator count and repeats
-/// exactly on one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 40_283;
+/// (40 nodes, 4 windows of 110 packets, seed 7). Measured 2026-10-16:
+/// 26 205 B/node in release and 26 221 in debug with the event queue's
+/// buckets in pooled 16-event pages and each receive log moved into its
+/// node's metrics, against 36 621 B/node on the commit before (growable
+/// per-bucket queue buffers, and every log copied into the metrics while the
+/// simulation still held it), 46 218 B/node before that (a timer per
+/// request, each waiting in the event queue until its deadline) and 57 435
+/// B/node before that (a 16-byte receive-log entry, a 1-byte `eRequested`
+/// flag and 16-byte per-packet lags plus per-window source-lag vectors in
+/// the result). The bound is the debug measurement plus 10 %: a 16-byte log
+/// alone adds 5 280 B/node and trips it. The figure is an allocator count
+/// and repeats exactly on one seed.
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 28_843;
 
 #[test]
 fn full_detail_peak_stays_under_documented_bound() {
@@ -105,7 +106,7 @@ fn full_detail_peak_stays_under_documented_bound() {
         per_node <= PEAK_BYTES_PER_NODE_BOUND,
         "peak heap {peak} bytes = {per_node} bytes/node exceeds the full-detail bound of \
          {PEAK_BYTES_PER_NODE_BOUND} bytes/node; did a 16-byte receive-log entry, a \
-         per-packet lag vector or a timer per request come back into the node or its \
-         result?"
+         copied receive log, a per-packet lag vector or a timer per request come back \
+         into the node or its result?"
     );
 }

@@ -55,17 +55,19 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// The documented compact-mode peak bound, in bytes per node, for the
 /// 10⁴-node guard scenario (the campaign shape: unconstrained bandwidth,
 /// standard gossip at fanout 7, one stream window). See `docs/SCALE.md` for
-/// the component budget. Measured 2026-10-15: 13 622 B/node with idle gossip
-/// ticks left unarmed and one retransmission timer per node (run-time
-/// protocol and packet state dominates — the compact result path itself is
-/// O(n_windows) per node), against 19 507 B/node on the commit before, whose
-/// every request kept its own timer waiting in the event queue until its
-/// deadline. The bound is the measurement plus 10 %, so it trips on that
-/// regression class, on an event queue that retains capacity for time
-/// elapsed (32 800 B/node when it last happened) and on a per-node vector in
-/// the result path; the figure is an allocator count and repeats exactly on
-/// one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 14_984;
+/// the component budget. Measured 2026-10-16: 9 156 B/node with the event
+/// queue's buckets in pooled 16-event pages and each receive log moved into
+/// its node's metrics (run-time protocol and packet state dominates — the
+/// compact result path itself is O(n_windows) per node), against 13 622
+/// B/node on the commit before, whose queue kept growable per-bucket buffers
+/// and a pool of drained outer-wheel buffers, and 19 507
+/// B/node before that, when every request kept its own timer waiting in the
+/// event queue until its deadline. The bound is the measurement plus 10 %,
+/// so it trips on either regression class, on an event queue that retains
+/// capacity for time elapsed (32 800 B/node when it last happened) and on a
+/// per-node vector in the result path; the figure is an allocator count and
+/// repeats exactly on one seed.
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 10_071;
 
 #[test]
 #[cfg_attr(
