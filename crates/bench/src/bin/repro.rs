@@ -15,7 +15,9 @@
 //! dissemination figure at a large population in compact result detail —
 //! see `docs/SCALE.md`. It defaults to 100 000 nodes / 2 windows;
 //! `--nodes`/`--windows` override, and `--smoke` selects the CI smoke shape
-//! (100 000 nodes, 1 window).
+//! (100 000 nodes, 1 window). Without `scale`, `--nodes`/`--windows` are a
+//! usage error. A run of `scale` alone heads its output with the campaign's
+//! population and windows.
 //! ```
 //!
 //! Output is plain text: one block per figure with its tables and/or
@@ -174,13 +176,35 @@ fn main() {
         // population and the stream while keeping the chosen seed.
         scale = scale.with_nodes(24).with_windows(2);
     }
+    if !run_scale_campaign && (scale_nodes.is_some() || scale_windows.is_some()) {
+        fail("--nodes and --windows apply only to the 'scale' experiment");
+    }
+    // The campaign sizes itself independently of `--scale`: `--smoke`
+    // selects the CI smoke shape, `--nodes`/`--windows` override either
+    // default. Only the seed is shared with the other experiments.
+    let campaign_nodes = scale_nodes.unwrap_or(if smoke {
+        scale_campaign::SMOKE_NODES
+    } else {
+        SCALE_DEFAULT_NODES
+    });
+    let campaign_windows = scale_windows.unwrap_or(if smoke {
+        scale_campaign::SMOKE_WINDOWS
+    } else {
+        SCALE_DEFAULT_WINDOWS
+    });
     if wanted.is_empty() && !run_scale_campaign {
         wanted.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string()));
     }
 
+    // A scale-only run reports the population it actually simulates.
+    let (header_nodes, header_windows) = if wanted.is_empty() {
+        (campaign_nodes, campaign_windows)
+    } else {
+        (scale.n_nodes, scale.n_windows)
+    };
     println!(
-        "# HEAP reproduction — {} nodes, {} windows, seed {}",
-        scale.n_nodes, scale.n_windows, scale.seed
+        "# HEAP reproduction — {header_nodes} nodes, {header_windows} windows, seed {}",
+        scale.seed
     );
 
     // The six baseline runs are shared by most figures (and by the metrics
@@ -265,21 +289,11 @@ fn main() {
     }
 
     if run_scale_campaign {
-        // The campaign sizes itself independently of `--scale`: `--smoke`
-        // selects the CI smoke shape, `--nodes`/`--windows` override either
-        // default. Only the seed is shared with the other experiments.
-        let n = scale_nodes.unwrap_or(if smoke {
-            scale_campaign::SMOKE_NODES
-        } else {
-            SCALE_DEFAULT_NODES
-        });
-        let windows = scale_windows.unwrap_or(if smoke {
-            scale_campaign::SMOKE_WINDOWS
-        } else {
-            SCALE_DEFAULT_WINDOWS
-        });
         let start = Instant::now();
-        emit("scale", scale_campaign::run(n, windows, scale.seed));
+        emit(
+            "scale",
+            scale_campaign::run(campaign_nodes, campaign_windows, scale.seed),
+        );
         eprintln!("[scale] took {:.1}s", start.elapsed().as_secs_f64());
     }
 

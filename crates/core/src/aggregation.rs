@@ -11,6 +11,7 @@ use heap_simnet::node::NodeId;
 use heap_simnet::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::num::NonZeroU64;
 
 /// One capability sample: a node, its advertised upload capability, and when
 /// the sample was taken at its origin.
@@ -31,8 +32,9 @@ pub struct CapabilitySample {
 /// which only [`merge`](Self::merge) grows, to exactly the highest id heard
 /// so far. An aggregator that never merged (every node at build, every
 /// standard-gossip node for good) therefore owns no heap memory at all; one
-/// that did pays 32 B per id up to the highest it heard, and a lookup is one
-/// bounds check and one load. Ids arrive in random order, so the table is
+/// that did pays 16 B per id up to the highest it heard (a slot holds the
+/// capability and the timestamp; its index names the node), and a lookup is
+/// one bounds check and one load. Ids arrive in random order, so the table is
 /// regrown O(log highest id) times in expectation.
 ///
 /// Two derived values are kept in step with the samples by the private
@@ -92,7 +94,7 @@ pub struct CapabilityAggregator {
     /// refreshed.
     own: CapabilitySample,
     /// Freshest known sample of every other node, at `NodeId::index()`.
-    samples: Vec<Option<CapabilitySample>>,
+    samples: Vec<Option<Slot>>,
     /// Number of occupied slots in `samples`.
     known: usize,
     /// Sum of the capabilities in `own` and `samples`, in bps.
@@ -102,6 +104,39 @@ pub struct CapabilityAggregator {
     freshest: Vec<CapabilitySample>,
     /// The payload size `freshest` is maintained for; `None` while stale.
     cached_n: Option<usize>,
+}
+
+/// A held sample of another node without its id, which is the slot's index:
+/// 16 bytes, and `Option<Slot>` as well.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    bps: u64,
+    /// The timestamp in microseconds plus one, never zero (saturating at
+    /// the last representable microsecond, which no run reaches).
+    stamp: NonZeroU64,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 16);
+
+impl Slot {
+    fn new(sample: &CapabilitySample) -> Self {
+        Slot {
+            bps: sample.capability.as_bps(),
+            stamp: NonZeroU64::MIN.saturating_add(sample.timestamp.as_micros()),
+        }
+    }
+
+    fn timestamp(self) -> SimTime {
+        SimTime::from_micros(self.stamp.get() - 1)
+    }
+
+    fn sample(self, node: NodeId) -> CapabilitySample {
+        CapabilitySample {
+            node,
+            capability: Bandwidth::from_bps(self.bps),
+            timestamp: self.timestamp(),
+        }
+    }
 }
 
 /// Payload order: freshest first, ties by ascending node id.
@@ -152,12 +187,12 @@ impl CapabilityAggregator {
                 self.samples.resize(at + 1, None);
             }
             let slot = &mut self.samples[at];
-            if slot.is_some_and(|held| sample.timestamp <= held.timestamp) {
+            if slot.is_some_and(|held| sample.timestamp <= held.timestamp()) {
                 return false;
             }
-            let old = slot.replace(sample);
+            let old = slot.replace(Slot::new(&sample));
             self.known += usize::from(old.is_none());
-            old
+            old.map(|held| held.sample(sample.node))
         };
         self.sum_bps += sample.capability.as_bps();
         if let Some(old) = old {
@@ -201,7 +236,11 @@ impl CapabilityAggregator {
     /// Every held sample, our own first. Callers must not let the order reach
     /// behaviour.
     fn held(&self) -> impl Iterator<Item = CapabilitySample> + '_ {
-        std::iter::once(self.own).chain(self.samples.iter().flatten().copied())
+        let others =
+            self.samples.iter().enumerate().filter_map(|(index, slot)| {
+                slot.map(|slot| slot.sample(NodeId::new(index as u32)))
+            });
+        std::iter::once(self.own).chain(others)
     }
 
     /// The `n` freshest samples by full scan: what the cache must equal, and
@@ -233,7 +272,7 @@ impl CapabilityAggregator {
     /// until the first [`merge`](Self::merge) or
     /// [`freshest_samples`](Self::freshest_samples).
     pub fn heap_bytes(&self) -> usize {
-        self.samples.capacity() * std::mem::size_of::<Option<CapabilitySample>>()
+        self.samples.capacity() * std::mem::size_of::<Option<Slot>>()
             + self.freshest.capacity() * std::mem::size_of::<CapabilitySample>()
     }
 
@@ -268,7 +307,7 @@ impl CapabilityAggregator {
         // An id beyond the table end was never heard of.
         if let Some(old) = self.samples.get_mut(node.index()).and_then(Option::take) {
             self.known -= 1;
-            self.sum_bps -= old.capability.as_bps();
+            self.sum_bps -= old.bps;
             self.cached_n = None;
         }
     }
@@ -374,6 +413,33 @@ mod tests {
         assert!(freshest
             .windows(2)
             .all(|w| w[0].timestamp >= w[1].timestamp));
+    }
+
+    #[test]
+    fn a_zero_sample_at_time_zero_is_held_averaged_and_ranked() {
+        let mut agg = CapabilityAggregator::new(NodeId::new(0), Bandwidth::from_kbps(900));
+        let zero = CapabilitySample {
+            node: NodeId::new(4),
+            capability: Bandwidth::from_bps(0),
+            timestamp: SimTime::ZERO,
+        };
+        assert_eq!(agg.merge(&[zero, sample(2, 300, 1)]), 2);
+        assert_eq!(agg.known_nodes(), 3);
+        assert_eq!(agg.estimated_average(), Bandwidth::from_kbps(400));
+        // Stalest of all, so last in the payload, read back unchanged.
+        let payload = agg.freshest_samples(10, SimTime::from_secs(2));
+        assert_eq!(payload.len(), 3);
+        assert_eq!(payload[2], zero);
+        // A sample no fresher than the held one does not replace it.
+        assert_eq!(
+            agg.merge(&[CapabilitySample {
+                capability: Bandwidth::from_kbps(5),
+                ..zero
+            }]),
+            0
+        );
+        agg.forget(zero.node);
+        assert_eq!(agg.estimated_average(), Bandwidth::from_kbps(600));
     }
 
     #[test]

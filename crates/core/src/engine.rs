@@ -6,6 +6,7 @@
 //! drives it from the simulator callbacks. Keeping the state machine pure makes
 //! it directly unit- and property-testable.
 
+use crate::packet_ids::PacketIds;
 use heap_simnet::time::SimTime;
 use heap_streaming::health::{HealthConfig, ReceiverHealth};
 use heap_streaming::packet::{PacketId, StreamPacket};
@@ -82,10 +83,10 @@ impl RequestedSet {
 /// let mut engine = DisseminationEngine::new(schedule);
 ///
 /// // A proposal for packet 0 arrives: we want it (not yet requested).
-/// let wanted = engine.handle_propose(&[PacketId::new(0)]);
-/// assert_eq!(wanted, vec![PacketId::new(0)]);
+/// let wanted = engine.handle_propose([PacketId::new(0)]);
+/// assert_eq!(wanted.to_vec(), [PacketId::new(0)]);
 /// // Proposing it again elsewhere: already requested, nothing wanted.
-/// assert!(engine.handle_propose(&[PacketId::new(0)]).is_empty());
+/// assert!(engine.handle_propose([PacketId::new(0)]).is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DisseminationEngine {
@@ -94,7 +95,8 @@ pub struct DisseminationEngine {
     /// `eRequested`: ids we have already pulled (never pull twice).
     requested: RequestedSet,
     /// `eToPropose`: ids to advertise in the next gossip round
-    /// (cleared after every round — infect-and-die).
+    /// (cleared after every round — infect-and-die). The buffer is kept
+    /// across rounds.
     to_propose: Vec<PacketId>,
     stats: EngineStats,
     /// Live stream-health tracker, fed on every first delivery (O(1),
@@ -178,46 +180,48 @@ impl DisseminationEngine {
     }
 
     /// Drains the ids to advertise this round (infect-and-die: each id is
-    /// returned exactly once over the lifetime of the node).
-    pub fn take_proposals(&mut self) -> Vec<PacketId> {
-        std::mem::take(&mut self.to_propose)
+    /// returned exactly once over the lifetime of the node). The queue keeps
+    /// its buffer for the next round.
+    pub fn take_proposals(&mut self) -> PacketIds {
+        let ids = PacketIds::from(self.to_propose.as_slice());
+        self.to_propose.clear();
+        ids
     }
 
     /// Phase 2 (receiver side): handles an incoming [Propose] and returns the
-    /// ids to pull — those neither requested before nor already delivered,
-    /// and that actually belong to the stream.
+    /// ids to pull, in proposal order — those neither requested before nor
+    /// already delivered, and that actually belong to the stream.
     ///
     /// [Propose]: crate::message::GossipMessage::Propose
-    pub fn handle_propose(&mut self, proposed: &[PacketId]) -> Vec<PacketId> {
-        let mut wanted = Vec::new();
-        for &id in proposed {
-            let idx = id.seq() as usize;
-            if !self.requested.in_range(idx) {
-                continue; // not a packet of this stream
-            }
-            if self.requested.get(idx) || self.log.has(id) {
-                continue;
-            }
-            self.requested.set(idx, true);
-            wanted.push(id);
-        }
+    pub fn handle_propose(&mut self, proposed: impl IntoIterator<Item = PacketId>) -> PacketIds {
+        let wanted: PacketIds = proposed
+            .into_iter()
+            .filter(|&id| {
+                let idx = id.seq() as usize;
+                // Not a packet of this stream, already requested or
+                // already delivered: nothing to pull.
+                if !self.requested.in_range(idx) || self.requested.get(idx) || self.log.has(id) {
+                    return false;
+                }
+                self.requested.set(idx, true);
+                true
+            })
+            .collect();
         self.stats.ids_requested += wanted.len() as u64;
         wanted
     }
 
     /// Phase 3 (proposer side): handles an incoming [Request] and returns the
-    /// descriptors of the requested packets this node actually has.
+    /// ids, in request order, of the requested packets this node actually
+    /// has.
     ///
     /// [Request]: crate::message::GossipMessage::Request
-    pub fn handle_request(&mut self, requested: &[PacketId]) -> Vec<StreamPacket> {
-        let mut served = Vec::new();
-        for &id in requested {
-            if self.log.has(id) {
-                if let Some(packet) = self.schedule.packet(id) {
-                    served.push(packet);
-                }
-            }
-        }
+    pub fn handle_request(&mut self, requested: impl IntoIterator<Item = PacketId>) -> PacketIds {
+        let total = self.schedule.total_packets();
+        let served: PacketIds = requested
+            .into_iter()
+            .filter(|&id| self.log.has(id) && id.seq() < total)
+            .collect();
         self.stats.ids_served += served.len() as u64;
         served
     }
@@ -225,17 +229,26 @@ impl DisseminationEngine {
     /// Phase 3 (receiver side): handles an incoming [Serve]; delivers new
     /// packets, queues their ids for the next proposal round (read them with
     /// [`take_proposals`](Self::take_proposals)) and returns how many were
-    /// new.
+    /// new. Each delivery feeds the health tracker the packet's publication
+    /// instant from this node's schedule, the same for every node of a run.
     ///
     /// [Serve]: crate::message::GossipMessage::Serve
-    pub fn handle_serve(&mut self, packets: &[StreamPacket], now: SimTime) -> usize {
+    pub fn handle_serve(
+        &mut self,
+        served: impl IntoIterator<Item = PacketId>,
+        now: SimTime,
+    ) -> usize {
         let mut fresh = 0;
-        for packet in packets {
-            if self.log.record(packet.id, now) {
+        for id in served {
+            if self.log.record(id, now) {
+                let published_at = self
+                    .schedule
+                    .publish_time(id)
+                    .expect("the receive log holds exactly the stream's packets");
                 self.stats.packets_delivered += 1;
                 self.stats.ids_learned += 1;
-                self.health.on_packet(packet.published_at, now);
-                self.to_propose.push(packet.id);
+                self.health.on_packet(published_at, now);
+                self.to_propose.push(id);
                 fresh += 1;
             } else {
                 self.stats.duplicate_payloads += 1;
@@ -245,10 +258,10 @@ impl DisseminationEngine {
     }
 
     /// Of the given ids, those that are still missing (requested but not yet
-    /// delivered) — the set a retransmission should pull again.
-    pub fn still_missing(&self, ids: &[PacketId]) -> Vec<PacketId> {
-        ids.iter()
-            .copied()
+    /// delivered), in their order — the set a retransmission should pull
+    /// again.
+    pub fn still_missing(&self, ids: impl IntoIterator<Item = PacketId>) -> PacketIds {
+        ids.into_iter()
             .filter(|&id| !self.log.has(id) && self.requested.in_range(id.seq() as usize))
             .collect()
     }
@@ -259,8 +272,8 @@ impl DisseminationEngine {
     /// has failed, or when all retransmissions towards it were exhausted.
     ///
     /// [Propose]: crate::message::GossipMessage::Propose
-    pub fn unrequest(&mut self, ids: &[PacketId]) {
-        for &id in ids {
+    pub fn unrequest(&mut self, ids: impl IntoIterator<Item = PacketId>) {
+        for id in ids {
             let idx = id.seq() as usize;
             if self.requested.in_range(idx) && !self.log.has(id) {
                 self.requested.set(idx, false);
@@ -279,8 +292,8 @@ mod tests {
         DisseminationEngine::new(schedule)
     }
 
-    fn pkt(engine: &DisseminationEngine, seq: u64) -> StreamPacket {
-        engine.schedule().packet(PacketId::new(seq)).unwrap()
+    fn id(seq: u64) -> PacketId {
+        PacketId::new(seq)
     }
 
     #[test]
@@ -290,8 +303,7 @@ mod tests {
         let now = SimTime::from_secs(1);
 
         // a received packets 0 and 1 from somewhere.
-        let packets = vec![pkt(&a, 0), pkt(&a, 1)];
-        assert_eq!(a.handle_serve(&packets, now), 2);
+        assert_eq!(a.handle_serve([id(0), id(1)], now), 2);
         assert_eq!(a.pending_proposals(), 2);
         assert!(a.is_delivered(PacketId::new(0)));
 
@@ -301,12 +313,13 @@ mod tests {
         assert_eq!(a.pending_proposals(), 0, "infect-and-die drains the set");
         let wanted = b.handle_propose(&proposal);
         assert_eq!(wanted, proposal);
+        assert_eq!(wanted.to_vec(), [id(0), id(1)]);
         assert!(b.is_requested(PacketId::new(0)));
         assert!(!b.is_delivered(PacketId::new(0)));
 
         // a serves; b delivers and queues for its own next round.
         let served = a.handle_request(&wanted);
-        assert_eq!(served.len(), 2);
+        assert_eq!(served, wanted);
         assert_eq!(b.handle_serve(&served, now), 2);
         assert!(b.is_delivered(PacketId::new(1)));
         assert_eq!(b.receiver_log().received_count(), 2);
@@ -317,24 +330,21 @@ mod tests {
     #[test]
     fn never_requests_twice_or_after_delivery() {
         let mut e = engine();
-        let ids = vec![PacketId::new(3)];
-        assert_eq!(e.handle_propose(&ids), ids);
+        assert_eq!(e.handle_propose([id(3)]).to_vec(), [id(3)]);
         // Second proposal for the same id: nothing wanted.
-        assert!(e.handle_propose(&ids).is_empty());
+        assert!(e.handle_propose([id(3)]).is_empty());
         // Deliver it, then propose again: still nothing wanted.
-        let p = pkt(&e, 3);
-        e.handle_serve(&[p], SimTime::from_secs(2));
-        assert!(e.handle_propose(&ids).is_empty());
+        e.handle_serve([id(3)], SimTime::from_secs(2));
+        assert!(e.handle_propose([id(3)]).is_empty());
     }
 
     #[test]
     fn duplicate_serves_are_counted_not_redelivered() {
         let mut e = engine();
-        let p = pkt(&e, 5);
-        assert_eq!(e.handle_serve(&[p], SimTime::from_secs(1)), 1);
-        assert_eq!(e.handle_serve(&[p], SimTime::from_secs(2)), 0);
+        assert_eq!(e.handle_serve([id(5)], SimTime::from_secs(1)), 1);
+        assert_eq!(e.handle_serve([id(5)], SimTime::from_secs(2)), 0);
         assert_eq!(e.stats().duplicate_payloads, 1);
-        assert_eq!(e.receiver_log().arrival(p.id), Some(SimTime::from_secs(1)));
+        assert_eq!(e.receiver_log().arrival(id(5)), Some(SimTime::from_secs(1)));
         // The id is only queued for proposal once.
         assert_eq!(e.take_proposals().len(), 1);
     }
@@ -342,17 +352,15 @@ mod tests {
     #[test]
     fn handle_request_only_serves_what_it_has() {
         let mut e = engine();
-        let p = pkt(&e, 0);
-        e.handle_serve(&[p], SimTime::from_secs(1));
-        let served = e.handle_request(&[PacketId::new(0), PacketId::new(7), PacketId::new(9999)]);
-        assert_eq!(served.len(), 1);
-        assert_eq!(served[0].id, PacketId::new(0));
+        e.handle_serve([id(0)], SimTime::from_secs(1));
+        let served = e.handle_request([id(0), id(7), id(9999)]);
+        assert_eq!(served.to_vec(), [id(0)]);
     }
 
     #[test]
     fn proposals_outside_the_stream_are_ignored() {
         let mut e = engine();
-        let wanted = e.handle_propose(&[PacketId::new(1_000_000)]);
+        let wanted = e.handle_propose([id(1_000_000)]);
         assert!(wanted.is_empty());
         assert!(
             e.is_requested(PacketId::new(1_000_000)),
@@ -363,7 +371,7 @@ mod tests {
     #[test]
     fn publish_delivers_locally_without_reproposing_later() {
         let mut e = engine();
-        let p = pkt(&e, 0);
+        let p = e.schedule().packet(id(0)).unwrap();
         let id = e.publish(&p, SimTime::from_millis(5));
         assert_eq!(id, p.id);
         assert!(e.is_delivered(p.id));
@@ -371,7 +379,7 @@ mod tests {
         // be queued again for the next round.
         assert_eq!(e.pending_proposals(), 0);
         // And proposals from others for that id are not pulled.
-        assert!(e.handle_propose(&[p.id]).is_empty());
+        assert!(e.handle_propose([p.id]).is_empty());
         // Publishing twice does not double-count deliveries.
         e.publish(&p, SimTime::from_millis(6));
         assert_eq!(e.stats().packets_delivered, 1);
@@ -380,34 +388,55 @@ mod tests {
     #[test]
     fn still_missing_filters_delivered_ids() {
         let mut e = engine();
-        let ids = vec![PacketId::new(0), PacketId::new(1), PacketId::new(2)];
-        e.handle_propose(&ids);
-        e.handle_serve(&[pkt(&e, 1)], SimTime::from_secs(1));
-        assert_eq!(
-            e.still_missing(&ids),
-            vec![PacketId::new(0), PacketId::new(2)]
-        );
+        let ids = [id(2), id(0), id(1)];
+        e.handle_propose(ids);
+        e.handle_serve([id(1)], SimTime::from_secs(1));
+        assert_eq!(e.still_missing(ids).to_vec(), [id(2), id(0)]);
         // Out-of-stream ids are never reported missing.
-        assert!(e.still_missing(&[PacketId::new(1_000_000)]).is_empty());
+        assert!(e.still_missing([id(1_000_000)]).is_empty());
     }
 
     #[test]
     fn health_tracks_first_deliveries_only() {
         let mut e = engine();
         let interval = e.schedule().config().packet_interval();
-        let p0 = pkt(&e, 0);
-        let p1 = pkt(&e, 1);
-        e.handle_serve(&[p0], p0.published_at + interval);
-        e.handle_serve(&[p1], p1.published_at + interval);
+        let at = |seq| e.schedule().publish_time(id(seq)).unwrap() + interval;
+        let (t0, t1) = (at(0), at(1));
+        e.handle_serve([id(0)], t0);
+        e.handle_serve([id(1)], t1);
         // A duplicate serve must not feed the tracker again.
-        e.handle_serve(&[p1], p1.published_at + interval * 3);
+        e.handle_serve([id(1)], t1 + interval * 2);
         assert_eq!(e.health().samples(), 2);
         assert_eq!(e.health().clock_anomalies(), 0);
         // Publishing counts as a (source-side) delivery too.
         let mut src = engine();
-        let p = pkt(&src, 0);
+        let p = src.schedule().packet(id(0)).unwrap();
         src.publish(&p, p.published_at);
         assert_eq!(src.health().samples(), 1);
+    }
+
+    #[test]
+    fn health_gets_the_publication_instant_a_descriptor_carries() {
+        // A schedule that does not start at zero, served out of order and
+        // with duplicates: the tracker must see exactly what feeding it each
+        // packet's full descriptor would have shown it.
+        let schedule = StreamSchedule::new(StreamConfig::small(3), SimTime::from_millis(250));
+        let mut e = DisseminationEngine::new(schedule);
+        let mut oracle = ReceiverHealth::new(HealthConfig::for_schedule(&schedule));
+        let interval = schedule.config().packet_interval();
+        let order = [0, 2, 1, 5, 4, 3, 3, 6, 9, 8, 7, 10, 35, 11, 12];
+        let mut now = SimTime::ZERO;
+        for (step, seq) in order.into_iter().enumerate() {
+            let packet = schedule.packet(id(seq)).unwrap();
+            // Arrivals never go back in time.
+            now = now.max(packet.published_at + interval * (step as u64 % 4 + 1));
+            if !e.is_delivered(packet.id) {
+                oracle.on_packet(packet.published_at, now);
+            }
+            e.handle_serve([packet.id], now);
+        }
+        assert_eq!(e.health().samples(), 14);
+        assert_eq!(e.health(), &oracle);
     }
 
     #[test]
@@ -416,25 +445,25 @@ mod tests {
         let schedule = StreamSchedule::new(StreamConfig::small(12), SimTime::ZERO);
         let mut e = DisseminationEngine::new(schedule);
         let edges: Vec<PacketId> = [0, 63, 64, 127, 128, 143].map(PacketId::new).to_vec();
-        assert_eq!(e.handle_propose(&edges), edges);
+        assert_eq!(e.handle_propose(edges.iter().copied()).to_vec(), edges);
         for seq in 0..144 {
             let id = PacketId::new(seq);
             assert_eq!(e.is_requested(id), edges.contains(&id), "packet {seq}");
         }
-        e.unrequest(&[PacketId::new(64)]);
+        e.unrequest([id(64)]);
         assert!(!e.is_requested(PacketId::new(64)));
         assert!(e.is_requested(PacketId::new(63)) && e.is_requested(PacketId::new(127)));
         // Past the end of the stream every id reads as requested.
         assert!(e.is_requested(PacketId::new(144)));
-        assert!(e.handle_propose(&[PacketId::new(144)]).is_empty());
+        assert!(e.handle_propose([id(144)]).is_empty());
     }
 
     #[test]
     fn stats_accumulate() {
         let mut e = engine();
-        e.handle_propose(&[PacketId::new(0), PacketId::new(1)]);
-        e.handle_serve(&[pkt(&e, 0)], SimTime::from_secs(1));
-        e.handle_request(&[PacketId::new(0)]);
+        e.handle_propose([id(0), id(1)]);
+        e.handle_serve([id(0)], SimTime::from_secs(1));
+        e.handle_request([id(0)]);
         let s = e.stats();
         assert_eq!(s.ids_requested, 2);
         assert_eq!(s.packets_delivered, 1);

@@ -32,6 +32,8 @@
 //!
 //! * [`config`] — protocol parameters (periods, fanout, message overheads),
 //! * [`message`] — the wire messages and their sizes,
+//! * [`packet_ids`] — the inline, order-preserving id list the three
+//!   dissemination messages carry,
 //! * [`fanout`] — fanout policies: fixed (standard gossip), HEAP adaptive,
 //!   and an oracle variant used for ablations,
 //! * [`aggregation`] — the capability-aggregation protocol,
@@ -78,6 +80,7 @@ pub mod engine;
 pub mod fanout;
 pub mod message;
 pub mod node;
+pub mod packet_ids;
 pub mod retransmit;
 mod serve_dedup;
 
@@ -87,6 +90,7 @@ pub use engine::DisseminationEngine;
 pub use fanout::FanoutPolicy;
 pub use message::GossipMessage;
 pub use node::{GossipNode, GossipNodeBuilder, ProtocolStats, Role};
+pub use packet_ids::PacketIds;
 pub use retransmit::RetransmitTracker;
 
 /// Convenience re-exports for examples and downstream crates.

@@ -2,9 +2,10 @@
 
 use crate::aggregation::CapabilitySample;
 use crate::config::GossipConfig;
+use crate::packet_ids::PacketIds;
 use heap_membership::partial::ViewEntry;
 use heap_simnet::sim::WireSize;
-use heap_streaming::packet::{PacketId, StreamPacket};
+use heap_streaming::packet::StreamPacket;
 use serde::{Deserialize, Serialize};
 
 /// A message exchanged by [`GossipNode`](crate::node::GossipNode)s.
@@ -12,6 +13,13 @@ use serde::{Deserialize, Serialize};
 /// The three dissemination phases of Algorithm 1 map to [`Propose`],
 /// [`Request`] and [`Serve`]; [`Aggregation`] carries the capability samples
 /// of HEAP's aggregation protocol (Algorithm 2).
+///
+/// The three phases carry packet ids only, in a [`PacketIds`] list: a
+/// receiver rebuilds what it needs of a served packet from its own copy of
+/// the run's stream schedule, and the payload bytes exist only in
+/// `wire_bytes`. The whole message is at most 40 bytes, so an event that
+/// carries it fits one 64-byte cache line, and a fan-out clone of it copies
+/// the list or bumps a reference count but never allocates.
 ///
 /// [`Propose`]: GossipMessage::Propose
 /// [`Request`]: GossipMessage::Request
@@ -22,25 +30,25 @@ pub enum GossipMessage {
     /// Phase 1: the sender advertises packet ids it can serve.
     Propose {
         /// Advertised packet identifiers.
-        ids: Vec<PacketId>,
+        ids: PacketIds,
         /// Wire size of the message (precomputed from the sender's config so
         /// receivers never need the sender's configuration).
-        wire_bytes: usize,
+        wire_bytes: u32,
     },
     /// Phase 2: the receiver of a proposal pulls the ids it still misses.
     Request {
         /// Requested packet identifiers.
-        ids: Vec<PacketId>,
+        ids: PacketIds,
         /// Wire size of the message.
-        wire_bytes: usize,
+        wire_bytes: u32,
     },
     /// Phase 3: the proposer pushes the actual payloads.
     Serve {
-        /// The served packets (descriptors; payload bytes are accounted for in
-        /// `wire_bytes`).
-        packets: Vec<StreamPacket>,
+        /// The ids of the served packets; their payload bytes are accounted
+        /// for in `wire_bytes`.
+        ids: PacketIds,
         /// Wire size of the message, dominated by the payloads.
-        wire_bytes: usize,
+        wire_bytes: u32,
     },
     /// HEAP's aggregation protocol: the freshest capability samples known to
     /// the sender.
@@ -48,7 +56,7 @@ pub enum GossipMessage {
         /// Capability samples, freshest first.
         samples: Vec<CapabilitySample>,
         /// Wire size of the message.
-        wire_bytes: usize,
+        wire_bytes: u32,
     },
     /// Cyclon-style view exchange of the partial membership mode: the sender
     /// offers peer descriptors and (unless this is the reply leg) expects a
@@ -59,44 +67,68 @@ pub enum GossipMessage {
         /// `true` for the response leg of a shuffle (no further reply).
         reply: bool,
         /// Wire size of the message.
-        wire_bytes: usize,
+        wire_bytes: u32,
     },
+}
+
+// The simulator's queue entry is this message plus 24 bytes of scheduling:
+// one 64-byte line.
+const _: () = assert!(std::mem::size_of::<GossipMessage>() <= 40);
+
+/// A message size in the `u32` a message stores.
+fn wire(bytes: usize) -> u32 {
+    u32::try_from(bytes).expect("a gossip message is smaller than 4 GiB")
 }
 
 impl GossipMessage {
     /// Builds a [Propose] message for the given ids.
     ///
     /// [Propose]: GossipMessage::Propose
-    pub fn propose(ids: Vec<PacketId>, config: &GossipConfig) -> Self {
-        let wire_bytes = config.control_message_bytes(ids.len());
+    pub fn propose(ids: impl Into<PacketIds>, config: &GossipConfig) -> Self {
+        let ids = ids.into();
+        let wire_bytes = wire(config.control_message_bytes(ids.len()));
         GossipMessage::Propose { ids, wire_bytes }
     }
 
     /// Builds a [Request] message for the given ids.
     ///
     /// [Request]: GossipMessage::Request
-    pub fn request(ids: Vec<PacketId>, config: &GossipConfig) -> Self {
-        let wire_bytes = config.control_message_bytes(ids.len());
+    pub fn request(ids: impl Into<PacketIds>, config: &GossipConfig) -> Self {
+        let ids = ids.into();
+        let wire_bytes = wire(config.control_message_bytes(ids.len()));
         GossipMessage::Request { ids, wire_bytes }
     }
 
-    /// Builds a [Serve] message for the given packets.
+    /// Builds a [Serve] message for the given packets: it carries their ids,
+    /// and their payloads count towards its wire size.
+    ///
+    /// The node builds its Serves with [`serve_ids`](Self::serve_ids); this
+    /// form is kept because `benchmark/` compiles against it, until ROADMAP
+    /// item 2(b) removes it.
     ///
     /// [Serve]: GossipMessage::Serve
     pub fn serve(packets: Vec<StreamPacket>, config: &GossipConfig) -> Self {
         let payload: usize = packets.iter().map(|p| p.payload_bytes).sum();
-        let wire_bytes = config.serve_message_bytes(payload);
         GossipMessage::Serve {
-            packets,
-            wire_bytes,
+            ids: packets.iter().map(|p| p.id).collect(),
+            wire_bytes: wire(config.serve_message_bytes(payload)),
         }
+    }
+
+    /// Builds a [Serve] message for `ids`, packets of `packet_bytes` payload
+    /// bytes each.
+    ///
+    /// [Serve]: GossipMessage::Serve
+    pub fn serve_ids(ids: PacketIds, packet_bytes: usize, config: &GossipConfig) -> Self {
+        let wire_bytes = wire(config.serve_message_bytes(ids.len() * packet_bytes));
+        GossipMessage::Serve { ids, wire_bytes }
     }
 
     /// Builds an [Aggregation] message for the given samples.
     ///
     /// [Aggregation]: GossipMessage::Aggregation
     pub fn aggregation(samples: Vec<CapabilitySample>, config: &GossipConfig) -> Self {
-        let wire_bytes = config.aggregation_message_bytes(samples.len());
+        let wire_bytes = wire(config.aggregation_message_bytes(samples.len()));
         GossipMessage::Aggregation {
             samples,
             wire_bytes,
@@ -108,7 +140,7 @@ impl GossipMessage {
     /// [Shuffle]: GossipMessage::Shuffle
     pub fn shuffle(entries: Vec<ViewEntry>, reply: bool, config: &GossipConfig) -> Self {
         // A descriptor (node id + age) is the size of a packet id on the wire.
-        let wire_bytes = config.control_message_bytes(entries.len());
+        let wire_bytes = wire(config.control_message_bytes(entries.len()));
         GossipMessage::Shuffle {
             entries,
             reply,
@@ -142,7 +174,7 @@ impl WireSize for GossipMessage {
             | GossipMessage::Request { wire_bytes, .. }
             | GossipMessage::Serve { wire_bytes, .. }
             | GossipMessage::Aggregation { wire_bytes, .. }
-            | GossipMessage::Shuffle { wire_bytes, .. } => *wire_bytes,
+            | GossipMessage::Shuffle { wire_bytes, .. } => *wire_bytes as usize,
         }
     }
 }
@@ -153,7 +185,7 @@ mod tests {
     use heap_simnet::bandwidth::Bandwidth;
     use heap_simnet::node::NodeId;
     use heap_simnet::time::SimTime;
-    use heap_streaming::packet::WindowId;
+    use heap_streaming::packet::{PacketId, WindowId};
 
     fn cfg() -> GossipConfig {
         GossipConfig::paper()
@@ -189,6 +221,9 @@ mod tests {
         assert_eq!(s.wire_size(), 28 + 3 * 1316);
         assert_eq!(s.kind(), "serve");
         assert!(s.carries_payload());
+        // The id form builds the same message.
+        let ids: PacketIds = (0..3).map(PacketId::new).collect();
+        assert_eq!(GossipMessage::serve_ids(ids, 1316, &cfg()), s);
     }
 
     #[test]
@@ -226,6 +261,7 @@ mod tests {
     #[test]
     fn empty_messages_still_have_header_size() {
         assert_eq!(GossipMessage::propose(vec![], &cfg()).wire_size(), 28);
+        assert_eq!(GossipMessage::request(vec![], &cfg()).wire_size(), 28);
         assert_eq!(GossipMessage::serve(vec![], &cfg()).wire_size(), 28);
         assert_eq!(GossipMessage::aggregation(vec![], &cfg()).wire_size(), 28);
     }

@@ -15,10 +15,11 @@ use crate::config::{GossipConfig, PartialMembershipConfig};
 use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
 use crate::message::GossipMessage;
+use crate::packet_ids::PacketIds;
 use crate::retransmit::{RetransmitTracker, RETRANSMIT_TAG_BASE};
 use crate::serve_dedup::ServeDedup;
 use heap_membership::partial::PartialView;
-use heap_membership::sampler::UniformSampler;
+use heap_membership::sampler::{Targets, UniformSampler};
 use heap_membership::view::MembershipView;
 use heap_simnet::bandwidth::Bandwidth;
 use heap_simnet::node::NodeId;
@@ -295,6 +296,10 @@ pub struct GossipNode {
     gossip_idle_at: Option<SimTime>,
 }
 
+// Nodes sit side by side in the simulator's node table, and a delivery
+// touches one of them: keep the struct within sixteen cache lines.
+const _: () = assert!(std::mem::size_of::<GossipNode>() <= 1024);
+
 impl GossipNode {
     /// Starts building a node with identifier `id` in a system of `n` nodes
     /// following the given stream schedule.
@@ -423,20 +428,25 @@ impl GossipNode {
     // ------------------------------------------------------------------
 
     /// Draws up to `fanout` gossip targets: uniformly from the full view, or
-    /// from the Cyclon partial view in partial membership mode.
-    fn select_targets(&self, fanout: usize, rng: &mut rand::rngs::SmallRng) -> Vec<NodeId> {
+    /// from the Cyclon partial view in partial membership mode. The full
+    /// view's draw stays on the stack.
+    fn select_targets(&self, fanout: usize, rng: &mut rand::rngs::SmallRng) -> Targets {
         match &self.partial {
             Some(partial) => {
-                UniformSampler::select_from(&partial.view.peers(), self.id, fanout, rng)
+                UniformSampler::select_from(&partial.view.peers(), self.id, fanout, rng).into()
             }
-            None => UniformSampler::select(&self.view, fanout, rng),
+            None => {
+                let mut targets = Targets::new();
+                UniformSampler::select_into(&self.view, fanout, rng, &mut targets);
+                targets
+            }
         }
     }
 
     /// Sends a [Propose] for `ids` to a freshly drawn set of gossip targets.
     ///
     /// [Propose]: GossipMessage::Propose
-    fn gossip_ids(&mut self, ctx: &mut Context<'_, GossipMessage>, ids: Vec<PacketId>) {
+    fn gossip_ids(&mut self, ctx: &mut Context<'_, GossipMessage>, ids: PacketIds) {
         if ids.is_empty() {
             return;
         }
@@ -549,7 +559,7 @@ impl GossipNode {
         if let Some(packet) = schedule.packet(id) {
             let published = self.engine.publish(&packet, ctx.now());
             // Algorithm 1 line 5: fresh ids are gossiped immediately.
-            self.gossip_ids(ctx, vec![published]);
+            self.gossip_ids(ctx, PacketIds::from(&[published][..]));
             self.next_source_seq += 1;
             if let Some(next_time) = schedule.publish_time(PacketId::new(self.next_source_seq)) {
                 self.arm_source_timer(ctx, next_time);
@@ -596,7 +606,7 @@ impl GossipNode {
         let engine = &self.engine;
         if let Some(due) = self
             .retransmit
-            .rearm(|p| p.ids.iter().all(|&id| engine.is_delivered(id)))
+            .rearm(|p| p.ids.iter().all(|id| engine.is_delivered(id)))
         {
             self.arm_retransmit_timer(ctx, due);
         }
@@ -604,7 +614,9 @@ impl GossipNode {
 }
 
 /// Sends `msg` to every target: a clone to all but the last, which takes the
-/// original, so a single-target round allocates its payload once.
+/// original. A clone of an id list copies it or bumps its reference count;
+/// the vector of an aggregation round, which has one target, is never
+/// copied.
 fn send_to_each(ctx: &mut Context<'_, GossipMessage>, targets: &[NodeId], msg: GossipMessage) {
     let Some((&last, rest)) = targets.split_last() else {
         return;
@@ -661,6 +673,17 @@ impl Protocol for GossipNode {
 }
 
 impl GossipNode {
+    /// Whether a received Serve is one this node could have built: ids of
+    /// its stream, each of its schedule's packet size. The message carries
+    /// no descriptors, so the receiver rebuilds them from its own schedule,
+    /// which every node of a run shares.
+    fn serve_fits_schedule(&self, ids: &PacketIds, wire_bytes: u32) -> bool {
+        let schedule = self.engine.schedule();
+        let payload = ids.len() * schedule.config().window.packet_bytes;
+        ids.iter().all(|id| id.seq() < schedule.total_packets())
+            && wire_bytes as usize == self.config.serve_message_bytes(payload)
+    }
+
     /// The regular start-up sequence: randomised periodic-timer phases and,
     /// for the source, the first publication tick. Runs from `on_start` for
     /// ordinary nodes (`mid_run == false`) and from the `TAG_JOIN` timer for
@@ -739,30 +762,39 @@ impl GossipNode {
                 // Drop ids we already served to this requester very recently: a
                 // re-request whose answer is still queued must not double the
                 // payload traffic (see `GossipConfig::serve_dedup_window`).
-                let mut fresh_ids: Vec<_> = ids
-                    .into_iter()
-                    .filter(|id| !self.served.recently_served(from, *id, ctx.now()))
+                let now = ctx.now();
+                let mut fresh_ids: PacketIds = ids
+                    .iter()
+                    .filter(|&id| !self.served.recently_served(from, id, now))
                     .collect();
                 // A free-rider quietly drops part of the request before it
                 // reaches the engine, so its serve counters reflect what it
                 // actually shipped (see `GossipNodeBuilder::serve_fraction`).
                 if self.serve_fraction < 1.0 {
                     let keep = (fresh_ids.len() as f64 * self.serve_fraction).floor() as usize;
-                    fresh_ids.truncate(keep);
+                    fresh_ids = fresh_ids.iter().take(keep).collect();
                 }
                 let served = self.engine.handle_request(&fresh_ids);
                 if !served.is_empty() {
-                    for packet in &served {
-                        self.served.mark_served(from, packet.id);
+                    for id in &served {
+                        self.served.mark_served(from, id);
                     }
                     self.stats.serves_sent += 1;
                     self.stats.packets_served += served.len() as u64;
-                    ctx.send(from, GossipMessage::serve(served, &self.config));
+                    let packet_bytes = self.engine.schedule().config().window.packet_bytes;
+                    ctx.send(
+                        from,
+                        GossipMessage::serve_ids(served, packet_bytes, &self.config),
+                    );
                 }
             }
-            GossipMessage::Serve { packets, .. } => {
+            GossipMessage::Serve { ids, wire_bytes } => {
                 self.stats.serves_received += 1;
-                if self.engine.handle_serve(&packets, ctx.now()) > 0 {
+                debug_assert!(
+                    self.serve_fits_schedule(&ids, wire_bytes),
+                    "a Serve of {ids:?} ({wire_bytes} B) from a node with another stream schedule"
+                );
+                if self.engine.handle_serve(&ids, ctx.now()) > 0 {
                     self.wake_gossip_timer(ctx);
                 }
             }

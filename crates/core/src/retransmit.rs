@@ -26,9 +26,9 @@
 //! [`pop_due`]: RetransmitTracker::pop_due
 //! [`rearm`]: RetransmitTracker::rearm
 
+use crate::packet_ids::PacketIds;
 use heap_simnet::node::NodeId;
 use heap_simnet::time::SimTime;
-use heap_streaming::packet::PacketId;
 use std::collections::VecDeque;
 
 /// A pending request whose answer has not been fully received yet.
@@ -37,7 +37,7 @@ pub struct PendingRequest {
     /// The peer the packets were requested from.
     pub proposer: NodeId,
     /// The packet ids that were requested.
-    pub ids: Vec<PacketId>,
+    pub ids: PacketIds,
     /// How many more times the request may be re-issued.
     pub retries_left: u32,
     /// When the request is re-examined if its answer has not arrived.
@@ -96,7 +96,7 @@ impl RetransmitTracker {
     pub fn push(
         &mut self,
         proposer: NodeId,
-        ids: Vec<PacketId>,
+        ids: impl Into<PacketIds>,
         retries: u32,
         due: SimTime,
     ) -> Option<SimTime> {
@@ -106,7 +106,7 @@ impl RetransmitTracker {
         );
         self.pending.push_back(PendingRequest {
             proposer,
-            ids,
+            ids: ids.into(),
             retries_left: retries,
             due,
         });
@@ -118,7 +118,7 @@ impl RetransmitTracker {
     ///
     /// Kept only because `benchmark/` compiles against it; the node queues
     /// through [`push`](Self::push). Removed with ROADMAP item 2(b).
-    pub fn register(&mut self, proposer: NodeId, ids: Vec<PacketId>, retries: u32) -> u64 {
+    pub fn register(&mut self, proposer: NodeId, ids: impl Into<PacketIds>, retries: u32) -> u64 {
         let due = self.pending.back().map_or(SimTime::ZERO, |last| last.due);
         let _ = self.push(proposer, ids, retries, due);
         RETRANSMIT_TAG_BASE
@@ -170,8 +170,9 @@ impl RetransmitTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heap_streaming::packet::PacketId;
 
-    fn ids(v: &[u64]) -> Vec<PacketId> {
+    fn ids(v: &[u64]) -> PacketIds {
         v.iter().map(|&i| PacketId::new(i)).collect()
     }
 
@@ -205,7 +206,7 @@ mod tests {
             let _ = t.push(NodeId::new(i as u32), ids(&[i as u64]), 1, at(due));
         }
         // Requests 0 and 2 are answered: only 0 is at the front.
-        let answered = |p: &PendingRequest| p.ids[0].seq().is_multiple_of(2);
+        let answered = |p: &PendingRequest| p.ids.iter().all(|id| id.seq().is_multiple_of(2));
         assert_eq!(t.rearm(answered), Some(at(20)));
         assert_eq!(t.outstanding(), 3);
         t.pop_due(at(20)).unwrap();

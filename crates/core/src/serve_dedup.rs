@@ -81,8 +81,16 @@ impl ServeDedup {
             return false;
         };
         // Rotate generations so membership is bounded to ~2 windows of serves.
+        // The sets trade places and keep their tables, so a steady serve rate
+        // stops allocating after the first rotations. The emptied table is
+        // trimmed to what the generation just ended needed, so a burst of
+        // serves does not pin its table for the rest of the run. (Reserving
+        // that much up front instead would save a few growth steps per node
+        // but hold two full tables from the start of every generation.)
         if now.saturating_since(self.generation_start) >= window {
-            self.prev = std::mem::take(&mut self.recent);
+            std::mem::swap(&mut self.prev, &mut self.recent);
+            self.recent.clear();
+            self.recent.shrink_to(self.prev.len());
             self.generation_start = now;
         }
         let key = (requester.as_u32(), id.seq());
@@ -150,6 +158,34 @@ mod tests {
         assert!(dedup.recently_served(peer, PacketId::new(1), ms(6_500)));
         assert_eq!(dedup.generation_start, ms(6_500));
         assert_eq!((dedup.recent.len(), dedup.prev.len()), (0, 1));
+    }
+
+    #[test]
+    fn rotation_keeps_both_tables() {
+        let peer = NodeId::new(2);
+        let mut dedup = ServeDedup::new(Some(WINDOW));
+        for seq in 0..100 {
+            dedup.mark_served(peer, PacketId::new(seq));
+        }
+        let grown = dedup.recent.capacity();
+        // The full set becomes the previous generation; the next one starts
+        // in the other table.
+        assert!(!dedup.recently_served(peer, PacketId::new(500), ms(1_500)));
+        assert_eq!(dedup.prev.capacity(), grown);
+        for seq in 100..200 {
+            dedup.mark_served(peer, PacketId::new(seq));
+        }
+        // The second rotation hands the first table back, emptied; the
+        // generation just ended was as large, so it keeps its size.
+        assert!(!dedup.recently_served(peer, PacketId::new(0), ms(3_000)));
+        assert!(dedup.recent.is_empty());
+        assert_eq!(dedup.recent.capacity(), grown);
+        assert!(dedup.recently_served(peer, PacketId::new(150), ms(3_000)));
+        // After a quiet generation the burst's table is trimmed.
+        dedup.mark_served(peer, PacketId::new(300));
+        assert!(!dedup.recently_served(peer, PacketId::new(0), ms(4_500)));
+        assert!(!dedup.recently_served(peer, PacketId::new(0), ms(6_000)));
+        assert!(dedup.recent.capacity() < grown);
     }
 
     #[test]

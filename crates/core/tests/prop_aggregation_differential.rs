@@ -28,8 +28,9 @@ use std::collections::HashMap;
 const NODES: u32 = 24;
 /// The occasional far id; no sample is ever drawn at or above it.
 const FAR_NODES: u32 = 5_000;
-/// Bytes per slot of the aggregator's table.
-const SLOT_BYTES: usize = 32;
+/// Bytes per slot of the aggregator's table: the capability and the
+/// timestamp; the slot's index names the node.
+const SLOT_BYTES: usize = 16;
 /// Bytes the payload cache may hold, whatever payload sizes were asked for.
 const CACHE_BYTES: usize = 4 * 1024;
 

@@ -144,14 +144,20 @@ impl Single {
             self.timer = None;
             self.fired += 1;
             while let Some(p) = self.tracker.pop_due(now) {
-                if let Some((missing, left)) =
-                    world.examine(now, p.proposer, &p.ids, p.retries_left, &mut self.log)
-                {
+                if let Some((missing, left)) = world.examine(
+                    now,
+                    p.proposer,
+                    &p.ids.to_vec(),
+                    p.retries_left,
+                    &mut self.log,
+                ) {
                     let rearm = self.tracker.push(p.proposer, missing, left, now + PERIOD);
                     assert_eq!(rearm, None, "re-queueing armed a timer, {at}");
                 }
             }
-            let next = self.tracker.rearm(|p| world.missing(&p.ids).is_empty());
+            let next = self
+                .tracker
+                .rearm(|p| world.missing(&p.ids.to_vec()).is_empty());
             self.arm(next, at);
         }
     }

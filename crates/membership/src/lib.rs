@@ -27,5 +27,5 @@ pub mod view;
 
 pub use churn::{ChurnEvent, ChurnSchedule, ContinuousChurn, JoinEvent};
 pub use partial::PartialView;
-pub use sampler::UniformSampler;
+pub use sampler::{Targets, UniformSampler};
 pub use view::MembershipView;

@@ -29,21 +29,104 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UniformSampler;
 
+/// How many peers [`Targets`] holds without a heap allocation. HEAP's
+/// richest nodes draw a fanout of about 30 at the paper's average of 7.
+pub const INLINE_TARGETS: usize = 64;
+
+/// The peers drawn by [`UniformSampler::select_into`], in draw order: up to
+/// [`INLINE_TARGETS`] inline, more in a vector.
+#[derive(Debug, Clone)]
+pub struct Targets {
+    /// Number of inline peers; unused once `spill` holds the peers.
+    len: usize,
+    inline: [NodeId; INLINE_TARGETS],
+    /// The peers of a draw larger than the inline capacity.
+    spill: Vec<NodeId>,
+}
+
+impl Targets {
+    /// No peers.
+    pub fn new() -> Self {
+        Targets {
+            len: 0,
+            inline: [NodeId::new(0); INLINE_TARGETS],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Resets to `count` placeholder peers for a draw to overwrite.
+    fn slots(&mut self, count: usize) -> &mut [NodeId] {
+        self.spill.clear();
+        if count <= INLINE_TARGETS {
+            self.len = count;
+            &mut self.inline[..count]
+        } else {
+            self.len = 0;
+            self.spill.resize(count, NodeId::new(0));
+            &mut self.spill
+        }
+    }
+}
+
+impl Default for Targets {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl From<Vec<NodeId>> for Targets {
+    fn from(peers: Vec<NodeId>) -> Self {
+        Targets {
+            spill: peers,
+            ..Targets::new()
+        }
+    }
+}
+
+impl std::ops::Deref for Targets {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
 impl UniformSampler {
     /// Selects up to `fanout` distinct live peers uniformly at random,
     /// never including the view's owner.
     ///
     /// If fewer than `fanout` live peers exist, all of them are returned.
+    /// Collects what [`select_into`](Self::select_into) draws.
     pub fn select<R: Rng + ?Sized>(
         view: &MembershipView,
         fanout: usize,
         rng: &mut R,
     ) -> Vec<NodeId> {
+        let mut targets = Targets::new();
+        Self::select_into(view, fanout, rng, &mut targets);
+        targets.to_vec()
+    }
+
+    /// [`select`](Self::select) into `out`, replacing its contents, without
+    /// touching the heap while at most [`INLINE_TARGETS`] peers are drawn.
+    pub fn select_into<R: Rng + ?Sized>(
+        view: &MembershipView,
+        fanout: usize,
+        rng: &mut R,
+        out: &mut Targets,
+    ) {
         let len = view.live_peer_count();
         if fanout >= len {
-            let mut peers = view.live_peers();
+            let peers = out.slots(len);
+            for (rank, slot) in peers.iter_mut().enumerate() {
+                *slot = view.live_peer_at(rank);
+            }
             peers.shuffle(rng);
-            return peers;
+            return;
         }
         // Partial Fisher-Yates: choose `fanout` distinct elements. The peer
         // array is virtual — position `p` reads `view.live_peer_at(p)` until
@@ -51,25 +134,29 @@ impl UniformSampler {
         // so a draw costs O(fanout² + fanout·dead) instead of materialising
         // all n peers. The `gen_range` sequence is exactly the one the
         // materialised loop would issue, keeping seeded runs bit-identical.
-        let mut out = Vec::with_capacity(fanout);
-        let mut displaced: Vec<(usize, NodeId)> = Vec::with_capacity(fanout);
-        let read = |displaced: &[(usize, NodeId)], p: usize| {
+        let picked = out.slots(fanout);
+        let mut on_stack = [(0u32, NodeId::new(0)); INLINE_TARGETS];
+        let mut on_heap = Vec::new();
+        let displaced = if fanout <= INLINE_TARGETS {
+            &mut on_stack[..fanout]
+        } else {
+            on_heap.resize(fanout, (0, NodeId::new(0)));
+            &mut on_heap[..]
+        };
+        let read = |displaced: &[(u32, NodeId)], p: usize| {
             displaced
                 .iter()
                 .rev()
-                .find(|&&(q, _)| q == p)
+                .find(|&&(q, _)| q as usize == p)
                 .map_or_else(|| view.live_peer_at(p), |&(_, id)| id)
         };
         for i in 0..fanout {
             let j = rng.gen_range(i..len);
-            let picked = read(&displaced, j);
+            picked[i] = read(&displaced[..i], j);
             // `peers.swap(i, j)` would move slot i's value into slot j;
             // slot i itself is never read again (future draws are > i).
-            let at_i = read(&displaced, i);
-            displaced.push((j, at_i));
-            out.push(picked);
+            displaced[i] = (j as u32, read(&displaced[..i], i));
         }
-        out
     }
 
     /// Selects up to `fanout` distinct peers from an explicit candidate list,
@@ -170,26 +257,27 @@ mod tests {
         assert_eq!(counts.len(), 20);
     }
 
+    /// The original selection: materialise `live_peers()` and partially
+    /// Fisher-Yates-shuffle it.
+    fn reference<R: Rng>(view: &MembershipView, fanout: usize, rng: &mut R) -> Vec<NodeId> {
+        let mut peers = view.live_peers();
+        if fanout >= peers.len() {
+            peers.shuffle(rng);
+            return peers;
+        }
+        let len = peers.len();
+        for i in 0..fanout {
+            let j = rng.gen_range(i..len);
+            peers.swap(i, j);
+        }
+        peers.truncate(fanout);
+        peers
+    }
+
     /// The lazy virtual-array selection must issue the same RNG draws and
-    /// return the same targets as the original implementation that
-    /// materialised `live_peers()` and partially Fisher-Yates-shuffled it.
+    /// return the same targets as the materialised reference.
     #[test]
     fn lazy_selection_matches_materialised_reference() {
-        fn reference<R: Rng>(view: &MembershipView, fanout: usize, rng: &mut R) -> Vec<NodeId> {
-            let mut peers = view.live_peers();
-            if fanout >= peers.len() {
-                peers.shuffle(rng);
-                return peers;
-            }
-            let len = peers.len();
-            for i in 0..fanout {
-                let j = rng.gen_range(i..len);
-                peers.swap(i, j);
-            }
-            peers.truncate(fanout);
-            peers
-        }
-
         for seed in 0..20u64 {
             let mut view = MembershipView::full(37, NodeId::new(4));
             let mut kill = SmallRng::seed_from_u64(seed);
@@ -207,6 +295,24 @@ mod tests {
                 // Both must leave the RNG in the same state.
                 assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "rng diverged");
             }
+        }
+    }
+
+    #[test]
+    fn select_into_reuses_its_buffer_past_the_inline_capacity() {
+        let view = MembershipView::full(200, NodeId::new(9));
+        let mut targets = Targets::new();
+        for fanout in [3, INLINE_TARGETS, INLINE_TARGETS + 1, 150, 199, 250, 0, 5] {
+            let mut a = rng();
+            let mut b = rng();
+            UniformSampler::select_into(&view, fanout, &mut a, &mut targets);
+            assert_eq!(targets.len(), fanout.min(199), "fanout {fanout}");
+            assert_eq!(
+                targets.to_vec(),
+                reference(&view, fanout, &mut b),
+                "fanout {fanout}"
+            );
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "rng diverged");
         }
     }
 

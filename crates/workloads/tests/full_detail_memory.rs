@@ -54,10 +54,13 @@ unsafe impl GlobalAlloc for PeakAlloc {
 static COUNTER: PeakAlloc = PeakAlloc;
 
 /// The full-detail peak bound, in bytes per node, for the guard scenario
-/// (40 nodes, 4 windows of 110 packets, seed 7). Measured 2026-10-16:
-/// 26 205 B/node in release and 26 221 in debug with the event queue's
+/// (40 nodes, 4 windows of 110 packets, seed 7). Measured 2026-10-17:
+/// 24 743 B/node in release and in debug with inline, shared id lists in the
+/// gossip messages and the aggregator's 16-byte sample slots, against 26 205
+/// (release) and 26 221 (debug) on the commit before, which had a `Vec` in
+/// every message and 32-byte slots, and already had the event queue's
 /// buckets in pooled 16-event pages and each receive log moved into its
-/// node's metrics, against 36 621 B/node on the commit before (growable
+/// node's metrics; 36 621 B/node before that (growable
 /// per-bucket queue buffers, and every log copied into the metrics while the
 /// simulation still held it), 46 218 B/node before that (a timer per
 /// request, each waiting in the event queue until its deadline) and 57 435
@@ -66,7 +69,7 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// the result). The bound is the debug measurement plus 10 %: a 16-byte log
 /// alone adds 5 280 B/node and trips it. The figure is an allocator count
 /// and repeats exactly on one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 28_843;
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 27_217;
 
 #[test]
 fn full_detail_peak_stays_under_documented_bound() {
