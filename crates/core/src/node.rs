@@ -2,13 +2,13 @@
 //! fanout policy, the aggregation protocol and the retransmission tracker to
 //! the simulator's [`Protocol`] trait.
 //!
-//! [`Context`] commands take effect eagerly rather than after the callback
-//! returns. `GossipNode` is indifferent to that by construction: every
-//! callback reads only its own state plus the callback's arguments, draws
-//! randomness exclusively from [`Context::rng`]'s per-node stream, and never
-//! depends on *when* its issued sends are charged to the network — the
-//! differential tests in `heap-simnet` pin the engine to its
-//! deferred-command reference core bit for bit.
+//! [`Context`] commands take effect eagerly, while the callback runs.
+//! `GossipNode` would be indifferent to deferring them: every callback reads
+//! only its own state plus the callback's arguments, draws randomness
+//! exclusively from [`Context::rng`]'s per-node stream, and never depends on
+//! *when* its issued sends are charged to the network. The differential
+//! tests in `heap-simnet` pin the engine to its binary-heap reference core
+//! bit for bit.
 
 use crate::aggregation::CapabilityAggregator;
 use crate::config::{GossipConfig, PartialMembershipConfig};
@@ -331,13 +331,6 @@ impl GossipNode {
     /// `true` if this node is the stream source.
     pub fn is_source(&self) -> bool {
         self.role == Role::Source
-    }
-
-    /// `true` once the node participates in the protocol: always for
-    /// ordinary nodes, from the scheduled join instant onwards for standby
-    /// joiners ([`GossipNodeBuilder::join_at`]).
-    pub fn is_joined(&self) -> bool {
-        self.joined
     }
 
     /// The deferred join instant, if this node is a standby joiner.

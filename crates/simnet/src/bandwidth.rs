@@ -179,8 +179,9 @@ impl UploadQueue {
 
     /// Limits the backlog the queue will accept. Messages arriving while the
     /// pending transmission work exceeds `limit` are rejected by
-    /// [`UploadQueue::accepts`] (the simulator counts them as queue drops),
-    /// which is how a real, finite application send buffer behaves.
+    /// [`UploadQueue::enqueue_if_accepted`] (the simulator counts them as
+    /// queue drops), which is how a real, finite application send buffer
+    /// behaves.
     pub fn set_max_backlog(&mut self, limit: Option<SimDuration>) {
         self.max_backlog = limit;
     }
@@ -188,15 +189,6 @@ impl UploadQueue {
     /// The configured backlog limit, if any.
     pub fn max_backlog(&self) -> Option<SimDuration> {
         self.max_backlog
-    }
-
-    /// Whether a message arriving at `now` would be accepted under the
-    /// configured backlog limit. Unlimited-capacity queues always accept.
-    pub fn accepts(&self, now: SimTime) -> bool {
-        match (self.capacity, self.max_backlog) {
-            (UploadCapacity::Unlimited, _) | (_, None) => true,
-            (UploadCapacity::Limited(_), Some(limit)) => self.queueing_delay(now) <= limit,
-        }
     }
 
     /// Creates a queue capped at `bandwidth`.
@@ -214,46 +206,33 @@ impl UploadQueue {
         self.capacity
     }
 
-    /// The fused [`UploadQueue::accepts`] + [`UploadQueue::enqueue`] the
-    /// simulator's transmit path runs per message: returns `None` (recording
-    /// nothing) when the backlog limit rejects the message, and the departure
-    /// instant otherwise. One match on the capacity/backlog configuration
-    /// instead of two.
+    /// The fused backlog check + [`UploadQueue::enqueue`] the simulator's
+    /// transmit path runs per message: returns `None` (recording nothing)
+    /// when the backlog limit rejects the message, and the departure instant
+    /// otherwise. A `scale` multiplies the capacity for this one message —
+    /// the hook of the simulator's diurnal bandwidth cycling
+    /// ([`crate::fault::FaultPlan::diurnal`]): the backlog check and all
+    /// counters behave as without it, only the effective transmission rate
+    /// changes (clamped to at least 1 bps so a tiny factor never divides by
+    /// zero). Unlimited queues ignore it.
     #[inline]
-    pub fn enqueue_if_accepted(&mut self, now: SimTime, bytes: usize) -> Option<SimTime> {
+    pub fn enqueue_if_accepted(
+        &mut self,
+        now: SimTime,
+        bytes: usize,
+        scale: Option<f64>,
+    ) -> Option<SimTime> {
         if let (UploadCapacity::Limited(_), Some(limit)) = (self.capacity, self.max_backlog) {
             if self.queueing_delay(now) > limit {
                 return None;
             }
         }
-        Some(self.enqueue(now, bytes))
-    }
-
-    /// [`UploadQueue::enqueue_if_accepted`] with the capacity scaled by
-    /// `scale` for this one message — the hook the simulator's diurnal
-    /// bandwidth cycling ([`crate::fault::FaultPlan::diurnal`]) uses. The
-    /// backlog-limit check and all counters behave exactly as for the
-    /// unscaled path, only the effective transmission rate changes (clamped
-    /// to at least 1 bps so a tiny factor never divides by zero). Unlimited
-    /// queues are unaffected by scaling.
-    #[inline]
-    pub fn enqueue_if_accepted_scaled(
-        &mut self,
-        now: SimTime,
-        bytes: usize,
-        scale: f64,
-    ) -> Option<SimTime> {
-        let capacity = match self.capacity {
-            UploadCapacity::Unlimited => UploadCapacity::Unlimited,
-            UploadCapacity::Limited(bw) => UploadCapacity::Limited(Bandwidth::from_bps(
-                ((bw.as_bps() as f64) * scale).max(1.0) as u64,
-            )),
+        let capacity = match (self.capacity, scale) {
+            (UploadCapacity::Limited(bw), Some(scale)) => UploadCapacity::Limited(
+                Bandwidth::from_bps(((bw.as_bps() as f64) * scale).max(1.0) as u64),
+            ),
+            (capacity, _) => capacity,
         };
-        if let (UploadCapacity::Limited(_), Some(limit)) = (capacity, self.max_backlog) {
-            if self.queueing_delay(now) > limit {
-                return None;
-            }
-        }
         Some(self.enqueue_at(now, bytes, capacity))
     }
 
@@ -266,7 +245,7 @@ impl UploadQueue {
     }
 
     /// The enqueue body with the effective capacity as a parameter, shared by
-    /// the nominal and diurnal-scaled paths.
+    /// the nominal and diurnal-scaled enqueues.
     #[inline]
     fn enqueue_at(&mut self, now: SimTime, bytes: usize, capacity: UploadCapacity) -> SimTime {
         self.bytes_enqueued += bytes as u64;
@@ -444,22 +423,22 @@ mod tests {
         // for this one message, then the nominal rate applies again.
         let mut q = UploadQueue::limited(Bandwidth::from_kbps(8));
         let d1 = q
-            .enqueue_if_accepted_scaled(SimTime::ZERO, 500, 0.5)
+            .enqueue_if_accepted(SimTime::ZERO, 500, Some(0.5))
             .unwrap();
         assert_eq!(d1, SimTime::from_millis(1000)); // 500 B at 4 kbps
-        let d2 = q.enqueue_if_accepted(SimTime::ZERO, 500).unwrap();
+        let d2 = q.enqueue_if_accepted(SimTime::ZERO, 500, None).unwrap();
         assert_eq!(d2, SimTime::from_millis(1500)); // queued, then 8 kbps
         assert_eq!(q.messages_enqueued(), 2);
         // A scale of 1.0 is the identity.
         let mut nominal = UploadQueue::limited(Bandwidth::from_kbps(8));
         assert_eq!(
-            nominal.enqueue_if_accepted_scaled(SimTime::ZERO, 500, 1.0),
+            nominal.enqueue_if_accepted(SimTime::ZERO, 500, Some(1.0)),
             Some(SimTime::from_millis(500))
         );
         // Unlimited queues ignore scaling entirely.
         let mut unlimited = UploadQueue::unlimited();
         assert_eq!(
-            unlimited.enqueue_if_accepted_scaled(SimTime::from_secs(2), 1000, 0.01),
+            unlimited.enqueue_if_accepted(SimTime::from_secs(2), 1000, Some(0.01)),
             Some(SimTime::from_secs(2))
         );
         // The backlog limit applies to the scaled capacity path too.
@@ -467,7 +446,7 @@ mod tests {
         bounded.set_max_backlog(Some(SimDuration::from_millis(500)));
         bounded.enqueue(SimTime::ZERO, 1000); // 1 s of work pending
         assert_eq!(
-            bounded.enqueue_if_accepted_scaled(SimTime::ZERO, 100, 0.5),
+            bounded.enqueue_if_accepted(SimTime::ZERO, 100, Some(0.5)),
             None
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a time-ordered schedule of *fault epochs* the simulator
 //! applies inside its ordinary event loop — no out-of-band mutation, no extra
-//! randomness. Three fault classes live at this layer because they touch the
+//! randomness. Two fault classes live at this layer because they touch the
 //! network substrate itself:
 //!
 //! * **partition / heal** ([`FaultPlan::partition`]) — during a
@@ -11,17 +11,17 @@
 //!   traffic within a group is untouched. Groups typically come from a
 //!   [`RegionPolicy`] assignment ([`RegionPolicy::assign`]): how nodes group
 //!   into fault regions is data, not a property of the engine.
-//! * **correlated regional crash** ([`FaultPlan::regional_crash`]) — a whole
-//!   node group (a region, a capacity class) dies at one instant. The
-//!   simulator schedules the crash events at build time, right after the
-//!   `on_start` round.
 //! * **diurnal bandwidth cycling** ([`FaultPlan::diurnal`]) — every node's
 //!   upload cap is scaled by a piecewise-constant factor cycling over a
 //!   period (a day compressed to stream time), evaluated at the instant a
 //!   message is enqueued.
 //!
 //! Bursty (Gilbert–Elliott) loss is configured through the ordinary
-//! [`LossModel`](crate::loss::LossModel); flash-crowd join bursts live in the
+//! [`LossModel`](crate::loss::LossModel). A crash — a lone node or a whole
+//! region at once — is one mechanism,
+//! [`Simulator::schedule_crash`](crate::sim::Simulator::schedule_crash);
+//! which nodes fail together is data (a [`RegionPolicy`] assignment, a churn
+//! schedule) chosen above this layer. Flash-crowd join bursts live in the
 //! membership layer (`ChurnSchedule::flash_crowd`) because joining is a
 //! protocol-level act. `docs/FAULTS.md` has the full taxonomy.
 //!
@@ -41,8 +41,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How the node population groups into fault regions (the
-/// [`FaultPlan::with_groups`] assignment behind partitions and regional
-/// crashes).
+/// [`FaultPlan::with_groups`] assignment behind partitions, and the choice
+/// of which nodes a regional crash takes down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RegionPolicy {
     /// Node `i` lives in region `i % regions`: neighbouring ids land in
@@ -123,15 +123,6 @@ impl PartitionEpoch {
     }
 }
 
-/// One correlated crash: every listed node dies at `at`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashEpoch {
-    /// The crash instant.
-    pub at: SimTime,
-    /// The nodes that crash together (a region, a capacity class, ...).
-    pub nodes: Vec<NodeId>,
-}
-
 /// A piecewise-constant upload-capacity scaling cycle: the cycle of `period`
 /// is split into `factors.len()` equal phases and every node's upload cap is
 /// multiplied by the phase's factor (1.0 = nominal capacity).
@@ -196,7 +187,6 @@ pub struct FaultPlan {
     /// "one group" (partitions never drop anything).
     group_of: Arc<Vec<u32>>,
     partitions: Vec<PartitionEpoch>,
-    crashes: Vec<CrashEpoch>,
     diurnal: Option<DiurnalCycle>,
 }
 
@@ -226,13 +216,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a correlated crash of `nodes` at `at`.
-    pub fn regional_crash(mut self, at: SimTime, nodes: Vec<NodeId>) -> Self {
-        self.crashes.push(CrashEpoch { at, nodes });
-        self.crashes.sort_by_key(|e| e.at);
-        self
-    }
-
     /// Sets the diurnal upload-capacity cycle (see [`DiurnalCycle::new`]).
     ///
     /// # Panics
@@ -245,17 +228,12 @@ impl FaultPlan {
 
     /// Returns `true` if the plan injects nothing at all.
     pub fn is_inert(&self) -> bool {
-        self.partitions.is_empty() && self.crashes.is_empty() && self.diurnal.is_none()
+        self.partitions.is_empty() && self.diurnal.is_none()
     }
 
     /// The partition epochs, ordered by start time.
     pub fn partitions(&self) -> &[PartitionEpoch] {
         &self.partitions
-    }
-
-    /// The correlated crash epochs, ordered by time.
-    pub fn crashes(&self) -> &[CrashEpoch] {
-        &self.crashes
     }
 
     /// The region group assignment (empty = one group).
@@ -396,16 +374,5 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn diurnal_rejects_non_positive_factors() {
         let _ = DiurnalCycle::new(SimDuration::from_secs(1), vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn regional_crashes_are_ordered_by_time() {
-        let plan = FaultPlan::new()
-            .regional_crash(SimTime::from_secs(60), vec![NodeId::new(3)])
-            .regional_crash(SimTime::from_secs(30), vec![NodeId::new(1), NodeId::new(2)]);
-        assert_eq!(plan.crashes().len(), 2);
-        assert_eq!(plan.crashes()[0].at, SimTime::from_secs(30));
-        assert_eq!(plan.crashes()[1].nodes, vec![NodeId::new(3)]);
-        assert!(!plan.is_inert());
     }
 }

@@ -122,108 +122,11 @@ impl Default for LatencyModel {
     }
 }
 
-/// A latency model compiled into its per-draw fast path.
-///
-/// [`LatencyModel::sample`] re-derives everything it needs on every call: the
-/// uniform path recomputes the span, re-checks degeneracy and goes through the
-/// rand shim's generic `i128`-widened range reduction; the exponential path
-/// reconverts the mean to seconds. The simulator samples a latency for every
-/// transmitted message, so that work is hoisted out of the loop: the model is
-/// classified once at simulator construction and each draw is a single match
-/// on a precomputed variant (mask, modulus or cached float constants).
-///
-/// Draw-for-draw equivalence with [`LatencyModel::sample`] — same RNG
-/// consumption, bit-identical values — is pinned by unit tests here and by
-/// the engine-vs-reference fingerprint tests in `tests/scheduler_core.rs`
-/// (the reference core samples through [`LatencyModel::sample`]).
-#[derive(Debug, Clone)]
-pub(crate) enum LatencySampler {
-    /// Fixed delay (also degenerate uniform ranges): no RNG draw.
-    Constant(SimDuration),
-    /// Uniform over a power-of-two span: one draw, masked.
-    UniformPow2 {
-        /// Lower bound in microseconds.
-        min_micros: u64,
-        /// `span - 1`, where `span` is a power of two.
-        mask: u64,
-    },
-    /// Uniform over an arbitrary span: one draw, one `u64` modulo.
-    UniformSpan {
-        /// Lower bound in microseconds.
-        min_micros: u64,
-        /// Inclusive span `max - min + 1`.
-        span: u64,
-    },
-    /// Base plus exponential jitter with the mean pre-converted to seconds.
-    BasePlusExp {
-        /// Propagation floor.
-        base: SimDuration,
-        /// Mean jitter in seconds.
-        mean_secs: f64,
-    },
-}
-
-impl LatencySampler {
-    /// Classifies `model` into its fast path.
-    pub(crate) fn new(model: &LatencyModel) -> Self {
-        match model {
-            LatencyModel::Constant { delay } => LatencySampler::Constant(*delay),
-            LatencyModel::Uniform { min, max } => {
-                if min == max {
-                    return LatencySampler::Constant(*min);
-                }
-                let min_micros = min.as_micros();
-                match (max.as_micros() - min_micros).checked_add(1) {
-                    // The full-u64 span: `x % 2^64 == x == x & u64::MAX`.
-                    None => LatencySampler::UniformPow2 {
-                        min_micros,
-                        mask: u64::MAX,
-                    },
-                    Some(span) if span.is_power_of_two() => LatencySampler::UniformPow2 {
-                        min_micros,
-                        mask: span - 1,
-                    },
-                    Some(span) => LatencySampler::UniformSpan { min_micros, span },
-                }
-            }
-            LatencyModel::BaseplusExp { base, mean_jitter } => LatencySampler::BasePlusExp {
-                base: *base,
-                mean_secs: mean_jitter.as_secs_f64(),
-            },
-        }
-    }
-
-    /// Samples one delay. Consumes exactly the RNG values
-    /// [`LatencyModel::sample`] would and returns the identical duration.
-    #[inline]
-    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        match self {
-            LatencySampler::Constant(d) => *d,
-            LatencySampler::UniformPow2 { min_micros, mask } => {
-                // `min + (x & mask)` is `min + x % span` for power-of-two
-                // spans — the exact reduction the rand shim performs.
-                SimDuration::from_micros(min_micros.wrapping_add(rng.next_u64() & mask))
-            }
-            LatencySampler::UniformSpan { min_micros, span } => {
-                SimDuration::from_micros(min_micros + rng.next_u64() % span)
-            }
-            LatencySampler::BasePlusExp { base, mean_secs } => {
-                // Identical to `rng.gen_range(f64::EPSILON..1.0)` in the rand
-                // shim (53 mantissa bits scaled into the range), then the
-                // inverse-CDF transform of LatencyModel::sample.
-                let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                let u = f64::EPSILON + unit * (1.0 - f64::EPSILON);
-                *base + SimDuration::from_secs_f64(-u.ln() * mean_secs)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(7)
@@ -294,37 +197,6 @@ mod tests {
         let mean = sum / n as f64;
         // Expected mean = 25ms + 25ms = 50ms; allow 10% tolerance.
         assert!((mean - 0.050).abs() < 0.005, "mean {mean}");
-    }
-
-    #[test]
-    fn cached_sampler_is_draw_identical_to_model() {
-        // Every model variant, including degenerate and power-of-two spans:
-        // the compiled sampler must consume the same RNG values and return
-        // bit-identical durations.
-        let models = [
-            LatencyModel::constant(SimDuration::from_millis(42)),
-            LatencyModel::uniform(SimDuration::from_millis(7), SimDuration::from_millis(7)),
-            // Power-of-two span: 2^18 µs.
-            LatencyModel::uniform(
-                SimDuration::from_micros(2_000),
-                SimDuration::from_micros(2_000 + (1 << 18) - 1),
-            ),
-            // Arbitrary span.
-            LatencyModel::uniform(SimDuration::from_millis(10), SimDuration::from_millis(73)),
-            LatencyModel::planetlab_like(),
-        ];
-        for model in &models {
-            let sampler = LatencySampler::new(model);
-            let mut slow = rng();
-            let mut fast = rng();
-            for i in 0..10_000 {
-                let a = model.sample(&mut slow, NodeId::new(0), NodeId::new(1));
-                let b = sampler.sample(&mut fast);
-                assert_eq!(a, b, "draw {i} diverged for {model:?}");
-            }
-            // RNG positions must agree too (same number of draws consumed).
-            assert_eq!(slow.next_u64(), fast.next_u64(), "{model:?} desynced");
-        }
     }
 
     #[test]

@@ -22,14 +22,15 @@
 //! * per-node **traffic statistics** ([`stats`]).
 //!
 //! Protocols are written against the [`sim::Protocol`] trait and the
-//! [`sim::Context`] command buffer, and are completely unaware of whether they
-//! run above a simulated or a real transport.
+//! [`sim::Context`] command surface, and are completely unaware of whether
+//! they run above a simulated or a real transport.
 //!
 //! ## The engine and its reference
 //!
 //! One deterministic event engine runs every simulation; what varies between
 //! runs is policy passed in as data ([`LossModel`], [`LatencyModel`],
-//! [`FaultPlan`] and its [`RegionPolicy`] grouping), never the mechanism:
+//! [`FaultPlan`] and its [`RegionPolicy`] grouping, the crash instants given
+//! to [`sim::Simulator::schedule_crash`]), never the mechanism:
 //!
 //! * **Calendar queue** ([`event::EventQueue`]) — events within the next
 //!   ~0.5 s of virtual time live in [`event::NUM_BUCKETS`] buckets of
@@ -54,12 +55,13 @@
 //!   a timer that already fired — is an O(1) stamp comparison and the
 //!   simulator's timer state is bounded by the number of *concurrently
 //!   pending* timers ([`sim::Simulator::timer_slots`]).
-//! * **One reference** — a second, deliberately naive implementation of the
-//!   whole engine ([`event::BinaryHeapQueue`], one popped event at a time,
-//!   deferred commands, the uncompiled latency model) exists
-//!   only as the oracle of the differential tests, which assert the engine
-//!   bit-identical to it. It is not a configuration: its one entry point is
-//!   hidden from the documented builder API.
+//! * **One reference** — the same simulator over a plain
+//!   [`event::BinaryHeapQueue`] popped one event at a time, with none of the
+//!   calendar's bucket drains or intrusion merges, exists only as the oracle
+//!   of the differential tests, which assert the engine bit-identical to
+//!   it. It shares everything else with the engine, eager commands
+//!   included. It is not a configuration: its one entry point is hidden
+//!   from the documented builder API.
 //!
 //! ## Example
 //!

@@ -10,32 +10,30 @@
 //!
 //! ## The engine and its reference
 //!
-//! One engine runs every simulation. The simulator owns the node population
-//! as one *partition* plus the network state (`Net`: network RNG, the loss
-//! model and its [`LossState`], the compiled latency sampler, fault plan).
-//! The partition keeps its nodes' state in separate dense vectors indexed by
-//! node id (protocol instances, upload queues, RNGs, liveness, one
-//! [`NetStats`] row each) beside its calendar queue and timer table, and
-//! runs the one event loop: it drains a whole calendar bucket at a time
+//! One engine runs every simulation. The simulator owns its protocol
+//! instances and one *substrate*: the node state in dense vectors indexed by
+//! node id (upload queues, RNGs, liveness, one [`NetStats`] row each), the
+//! calendar queue, the clock, the timer table and the network state (network
+//! RNG, the loss model and its [`LossState`], the latency model, the fault
+//! plan). Its loop drains a whole calendar bucket at a time
 //! ([`EventQueue::drain_bucket`]) and dispatches each event in its own
-//! callback context. Context commands apply *eagerly* — `Context::send` runs
-//! the one transmit path inline: the upload-queue pass and the sender's
+//! callback context. Context commands apply *eagerly* — `Context::send`
+//! runs the one transmit path inline: the upload-queue pass and the sender's
 //! statistics, then loss, latency and the queue push.
 //!
 //! Beside the engine sits one whole-engine *reference*, reachable only
-//! through the hidden [`SimulatorBuilder::reference_core`]: a
-//! [`BinaryHeapQueue`], its own loop popping one event at a time, commands
-//! deferred to a buffer allocated per callback and replayed after it
-//! returns, latency drawn through the model's own per-call path
-//! ([`LatencyModel::sample`]). It shares the transmit path, the loss state,
-//! the timer table and the statistics with the engine and nothing else,
-//! which is what makes it an oracle (`tests/scheduler_core.rs` and the
-//! differential suites beside it).
+//! through the hidden [`SimulatorBuilder::reference_core`]: the same
+//! simulator pushing onto a [`BinaryHeapQueue`] and popping one event at a
+//! time. Queue and loop are all it has of its own, which is what makes it
+//! an oracle for them (`tests/scheduler_core.rs` and the differential suites
+//! beside it). Commands need none: a [`Context`] exposes no network state
+//! and callbacks never nest, so applying them eagerly or after the callback
+//! returns pushes the same events in the same order.
 
 use crate::bandwidth::{UploadCapacity, UploadQueue};
 use crate::event::{BinaryHeapQueue, EventQueue, ScheduledEvent};
 use crate::fault::FaultPlan;
-use crate::latency::{LatencyModel, LatencySampler};
+use crate::latency::LatencyModel;
 use crate::loss::{LossModel, LossState};
 use crate::node::NodeId;
 use crate::rng::stream_rng;
@@ -65,11 +63,6 @@ pub trait WireSize {
 pub struct TimerId(u64);
 
 impl TimerId {
-    /// The raw id value (slot in the low 32 bits, generation in the high 32).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
     fn pack(slot: u32, generation: u32) -> Self {
         TimerId(((generation as u64) << 32) | slot as u64)
     }
@@ -207,15 +200,6 @@ pub trait Protocol {
     fn on_crash(&mut self, _now: SimTime) {}
 }
 
-/// Commands a protocol can issue during a callback (reference core only; the
-/// engine applies the equivalent actions eagerly inside [`Context`]).
-#[derive(Debug)]
-enum Command<M> {
-    Send { to: NodeId, msg: M },
-    SetTimer { id: TimerId, delay: SimDuration },
-    CancelTimer { id: TimerId },
-}
-
 /// What an event in the simulator queue does when it fires.
 ///
 /// Kept deliberately small — queue entries are the dominant memory traffic
@@ -233,60 +217,20 @@ enum EventKind<M> {
 /// A queue entry of the simulator.
 type Event<M> = ScheduledEvent<EventKind<M>>;
 
-/// The network state every send consumes, owned by the [`Simulator`] beside
-/// its partition.
-struct Net {
-    /// The network RNG: every loss and latency draw.
-    rng: SmallRng,
-    /// The loss model and its per-sender channel state.
-    loss: LossModel,
-    loss_state: LossState,
-    /// The latency model, compiled into its per-draw fast path.
-    latency: LatencySampler,
-    /// The fault-injection schedule (inert by default).
-    fault: FaultPlan,
-}
-
-/// What only the reference core has
-/// ([`SimulatorBuilder::reference_core`]): the ordering oracle as its queue
-/// and the latency model as configured, sampled per call.
-struct Reference<M> {
-    queue: BinaryHeapQueue<EventKind<M>>,
-    latency: LatencyModel,
-}
-
-/// Where the transmit path hands a command once the sender-side work is
-/// done.
-enum Sink<'a, M> {
-    /// The engine: latency and the queue push resolve on the spot.
-    Direct(&'a mut Net),
-    /// The reference core replaying a command buffer: resolved on the spot
-    /// like [`Sink::Direct`], but through the latency model's own per-call
-    /// path and into the binary heap.
-    Reference(&'a mut Net, &'a mut Reference<M>),
-}
-
-impl<M> Sink<'_, M> {
-    /// The network state behind either sink.
-    #[inline]
-    fn net(&mut self) -> &mut Net {
-        match self {
-            Sink::Direct(net) | Sink::Reference(net, _) => net,
-        }
-    }
-}
-
-/// Everything the partition owns *except* its protocol instances, in dense
-/// vectors indexed by node id.
+/// Everything the simulator owns *except* its protocol instances: the
+/// queues and clock, the per-node state in dense vectors indexed by node id,
+/// and the network state every send consumes.
 ///
-/// Splitting this from the protocols is what lets [`Context`] dispatch
-/// eagerly: during a callback the protocol is borrowed from
-/// `Partition::protocols` while the context holds the whole state, so
-/// `Context::send` can run the transmit path inline.
-struct PartState<M> {
-    /// The engine's calendar queue (empty on the reference core, which
-    /// queues in [`Reference`]).
+/// Splitting this from the protocols is what lets [`Context`] act eagerly:
+/// during a callback the protocol is borrowed from `Simulator::protocols`
+/// while the context holds the whole substrate, so `Context::send` can run
+/// the transmit path inline.
+struct Substrate<M> {
+    /// The engine's calendar queue (empty on the reference core).
     queue: EventQueue<EventKind<M>>,
+    /// The reference core's queue ([`SimulatorBuilder::reference_core`]);
+    /// `None` on the engine.
+    reference: Option<BinaryHeapQueue<EventKind<M>>>,
     /// The clock: the time of the event being processed.
     now: SimTime,
     timers: TimerTable,
@@ -296,21 +240,39 @@ struct PartState<M> {
     /// Per-node RNG streams (`stream_rng(seed, 1 + node id)`).
     rngs: Vec<SmallRng>,
     alive: Vec<bool>,
+    /// The network RNG: every loss and latency draw.
+    net_rng: SmallRng,
+    /// The loss model and its per-sender channel state.
+    loss: LossModel,
+    loss_state: LossState,
+    latency: LatencyModel,
+    /// The fault-injection schedule (inert by default).
+    fault: FaultPlan,
 }
 
-impl<M> PartState<M> {
+impl<M> Substrate<M> {
+    /// Schedules `event` at `at` on whichever queue this core runs.
+    #[inline]
+    fn push(&mut self, at: SimTime, event: EventKind<M>) {
+        match &mut self.reference {
+            None => self.queue.push(at, event),
+            Some(heap) => heap.push(at, event),
+        };
+    }
+
     /// Records the substrate components into `f`, the event queue's
     /// capacity beyond its pending entries as slack together with `batch`,
     /// the run loop's batch buffer (see [`EventQueue::retained_bytes`]).
     fn record_footprint(&self, f: &mut MemoryFootprint, batch: &Vec<Event<M>>) {
         use std::mem::size_of;
+        let entry = size_of::<Event<M>>() as u64;
         f.record("net stats columns", self.stats.heap_bytes());
-        let pending = (self.queue.len() * size_of::<Event<M>>()) as u64;
-        f.record("pending events", pending);
-        let batch = (batch.capacity() * size_of::<Event<M>>()) as u64;
+        let calendar = self.queue.len() as u64 * entry;
+        let heap = self.reference.as_ref().map_or(0, |heap| heap.len()) as u64 * entry;
+        f.record("pending events", calendar + heap);
         f.record(
             "event queue slack",
-            self.queue.retained_bytes() + batch - pending,
+            self.queue.retained_bytes() + batch.capacity() as u64 * entry - calendar,
         );
         f.record(
             "upload queues",
@@ -325,21 +287,16 @@ impl<M> PartState<M> {
     }
 }
 
-impl<M: WireSize> PartState<M> {
+impl<M: WireSize> Substrate<M> {
     /// The one transmit path: `msg` passes through the upload queue of
-    /// `from` and is charged to the sender's statistics, then loss is drawn
-    /// and the sink draws latency and schedules the delivery. The engine and
-    /// the reference core differ only in how latency is drawn (same draws,
-    /// same values) and which queue takes the delivery.
-    fn transmit(&mut self, sink: &mut Sink<'_, M>, from: NodeId, to: NodeId, msg: M) {
+    /// `from` and is charged to the sender's statistics, then loss and
+    /// latency are drawn and the delivery is scheduled.
+    fn transmit(&mut self, from: NodeId, to: NodeId, msg: M) {
         let bytes = msg.wire_size();
         let now = self.now;
-        let upload = &mut self.uploads[from.index()];
-        let departure = match sink.net().fault.bandwidth_scale(now) {
-            None => upload.enqueue_if_accepted(now, bytes),
-            Some(scale) => upload.enqueue_if_accepted_scaled(now, bytes, scale),
-        };
-        let Some(departure) = departure else {
+        let scale = self.fault.bandwidth_scale(now);
+        let Some(departure) = self.uploads[from.index()].enqueue_if_accepted(now, bytes, scale)
+        else {
             // Finite send buffer: the message is dropped at the sender.
             self.stats.record_queue_drop(from);
             return;
@@ -348,76 +305,30 @@ impl<M: WireSize> PartState<M> {
         self.stats.total_queueing_delay += departure - now;
         // A send severed by an active partition epoch is dropped exactly
         // like a network loss, consuming no randomness.
-        let net = sink.net();
-        if net.fault.blocks(now, from, to)
-            || net.loss_state.is_lost(&net.loss, &mut net.rng, from, to)
+        if self.fault.blocks(now, from, to)
+            || self
+                .loss_state
+                .is_lost(&self.loss, &mut self.net_rng, from, to)
         {
             self.stats.record_loss(from);
             return;
         }
-        match sink {
-            Sink::Direct(net) => {
-                let latency = net.latency.sample(&mut net.rng);
-                self.queue
-                    .push(departure + latency, EventKind::Deliver { from, to, msg });
-            }
-            Sink::Reference(net, r) => {
-                let latency = r.latency.sample(&mut net.rng, from, to);
-                r.queue
-                    .push(departure + latency, EventKind::Deliver { from, to, msg });
-            }
-        }
-    }
-
-    /// Schedules the fire event of the already armed `timer`, `delay` from
-    /// now, through the sink.
-    fn schedule_timer(&mut self, sink: &mut Sink<'_, M>, timer: TimerId, delay: SimDuration) {
-        let fire = self.now + delay;
-        match sink {
-            Sink::Direct(_) => {
-                self.queue.push(fire, EventKind::Timer { timer });
-            }
-            Sink::Reference(_, r) => {
-                r.queue.push(fire, EventKind::Timer { timer });
-            }
-        }
+        let latency = self.latency.sample(&mut self.net_rng, from, to);
+        self.push(departure + latency, EventKind::Deliver { from, to, msg });
     }
 }
 
 /// Command surface handed to protocol callbacks.
 ///
-/// Commands take effect immediately: `send` runs the transmit path inline,
-/// `set_timer` arms the slot and schedules the fire event. The reference
-/// core instead records commands into a buffer it replays after the
-/// callback returns. The schedules are indistinguishable to protocols:
-/// commands act in issue order either way, protocols cannot observe network
-/// state mid-callback, and per-node and network RNG streams are independent,
-/// so every draw lands identically.
+/// Commands take effect immediately, on the engine and on the reference core
+/// alike: `send` runs the transmit path inline, `set_timer` arms the slot
+/// and schedules the fire event, `cancel_timer` disarms the slot.
 pub struct Context<'a, M> {
     node: NodeId,
-    part: &'a mut PartState<M>,
-    commands: Commands<'a, M>,
+    sub: &'a mut Substrate<M>,
 }
 
-/// How a callback's commands take effect.
-enum Commands<'a, M> {
-    /// The engine: at once, through [`Sink::Direct`].
-    Eager(Sink<'a, M>),
-    /// The reference core: recorded, and replayed through
-    /// [`Sink::Reference`] once the callback has returned.
-    Deferred(&'a mut Vec<Command<M>>),
-}
-
-impl<'a, M: WireSize> Context<'a, M> {
-    /// An engine context for `node`.
-    fn eager(node: NodeId, part: &'a mut PartState<M>, net: &'a mut Net) -> Self {
-        Context {
-            node,
-            part,
-            commands: Commands::Eager(Sink::Direct(net)),
-        }
-    }
-
+impl<M: WireSize> Context<'_, M> {
     /// The id of the node executing the callback.
     pub fn node_id(&self) -> NodeId {
         self.node
@@ -425,45 +336,35 @@ impl<'a, M: WireSize> Context<'a, M> {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.part.now
+        self.sub.now
     }
 
     /// The node's deterministic random-number generator.
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.part.rngs[self.node.index()]
+        &mut self.sub.rngs[self.node.index()]
     }
 
     /// Sends `msg` to `to`. The message passes through this node's upload
     /// queue, may be lost, and otherwise arrives after the sampled latency.
     #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
-        match &mut self.commands {
-            Commands::Eager(sink) => self.part.transmit(sink, self.node, to, msg),
-            Commands::Deferred(buffer) => buffer.push(Command::Send { to, msg }),
-        }
+        self.sub.transmit(self.node, to, msg)
     }
 
     /// Arms a timer that fires `delay` from now, carrying an arbitrary `tag`
     /// the protocol can use to distinguish timer purposes.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        // The slot is armed at once either way, so the returned id is live
-        // and cancellable within the same callback.
-        let id = self.part.timers.arm(self.node, tag);
-        match &mut self.commands {
-            Commands::Eager(sink) => self.part.schedule_timer(sink, id, delay),
-            Commands::Deferred(buffer) => buffer.push(Command::SetTimer { id, delay }),
-        }
-        id
+        let timer = self.sub.timers.arm(self.node, tag);
+        self.sub
+            .push(self.sub.now + delay, EventKind::Timer { timer });
+        timer
     }
 
     /// Cancels a previously armed timer. Cancelling an already-fired or
     /// unknown timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.commands {
-            Commands::Eager(_) => self.part.timers.cancel(id),
-            Commands::Deferred(buffer) => buffer.push(Command::CancelTimer { id }),
-        }
+        self.sub.timers.cancel(id)
     }
 }
 
@@ -582,79 +483,72 @@ impl SimulatorBuilder {
                 "a fault plan with partition epochs needs one group per node"
             );
         }
-        let reference = self.reference.then(|| Reference {
-            queue: BinaryHeapQueue::new(),
-            latency: self.latency.clone(),
-        });
+        let n = self.n as u32;
+        let protocols: Vec<P> = (0..n).map(NodeId::new).map(make_node).collect();
+        let uploads = self
+            .capacities
+            .iter()
+            .map(|&capacity| {
+                let mut upload = UploadQueue::new(capacity);
+                upload.set_max_backlog(self.queue_limit);
+                upload
+            })
+            .collect();
+        let rngs = (0..n)
+            .map(|g| stream_rng(self.seed, 1 + g as u64))
+            .collect();
         let mut sim = Simulator {
-            part: Partition::new(&self, make_node),
-            net: Net {
-                rng: stream_rng(self.seed, 0),
+            sub: Substrate {
+                queue: EventQueue::new(),
+                reference: self.reference.then(BinaryHeapQueue::new),
+                now: SimTime::ZERO,
+                timers: TimerTable::default(),
+                stats: NetStats::new(self.n),
+                uploads,
+                rngs,
+                alive: vec![true; self.n],
+                net_rng: stream_rng(self.seed, 0),
                 loss_state: LossState::new(&self.loss, self.n),
                 loss: self.loss,
-                latency: LatencySampler::new(&self.latency),
+                latency: self.latency,
                 fault: self.fault,
             },
-            reference,
+            protocols,
+            batch: Vec::new(),
         };
         sim.start_all();
-        // Correlated crashes from the fault plan are scheduled right after
-        // the start round.
-        for epoch in sim.net.fault.crashes().to_vec() {
-            for node in epoch.nodes {
-                sim.schedule_crash(node, epoch.at);
-            }
-        }
         sim
     }
 }
 
-/// The node population: its protocol instances plus its [`PartState`],
-/// both indexed by node id.
-struct Partition<P: Protocol> {
+/// The discrete-event simulator hosting one [`Protocol`] instance per node.
+///
+/// It owns the protocol instances, the substrate they run on (node state,
+/// queues, network state; see the [module docs](self)) and the run loop's
+/// batch buffer.
+pub struct Simulator<P: Protocol> {
     /// Protocol instances, by node id.
     protocols: Vec<P>,
-    state: PartState<P::Message>,
+    sub: Substrate<P::Message>,
     /// Reusable batch buffer for [`EventQueue::drain_bucket`]; it trades
     /// places with the queue's current-bucket buffer on every drain.
     batch: Vec<Event<P::Message>>,
 }
 
-impl<P: Protocol> Partition<P> {
-    /// The builder's population, each node running the protocol instance
-    /// `make_node` returns for it (called in id order).
-    fn new(builder: &SimulatorBuilder, mut make_node: impl FnMut(NodeId) -> P) -> Self {
-        let n = builder.n as u32;
-        let protocols: Vec<P> = (0..n).map(|g| make_node(NodeId::new(g))).collect();
-        let uploads = builder
-            .capacities
-            .iter()
-            .map(|&capacity| {
-                let mut upload = UploadQueue::new(capacity);
-                upload.set_max_backlog(builder.queue_limit);
-                upload
-            })
-            .collect();
-        let rngs = (0..n)
-            .map(|g| stream_rng(builder.seed, 1 + g as u64))
-            .collect();
-        Partition {
-            state: PartState {
-                queue: EventQueue::new(),
-                now: SimTime::ZERO,
-                timers: TimerTable::default(),
-                stats: NetStats::new(protocols.len()),
-                uploads,
-                rngs,
-                alive: vec![true; protocols.len()],
-            },
-            protocols,
-            batch: Vec::new(),
+impl<P: Protocol> Simulator<P> {
+    /// Runs every node's `on_start` in id order.
+    fn start_all(&mut self) {
+        for (g, protocol) in self.protocols.iter_mut().enumerate() {
+            let mut ctx = Context {
+                node: NodeId::new(g as u32),
+                sub: &mut self.sub,
+            };
+            protocol.on_start(&mut ctx);
         }
     }
 
-    /// The event loop: processes every pending event that fires at or
-    /// before `deadline` (all of them without one) in ascending `(time,
+    /// The engine's event loop: processes every pending event that fires at
+    /// or before `deadline` (all of them without one) in ascending `(time,
     /// seq)` order and returns their number. It drains a whole calendar
     /// bucket at a time ([`EventQueue::drain_bucket`]) and dispatches the
     /// sorted batch from its tail (earliest first), amortising the per-event
@@ -674,201 +568,113 @@ impl<P: Protocol> Partition<P> {
     /// Force-inlined, like the dispatch under it: an out-of-line copy
     /// measured +25 % on the `flood-10k` benchmark.
     #[inline(always)]
-    fn run(&mut self, deadline: Option<SimTime>, net: &mut Net) -> u64 {
+    fn run_engine(&mut self, deadline: Option<SimTime>) -> u64 {
         let mut processed = 0;
         let mut batch = std::mem::take(&mut self.batch);
         debug_assert!(batch.is_empty());
         loop {
-            if !self.state.queue.drain_bucket(deadline, &mut batch) {
+            if !self.sub.queue.drain_bucket(deadline, &mut batch) {
                 // Straddling bucket, past-guard events or an empty queue:
                 // dispatch a single event the classic way and retry.
                 let popped = match deadline {
-                    Some(deadline) => self.state.queue.pop_at_or_before(deadline),
-                    None => self.state.queue.pop(),
+                    Some(deadline) => self.sub.queue.pop_at_or_before(deadline),
+                    None => self.sub.queue.pop(),
                 };
                 let Some(ev) = popped else {
                     break;
                 };
-                self.dispatch_popped(ev, net);
+                self.dispatch_popped(ev);
                 processed += 1;
                 continue;
             }
             while let Some(next) = batch.last().map(|ev| (ev.time, ev.seq)) {
-                if self.state.queue.drain_intruded() {
+                if self.sub.queue.drain_intruded() {
                     // Merge intruders that fire before the next batch entry.
                     // They are all later pushes (seq above the whole batch),
                     // so a matching front is strictly earlier in time.
                     while matches!(
-                        self.state.queue.peek(),
+                        self.sub.queue.peek(),
                         Some(front) if (front.time, front.seq) < next
                     ) {
-                        let ev = self.state.queue.pop().expect("front was peeked");
-                        self.dispatch_popped(ev, net);
+                        let ev = self.sub.queue.pop().expect("front was peeked");
+                        self.dispatch_popped(ev);
                         processed += 1;
                     }
                 }
                 let ev = batch.pop().expect("last() was Some");
-                self.dispatch(ev, net);
+                self.dispatch(ev);
                 processed += 1;
             }
-            self.state.queue.finish_drain();
+            self.sub.queue.finish_drain();
         }
         self.batch = batch;
         processed
     }
 
-    /// [`Partition::dispatch`] for an event popped off the queue itself (the
-    /// straddle and intrusion paths of [`Partition::run`]). Out of line so
-    /// the loop carries one inlined copy of the dispatch, the batch's.
+    /// The reference core's event loop: pops one event at a time off the
+    /// binary heap; no bucket drains, no batch, no intrusion merges.
+    fn run_reference(&mut self, deadline: Option<SimTime>) -> u64 {
+        let mut processed = 0;
+        loop {
+            let heap = self.sub.reference.as_mut().expect("reference core");
+            let popped = match deadline {
+                Some(deadline) => heap.pop_at_or_before(deadline),
+                None => heap.pop(),
+            };
+            let Some(ev) = popped else {
+                break;
+            };
+            self.dispatch_popped(ev);
+            processed += 1;
+        }
+        processed
+    }
+
+    /// [`Simulator::dispatch`] for an event popped off a queue itself (the
+    /// straddle and intrusion paths of [`Simulator::run_engine`], and the
+    /// reference loop). Out of line so the engine loop carries one inlined
+    /// copy of the dispatch, the batch's.
     #[inline(never)]
-    fn dispatch_popped(&mut self, ev: Event<P::Message>, net: &mut Net) {
-        self.dispatch(ev, net)
+    fn dispatch_popped(&mut self, ev: Event<P::Message>) {
+        self.dispatch(ev)
     }
 
     /// Dispatches one event, in its own callback context.
     #[inline(always)]
-    fn dispatch(&mut self, ev: Event<P::Message>, net: &mut Net) {
-        self.state.now = ev.time;
+    fn dispatch(&mut self, ev: Event<P::Message>) {
+        self.sub.now = ev.time;
         match ev.payload {
             EventKind::Deliver { from, to, msg } => {
-                if self.state.alive[to.index()] {
-                    self.state.stats.record_delivery(to, msg.wire_size());
-                    let mut ctx = Context::eager(to, &mut self.state, net);
+                if self.sub.alive[to.index()] {
+                    self.sub.stats.record_delivery(to, msg.wire_size());
+                    let mut ctx = Context {
+                        node: to,
+                        sub: &mut self.sub,
+                    };
                     self.protocols[to.index()].on_message(&mut ctx, from, msg);
                 } else {
-                    self.state.stats.record_to_dead(to);
+                    self.sub.stats.record_to_dead(to);
                 }
             }
             EventKind::Timer { timer } => {
                 // Firing always frees the slot; a cancelled (or stale)
                 // timer, or one whose owner has crashed, is simply not
                 // delivered.
-                if let Some((node, tag)) = self.state.timers.fire(timer) {
-                    if self.state.alive[node.index()] {
-                        let mut ctx = Context::eager(node, &mut self.state, net);
+                if let Some((node, tag)) = self.sub.timers.fire(timer) {
+                    if self.sub.alive[node.index()] {
+                        let mut ctx = Context {
+                            node,
+                            sub: &mut self.sub,
+                        };
                         self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
                     }
                 }
             }
-            EventKind::Crash { node } => self.crash(node),
-        }
-    }
-
-    fn crash(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.state.alive[idx] {
-            self.state.alive[idx] = false;
-            self.protocols[idx].on_crash(self.state.now);
-        }
-    }
-}
-
-/// The reference event loop: pop one event off the heap, run its callback,
-/// replay the commands it issued; no bucket drains.
-fn run_reference<P: Protocol>(
-    part: &mut Partition<P>,
-    net: &mut Net,
-    reference: &mut Reference<P::Message>,
-    deadline: Option<SimTime>,
-) -> u64 {
-    let mut processed = 0;
-    loop {
-        let popped = match deadline {
-            Some(deadline) => reference.queue.pop_at_or_before(deadline),
-            None => reference.queue.pop(),
-        };
-        let Some(ev) = popped else {
-            break;
-        };
-        part.state.now = ev.time;
-        processed += 1;
-        match ev.payload {
-            EventKind::Deliver { from, to, msg } => {
-                if part.state.alive[to.index()] {
-                    part.state.stats.record_delivery(to, msg.wire_size());
-                    reference_callback(part, net, reference, to, |proto, ctx| {
-                        proto.on_message(ctx, from, msg)
-                    });
-                } else {
-                    part.state.stats.record_to_dead(to);
-                }
-            }
-            EventKind::Timer { timer } => {
-                if let Some((node, tag)) = part.state.timers.fire(timer) {
-                    reference_callback(part, net, reference, node, |proto, ctx| {
-                        proto.on_timer(ctx, timer, tag)
-                    });
-                }
-            }
-            EventKind::Crash { node } => part.crash(node),
-        }
-    }
-    processed
-}
-
-/// Runs a reference-core callback for `id`, if it is alive: the commands go
-/// to a buffer allocated for this callback alone and are replayed in issue
-/// order once it returns (callbacks never nest: replaying only schedules
-/// events).
-fn reference_callback<P, F>(
-    part: &mut Partition<P>,
-    net: &mut Net,
-    reference: &mut Reference<P::Message>,
-    id: NodeId,
-    f: F,
-) where
-    P: Protocol,
-    F: FnOnce(&mut P, &mut Context<'_, P::Message>),
-{
-    let idx = id.index();
-    if !part.state.alive[idx] {
-        return;
-    }
-    let mut commands = Vec::new();
-    let mut ctx = Context {
-        node: id,
-        part: &mut part.state,
-        commands: Commands::Deferred(&mut commands),
-    };
-    f(&mut part.protocols[idx], &mut ctx);
-    let mut sink = Sink::Reference(net, reference);
-    for cmd in commands {
-        match cmd {
-            Command::Send { to, msg } => part.state.transmit(&mut sink, id, to, msg),
-            Command::SetTimer { id, delay } => part.state.schedule_timer(&mut sink, id, delay),
-            Command::CancelTimer { id } => part.state.timers.cancel(id),
-        }
-    }
-}
-
-/// The discrete-event simulator hosting one [`Protocol`] instance per node.
-///
-/// It owns the node population, the network state and — only when built
-/// with the hidden [`SimulatorBuilder::reference_core`] — the reference
-/// core's queue and models.
-pub struct Simulator<P: Protocol> {
-    part: Partition<P>,
-    net: Net,
-    reference: Option<Reference<P::Message>>,
-}
-
-impl<P: Protocol> Simulator<P> {
-    /// Runs every node's `on_start` in id order.
-    fn start_all(&mut self) {
-        let Simulator {
-            part,
-            net,
-            reference,
-        } = self;
-        for g in 0..part.protocols.len() {
-            let id = NodeId::new(g as u32);
-            match reference {
-                None => {
-                    let mut ctx = Context::eager(id, &mut part.state, net);
-                    part.protocols[g].on_start(&mut ctx);
-                }
-                Some(reference) => {
-                    reference_callback(part, net, reference, id, |proto, ctx| proto.on_start(ctx))
+            EventKind::Crash { node } => {
+                let idx = node.index();
+                if self.sub.alive[idx] {
+                    self.sub.alive[idx] = false;
+                    self.protocols[idx].on_crash(self.sub.now);
                 }
             }
         }
@@ -876,12 +682,12 @@ impl<P: Protocol> Simulator<P> {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.part.state.now
+        self.sub.now
     }
 
     /// The number of nodes (alive or crashed).
     pub fn len(&self) -> usize {
-        self.part.protocols.len()
+        self.protocols.len()
     }
 
     /// Returns `true` if the simulation hosts no nodes.
@@ -891,24 +697,23 @@ impl<P: Protocol> Simulator<P> {
 
     /// Whether `id` is still alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.part.state.alive[id.index()]
+        self.sub.alive[id.index()]
     }
 
     /// Read access to the protocol state of `id`.
     pub fn node(&self, id: NodeId) -> &P {
-        &self.part.protocols[id.index()]
+        &self.protocols[id.index()]
     }
 
     /// Mutable access to the protocol state of `id` (for experiment oracles;
     /// protocol logic itself should only act through callbacks).
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.part.protocols[id.index()]
+        &mut self.protocols[id.index()]
     }
 
     /// Iterates over all protocol instances with their ids, in id order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.part
-            .protocols
+        self.protocols
             .iter()
             .enumerate()
             .map(|(i, node)| (NodeId::new(i as u32), node))
@@ -916,7 +721,7 @@ impl<P: Protocol> Simulator<P> {
 
     /// The upload queue (and thus traffic counters) of `id`.
     pub fn upload_queue(&self, id: NodeId) -> &UploadQueue {
-        &self.part.state.uploads[id.index()]
+        &self.sub.uploads[id.index()]
     }
 
     /// An itemised, capacity-based estimate of the simulator's resident
@@ -930,19 +735,15 @@ impl<P: Protocol> Simulator<P> {
         let mut f = MemoryFootprint::new(self.len());
         f.record(
             "protocol state",
-            (self.part.protocols.capacity() * std::mem::size_of::<P>()) as u64,
+            (self.protocols.capacity() * std::mem::size_of::<P>()) as u64,
         );
-        self.part.state.record_footprint(&mut f, &self.part.batch);
-        if let Some(reference) = &self.reference {
-            let entry = std::mem::size_of::<Event<P::Message>>();
-            f.record("pending events", (reference.queue.len() * entry) as u64);
-        }
+        self.sub.record_footprint(&mut f, &self.batch);
         f
     }
 
     /// Network-wide traffic statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.part.state.stats
+        &self.sub.stats
     }
 
     /// Schedules a crash of `node` at absolute time `at`.
@@ -959,32 +760,28 @@ impl<P: Protocol> Simulator<P> {
             self.len()
         );
         assert!(at >= self.now(), "cannot schedule a crash in the past");
-        let crash = EventKind::Crash { node };
-        match &mut self.reference {
-            None => self.part.state.queue.push(at, crash),
-            Some(reference) => reference.queue.push(at, crash),
-        };
+        self.sub.push(at, EventKind::Crash { node });
     }
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        match &self.reference {
-            None => self.part.state.queue.len(),
-            Some(reference) => reference.queue.len(),
+        match &self.sub.reference {
+            None => self.sub.queue.len(),
+            Some(heap) => heap.len(),
         }
     }
 
     /// Number of timers currently armed (set and neither fired nor
     /// cancelled).
     pub fn armed_timers(&self) -> usize {
-        self.part.state.timers.armed()
+        self.sub.timers.armed()
     }
 
     /// Number of timer slots ever allocated. Bounded by the peak number of
     /// *concurrently pending* timers: firing frees a slot for reuse and
     /// cancelling an already-fired timer leaves no state behind.
     pub fn timer_slots(&self) -> usize {
-        self.part.state.timers.capacity()
+        self.sub.timers.capacity()
     }
 
     /// Runs until the event queue is exhausted or `deadline` is reached,
@@ -1007,17 +804,12 @@ impl<P: Protocol> Simulator<P> {
     /// queue drained early, so that subsequent scheduling is relative to the
     /// requested time.
     fn run(&mut self, deadline: Option<SimTime>) -> u64 {
-        let Simulator {
-            part,
-            net,
-            reference,
-        } = self;
-        let processed = match reference {
-            None => part.run(deadline, net),
-            Some(reference) => run_reference(part, net, reference, deadline),
+        let processed = match self.sub.reference {
+            None => self.run_engine(deadline),
+            Some(_) => self.run_reference(deadline),
         };
         if let Some(deadline) = deadline {
-            part.state.now = part.state.now.max(deadline);
+            self.sub.now = self.sub.now.max(deadline);
         }
         processed
     }
@@ -1121,8 +913,8 @@ mod tests {
         };
         assert_eq!(component("pending events"), Some(0));
         let entry = std::mem::size_of::<Event<Msg>>() as u64;
-        let queue = &sim.part.state.queue;
-        let batch = sim.part.batch.capacity() as u64 * entry;
+        let queue = &sim.sub.queue;
+        let batch = sim.batch.capacity() as u64 * entry;
         assert!(batch > 0, "the batch buffer took a drained bucket");
         assert_eq!(
             component("event queue slack"),
@@ -1311,24 +1103,6 @@ mod tests {
             .latency(LatencyModel::constant(SimDuration::from_millis(10)))
             .fault_plan(plan)
             .build(|_| Echo::new(2))
-    }
-
-    #[test]
-    fn fault_plan_crashes_kill_their_nodes() {
-        let plan = FaultPlan::new().regional_crash(
-            SimTime::from_millis(1),
-            vec![NodeId::new(1), NodeId::new(2)],
-        );
-        let mut sim = SimulatorBuilder::new(4, 1)
-            .latency(LatencyModel::constant(SimDuration::from_millis(10)))
-            .fault_plan(plan)
-            .build(|_| Echo::new(4));
-        sim.run_until(SimTime::from_secs(1));
-        assert!(!sim.is_alive(NodeId::new(1)));
-        assert!(!sim.is_alive(NodeId::new(2)));
-        assert!(sim.is_alive(NodeId::new(3)));
-        assert_eq!(sim.node(NodeId::new(3)).received, 1);
-        assert_eq!(sim.node(NodeId::new(1)).received, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Differential property test of the fault-injection engine.
 //!
 //! Generates random [`FaultPlan`]s — random region assignments, partition
-//! windows, correlated regional crashes and diurnal bandwidth cycles — plus
+//! windows and diurnal bandwidth cycles — beside correlated crashes of
+//! random region subsets (scheduled through `Simulator::schedule_crash`), plus
 //! random Gilbert–Elliott bursty loss, drives a relay workload under each
 //! plan through the engine and the whole-engine reference core, and requires
 //! *bit identity* on every observable: per-node callback histories, the
@@ -82,9 +83,16 @@ impl Protocol for Relay {
 }
 
 /// Derives a random-but-seed-determined fault plan for an `n`-node run over
-/// `[0, horizon)`. Exercised features vary with the seed: group shapes,
-/// 0–3 partition windows, 0–2 regional crashes, optional diurnal cycling.
-fn random_plan(cfg: &mut rand::rngs::SmallRng, n: u32, horizon: SimTime) -> FaultPlan {
+/// `[0, horizon)`, plus the `(instant, victim)` regional crashes to schedule
+/// beside it.
+/// Exercised features vary with the seed: group shapes, 0–3 partition
+/// windows, 0–2 crashes of random subsets of a region, optional diurnal
+/// cycling.
+fn random_plan(
+    cfg: &mut rand::rngs::SmallRng,
+    n: u32,
+    horizon: SimTime,
+) -> (FaultPlan, Vec<(SimTime, NodeId)>) {
     let regions = cfg.gen_range(2..=4u32);
     let groups: Vec<u32> = (0..n).map(|_| cfg.gen_range(0..regions)).collect();
     let mut plan = FaultPlan::new().with_groups(groups.clone());
@@ -93,16 +101,15 @@ fn random_plan(cfg: &mut rand::rngs::SmallRng, n: u32, horizon: SimTime) -> Faul
         let end = cfg.gen_range(start + 1..=horizon.as_micros());
         plan = plan.partition(SimTime::from_micros(start), SimTime::from_micros(end));
     }
+    let mut crashes = Vec::new();
     for _ in 0..cfg.gen_range(0..=2u32) {
         let region = cfg.gen_range(0..regions);
         let at = SimTime::from_micros(cfg.gen_range(1_000..horizon.as_micros()));
-        let victims: Vec<NodeId> = (0..n)
-            .filter(|&i| groups[i as usize] == region && cfg.gen_bool(0.5))
-            .map(NodeId::new)
-            .collect();
-        if !victims.is_empty() {
-            plan = plan.regional_crash(at, victims);
-        }
+        crashes.extend(
+            (0..n)
+                .filter(|&i| groups[i as usize] == region && cfg.gen_bool(0.5))
+                .map(|i| (at, NodeId::new(i))),
+        );
     }
     if cfg.gen_bool(0.5) {
         let phases = cfg.gen_range(2..=4usize);
@@ -110,7 +117,7 @@ fn random_plan(cfg: &mut rand::rngs::SmallRng, n: u32, horizon: SimTime) -> Faul
         let period = SimDuration::from_micros(cfg.gen_range(500_000..3_000_000u64));
         plan = plan.diurnal(period, factors);
     }
-    plan
+    (plan, crashes)
 }
 
 /// One observable outcome of a run, compared across configurations.
@@ -128,7 +135,7 @@ struct Outcome {
 fn run(seed: u64, n: u32, floor_us: u64, reference: bool) -> Outcome {
     let horizon = SimTime::from_secs(8);
     let mut cfg = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xFA17);
-    let plan = random_plan(&mut cfg, n, horizon);
+    let (plan, crashes) = random_plan(&mut cfg, n, horizon);
     // Bursty (Gilbert–Elliott) loss is part of the fault taxonomy; mix it
     // with the plain models so both samplers cross the differential.
     let loss = match cfg.gen_range(0..3u32) {
@@ -164,6 +171,9 @@ fn run(seed: u64, n: u32, floor_us: u64, reference: bool) -> Outcome {
         history: 0,
         rounds: 6,
     });
+    for (at, node) in crashes {
+        sim.schedule_crash(node, at);
+    }
     let processed = sim.run_until(horizon + SimDuration::from_secs(4));
 
     let mut h = DefaultHasher::new();

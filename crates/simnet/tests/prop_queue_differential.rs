@@ -304,7 +304,7 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
 /// reference heap's single pops on the same random workload. Returns the
 /// latest instant popped.
 ///
-/// Mirrors the simulator's `Partition::run` exactly: drain whole buckets
+/// Mirrors the simulator's engine loop exactly: drain whole buckets
 /// ([`EventQueue::drain_bucket`]), fall back to single pops where the queue
 /// stands down (deadline straddlers, past-guard events), consume batches
 /// from the tail, and merge intruding pushes against the next batch entry by

@@ -101,8 +101,8 @@ fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 // Engine-vs-reference equivalence
 // ---------------------------------------------------------------------------
 
-/// The engine and the whole-engine reference (BinaryHeap, single pops,
-/// deferred commands, the uncompiled latency model) must produce
+/// The engine and the whole-engine reference (BinaryHeap, single pops)
+/// must produce
 /// bit-identical simulations: same event count, same stats, same per-node
 /// state, same final clock — with crashes mixed in, including one scheduled
 /// between two runs whose first deadline cuts a calendar bucket in half.

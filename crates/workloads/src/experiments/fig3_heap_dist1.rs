@@ -6,7 +6,6 @@
 //! of the nodes within tens of seconds.
 
 use super::common::{lag_cdf_series, Figure, LagKind, StandardRuns};
-use crate::scale::Scale;
 
 /// Builds Figure 3 from the shared baseline runs.
 pub fn run(runs: &StandardRuns) -> Figure {
@@ -29,14 +28,10 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn heap_dominates_standard_gossip_on_the_skewed_distribution() {

@@ -7,7 +7,6 @@
 //! fraction of its capability.
 
 use super::common::{class_mean, pct, Figure, StandardRuns};
-use crate::scale::Scale;
 use heap_analytics::TextTable;
 
 /// Builds the Figure 4 tables (4a: ref-691, 4b: ms-691) from the shared
@@ -32,11 +31,6 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 /// Numeric view used by tests and the ablation benches: mean utilization per
 /// class for one run.
 pub fn usage_by_class(
@@ -52,6 +46,7 @@ pub fn usage_by_class(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn heap_balances_utilization_across_classes() {

@@ -8,7 +8,6 @@
 
 use super::common::{class_mean, pct, Figure, StandardRuns};
 use crate::runner::ExperimentResult;
-use crate::scale::Scale;
 use heap_analytics::TextTable;
 use heap_simnet::time::SimDuration;
 
@@ -62,14 +61,10 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn heap_improves_poor_class_jitter_on_skewed_distribution() {

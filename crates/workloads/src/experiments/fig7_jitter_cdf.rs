@@ -6,7 +6,6 @@
 //! falls apart, while HEAP stays close to its offline curve.
 
 use super::common::{jitter_cdf_series, Figure, StandardRuns};
-use crate::scale::Scale;
 use heap_simnet::time::SimDuration;
 
 /// The real-time viewing lag of the figure.
@@ -40,14 +39,10 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn heap_at_10s_tracks_offline_much_closer_than_standard() {

@@ -7,7 +7,6 @@
 
 use super::common::{class_mean, secs, Figure, StandardRuns};
 use crate::runner::ExperimentResult;
-use crate::scale::Scale;
 use heap_analytics::TextTable;
 
 /// Mean lag (seconds) to a fully jitter-free stream per class; nodes that
@@ -55,14 +54,10 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn tables_cover_both_distributions_and_all_classes() {

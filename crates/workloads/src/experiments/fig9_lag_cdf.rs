@@ -5,7 +5,6 @@
 //! is plotted for standard gossip and HEAP on ref-691 (9a) and ms-691 (9b).
 
 use super::common::{lag_cdf_series, Figure, LagKind, StandardRuns};
-use crate::scale::Scale;
 
 /// Builds Figures 9a and 9b from the shared baseline runs.
 pub fn run(runs: &StandardRuns) -> Figure {
@@ -40,14 +39,10 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn heap_reaches_more_nodes_at_any_lag() {

@@ -11,7 +11,6 @@
 
 use super::common::{class_mean, pct, table1_distributions, Figure, StandardRuns};
 use crate::runner::ExperimentResult;
-use crate::scale::Scale;
 use heap_analytics::TextTable;
 use heap_simnet::time::SimDuration;
 
@@ -64,14 +63,10 @@ pub fn run(runs: &StandardRuns) -> Figure {
     fig
 }
 
-/// Convenience wrapper that computes the baseline runs itself.
-pub fn run_at(scale: Scale) -> Figure {
-    run(&StandardRuns::compute(scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn table_has_one_row_per_distribution_and_class() {

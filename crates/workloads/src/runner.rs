@@ -273,9 +273,9 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
         None => Vec::new(),
     };
     let mut fault_plan = FaultPlan::new();
-    // (crash instant, victim, mean detection delay) for the survivor-side
-    // failure-detector notifications; the crashes themselves are scheduled
-    // by the simulator from the plan.
+    // (crash instant, victim, mean detection delay), in spec order: the
+    // crashes scheduled after the build and the survivor-side
+    // failure-detector notifications.
     let mut regional_crashes: Vec<(SimTime, NodeId, SimDuration)> = Vec::new();
     if let Some(spec) = &scenario.fault {
         if spec.needs_regions() {
@@ -289,16 +289,12 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
         }
         for crash in &spec.regional_crashes {
             let at = schedule.start() + SimDuration::from_secs_f64(crash.at_secs);
+            let detection = SimDuration::from_secs(crash.detection_secs);
             // The source (node 0) is exempt: the stream must survive the
             // outage for "degrade and recover" to be observable at all.
-            let victims: Vec<NodeId> = (1..n)
-                .filter(|&i| fault_regions[i] == crash.region)
-                .map(|i| NodeId::new(i as u32))
-                .collect();
-            for &node in &victims {
-                regional_crashes.push((at, node, SimDuration::from_secs(crash.detection_secs)));
+            for i in (1..n).filter(|&i| fault_regions[i] == crash.region) {
+                regional_crashes.push((at, NodeId::new(i as u32), detection));
             }
-            fault_plan = fault_plan.regional_crash(at, victims);
         }
         if let Some(diurnal) = &spec.diurnal {
             fault_plan = fault_plan.diurnal(
@@ -348,7 +344,13 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
         node.build()
     });
 
-    // --- Churn --------------------------------------------------------------
+    // --- Crashes ------------------------------------------------------------
+    // Regional victims first, stably sorted by time, then churn crashes.
+    let mut by_time = regional_crashes.clone();
+    by_time.sort_by_key(|&(at, _, _)| at);
+    for (at, node, _) in by_time {
+        sim.schedule_crash(node, at);
+    }
     let churn_schedule = match scenario.churn {
         ChurnSpec::None => ChurnSchedule::none(),
         ChurnSpec::Catastrophic {
@@ -1061,6 +1063,35 @@ mod tests {
             run_scenario(&scenario).fingerprint(),
             run_scenario(&scenario).fingerprint()
         );
+    }
+
+    /// Pins a faulted run's crashes: two regional crashes listed out of
+    /// time order, the later one sharing its instant with a catastrophic
+    /// churn crash, beside a partition. The crash events are scheduled by
+    /// time while the survivors' failure-detector draws stay in listed
+    /// order; drawing them in time order instead moves the fingerprint.
+    #[test]
+    fn faulted_crash_order_matches_pinned_fingerprint() {
+        use crate::scenario::FaultSpec;
+        let scenario = quick_scenario(
+            BandwidthDistribution::ref_691(),
+            ProtocolChoice::Heap { fanout: 6.0 },
+            ChurnSpec::Catastrophic {
+                fraction: 0.2,
+                at_secs: 12,
+                detection_secs: 5,
+            },
+        )
+        .with_fault(
+            FaultSpec::regions(4)
+                .partition(4.0, 9.0)
+                .regional_crash(3, 12.0, 5)
+                .regional_crash(1, 7.5, 3),
+        );
+        assert_eq!(scenario.scale.n_nodes, 40);
+        let result = run_scenario(&scenario);
+        assert_eq!(result.crashed_count, 24, "two regions plus churn crash");
+        assert_eq!(result.fingerprint(), 17598049625996853567);
     }
 
     #[test]

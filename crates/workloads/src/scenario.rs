@@ -183,17 +183,6 @@ impl ChurnSpec {
     pub fn is_none(&self) -> bool {
         matches!(self, ChurnSpec::None)
     }
-
-    /// A paper-plausible continuous-churn default: 10 % standby pool, six
-    /// joins and four leaves per minute, 10 s mean failure detection.
-    pub fn continuous_default() -> Self {
-        ChurnSpec::Continuous {
-            standby_fraction: 0.1,
-            joins_per_min: 6.0,
-            leaves_per_min: 4.0,
-            detection_secs: 10,
-        }
-    }
 }
 
 /// One network-partition window: the fault regions are mutually unreachable
@@ -271,7 +260,14 @@ impl FaultSpec {
     }
 
     /// Adds a partition window (seconds from the stream start).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bound is negative or not finite, or if the window
+    /// does not heal after it starts.
     pub fn partition(mut self, start_secs: f64, end_secs: f64) -> Self {
+        assert_secs("partition start_secs", start_secs);
+        assert_secs("partition end_secs", end_secs);
         assert!(
             end_secs > start_secs,
             "partition must heal after it starts ({start_secs}..{end_secs})"
@@ -284,12 +280,18 @@ impl FaultSpec {
     }
 
     /// Adds a correlated crash of one fault region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range or `at_secs` is negative or not
+    /// finite.
     pub fn regional_crash(mut self, region: u32, at_secs: f64, detection_secs: u64) -> Self {
         assert!(
             (region as usize) < self.regions,
             "region {region} out of range (have {} regions)",
             self.regions
         );
+        assert_secs("regional_crash at_secs", at_secs);
         self.regional_crashes.push(RegionalCrash {
             region,
             at_secs,
@@ -299,8 +301,21 @@ impl FaultSpec {
     }
 
     /// Sets diurnal bandwidth cycling.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `period_secs` is finite and at least one microsecond,
+    /// and `factors` is non-empty with every factor positive and finite.
     pub fn diurnal(mut self, period_secs: f64, factors: Vec<f64>) -> Self {
+        assert!(
+            period_secs.is_finite() && period_secs >= 1e-6,
+            "diurnal period_secs must be finite and at least 1 µs, got {period_secs}"
+        );
         assert!(!factors.is_empty(), "diurnal needs at least one factor");
+        assert!(
+            factors.iter().all(|f| f.is_finite() && *f > 0.0),
+            "diurnal factors must be positive and finite, got {factors:?}"
+        );
         self.diurnal = Some(DiurnalSpec {
             period_secs,
             factors,
@@ -313,6 +328,15 @@ impl FaultSpec {
     pub fn needs_regions(&self) -> bool {
         !self.partitions.is_empty() || !self.regional_crashes.is_empty()
     }
+}
+
+/// Rejects an instant of a [`FaultSpec`] builder that is negative or not
+/// finite, naming the argument.
+fn assert_secs(name: &str, secs: f64) {
+    assert!(
+        secs.is_finite() && secs >= 0.0,
+        "{name} must be finite and non-negative, got {secs}"
+    );
 }
 
 /// A free-rider adversary population: a fraction of the receivers advertises
@@ -608,6 +632,54 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn fault_spec_rejects_out_of_range_region() {
         let _ = FaultSpec::regions(2).regional_crash(2, 60.0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition start_secs must be finite and non-negative, got -1")]
+    fn fault_spec_rejects_negative_partition_start() {
+        let _ = FaultSpec::regions(2).partition(-1.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition end_secs must be finite and non-negative, got inf")]
+    fn fault_spec_rejects_non_finite_partition_end() {
+        let _ = FaultSpec::regions(2).partition(5.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "regional_crash at_secs must be finite and non-negative, got -3")]
+    fn fault_spec_rejects_negative_crash_instant() {
+        let _ = FaultSpec::regions(2).regional_crash(1, -3.0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "regional_crash at_secs must be finite and non-negative, got NaN")]
+    fn fault_spec_rejects_non_finite_crash_instant() {
+        let _ = FaultSpec::regions(2).regional_crash(1, f64::NAN, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal period_secs must be finite and at least 1 µs, got 0")]
+    fn fault_spec_rejects_zero_diurnal_period() {
+        let _ = FaultSpec::regions(1).diurnal(0.0, vec![1.0, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal period_secs must be finite and at least 1 µs, got -20")]
+    fn fault_spec_rejects_negative_diurnal_period() {
+        let _ = FaultSpec::regions(1).diurnal(-20.0, vec![1.0, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal period_secs must be finite and at least 1 µs, got NaN")]
+    fn fault_spec_rejects_non_finite_diurnal_period() {
+        let _ = FaultSpec::regions(1).diurnal(f64::NAN, vec![1.0, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal factors must be positive and finite, got [1.0, 0.0]")]
+    fn fault_spec_rejects_non_positive_diurnal_factor() {
+        let _ = FaultSpec::regions(1).diurnal(10.0, vec![1.0, 0.0]);
     }
 
     #[test]
