@@ -12,6 +12,7 @@
 //! paper's figures and tables do.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cdf;

@@ -11,6 +11,7 @@
 //! package (its own workspace; see `benchmark/README.md`).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use heap_workloads::Scale;
 

@@ -18,6 +18,7 @@
 //! * [`window`] — the 101+9 window codec used by `heap-streaming`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod gf256;

@@ -553,6 +553,31 @@ mod tests {
     }
 
     #[test]
+    fn field_limit_geometry_recovers_m_losses() {
+        // k + m = 256 uses every element of GF(256) as an evaluation point.
+        let rs = ReedSolomon::new(200, 56).expect("k + m = 256 fits the field");
+        let data = make_data(200, 8, 5);
+        let parity = rs.encode(&data).unwrap();
+        let mut shards: Vec<Option<Vec<u8>>> = data
+            .iter()
+            .cloned()
+            .chain(parity.iter().cloned())
+            .map(Some)
+            .collect();
+        // Drop 56 shards: 50 data + 6 parity.
+        for i in (0..200).step_by(4).chain(250..256) {
+            shards[i] = None;
+        }
+        rs.reconstruct(&mut shards).unwrap();
+        for (i, d) in data.iter().enumerate() {
+            assert_eq!(shards[i].as_ref().unwrap(), d, "data shard {i}");
+        }
+        for (j, p) in parity.iter().enumerate() {
+            assert_eq!(shards[200 + j].as_ref().unwrap(), p, "parity shard {j}");
+        }
+    }
+
+    #[test]
     fn workspace_reconstruction_matches_plain_reconstruction() {
         let rs = ReedSolomon::new(8, 4).unwrap();
         let data = make_data(8, 48, 11);

@@ -18,6 +18,7 @@
 //!   catastrophic 20 % / 50 % crashes of §3.6.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod churn;

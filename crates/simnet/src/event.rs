@@ -451,6 +451,7 @@ impl<E> EventQueue<E> {
     ///   quantifies it). Scanning arrival order and incrementing each
     ///   offset's rank keeps equal-offset events in ascending `seq`, exactly
     ///   as the packed keys do.
+    #[allow(unsafe_code)] // the `set_len` below: the crate's one `unsafe`
     fn order_bucket(&mut self, slot: usize) {
         let chain = std::mem::replace(&mut self.buckets[slot], Chain::EMPTY);
         let k = chain.len as usize;

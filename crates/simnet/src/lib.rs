@@ -98,6 +98,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod bandwidth;

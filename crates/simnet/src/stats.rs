@@ -162,18 +162,6 @@ impl NetStats {
         }
     }
 
-    /// Mean upload queueing delay per departed message (delivered plus lost —
-    /// both left a queue), or `None` if nothing departed. The observability
-    /// export reports this next to the raw
-    /// [`total_queueing_delay`](NetStats::total_queueing_delay) sum.
-    pub fn mean_queueing_delay(&self) -> Option<SimDuration> {
-        let departed = self.total_messages_delivered() + self.total_messages_lost();
-        self.total_queueing_delay
-            .as_micros()
-            .checked_div(departed)
-            .map(SimDuration::from_micros)
-    }
-
     /// Resident heap held by the per-node rows, in bytes (seven `u64`
     /// counters — 56 bytes per node). Feeds the [`MemoryFootprint`]
     /// accounting of the scale campaign.
@@ -277,21 +265,6 @@ mod tests {
         assert_eq!(s.loss_rate(), 0.0);
         assert!(!s.is_empty());
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn mean_queueing_delay_averages_over_departures() {
-        let mut s = NetStats::new(2);
-        assert_eq!(s.mean_queueing_delay(), None, "no departures yet");
-        s.record_delivery(NodeId::new(1), 10);
-        s.record_delivery(NodeId::new(1), 10);
-        s.record_loss(NodeId::new(0));
-        s.total_queueing_delay += SimDuration::from_micros(300);
-        assert_eq!(
-            s.mean_queueing_delay(),
-            Some(SimDuration::from_micros(100)),
-            "delivered and lost messages both departed a queue"
-        );
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! loop, which only needs arrival counts per window.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod health;

@@ -19,6 +19,7 @@
 //!   quick iteration and CI).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod bandwidth_dist;

@@ -13,6 +13,8 @@
 //! * [`analytics`] — CDFs, percentiles and per-class summaries.
 //! * [`workloads`] — scenario definitions reproducing every figure and table.
 
+#![forbid(unsafe_code)]
+
 pub use heap_analytics as analytics;
 pub use heap_fec as fec;
 pub use heap_gossip as gossip;
