@@ -295,6 +295,14 @@ fn main() {
             scale_campaign::run(campaign_nodes, campaign_windows, scale.seed),
         );
         eprintln!("[scale] took {:.1}s", start.elapsed().as_secs_f64());
+        let smoke_shape = campaign_nodes == scale_campaign::SMOKE_NODES
+            && campaign_windows == scale_campaign::SMOKE_WINDOWS;
+        if smoke && smoke_shape {
+            if let Err(e) = scale_campaign::check_smoke_peak_rss(campaign_nodes) {
+                eprintln!("error: smoke memory guard: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 
     if let Some(path) = metrics_out {

@@ -26,6 +26,14 @@ pub const SMOKE_NODES: usize = 100_000;
 /// source → gossip → decode → compact-metrics pipeline.
 pub const SMOKE_WINDOWS: u64 = 1;
 
+/// Bound on the smoke run's peak resident set (`VmHWM`) per node, in bytes:
+/// the measurement plus 10 %, as the allocator guards set theirs. `repro
+/// scale --smoke` exits non-zero above it ([`check_smoke_peak_rss`]).
+/// Measured 2026-10-17 on the 2-core, 15.7 GiB host, seed 42: 9 214
+/// B/node (878 MiB), with set-up's temporary vectors freed before the run
+/// (9 247 B/node while they lived to the end of it).
+pub const SMOKE_PEAK_RSS_BYTES_PER_NODE: u64 = 10_135;
+
 /// The campaign scenario at `n` nodes over `windows` stream windows:
 /// fig1's protocol configuration in compact result detail.
 pub fn scenario(n: usize, windows: u64, seed: u64) -> Scenario {
@@ -47,6 +55,19 @@ fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
     value.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// Checks the process's peak resident set after a smoke-shape run of `n`
+/// nodes against [`SMOKE_PEAK_RSS_BYTES_PER_NODE`]; the error names the
+/// bound. Passes where `/proc/self/status` does not exist.
+pub fn check_smoke_peak_rss(n: usize) -> Result<(), String> {
+    match peak_rss_kb().map(|kb| kb * 1024 / n as u64) {
+        Some(per_node) if per_node > SMOKE_PEAK_RSS_BYTES_PER_NODE => Err(format!(
+            "peak RSS {per_node} B/node exceeds SMOKE_PEAK_RSS_BYTES_PER_NODE \
+             ({SMOKE_PEAK_RSS_BYTES_PER_NODE} B/node)"
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Runs the campaign figure at `n` nodes / `windows` windows.
@@ -135,5 +156,19 @@ mod tests {
         let share: f64 = dist.points.iter().map(|&(_, y)| y).sum();
         assert!((share - 1.0).abs() < 1e-9, "shares sum to {share}");
         assert_eq!(fig.tables.len(), 1);
+    }
+
+    #[test]
+    fn smoke_guard_names_its_bound() {
+        // Charged to one node, the test process's resident set is far above
+        // any per-node bound.
+        if peak_rss_kb().is_some() {
+            let err = check_smoke_peak_rss(1).unwrap_err();
+            assert!(
+                err.contains("SMOKE_PEAK_RSS_BYTES_PER_NODE (10135 B/node)"),
+                "{err}"
+            );
+        }
+        assert_eq!(check_smoke_peak_rss(usize::MAX), Ok(()));
     }
 }

@@ -8,8 +8,9 @@
 //!   unconstrained baseline of Fig. 1,
 //! * [`scenario`] — a declarative description of one experiment run
 //!   (distribution, protocol, stream length, churn, seed),
-//! * [`runner`] — executes a scenario on the discrete-event simulator and
-//!   collects per-node results,
+//! * [`runner`] — executes a scenario on the discrete-event simulator in
+//!   phases ([`ScenarioRun`]: set-up, run, collection) and collects
+//!   per-node results,
 //! * [`experiments`] — one module per paper figure/table turning runs into
 //!   printable [`Series`](heap_analytics::Series) and
 //!   [`TextTable`](heap_analytics::TextTable)s,
@@ -32,7 +33,7 @@ pub mod scenario;
 pub use bandwidth_dist::{BandwidthClass, BandwidthDistribution};
 pub use runner::{
     run_scenario, run_scenarios_parallel, run_scenarios_pooled, ExperimentResult, NetTotals,
-    NodeResult,
+    NodeResult, ScenarioRun,
 };
 pub use scale::Scale;
 pub use scenario::{

@@ -1,20 +1,32 @@
-//! Executes a [`Scenario`] on the simulator and collects per-node results.
+//! Executes a [`Scenario`] on the simulator and collects per-node results,
+//! in the three phases of a [`ScenarioRun`]: **set-up** draws every random
+//! choice about the population from one set-up stream (capabilities,
+//! stragglers, free-riders, the churn plan, failure-detector instants),
+//! compiles the fault spec, builds the simulator and schedules every crash;
+//! **run** stops at each health-sample instant and failure-detector
+//! notification (samples first at equal instants); **collection** runs the
+//! remainder and reads every receiver's results. The stops are the run's
+//! own, so however a caller slices the run, the result is the same to the
+//! byte. [`run_scenario`] is set-up followed by collection.
 
 use crate::scenario::{ChurnSpec, ResultDetail, Scenario};
 use heap_analytics::BucketSeries;
 use heap_gossip::fanout::FanoutPolicy;
-use heap_gossip::node::{GossipNode, ProtocolStats, Role};
-use heap_membership::churn::ChurnSchedule;
+use heap_gossip::node::{GossipNode, GossipNodeBuilder, ProtocolStats, Role};
+use heap_gossip::GossipMessage;
+use heap_membership::churn::{ChurnSchedule, ContinuousChurn};
 use heap_simnet::bandwidth::{Bandwidth, UploadCapacity};
 use heap_simnet::fault::FaultPlan;
 use heap_simnet::node::NodeId;
 use heap_simnet::rng::stream_rng;
-use heap_simnet::sim::{Simulator, SimulatorBuilder};
+use heap_simnet::sim::{Protocol, Simulator, SimulatorBuilder};
 use heap_simnet::time::{SimDuration, SimTime};
 use heap_streaming::health::HealthReport;
 use heap_streaming::metrics::{CompactNodeMetrics, NodeMetrics, NodeStreamMetrics};
 use heap_streaming::source::{StreamConfig, StreamSchedule};
 use rand::Rng;
+use std::borrow::BorrowMut;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How long the system runs before the source starts streaming, giving the
@@ -141,391 +153,461 @@ impl ExperimentResult {
     }
 }
 
-/// Runs a scenario to completion and collects per-node results.
+/// Runs a scenario to completion and collects per-node results: set-up,
+/// then collection ([`ScenarioRun`]). Panics as [`ScenarioRun::setup_with`]
+/// does.
 ///
 /// The simulation is fully deterministic for a given scenario (including its
 /// [`Scale::seed`](crate::scale::Scale)).
-///
-/// # Panics
-///
-/// Panics if the scenario's gossip configuration is invalid or if the scale
-/// has fewer than two nodes.
 pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
-    let scale = scenario.scale;
+    ScenarioRun::setup(scenario).collect()
+}
+
+/// One scenario run between its phases (see the [module docs](self)):
+/// built by [`setup`](Self::setup), advanced by [`run_until`](Self::run_until)
+/// in whatever slices the caller picks, finished by [`collect`](Self::collect).
+///
+/// `P` is the node protocol: [`GossipNode`] itself, or a wrapper around one
+/// that a caller builds with [`setup_with`](Self::setup_with).
+pub struct ScenarioRun<'s, P: Protocol = GossipNode> {
+    scenario: &'s Scenario,
+    sim: Simulator<P>,
+    schedule: StreamSchedule,
+    advertised: Vec<Option<Bandwidth>>,
+    join_at: Vec<Option<SimTime>>,
+    free_rider: Vec<bool>,
+    /// Failure-detector notifications (instant, crashed node), one per
+    /// crash, sorted by instant; the first `notified` are delivered, and any
+    /// due after the end is delivered at the end.
+    notifications: Vec<(SimTime, NodeId)>,
+    notified: usize,
+    /// The health series and the instant of its next sample.
+    health: Option<(BucketSeries, SimTime)>,
+}
+
+impl<'s> ScenarioRun<'s> {
+    /// Sets `scenario` up on plain [`GossipNode`]s; panics as
+    /// [`ScenarioRun::setup_with`] does.
+    pub fn setup(scenario: &'s Scenario) -> Self {
+        Self::setup_with(scenario, GossipNodeBuilder::build)
+    }
+}
+
+/// Rejects a scenario fraction that is not finite or not in `[0, 1]`,
+/// naming the field.
+fn assert_fraction(name: &str, fraction: f64) {
     assert!(
-        scale.n_nodes >= 2,
-        "need at least a source and one receiver"
+        fraction.is_finite() && (0.0..=1.0).contains(&fraction),
+        "{name} must be finite and in [0, 1], got {fraction}"
     );
-    let n = scale.n_nodes;
-    let mut setup_rng = stream_rng(scale.seed, 0xC0FF_EE00);
+}
 
-    // --- Capabilities -----------------------------------------------------
-    // Node 0 is the source; receivers get capabilities from the distribution.
-    let receiver_caps = scenario.distribution.assign(n - 1, &mut setup_rng);
-    let mut advertised: Vec<Option<Bandwidth>> = Vec::with_capacity(n);
-    advertised.push(Some(scenario.source_capability));
-    advertised.extend(receiver_caps.iter().copied());
+impl<'s, P> ScenarioRun<'s, P>
+where
+    P: Protocol<Message = GossipMessage> + BorrowMut<GossipNode>,
+{
+    /// Sets `scenario` up, before its first event: `make_node` receives each
+    /// node's configured builder and finishes it, so a caller can time
+    /// construction or wrap the node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scale has fewer than two nodes, if
+    /// [`Scenario::straggler_fraction`] or a free-rider fraction is not
+    /// finite and in `[0, 1]`, or if the gossip configuration is invalid.
+    pub fn setup_with(
+        scenario: &'s Scenario,
+        mut make_node: impl FnMut(GossipNodeBuilder) -> P,
+    ) -> Self {
+        let scale = scenario.scale;
+        assert!(
+            scale.n_nodes >= 2,
+            "need at least a source and one receiver"
+        );
+        assert_fraction("straggler_fraction", scenario.straggler_fraction);
+        if let Some(spec) = scenario.free_riders {
+            assert_fraction("FreeRiderSpec::fraction", spec.fraction);
+        }
+        let n = scale.n_nodes;
+        let mut setup_rng = stream_rng(scale.seed, 0xC0FF_EE00);
 
-    // Stragglers: a fraction of receivers whose *actual* capacity is half of
-    // what they advertise (overloaded PlanetLab nodes).
-    let mut actual: Vec<Option<Bandwidth>> = advertised.clone();
-    if scenario.straggler_fraction > 0.0 {
-        for slot in actual.iter_mut().skip(1) {
-            if let Some(cap) = slot {
-                if setup_rng.gen_bool(scenario.straggler_fraction) {
-                    *slot = Some(Bandwidth::from_bps((cap.as_bps() / 2).max(1)));
+        // --- Capabilities -------------------------------------------------
+        // Node 0 is the source; receivers get capabilities from the distribution.
+        let receiver_caps = scenario.distribution.assign(n - 1, &mut setup_rng);
+        let mut advertised: Vec<Option<Bandwidth>> = Vec::with_capacity(n);
+        advertised.push(Some(scenario.source_capability));
+        advertised.extend(receiver_caps.iter().copied());
+
+        // Stragglers: a fraction of receivers whose *actual* capacity is half
+        // of what they advertise (overloaded PlanetLab nodes).
+        let mut actual: Vec<Option<Bandwidth>> = advertised.clone();
+        if scenario.straggler_fraction > 0.0 {
+            for slot in actual.iter_mut().skip(1) {
+                if let Some(cap) = slot {
+                    if setup_rng.gen_bool(scenario.straggler_fraction) {
+                        *slot = Some(Bandwidth::from_bps((cap.as_bps() / 2).max(1)));
+                    }
                 }
             }
         }
-    }
-    // Free-riders: a fraction of receivers advertises an inflated capability
-    // (attracting the fanout a strong relay would get) while actually
-    // uploading at a trickle and serving only part of each retransmission
-    // request. The selection draws from `setup_rng` only when the spec is
-    // present, so honest scenarios keep their exact draw sequence.
-    let mut free_rider: Vec<bool> = vec![false; n];
-    if let Some(spec) = scenario.free_riders {
-        use rand::seq::SliceRandom;
-        let mut ids: Vec<usize> = (1..n).collect();
-        ids.shuffle(&mut setup_rng);
-        let count = (((n - 1) as f64) * spec.fraction).round() as usize;
-        for &i in ids.iter().take(count.min(n - 1)) {
-            free_rider[i] = true;
-            advertised[i] = Some(spec.advertised);
-            actual[i] = Some(spec.actual);
+        // Free-riders: a fraction of receivers advertises an inflated
+        // capability (attracting the fanout a strong relay would get) while
+        // actually uploading at a trickle and serving only part of each
+        // retransmission request. The selection draws from `setup_rng` only
+        // when the spec is present, so honest scenarios keep their exact
+        // draw sequence.
+        let mut free_rider: Vec<bool> = vec![false; n];
+        if let Some(spec) = scenario.free_riders {
+            use rand::seq::SliceRandom;
+            let mut ids: Vec<usize> = (1..n).collect();
+            ids.shuffle(&mut setup_rng);
+            let count = (((n - 1) as f64) * spec.fraction).round() as usize;
+            for &i in ids.iter().take(count.min(n - 1)) {
+                free_rider[i] = true;
+                advertised[i] = Some(spec.advertised);
+                actual[i] = Some(spec.actual);
+            }
         }
-    }
-    let capacities: Vec<UploadCapacity> = actual
-        .iter()
-        .map(|c| {
-            c.map(UploadCapacity::Limited)
-                .unwrap_or(UploadCapacity::Unlimited)
-        })
-        .collect();
+        let capacities: Vec<UploadCapacity> = actual
+            .iter()
+            .map(|c| {
+                c.map(UploadCapacity::Limited)
+                    .unwrap_or(UploadCapacity::Unlimited)
+            })
+            .collect();
 
-    // --- Stream and nodes --------------------------------------------------
-    let stream_config = StreamConfig::paper(scale.n_windows);
-    let schedule = StreamSchedule::new(stream_config, SimTime::ZERO + WARMUP);
-    let policy = scenario.protocol.policy(scenario.distribution.average());
-    let gossip_config = scenario.gossip.clone();
-
-    // Continuous churn needs its plan *before* the nodes are built (standby
-    // joiners are configured at construction); the catastrophic path keeps
-    // its original post-build draw order.
-    let continuous = match scenario.churn {
-        ChurnSpec::Continuous {
-            standby_fraction,
-            joins_per_min,
-            leaves_per_min,
-            ..
-        } => {
-            let window = (
-                schedule.start(),
-                schedule.start() + stream_config.stream_duration(),
-            );
-            Some(ChurnSchedule::continuous(
-                n,
+        // --- Stream and churn plan ----------------------------------------
+        let stream_config = StreamConfig::paper(scale.n_windows);
+        let schedule = StreamSchedule::new(stream_config, SimTime::ZERO + WARMUP);
+        let from_start = |secs| schedule.start() + SimDuration::from_secs(secs);
+        // Joins (standby nodes are configured at construction), leaves, and
+        // the failure detector's mean delay in seconds.
+        let (churn, detection_secs) = match scenario.churn {
+            ChurnSpec::None => (ContinuousChurn::default(), 0),
+            ChurnSpec::Catastrophic {
+                fraction,
+                at_secs,
+                detection_secs,
+            } => {
+                let at = from_start(at_secs);
+                let schedule = ChurnSchedule::catastrophic(n, fraction, at, &[0], &mut setup_rng);
+                let plan = ContinuousChurn {
+                    schedule,
+                    ..ContinuousChurn::default()
+                };
+                (plan, detection_secs)
+            }
+            ChurnSpec::Continuous {
                 standby_fraction,
                 joins_per_min,
                 leaves_per_min,
-                window,
-                &[0],
-                &mut setup_rng,
-            ))
+                detection_secs,
+            } => {
+                let window = (
+                    schedule.start(),
+                    schedule.start() + stream_config.stream_duration(),
+                );
+                let plan = ChurnSchedule::continuous(
+                    n,
+                    standby_fraction,
+                    joins_per_min,
+                    leaves_per_min,
+                    window,
+                    &[0],
+                    &mut setup_rng,
+                );
+                (plan, detection_secs)
+            }
+            // A flash crowd only joins; nobody leaves.
+            ChurnSpec::FlashCrowd {
+                fraction,
+                at_secs,
+                spread_secs,
+            } => {
+                let (at, spread) = (from_start(at_secs), SimDuration::from_secs(spread_secs));
+                let plan =
+                    ChurnSchedule::flash_crowd(n, fraction, at, spread, &[0], &mut setup_rng);
+                (plan, 0)
+            }
+        };
+        // Standby nodes that never join stay offline forever.
+        let mut join_at: Vec<Option<SimTime>> = vec![None; n];
+        for id in &churn.standby {
+            join_at[id.index()] = Some(SimTime::MAX);
         }
-        ChurnSpec::FlashCrowd {
-            fraction,
-            at_secs,
-            spread_secs,
-        } => Some(ChurnSchedule::flash_crowd(
-            n,
-            fraction,
-            schedule.start() + SimDuration::from_secs(at_secs),
-            SimDuration::from_secs(spread_secs),
-            &[0],
-            &mut setup_rng,
-        )),
-        _ => None,
-    };
-    let join_at: Vec<Option<SimTime>> = match &continuous {
-        None => vec![None; n],
-        Some(plan) => {
-            let join_time: std::collections::HashMap<NodeId, SimTime> =
-                plan.joins.iter().map(|j| (j.node, j.at)).collect();
-            (0..n)
-                .map(|i| {
-                    let id = NodeId::new(i as u32);
-                    // `plan.standby` is sorted (ChurnSchedule::continuous).
-                    if plan.standby.binary_search(&id).is_err() {
-                        return None;
-                    }
-                    // Standby nodes that never join stay offline forever.
-                    Some(join_time.get(&id).copied().unwrap_or(SimTime::MAX))
-                })
-                .collect()
+        for join in &churn.joins {
+            join_at[join.node.index()] = Some(join.at);
         }
-    };
 
-    // --- Faults -------------------------------------------------------------
-    // Fault regions come from the spec's region policy over the population.
-    let fault_regions: Vec<u32> = match &scenario.fault {
-        Some(spec) => spec.region_policy.assign(n, spec.regions, &capacities),
-        None => Vec::new(),
-    };
-    let mut fault_plan = FaultPlan::new();
-    // (crash instant, victim, mean detection delay), in spec order: the
-    // crashes scheduled after the build and the survivor-side
-    // failure-detector notifications.
-    let mut regional_crashes: Vec<(SimTime, NodeId, SimDuration)> = Vec::new();
-    if let Some(spec) = &scenario.fault {
-        if spec.needs_regions() {
-            fault_plan = fault_plan.with_groups(fault_regions.clone());
-        }
-        for window in &spec.partitions {
-            fault_plan = fault_plan.partition(
-                schedule.start() + SimDuration::from_secs_f64(window.start_secs),
-                schedule.start() + SimDuration::from_secs_f64(window.end_secs),
-            );
-        }
-        for crash in &spec.regional_crashes {
-            let at = schedule.start() + SimDuration::from_secs_f64(crash.at_secs);
-            let detection = SimDuration::from_secs(crash.detection_secs);
-            // The source (node 0) is exempt: the stream must survive the
-            // outage for "degrade and recover" to be observable at all.
-            for i in (1..n).filter(|&i| fault_regions[i] == crash.region) {
-                regional_crashes.push((at, NodeId::new(i as u32), detection));
+        // --- Faults -------------------------------------------------------
+        let mut fault_plan = FaultPlan::new();
+        // (crash instant, victim, mean detection delay), in spec order: the
+        // crashes scheduled after the build and the survivor-side
+        // failure-detector notifications.
+        let mut regional_crashes: Vec<(SimTime, NodeId, SimDuration)> = Vec::new();
+        if let Some(spec) = &scenario.fault {
+            // Fault regions come from the spec's region policy over the
+            // population.
+            let regions = spec.region_policy.assign(n, spec.regions, &capacities);
+            for window in &spec.partitions {
+                fault_plan = fault_plan.partition(
+                    schedule.start() + SimDuration::from_secs_f64(window.start_secs),
+                    schedule.start() + SimDuration::from_secs_f64(window.end_secs),
+                );
+            }
+            for crash in &spec.regional_crashes {
+                let at = schedule.start() + SimDuration::from_secs_f64(crash.at_secs);
+                let detection = SimDuration::from_secs(crash.detection_secs);
+                // The source (node 0) is exempt: the stream must survive the
+                // outage for "degrade and recover" to be observable at all.
+                for i in (1..n).filter(|&i| regions[i] == crash.region) {
+                    regional_crashes.push((at, NodeId::new(i as u32), detection));
+                }
+            }
+            if let Some(diurnal) = &spec.diurnal {
+                fault_plan = fault_plan.diurnal(
+                    SimDuration::from_secs_f64(diurnal.period_secs),
+                    diurnal.factors.clone(),
+                );
+            }
+            if spec.needs_regions() {
+                fault_plan = fault_plan.with_groups(regions);
             }
         }
-        if let Some(diurnal) = &spec.diurnal {
-            fault_plan = fault_plan.diurnal(
-                SimDuration::from_secs_f64(diurnal.period_secs),
-                diurnal.factors.clone(),
-            );
-        }
-    }
 
-    let mut builder = SimulatorBuilder::new(n, scale.seed)
-        .latency(scenario.latency.clone())
-        .loss(scenario.loss.clone())
-        .capacities(capacities);
-    if !fault_plan.is_inert() {
-        builder = builder.fault_plan(fault_plan);
-    }
-    if let Some(limit) = scenario.upload_queue_limit {
-        builder = builder.upload_queue_limit(limit);
-    }
-    let partial_membership = scenario.membership.partial_config();
-    let mut sim: Simulator<GossipNode> = builder.build(|id| {
-        let capability = advertised[id.index()].unwrap_or_else(|| Bandwidth::from_mbps(100));
-        let (role, node_policy) = if id.index() == 0 {
-            // The source always gossips with the reference fanout: its job
-            // is to inject each packet, not to carry the relay load, and
-            // letting it scale its fanout with its (large) capability
-            // would make it the target of most first-hand requests.
-            (Role::Source, FanoutPolicy::fixed(gossip_config.fanout))
-        } else {
-            (Role::Receiver, policy)
-        };
-        let mut node = GossipNode::builder(id, n, schedule)
-            .config(gossip_config.clone())
-            .fanout(node_policy)
-            .capability(capability)
-            .role(role);
-        if let Some(partial) = partial_membership {
-            node = node.partial_membership(partial);
+        // --- Build ----------------------------------------------------------
+        let mut builder = SimulatorBuilder::new(n, scale.seed)
+            .latency(scenario.latency.clone())
+            .loss(scenario.loss.clone())
+            .capacities(capacities);
+        if !fault_plan.is_inert() {
+            builder = builder.fault_plan(fault_plan);
         }
-        if let Some(at) = join_at[id.index()] {
-            node = node.join_at(at);
+        if let Some(limit) = scenario.upload_queue_limit {
+            builder = builder.upload_queue_limit(limit);
         }
-        if free_rider[id.index()] {
-            let spec = scenario.free_riders.expect("free-riders marked from spec");
-            node = node.serve_fraction(spec.serve_fraction);
-        }
-        node.build()
-    });
+        let policy = scenario.protocol.policy(scenario.distribution.average());
+        let partial_membership = scenario.membership.partial_config();
+        let mut sim = builder.build(|id| {
+            let capability = advertised[id.index()].unwrap_or_else(|| Bandwidth::from_mbps(100));
+            let (role, node_policy) = if id.index() == 0 {
+                // The source always gossips with the reference fanout: its
+                // job is to inject each packet, not to carry the relay load,
+                // and letting it scale its fanout with its (large) capability
+                // would make it the target of most first-hand requests.
+                (Role::Source, FanoutPolicy::fixed(scenario.gossip.fanout))
+            } else {
+                (Role::Receiver, policy)
+            };
+            let mut node = GossipNode::builder(id, n, schedule)
+                .config(scenario.gossip.clone())
+                .fanout(node_policy)
+                .capability(capability)
+                .role(role);
+            if let Some(partial) = partial_membership {
+                node = node.partial_membership(partial);
+            }
+            if let Some(at) = join_at[id.index()] {
+                node = node.join_at(at);
+            }
+            if free_rider[id.index()] {
+                let spec = scenario.free_riders.expect("free-riders marked from spec");
+                node = node.serve_fraction(spec.serve_fraction);
+            }
+            make_node(node)
+        });
 
-    // --- Crashes ------------------------------------------------------------
-    // Regional victims first, stably sorted by time, then churn crashes.
-    let mut by_time = regional_crashes.clone();
-    by_time.sort_by_key(|&(at, _, _)| at);
-    for (at, node, _) in by_time {
-        sim.schedule_crash(node, at);
-    }
-    let churn_schedule = match scenario.churn {
-        ChurnSpec::None => ChurnSchedule::none(),
-        ChurnSpec::Catastrophic {
-            fraction,
-            at_secs,
-            detection_secs,
-        } => {
-            let at = schedule.start() + SimDuration::from_secs(at_secs);
-            ChurnSchedule::catastrophic(n, fraction, at, &[0], &mut setup_rng)
-                .with_detection_mean(SimDuration::from_secs(detection_secs))
+        // --- Crashes --------------------------------------------------------
+        // Regional victims first, stably sorted by time, then churn crashes.
+        let mut by_time = regional_crashes.clone();
+        by_time.sort_by_key(|&(at, _, _)| at);
+        for (at, node, _) in by_time {
+            sim.schedule_crash(node, at);
         }
-        ChurnSpec::Continuous { detection_secs, .. } => continuous
-            .as_ref()
-            .expect("continuous plan generated above")
-            .schedule
-            .clone()
-            .with_detection_mean(SimDuration::from_secs(detection_secs)),
-        // A flash crowd only joins; nobody leaves.
-        ChurnSpec::FlashCrowd { .. } => ChurnSchedule::none(),
-    };
-    for event in churn_schedule.events() {
-        sim.schedule_crash(event.node, event.at);
-    }
-    // Failure-detection notifications: every surviving node learns about each
-    // crash after ~the configured mean delay (one detection instant per
-    // crashed node, shared by all survivors — the simulated failure detector).
-    let mut notifications: Vec<(SimTime, NodeId)> = churn_schedule
-        .events()
-        .iter()
-        .map(|e| {
+        for event in churn.schedule.events() {
+            sim.schedule_crash(event.node, event.at);
+        }
+        // Failure-detection notifications: every surviving node learns about
+        // each crash after ~the configured mean delay (one detection instant
+        // per crashed node, shared by all survivors — the simulated failure
+        // detector). Regional-crash victims go through the same detector,
+        // after every churn draw, so fault-free runs are unperturbed.
+        let churn_mean = SimDuration::from_secs(detection_secs);
+        let churn_crashes = churn.schedule.events().iter();
+        let mut notifications: Vec<(SimTime, NodeId)> = churn_crashes
+            .map(|e| (e.at, e.node, churn_mean))
+            .chain(regional_crashes.iter().copied())
+            .map(|(at, node, mean)| {
+                let detector = ChurnSchedule::none().with_detection_mean(mean);
+                (detector.sample_detection_time(at, &mut setup_rng), node)
+            })
+            .collect();
+        notifications.sort_by_key(|&(at, _)| at);
+
+        let health = scenario.health_series.map(|bucket| {
             (
-                churn_schedule.sample_detection_time(e.at, &mut setup_rng),
-                e.node,
+                BucketSeries::new("mean health score", bucket.as_secs_f64()),
+                schedule.start() + bucket,
             )
-        })
-        .collect();
-    // Survivors learn about regional-crash victims through the same failure
-    // detector; these draws happen only when the fault spec schedules
-    // crashes, after every churn draw, so fault-free runs are unperturbed.
-    for &(at, node, mean) in &regional_crashes {
-        let detector = ChurnSchedule::none().with_detection_mean(mean);
-        notifications.push((detector.sample_detection_time(at, &mut setup_rng), node));
+        });
+        ScenarioRun {
+            scenario,
+            sim,
+            schedule,
+            advertised,
+            join_at,
+            free_rider,
+            notifications,
+            notified: 0,
+            health,
+        }
     }
-    notifications.sort_by_key(|(t, _)| *t);
 
-    // --- Run ----------------------------------------------------------------
-    // Health sampling rides on the advance path: before crossing a bucket
-    // boundary the simulator is stepped exactly to it and every live
-    // receiver's score is folded into the bucket ending there, so the series
-    // is identical however the run is chopped up by churn notifications.
-    let mut sampler = scenario.health_series.map(|bucket| {
-        (
-            BucketSeries::new("mean health score", bucket.as_secs_f64()),
-            schedule.start() + bucket,
-            bucket,
-        )
-    });
-    let mut advance = |sim: &mut Simulator<GossipNode>, to: SimTime| {
-        if let Some((series, next_sample, bucket)) = sampler.as_mut() {
-            while *next_sample <= to {
-                let at = *next_sample;
-                sim.run_until(at);
+    /// When the run ends: the stream's end plus the scenario's drain time.
+    pub fn end(&self) -> SimTime {
+        self.schedule.start() + self.scenario.run_duration()
+    }
+
+    /// The simulator, for reading between slices.
+    pub fn sim(&self) -> &Simulator<P> {
+        &self.sim
+    }
+
+    /// Advances the run to `target` (never past [`end`](Self::end)). On the
+    /// way it stops at every health-sample instant and failure-detector
+    /// notification due by `target`: a sample folds every live receiver's
+    /// score into the bucket it closes, a notification tells every live node
+    /// about the crash; at equal instants the sample goes first. A target
+    /// already passed is a no-op.
+    pub fn run_until(&mut self, target: SimTime) {
+        let (end, target) = (self.end(), target.min(self.end()));
+        let n = self.scenario.scale.n_nodes;
+        loop {
+            let sample = self.health.as_ref().map_or(SimTime::MAX, |&(_, at)| at);
+            let note = self
+                .notifications
+                .get(self.notified)
+                .map_or(SimTime::MAX, |&(at, _)| at.min(end));
+            let at = sample.min(note);
+            if at > target {
+                break;
+            }
+            self.sim.run_until(at);
+            if sample <= note {
+                let (series, next) = self.health.as_mut().expect("a sample is due");
                 // Place the sample at the midpoint of the bucket it closes.
-                let x = (at - schedule.start()).as_secs_f64() - bucket.as_secs_f64() / 2.0;
+                let x = (at - self.schedule.start()).as_secs_f64() - series.width() / 2.0;
                 for i in 1..n {
                     let id = NodeId::new(i as u32);
-                    if sim.is_alive(id) {
-                        series.record(x, sim.node(id).health().score(at));
+                    if self.sim.is_alive(id) {
+                        series.record(x, self.sim.node(id).borrow().health().score(at));
                     }
                 }
-                *next_sample = at + *bucket;
-            }
-        }
-        sim.run_until(to);
-    };
-    let end = schedule.start() + scenario.run_duration();
-    for (at, crashed) in notifications {
-        let at = at.min(end);
-        advance(&mut sim, at);
-        for i in 0..n {
-            let id = NodeId::new(i as u32);
-            if sim.is_alive(id) {
-                sim.node_mut(id).notify_failure(crashed, at);
-            }
-        }
-    }
-    advance(&mut sim, end);
-
-    // --- Collect -------------------------------------------------------------
-    // Bandwidth usage is measured over the streaming phase (start of stream to
-    // end of stream), the period Fig. 4 reports about.
-    let streaming_span = stream_config.stream_duration();
-    let mut crashed_nodes: std::collections::HashSet<NodeId> =
-        churn_schedule.crashed_nodes().into_iter().collect();
-    crashed_nodes.extend(regional_crashes.iter().map(|&(_, node, _)| node));
-
-    let mut nodes = Vec::with_capacity(n - 1);
-    // Compact runs fold every received packet's lag into one run-level
-    // histogram before the per-node vectors are dropped (0.5 s buckets, the
-    // grid of the lag figures).
-    let mut packet_lag_series = match scenario.detail {
-        ResultDetail::Full => None,
-        ResultDetail::Compact => Some(BucketSeries::new("packet lag distribution", 0.5)),
-    };
-    for (i, &advertised_cap) in advertised.iter().enumerate().skip(1) {
-        let id = NodeId::new(i as u32);
-        let node = sim.node(id);
-        let health = node.health().report(end);
-        let protocol_stats = node.stats();
-        let queue = sim.upload_queue(id);
-        let upload_utilization = match queue.capacity() {
-            UploadCapacity::Unlimited => None,
-            UploadCapacity::Limited(_) => {
-                Some((queue.busy_time().as_secs_f64() / streaming_span.as_secs_f64()).min(1.0))
-            }
-        };
-        let upload_rate_kbps = queue.achieved_rate_bps(streaming_span) / 1_000.0;
-        // Everything else is read: the metrics take the log's arrival column
-        // over instead of copying it while the node still holds it.
-        let log = sim.node_mut(id).take_receiver_log();
-        let full_metrics = NodeStreamMetrics::from_log(&schedule, log);
-        let metrics = match scenario.detail {
-            ResultDetail::Full => NodeMetrics::Full(full_metrics),
-            ResultDetail::Compact => {
-                let series = packet_lag_series.as_mut().expect("created above");
-                for lag in full_metrics.received_packet_lags() {
-                    let secs = lag.as_secs_f64();
-                    series.record(secs, secs);
+                *next = at + self.scenario.health_series.expect("sampling is on");
+            } else {
+                let crashed = self.notifications[self.notified].1;
+                self.notified += 1;
+                for i in 0..n {
+                    let id = NodeId::new(i as u32);
+                    if self.sim.is_alive(id) {
+                        let node: &mut GossipNode = self.sim.node_mut(id).borrow_mut();
+                        node.notify_failure(crashed, at);
+                    }
                 }
-                NodeMetrics::Compact(CompactNodeMetrics::from_full(&full_metrics))
             }
-        };
-        // Simulated clocks cannot run backwards: any anomaly in a
-        // simnet-driven run is a harness bug, not a measurement artefact.
-        debug_assert_eq!(
-            health.clock_anomalies, 0,
-            "node {id} observed arrival-before-publish in simulation"
-        );
-        debug_assert_eq!(
-            metrics.clock_anomalies(),
-            0,
-            "node {id} log contains arrival-before-publish in simulation"
-        );
-        nodes.push(NodeResult {
-            node: id,
-            class: scenario.distribution.class_label(advertised_cap),
-            capability: advertised_cap,
-            crashed: crashed_nodes.contains(&id),
-            joined_at: join_at[i],
-            free_rider: free_rider[i],
-            metrics,
-            health,
-            upload_utilization,
-            upload_rate_kbps,
-            protocol_stats,
-        });
+        }
+        self.sim.run_until(target);
     }
 
-    let stats = sim.stats();
-    let net = NetTotals {
-        messages_sent: stats.total_messages_sent(),
-        messages_delivered: stats.total_messages_delivered(),
-        messages_lost: stats.total_messages_lost(),
-        queue_drops: stats.total_queue_drops(),
-        total_queueing_delay: stats.total_queueing_delay,
-    };
+    /// Runs any remainder to [`end`](Self::end) and collects per-node results.
+    pub fn collect(mut self) -> ExperimentResult {
+        let end = self.end();
+        self.run_until(end);
+        let (scenario, schedule, sim) = (self.scenario, self.schedule, &mut self.sim);
+        let crashed: HashSet<NodeId> = self.notifications.iter().map(|&(_, id)| id).collect();
+        // Bandwidth usage is measured over the streaming phase (start of
+        // stream to end of stream), the period Fig. 4 reports about.
+        let streaming_span = schedule.config().stream_duration();
+        let mut nodes = Vec::with_capacity(self.advertised.len() - 1);
+        // Compact runs fold every received packet's lag into one run-level
+        // histogram before the per-node vectors are dropped (0.5 s buckets,
+        // the grid of the lag figures).
+        let mut packet_lag_series = match scenario.detail {
+            ResultDetail::Full => None,
+            ResultDetail::Compact => Some(BucketSeries::new("packet lag distribution", 0.5)),
+        };
+        for (i, &advertised_cap) in self.advertised.iter().enumerate().skip(1) {
+            let id = NodeId::new(i as u32);
+            let node: &GossipNode = sim.node(id).borrow();
+            let health = node.health().report(end);
+            let protocol_stats = node.stats();
+            let queue = sim.upload_queue(id);
+            let upload_utilization = match queue.capacity() {
+                UploadCapacity::Unlimited => None,
+                UploadCapacity::Limited(_) => {
+                    Some((queue.busy_time().as_secs_f64() / streaming_span.as_secs_f64()).min(1.0))
+                }
+            };
+            let upload_rate_kbps = queue.achieved_rate_bps(streaming_span) / 1_000.0;
+            // Everything else is read: the metrics take the log's arrival
+            // column over instead of copying it while the node still holds it.
+            let log = sim.node_mut(id).borrow_mut().take_receiver_log();
+            let full_metrics = NodeStreamMetrics::from_log(&schedule, log);
+            let metrics = match scenario.detail {
+                ResultDetail::Full => NodeMetrics::Full(full_metrics),
+                ResultDetail::Compact => {
+                    let series = packet_lag_series.as_mut().expect("created above");
+                    for lag in full_metrics.received_packet_lags() {
+                        let secs = lag.as_secs_f64();
+                        series.record(secs, secs);
+                    }
+                    NodeMetrics::Compact(CompactNodeMetrics::from_full(&full_metrics))
+                }
+            };
+            // Simulated clocks cannot run backwards: any anomaly in a
+            // simnet-driven run is a harness bug, not a measurement artefact.
+            debug_assert_eq!(
+                health.clock_anomalies, 0,
+                "node {id} observed arrival-before-publish in simulation"
+            );
+            debug_assert_eq!(
+                metrics.clock_anomalies(),
+                0,
+                "node {id} log contains arrival-before-publish in simulation"
+            );
+            nodes.push(NodeResult {
+                node: id,
+                class: scenario.distribution.class_label(advertised_cap),
+                capability: advertised_cap,
+                crashed: crashed.contains(&id),
+                joined_at: self.join_at[i],
+                free_rider: self.free_rider[i],
+                metrics,
+                health,
+                upload_utilization,
+                upload_rate_kbps,
+                protocol_stats,
+            });
+        }
 
-    ExperimentResult {
-        scenario_name: scenario.name.clone(),
-        schedule,
-        nodes,
-        crashed_count: crashed_nodes.len(),
-        net,
-        health_series: sampler.map(|(series, _, _)| series),
-        packet_lag_series,
+        let stats = sim.stats();
+        let net = NetTotals {
+            messages_sent: stats.total_messages_sent(),
+            messages_delivered: stats.total_messages_delivered(),
+            messages_lost: stats.total_messages_lost(),
+            queue_drops: stats.total_queue_drops(),
+            total_queueing_delay: stats.total_queueing_delay,
+        };
+
+        ExperimentResult {
+            scenario_name: scenario.name.clone(),
+            schedule,
+            nodes,
+            crashed_count: crashed.len(),
+            net,
+            health_series: self.health.map(|(series, _)| series),
+            packet_lag_series,
+        }
     }
 }
 
@@ -546,14 +628,8 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
 /// ~0.5× sequential at paper scale. Otherwise it runs on a pool of one
 /// worker per core ([`run_scenarios_pooled`]).
 pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores <= 1 || scenarios.len() <= 1 {
-        scenarios.iter().map(run_scenario).collect()
-    } else {
-        run_scenarios_pooled(scenarios, cores)
-    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_scenarios_pooled(scenarios, cores)
 }
 
 /// Runs a scenario batch on a pool of `workers` scoped threads that claim
@@ -891,16 +967,7 @@ mod tests {
 
     #[test]
     fn continuous_churn_joins_and_leaves_nodes() {
-        let scenario = quick_scenario(
-            BandwidthDistribution::ref_691(),
-            ProtocolChoice::Heap { fanout: 6.0 },
-            ChurnSpec::Continuous {
-                standby_fraction: 0.2,
-                joins_per_min: 30.0,
-                leaves_per_min: 20.0,
-                detection_secs: 5,
-            },
-        );
+        let scenario = continuous_churn_scenario();
         let result = run_scenario(&scenario);
         // Leaves happened and are reported as crashes.
         assert!(result.crashed_count > 0, "poisson leaves must crash nodes");
@@ -1065,15 +1132,24 @@ mod tests {
         );
     }
 
-    /// Pins a faulted run's crashes: two regional crashes listed out of
-    /// time order, the later one sharing its instant with a catastrophic
-    /// churn crash, beside a partition. The crash events are scheduled by
-    /// time while the survivors' failure-detector draws stay in listed
-    /// order; drawing them in time order instead moves the fingerprint.
-    #[test]
-    fn faulted_crash_order_matches_pinned_fingerprint() {
+    fn continuous_churn_scenario() -> Scenario {
+        quick_scenario(
+            BandwidthDistribution::ref_691(),
+            ProtocolChoice::Heap { fanout: 6.0 },
+            ChurnSpec::Continuous {
+                standby_fraction: 0.2,
+                joins_per_min: 30.0,
+                leaves_per_min: 20.0,
+                detection_secs: 5,
+            },
+        )
+    }
+
+    /// Two regional crashes listed out of time order, the later one sharing
+    /// its instant with a catastrophic churn crash, beside a partition.
+    fn faulted_crash_scenario() -> Scenario {
         use crate::scenario::FaultSpec;
-        let scenario = quick_scenario(
+        quick_scenario(
             BandwidthDistribution::ref_691(),
             ProtocolChoice::Heap { fanout: 6.0 },
             ChurnSpec::Catastrophic {
@@ -1087,7 +1163,16 @@ mod tests {
                 .partition(4.0, 9.0)
                 .regional_crash(3, 12.0, 5)
                 .regional_crash(1, 7.5, 3),
-        );
+        )
+    }
+
+    /// Pins the crashes of [`faulted_crash_scenario`]. The crash events are
+    /// scheduled by time while the survivors' failure-detector draws stay in
+    /// listed order; drawing them in time order instead moves the
+    /// fingerprint.
+    #[test]
+    fn faulted_crash_order_matches_pinned_fingerprint() {
+        let scenario = faulted_crash_scenario();
         assert_eq!(scenario.scale.n_nodes, 40);
         let result = run_scenario(&scenario);
         assert_eq!(result.crashed_count, 24, "two regions plus churn crash");
@@ -1104,5 +1189,98 @@ mod tests {
             ProtocolChoice::Standard { fanout: 3.0 },
         );
         let _ = run_scenario(&scenario);
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler_fraction must be finite and in [0, 1], got 1.5")]
+    fn rejects_straggler_fraction_above_one() {
+        let _ = ScenarioRun::setup(&continuous_churn_scenario().with_stragglers(1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "FreeRiderSpec::fraction must be finite and in [0, 1], got NaN")]
+    fn rejects_free_rider_fraction_nan() {
+        let mut spec = crate::scenario::FreeRiderSpec::default_adversary();
+        spec.fraction = f64::NAN;
+        let _ = ScenarioRun::setup(&continuous_churn_scenario().with_free_riders(spec));
+    }
+
+    type Ctx<'a> = heap_simnet::sim::Context<'a, GossipMessage>;
+
+    /// A minimal wrapping protocol: delegates every callback to its node.
+    struct Wrapped(GossipNode);
+
+    impl Protocol for Wrapped {
+        type Message = GossipMessage;
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.on_start(ctx)
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: GossipMessage) {
+            self.0.on_message(ctx, from, msg)
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: heap_simnet::sim::TimerId, tag: u64) {
+            self.0.on_timer(ctx, timer, tag)
+        }
+        fn on_crash(&mut self, now: SimTime) {
+            self.0.on_crash(now)
+        }
+    }
+
+    impl std::borrow::Borrow<GossipNode> for Wrapped {
+        fn borrow(&self) -> &GossipNode {
+            &self.0
+        }
+    }
+
+    impl BorrowMut<GossipNode> for Wrapped {
+        fn borrow_mut(&mut self) -> &mut GossipNode {
+            &mut self.0
+        }
+    }
+
+    /// Runs `scenario` whole, in one-second slices, in irregular slices
+    /// landing on every stop and a microsecond either side, and wrapped:
+    /// every way must give the same bytes.
+    fn assert_slicing_never_changes_a_byte(scenario: &Scenario) {
+        let whole = run_scenario(scenario).fingerprint();
+        let mut run = ScenarioRun::setup(scenario);
+        let mut t = SimTime::ZERO;
+        while t < run.end() {
+            t += SimDuration::from_secs(1);
+            run.run_until(t);
+        }
+        assert_eq!(run.collect().fingerprint(), whole, "one-second slices");
+
+        let mut run = ScenarioRun::setup(scenario);
+        let (start, bucket) = (run.schedule.start(), scenario.health_series.unwrap());
+        let samples = (1..).map(|k| start + bucket * k);
+        let mut stops: Vec<SimTime> = run.notifications.iter().map(|&(at, _)| at).collect();
+        assert!(!stops.is_empty(), "the scenario must crash nodes");
+        stops.extend(samples.take_while(|&at| at <= run.end()));
+        stops.sort();
+        let micro = SimDuration::from_micros(1);
+        for at in stops {
+            run.run_until(at - micro);
+            run.run_until(at);
+            run.run_until(at - micro);
+            run.run_until(at + micro);
+        }
+        assert_eq!(run.collect().fingerprint(), whole, "irregular slices");
+
+        let wrapped = ScenarioRun::setup_with(scenario, |node| Wrapped(node.build()));
+        assert_eq!(wrapped.collect().fingerprint(), whole, "wrapped protocol");
+    }
+
+    #[test]
+    fn slicing_and_wrapping_never_change_a_byte() {
+        use crate::scenario::FreeRiderSpec;
+        let health = SimDuration::from_secs(5);
+        let faulted = faulted_crash_scenario()
+            .with_free_riders(FreeRiderSpec::default_adversary())
+            .with_health_series(health);
+        assert_slicing_never_changes_a_byte(&faulted);
+        assert_slicing_never_changes_a_byte(
+            &continuous_churn_scenario().with_health_series(health),
+        );
     }
 }
