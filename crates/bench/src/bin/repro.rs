@@ -16,8 +16,8 @@
 //! see `docs/SCALE.md`. It defaults to 100 000 nodes / 2 windows;
 //! `--nodes`/`--windows` override, and `--smoke` selects the CI smoke shape
 //! (100 000 nodes, 1 window). Without `scale`, `--nodes`/`--windows` are a
-//! usage error. A run of `scale` alone heads its output with the campaign's
-//! population and windows.
+//! usage error, as is a shape `Scenario::validate` refuses. A run of `scale`
+//! alone heads its output with the campaign's population and windows.
 //! ```
 //!
 //! Output is plain text: one block per figure with its tables and/or
@@ -176,9 +176,6 @@ fn main() {
         // population and the stream while keeping the chosen seed.
         scale = scale.with_nodes(24).with_windows(2);
     }
-    if !run_scale_campaign && (scale_nodes.is_some() || scale_windows.is_some()) {
-        fail("--nodes and --windows apply only to the 'scale' experiment");
-    }
     // The campaign sizes itself independently of `--scale`: `--smoke`
     // selects the CI smoke shape, `--nodes`/`--windows` override either
     // default. Only the seed is shared with the other experiments.
@@ -192,6 +189,17 @@ fn main() {
     } else {
         SCALE_DEFAULT_WINDOWS
     });
+    // Both shapes pass the scenario check before anything runs.
+    for (n, windows) in [
+        (campaign_nodes, campaign_windows),
+        (scale.n_nodes, scale.n_windows),
+    ] {
+        let shape = scale_campaign::scenario(n, windows, scale.seed);
+        shape.validate().unwrap_or_else(|e| fail(e));
+    }
+    if !run_scale_campaign && (scale_nodes.is_some() || scale_windows.is_some()) {
+        fail("--nodes and --windows apply only to the 'scale' experiment");
+    }
     if wanted.is_empty() && !run_scale_campaign {
         wanted.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string()));
     }

@@ -1,5 +1,6 @@
-//! Command-line surface of `repro`: the header of a scale-only run and the
-//! rejection of campaign-only flags without the campaign.
+//! Command-line surface of `repro`: the header of a scale-only run, the
+//! rejection of campaign-only flags without the campaign, and of shapes the
+//! scenario check refuses.
 
 use std::process::{Command, Output};
 
@@ -36,5 +37,27 @@ fn campaign_flags_without_the_campaign_are_a_usage_error() {
             stderr.contains("only to the 'scale' experiment"),
             "{stderr}"
         );
+    }
+}
+
+#[test]
+fn a_shape_the_scenario_check_refuses_is_a_usage_error() {
+    let refused = [
+        (["--nodes", "0"], "scale.n_nodes is 0"),
+        (["--nodes", "1"], "scale.n_nodes is 1"),
+        (["--windows", "0"], "scale.n_windows is 0"),
+    ];
+    for (shape, message) in refused {
+        for with_campaign in [true, false] {
+            let experiment = if with_campaign { "scale" } else { "table1" };
+            let mut args = vec!["--nodes", "3", "--windows", "1"];
+            args.extend(shape);
+            args.push(experiment);
+            let out = repro(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?} printed a figure");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.starts_with(&format!("error: {message}")), "{stderr}");
+        }
     }
 }

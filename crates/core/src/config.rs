@@ -1,8 +1,99 @@
-//! Protocol configuration.
+//! Protocol configuration, and [`ConfigError`], the one error type every
+//! configuration check returns.
 
 use heap_simnet::bandwidth::Bandwidth;
 use heap_simnet::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why a configuration cannot run: the field at fault (the first element of
+/// every variant) and the rule it breaks. Returned by
+/// [`GossipConfig::validate`], [`PartialMembershipConfig::validate`] and
+/// `heap_workloads::Scenario::validate`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// Fewer nodes than a source and one receiver.
+    TooFewNodes(&'static str, usize),
+    /// A stream of no windows.
+    NoWindows(&'static str),
+    /// A value (a duration in seconds) that is not positive and finite.
+    NotPositive(&'static str, f64),
+    /// A fraction outside its range, `"[0, 1]"` or `"[0, 1)"`.
+    NotAFraction(&'static str, f64, &'static str),
+    /// A rate per minute that is negative, not finite, or so high that its
+    /// arrivals come less than a microsecond apart.
+    NotARate(&'static str, f64),
+    /// An instant or delay, in seconds, outside `[0, MAX_SECS]`.
+    NotAnInstant(&'static str, f64),
+    /// An empty window or range `(start, end)`; a window of time must end
+    /// after it starts in whole microseconds.
+    EmptyWindow(&'static str, f64, f64),
+    /// A list that needs at least one entry has none.
+    EmptyList(&'static str),
+    /// A fault region at or past the region count `(region, regions)`.
+    RegionOutOfRange(&'static str, u32, usize),
+}
+
+impl ConfigError {
+    /// The latest instant, and the longest delay, a configuration may name:
+    /// 10⁹ s keeps set-up's sums far inside the 64-bit microsecond clock.
+    pub const MAX_SECS: f64 = 1e9;
+
+    /// `Err(error)` unless `ok`.
+    pub fn ensure(ok: bool, error: Self) -> Result<(), Self> {
+        ok.then_some(()).ok_or(error)
+    }
+
+    /// Checks that `got` is positive and finite.
+    pub fn positive(field: &'static str, got: f64) -> Result<(), Self> {
+        Self::ensure(got > 0.0 && got.is_finite(), Self::NotPositive(field, got))
+    }
+
+    /// Checks that `got` is in `[0, 1]`, or in `[0, 1)` when `below_one`.
+    pub fn fraction(field: &'static str, got: f64, below_one: bool) -> Result<(), Self> {
+        let (fits, range) = match below_one {
+            true => ((0.0..1.0).contains(&got), "[0, 1)"),
+            false => ((0.0..=1.0).contains(&got), "[0, 1]"),
+        };
+        Self::ensure(fits, Self::NotAFraction(field, got, range))
+    }
+
+    /// Checks that a rate per minute is non-negative and at most one
+    /// arrival per microsecond (6·10⁷) on average.
+    pub fn rate(field: &'static str, got: f64) -> Result<(), Self> {
+        Self::ensure((0.0..=6e7).contains(&got), Self::NotARate(field, got))
+    }
+
+    /// Checks that an instant or delay, in seconds, is within `[0, MAX_SECS]`.
+    pub fn instant(field: &'static str, got: f64) -> Result<(), Self> {
+        let fits = (0.0..=Self::MAX_SECS).contains(&got);
+        Self::ensure(fits, Self::NotAnInstant(field, got))
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ConfigError::*;
+        match *self {
+            TooFewNodes(field, n) => {
+                write!(f, "{field} is {n}: need at least a source and one receiver")
+            }
+            NoWindows(field) => write!(f, "{field} is 0: a run streams at least one window"),
+            NotPositive(field, got) => write!(f, "{field} must be positive and finite, got {got}"),
+            NotAFraction(field, got, range) => write!(f, "{field} must be in {range}, got {got}"),
+            NotARate(field, got) => write!(f, "{field} must be in [0, 1 per µs], got {got}/min"),
+            NotAnInstant(field, got) => {
+                let max = Self::MAX_SECS;
+                write!(f, "{field} must be in [0, {max}] seconds, got {got}")
+            }
+            EmptyWindow(field, start, end) => write!(f, "{field} {start}..{end} is empty"),
+            EmptyList(field) => write!(f, "{field} must not be empty"),
+            RegionOutOfRange(field, region, n) => write!(f, "{field} {region} is not below {n}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Parameters of the gossip dissemination protocol.
 ///
@@ -31,17 +122,6 @@ pub struct GossipConfig {
     pub retransmit_period: SimDuration,
     /// Maximum number of re-requests per proposal (0 disables retransmission).
     pub max_retransmits: u32,
-    /// Serve-side duplicate suppression: a node refuses to re-serve the same
-    /// packet to the same requester if it already served it less than this
-    /// long ago. A requester cannot tell a *lost* [Serve] from one that is
-    /// merely sitting in a congested upload queue, so without this guard a
-    /// retransmitted [Request] duplicates payload traffic exactly when the
-    /// system can least afford it (congestion collapse). `None` disables the
-    /// guard (ablation).
-    ///
-    /// [Serve]: crate::message::GossipMessage::Serve
-    /// [Request]: crate::message::GossipMessage::Request
-    pub serve_dedup_window: Option<SimDuration>,
     /// Fixed per-message overhead (UDP/IP headers plus protocol framing), in
     /// bytes, added to every message.
     pub header_bytes: usize,
@@ -67,7 +147,6 @@ impl GossipConfig {
             aggregation_freshest: 10,
             retransmit_period: SimDuration::from_millis(2_000),
             max_retransmits: 2,
-            serve_dedup_window: Some(SimDuration::from_millis(1_500)),
             header_bytes: 28,
             id_bytes: 8,
             capability_sample_bytes: 10,
@@ -86,28 +165,21 @@ impl GossipConfig {
         self
     }
 
-    /// Validates the configuration, returning a description of the first
-    /// problem found.
+    /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns an error string if a period is zero, the fanout is not
-    /// positive, or aggregation parameters are degenerate.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.gossip_period.is_zero() {
-            return Err("gossip_period must be positive".into());
-        }
-        if self.fanout <= 0.0 || self.fanout.is_nan() {
-            return Err(format!("fanout must be positive, got {}", self.fanout));
-        }
-        if self.aggregation_period.is_zero() {
-            return Err("aggregation_period must be positive".into());
-        }
-        if self.aggregation_freshest == 0 {
-            return Err("aggregation_freshest must be at least 1".into());
-        }
-        if self.max_retransmits > 0 && self.retransmit_period.is_zero() {
-            return Err("retransmit_period must be positive when retransmission is enabled".into());
+    /// Returns the first problem found: a period that is zero, a fanout that
+    /// is not positive and finite, or no capability samples per aggregation
+    /// message.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        E::positive("gossip_period", self.gossip_period.as_secs_f64())?;
+        E::positive("fanout", self.fanout)?;
+        E::positive("aggregation_period", self.aggregation_period.as_secs_f64())?;
+        E::positive("aggregation_freshest", self.aggregation_freshest as f64)?;
+        if self.max_retransmits > 0 {
+            E::positive("retransmit_period", self.retransmit_period.as_secs_f64())?;
         }
         Ok(())
     }
@@ -182,19 +254,13 @@ impl PartialMembershipConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error string if the view is empty, the exchange is empty
-    /// or the shuffle period is zero.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.view_size == 0 {
-            return Err("view_size must be at least 1".into());
-        }
-        if self.shuffle_size == 0 {
-            return Err("shuffle_size must be at least 1".into());
-        }
-        if self.shuffle_period.is_zero() {
-            return Err("shuffle_period must be positive".into());
-        }
-        Ok(())
+    /// Returns the first problem found: an empty view, an empty exchange or
+    /// a zero shuffle period.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        E::positive("view_size", self.view_size as f64)?;
+        E::positive("shuffle_size", self.shuffle_size as f64)?;
+        E::positive("shuffle_period", self.shuffle_period.as_secs_f64())
     }
 }
 
@@ -251,24 +317,23 @@ mod tests {
         assert_eq!(c.max_retransmits, 0);
         assert!(c.validate().is_ok());
 
-        let mut bad = GossipConfig::paper();
-        bad.fanout = 0.0;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::paper();
-        bad.gossip_period = SimDuration::ZERO;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::paper();
-        bad.aggregation_freshest = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::paper();
-        bad.retransmit_period = SimDuration::ZERO;
-        assert!(bad.validate().is_err());
+        let rejects = |field: &'static str, edit: fn(&mut GossipConfig)| {
+            let mut bad = GossipConfig::paper();
+            edit(&mut bad);
+            assert_eq!(bad.validate(), Err(ConfigError::NotPositive(field, 0.0)));
+        };
+        rejects("fanout", |c| c.fanout = 0.0);
+        rejects("gossip_period", |c| c.gossip_period = SimDuration::ZERO);
+        rejects("aggregation_freshest", |c| c.aggregation_freshest = 0);
+        rejects("retransmit_period", |c| {
+            c.retransmit_period = SimDuration::ZERO
+        });
+        rejects("aggregation_period", |c| {
+            c.aggregation_period = SimDuration::ZERO
+        });
         let mut ok = GossipConfig::paper();
         ok.retransmit_period = SimDuration::ZERO;
         ok.max_retransmits = 0;
         assert!(ok.validate().is_ok());
-        let mut bad = GossipConfig::paper();
-        bad.aggregation_period = SimDuration::ZERO;
-        assert!(bad.validate().is_err());
     }
 }

@@ -86,7 +86,7 @@ pub mod retransmit;
 mod serve_dedup;
 
 pub use aggregation::{CapabilityAggregator, CapabilitySample};
-pub use config::{GossipConfig, PartialMembershipConfig};
+pub use config::{ConfigError, GossipConfig, PartialMembershipConfig};
 pub use engine::DisseminationEngine;
 pub use fanout::FanoutPolicy;
 pub use message::GossipMessage;

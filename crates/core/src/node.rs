@@ -174,12 +174,8 @@ impl GossipNodeBuilder {
     /// fraction is the adversary HEAP's capability-proportional fanout is
     /// most exposed to: honest nodes route extra first-hand proposals to a
     /// peer that then under-serves the follow-up requests. The default of
-    /// `1.0` serves everything and changes no behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in [`build`](Self::build)) if the fraction is not within
-    /// `[0, 1]`.
+    /// `1.0` serves everything and changes no behaviour; [`build`](Self::build)
+    /// panics outside `[0, 1]`.
     pub fn serve_fraction(mut self, fraction: f64) -> Self {
         self.serve_fraction = fraction;
         self
@@ -209,8 +205,10 @@ impl GossipNodeBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`GossipConfig::validate`].
+    /// Panics if the configuration fails [`GossipConfig::validate`] or the
+    /// serve fraction is not within `[0, 1]`.
     pub fn build(self) -> GossipNode {
+        // Preconditions for direct callers; scenarios are validated before set-up.
         if let Err(e) = self.config.validate() {
             panic!("invalid gossip configuration: {e}");
         }
@@ -243,7 +241,7 @@ impl GossipNodeBuilder {
             aggregator: CapabilityAggregator::new(self.id, self.capability),
             retransmit: RetransmitTracker::new(),
             stats: ProtocolStats::default(),
-            served: ServeDedup::new(self.config.serve_dedup_window),
+            served: ServeDedup::new(),
             config: self.config,
             next_source_seq: 0,
             serve_fraction: self.serve_fraction,
@@ -288,7 +286,7 @@ pub struct GossipNode {
     join_at: Option<SimTime>,
     /// Whether the node participates yet (always `true` without `join_at`).
     joined: bool,
-    /// Serve-side duplicate suppression over `config.serve_dedup_window`.
+    /// Serve-side duplicate suppression over `SERVE_DEDUP_WINDOW`.
     served: ServeDedup,
     /// The instant of the gossip tick that found nothing to propose and so
     /// left the gossip timer unarmed; `None` while the timer is armed (or
@@ -754,7 +752,7 @@ impl GossipNode {
                 self.stats.requests_received += 1;
                 // Drop ids we already served to this requester very recently: a
                 // re-request whose answer is still queued must not double the
-                // payload traffic (see `GossipConfig::serve_dedup_window`).
+                // payload traffic (see `serve_dedup::SERVE_DEDUP_WINDOW`).
                 let now = ctx.now();
                 let mut fresh_ids: PacketIds = ids
                     .iter()

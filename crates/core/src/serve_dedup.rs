@@ -1,5 +1,7 @@
-//! Serve-side duplicate suppression (see
-//! [`GossipConfig::serve_dedup_window`](crate::config::GossipConfig::serve_dedup_window)).
+//! Serve-side duplicate suppression: a node does not re-serve a packet it
+//! served the same requester less than [`SERVE_DEDUP_WINDOW`] ago. A
+//! requester cannot tell a lost serve from one still queued, so without this
+//! a retransmitted request duplicates payload exactly under congestion.
 
 use heap_simnet::node::NodeId;
 use heap_simnet::time::{SimDuration, SimTime};
@@ -43,6 +45,11 @@ impl Hasher for KeyHasher {
 
 type KeySet = HashSet<(u32, u64), BuildHasherDefault<KeyHasher>>;
 
+/// How long a served `(requester, packet)` pair suppresses a re-serve: less
+/// than the paper's 2 s retransmission period, so a request retransmitted
+/// after a real loss is served again.
+pub(crate) const SERVE_DEDUP_WINDOW: SimDuration = SimDuration::from_millis(1_500);
+
 /// The `(requester, packet)` pairs a node served during the current and the
 /// previous dedup generation, so a retransmitted request does not duplicate
 /// payload that is merely queued.
@@ -53,17 +60,14 @@ type KeySet = HashSet<(u32, u64), BuildHasherDefault<KeyHasher>>;
 /// inserted into, never iterated, so their order cannot reach behaviour.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeDedup {
-    /// `None` disables the guard: nothing is recorded or suppressed.
-    window: Option<SimDuration>,
     recent: KeySet,
     prev: KeySet,
     generation_start: SimTime,
 }
 
 impl ServeDedup {
-    pub(crate) fn new(window: Option<SimDuration>) -> Self {
+    pub(crate) fn new() -> Self {
         ServeDedup {
-            window,
             recent: KeySet::default(),
             prev: KeySet::default(),
             generation_start: SimTime::ZERO,
@@ -77,9 +81,6 @@ impl ServeDedup {
         id: PacketId,
         now: SimTime,
     ) -> bool {
-        let Some(window) = self.window else {
-            return false;
-        };
         // Rotate generations so membership is bounded to ~2 windows of serves.
         // The sets trade places and keep their tables, so a steady serve rate
         // stops allocating after the first rotations. The emptied table is
@@ -87,7 +88,7 @@ impl ServeDedup {
         // serves does not pin its table for the rest of the run. (Reserving
         // that much up front instead would save a few growth steps per node
         // but hold two full tables from the start of every generation.)
-        if now.saturating_since(self.generation_start) >= window {
+        if now.saturating_since(self.generation_start) >= SERVE_DEDUP_WINDOW {
             std::mem::swap(&mut self.prev, &mut self.recent);
             self.recent.clear();
             self.recent.shrink_to(self.prev.len());
@@ -99,9 +100,7 @@ impl ServeDedup {
 
     /// Records that `id` was served to `requester`.
     pub(crate) fn mark_served(&mut self, requester: NodeId, id: PacketId) {
-        if self.window.is_some() {
-            self.recent.insert((requester.as_u32(), id.seq()));
-        }
+        self.recent.insert((requester.as_u32(), id.seq()));
     }
 }
 
@@ -110,8 +109,6 @@ mod tests {
     use super::*;
     use std::hash::BuildHasher;
 
-    const WINDOW: SimDuration = SimDuration::from_millis(1_500);
-
     fn ms(millis: u64) -> SimTime {
         SimTime::from_millis(millis)
     }
@@ -119,7 +116,7 @@ mod tests {
     #[test]
     fn a_serve_is_suppressed_until_the_second_rotation() {
         let (peer, id) = (NodeId::new(3), PacketId::new(40));
-        let mut dedup = ServeDedup::new(Some(WINDOW));
+        let mut dedup = ServeDedup::new();
         // Generation 0 began at time zero; the lookup at 1 s stays in it.
         assert!(!dedup.recently_served(peer, id, ms(1_000)));
         dedup.mark_served(peer, id);
@@ -139,7 +136,7 @@ mod tests {
     #[test]
     fn rotation_happens_on_the_first_lookup_a_window_past_the_generation_start() {
         let peer = NodeId::new(1);
-        let mut dedup = ServeDedup::new(Some(WINDOW));
+        let mut dedup = ServeDedup::new();
         // One tick short of the window: no rotation.
         assert!(!dedup.recently_served(peer, PacketId::new(0), ms(1_499)));
         assert_eq!(dedup.generation_start, SimTime::ZERO);
@@ -163,7 +160,7 @@ mod tests {
     #[test]
     fn rotation_keeps_both_tables() {
         let peer = NodeId::new(2);
-        let mut dedup = ServeDedup::new(Some(WINDOW));
+        let mut dedup = ServeDedup::new();
         for seq in 0..100 {
             dedup.mark_served(peer, PacketId::new(seq));
         }
@@ -186,18 +183,6 @@ mod tests {
         assert!(!dedup.recently_served(peer, PacketId::new(0), ms(4_500)));
         assert!(!dedup.recently_served(peer, PacketId::new(0), ms(6_000)));
         assert!(dedup.recent.capacity() < grown);
-    }
-
-    #[test]
-    fn without_a_window_nothing_is_suppressed_or_stored() {
-        let (peer, id) = (NodeId::new(3), PacketId::new(40));
-        let mut dedup = ServeDedup::new(None);
-        dedup.mark_served(peer, id);
-        for at in [0, 1, 1_500, 10_000] {
-            assert!(!dedup.recently_served(peer, id, ms(at)));
-        }
-        assert!(dedup.recent.is_empty() && dedup.prev.is_empty());
-        assert_eq!(dedup.generation_start, SimTime::ZERO);
     }
 
     /// Keys per bucket over the paper-scale grid, bucketed by `bucket_of`.

@@ -158,21 +158,8 @@ impl Inputs {
     }
 }
 
-/// Prints the seed of a failing run, whichever assertion stopped it (the
-/// aggregator's own debug oracle included).
-struct ReportSeed(u64);
-
-impl Drop for ReportSeed {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("failing case: drive({}, ..)", self.0);
-        }
-    }
-}
-
 /// One differential run: `ops` random operations derived from `seed`.
 fn drive(seed: u64, ops: usize, far_ids: bool) {
-    let _report = ReportSeed(seed);
     let mut inputs = Inputs {
         rng: SmallRng::seed_from_u64(seed),
         clock_secs: 0,

@@ -136,6 +136,7 @@ impl ChurnSchedule {
         exclude: &[u32],
         rng: &mut R,
     ) -> Self {
+        // Precondition for direct callers; scenarios are validated before set-up.
         assert!(
             (0.0..1.0).contains(&fraction),
             "failure fraction must be in [0,1), got {fraction}"
@@ -179,6 +180,7 @@ impl ChurnSchedule {
         exclude: &[u32],
         rng: &mut R,
     ) -> ContinuousChurn {
+        // Preconditions for direct callers; scenarios are validated before set-up.
         assert!(
             (0.0..1.0).contains(&standby_fraction),
             "standby fraction must be in [0,1), got {standby_fraction}"
@@ -272,6 +274,7 @@ impl ChurnSchedule {
         exclude: &[u32],
         rng: &mut R,
     ) -> ContinuousChurn {
+        // Precondition for direct callers; scenarios are validated before set-up.
         assert!(
             (0.0..1.0).contains(&fraction),
             "flash-crowd fraction must be in [0,1), got {fraction}"

@@ -50,6 +50,7 @@ impl PartialView {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(owner: NodeId, capacity: usize) -> Self {
+        // Precondition for direct callers; scenarios are validated before set-up.
         assert!(capacity > 0, "partial view capacity must be positive");
         PartialView {
             owner,

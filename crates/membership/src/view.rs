@@ -58,6 +58,7 @@ impl MembershipView {
     ///
     /// Panics if `owner` is not within `0..n`.
     pub fn full(n: usize, owner: NodeId) -> Self {
+        // Precondition: the owner is excluded from its own peer set by index.
         assert!(owner.index() < n, "owner must be one of the n nodes");
         MembershipView {
             owner,
@@ -167,6 +168,7 @@ impl MembershipView {
     ///
     /// Panics if `rank >= live_peer_count()`.
     pub fn live_peer_at(&self, rank: usize) -> NodeId {
+        // Precondition: past the last live peer there is no answer to give.
         assert!(
             rank < self.live_peer_count(),
             "rank {rank} out of range for {} live peers",

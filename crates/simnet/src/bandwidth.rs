@@ -58,6 +58,7 @@ impl Bandwidth {
     ///
     /// Panics if the bandwidth is zero.
     pub fn transmission_time(self, bytes: usize) -> SimDuration {
+        // Precondition: no finite time sends a byte at 0 bps (scenarios reject it).
         assert!(self.0 > 0, "cannot transmit over a zero-capacity link");
         let bits = bytes as u64 * 8;
         // micros = bits / bps * 1e6, computed in u128 to avoid overflow.

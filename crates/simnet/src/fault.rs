@@ -64,6 +64,7 @@ impl RegionPolicy {
     ///
     /// Panics if `regions` is zero.
     pub fn assign(&self, n: usize, regions: usize, capacities: &[UploadCapacity]) -> Vec<u32> {
+        // Precondition for direct callers; scenarios are validated before set-up.
         assert!(regions >= 1, "need at least one region");
         match self {
             RegionPolicy::RoundRobin => (0..n).map(|i| (i % regions) as u32).collect(),
@@ -140,6 +141,7 @@ impl DiurnalCycle {
     /// Panics if the period is zero, `factors` is empty, or any factor is not
     /// a positive finite number.
     pub fn new(period: SimDuration, factors: Vec<f64>) -> Self {
+        // Preconditions for direct callers; scenarios are validated before set-up.
         assert!(!period.is_zero(), "diurnal period must be positive");
         assert!(
             !factors.is_empty(),
@@ -210,6 +212,7 @@ impl FaultPlan {
     ///
     /// Panics if the window is empty.
     pub fn partition(mut self, start: SimTime, end: SimTime) -> Self {
+        // Precondition for direct callers; scenarios are validated before set-up.
         assert!(start < end, "partition window must be non-empty");
         self.partitions.push(PartitionEpoch { start, end });
         self.partitions.sort_by_key(|e| e.start);

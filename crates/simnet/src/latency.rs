@@ -64,6 +64,7 @@ impl LatencyModel {
     ///
     /// Panics if `min > max`.
     pub fn uniform(min: SimDuration, max: SimDuration) -> Self {
+        // Precondition: sampling draws from `min..=max`.
         assert!(min <= max, "uniform latency requires min <= max");
         LatencyModel::Uniform { min, max }
     }

@@ -52,6 +52,7 @@ impl LossModel {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     pub fn bernoulli(p: f64) -> Self {
+        // Precondition: `p` is drawn against as a probability.
         assert!(
             (0.0..=1.0).contains(&p),
             "loss probability must be in [0,1]"

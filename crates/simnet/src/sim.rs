@@ -105,6 +105,7 @@ impl TimerTable {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
+                // Invariant: slots are reused, and no run holds 2³² live timers.
                 let slot = u32::try_from(self.slots.len()).expect("timer slots exhausted");
                 self.slots.push(TimerSlot {
                     generation: 0,
@@ -458,6 +459,7 @@ impl SimulatorBuilder {
     ///
     /// Panics if `capacities.len()` differs from the number of nodes.
     pub fn capacities(mut self, capacities: Vec<UploadCapacity>) -> Self {
+        // Precondition: node `i` reads its capacity at index `i`.
         assert_eq!(
             capacities.len(),
             self.n,
@@ -477,6 +479,7 @@ impl SimulatorBuilder {
         F: FnMut(NodeId) -> P,
     {
         if self.fault.has_partitions() {
+            // Precondition: a partition looks up both ends' groups by index.
             assert_eq!(
                 self.fault.groups().len(),
                 self.n,
@@ -753,6 +756,7 @@ impl<P: Protocol> Simulator<P> {
     /// Panics if `node` is not one of the simulation's nodes
     /// (`node.index() >= len()`) or if `at` is in the past.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
+        // Preconditions: no crash of a node the run lacks, or in its past.
         assert!(
             node.index() < self.len(),
             "cannot schedule a crash of node {}: the simulation has {} nodes",

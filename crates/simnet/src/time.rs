@@ -49,6 +49,7 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
+        // Precondition: a duration is a non-negative microsecond count.
         assert!(
             secs.is_finite() && secs >= 0.0,
             "duration must be finite and non-negative, got {secs}"

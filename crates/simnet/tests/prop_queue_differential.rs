@@ -166,17 +166,6 @@ impl Retention {
     }
 }
 
-/// Names the run on stderr when an assertion unwinds through it.
-struct FailingRun(&'static str, Horizon, u64);
-
-impl Drop for FailingRun {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("failing run: {}({:?}, seed {})", self.0, self.1, self.2);
-        }
-    }
-}
-
 /// Pops both queues empty, asserting they agree event for event, and
 /// advances `clock` to the latest instant popped.
 fn drain_all(
@@ -201,7 +190,6 @@ fn drain_all(
 /// One differential run: `ops` random operations derived from `seed`.
 /// Returns the latest instant popped.
 fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
-    let _run = FailingRun("drive", horizon, seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     // The latest instant popped so far.
     let mut clock = 0u64;
@@ -312,7 +300,6 @@ fn drive(horizon: Horizon, seed: u64, ops: usize) -> u64 {
 /// real run — are biased toward the drain guard so the intrusion machinery
 /// fires constantly.
 fn drive_batched(horizon: Horizon, seed: u64, ops: usize) -> u64 {
-    let _run = FailingRun("drive_batched", horizon, seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut batched: EventQueue<u64> = EventQueue::new();
     let mut single: BinaryHeapQueue<u64> = BinaryHeapQueue::new();

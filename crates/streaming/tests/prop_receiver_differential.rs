@@ -26,17 +26,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Prints the seed of a failing run, whichever assertion stopped it.
-struct ReportSeed(&'static str, u64);
-
-impl Drop for ReportSeed {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("failing case: {}({}, ..)", self.0, self.1);
-        }
-    }
-}
-
 const COLUMN_EDGE: u64 = u32::MAX as u64;
 
 /// The receive log as it was: one optional arrival per packet.
@@ -126,7 +115,6 @@ fn assert_log_matches(log: &ReceiverLog, model: &LogModel, at: &str) {
 
 /// One differential run of the log: `steps` random records from `seed`.
 fn drive_log(seed: u64, steps: usize) {
-    let _report = ReportSeed("drive_log", seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let total = match rng.gen_range(0u32..8) {
         0 => 0,
@@ -400,7 +388,6 @@ fn any_lag(rng: &mut SmallRng) -> SimDuration {
 
 /// One differential run of the metrics over `rounds` random query rounds.
 fn drive_metrics(seed: u64, rounds: usize) {
-    let _report = ReportSeed("drive_metrics", seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let (schedule, log) = random_case(&mut rng);
     let full = NodeStreamMetrics::compute(&schedule, &log);
@@ -544,7 +531,6 @@ fn drive_metrics(seed: u64, rounds: usize) {
 /// One differential run of the metrics that take the log over against the
 /// ones that copy it, over `rounds` random query rounds.
 fn drive_from_log(seed: u64, rounds: usize) {
-    let _report = ReportSeed("drive_from_log", seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let (schedule, log) = random_case(&mut rng);
     let copied = NodeStreamMetrics::compute(&schedule, &log);

@@ -197,6 +197,7 @@ impl BandwidthDistribution {
                 }
                 // Rounding may leave us short or long; fix up with the most
                 // common class (the first by convention: poorest nodes).
+                // Preconditions for direct callers; scenarios are validated before set-up.
                 let filler = classes
                     .iter()
                     .max_by(|a, b| a.fraction.partial_cmp(&b.fraction).expect("finite"))

@@ -31,6 +31,7 @@ pub mod scale;
 pub mod scenario;
 
 pub use bandwidth_dist::{BandwidthClass, BandwidthDistribution};
+pub use heap_gossip::ConfigError;
 pub use runner::{
     run_scenario, run_scenarios_parallel, run_scenarios_pooled, ExperimentResult, NetTotals,
     NodeResult, ScenarioRun,

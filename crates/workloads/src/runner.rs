@@ -7,13 +7,15 @@
 //! notification (samples first at equal instants); **collection** runs the
 //! remainder and reads every receiver's results. The stops are the run's
 //! own, so however a caller slices the run, the result is the same to the
-//! byte. [`run_scenario`] is set-up followed by collection.
+//! byte. Set-up first asks [`Scenario::validate`] whether the scenario can
+//! run, and returns its [`ConfigError`] if not. [`run_scenario`] is set-up
+//! followed by collection.
 
 use crate::scenario::{ChurnSpec, ResultDetail, Scenario};
 use heap_analytics::BucketSeries;
 use heap_gossip::fanout::FanoutPolicy;
 use heap_gossip::node::{GossipNode, GossipNodeBuilder, ProtocolStats, Role};
-use heap_gossip::GossipMessage;
+use heap_gossip::{ConfigError, GossipMessage};
 use heap_membership::churn::{ChurnSchedule, ContinuousChurn};
 use heap_simnet::bandwidth::{Bandwidth, UploadCapacity};
 use heap_simnet::fault::FaultPlan;
@@ -154,13 +156,20 @@ impl ExperimentResult {
 }
 
 /// Runs a scenario to completion and collects per-node results: set-up,
-/// then collection ([`ScenarioRun`]). Panics as [`ScenarioRun::setup_with`]
-/// does.
+/// then collection ([`ScenarioRun`]).
 ///
 /// The simulation is fully deterministic for a given scenario (including its
 /// [`Scale::seed`](crate::scale::Scale)).
+///
+/// # Panics
+///
+/// Panics with the [`ConfigError`] if the scenario fails
+/// [`Scenario::validate`]; [`ScenarioRun::setup`] is the `Result` form.
 pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
-    ScenarioRun::setup(scenario).collect()
+    match ScenarioRun::setup(scenario) {
+        Ok(run) => run.collect(),
+        Err(e) => panic!("invalid scenario '{}': {e}", scenario.name),
+    }
 }
 
 /// One scenario run between its phases (see the [module docs](self)):
@@ -186,20 +195,14 @@ pub struct ScenarioRun<'s, P: Protocol = GossipNode> {
 }
 
 impl<'s> ScenarioRun<'s> {
-    /// Sets `scenario` up on plain [`GossipNode`]s; panics as
-    /// [`ScenarioRun::setup_with`] does.
-    pub fn setup(scenario: &'s Scenario) -> Self {
+    /// Sets `scenario` up on plain [`GossipNode`]s.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] of [`Scenario::validate`].
+    pub fn setup(scenario: &'s Scenario) -> Result<Self, ConfigError> {
         Self::setup_with(scenario, GossipNodeBuilder::build)
     }
-}
-
-/// Rejects a scenario fraction that is not finite or not in `[0, 1]`,
-/// naming the field.
-fn assert_fraction(name: &str, fraction: f64) {
-    assert!(
-        fraction.is_finite() && (0.0..=1.0).contains(&fraction),
-        "{name} must be finite and in [0, 1], got {fraction}"
-    );
 }
 
 impl<'s, P> ScenarioRun<'s, P>
@@ -210,24 +213,16 @@ where
     /// node's configured builder and finishes it, so a caller can time
     /// construction or wrap the node.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the scale has fewer than two nodes, if
-    /// [`Scenario::straggler_fraction`] or a free-rider fraction is not
-    /// finite and in `[0, 1]`, or if the gossip configuration is invalid.
+    /// Returns the [`ConfigError`] of [`Scenario::validate`], checked before
+    /// anything is drawn or built.
     pub fn setup_with(
         scenario: &'s Scenario,
         mut make_node: impl FnMut(GossipNodeBuilder) -> P,
-    ) -> Self {
+    ) -> Result<Self, ConfigError> {
+        scenario.validate()?;
         let scale = scenario.scale;
-        assert!(
-            scale.n_nodes >= 2,
-            "need at least a source and one receiver"
-        );
-        assert_fraction("straggler_fraction", scenario.straggler_fraction);
-        if let Some(spec) = scenario.free_riders {
-            assert_fraction("FreeRiderSpec::fraction", spec.fraction);
-        }
         let n = scale.n_nodes;
         let mut setup_rng = stream_rng(scale.seed, 0xC0FF_EE00);
 
@@ -450,7 +445,7 @@ where
                 schedule.start() + bucket,
             )
         });
-        ScenarioRun {
+        Ok(ScenarioRun {
             scenario,
             sim,
             schedule,
@@ -460,7 +455,7 @@ where
             notifications,
             notified: 0,
             health,
-        }
+        })
     }
 
     /// When the run ends: the stream's end plus the scenario's drain time.
@@ -1179,30 +1174,139 @@ mod tests {
         assert_eq!(result.fingerprint(), 17598049625996853567);
     }
 
+    /// One bad scenario per row, with the error set-up must return before
+    /// drawing or building anything.
     #[test]
-    #[should_panic(expected = "at least a source and one receiver")]
-    fn rejects_degenerate_scale() {
-        let scenario = Scenario::new(
-            "bad",
-            Scale::test().with_nodes(1),
-            BandwidthDistribution::unconstrained(),
-            ProtocolChoice::Standard { fanout: 3.0 },
-        );
-        let _ = run_scenario(&scenario);
-    }
-
-    #[test]
-    #[should_panic(expected = "straggler_fraction must be finite and in [0, 1], got 1.5")]
-    fn rejects_straggler_fraction_above_one() {
-        let _ = ScenarioRun::setup(&continuous_churn_scenario().with_stragglers(1.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "FreeRiderSpec::fraction must be finite and in [0, 1], got NaN")]
-    fn rejects_free_rider_fraction_nan() {
-        let mut spec = crate::scenario::FreeRiderSpec::default_adversary();
-        spec.fraction = f64::NAN;
-        let _ = ScenarioRun::setup(&continuous_churn_scenario().with_free_riders(spec));
+    fn setup_rejects_each_bad_scenario_with_its_error() {
+        use crate::scenario::{FaultSpec, FreeRiderSpec, RegionalCrash};
+        use ConfigError::*;
+        let base = continuous_churn_scenario;
+        let faulted = |spec: FaultSpec| base().with_fault(spec);
+        let riders = |edit: fn(&mut FreeRiderSpec)| {
+            let mut spec = FreeRiderSpec::default_adversary();
+            edit(&mut spec);
+            base().with_free_riders(spec)
+        };
+        let churned = |churn: ChurnSpec| base().with_churn(churn);
+        let mut pushed = FaultSpec::regions(2);
+        pushed.regional_crashes.push(RegionalCrash {
+            region: 5,
+            at_secs: 6.0,
+            detection_secs: 5,
+        });
+        let (closed, below_one) = ("[0, 1]", "[0, 1)");
+        let rows: Vec<(Scenario, ConfigError)> = vec![
+            (
+                Scenario {
+                    scale: Scale::test().with_nodes(1),
+                    ..base()
+                },
+                TooFewNodes("scale.n_nodes", 1),
+            ),
+            (
+                Scenario {
+                    scale: Scale::test().with_windows(0),
+                    ..base()
+                },
+                NoWindows("scale.n_windows"),
+            ),
+            (
+                base().with_stragglers(1.5),
+                NotAFraction("straggler_fraction", 1.5, closed),
+            ),
+            (
+                riders(|spec| spec.fraction = f64::NAN),
+                NotAFraction("free_riders.fraction", f64::NAN, closed),
+            ),
+            (
+                riders(|spec| spec.serve_fraction = 1.5),
+                NotAFraction("free_riders.serve_fraction", 1.5, closed),
+            ),
+            (
+                riders(|spec| spec.actual = Bandwidth::from_bps(0)),
+                NotPositive("free_riders.actual", 0.0),
+            ),
+            (
+                churned(ChurnSpec::Catastrophic {
+                    fraction: 1.0,
+                    at_secs: 4,
+                    detection_secs: 5,
+                }),
+                NotAFraction("churn.fraction", 1.0, below_one),
+            ),
+            (
+                churned(ChurnSpec::Continuous {
+                    standby_fraction: 0.2,
+                    joins_per_min: f64::INFINITY,
+                    leaves_per_min: 20.0,
+                    detection_secs: 5,
+                }),
+                NotARate("churn.joins_per_min", f64::INFINITY),
+            ),
+            (
+                base().with_health_series(SimDuration::ZERO),
+                NotPositive("health_series", 0.0),
+            ),
+            (
+                faulted(FaultSpec::regions(0)),
+                NotPositive("fault.regions", 0.0),
+            ),
+            (
+                faulted(FaultSpec::regions(2).regional_crash(2, 60.0, 10)),
+                RegionOutOfRange("fault.regional_crashes.region", 2, 2),
+            ),
+            (
+                faulted(pushed),
+                RegionOutOfRange("fault.regional_crashes.region", 5, 2),
+            ),
+            (
+                faulted(FaultSpec::regions(2).partition(-1.0, 10.0)),
+                NotAnInstant("fault.partitions.start_secs", -1.0),
+            ),
+            (
+                faulted(FaultSpec::regions(2).partition(5.0, f64::INFINITY)),
+                NotAnInstant("fault.partitions.end_secs", f64::INFINITY),
+            ),
+            (
+                faulted(FaultSpec::regions(2).partition(5.0, 5.0000001)),
+                EmptyWindow("fault.partitions", 5.0, 5.0000001),
+            ),
+            (
+                faulted(FaultSpec::regions(2).regional_crash(1, -3.0, 10)),
+                NotAnInstant("fault.regional_crashes.at_secs", -3.0),
+            ),
+            (
+                faulted(FaultSpec::regions(2).regional_crash(1, f64::NAN, 10)),
+                NotAnInstant("fault.regional_crashes.at_secs", f64::NAN),
+            ),
+            (
+                faulted(FaultSpec::regions(1).diurnal(0.0, vec![1.0, 0.5])),
+                NotPositive("fault.diurnal.period_secs", 0.0),
+            ),
+            (
+                faulted(FaultSpec::regions(1).diurnal(-20.0, vec![1.0, 0.5])),
+                NotAnInstant("fault.diurnal.period_secs", -20.0),
+            ),
+            (
+                faulted(FaultSpec::regions(1).diurnal(f64::NAN, vec![1.0, 0.5])),
+                NotAnInstant("fault.diurnal.period_secs", f64::NAN),
+            ),
+            (
+                faulted(FaultSpec::regions(1).diurnal(10.0, vec![])),
+                EmptyList("fault.diurnal.factors"),
+            ),
+            (
+                faulted(FaultSpec::regions(1).diurnal(10.0, vec![1.0, 0.0])),
+                NotPositive("fault.diurnal.factors", 0.0),
+            ),
+        ];
+        for (scenario, expected) in rows {
+            // Debug, not `==`: a NaN field must match a NaN row.
+            let got = ScenarioRun::setup(&scenario)
+                .err()
+                .map(|e| format!("{e:?}"));
+            assert_eq!(got, Some(format!("{expected:?}")));
+        }
     }
 
     type Ctx<'a> = heap_simnet::sim::Context<'a, GossipMessage>;
@@ -1243,7 +1347,7 @@ mod tests {
     /// every way must give the same bytes.
     fn assert_slicing_never_changes_a_byte(scenario: &Scenario) {
         let whole = run_scenario(scenario).fingerprint();
-        let mut run = ScenarioRun::setup(scenario);
+        let mut run = ScenarioRun::setup(scenario).expect("a valid scenario");
         let mut t = SimTime::ZERO;
         while t < run.end() {
             t += SimDuration::from_secs(1);
@@ -1251,7 +1355,7 @@ mod tests {
         }
         assert_eq!(run.collect().fingerprint(), whole, "one-second slices");
 
-        let mut run = ScenarioRun::setup(scenario);
+        let mut run = ScenarioRun::setup(scenario).expect("a valid scenario");
         let (start, bucket) = (run.schedule.start(), scenario.health_series.unwrap());
         let samples = (1..).map(|k| start + bucket * k);
         let mut stops: Vec<SimTime> = run.notifications.iter().map(|&(at, _)| at).collect();
@@ -1268,7 +1372,11 @@ mod tests {
         assert_eq!(run.collect().fingerprint(), whole, "irregular slices");
 
         let wrapped = ScenarioRun::setup_with(scenario, |node| Wrapped(node.build()));
-        assert_eq!(wrapped.collect().fingerprint(), whole, "wrapped protocol");
+        assert_eq!(
+            wrapped.expect("a valid scenario").collect().fingerprint(),
+            whole,
+            "wrapped protocol"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::bandwidth_dist::BandwidthDistribution;
 use crate::scale::Scale;
-use heap_gossip::config::GossipConfig;
+use heap_gossip::config::{ConfigError, GossipConfig};
 use heap_gossip::fanout::FanoutPolicy;
 use heap_simnet::bandwidth::Bandwidth;
 use heap_simnet::fault::RegionPolicy;
@@ -241,9 +241,9 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// A fault spec with `regions` contiguous fault regions and no faults
-    /// yet; chain the builder methods to add them.
+    /// yet; chain the builder methods to add them. Set-up checks the spec
+    /// ([`Scenario::validate`]), not the builders.
     pub fn regions(regions: usize) -> Self {
-        assert!(regions >= 1, "a fault spec needs at least one region");
         FaultSpec {
             regions,
             region_policy: RegionPolicy::Contiguous,
@@ -260,18 +260,7 @@ impl FaultSpec {
     }
 
     /// Adds a partition window (seconds from the stream start).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either bound is negative or not finite, or if the window
-    /// does not heal after it starts.
     pub fn partition(mut self, start_secs: f64, end_secs: f64) -> Self {
-        assert_secs("partition start_secs", start_secs);
-        assert_secs("partition end_secs", end_secs);
-        assert!(
-            end_secs > start_secs,
-            "partition must heal after it starts ({start_secs}..{end_secs})"
-        );
         self.partitions.push(PartitionWindow {
             start_secs,
             end_secs,
@@ -280,18 +269,7 @@ impl FaultSpec {
     }
 
     /// Adds a correlated crash of one fault region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range or `at_secs` is negative or not
-    /// finite.
     pub fn regional_crash(mut self, region: u32, at_secs: f64, detection_secs: u64) -> Self {
-        assert!(
-            (region as usize) < self.regions,
-            "region {region} out of range (have {} regions)",
-            self.regions
-        );
-        assert_secs("regional_crash at_secs", at_secs);
         self.regional_crashes.push(RegionalCrash {
             region,
             at_secs,
@@ -301,21 +279,7 @@ impl FaultSpec {
     }
 
     /// Sets diurnal bandwidth cycling.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `period_secs` is finite and at least one microsecond,
-    /// and `factors` is non-empty with every factor positive and finite.
     pub fn diurnal(mut self, period_secs: f64, factors: Vec<f64>) -> Self {
-        assert!(
-            period_secs.is_finite() && period_secs >= 1e-6,
-            "diurnal period_secs must be finite and at least 1 µs, got {period_secs}"
-        );
-        assert!(!factors.is_empty(), "diurnal needs at least one factor");
-        assert!(
-            factors.iter().all(|f| f.is_finite() && *f > 0.0),
-            "diurnal factors must be positive and finite, got {factors:?}"
-        );
         self.diurnal = Some(DiurnalSpec {
             period_secs,
             factors,
@@ -328,15 +292,41 @@ impl FaultSpec {
     pub fn needs_regions(&self) -> bool {
         !self.partitions.is_empty() || !self.regional_crashes.is_empty()
     }
-}
 
-/// Rejects an instant of a [`FaultSpec`] builder that is negative or not
-/// finite, naming the argument.
-fn assert_secs(name: &str, secs: f64) {
-    assert!(
-        secs.is_finite() && secs >= 0.0,
-        "{name} must be finite and non-negative, got {secs}"
-    );
+    /// The fault half of [`Scenario::validate`].
+    fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        E::positive("fault.regions", self.regions as f64)?;
+        for window in &self.partitions {
+            let (start, end) = (window.start_secs, window.end_secs);
+            E::instant("fault.partitions.start_secs", start)?;
+            E::instant("fault.partitions.end_secs", end)?;
+            let heals = SimDuration::from_secs_f64(end) > SimDuration::from_secs_f64(start);
+            E::ensure(heals, E::EmptyWindow("fault.partitions", start, end))?;
+        }
+        for crash in &self.regional_crashes {
+            let (region, regions) = (crash.region, self.regions);
+            let out_of_range =
+                E::RegionOutOfRange("fault.regional_crashes.region", region, regions);
+            E::ensure((region as usize) < regions, out_of_range)?;
+            E::instant("fault.regional_crashes.at_secs", crash.at_secs)?;
+            let detection = crash.detection_secs as f64;
+            E::instant("fault.regional_crashes.detection_secs", detection)?;
+        }
+        if let Some(diurnal) = &self.diurnal {
+            let (field, period) = ("fault.diurnal.period_secs", diurnal.period_secs);
+            E::instant(field, period)?;
+            // The simulator's clock ticks in whole microseconds.
+            let ticks = !SimDuration::from_secs_f64(period).is_zero();
+            E::ensure(ticks, E::NotPositive(field, period))?;
+            let factors = &diurnal.factors;
+            E::ensure(!factors.is_empty(), E::EmptyList("fault.diurnal.factors"))?;
+            for &factor in factors {
+                E::positive("fault.diurnal.factors", factor)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A free-rider adversary population: a fraction of the receivers advertises
@@ -560,6 +550,92 @@ impl Scenario {
             heap_streaming::source::StreamConfig::paper(self.scale.n_windows).stream_duration();
         stream + SimDuration::from_secs(60)
     }
+
+    /// Decides whether the scenario can run: the one check between a
+    /// caller's input and the simulator, made first by
+    /// [`ScenarioRun::setup`](crate::runner::ScenarioRun::setup).
+    ///
+    /// # Errors
+    ///
+    /// The first field at fault (`docs/ARCHITECTURE.md`, "Input boundary").
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        let n = self.scale.n_nodes;
+        E::ensure(n >= 2, E::TooFewNodes("scale.n_nodes", n))?;
+        E::ensure(self.scale.n_windows >= 1, E::NoWindows("scale.n_windows"))?;
+        match &self.distribution {
+            BandwidthDistribution::Unconstrained => {}
+            BandwidthDistribution::Classes { classes, .. } => {
+                E::ensure(!classes.is_empty(), E::EmptyList("distribution.classes"))?;
+                for class in classes {
+                    E::fraction("distribution.classes.fraction", class.fraction, false)?;
+                    E::positive("distribution.classes.capability", bps(class.capability))?;
+                }
+            }
+            BandwidthDistribution::Uniform { min, max, .. } => {
+                E::positive("distribution.min", bps(*min))?;
+                E::ensure(
+                    min <= max,
+                    E::EmptyWindow("distribution", bps(*min), bps(*max)),
+                )?;
+            }
+        }
+        E::positive("source_capability", bps(self.source_capability))?;
+        E::positive("protocol.fanout", self.protocol.fanout())?;
+        self.gossip.validate()?;
+        if let Some(partial) = self.membership.partial_config() {
+            partial.validate()?;
+        }
+        E::fraction("straggler_fraction", self.straggler_fraction, false)?;
+        if let Some(bucket) = self.health_series {
+            E::positive("health_series", bucket.as_secs_f64())?;
+        }
+        if let Some(spec) = self.free_riders {
+            E::fraction("free_riders.fraction", spec.fraction, false)?;
+            E::fraction("free_riders.serve_fraction", spec.serve_fraction, false)?;
+            E::positive("free_riders.advertised", bps(spec.advertised))?;
+            E::positive("free_riders.actual", bps(spec.actual))?;
+        }
+        // The fractions, rates and instants the churn plan draws from.
+        match self.churn {
+            ChurnSpec::None => {}
+            ChurnSpec::Catastrophic {
+                fraction,
+                at_secs,
+                detection_secs,
+            } => {
+                E::fraction("churn.fraction", fraction, true)?;
+                E::instant("churn.at_secs", at_secs as f64)?;
+                E::instant("churn.detection_secs", detection_secs as f64)?;
+            }
+            ChurnSpec::Continuous {
+                standby_fraction,
+                joins_per_min,
+                leaves_per_min,
+                detection_secs,
+            } => {
+                E::fraction("churn.standby_fraction", standby_fraction, true)?;
+                E::rate("churn.joins_per_min", joins_per_min)?;
+                E::rate("churn.leaves_per_min", leaves_per_min)?;
+                E::instant("churn.detection_secs", detection_secs as f64)?;
+            }
+            ChurnSpec::FlashCrowd {
+                fraction,
+                at_secs,
+                spread_secs,
+            } => {
+                E::fraction("churn.fraction", fraction, true)?;
+                E::instant("churn.at_secs", at_secs as f64)?;
+                E::instant("churn.spread_secs", spread_secs as f64)?;
+            }
+        }
+        self.fault.as_ref().map_or(Ok(()), FaultSpec::validate)
+    }
+}
+
+/// A bandwidth in bits per second, as a checked value.
+fn bps(bandwidth: Bandwidth) -> f64 {
+    bandwidth.as_bps() as f64
 }
 
 #[cfg(test)]
@@ -626,60 +702,6 @@ mod tests {
         assert!(!FaultSpec::regions(1)
             .diurnal(10.0, vec![0.5])
             .needs_regions());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn fault_spec_rejects_out_of_range_region() {
-        let _ = FaultSpec::regions(2).regional_crash(2, 60.0, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition start_secs must be finite and non-negative, got -1")]
-    fn fault_spec_rejects_negative_partition_start() {
-        let _ = FaultSpec::regions(2).partition(-1.0, 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition end_secs must be finite and non-negative, got inf")]
-    fn fault_spec_rejects_non_finite_partition_end() {
-        let _ = FaultSpec::regions(2).partition(5.0, f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "regional_crash at_secs must be finite and non-negative, got -3")]
-    fn fault_spec_rejects_negative_crash_instant() {
-        let _ = FaultSpec::regions(2).regional_crash(1, -3.0, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "regional_crash at_secs must be finite and non-negative, got NaN")]
-    fn fault_spec_rejects_non_finite_crash_instant() {
-        let _ = FaultSpec::regions(2).regional_crash(1, f64::NAN, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "diurnal period_secs must be finite and at least 1 µs, got 0")]
-    fn fault_spec_rejects_zero_diurnal_period() {
-        let _ = FaultSpec::regions(1).diurnal(0.0, vec![1.0, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diurnal period_secs must be finite and at least 1 µs, got -20")]
-    fn fault_spec_rejects_negative_diurnal_period() {
-        let _ = FaultSpec::regions(1).diurnal(-20.0, vec![1.0, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diurnal period_secs must be finite and at least 1 µs, got NaN")]
-    fn fault_spec_rejects_non_finite_diurnal_period() {
-        let _ = FaultSpec::regions(1).diurnal(f64::NAN, vec![1.0, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diurnal factors must be positive and finite, got [1.0, 0.0]")]
-    fn fault_spec_rejects_non_positive_diurnal_factor() {
-        let _ = FaultSpec::regions(1).diurnal(10.0, vec![1.0, 0.0]);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!
 //! Unlike real proptest there is no shrinking and no failure persistence:
 //! each test draws `cases` deterministic samples (seeded from the module
-//! path and line, so distinct tests see distinct streams) and runs the body,
-//! with `prop_assert*` mapping to the std `assert*` macros.
+//! path and the test's name, so distinct tests see distinct streams) and
+//! runs the body, with `prop_assert*` mapping to the std `assert*` macros.
+//! A panicking case prints each drawn argument (`Debug`), which replays it.
 
 pub mod strategy {
     //! The value-generation abstraction.
@@ -213,6 +214,17 @@ pub mod test_runner {
         }
         TestRng::seed_from_u64(h)
     }
+
+    /// Runs its closure when a panic unwinds through it.
+    pub struct OnPanic<F: FnMut()>(pub F);
+
+    impl<F: FnMut()> Drop for OnPanic<F> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                (self.0)();
+            }
+        }
+    }
 }
 
 pub use test_runner::Config as ProptestConfig;
@@ -315,6 +327,16 @@ macro_rules! __proptest_run {
         let __config: $crate::ProptestConfig = $cfg;
         let mut __rng = $crate::test_runner::rng_for(module_path!(), stringify!($tname));
         for __case in 0..__config.cases {
+            // On a panic, redraw the case's arguments from the RNG's copy.
+            let __case_rng = __rng.clone();
+            let __report = $crate::test_runner::OnPanic(|| {
+                let mut __rng = __case_rng.clone();
+                eprintln!("proptest: {} failed at case {}:", stringify!($tname), __case);
+                $(
+                    let __value = $crate::strategy::Strategy::sample(&($pstrat), &mut __rng);
+                    eprintln!("    {} = {:?}", stringify!($ppat), __value);
+                )*
+            });
             $( let $ppat = $crate::strategy::Strategy::sample(&($pstrat), &mut __rng); )*
             $body
         }

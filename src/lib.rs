@@ -10,7 +10,7 @@
 //! * [`membership`] — peer sampling and churn schedules.
 //! * [`fec`] — systematic Reed–Solomon forward error correction.
 //! * [`streaming`] — the video-streaming application substrate.
-//! * [`analytics`] — CDFs, percentiles and per-class summaries.
+//! * [`analytics`] — CDFs, percentiles, text tables and series.
 //! * [`workloads`] — scenario definitions reproducing every figure and table.
 
 #![forbid(unsafe_code)]
