@@ -32,6 +32,9 @@ pub enum ConfigError {
     EmptyList(&'static str),
     /// A fault region at or past the region count `(region, regions)`.
     RegionOutOfRange(&'static str, u32, usize),
+    /// A stream of 2³² packets or more (the window count): packet ids are
+    /// packed into 32 bits.
+    StreamTooLong(&'static str, u64),
 }
 
 impl ConfigError {
@@ -89,6 +92,9 @@ impl fmt::Display for ConfigError {
             EmptyWindow(field, start, end) => write!(f, "{field} {start}..{end} is empty"),
             EmptyList(field) => write!(f, "{field} must not be empty"),
             RegionOutOfRange(field, region, n) => write!(f, "{field} {region} is not below {n}"),
+            StreamTooLong(field, windows) => {
+                write!(f, "{field} is {windows}: the stream reaches 2^32 packets")
+            }
         }
     }
 }

@@ -16,7 +16,7 @@ use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
 use crate::message::GossipMessage;
 use crate::packet_ids::PacketIds;
-use crate::retransmit::{RetransmitTracker, RETRANSMIT_TAG_BASE};
+use crate::retransmit::{PendingRequest, RetransmitTracker, RETRANSMIT_TAG_BASE};
 use crate::serve_dedup::ServeDedup;
 use heap_membership::partial::PartialView;
 use heap_membership::sampler::{Targets, UniformSampler};
@@ -373,6 +373,18 @@ impl GossipNode {
         &self.aggregator
     }
 
+    /// Resident heap bytes of the retransmission queue
+    /// ([`RetransmitTracker::heap_bytes`]).
+    pub fn retransmit_heap_bytes(&self) -> usize {
+        self.retransmit.heap_bytes()
+    }
+
+    /// Resident heap bytes of the serve-dedup tables: the two generations of
+    /// `(requester, packet)` pairs served within the dedup window.
+    pub fn serve_dedup_heap_bytes(&self) -> usize {
+        self.served.heap_bytes()
+    }
+
     /// The node's membership view.
     pub fn view(&self) -> &MembershipView {
         &self.view
@@ -588,20 +600,22 @@ impl GossipNode {
                 missing,
                 pending.retries_left - 1,
                 now + self.config.retransmit_period,
+                |p| answered(&self.engine, p),
             );
         }
-        // A delivered packet stays delivered, so an answered request would
-        // only ever be discarded when it falls due: discard it now instead.
-        // Every queued id lies in the stream (`handle_propose` drops the
-        // rest), so "answered" is "every id delivered".
-        let engine = &self.engine;
-        if let Some(due) = self
-            .retransmit
-            .rearm(|p| p.ids.iter().all(|id| engine.is_delivered(id)))
-        {
+        if let Some(due) = self.retransmit.rearm(|p| answered(&self.engine, p)) {
             self.arm_retransmit_timer(ctx, due);
         }
     }
+}
+
+/// Whether every id of `request` has been delivered. A delivered packet
+/// stays delivered, so an answered request would only ever be discarded when
+/// it falls due; the tracker discards it earlier instead. Every queued id
+/// lies in the stream (`handle_propose` drops the rest), so "answered" is
+/// "every id delivered".
+fn answered(engine: &DisseminationEngine, request: &PendingRequest) -> bool {
+    request.ids.iter().all(|id| engine.is_delivered(id))
 }
 
 /// Sends `msg` to every target: a clone to all but the last, which takes the
@@ -739,9 +753,10 @@ impl GossipNode {
                     self.stats.requests_sent += 1;
                     if self.config.max_retransmits > 0 {
                         let due = ctx.now() + self.config.retransmit_period;
-                        if let Some(due) =
-                            self.retransmit
-                                .push(from, wanted, self.config.max_retransmits, due)
+                        let retries = self.config.max_retransmits;
+                        if let Some(due) = self
+                            .retransmit
+                            .push(from, wanted, retries, due, |p| answered(&self.engine, p))
                         {
                             self.arm_retransmit_timer(ctx, due);
                         }

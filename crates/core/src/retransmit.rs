@@ -12,13 +12,19 @@
 //! armed at the front's deadline rather than one timer per request. The
 //! tracker decides when that timer is armed:
 //! - [`push`] returns the instant to arm it at when it is not armed yet;
+//!   before it would grow the queue, it drops every answered request
+//!   wherever it stands, so the queue's size follows the requests still
+//!   unanswered, not every request made within the last period;
 //! - when it fires, the node pops every request due by then ([`pop_due`]);
 //!   requests it re-queues meanwhile arm nothing;
 //! - [`rearm`] then drops the answered requests now at the front and returns
 //!   the deadline of the first one still waiting, if any.
 //!
 //! A request answered before its deadline therefore costs an event only if
-//! it is still at the front when the timer fires.
+//! it is still at the front when the timer fires. Dropping it earlier, on
+//! a push, changes nothing the timer does: it stays armed at the deadline
+//! it was armed at, and an answered request found at its deadline would
+//! have been skipped anyway.
 //!
 //! [Request]: crate::message::GossipMessage::Request
 //! [Serve]: crate::message::GossipMessage::Serve
@@ -49,22 +55,26 @@ pub struct PendingRequest {
 /// # Examples
 ///
 /// ```
-/// use heap_gossip::retransmit::RetransmitTracker;
+/// use heap_gossip::retransmit::{PendingRequest, RetransmitTracker};
 /// use heap_simnet::node::NodeId;
 /// use heap_simnet::time::SimTime;
 /// use heap_streaming::PacketId;
 ///
 /// let mut tracker = RetransmitTracker::new();
 /// let (t2, t3) = (SimTime::from_secs(2), SimTime::from_secs(3));
+/// // Nothing is answered yet.
+/// let answered = |_: &PendingRequest| false;
 /// // The first request arms the timer; the second waits behind it.
-/// assert_eq!(tracker.push(NodeId::new(3), vec![PacketId::new(0)], 2, t2), Some(t2));
-/// assert_eq!(tracker.push(NodeId::new(4), vec![PacketId::new(1)], 2, t3), None);
+/// let first = tracker.push(NodeId::new(3), vec![PacketId::new(0)], 2, t2, answered);
+/// assert_eq!(first, Some(t2));
+/// let second = tracker.push(NodeId::new(4), vec![PacketId::new(1)], 2, t3, answered);
+/// assert_eq!(second, None);
 /// // The timer fires at 2 s: one request is due.
 /// let pending = tracker.pop_due(t2).unwrap();
 /// assert_eq!((pending.proposer, pending.retries_left), (NodeId::new(3), 2));
 /// assert!(tracker.pop_due(t2).is_none(), "the other is due at 3 s");
 /// // Re-arm for it, unless its answer has arrived meanwhile.
-/// assert_eq!(tracker.rearm(|_| false), Some(t3));
+/// assert_eq!(tracker.rearm(answered), Some(t3));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RetransmitTracker {
@@ -89,6 +99,13 @@ impl RetransmitTracker {
     /// retransmission timer must be armed for it, `None` if the timer is
     /// armed already (or firing).
     ///
+    /// When the queue is full, every request for which `answered` holds is
+    /// dropped first, and the queue grows, to twice the requests left, only
+    /// if more than half of it is left: its capacity stays at its first
+    /// four slots or below twice the most requests ever unanswered at once,
+    /// and each drop pass is paid for by the pushes that filled the room
+    /// the previous one left.
+    ///
     /// # Panics
     ///
     /// Panics in debug builds if `due` precedes the deadline of the request
@@ -99,11 +116,19 @@ impl RetransmitTracker {
         ids: impl Into<PacketIds>,
         retries: u32,
         due: SimTime,
+        mut answered: impl FnMut(&PendingRequest) -> bool,
     ) -> Option<SimTime> {
         debug_assert!(
             self.pending.back().is_none_or(|last| last.due <= due),
             "retransmit deadlines out of order"
         );
+        if self.pending.len() == self.pending.capacity() {
+            self.pending.retain(|p| !answered(p));
+            let left = self.pending.len();
+            if 2 * left > self.pending.capacity() {
+                self.pending.reserve_exact(left);
+            }
+        }
         self.pending.push_back(PendingRequest {
             proposer,
             ids: ids.into(),
@@ -120,7 +145,7 @@ impl RetransmitTracker {
     /// through [`push`](Self::push). Removed with ROADMAP item 2(b).
     pub fn register(&mut self, proposer: NodeId, ids: impl Into<PacketIds>, retries: u32) -> u64 {
         let due = self.pending.back().map_or(SimTime::ZERO, |last| last.due);
-        let _ = self.push(proposer, ids, retries, due);
+        let _ = self.push(proposer, ids, retries, due, |_| false);
         RETRANSMIT_TAG_BASE
     }
 
@@ -153,9 +178,18 @@ impl RetransmitTracker {
         tag == RETRANSMIT_TAG_BASE
     }
 
-    /// Number of requests currently awaiting their answer.
+    /// Number of requests queued: every unanswered one, and answered ones
+    /// not dropped yet.
     pub fn outstanding(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Resident heap bytes held by the tracker (beyond
+    /// `size_of::<Self>()`): the queue's buffer, 48 B a slot. An id list too
+    /// long to sit inline (under 1 % of requests) holds its own shared
+    /// buffer, which is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.pending.capacity() * std::mem::size_of::<PendingRequest>()
     }
 
     /// Drops every pending request aimed at `proposer` (used when the peer is
@@ -183,9 +217,9 @@ mod tests {
     #[test]
     fn requests_fall_due_in_order() {
         let mut t = RetransmitTracker::new();
-        let _ = t.push(NodeId::new(1), ids(&[1, 2]), 3, at(10));
-        let _ = t.push(NodeId::new(2), ids(&[3]), 1, at(10));
-        let _ = t.push(NodeId::new(3), ids(&[4]), 0, at(20));
+        let _ = t.push(NodeId::new(1), ids(&[1, 2]), 3, at(10), |_| false);
+        let _ = t.push(NodeId::new(2), ids(&[3]), 1, at(10), |_| false);
+        let _ = t.push(NodeId::new(3), ids(&[4]), 0, at(20), |_| false);
         assert_eq!(t.outstanding(), 3);
         assert!(t.pop_due(at(9)).is_none());
 
@@ -203,7 +237,9 @@ mod tests {
     fn rearm_skips_answered_front_requests_only() {
         let mut t = RetransmitTracker::new();
         for (i, due) in [10, 20, 30, 40].into_iter().enumerate() {
-            let _ = t.push(NodeId::new(i as u32), ids(&[i as u64]), 1, at(due));
+            let _ = t.push(NodeId::new(i as u32), ids(&[i as u64]), 1, at(due), |_| {
+                false
+            });
         }
         // Requests 0 and 2 are answered: only 0 is at the front.
         let answered = |p: &PendingRequest| p.ids.iter().all(|id| id.seq().is_multiple_of(2));
@@ -217,23 +253,63 @@ mod tests {
     }
 
     #[test]
+    fn a_full_queue_drops_answered_requests_before_it_grows() {
+        let mut t = RetransmitTracker::new();
+        let answered = |p: &PendingRequest| p.ids.iter().all(|id| !id.seq().is_multiple_of(2));
+        let push = |t: &mut RetransmitTracker, seq: u64| {
+            let _ = t.push(NodeId::new(1), ids(&[seq]), 1, at(seq), answered);
+        };
+        for seq in 0..4 {
+            push(&mut t, seq);
+        }
+        assert_eq!((t.outstanding(), t.heap_bytes()), (4, 4 * 48));
+        // Full: requests 1 and 3 are answered and go, so half of the queue
+        // is left and it does not grow.
+        push(&mut t, 4);
+        assert_eq!((t.outstanding(), t.heap_bytes()), (3, 4 * 48));
+        push(&mut t, 6);
+        // Full, and nothing answered: it grows to twice the four left.
+        push(&mut t, 8);
+        assert_eq!((t.outstanding(), t.heap_bytes()), (5, 8 * 48));
+        let due: Vec<u64> = std::iter::from_fn(|| t.pop_due(at(8)))
+            .map(|p| p.due.as_micros() / 1_000)
+            .collect();
+        assert_eq!(due, [0, 2, 4, 6, 8], "the rest keep their order");
+    }
+
+    #[test]
     fn one_timer_is_armed_at_a_time() {
         let mut t = RetransmitTracker::new();
-        assert_eq!(t.push(NodeId::new(1), ids(&[1]), 1, at(10)), Some(at(10)));
-        assert_eq!(t.push(NodeId::new(1), ids(&[2]), 1, at(11)), None);
+        assert_eq!(
+            t.push(NodeId::new(1), ids(&[1]), 1, at(10), |_| false),
+            Some(at(10))
+        );
+        assert_eq!(
+            t.push(NodeId::new(1), ids(&[2]), 1, at(11), |_| false),
+            None
+        );
         // Firing at 10 ms: requests re-queued while draining arm nothing.
         let first = t.pop_due(at(10)).unwrap();
-        assert_eq!(t.push(first.proposer, first.ids, 0, at(20)), None);
+        assert_eq!(
+            t.push(first.proposer, first.ids, 0, at(20), |_| false),
+            None
+        );
         assert_eq!(t.rearm(|_| false), Some(at(11)));
         // Once a firing leaves nothing pending, the next request arms again.
         t.pop_due(at(11)).unwrap();
         t.pop_due(at(20)).unwrap();
         assert_eq!(t.rearm(|_| false), None);
-        assert_eq!(t.push(NodeId::new(2), ids(&[3]), 1, at(30)), Some(at(30)));
+        assert_eq!(
+            t.push(NodeId::new(2), ids(&[3]), 1, at(30), |_| false),
+            Some(at(30))
+        );
         // Forgetting every request leaves the timer armed; its firing finds
         // nothing and leaves it unarmed.
         assert_eq!(t.forget_proposer(NodeId::new(2)), 1);
-        assert_eq!(t.push(NodeId::new(3), ids(&[4]), 1, at(31)), None);
+        assert_eq!(
+            t.push(NodeId::new(3), ids(&[4]), 1, at(31), |_| false),
+            None
+        );
         assert_eq!(t.forget_proposer(NodeId::new(3)), 1);
         assert!(t.pop_due(at(30)).is_none());
         assert_eq!(t.rearm(|_| false), None);
@@ -242,9 +318,9 @@ mod tests {
     #[test]
     fn forget_proposer_drops_its_requests() {
         let mut t = RetransmitTracker::new();
-        let _ = t.push(NodeId::new(1), ids(&[1]), 1, at(1));
-        let _ = t.push(NodeId::new(2), ids(&[3]), 1, at(2));
-        let _ = t.push(NodeId::new(1), ids(&[2]), 1, at(3));
+        let _ = t.push(NodeId::new(1), ids(&[1]), 1, at(1), |_| false);
+        let _ = t.push(NodeId::new(2), ids(&[3]), 1, at(2), |_| false);
+        let _ = t.push(NodeId::new(1), ids(&[2]), 1, at(3), |_| false);
         assert_eq!(t.forget_proposer(NodeId::new(1)), 2);
         assert_eq!(t.outstanding(), 1);
         assert_eq!(t.pop_due(at(5)).unwrap().proposer, NodeId::new(2));
@@ -268,7 +344,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn deadlines_must_not_go_backwards() {
         let mut t = RetransmitTracker::new();
-        let _ = t.push(NodeId::new(1), ids(&[1]), 1, at(10));
-        let _ = t.push(NodeId::new(1), ids(&[2]), 1, at(9));
+        let _ = t.push(NodeId::new(1), ids(&[1]), 1, at(10), |_| false);
+        let _ = t.push(NodeId::new(1), ids(&[2]), 1, at(9), |_| false);
     }
 }

@@ -9,7 +9,7 @@ use heap_streaming::packet::PacketId;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiply-and-fold hasher for `(requester, packet seq)` keys.
+/// Multiply-and-fold hasher for packed `(requester, packet seq)` keys.
 ///
 /// The sets hold a hundred or two keys and every requested id costs up to
 /// three lookups, so the hash function itself is the cost; this one is a
@@ -26,11 +26,12 @@ impl Hasher for KeyHasher {
         }
     }
 
+    /// A `(u32, u64)` tuple, written as its two fields, hashes exactly as
+    /// its [`pack`]ed key does.
     fn write_u32(&mut self, word: u32) {
         self.write_u64(u64::from(word));
     }
 
-    /// A requester and a sequence number below 2³² pack without overlap.
     fn write_u64(&mut self, word: u64) {
         self.0 = self.0.rotate_left(32) ^ word;
     }
@@ -43,7 +44,16 @@ impl Hasher for KeyHasher {
     }
 }
 
-type KeySet = HashSet<(u32, u64), BuildHasherDefault<KeyHasher>>;
+type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
+
+/// A served pair as one key: the requester in the high half, the packet's
+/// sequence number in the low one. `Scenario::validate` keeps streams below
+/// 2³² packets, so the halves never overlap; a slot is 8 bytes instead of
+/// the tuple's 16.
+fn pack(requester: NodeId, id: PacketId) -> u64 {
+    debug_assert!(id.seq() < 1 << 32, "packet {} past 2^32", id.seq());
+    u64::from(requester.as_u32()) << 32 | id.seq()
+}
 
 /// How long a served `(requester, packet)` pair suppresses a re-serve: less
 /// than the paper's 2 s retransmission period, so a request retransmitted
@@ -94,13 +104,36 @@ impl ServeDedup {
             self.recent.shrink_to(self.prev.len());
             self.generation_start = now;
         }
-        let key = (requester.as_u32(), id.seq());
+        let key = pack(requester, id);
         self.recent.contains(&key) || self.prev.contains(&key)
     }
 
     /// Records that `id` was served to `requester`.
     pub(crate) fn mark_served(&mut self, requester: NodeId, id: PacketId) {
-        self.recent.insert((requester.as_u32(), id.seq()));
+        self.recent.insert(pack(requester, id));
+    }
+
+    /// Resident heap bytes of both tables, worked out from the standard
+    /// table's layout since it reports no byte count: each bucket's key and
+    /// control byte, and one trailing group of 16 control bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        [&self.recent, &self.prev]
+            .into_iter()
+            .map(|set| match set.capacity() {
+                0 => 0,
+                capacity => table_buckets(capacity) * 9 + 16,
+            })
+            .sum()
+    }
+}
+
+/// The bucket count behind a table's `capacity()`: a table of up to eight
+/// buckets holds one key fewer than it has buckets, a larger one 7/8 of them.
+fn table_buckets(capacity: usize) -> usize {
+    if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
     }
 }
 
@@ -185,6 +218,58 @@ mod tests {
         assert!(dedup.recent.capacity() < grown);
     }
 
+    #[test]
+    fn the_packed_key_keeps_pairs_apart_and_hashes_as_the_tuple_did() {
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let last = PacketId::new(u64::from(u32::MAX));
+        let pairs = [
+            (NodeId::new(0), PacketId::new(0)),
+            (NodeId::new(0), last),
+            (NodeId::new(1), PacketId::new(0)),
+            (NodeId::new(1), last),
+            (NodeId::new(u32::MAX), last),
+        ];
+        for (i, &(requester, id)) in pairs.iter().enumerate() {
+            let key = pack(requester, id);
+            let tuple = (requester.as_u32(), id.seq());
+            assert_eq!(
+                (key >> 32, key & 0xffff_ffff),
+                (u64::from(tuple.0), tuple.1)
+            );
+            assert_eq!(build.hash_one(key), build.hash_one(tuple), "{tuple:?}");
+            for &(other, other_id) in &pairs[i + 1..] {
+                assert_ne!(key, pack(other, other_id), "{tuple:?}");
+            }
+        }
+        // At the last sequence number, a serve to one requester does not
+        // suppress the next requester's first packet.
+        let mut dedup = ServeDedup::new();
+        dedup.mark_served(NodeId::new(0), last);
+        assert!(dedup.recently_served(NodeId::new(0), last, ms(1)));
+        assert!(!dedup.recently_served(NodeId::new(1), PacketId::new(0), ms(1)));
+        assert!(!dedup.recently_served(NodeId::new(1), last, ms(1)));
+    }
+
+    #[test]
+    fn heap_bytes_counts_both_tables() {
+        let mut dedup = ServeDedup::new();
+        assert_eq!(dedup.heap_bytes(), 0);
+        dedup.mark_served(NodeId::new(1), PacketId::new(1));
+        // Four buckets of an 8-byte key and a control byte, plus a group
+        // of trailing control bytes.
+        assert_eq!(dedup.heap_bytes(), 4 * 9 + 16);
+        for seq in 2..=100 {
+            dedup.mark_served(NodeId::new(1), PacketId::new(seq));
+        }
+        assert_eq!(dedup.heap_bytes(), 128 * 9 + 16);
+        // A rotation moves the table to the previous generation; the next
+        // one starts in the other table, not allocated yet.
+        assert!(!dedup.recently_served(NodeId::new(1), PacketId::new(0), ms(1_500)));
+        assert_eq!(dedup.heap_bytes(), 128 * 9 + 16);
+        dedup.mark_served(NodeId::new(1), PacketId::new(1));
+        assert_eq!(dedup.heap_bytes(), 128 * 9 + 16 + 4 * 9 + 16);
+    }
+
     /// Keys per bucket over the paper-scale grid, bucketed by `bucket_of`.
     fn fullest_bucket(buckets: usize, bucket_of: impl Fn(u64) -> usize) -> (usize, f64) {
         const REQUESTERS: u32 = 271;
@@ -194,7 +279,8 @@ mod tests {
         for requester in 0..REQUESTERS {
             // A window's worth of consecutive packets, deep into the stream.
             for seq in 20_000..20_000 + SEQS {
-                load[bucket_of(build.hash_one((requester, seq)))] += 1;
+                let key = pack(NodeId::new(requester), PacketId::new(seq));
+                load[bucket_of(build.hash_one(key))] += 1;
             }
         }
         let mean = f64::from(REQUESTERS) * SEQS as f64 / buckets as f64;

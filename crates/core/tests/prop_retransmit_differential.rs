@@ -14,8 +14,14 @@
 //! armed, and it may fire only for a request that is due, one that was
 //! answered, or a front that `forget_proposer` removed: never more often
 //! than the model's timers plus the `forget_proposer` calls.
+//!
+//! Every push hands the tracker the answered predicate, so a push that
+//! finds the queue full drops the answered requests first, wherever they
+//! stand. Each run must grow the queue past its first allocation and keep
+//! its bytes within 48 B × (2 × the most requests unanswered at once + 4);
+//! most runs must drop an answered request from behind an unanswered one.
 
-use heap_gossip::retransmit::RetransmitTracker;
+use heap_gossip::retransmit::{PendingRequest, RetransmitTracker};
 use heap_simnet::node::NodeId;
 use heap_simnet::time::{SimDuration, SimTime};
 use heap_streaming::PacketId;
@@ -83,6 +89,25 @@ impl World {
     }
 }
 
+/// The answered predicate a push hands the tracker. It counts in
+/// `mid_queue` the answered requests it finds behind an unanswered one,
+/// which only a push's drop pass (not `rearm`, which stops at the first
+/// unanswered request) ever visits.
+fn answered<'a>(
+    world: &'a World,
+    mid_queue: &'a mut u64,
+) -> impl FnMut(&PendingRequest) -> bool + 'a {
+    let mut behind_unanswered = false;
+    move |p| {
+        let answered = world.missing(&p.ids.to_vec()).is_empty();
+        if answered && behind_unanswered {
+            *mid_queue += 1;
+        }
+        behind_unanswered |= !answered;
+        answered
+    }
+}
+
 /// One timer per request: `(due, arm order, proposer, ids, retries)`.
 #[derive(Default)]
 struct Model {
@@ -96,6 +121,13 @@ impl Model {
     fn arm(&mut self, due: SimTime, to: NodeId, ids: Vec<PacketId>, retries: u32) {
         self.timers.push((due, self.armed, to, ids, retries));
         self.armed += 1;
+    }
+
+    /// Requests waiting with packets still missing. Firing never raises
+    /// it, and the tracker never holds more of them, even while it drains.
+    fn unanswered(&self, world: &World) -> usize {
+        let missing = |t: &&(_, _, _, Vec<PacketId>, _)| !world.missing(&t.3).is_empty();
+        self.timers.iter().filter(missing).count()
     }
 
     /// Fires, in (deadline, arm order), every timer due by `until`.
@@ -125,6 +157,8 @@ struct Single {
     timer: Option<SimTime>,
     fired: u64,
     log: Vec<Outcome>,
+    /// Answered requests a push dropped from behind an unanswered one.
+    mid_queue_drops: u64,
 }
 
 impl Single {
@@ -151,7 +185,9 @@ impl Single {
                     p.retries_left,
                     &mut self.log,
                 ) {
-                    let rearm = self.tracker.push(p.proposer, missing, left, now + PERIOD);
+                    let answered = answered(world, &mut self.mid_queue_drops);
+                    let due = now + PERIOD;
+                    let rearm = self.tracker.push(p.proposer, missing, left, due, answered);
                     assert_eq!(rearm, None, "re-queueing armed a timer, {at}");
                 }
             }
@@ -164,7 +200,9 @@ impl Single {
 }
 
 /// One differential run: `ops` random operations derived from `seed`.
-fn drive(seed: u64, ops: usize) {
+/// Returns how many answered requests a push dropped from behind an
+/// unanswered one.
+fn drive(seed: u64, ops: usize) -> u64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut world = World::default();
     let mut model = Model::default();
@@ -172,8 +210,10 @@ fn drive(seed: u64, ops: usize) {
     let mut forgets = 0;
     let mut now = SimTime::ZERO;
     let mut next_packet = 0u64;
+    let (mut most_unanswered, mut most_bytes) = (0, 0);
     // Requested but not delivered, to answer later.
     let mut in_flight: Vec<PacketId> = Vec::new();
+    let mut latest: Vec<PacketId> = Vec::new();
     for step in 0..ops {
         let at = format!("seed {seed}, step {step}, {now}");
         match rng.gen_range(0u32..20) {
@@ -187,16 +227,24 @@ fn drive(seed: u64, ops: usize) {
                     })
                     .collect();
                 in_flight.extend(&ids);
+                latest.clone_from(&ids);
                 let retries = rng.gen_range(0..4);
                 let due = now + PERIOD;
                 model.arm(due, to, ids.clone(), retries);
-                let arm = single.tracker.push(to, ids, retries, due);
+                let answered = answered(&world, &mut single.mid_queue_drops);
+                let arm = single.tracker.push(to, ids, retries, due, answered);
                 single.arm(arm, &at);
             }
-            // A serve answers some requested id.
+            // A serve answers some requested id or, half the time, every id
+            // of the latest request, which is then answered behind older
+            // unanswered ones.
             7..=11 if !in_flight.is_empty() => {
-                let id = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
-                world.delivered.insert(id);
+                if rng.gen_bool(0.5) {
+                    world.delivered.extend(latest.drain(..));
+                } else {
+                    let id = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+                    world.delivered.insert(id);
+                }
             }
             // The failure detector reports a proposer: its requests go. A
             // later proposal may still come from it and is given up on.
@@ -221,11 +269,19 @@ fn drive(seed: u64, ops: usize) {
                     _ => rng.gen_range(1..4 * PERIOD.as_micros()),
                 };
                 now += SimDuration::from_micros(micros);
+                most_unanswered = most_unanswered.max(model.unanswered(&world));
                 model.advance(now, &world);
                 single.advance(now, &world, &at);
                 assert_eq!(single.log, model.log, "outcomes differ, {at}");
             }
         }
+        most_unanswered = most_unanswered.max(model.unanswered(&world));
+        let bytes = single.tracker.heap_bytes();
+        assert!(
+            bytes <= 48 * (2 * most_unanswered + 4),
+            "{bytes} B queued for at most {most_unanswered} unanswered, {at}"
+        );
+        most_bytes = most_bytes.max(bytes);
     }
     // Run every deadline out: both sides end empty, with equal outcomes.
     let end = SimTime::from_micros(u64::MAX / 2);
@@ -237,6 +293,11 @@ fn drive(seed: u64, ops: usize) {
     );
     assert!(model.timers.is_empty());
     assert_eq!(single.tracker.outstanding(), 0, "seed {seed}");
+    let bytes = single.tracker.heap_bytes();
+    assert!(
+        bytes <= 48 * (2 * most_unanswered + 4),
+        "seed {seed}: {bytes} B at the end"
+    );
     assert_eq!(single.timer, None, "seed {seed}: timer left armed");
     assert!(
         single.fired <= model.fired + forgets,
@@ -251,6 +312,8 @@ fn drive(seed: u64, ops: usize) {
             .any(|o| matches!(o, Outcome::GaveUp { .. })),
         "seed {seed}: no request ran out of retries"
     );
+    assert!(most_bytes > 4 * 48, "seed {seed}: the queue never grew");
+    single.mid_queue_drops
 }
 
 proptest! {
@@ -262,4 +325,13 @@ proptest! {
     fn one_timer_matches_a_timer_per_request(seed in 0u64..1_000_000) {
         drive(seed, 600);
     }
+}
+
+/// The drop pass is exercised where it matters: in most runs a full queue
+/// finds an answered request behind an unanswered one (which `rearm`, that
+/// stops at the first unanswered request, never drops).
+#[test]
+fn full_queues_drop_answered_requests_from_mid_queue() {
+    let crossed = (0..64).filter(|&seed| drive(seed, 600) > 0).count();
+    assert!(crossed >= 48, "only {crossed} of 64 runs");
 }

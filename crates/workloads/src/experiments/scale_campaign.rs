@@ -29,10 +29,12 @@ pub const SMOKE_WINDOWS: u64 = 1;
 /// Bound on the smoke run's peak resident set (`VmHWM`) per node, in bytes:
 /// the measurement plus 10 %, as the allocator guards set theirs. `repro
 /// scale --smoke` exits non-zero above it ([`check_smoke_peak_rss`]).
-/// Measured 2026-10-17 on the 2-core, 15.7 GiB host, seed 42: 9 214
-/// B/node (878 MiB), with set-up's temporary vectors freed before the run
-/// (9 247 B/node while they lived to the end of it).
-pub const SMOKE_PEAK_RSS_BYTES_PER_NODE: u64 = 10_135;
+/// Measured 2026-10-17 on the 2-core, 15.7 GiB host, seed 42: 5 122
+/// B/node (488 MiB), with answered requests dropped from the retransmit
+/// queue before it grows and serve-dedup pairs packed into one `u64`;
+/// 9 214 B/node (878 MiB) before, with set-up's temporary vectors freed
+/// before the run (9 247 B/node while they lived to the end of it).
+pub const SMOKE_PEAK_RSS_BYTES_PER_NODE: u64 = 5_634;
 
 /// The campaign scenario at `n` nodes over `windows` stream windows:
 /// fig1's protocol configuration in compact result detail.
@@ -165,7 +167,7 @@ mod tests {
         if peak_rss_kb().is_some() {
             let err = check_smoke_peak_rss(1).unwrap_err();
             assert!(
-                err.contains("SMOKE_PEAK_RSS_BYTES_PER_NODE (10135 B/node)"),
+                err.contains("SMOKE_PEAK_RSS_BYTES_PER_NODE (5634 B/node)"),
                 "{err}"
             );
         }

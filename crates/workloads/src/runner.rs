@@ -1195,6 +1195,13 @@ mod tests {
             detection_secs: 5,
         });
         let (closed, below_one) = ("[0, 1]", "[0, 1)");
+        let (ms, forever) = (SimDuration::from_millis, SimDuration::from_micros(u64::MAX));
+        let windows = |n_windows| Scenario {
+            scale: Scale::test().with_windows(n_windows),
+            ..base()
+        };
+        // 110 packets a window: the first window count to reach 2³² packets.
+        let too_many = (1u64 << 32).div_ceil(110);
         let rows: Vec<(Scenario, ConfigError)> = vec![
             (
                 Scenario {
@@ -1203,13 +1210,7 @@ mod tests {
                 },
                 TooFewNodes("scale.n_nodes", 1),
             ),
-            (
-                Scenario {
-                    scale: Scale::test().with_windows(0),
-                    ..base()
-                },
-                NoWindows("scale.n_windows"),
-            ),
+            (windows(0), NoWindows("scale.n_windows")),
             (
                 base().with_stragglers(1.5),
                 NotAFraction("straggler_fraction", 1.5, closed),
@@ -1299,6 +1300,41 @@ mod tests {
                 faulted(FaultSpec::regions(1).diurnal(10.0, vec![1.0, 0.0])),
                 NotPositive("fault.diurnal.factors", 0.0),
             ),
+            (
+                base().with_latency(LatencyModel::Uniform {
+                    min: ms(20),
+                    max: ms(10),
+                }),
+                EmptyWindow("latency", 0.02, 0.01),
+            ),
+            (
+                base().with_latency(LatencyModel::BaseplusExp {
+                    base: ms(25),
+                    mean_jitter: forever,
+                }),
+                NotAnInstant("latency.mean_jitter", forever.as_secs_f64()),
+            ),
+            (
+                base().with_loss(LossModel::Bernoulli { p: 1.5 }),
+                NotAFraction("loss.p", 1.5, closed),
+            ),
+            (
+                base().with_loss(LossModel::GilbertElliott {
+                    p_good_to_bad: 0.01,
+                    p_bad_to_good: 0.2,
+                    p_good: 0.01,
+                    p_bad: f64::NAN,
+                }),
+                NotAFraction("loss.p_bad", f64::NAN, closed),
+            ),
+            (
+                windows(too_many),
+                StreamTooLong("scale.n_windows", too_many),
+            ),
+            (
+                windows(u64::MAX),
+                StreamTooLong("scale.n_windows", u64::MAX),
+            ),
         ];
         for (scenario, expected) in rows {
             // Debug, not `==`: a NaN field must match a NaN row.
@@ -1307,6 +1343,11 @@ mod tests {
                 .map(|e| format!("{e:?}"));
             assert_eq!(got, Some(format!("{expected:?}")));
         }
+        assert_eq!(
+            windows(too_many - 1).validate(),
+            Ok(()),
+            "2³² − 110 packets"
+        );
     }
 
     type Ctx<'a> = heap_simnet::sim::Context<'a, GossipMessage>;

@@ -9,6 +9,7 @@ use heap_simnet::fault::RegionPolicy;
 use heap_simnet::latency::LatencyModel;
 use heap_simnet::loss::LossModel;
 use heap_simnet::time::SimDuration;
+use heap_streaming::source::StreamConfig;
 use serde::Serialize;
 
 /// Which dissemination protocol a scenario runs.
@@ -546,8 +547,7 @@ impl Scenario {
     /// How long the simulation must run to let the stream finish and the
     /// tail of the dissemination settle: stream duration plus a drain margin.
     pub fn run_duration(&self) -> SimDuration {
-        let stream =
-            heap_streaming::source::StreamConfig::paper(self.scale.n_windows).stream_duration();
+        let stream = StreamConfig::paper(self.scale.n_windows).stream_duration();
         stream + SimDuration::from_secs(60)
     }
 
@@ -562,7 +562,13 @@ impl Scenario {
         use ConfigError as E;
         let n = self.scale.n_nodes;
         E::ensure(n >= 2, E::TooFewNodes("scale.n_nodes", n))?;
-        E::ensure(self.scale.n_windows >= 1, E::NoWindows("scale.n_windows"))?;
+        let windows = self.scale.n_windows;
+        E::ensure(windows >= 1, E::NoWindows("scale.n_windows"))?;
+        // Packet ids are packed into 32 bits: inline in `PacketIds`, and
+        // beside the requester in the serve-dedup key.
+        let per_window = StreamConfig::paper(windows).window.total_packets() as u64;
+        let fits = windows.checked_mul(per_window).is_some_and(|p| p < 1 << 32);
+        E::ensure(fits, E::StreamTooLong("scale.n_windows", windows))?;
         match &self.distribution {
             BandwidthDistribution::Unconstrained => {}
             BandwidthDistribution::Classes { classes, .. } => {
@@ -581,6 +587,7 @@ impl Scenario {
             }
         }
         E::positive("source_capability", bps(self.source_capability))?;
+        self.validate_network()?;
         E::positive("protocol.fanout", self.protocol.fanout())?;
         self.gossip.validate()?;
         if let Some(partial) = self.membership.partial_config() {
@@ -630,6 +637,43 @@ impl Scenario {
             }
         }
         self.fault.as_ref().map_or(Ok(()), FaultSpec::validate)
+    }
+
+    /// The latency and loss checks of [`Scenario::validate`]: the variants are
+    /// `pub`, so their constructors' checks can be skipped.
+    fn validate_network(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        let secs = SimDuration::as_secs_f64;
+        match self.latency {
+            LatencyModel::Constant { delay } => E::instant("latency.delay", secs(delay))?,
+            LatencyModel::Uniform { min, max } => {
+                E::instant("latency.max", secs(max))?;
+                let ordered = min <= max;
+                E::ensure(ordered, E::EmptyWindow("latency", secs(min), secs(max)))?;
+            }
+            // The jitter draw scales the mean by up to ~36, so both stay far
+            // inside the clock.
+            LatencyModel::BaseplusExp { base, mean_jitter } => {
+                E::instant("latency.base", secs(base))?;
+                E::instant("latency.mean_jitter", secs(mean_jitter))?;
+            }
+        }
+        match self.loss {
+            LossModel::None => {}
+            LossModel::Bernoulli { p } => E::fraction("loss.p", p, false)?,
+            LossModel::GilbertElliott {
+                p_good_to_bad,
+                p_bad_to_good,
+                p_good,
+                p_bad,
+            } => {
+                E::fraction("loss.p_good_to_bad", p_good_to_bad, false)?;
+                E::fraction("loss.p_bad_to_good", p_bad_to_good, false)?;
+                E::fraction("loss.p_good", p_good, false)?;
+                E::fraction("loss.p_bad", p_bad, false)?;
+            }
+        }
+        Ok(())
     }
 }
 

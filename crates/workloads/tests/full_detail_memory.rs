@@ -55,7 +55,10 @@ static COUNTER: PeakAlloc = PeakAlloc;
 
 /// The full-detail peak bound, in bytes per node, for the guard scenario
 /// (40 nodes, 4 windows of 110 packets, seed 7). Measured 2026-10-17:
-/// 24 743 B/node in release and in debug with inline, shared id lists in the
+/// 17 921 B/node in release and 17 940 in debug with answered requests
+/// dropped from the retransmit queue before it grows and serve-dedup pairs
+/// packed into one `u64`, against 24 663 (both) on the commit before; 24 743
+/// B/node in release and in debug with inline, shared id lists in the
 /// gossip messages and the aggregator's 16-byte sample slots, against 26 205
 /// (release) and 26 221 (debug) on the commit before, which had a `Vec` in
 /// every message and 32-byte slots, and already had the event queue's
@@ -69,7 +72,7 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// the result). The bound is the debug measurement plus 10 %: a 16-byte log
 /// alone adds 5 280 B/node and trips it. The figure is an allocator count
 /// and repeats exactly on one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 27_217;
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 19_734;
 
 #[test]
 fn full_detail_peak_stays_under_documented_bound() {

@@ -55,9 +55,13 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// The documented compact-mode peak bound, in bytes per node, for the
 /// 10⁴-node guard scenario (the campaign shape: unconstrained bandwidth,
 /// standard gossip at fanout 7, one stream window). See `docs/SCALE.md` for
-/// the component budget. Measured 2026-10-17: 8 606 B/node with inline,
-/// shared id lists in the gossip messages (no `Vec` per message or per
-/// fan-out clone), against 9 156 B/node on the commit before, which had the
+/// the component budget. Measured 2026-10-17: 4 581 B/node with answered
+/// requests dropped from the retransmit queue before it grows and each
+/// serve-dedup pair packed into one `u64`, against 8 542 B/node on the
+/// commit before, whose queue held every request for its full 2 s deadline
+/// and whose dedup sets had 16-byte `(u32, u64)` keys; 8 606 B/node with
+/// inline, shared id lists in the gossip messages (no `Vec` per message or
+/// per fan-out clone), against 9 156 B/node on the commit before, which had the
 /// event queue's buckets in pooled 16-event pages and each receive log moved
 /// into its node's metrics (run-time protocol and packet state dominates —
 /// the compact result path itself is O(n_windows) per node); 13 622 B/node
@@ -69,7 +73,7 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// capacity for time elapsed (32 800 B/node when it last happened) and on a
 /// per-node vector in the result path; the figure is an allocator count and
 /// repeats exactly on one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 9_467;
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 5_039;
 
 #[test]
 #[cfg_attr(
