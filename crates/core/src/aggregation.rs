@@ -53,20 +53,25 @@ pub struct CapabilitySample {
 /// plus the written sample. One comparison against the cached tail rejects a
 /// sample that does not make it; one that does costs O(`n`). Three
 /// operations can lower a rank or remove a cached entry and therefore only
-/// mark the cache stale (`cached_n = None`): `forget` of a known node, a
-/// write of the own sample with an earlier `now` (`set_own_capability`,
-/// `freshest_samples`), and `freshest_samples` with a different `n`. The next
-/// `freshest_samples` then rebuilds the cache with a full sort.
+/// mark the cache stale (`cached_n = None`): `forget` of a known node that
+/// the cache may hold (any, unless the cache is full and its tail outranks
+/// the forgotten sample), a write of the own sample with an earlier `now`
+/// (`set_own_capability`, `freshest_samples`), and `freshest_samples` with a
+/// different `n`. The next `freshest_samples` then rebuilds the cache with a
+/// full sort.
 ///
 /// No table order reaches behaviour: the table is read by index, and the
 /// one full pass over it (`scan_freshest`) sorts what it collects by
 /// `(timestamp desc, node asc)`, a total order over distinct nodes.
 ///
 /// Costs per call, with `n` the payload size: `estimated_average` O(1);
-/// `merge` one indexed load per sample plus O(`n`) per accepted one;
-/// `freshest_samples` O(`n`), or a scan and sort of the table after an
-/// invalidation; `forget` O(1). A node that never calls `freshest_samples`
-/// (standard gossip) never builds the cache and allocates nothing for it.
+/// `merge` first reads the slot of every received sample, so that their
+/// cache misses overlap instead of each waiting on the last sample's work,
+/// then applies the samples in order, one load (now a hit) per sample plus
+/// O(`n`) per accepted one; `freshest_samples` O(`n`), or a scan and sort
+/// of the table after an invalidation; `forget` O(1). A node that never
+/// calls `freshest_samples` (standard gossip) never builds the cache and
+/// allocates nothing for it.
 ///
 /// # Examples
 ///
@@ -211,26 +216,30 @@ impl CapabilityAggregator {
     /// Places a just-stored sample, whose rank did not fall, in the valid
     /// cache of the `n` freshest.
     fn promote(&mut self, sample: CapabilitySample, n: usize) {
-        let full = self.freshest.len() == n;
         // A full cache whose tail outranks the sample keeps it out. (Were the
         // node cached, its new rank would be at least the tail's.)
-        if full
-            && self
-                .freshest
-                .last()
-                .is_none_or(|tail| payload_order(tail, &sample) == Ordering::Less)
-        {
+        if self.below_full_cache(&sample, n) {
             return;
         }
         if let Some(at) = self.freshest.iter().position(|s| s.node == sample.node) {
             self.freshest.remove(at);
-        } else if full {
+        } else if self.freshest.len() == n {
             self.freshest.pop();
         }
         let at = self
             .freshest
             .partition_point(|s| payload_order(s, &sample) == Ordering::Less);
         self.freshest.insert(at, sample);
+    }
+
+    /// Whether the valid cache of the `n` freshest is full and its tail
+    /// outranks `sample`: the sample is not cached and does not make it.
+    fn below_full_cache(&self, sample: &CapabilitySample, n: usize) -> bool {
+        self.freshest.len() == n
+            && self
+                .freshest
+                .last()
+                .is_none_or(|tail| payload_order(tail, sample) == Ordering::Less)
     }
 
     /// Every held sample, our own first. Callers must not let the order reach
@@ -282,6 +291,16 @@ impl CapabilityAggregator {
     ///
     /// [Aggregation]: crate::message::GossipMessage::Aggregation
     pub fn merge(&mut self, received: &[CapabilitySample]) -> usize {
+        // Read pass: touch every addressed slot before writing any. The
+        // loads are independent, so their cache misses overlap; the write
+        // pass below then finds its slots in cache. Nothing read here is
+        // kept, so a node that repeats within the payload is still applied
+        // in order.
+        let stamps = received.iter().fold(0, |acc, sample| {
+            let held = self.samples.get(sample.node.index()).copied().flatten();
+            acc ^ held.map_or(0, |held| held.stamp.get())
+        });
+        std::hint::black_box(stamps);
         let mut updated = 0;
         for sample in received {
             // Never let someone else overwrite our own advertised capability.
@@ -308,7 +327,14 @@ impl CapabilityAggregator {
         if let Some(old) = self.samples.get_mut(node.index()).and_then(Option::take) {
             self.known -= 1;
             self.sum_bps -= old.bps;
-            self.cached_n = None;
+            // A full cache whose tail outranks the sample never held it, and
+            // the same samples stay the freshest.
+            if self
+                .cached_n
+                .is_none_or(|n| !self.below_full_cache(&old.sample(node), n))
+            {
+                self.cached_n = None;
+            }
         }
     }
 
@@ -389,6 +415,41 @@ mod tests {
         assert_eq!(agg.merge(&[sample(1, 3000, 8)]), 1);
         let avg = agg.estimated_average();
         assert_eq!(avg, Bandwidth::from_kbps((512 + 3000) / 2));
+    }
+
+    #[test]
+    fn merge_applies_a_payload_in_order_when_a_node_repeats() {
+        let mut agg = CapabilityAggregator::new(NodeId::new(0), Bandwidth::from_kbps(500));
+        // 8 s is fresher than nothing, 3 s is staler than 8 s, 9 s wins.
+        let first = [sample(5, 1000, 8), sample(5, 2000, 3), sample(5, 3000, 9)];
+        assert_eq!(agg.merge(&first), 2);
+        // Neither is fresher than the 9 s sample now held.
+        assert_eq!(agg.merge(&[sample(5, 4000, 9), sample(5, 5000, 8)]), 0);
+        let payload = agg.freshest_samples(10, SimTime::from_secs(20));
+        assert_eq!(payload[1], sample(5, 3000, 9));
+        assert_eq!(agg.known_nodes(), 2);
+        assert_eq!(agg.estimated_average(), Bandwidth::from_kbps(1750));
+    }
+
+    #[test]
+    fn forgetting_a_node_below_a_full_cache_keeps_the_cache() {
+        let mut agg = CapabilityAggregator::new(NodeId::new(0), Bandwidth::from_kbps(512));
+        for i in 1..8 {
+            agg.merge(&[sample(i, 700, u64::from(i))]);
+        }
+        let now = SimTime::from_secs(100);
+        let before = agg.freshest_samples(3, now);
+        // Node 1 holds the stalest sample, far below the cached tail.
+        agg.forget(NodeId::new(1));
+        assert_eq!(agg.cached_n, Some(3));
+        assert_eq!(agg.freshest_samples(3, now), before);
+        // Forgetting a cached node still invalidates.
+        agg.forget(before[1].node);
+        assert_eq!(agg.cached_n, None);
+        assert_eq!(
+            agg.freshest_samples(3, now)[1..],
+            [before[2], sample(5, 700, 5)]
+        );
     }
 
     #[test]
