@@ -14,8 +14,9 @@
 //! * [`partial::PartialView`] — a Cyclon-style partial view with periodic
 //!   shuffles, provided to show that HEAP does not depend on full membership
 //!   (used by ablation benches);
-//! * [`churn::ChurnSchedule`] — scripted failure scenarios, including the
-//!   catastrophic 20 % / 50 % crashes of §3.6.
+//! * [`churn::ChurnPlan`] — scripted churn: the catastrophic 20 % / 50 %
+//!   crashes of §3.6, continuous join/leave churn and flash crowds, with
+//!   [`churn::detection_time`] for when survivors notice a crash.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,7 +27,7 @@ pub mod partial;
 pub mod sampler;
 pub mod view;
 
-pub use churn::{ChurnEvent, ChurnSchedule, ContinuousChurn, JoinEvent};
+pub use churn::{detection_time, ChurnEvent, ChurnPlan};
 pub use partial::PartialView;
 pub use sampler::{Targets, UniformSampler};
 pub use view::MembershipView;

@@ -149,14 +149,8 @@ pub struct UploadQueue {
     busy_until: SimTime,
     /// Total bytes handed to the queue.
     bytes_enqueued: u64,
-    /// Total messages handed to the queue.
-    messages_enqueued: u64,
     /// Accumulated time the uplink spent transmitting.
     busy_time: SimDuration,
-    /// Largest queueing delay (departure - enqueue) observed.
-    max_delay: SimDuration,
-    /// Sum of all queueing delays, for averaging.
-    total_delay: SimDuration,
     /// Maximum tolerated backlog: a message arriving while the queue already
     /// holds more than this much transmission work is dropped (a finite
     /// socket/application send buffer). `None` = unbounded queue.
@@ -170,10 +164,7 @@ impl UploadQueue {
             capacity,
             busy_until: SimTime::ZERO,
             bytes_enqueued: 0,
-            messages_enqueued: 0,
             busy_time: SimDuration::ZERO,
-            max_delay: SimDuration::ZERO,
-            total_delay: SimDuration::ZERO,
             max_backlog: None,
         }
     }
@@ -250,7 +241,6 @@ impl UploadQueue {
     #[inline]
     fn enqueue_at(&mut self, now: SimTime, bytes: usize, capacity: UploadCapacity) -> SimTime {
         self.bytes_enqueued += bytes as u64;
-        self.messages_enqueued += 1;
         match capacity {
             UploadCapacity::Unlimited => {
                 // No serialisation delay and no queueing.
@@ -262,9 +252,6 @@ impl UploadQueue {
                 let departure = start + tx;
                 self.busy_until = departure;
                 self.busy_time += tx;
-                let delay = departure - now;
-                self.total_delay += delay;
-                self.max_delay = self.max_delay.max(delay);
                 departure
             }
         }
@@ -281,28 +268,9 @@ impl UploadQueue {
         self.bytes_enqueued
     }
 
-    /// Total messages handed to the queue so far.
-    pub fn messages_enqueued(&self) -> u64 {
-        self.messages_enqueued
-    }
-
     /// Accumulated transmission (busy) time of the uplink.
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
-    }
-
-    /// The largest queueing delay observed so far.
-    pub fn max_delay(&self) -> SimDuration {
-        self.max_delay
-    }
-
-    /// Mean queueing delay over all enqueued messages.
-    pub fn mean_delay(&self) -> SimDuration {
-        if self.messages_enqueued == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_delay / self.messages_enqueued
-        }
     }
 
     /// The achieved upload rate over an observation window of `elapsed`,
@@ -380,9 +348,8 @@ mod tests {
         assert_eq!(d2, SimTime::from_millis(1000));
         // Third message arrives after the queue drained: starts at 1.5s.
         assert_eq!(d3, SimTime::from_millis(2500));
-        assert_eq!(q.messages_enqueued(), 3);
+        assert_eq!(q.bytes_enqueued(), 2000);
         assert_eq!(q.busy_time(), SimDuration::from_millis(2000));
-        assert_eq!(q.max_delay(), SimDuration::from_millis(1000));
     }
 
     #[test]
@@ -409,16 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_delay_averages_over_messages() {
-        let mut q = UploadQueue::limited(Bandwidth::from_kbps(8));
-        q.enqueue(SimTime::ZERO, 1000); // delay 1s
-        q.enqueue(SimTime::ZERO, 1000); // delay 2s
-        assert_eq!(q.mean_delay(), SimDuration::from_millis(1500));
-        let empty = UploadQueue::unlimited();
-        assert_eq!(empty.mean_delay(), SimDuration::ZERO);
-    }
-
-    #[test]
     fn scaled_enqueue_changes_only_the_effective_rate() {
         // 8 kbps nominal; a 0.5 factor behaves exactly like a 4 kbps link
         // for this one message, then the nominal rate applies again.
@@ -429,7 +386,7 @@ mod tests {
         assert_eq!(d1, SimTime::from_millis(1000)); // 500 B at 4 kbps
         let d2 = q.enqueue_if_accepted(SimTime::ZERO, 500, None).unwrap();
         assert_eq!(d2, SimTime::from_millis(1500)); // queued, then 8 kbps
-        assert_eq!(q.messages_enqueued(), 2);
+        assert_eq!(q.bytes_enqueued(), 1000);
         // A scale of 1.0 is the identity.
         let mut nominal = UploadQueue::limited(Bandwidth::from_kbps(8));
         assert_eq!(

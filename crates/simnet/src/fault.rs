@@ -21,8 +21,8 @@
 //! region at once — is one mechanism,
 //! [`Simulator::schedule_crash`](crate::sim::Simulator::schedule_crash);
 //! which nodes fail together is data (a [`RegionPolicy`] assignment, a churn
-//! schedule) chosen above this layer. Flash-crowd join bursts live in the
-//! membership layer (`ChurnSchedule::flash_crowd`) because joining is a
+//! plan) chosen above this layer. Flash-crowd join bursts live in the
+//! membership layer (`ChurnPlan::flash_crowd`) because joining is a
 //! protocol-level act. `docs/FAULTS.md` has the full taxonomy.
 //!
 //! ## Determinism

@@ -29,37 +29,22 @@
 use crate::source::StreamSchedule;
 use heap_simnet::time::{SimDuration, SimTime};
 
-/// Relative weights of the four health-score components. They are
-/// normalised by their sum when the score is computed, so any non-negative
-/// weights (with a positive sum) are valid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthWeights {
-    /// Weight of the drift-slope term.
-    pub drift: f64,
-    /// Weight of the cadence-variance term.
-    pub cadence: f64,
-    /// Weight of the freeze term (fraction of elapsed time spent frozen).
-    pub freeze: f64,
-    /// Weight of the delivery-continuity term (delivered / expected so far).
-    pub continuity: f64,
-}
-
-impl Default for HealthWeights {
-    fn default() -> Self {
-        HealthWeights {
-            drift: 0.3,
-            cadence: 0.2,
-            freeze: 0.3,
-            continuity: 0.2,
-        }
-    }
-}
-
-impl HealthWeights {
-    fn sum(&self) -> f64 {
-        self.drift + self.cadence + self.freeze + self.continuity
-    }
-}
+/// Weight of the drift-slope term of the health score.
+const DRIFT_WEIGHT: f64 = 0.3;
+/// Weight of the cadence-variance term.
+const CADENCE_WEIGHT: f64 = 0.2;
+/// Weight of the freeze term (fraction of elapsed time spent frozen).
+const FREEZE_WEIGHT: f64 = 0.3;
+/// Weight of the delivery-continuity term (delivered / expected so far).
+const CONTINUITY_WEIGHT: f64 = 0.2;
+/// The weights' sum, which normalises the score.
+const WEIGHT_SUM: f64 = DRIFT_WEIGHT + CADENCE_WEIGHT + FREEZE_WEIGHT + CONTINUITY_WEIGHT;
+/// Drift slope (seconds of lag per second of stream) at which the drift
+/// component of the score reaches zero.
+const DRIFT_FULL_PENALTY: f64 = 0.5;
+/// Cadence standard deviation, in multiples of the packet interval, at
+/// which the cadence component of the score reaches zero.
+const CADENCE_FULL_PENALTY: f64 = 10.0;
 
 /// Static parameters of a [`ReceiverHealth`] tracker, derived from the
 /// stream schedule.
@@ -76,42 +61,23 @@ pub struct HealthConfig {
     /// A receiver is *frozen* after `freeze_intervals × packet_interval`
     /// without a first delivery (the `k` of the freeze detector).
     pub freeze_intervals: u64,
-    /// Score weights.
-    pub weights: HealthWeights,
-    /// Drift slope (seconds of lag per second of stream) at which the drift
-    /// component of the score reaches zero.
-    pub drift_full_penalty: f64,
-    /// Cadence standard deviation, in multiples of the packet interval, at
-    /// which the cadence component of the score reaches zero.
-    pub cadence_full_penalty: f64,
 }
 
 impl HealthConfig {
     /// The default parameterisation for a stream schedule: freezes after 64
-    /// packet intervals (~1.1 s at the paper's 17.55 ms packet interval),
-    /// full drift penalty at 0.5 s/s, full cadence penalty at a standard
-    /// deviation of 10 packet intervals.
+    /// packet intervals (~1.1 s at the paper's 17.55 ms packet interval).
     pub fn for_schedule(schedule: &StreamSchedule) -> Self {
         HealthConfig {
             stream_start: schedule.start(),
             packet_interval: schedule.config().packet_interval(),
             total_packets: schedule.total_packets(),
             freeze_intervals: 64,
-            weights: HealthWeights::default(),
-            drift_full_penalty: 0.5,
-            cadence_full_penalty: 10.0,
         }
     }
 
     /// Overrides the freeze threshold multiplier `k`.
     pub fn with_freeze_intervals(mut self, k: u64) -> Self {
         self.freeze_intervals = k;
-        self
-    }
-
-    /// Overrides the score weights.
-    pub fn with_weights(mut self, weights: HealthWeights) -> Self {
-        self.weights = weights;
         self
     }
 
@@ -370,29 +336,23 @@ impl ReceiverHealth {
     /// The weighted 0–100 health score at `now`.
     ///
     /// Each component maps to `[0, 1]` — drift and cadence fall linearly to
-    /// zero at their configured full-penalty points, the freeze component is
-    /// one minus the frozen fraction of elapsed time, and continuity is the
+    /// zero at their full-penalty points (a drift of 0.5 s/s, a standard
+    /// deviation of 10 packet intervals), the freeze component is one minus
+    /// the frozen fraction of elapsed time, and continuity is the
     /// delivered/published ratio — then the weighted average is scaled to
     /// `[0, 100]`. While drift or cadence cannot be estimated yet (fewer
     /// than two samples) they fall back to the continuity component, so a
     /// receiver that has delivered nothing scores near zero rather than
     /// getting an unknown-equals-healthy pass.
     pub fn score(&self, now: SimTime) -> f64 {
-        let w = self.config.weights;
-        let wsum = w.sum();
-        if wsum <= 0.0 {
-            return 0.0;
-        }
-
         let s_continuity = self.continuity(now);
         let s_drift = match self.drift_slope() {
-            Some(slope) => 1.0 - (slope.abs() / self.config.drift_full_penalty).min(1.0),
+            Some(slope) => 1.0 - (slope.abs() / DRIFT_FULL_PENALTY).min(1.0),
             None => s_continuity,
         };
         let s_cadence = match self.cadence_std() {
             Some(std) => {
-                let full =
-                    self.config.cadence_full_penalty * self.config.packet_interval.as_secs_f64();
+                let full = CADENCE_FULL_PENALTY * self.config.packet_interval.as_secs_f64();
                 if full > 0.0 {
                     1.0 - (std / full).min(1.0)
                 } else {
@@ -412,11 +372,11 @@ impl ReceiverHealth {
         };
 
         100.0
-            * (w.drift * s_drift
-                + w.cadence * s_cadence
-                + w.freeze * s_freeze
-                + w.continuity * s_continuity)
-            / wsum
+            * (DRIFT_WEIGHT * s_drift
+                + CADENCE_WEIGHT * s_cadence
+                + FREEZE_WEIGHT * s_freeze
+                + CONTINUITY_WEIGHT * s_continuity)
+            / WEIGHT_SUM
     }
 
     /// A full snapshot at `now`. O(1), allocation-free (`HealthReport` is
@@ -467,14 +427,7 @@ mod tests {
         assert_eq!(c.total_packets, 48);
         assert_eq!(c.freeze_threshold(), c.packet_interval * 64);
         assert_eq!(c.stream_end(), s.start() + c.packet_interval * 48);
-        let c = c.with_freeze_intervals(10).with_weights(HealthWeights {
-            drift: 1.0,
-            cadence: 0.0,
-            freeze: 0.0,
-            continuity: 0.0,
-        });
-        assert_eq!(c.freeze_intervals, 10);
-        assert_eq!(c.weights.cadence, 0.0);
+        assert_eq!(c.with_freeze_intervals(10).freeze_intervals, 10);
     }
 
     #[test]
@@ -569,18 +522,5 @@ mod tests {
             let score = h.score(t);
             assert!((0.0..=100.0).contains(&score), "score {score} at {t:?}");
         }
-    }
-
-    #[test]
-    fn zero_weights_score_zero() {
-        let s = schedule();
-        let config = HealthConfig::for_schedule(&s).with_weights(HealthWeights {
-            drift: 0.0,
-            cadence: 0.0,
-            freeze: 0.0,
-            continuity: 0.0,
-        });
-        let h = ReceiverHealth::new(config);
-        assert_eq!(h.score(s.start()), 0.0);
     }
 }

@@ -38,7 +38,7 @@ pub mod packet;
 pub mod receiver;
 pub mod source;
 
-pub use health::{HealthConfig, HealthReport, HealthWeights, ReceiverHealth};
+pub use health::{HealthConfig, HealthReport, ReceiverHealth};
 pub use metrics::{CompactNodeMetrics, NodeMetrics, NodeStreamMetrics};
 pub use packet::{PacketId, StreamPacket, WindowId};
 pub use receiver::{DecodedWindow, ReceiverLog, StreamReassembler};

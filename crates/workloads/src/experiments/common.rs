@@ -1,7 +1,7 @@
 //! Shared plumbing for the per-figure experiment modules.
 
 use crate::bandwidth_dist::BandwidthDistribution;
-use crate::runner::{run_scenario, ExperimentResult, NodeResult};
+use crate::runner::{ExperimentResult, NodeResult};
 use crate::scale::Scale;
 use crate::scenario::{ProtocolChoice, Scenario};
 use heap_analytics::{EmpiricalCdf, Series, TextTable};
@@ -200,9 +200,9 @@ impl StandardRuns {
     /// ([`run_scenarios_parallel`](crate::runner::run_scenarios_parallel)).
     ///
     /// Each scenario derives every random draw from its own `Scale` seed
-    /// ([`run_scenario`] is a pure function of the scenario), so the results
-    /// are bit-identical to [`StandardRuns::compute_sequential`] — the
-    /// threads only change wall-clock time, never a single byte of output.
+    /// ([`run_scenario`](crate::runner::run_scenario) is a pure function of
+    /// the scenario), so the threads only change wall-clock time, never a
+    /// single byte of output.
     pub fn compute(scale: Scale) -> Self {
         let specs = Self::scenarios(scale);
         let scenarios: Vec<Scenario> = specs.iter().map(|(_, s)| s.clone()).collect();
@@ -211,17 +211,6 @@ impl StandardRuns {
             .into_iter()
             .zip(results)
             .map(|((key, _), result)| (key, result))
-            .collect();
-        StandardRuns { scale, runs }
-    }
-
-    /// Executes the six baseline runs one after the other on the calling
-    /// thread. Reference path for the determinism tests; prefer
-    /// [`StandardRuns::compute`].
-    pub fn compute_sequential(scale: Scale) -> Self {
-        let runs = Self::scenarios(scale)
-            .into_iter()
-            .map(|(key, scenario)| (key, run_scenario(&scenario)))
             .collect();
         StandardRuns { scale, runs }
     }
@@ -301,20 +290,6 @@ mod tests {
         assert_eq!(pct(None), "n/a");
         assert_eq!(secs(Some(12.34)), "12.3s");
         assert_eq!(secs(None), "never");
-    }
-
-    #[test]
-    fn parallel_compute_is_bit_identical_to_sequential() {
-        let scale = Scale::test().with_nodes(20).with_windows(2);
-        let parallel = StandardRuns::compute(scale);
-        let sequential = StandardRuns::compute_sequential(scale);
-        let par: Vec<(&str, u64)> = parallel.iter().map(|(k, r)| (k, r.fingerprint())).collect();
-        let seq: Vec<(&str, u64)> = sequential
-            .iter()
-            .map(|(k, r)| (k, r.fingerprint()))
-            .collect();
-        assert_eq!(par.len(), 6);
-        assert_eq!(par, seq, "threaded runs must not perturb any result");
     }
 
     #[test]

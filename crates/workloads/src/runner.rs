@@ -16,7 +16,7 @@ use heap_analytics::BucketSeries;
 use heap_gossip::fanout::FanoutPolicy;
 use heap_gossip::node::{GossipNode, GossipNodeBuilder, ProtocolStats, Role};
 use heap_gossip::{ConfigError, GossipMessage};
-use heap_membership::churn::{ChurnSchedule, ContinuousChurn};
+use heap_membership::churn::{detection_time, ChurnPlan};
 use heap_simnet::bandwidth::{Bandwidth, UploadCapacity};
 use heap_simnet::fault::FaultPlan;
 use heap_simnet::node::NodeId;
@@ -275,21 +275,17 @@ where
         let stream_config = StreamConfig::paper(scale.n_windows);
         let schedule = StreamSchedule::new(stream_config, SimTime::ZERO + WARMUP);
         let from_start = |secs| schedule.start() + SimDuration::from_secs(secs);
-        // Joins (standby nodes are configured at construction), leaves, and
+        // Joins (standby nodes are configured at construction), crashes, and
         // the failure detector's mean delay in seconds.
         let (churn, detection_secs) = match scenario.churn {
-            ChurnSpec::None => (ContinuousChurn::default(), 0),
+            ChurnSpec::None => (ChurnPlan::default(), 0),
             ChurnSpec::Catastrophic {
                 fraction,
                 at_secs,
                 detection_secs,
             } => {
                 let at = from_start(at_secs);
-                let schedule = ChurnSchedule::catastrophic(n, fraction, at, &[0], &mut setup_rng);
-                let plan = ContinuousChurn {
-                    schedule,
-                    ..ContinuousChurn::default()
-                };
+                let plan = ChurnPlan::catastrophic(n, fraction, at, &mut setup_rng);
                 (plan, detection_secs)
             }
             ChurnSpec::Continuous {
@@ -302,13 +298,12 @@ where
                     schedule.start(),
                     schedule.start() + stream_config.stream_duration(),
                 );
-                let plan = ChurnSchedule::continuous(
+                let plan = ChurnPlan::continuous(
                     n,
                     standby_fraction,
                     joins_per_min,
                     leaves_per_min,
                     window,
-                    &[0],
                     &mut setup_rng,
                 );
                 (plan, detection_secs)
@@ -320,8 +315,7 @@ where
                 spread_secs,
             } => {
                 let (at, spread) = (from_start(at_secs), SimDuration::from_secs(spread_secs));
-                let plan =
-                    ChurnSchedule::flash_crowd(n, fraction, at, spread, &[0], &mut setup_rng);
+                let plan = ChurnPlan::flash_crowd(n, fraction, at, spread, &mut setup_rng);
                 (plan, 0)
             }
         };
@@ -333,13 +327,17 @@ where
         for join in &churn.joins {
             join_at[join.node.index()] = Some(join.at);
         }
+        // Every crash as (instant, victim, mean detection delay): the churn
+        // crashes, then the regional ones in the order the spec lists them.
+        let churn_mean = SimDuration::from_secs(detection_secs);
+        let mut crashes: Vec<(SimTime, NodeId, SimDuration)> = churn
+            .crashes
+            .iter()
+            .map(|c| (c.at, c.node, churn_mean))
+            .collect();
 
         // --- Faults -------------------------------------------------------
         let mut fault_plan = FaultPlan::new();
-        // (crash instant, victim, mean detection delay), in spec order: the
-        // crashes scheduled after the build and the survivor-side
-        // failure-detector notifications.
-        let mut regional_crashes: Vec<(SimTime, NodeId, SimDuration)> = Vec::new();
         if let Some(spec) = &scenario.fault {
             // Fault regions come from the spec's region policy over the
             // population.
@@ -356,7 +354,7 @@ where
                 // The source (node 0) is exempt: the stream must survive the
                 // outage for "degrade and recover" to be observable at all.
                 for i in (1..n).filter(|&i| regions[i] == crash.region) {
-                    regional_crashes.push((at, NodeId::new(i as u32), detection));
+                    crashes.push((at, NodeId::new(i as u32), detection));
                 }
             }
             if let Some(diurnal) = &spec.diurnal {
@@ -413,30 +411,17 @@ where
         });
 
         // --- Crashes --------------------------------------------------------
-        // Regional victims first, stably sorted by time, then churn crashes.
-        let mut by_time = regional_crashes.clone();
-        by_time.sort_by_key(|&(at, _, _)| at);
-        for (at, node, _) in by_time {
+        // Each crash is scheduled, and every surviving node learns about it
+        // after ~its mean detection delay (one instant per crash, shared by
+        // all survivors — the simulated failure detector). Regional crashes
+        // draw after every churn crash, so fault-free runs are unperturbed.
+        // The list needs no sort by time: a crash only marks its node dead,
+        // and these pushes take one contiguous block of sequence numbers.
+        let mut notifications: Vec<(SimTime, NodeId)> = Vec::with_capacity(crashes.len());
+        for (at, node, mean) in crashes {
             sim.schedule_crash(node, at);
+            notifications.push((detection_time(at, mean, &mut setup_rng), node));
         }
-        for event in churn.schedule.events() {
-            sim.schedule_crash(event.node, event.at);
-        }
-        // Failure-detection notifications: every surviving node learns about
-        // each crash after ~the configured mean delay (one detection instant
-        // per crashed node, shared by all survivors — the simulated failure
-        // detector). Regional-crash victims go through the same detector,
-        // after every churn draw, so fault-free runs are unperturbed.
-        let churn_mean = SimDuration::from_secs(detection_secs);
-        let churn_crashes = churn.schedule.events().iter();
-        let mut notifications: Vec<(SimTime, NodeId)> = churn_crashes
-            .map(|e| (e.at, e.node, churn_mean))
-            .chain(regional_crashes.iter().copied())
-            .map(|(at, node, mean)| {
-                let detector = ChurnSchedule::none().with_detection_mean(mean);
-                (detector.sample_detection_time(at, &mut setup_rng), node)
-            })
-            .collect();
         notifications.sort_by_key(|&(at, _)| at);
 
         let health = scenario.health_series.map(|bucket| {

@@ -146,13 +146,13 @@ pub enum ChurnSpec {
         detection_secs: u64,
     },
     /// Continuous churn: a Poisson join/leave arrival process over the
-    /// streaming window ([`ChurnSchedule::continuous`]). A fraction of the
+    /// streaming window ([`ChurnPlan::continuous`]). A fraction of the
     /// receivers starts on *standby* (offline), joins arrive at
     /// `joins_per_min` activating standby nodes, and leaves arrive at
     /// `leaves_per_min` crashing online nodes — the fig. 10 extension from
     /// one catastrophic event to ongoing membership turnover.
     ///
-    /// [`ChurnSchedule::continuous`]: heap_membership::churn::ChurnSchedule::continuous
+    /// [`ChurnPlan::continuous`]: heap_membership::churn::ChurnPlan::continuous
     Continuous {
         /// Fraction of receivers held back as the standby join pool.
         standby_fraction: f64,
@@ -163,12 +163,12 @@ pub enum ChurnSpec {
         /// Mean failure-detection delay for leaves, in seconds.
         detection_secs: u64,
     },
-    /// A flash crowd ([`ChurnSchedule::flash_crowd`]): a fraction of the
+    /// A flash crowd ([`ChurnPlan::flash_crowd`]): a fraction of the
     /// receivers starts on standby and stampedes into the stream in one
     /// burst — every standby node joins at a uniformly drawn instant within
     /// `spread_secs` seconds of the burst start. Nobody leaves.
     ///
-    /// [`ChurnSchedule::flash_crowd`]: heap_membership::churn::ChurnSchedule::flash_crowd
+    /// [`ChurnPlan::flash_crowd`]: heap_membership::churn::ChurnPlan::flash_crowd
     FlashCrowd {
         /// Fraction of receivers held back for the join burst.
         fraction: f64,

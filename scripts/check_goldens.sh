@@ -12,7 +12,7 @@
 #   scripts/check_goldens.sh                  # all three
 #   scripts/check_goldens.sh repro metrics    # some of them
 #
-# CI's golden steps call it, so a local run checks exactly what CI checks. A
+# CI runs it with no argument, so a local run checks exactly what CI checks. A
 # change meant to move a figure regenerates the golden in the same commit.
 set -euo pipefail
 
