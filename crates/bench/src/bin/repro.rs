@@ -40,24 +40,57 @@ use heap_workloads::Scale;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-const ALL_EXPERIMENTS: &[&str] = &[
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "table2",
-    "table3",
-    "partialview",
-    "health",
-    "adversarial",
+/// How an experiment gets its runs.
+#[derive(Clone, Copy)]
+enum Runner {
+    /// Simulates its own scenarios at the selected scale (`partialview`
+    /// emits two figures).
+    Scale(fn(Scale) -> Vec<Figure>),
+    /// Reads the six baseline runs (3 distributions × 2 protocols), computed
+    /// once for every experiment that needs them.
+    Baseline(fn(&StandardRuns) -> Figure),
+}
+
+/// Every experiment, by the name the command line uses. Figures 5 and 6 come
+/// from one experiment, which a run that wants both emits once.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    (
+        "table1",
+        Runner::Scale(|_| vec![table1_distributions::run()]),
+    ),
+    ("fig1", Runner::Scale(|s| vec![fig1_unconstrained::run(s)])),
+    ("fig2", Runner::Scale(|s| vec![fig2_fanout_sweep::run(s)])),
+    ("fig3", Runner::Baseline(fig3_heap_dist1::run)),
+    ("fig4", Runner::Baseline(fig4_bandwidth_usage::run)),
+    ("fig5", Runner::Baseline(fig5_6_jitter_free::run)),
+    ("fig6", Runner::Baseline(fig5_6_jitter_free::run)),
+    ("fig7", Runner::Baseline(fig7_jitter_cdf::run)),
+    ("fig8", Runner::Baseline(fig8_lag_by_class::run)),
+    ("fig9", Runner::Baseline(fig9_lag_cdf::run)),
+    ("fig10", Runner::Scale(|s| vec![fig10_churn::run(s)])),
+    ("table2", Runner::Baseline(table2_jittered_delivery::run)),
+    ("table3", Runner::Baseline(table3_jitter_free_nodes::run)),
+    (
+        "partialview",
+        Runner::Scale(|s| vec![partial_view::run(s), partial_view::run_continuous(s)]),
+    ),
+    ("health", Runner::Scale(|s| vec![stream_health::run(s)])),
+    ("adversarial", Runner::Scale(|s| vec![adversarial::run(s)])),
 ];
+
+/// The experiment a command-line name selects.
+fn experiment(name: &str) -> Option<(&'static str, Runner)> {
+    EXPERIMENTS
+        .iter()
+        .copied()
+        .find(|&(known, _)| known == name)
+}
+
+/// The experiment names, space-separated, for usage and error messages.
+fn experiment_names() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    names.join(" ")
+}
 
 /// Default population of `repro scale` without `--nodes`: the largest size
 /// whose full-detail campaign run stays comfortable on the reference host
@@ -74,7 +107,7 @@ fn usage() -> ! {
          experiments: {} or 'all'\n\
          'scale' (the scale-campaign figure, never part of 'all') honours \
          --nodes/--windows and uses the CI smoke shape under --smoke",
-        ALL_EXPERIMENTS.join(" ")
+        experiment_names()
     );
     std::process::exit(2);
 }
@@ -88,7 +121,7 @@ fn fail(message: impl std::fmt::Display) -> ! {
 
 fn main() {
     let mut scale = Scale::default_scale();
-    let mut wanted: BTreeSet<String> = BTreeSet::new();
+    let mut wanted: BTreeSet<&str> = BTreeSet::new();
     let mut metrics_out: Option<String> = None;
     let mut smoke = false;
     let mut scale_nodes: Option<usize> = None;
@@ -156,19 +189,16 @@ fn main() {
             }
             "--smoke" => smoke = true,
             "--help" | "-h" => usage(),
-            "all" => {
-                wanted.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string()));
-            }
-            other => {
-                if ALL_EXPERIMENTS.contains(&other) {
-                    wanted.insert(other.to_string());
-                } else {
-                    fail(format!(
-                        "unknown experiment '{other}' (expected one of: {} or 'all')",
-                        ALL_EXPERIMENTS.join(" ")
-                    ));
+            "all" => wanted.extend(EXPERIMENTS.iter().map(|&(name, _)| name)),
+            other => match experiment(other) {
+                Some((name, _)) => {
+                    wanted.insert(name);
                 }
-            }
+                None => fail(format!(
+                    "unknown experiment '{other}' (expected one of: {} or 'all')",
+                    experiment_names()
+                )),
+            },
         }
     }
     if smoke {
@@ -201,7 +231,7 @@ fn main() {
         fail("--nodes and --windows apply only to the 'scale' experiment");
     }
     if wanted.is_empty() && !run_scale_campaign {
-        wanted.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string()));
+        wanted.extend(EXPERIMENTS.iter().map(|&(name, _)| name));
     }
 
     // A scale-only run reports the population it actually simulates.
@@ -218,11 +248,9 @@ fn main() {
     // The six baseline runs are shared by most figures (and by the metrics
     // export); compute them lazily.
     let needs_baseline = metrics_out.is_some()
-        || [
-            "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "table3",
-        ]
-        .iter()
-        .any(|e| wanted.contains(*e));
+        || wanted
+            .iter()
+            .any(|&name| matches!(experiment(name), Some((_, Runner::Baseline(_)))));
     let baseline = if needs_baseline {
         let start = Instant::now();
         eprintln!("computing the six baseline runs (3 distributions x 2 protocols)...");
@@ -241,57 +269,18 @@ fn main() {
         eprintln!("[{name}] done");
     };
 
-    for name in &wanted {
+    for &name in &wanted {
+        if name == "fig6" && wanted.contains("fig5") {
+            continue;
+        }
         let start = Instant::now();
-        match name.as_str() {
-            "table1" => emit("table1", table1_distributions::run()),
-            "fig1" => emit("fig1", fig1_unconstrained::run(scale)),
-            "fig2" => emit("fig2", fig2_fanout_sweep::run(scale)),
-            "fig3" => emit(
-                "fig3",
-                fig3_heap_dist1::run(baseline.as_ref().expect("baseline")),
-            ),
-            "fig4" => emit(
-                "fig4",
-                fig4_bandwidth_usage::run(baseline.as_ref().expect("baseline")),
-            ),
-            // Figures 5 and 6 come from the same experiment module.
-            "fig5" | "fig6" => {
-                if name == "fig5" || !wanted.contains("fig5") {
-                    emit(
-                        "fig5/6",
-                        fig5_6_jitter_free::run(baseline.as_ref().expect("baseline")),
-                    );
+        match experiment(name).expect("validated above").1 {
+            Runner::Scale(run) => {
+                for fig in run(scale) {
+                    emit(name, fig);
                 }
             }
-            "fig7" => emit(
-                "fig7",
-                fig7_jitter_cdf::run(baseline.as_ref().expect("baseline")),
-            ),
-            "fig8" => emit(
-                "fig8",
-                fig8_lag_by_class::run(baseline.as_ref().expect("baseline")),
-            ),
-            "fig9" => emit(
-                "fig9",
-                fig9_lag_cdf::run(baseline.as_ref().expect("baseline")),
-            ),
-            "fig10" => emit("fig10", fig10_churn::run(scale)),
-            "health" => emit("health", stream_health::run(scale)),
-            "adversarial" => emit("adversarial", adversarial::run(scale)),
-            "partialview" => {
-                emit("partialview", partial_view::run(scale));
-                emit("partialview-churn", partial_view::run_continuous(scale));
-            }
-            "table2" => emit(
-                "table2",
-                table2_jittered_delivery::run(baseline.as_ref().expect("baseline")),
-            ),
-            "table3" => emit(
-                "table3",
-                table3_jitter_free_nodes::run(baseline.as_ref().expect("baseline")),
-            ),
-            _ => unreachable!("validated above"),
+            Runner::Baseline(run) => emit(name, run(baseline.as_ref().expect("baseline"))),
         }
         eprintln!("[{name}] took {:.1}s", start.elapsed().as_secs_f64());
     }

@@ -26,5 +26,5 @@ pub mod matrix;
 pub mod rs;
 pub mod window;
 
-pub use rs::{DecodeWorkspace, ReedSolomon, RsError};
+pub use rs::{ReedSolomon, RsError};
 pub use window::{WindowDecoder, WindowEncoder, WindowParams};

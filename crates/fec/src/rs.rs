@@ -7,7 +7,6 @@
 
 use crate::gf256;
 use crate::matrix::Matrix;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors returned by [`ReedSolomon`] operations.
@@ -48,152 +47,6 @@ impl fmt::Display for RsError {
 }
 
 impl std::error::Error for RsError {}
-
-/// Reusable scratch state for repeated Reed–Solomon reconstructions.
-///
-/// Decoding a window from scratch pays three hidden costs per call: building
-/// a fresh codec (a `(k+m)×k` Vandermonde construction plus a `k×k`
-/// Gauss–Jordan inversion — cubic in `k`), inverting the decode submatrix for
-/// the observed erasure pattern, and allocating an output buffer per missing
-/// shard. A `DecodeWorkspace` amortises all three across calls:
-///
-/// * the codec is cached per geometry,
-/// * inverted decode matrices are cached keyed by the set of rows used
-///   (bounded by [`DecodeWorkspace::MAX_CACHED_INVERSES`]; typical loss
-///   patterns in a stream repeat heavily),
-/// * shard buffers recovered from decoded windows are pooled and reused.
-///
-/// A workspace is cheap to create but only pays off when reused; keep one
-/// per receiving pipeline (it is not `Sync` — use one per thread).
-///
-/// # Examples
-///
-/// ```
-/// use heap_fec::{DecodeWorkspace, ReedSolomon};
-///
-/// let rs = ReedSolomon::new(4, 2).unwrap();
-/// let data: Vec<Vec<u8>> = vec![vec![1, 2], vec![3, 4], vec![5, 6], vec![7, 8]];
-/// let parity = rs.encode(&data).unwrap();
-/// let mut ws = DecodeWorkspace::new();
-/// for _ in 0..10 {
-///     let mut shards: Vec<Option<Vec<u8>>> = data.iter().cloned().map(Some).collect();
-///     shards.extend(parity.iter().cloned().map(Some));
-///     shards[0] = None;
-///     shards[5] = None;
-///     rs.reconstruct_with(&mut shards, &mut ws).unwrap();
-///     assert_eq!(shards[0].as_deref(), Some(&[1u8, 2][..]));
-/// }
-/// assert_eq!(ws.cached_inverses(), 1); // same erasure pattern every time
-/// ```
-#[derive(Debug, Default)]
-pub struct DecodeWorkspace {
-    /// Geometry `(data_shards, parity_shards)` the caches are valid for.
-    geometry: Option<(usize, usize)>,
-    /// Codec cached for [`DecodeWorkspace::reconstruct`].
-    codec: Option<ReedSolomon>,
-    /// Inverted decode matrices keyed by the encode-matrix rows used.
-    inverses: HashMap<Vec<usize>, Matrix>,
-    /// Recycled shard buffers, handed out by [`DecodeWorkspace::take_buffer`].
-    buffers: Vec<Vec<u8>>,
-}
-
-impl DecodeWorkspace {
-    /// Upper bound on cached inverted matrices; the cache is cleared when a
-    /// new pattern would exceed it (each paper-geometry inverse is ~10 KiB).
-    pub const MAX_CACHED_INVERSES: usize = 512;
-
-    /// Upper bound on pooled shard buffers.
-    const MAX_POOLED_BUFFERS: usize = 512;
-
-    /// Creates an empty workspace.
-    pub fn new() -> Self {
-        DecodeWorkspace::default()
-    }
-
-    /// Number of inverted decode matrices currently cached.
-    pub fn cached_inverses(&self) -> usize {
-        self.inverses.len()
-    }
-
-    /// Number of shard buffers currently pooled.
-    pub fn pooled_buffers(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Reconstructs `shards` for the given geometry using a codec cached in
-    /// the workspace (built on first use, reused afterwards).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReedSolomon::reconstruct`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid (zero shard counts or more than 256
-    /// total shards).
-    pub fn reconstruct(
-        &mut self,
-        data_shards: usize,
-        parity_shards: usize,
-        shards: &mut [Option<Vec<u8>>],
-    ) -> Result<(), RsError> {
-        self.bind_geometry(data_shards, parity_shards);
-        let codec = match self.codec.take() {
-            Some(codec) => codec,
-            None => ReedSolomon::new(data_shards, parity_shards)
-                .expect("workspace geometry must be a valid Reed-Solomon geometry"),
-        };
-        // The codec is moved out while reconstructing so the workspace can be
-        // borrowed mutably for buffers and the inverse cache, then put back.
-        let result = codec.reconstruct_with(shards, self);
-        self.codec = Some(codec);
-        result
-    }
-
-    /// Returns a shard buffer to the pool so a later reconstruction can reuse
-    /// it instead of allocating.
-    pub fn recycle(&mut self, buffer: Vec<u8>) {
-        if self.buffers.len() < Self::MAX_POOLED_BUFFERS {
-            self.buffers.push(buffer);
-        }
-    }
-
-    /// Drops caches that are only valid for one geometry when the geometry
-    /// changes (the buffer pool survives — buffers are length-agnostic).
-    fn bind_geometry(&mut self, data_shards: usize, parity_shards: usize) {
-        if self.geometry != Some((data_shards, parity_shards)) {
-            self.geometry = Some((data_shards, parity_shards));
-            self.codec = None;
-            self.inverses.clear();
-        }
-    }
-
-    /// A zeroed buffer of the given length, pooled if possible.
-    fn take_buffer(&mut self, len: usize) -> Vec<u8> {
-        let mut buffer = self.buffers.pop().unwrap_or_default();
-        buffer.clear();
-        buffer.resize(len, 0);
-        buffer
-    }
-
-    /// The cached inverse of the `use_rows` submatrix of `encode`, computing
-    /// and caching it on first sight of this row set. A cache hit performs no
-    /// allocation: the lookup borrows `use_rows`, and the key is only cloned
-    /// on a miss.
-    fn inverse_for(&mut self, encode: &Matrix, use_rows: &[usize]) -> &Matrix {
-        if !self.inverses.contains_key(use_rows) {
-            if self.inverses.len() >= Self::MAX_CACHED_INVERSES {
-                self.inverses.clear();
-            }
-            let inverse = encode
-                .select_rows(use_rows)
-                .invert()
-                .expect("any k rows of the systematic Vandermonde matrix are independent");
-            self.inverses.insert(use_rows.to_vec(), inverse);
-        }
-        &self.inverses[use_rows]
-    }
-}
 
 /// A systematic Reed–Solomon erasure codec over GF(2⁸).
 ///
@@ -302,24 +155,6 @@ impl ReedSolomon {
     /// * [`RsError::NotEnoughShards`] if fewer than `k` shards are present.
     /// * [`RsError::ShardLengthMismatch`] if present shards disagree on length.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
-        self.reconstruct_with(shards, &mut DecodeWorkspace::new())
-    }
-
-    /// Reconstructs all missing shards in place, reusing the cached inverses
-    /// and pooled buffers of `workspace` (see [`DecodeWorkspace`]).
-    ///
-    /// Behaves exactly like [`ReedSolomon::reconstruct`]; with a warm
-    /// workspace the erasure-pattern matrix inversion and the per-shard
-    /// allocations disappear from the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReedSolomon::reconstruct`].
-    pub fn reconstruct_with(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        workspace: &mut DecodeWorkspace,
-    ) -> Result<(), RsError> {
         if shards.len() != self.total_shards() {
             return Err(RsError::WrongShardCount {
                 provided: shards.len(),
@@ -345,51 +180,40 @@ impl ReedSolomon {
         {
             return Err(RsError::ShardLengthMismatch);
         }
-        // Nothing to do if all data shards are already present and parity is
-        // not requested to be rebuilt.
-        if shards.iter().all(|s| s.is_some()) {
-            return Ok(());
-        }
-        workspace.bind_geometry(self.data_shards, self.parity_shards);
 
-        // Pick the first k present shards and invert the corresponding rows of
-        // the encoding matrix: decode_matrix * present_shards = data_shards.
-        // The inverse is looked up in (or inserted into) the workspace cache.
-        let use_rows: Vec<usize> = present.iter().copied().take(self.data_shards).collect();
-        let missing_data: Vec<usize> = (0..self.data_shards)
-            .filter(|&d| shards[d].is_none())
-            .collect();
-
-        // Grab output buffers before borrowing the cached inverse so the two
-        // workspace borrows do not overlap.
-        let mut outputs: Vec<Vec<u8>> = missing_data
-            .iter()
-            .map(|_| workspace.take_buffer(len))
-            .collect();
-        let decode = workspace.inverse_for(&self.encode_matrix, &use_rows);
-
-        // Recover missing data shards.
-        for (out, &d) in outputs.iter_mut().zip(&missing_data) {
-            for (j, &src_row) in use_rows.iter().enumerate() {
-                let shard = shards[src_row].as_ref().expect("present shard");
-                gf256::mul_add_slice(out, shard, decode.get(d, j));
+        // Recover missing data shards: pick the first k present shards and
+        // invert the corresponding rows of the encoding matrix, so that
+        // decode_matrix * present_shards = data_shards.
+        if shards[..self.data_shards].iter().any(Option::is_none) {
+            let use_rows: Vec<usize> = present.into_iter().take(self.data_shards).collect();
+            let decode = self
+                .encode_matrix
+                .select_rows(&use_rows)
+                .invert()
+                .expect("any k rows of the systematic Vandermonde matrix are independent");
+            for d in 0..self.data_shards {
+                if shards[d].is_some() {
+                    continue;
+                }
+                let mut out = vec![0u8; len];
+                for (j, &src_row) in use_rows.iter().enumerate() {
+                    let shard = shards[src_row].as_deref().expect("present shard");
+                    gf256::mul_add_slice(&mut out, shard, decode.get(d, j));
+                }
+                shards[d] = Some(out);
             }
-        }
-        for (out, &d) in outputs.into_iter().zip(&missing_data) {
-            shards[d] = Some(out);
         }
 
         // Rebuild any missing parity shards from the (now complete) data.
-        for p in 0..self.parity_shards {
-            let idx = self.data_shards + p;
+        for idx in self.data_shards..self.total_shards() {
             if shards[idx].is_some() {
                 continue;
             }
             let row = self.encode_matrix.row(idx);
-            let mut out = workspace.take_buffer(len);
-            for d in 0..self.data_shards {
-                let shard = shards[d].as_deref().expect("data shard recovered");
-                gf256::mul_add_slice(&mut out, shard, row[d]);
+            let mut out = vec![0u8; len];
+            for (shard, &coeff) in shards[..self.data_shards].iter().zip(row) {
+                let shard = shard.as_deref().expect("data shard recovered");
+                gf256::mul_add_slice(&mut out, shard, coeff);
             }
             shards[idx] = Some(out);
         }
@@ -471,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_with_no_losses_is_noop() {
+    fn reconstruct_is_noop_when_nothing_is_lost() {
         let rs = ReedSolomon::new(3, 2).unwrap();
         let data = make_data(3, 16, 2);
         let parity = rs.encode(&data).unwrap();
@@ -574,134 +398,6 @@ mod tests {
         }
         for (j, p) in parity.iter().enumerate() {
             assert_eq!(shards[200 + j].as_ref().unwrap(), p, "parity shard {j}");
-        }
-    }
-
-    #[test]
-    fn workspace_reconstruction_matches_plain_reconstruction() {
-        let rs = ReedSolomon::new(8, 4).unwrap();
-        let data = make_data(8, 48, 11);
-        let parity = rs.encode(&data).unwrap();
-        let mut ws = DecodeWorkspace::new();
-        for round in 0..6u64 {
-            let mut with_ws: Vec<Option<Vec<u8>>> = data
-                .iter()
-                .cloned()
-                .chain(parity.iter().cloned())
-                .map(Some)
-                .collect();
-            let mut plain = with_ws.clone();
-            // A loss pattern that varies per round.
-            for k in 0..4usize {
-                let idx = ((round as usize) * 3 + k * 2) % 12;
-                with_ws[idx] = None;
-                plain[idx] = None;
-            }
-            rs.reconstruct_with(&mut with_ws, &mut ws).unwrap();
-            rs.reconstruct(&mut plain).unwrap();
-            assert_eq!(with_ws, plain, "round {round}");
-        }
-        assert!(ws.cached_inverses() >= 1);
-    }
-
-    #[test]
-    fn workspace_caches_one_inverse_per_erasure_pattern() {
-        let rs = ReedSolomon::new(5, 3).unwrap();
-        let data = make_data(5, 16, 21);
-        let parity = rs.encode(&data).unwrap();
-        let mut ws = DecodeWorkspace::new();
-        let run = |ws: &mut DecodeWorkspace, missing: &[usize]| {
-            let mut shards: Vec<Option<Vec<u8>>> = data
-                .iter()
-                .cloned()
-                .chain(parity.iter().cloned())
-                .map(Some)
-                .collect();
-            for &m in missing {
-                shards[m] = None;
-            }
-            rs.reconstruct_with(&mut shards, ws).unwrap();
-            for (i, d) in data.iter().enumerate() {
-                assert_eq!(shards[i].as_ref().unwrap(), d);
-            }
-        };
-        run(&mut ws, &[0, 1]);
-        run(&mut ws, &[0, 1]);
-        run(&mut ws, &[0, 1]);
-        assert_eq!(
-            ws.cached_inverses(),
-            1,
-            "repeated pattern shares an inverse"
-        );
-        run(&mut ws, &[2, 6]);
-        assert_eq!(ws.cached_inverses(), 2);
-    }
-
-    #[test]
-    fn workspace_survives_geometry_changes() {
-        let mut ws = DecodeWorkspace::new();
-        for (k, m) in [(4usize, 2usize), (6, 3), (4, 2)] {
-            let rs = ReedSolomon::new(k, m).unwrap();
-            let data = make_data(k, 24, (k * 31 + m) as u64);
-            let parity = rs.encode(&data).unwrap();
-            let mut shards: Vec<Option<Vec<u8>>> = data
-                .iter()
-                .cloned()
-                .chain(parity.iter().cloned())
-                .map(Some)
-                .collect();
-            shards[0] = None;
-            shards[k] = None;
-            rs.reconstruct_with(&mut shards, &mut ws).unwrap();
-            for (i, d) in data.iter().enumerate() {
-                assert_eq!(shards[i].as_ref().unwrap(), d, "k={k} m={m}");
-            }
-            // The cache never mixes inverses across geometries.
-            assert_eq!(ws.cached_inverses(), 1);
-        }
-    }
-
-    #[test]
-    fn workspace_recycles_buffers() {
-        let mut ws = DecodeWorkspace::new();
-        ws.recycle(vec![1, 2, 3]);
-        ws.recycle(Vec::new());
-        assert_eq!(ws.pooled_buffers(), 2);
-        let rs = ReedSolomon::new(3, 2).unwrap();
-        let data = make_data(3, 8, 5);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .chain(parity.iter().cloned())
-            .map(Some)
-            .collect();
-        shards[1] = None;
-        shards[4] = None;
-        rs.reconstruct_with(&mut shards, &mut ws).unwrap();
-        assert_eq!(shards[1].as_ref().unwrap(), &data[1]);
-        assert_eq!(ws.pooled_buffers(), 0, "pooled buffers were consumed");
-        assert!(rs
-            .verify(&shards.into_iter().map(|s| s.unwrap()).collect::<Vec<_>>())
-            .unwrap());
-    }
-
-    #[test]
-    fn workspace_reconstruct_builds_and_caches_the_codec() {
-        let mut ws = DecodeWorkspace::new();
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = make_data(4, 12, 9);
-        let parity = rs.encode(&data).unwrap();
-        for _ in 0..3 {
-            let mut shards: Vec<Option<Vec<u8>>> = data
-                .iter()
-                .cloned()
-                .chain(parity.iter().cloned())
-                .map(Some)
-                .collect();
-            shards[2] = None;
-            ws.reconstruct(4, 2, &mut shards).unwrap();
-            assert_eq!(shards[2].as_ref().unwrap(), &data[2]);
         }
     }
 

@@ -6,7 +6,7 @@
 //! of 1316 bytes each; a window is viewable ("jitter-free") iff at least 101
 //! of its 110 packets arrive in time.
 
-use crate::rs::{DecodeWorkspace, ReedSolomon, RsError};
+use crate::rs::{ReedSolomon, RsError};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of an FEC window.
@@ -137,16 +137,27 @@ impl WindowEncoder {
 #[derive(Debug, Clone)]
 pub struct WindowDecoder {
     params: WindowParams,
+    rs: ReedSolomon,
     shards: Vec<Option<Vec<u8>>>,
     received: usize,
 }
 
 impl WindowDecoder {
-    /// Creates an empty decoder for the given geometry.
+    /// Creates an empty decoder for the given geometry and builds its codec.
+    /// Building the codec inverts a `k × k` matrix, so a receiver decoding
+    /// many windows builds one empty decoder and clones it per window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet counts are not a Reed–Solomon geometry: a zero
+    /// count, or more than 256 packets per window.
     pub fn new(params: WindowParams) -> Self {
+        let rs = ReedSolomon::new(params.data_packets, params.parity_packets)
+            .expect("window packet counts must be a valid Reed-Solomon geometry");
         WindowDecoder {
             shards: vec![None; params.total_packets()],
             params,
+            rs,
             received: 0,
         }
     }
@@ -159,22 +170,12 @@ impl WindowDecoder {
     /// Inserts packet `index` (0-based within the window). Returns `true` if
     /// the packet was new. Out-of-range indices and duplicates are ignored.
     pub fn insert(&mut self, index: usize, payload: Vec<u8>) -> bool {
-        self.try_insert(index, payload).is_ok()
-    }
-
-    /// Like [`WindowDecoder::insert`], but hands a rejected payload (duplicate
-    /// or out-of-range index) back to the caller so its buffer can be reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns the payload unchanged when it was not inserted.
-    pub fn try_insert(&mut self, index: usize, payload: Vec<u8>) -> Result<(), Vec<u8>> {
         if index >= self.shards.len() || self.shards[index].is_some() {
-            return Err(payload);
+            return false;
         }
         self.shards[index] = Some(payload);
         self.received += 1;
-        Ok(())
+        true
     }
 
     /// Number of distinct packets received so far.
@@ -206,78 +207,20 @@ impl WindowDecoder {
         self.received >= self.params.decode_threshold()
     }
 
-    /// Decodes the window in place and returns the source packets as owned
-    /// vectors.
-    ///
-    /// Convenience wrapper over [`WindowDecoder::decode_with`] using a
-    /// throwaway workspace; loops decoding many windows should hold a
-    /// [`DecodeWorkspace`] and call `decode_with` instead so the codec, the
-    /// erasure-pattern inverses and the shard buffers are reused.
+    /// Decodes the window in place (every missing source and parity packet
+    /// is reconstructed) and returns the source packets as owned vectors.
     ///
     /// # Errors
     ///
     /// Returns [`RsError::NotEnoughShards`] when fewer than `data_packets`
     /// packets have been inserted.
     pub fn decode(&mut self) -> Result<Vec<Vec<u8>>, RsError> {
-        self.decode_with(&mut DecodeWorkspace::new())?;
+        self.rs.reconstruct(&mut self.shards)?;
+        self.received = self.shards.len();
         Ok(self.shards[..self.params.data_packets]
             .iter()
             .map(|s| s.clone().expect("reconstructed"))
             .collect())
-    }
-
-    /// Decodes the window in place, reusing the caches of `workspace`.
-    ///
-    /// All missing packets (source *and* parity) are reconstructed into the
-    /// decoder's own shard slots — no shards are cloned and, with a warm
-    /// workspace, nothing is allocated. Access the result through
-    /// [`WindowDecoder::packet`] / [`WindowDecoder::data_packets`], and hand
-    /// the buffers back with [`WindowDecoder::reset`] when done with the
-    /// window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RsError::NotEnoughShards`] when fewer than `data_packets`
-    /// packets have been inserted.
-    pub fn decode_with(&mut self, workspace: &mut DecodeWorkspace) -> Result<(), RsError> {
-        if !self.is_decodable() {
-            return Err(RsError::NotEnoughShards {
-                present: self.received,
-                required: self.params.decode_threshold(),
-            });
-        }
-        workspace.reconstruct(
-            self.params.data_packets,
-            self.params.parity_packets,
-            &mut self.shards,
-        )?;
-        self.received = self.shards.len();
-        Ok(())
-    }
-
-    /// The payload of packet `index`, if present (always present for every
-    /// index after a successful decode).
-    pub fn packet(&self, index: usize) -> Option<&[u8]> {
-        self.shards.get(index)?.as_deref()
-    }
-
-    /// The source packets currently present, in order, as borrowed slices.
-    /// After a successful decode this yields the full window payload.
-    pub fn data_packets(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.shards[..self.params.data_packets]
-            .iter()
-            .filter_map(|s| s.as_deref())
-    }
-
-    /// Clears the decoder for reuse on the next window, returning its shard
-    /// buffers to `workspace`'s pool.
-    pub fn reset(&mut self, workspace: &mut DecodeWorkspace) {
-        for slot in self.shards.iter_mut() {
-            if let Some(buffer) = slot.take() {
-                workspace.recycle(buffer);
-            }
-        }
-        self.received = 0;
     }
 }
 
@@ -379,6 +322,9 @@ mod tests {
         }
         assert!(dec.is_decodable());
         assert_eq!(dec.decode().unwrap(), data);
+        // Every packet, parity included, is reconstructed in place.
+        assert_eq!(dec.received(), params.total_packets());
+        assert!(dec.missing().is_empty());
     }
 
     #[test]
@@ -397,61 +343,6 @@ mod tests {
         }
         assert_eq!(dec.received(), 110 - 9);
         assert_eq!(dec.decode().unwrap(), data);
-    }
-
-    #[test]
-    fn decode_with_reuses_workspace_across_windows() {
-        let params = small_params();
-        let mut ws = DecodeWorkspace::new();
-        let mut dec = WindowDecoder::new(params);
-        for seed in 0..5u64 {
-            let (data, packets) = make_window(params, seed);
-            for (i, p) in packets.iter().enumerate() {
-                // Drop the same 4 packets every window: one cached inverse.
-                if i % 3 != 0 || i >= 12 {
-                    dec.insert(i, p.clone());
-                }
-            }
-            dec.decode_with(&mut ws).unwrap();
-            let decoded: Vec<&[u8]> = dec.data_packets().collect();
-            assert_eq!(decoded.len(), params.data_packets);
-            for (d, orig) in decoded.iter().zip(&data) {
-                assert_eq!(*d, orig.as_slice(), "window {seed}");
-            }
-            // Every packet (parity included) is materialised after decode.
-            assert_eq!(dec.received(), params.total_packets());
-            assert!(dec.missing().is_empty());
-            assert_eq!(
-                dec.packet(params.total_packets() - 1).map(|p| p.len()),
-                Some(params.packet_bytes)
-            );
-            dec.reset(&mut ws);
-            assert_eq!(dec.received(), 0);
-        }
-        assert_eq!(ws.cached_inverses(), 1, "same loss pattern, one inverse");
-        assert!(
-            ws.pooled_buffers() > 0,
-            "reset returned buffers to the pool"
-        );
-    }
-
-    #[test]
-    fn decode_with_errors_below_threshold() {
-        let params = small_params();
-        let (_, packets) = make_window(params, 77);
-        let mut ws = DecodeWorkspace::new();
-        let mut dec = WindowDecoder::new(params);
-        for (i, packet) in packets
-            .iter()
-            .enumerate()
-            .take(params.decode_threshold() - 1)
-        {
-            dec.insert(i, packet.clone());
-        }
-        assert!(matches!(
-            dec.decode_with(&mut ws),
-            Err(RsError::NotEnoughShards { .. })
-        ));
     }
 
     proptest! {

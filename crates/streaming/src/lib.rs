@@ -13,8 +13,8 @@
 //!   source ([`source::StreamSchedule`]),
 //! * [`receiver`] — the per-node receive log recording when every packet
 //!   arrived ([`receiver::ReceiverLog`]) and the payload reassembly pipeline
-//!   ([`receiver::StreamReassembler`]) decoding FEC windows through a shared
-//!   [`heap_fec::DecodeWorkspace`],
+//!   ([`receiver::StreamReassembler`]) decoding each FEC window with a
+//!   [`heap_fec::WindowDecoder`],
 //! * [`metrics`] — per-node stream-quality metrics (stream lag for 99 %
 //!   delivery, per-window decode lags, jitter percentage at a given lag,
 //!   delivery ratios inside jittered windows) computed from a receive log,

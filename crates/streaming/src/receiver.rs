@@ -12,14 +12,13 @@
 //! instead of keeping per-packet lag vectors.
 //!
 //! The [`StreamReassembler`] complements the log with the *payload* path: it
-//! feeds arriving packets into per-window FEC decoders that share one
-//! [`DecodeWorkspace`], so decoding a long stream performs no per-window
-//! codec construction, no erasure-pattern matrix inversions after the first
-//! occurrence of a loss pattern, and no steady-state buffer allocation.
+//! feeds arriving packets into one FEC [`WindowDecoder`] per window. The
+//! decoders are clones of one empty decoder, so the Reed–Solomon codec is
+//! built once per stream.
 
 use crate::packet::{PacketId, WindowId};
 use crate::source::StreamSchedule;
-use heap_fec::{DecodeWorkspace, WindowDecoder};
+use heap_fec::WindowDecoder;
 use heap_simnet::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -283,14 +282,10 @@ impl ReceiverLog {
 }
 
 /// A fully decoded FEC window handed out by [`StreamReassembler::accept`].
-///
-/// Holds the window's decoder (every packet slot materialised); hand it back
-/// with [`StreamReassembler::recycle`] so the shard buffers return to the
-/// shared pool.
 #[derive(Debug)]
 pub struct DecodedWindow {
     window: WindowId,
-    decoder: WindowDecoder,
+    packets: Vec<Vec<u8>>,
 }
 
 impl DecodedWindow {
@@ -301,21 +296,16 @@ impl DecodedWindow {
 
     /// The decoded source payloads, in order.
     pub fn data_packets(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.decoder.data_packets()
-    }
-
-    /// A single payload (source or parity) of the window.
-    pub fn packet(&self, index_in_window: usize) -> Option<&[u8]> {
-        self.decoder.packet(index_in_window)
+        self.packets.iter().map(Vec::as_slice)
     }
 }
 
 /// Reassembles the stream payload from packets as they arrive.
 ///
-/// One [`WindowDecoder`] is kept per in-flight window; all of them share a
-/// single [`DecodeWorkspace`], so the Reed–Solomon codec, the inverted decode
-/// matrices and the shard buffers are reused across the whole stream. A
-/// window is decoded eagerly as soon as enough packets are present.
+/// One [`WindowDecoder`] is kept per in-flight window, each a clone of one
+/// empty decoder built with the reassembler, so the Reed–Solomon codec is
+/// built once per stream. A window is decoded eagerly as soon as enough
+/// packets are present.
 ///
 /// # Examples
 ///
@@ -334,12 +324,12 @@ impl DecodedWindow {
 /// }
 /// let window = decoded.expect("threshold reached");
 /// assert_eq!(window.data_packets().count(), 10);
-/// reassembler.recycle(window);
 /// ```
 #[derive(Debug)]
 pub struct StreamReassembler {
     schedule: StreamSchedule,
-    workspace: DecodeWorkspace,
+    /// An empty decoder for the stream's geometry; each window opens a clone.
+    empty: WindowDecoder,
     /// In-flight decoders keyed by window index; windows complete roughly in
     /// publication order and stragglers are auto-abandoned once they fall
     /// [`StreamReassembler::MAX_WINDOW_LAG`] behind, so this stays small.
@@ -371,10 +361,15 @@ impl StreamReassembler {
     pub const MAX_WINDOW_LAG: u64 = 64;
 
     /// Creates a reassembler for the given stream schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule's window geometry is not a Reed–Solomon
+    /// geometry (see [`WindowDecoder::new`]).
     pub fn new(schedule: StreamSchedule) -> Self {
         StreamReassembler {
+            empty: WindowDecoder::new(schedule.config().window),
             schedule,
-            workspace: DecodeWorkspace::new(),
             pending: BTreeMap::new(),
             completed: BTreeSet::new(),
             horizon: 0,
@@ -382,11 +377,6 @@ impl StreamReassembler {
             decoded: 0,
             abandoned: 0,
         }
-    }
-
-    /// The shared decode workspace (exposed for cache statistics).
-    pub fn workspace(&self) -> &DecodeWorkspace {
-        &self.workspace
     }
 
     /// Number of windows currently buffering packets.
@@ -429,17 +419,12 @@ impl StreamReassembler {
     /// are abandoned automatically. Returns the decoded window when this
     /// packet pushes its window over the decode threshold.
     pub fn accept(&mut self, id: PacketId, payload: Vec<u8>) -> Option<DecodedWindow> {
-        let params = self.schedule.config().window;
-        if payload.len() != params.packet_bytes {
-            // A malformed/truncated payload must never reach the decoder
-            // (mixed shard lengths would poison the window) — and never the
-            // pool either, which would pin arbitrarily-sized foreign buffers.
+        if payload.len() != self.schedule.config().window.packet_bytes {
+            // A malformed/truncated payload must never reach the decoder:
+            // mixed shard lengths would poison the window.
             return None;
         }
-        let Some(descriptor) = self.schedule.packet(id) else {
-            self.workspace.recycle(payload);
-            return None;
-        };
+        let descriptor = self.schedule.packet(id)?;
         let index = descriptor.window.index();
         self.newest = self.newest.max(index);
         // Stragglers far behind the live edge can never meet a playout
@@ -449,18 +434,15 @@ impl StreamReassembler {
             self.abandon_before(WindowId::new(cutoff));
         }
         if self.is_finished(index) {
-            self.workspace.recycle(payload);
             return None;
         }
         let decoder = self
             .pending
             .entry(index)
-            .or_insert_with(|| WindowDecoder::new(params));
-        if let Err(rejected) = decoder.try_insert(descriptor.index_in_window, payload) {
-            // Duplicate: the payload is well-formed, so pool its buffer.
-            self.workspace.recycle(rejected);
-            return None;
-        }
+            .or_insert_with(|| self.empty.clone());
+        // A duplicate is ignored; it cannot complete a window that is still
+        // pending.
+        decoder.insert(descriptor.index_in_window, payload);
         if !decoder.is_decodable() {
             return None;
         }
@@ -468,39 +450,31 @@ impl StreamReassembler {
             .pending
             .remove(&index)
             .expect("decoder was just inserted");
-        decoder
-            .decode_with(&mut self.workspace)
+        let packets = decoder
+            .decode()
             .expect("threshold of equal-length shards reached, decode cannot fail");
         self.completed.insert(index);
         self.advance_horizon();
         self.decoded += 1;
         Some(DecodedWindow {
             window: descriptor.window,
-            decoder,
+            packets,
         })
     }
 
-    /// Returns a decoded window's buffers to the shared pool.
+    /// Drops a decoded window. Dropping it directly does the same; the repo
+    /// benchmark's FEC probe still calls this (ROADMAP item 2(b)).
     pub fn recycle(&mut self, window: DecodedWindow) {
-        let DecodedWindow { mut decoder, .. } = window;
-        decoder.reset(&mut self.workspace);
+        drop(window);
     }
 
     /// Drops every pending window before `window` (its playout deadline has
-    /// passed), recycling their buffers; late packets for the dropped range
-    /// are ignored from now on. Returns how many pending windows were
-    /// dropped.
+    /// passed); late packets for the dropped range are ignored from now on.
+    /// Returns how many pending windows were dropped.
     pub fn abandon_before(&mut self, window: WindowId) -> usize {
-        let stale: Vec<u64> = self
-            .pending
-            .range(..window.index())
-            .map(|(&w, _)| w)
-            .collect();
-        for w in &stale {
-            let mut decoder = self.pending.remove(w).expect("key from range");
-            decoder.reset(&mut self.workspace);
-        }
-        self.abandoned += stale.len() as u64;
+        let kept = self.pending.split_off(&window.index());
+        let stale = std::mem::replace(&mut self.pending, kept).len();
+        self.abandoned += stale as u64;
         if window.index() > self.horizon {
             self.horizon = window.index();
             // Entries the horizon jumped over are now redundant…
@@ -508,7 +482,7 @@ impl StreamReassembler {
             // …and it may now touch the out-of-order completed frontier.
             self.advance_horizon();
         }
-        stale.len()
+        stale
     }
 }
 
@@ -624,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn reassembler_decodes_lossy_windows_with_shared_workspace() {
+    fn reassembler_decodes_lossy_windows() {
         let config = StreamConfig::small(3);
         let schedule = StreamSchedule::new(config, SimTime::ZERO);
         let mut reassembler = StreamReassembler::new(schedule);
@@ -635,8 +609,7 @@ mod tests {
             let packets = window_payloads(&config, w);
             let mut decoded = None;
             for (idx, payload) in packets.iter().enumerate() {
-                // Drop the same two source packets of every window: the
-                // erasure-pattern inverse is computed once and cached.
+                // Two source packets of every window are lost.
                 if idx == 1 || idx == 4 {
                     continue;
                 }
@@ -655,25 +628,12 @@ mod tests {
                 packets[..config.window.data_packets].to_vec(),
                 "window {w}"
             );
-            assert_eq!(
-                win.packet(0).map(|p| p.len()),
-                Some(config.window.packet_bytes)
-            );
             reassembler.recycle(win);
             decoded_count += 1;
         }
         assert_eq!(decoded_count, 3);
         assert_eq!(reassembler.decoded_windows(), 3);
         assert_eq!(reassembler.pending_windows(), 0);
-        assert_eq!(
-            reassembler.workspace().cached_inverses(),
-            1,
-            "one cached inverse for the repeated loss pattern"
-        );
-        assert!(
-            reassembler.workspace().pooled_buffers() > 0,
-            "recycled buffers pooled"
-        );
     }
 
     #[test]
@@ -852,12 +812,10 @@ mod tests {
             }
         }
         assert_eq!(reassembler.pending_windows(), 2);
-        // Playout reached window 2: both stale windows are dropped and their
-        // buffers recycled.
+        // Playout reached window 2: both stale windows are dropped.
         assert_eq!(reassembler.abandon_before(WindowId::new(2)), 2);
         assert_eq!(reassembler.pending_windows(), 0);
         assert_eq!(reassembler.abandoned_windows(), 2);
-        assert!(reassembler.workspace().pooled_buffers() >= 6);
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //! packets, and when more are lost the surviving source packets are still
 //! usable verbatim (which is what Table 2 of the paper measures).
 
-use heap::fec::{DecodeWorkspace, WindowDecoder, WindowEncoder, WindowParams};
+use heap::fec::{WindowDecoder, WindowEncoder, WindowParams};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 fn main() {
     let params = WindowParams::PAPER;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
-    // One workspace for the whole stream: the codec, the erasure-pattern
-    // inverses and the shard buffers are reused across windows.
-    let mut workspace = DecodeWorkspace::new();
+    // The codec is built once; every window's decoder is a clone.
+    let empty = WindowDecoder::new(params);
 
     // 101 source packets of 1316 random bytes.
     let data: Vec<Vec<u8>> = (0..params.data_packets)
@@ -36,19 +35,15 @@ fn main() {
         order.shuffle(&mut rng);
         let dropped: Vec<usize> = order.into_iter().take(losses).collect();
 
-        let mut decoder = WindowDecoder::new(params);
+        let mut decoder = empty.clone();
         for (i, p) in packets.iter().enumerate() {
             if !dropped.contains(&i) {
                 decoder.insert(i, p.clone());
             }
         }
-        match decoder.decode_with(&mut workspace) {
-            Ok(()) => {
-                let recovered: Vec<&[u8]> = decoder.data_packets().collect();
-                assert!(
-                    recovered.iter().zip(&data).all(|(r, d)| *r == d.as_slice()),
-                    "decoded data must match the original"
-                );
+        match decoder.decode() {
+            Ok(recovered) => {
+                assert!(recovered == data, "decoded data must match the original");
                 println!(
                     "{losses:>2} packets lost -> window decoded, all {} source packets recovered",
                     params.data_packets
@@ -62,6 +57,5 @@ fn main() {
                 );
             }
         }
-        decoder.reset(&mut workspace);
     }
 }

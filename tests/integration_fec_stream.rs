@@ -4,12 +4,16 @@
 //! arrived) is only meaningful because the real Reed–Solomon codec can indeed
 //! decode from any such subset. This test closes the loop: it drives a
 //! lossy delivery pattern, checks `NodeStreamMetrics` classification, and
-//! actually decodes the windows it claims are decodable.
+//! actually decodes the windows it claims are decodable — once window by
+//! window with a `WindowDecoder`, and once by replaying the receive log
+//! through a `StreamReassembler`.
 
-use heap::fec::{DecodeWorkspace, WindowDecoder, WindowEncoder, WindowParams};
+use heap::fec::{WindowDecoder, WindowEncoder, WindowParams};
 use heap::simnet::time::{SimDuration, SimTime};
-use heap::streaming::metrics::NodeStreamMetrics;
-use heap::streaming::{PacketId, ReceiverLog, StreamConfig, StreamSchedule};
+use heap::streaming::metrics::{window_decode_time, NodeStreamMetrics};
+use heap::streaming::{
+    PacketId, ReceiverLog, StreamConfig, StreamReassembler, StreamSchedule, WindowId,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,17 +59,16 @@ fn metrics_decodability_matches_actual_fec_decoding() {
 
     let metrics = NodeStreamMetrics::compute(&schedule, &log);
     let lag = SimDuration::from_secs(5);
-    // One decode workspace shared across the stream's windows, as a real
-    // receiving pipeline would hold it.
-    let mut workspace = DecodeWorkspace::new();
+    // The codec is built once; each window's decoder is a clone.
+    let empty = WindowDecoder::new(params);
 
     for w in 0..3u64 {
-        let window = heap::streaming::WindowId::new(w);
+        let window = WindowId::new(w);
         let claimed_decodable = metrics.window_jitter_free(window, lag);
 
         // Reconstruct with the actual codec from exactly the packets that the
         // receive log says arrived.
-        let mut decoder = WindowDecoder::new(params);
+        let mut decoder = empty.clone();
         for (idx, got) in received[w as usize].iter().enumerate() {
             if *got {
                 decoder.insert(idx, payloads[w as usize][idx].clone());
@@ -77,24 +80,53 @@ fn metrics_decodability_matches_actual_fec_decoding() {
             "window {w}: metrics and codec disagree on decodability"
         );
         if claimed_decodable {
-            decoder
-                .decode_with(&mut workspace)
+            let decoded = decoder
+                .decode()
                 .expect("codec must decode what metrics claim");
-            let decoded: Vec<&[u8]> = decoder.data_packets().collect();
-            assert_eq!(decoded.len(), params.data_packets);
             // Systematic code: decoded source packets equal the originals.
-            for (d, orig) in decoded
-                .iter()
-                .zip(&payloads[w as usize][..params.data_packets])
-            {
-                assert_eq!(*d, orig.as_slice());
-            }
+            assert_eq!(decoded, payloads[w as usize][..params.data_packets]);
         }
-        decoder.reset(&mut workspace);
     }
 
     // The heavily-lossy window is the one that is not decodable.
-    assert!(!metrics.window_jitter_free(heap::streaming::WindowId::new(2), lag));
+    assert!(!metrics.window_jitter_free(WindowId::new(2), lag));
     // But its surviving source packets still count towards partial delivery.
-    assert!(metrics.window_source_delivery_ratio(heap::streaming::WindowId::new(2), lag) > 0.4);
+    assert!(metrics.window_source_delivery_ratio(WindowId::new(2), lag) > 0.4);
+
+    // Replay the same log in arrival order through the stream's reassembler:
+    // it hands back exactly the windows the metrics call decodable, on the
+    // arrival the metrics date the decode to, each with its original source
+    // payloads.
+    let mut arrivals: Vec<(PacketId, SimTime)> = log.iter_received().collect();
+    arrivals.sort_by_key(|&(id, at)| (at, id.seq()));
+    let mut reassembler = StreamReassembler::new(schedule);
+    let mut decoded_windows = Vec::new();
+    for (id, at) in arrivals {
+        let packet = schedule.packet(id).expect("logged packet is scheduled");
+        let payload = payloads[packet.window.index() as usize][packet.index_in_window].clone();
+        if let Some(window) = reassembler.accept(id, payload) {
+            let w = window.id().index() as usize;
+            assert!(
+                window
+                    .data_packets()
+                    .eq(payloads[w][..params.data_packets].iter().map(Vec::as_slice)),
+                "window {w}: reassembled payloads differ from the originals"
+            );
+            decoded_windows.push((window.id(), at));
+        }
+    }
+    let claimed: Vec<(WindowId, SimTime)> = (0..3)
+        .map(WindowId::new)
+        .filter(|&window| metrics.window_jitter_free(window, lag))
+        .map(|window| {
+            let at = window_decode_time(&schedule, &metrics, window).expect("decodable");
+            (window, at)
+        })
+        .collect();
+    assert!(
+        !claimed.is_empty(),
+        "the loss rates leave a decodable window"
+    );
+    assert_eq!(decoded_windows, claimed);
+    assert_eq!(reassembler.decoded_windows(), claimed.len() as u64);
 }
