@@ -42,10 +42,16 @@ fn campaign_flags_without_the_campaign_are_a_usage_error() {
 
 #[test]
 fn a_shape_the_scenario_check_refuses_is_a_usage_error() {
-    let refused = [
-        (["--nodes", "0"], "scale.n_nodes is 0"),
-        (["--nodes", "1"], "scale.n_nodes is 1"),
-        (["--windows", "0"], "scale.n_windows is 0"),
+    // The last shape would need tens of GiB; it is refused before any node
+    // is built.
+    let refused: [(&[&str], &str); 4] = [
+        (&["--nodes", "0"], "scale.n_nodes is 0"),
+        (&["--nodes", "1"], "scale.n_nodes is 1"),
+        (&["--windows", "0"], "scale.n_windows is 0"),
+        (
+            &["--nodes", "1000000", "--windows", "40000"],
+            "scale is 1000000 nodes × 4400000 packets",
+        ),
     ];
     for (shape, message) in refused {
         for with_campaign in [true, false] {

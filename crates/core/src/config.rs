@@ -32,9 +32,9 @@ pub enum ConfigError {
     EmptyList(&'static str),
     /// A fault region at or past the region count `(region, regions)`.
     RegionOutOfRange(&'static str, u32, usize),
-    /// A stream of 2³² packets or more (the window count): packet ids are
-    /// packed into 32 bits.
-    StreamTooLong(&'static str, u64),
+    /// A run of more than 2³² `(requester, packet)` pairs, `(nodes,
+    /// packets)`: see [`pair_space`](Self::pair_space).
+    TooManyPairs(&'static str, usize, u64),
 }
 
 impl ConfigError {
@@ -67,6 +67,15 @@ impl ConfigError {
         Self::ensure((0.0..=6e7).contains(&got), Self::NotARate(field, got))
     }
 
+    /// Checks that a run of `nodes` nodes streaming `packets` packets has at
+    /// most 2³² `(requester, packet)` pairs, so that every pair has its own
+    /// 32-bit serve-dedup key and every packet id fits 32 bits. A run past
+    /// it would hold more than 16 GiB of 4-byte receive-log entries.
+    pub fn pair_space(field: &'static str, nodes: usize, packets: u64) -> Result<(), Self> {
+        let fits = nodes as u128 * u128::from(packets) <= 1 << 32;
+        Self::ensure(fits, Self::TooManyPairs(field, nodes, packets))
+    }
+
     /// Checks that an instant or delay, in seconds, is within `[0, MAX_SECS]`.
     pub fn instant(field: &'static str, got: f64) -> Result<(), Self> {
         let fits = (0.0..=Self::MAX_SECS).contains(&got);
@@ -92,9 +101,10 @@ impl fmt::Display for ConfigError {
             EmptyWindow(field, start, end) => write!(f, "{field} {start}..{end} is empty"),
             EmptyList(field) => write!(f, "{field} must not be empty"),
             RegionOutOfRange(field, region, n) => write!(f, "{field} {region} is not below {n}"),
-            StreamTooLong(field, windows) => {
-                write!(f, "{field} is {windows}: the stream reaches 2^32 packets")
-            }
+            TooManyPairs(field, nodes, packets) => write!(
+                f,
+                "{field} is {nodes} nodes × {packets} packets: more than 2^32 (requester, packet) pairs"
+            ),
         }
     }
 }
@@ -313,6 +323,22 @@ mod tests {
         assert_eq!(c.control_message_bytes(11), 28 + 88);
         assert_eq!(c.serve_message_bytes(1316), 28 + 1316);
         assert_eq!(c.aggregation_message_bytes(10), 28 + 100);
+    }
+
+    #[test]
+    fn pair_space_ends_at_2_pow_32_pairs() {
+        let check = |nodes, packets| ConfigError::pair_space("f", nodes, packets);
+        for (nodes, packets) in [(1 << 16, 1 << 16), (2, 1 << 31), (1, 1 << 32), (1 << 32, 1)] {
+            assert_eq!(check(nodes, packets), Ok(()), "{nodes} × {packets}");
+        }
+        for (nodes, packets) in [
+            (1 << 16, (1 << 16) + 1),
+            (2, 1 << 32),
+            (usize::MAX, u64::MAX),
+        ] {
+            let refused = ConfigError::TooManyPairs("f", nodes, packets);
+            assert_eq!(check(nodes, packets), Err(refused), "{nodes} × {packets}");
+        }
     }
 
     #[test]

@@ -94,10 +94,10 @@ pub struct DisseminationEngine {
     log: ReceiverLog,
     /// `eRequested`: ids we have already pulled (never pull twice).
     requested: RequestedSet,
-    /// `eToPropose`: ids to advertise in the next gossip round
-    /// (cleared after every round — infect-and-die). The buffer is kept
-    /// across rounds.
-    to_propose: Vec<PacketId>,
+    /// `eToPropose`: the sequence numbers of the ids to advertise in the
+    /// next gossip round (cleared after every round — infect-and-die). The
+    /// buffer is kept across rounds.
+    to_propose: Vec<u32>,
     stats: EngineStats,
     /// Live stream-health tracker, fed on every first delivery (O(1),
     /// allocation-free — it never perturbs the hot path or determinism).
@@ -183,7 +183,7 @@ impl DisseminationEngine {
     /// returned exactly once over the lifetime of the node). The queue keeps
     /// its buffer for the next round.
     pub fn take_proposals(&mut self) -> PacketIds {
-        let ids = PacketIds::from(self.to_propose.as_slice());
+        let ids = PacketIds::from_seqs(&self.to_propose);
         self.to_propose.clear();
         ids
     }
@@ -248,7 +248,8 @@ impl DisseminationEngine {
                 self.stats.packets_delivered += 1;
                 self.stats.ids_learned += 1;
                 self.health.on_packet(published_at, now);
-                self.to_propose.push(id);
+                // A delivered id is in the stream, so below 2³².
+                self.to_propose.push(id.seq() as u32);
                 fresh += 1;
             } else {
                 self.stats.duplicate_payloads += 1;
@@ -264,6 +265,14 @@ impl DisseminationEngine {
         ids.into_iter()
             .filter(|&id| !self.log.has(id) && self.requested.in_range(id.seq() as usize))
             .collect()
+    }
+
+    /// Resident heap bytes (beyond `size_of::<Self>()`): the receive log,
+    /// the `eRequested` bits and the proposal queue's buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.log.heap_bytes()
+            + self.requested.words.len() * 8
+            + self.to_propose.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Gives up on an earlier request: clears the `eRequested` mark of the

@@ -11,7 +11,7 @@
 //! bit for bit.
 
 use crate::aggregation::CapabilityAggregator;
-use crate::config::{GossipConfig, PartialMembershipConfig};
+use crate::config::{ConfigError, GossipConfig, PartialMembershipConfig};
 use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
 use crate::message::GossipMessage;
@@ -205,12 +205,17 @@ impl GossipNodeBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`GossipConfig::validate`] or the
-    /// serve fraction is not within `[0, 1]`.
+    /// Panics if the configuration fails [`GossipConfig::validate`], the
+    /// serve fraction is not within `[0, 1]` or the run has more than 2³²
+    /// `(requester, packet)` pairs ([`ConfigError::pair_space`]).
     pub fn build(self) -> GossipNode {
         // Preconditions for direct callers; scenarios are validated before set-up.
         if let Err(e) = self.config.validate() {
             panic!("invalid gossip configuration: {e}");
+        }
+        let packets = self.schedule.total_packets();
+        if let Err(e) = ConfigError::pair_space("n", self.n, packets) {
+            panic!("invalid run: {e}");
         }
         assert!(
             (0.0..=1.0).contains(&self.serve_fraction),
@@ -228,7 +233,7 @@ impl GossipNodeBuilder {
                 .map(|d| NodeId::new((self.id.as_u32() + d) % self.n as u32))
                 .collect();
             view.seed(&seeds);
-            PartialState { view, config }
+            Box::new(PartialState { view, config })
         });
         GossipNode {
             id: self.id,
@@ -241,7 +246,7 @@ impl GossipNodeBuilder {
             aggregator: CapabilityAggregator::new(self.id, self.capability),
             retransmit: RetransmitTracker::new(),
             stats: ProtocolStats::default(),
-            served: ServeDedup::new(),
+            served: ServeDedup::new(packets),
             config: self.config,
             next_source_seq: 0,
             serve_fraction: self.serve_fraction,
@@ -272,7 +277,9 @@ pub struct GossipNode {
     policy: FanoutPolicy,
     capability: Bandwidth,
     view: MembershipView,
-    partial: Option<PartialState>,
+    /// Boxed: most runs have full membership, and every node pays for the
+    /// inline size.
+    partial: Option<Box<PartialState>>,
     engine: DisseminationEngine,
     aggregator: CapabilityAggregator,
     retransmit: RetransmitTracker,
@@ -295,8 +302,8 @@ pub struct GossipNode {
 }
 
 // Nodes sit side by side in the simulator's node table, and a delivery
-// touches one of them: keep the struct within sixteen cache lines.
-const _: () = assert!(std::mem::size_of::<GossipNode>() <= 1024);
+// touches one of them: keep the struct within fourteen cache lines.
+const _: () = assert!(std::mem::size_of::<GossipNode>() <= 896);
 
 impl GossipNode {
     /// Starts building a node with identifier `id` in a system of `n` nodes
@@ -371,18 +378,6 @@ impl GossipNode {
     /// The capability aggregator (exposes the average-capability estimate).
     pub fn aggregator(&self) -> &CapabilityAggregator {
         &self.aggregator
-    }
-
-    /// Resident heap bytes of the retransmission queue
-    /// ([`RetransmitTracker::heap_bytes`]).
-    pub fn retransmit_heap_bytes(&self) -> usize {
-        self.retransmit.heap_bytes()
-    }
-
-    /// Resident heap bytes of the serve-dedup tables: the two generations of
-    /// `(requester, packet)` pairs served within the dedup window.
-    pub fn serve_dedup_heap_bytes(&self) -> usize {
-        self.served.heap_bytes()
     }
 
     /// The node's membership view.
@@ -674,6 +669,21 @@ impl Protocol for GossipNode {
             RETRANSMIT_TAG_BASE => self.on_retransmit_timer(ctx),
             other => debug_assert!(false, "unknown timer tag {other}"),
         }
+    }
+
+    /// The dissemination engine (receive log, `eRequested`, proposal
+    /// queue), the serve-dedup tables, the retransmission queue, the
+    /// aggregator, the membership view and the partial view.
+    fn heap_bytes(&self) -> usize {
+        let partial = self.partial.as_ref().map_or(0, |partial| {
+            std::mem::size_of::<PartialState>() + partial.view.heap_bytes()
+        });
+        self.engine.heap_bytes()
+            + self.served.heap_bytes()
+            + self.retransmit.heap_bytes()
+            + self.aggregator.heap_bytes()
+            + self.view.heap_bytes()
+            + partial
     }
 }
 
@@ -1347,6 +1357,14 @@ mod tests {
         let _ = GossipNode::builder(NodeId::new(0), 5, schedule(1))
             .config(cfg)
             .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid run: n is 357913942 nodes × 12 packets")]
+    fn builder_rejects_more_than_2_pow_32_pairs() {
+        // A window of 12 packets: one node more than 2³² pairs allow.
+        let n = (1 << 32) / 12 + 1;
+        let _ = GossipNode::builder(NodeId::new(0), n, schedule(1)).build();
     }
 
     #[test]

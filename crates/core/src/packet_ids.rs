@@ -99,15 +99,23 @@ impl PacketIds {
         self.iter().collect()
     }
 
-    /// The inline form of `ids`, if they fit it.
-    fn inline(ids: &[PacketId]) -> Option<Self> {
+    /// The ids of an exactly sized iterator: inline if they fit, else in one
+    /// new shared buffer.
+    fn from_exact<I>(ids: I) -> Self
+    where
+        I: ExactSizeIterator<Item = PacketId> + Clone,
+    {
         let mut list = Inline::default();
-        for &id in ids {
-            if !list.push(id) {
-                return None;
-            }
+        if ids.clone().all(|id| list.push(id)) {
+            list.into_ids()
+        } else {
+            PacketIds(Repr::Shared(ids.collect()))
         }
-        Some(list.into_ids())
+    }
+
+    /// The ids with sequence numbers `seqs`, in order.
+    pub(crate) fn from_seqs(seqs: &[u32]) -> Self {
+        Self::from_exact(seqs.iter().map(|&seq| PacketId::new(u64::from(seq))))
     }
 }
 
@@ -183,7 +191,7 @@ impl FromIterator<PacketId> for PacketIds {
 impl From<&[PacketId]> for PacketIds {
     /// Copies the ids: inline if they fit, else into one new shared buffer.
     fn from(ids: &[PacketId]) -> Self {
-        Self::inline(ids).unwrap_or_else(|| PacketIds(Repr::Shared(ids.into())))
+        Self::from_exact(ids.iter().copied())
     }
 }
 

@@ -9,11 +9,11 @@ use heap_streaming::packet::PacketId;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiply-and-fold hasher for packed `(requester, packet seq)` keys.
+/// Multiply-and-fold hasher for `(requester, packet)` keys.
 ///
 /// The sets hold a hundred or two keys and every requested id costs up to
 /// three lookups, so the hash function itself is the cost; this one is a
-/// rotate, an xor and one widening multiply. The keys are the simulator's own
+/// shift and one widening multiply. The keys are the simulator's own
 /// node ids and sequence numbers, never input from outside the program, so
 /// they need no protection against crafted collisions.
 #[derive(Default)]
@@ -26,10 +26,10 @@ impl Hasher for KeyHasher {
         }
     }
 
-    /// A `(u32, u64)` tuple, written as its two fields, hashes exactly as
-    /// its [`pack`]ed key does.
+    /// A key goes in the high half, so that the product's middle bits,
+    /// which depend on every key bit, become the hash's low bits.
     fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
+        self.write_u64(u64::from(word) << 32);
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -44,16 +44,7 @@ impl Hasher for KeyHasher {
     }
 }
 
-type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
-
-/// A served pair as one key: the requester in the high half, the packet's
-/// sequence number in the low one. `Scenario::validate` keeps streams below
-/// 2³² packets, so the halves never overlap; a slot is 8 bytes instead of
-/// the tuple's 16.
-fn pack(requester: NodeId, id: PacketId) -> u64 {
-    debug_assert!(id.seq() < 1 << 32, "packet {} past 2^32", id.seq());
-    u64::from(requester.as_u32()) << 32 | id.seq()
-}
+type KeySet = HashSet<u32, BuildHasherDefault<KeyHasher>>;
 
 /// How long a served `(requester, packet)` pair suppresses a re-serve: less
 /// than the paper's 2 s retransmission period, so a request retransmitted
@@ -68,20 +59,44 @@ pub(crate) const SERVE_DEDUP_WINDOW: SimDuration = SimDuration::from_millis(1_50
 /// a pair is therefore remembered for between one and two windows, and the
 /// sets are bounded to two windows of serves. The sets are only probed and
 /// inserted into, never iterated, so their order cannot reach behaviour.
+///
+/// A pair is one `u32` key, `requester × stream_packets + seq`: distinct for
+/// every requester below `n` and every packet of the stream as long as
+/// `n × stream_packets ≤ 2³²`, the bound [`ConfigError::pair_space`] checks
+/// before a run is built. A table bucket is then 5 bytes.
+///
+/// [`ConfigError::pair_space`]: crate::config::ConfigError::pair_space
 #[derive(Debug, Clone)]
 pub(crate) struct ServeDedup {
     recent: KeySet,
     prev: KeySet,
     generation_start: SimTime,
+    stream_packets: u64,
 }
 
 impl ServeDedup {
-    pub(crate) fn new() -> Self {
+    /// Dedup for a node whose stream has `stream_packets` packets.
+    pub(crate) fn new(stream_packets: u64) -> Self {
         ServeDedup {
             recent: KeySet::default(),
             prev: KeySet::default(),
             generation_start: SimTime::ZERO,
+            stream_packets,
         }
+    }
+
+    /// The key of a served pair; `id` must be a packet of the stream.
+    fn key(&self, requester: NodeId, id: PacketId) -> u32 {
+        debug_assert!(
+            id.seq() < self.stream_packets,
+            "{id:?} is not in the stream"
+        );
+        let key = u64::from(requester.as_u32()) * self.stream_packets + id.seq();
+        debug_assert!(
+            key <= u64::from(u32::MAX),
+            "{requester:?} × {id:?} past 2^32"
+        );
+        key as u32
     }
 
     /// Whether `id` was served to `requester` within the dedup window.
@@ -104,13 +119,18 @@ impl ServeDedup {
             self.recent.shrink_to(self.prev.len());
             self.generation_start = now;
         }
-        let key = pack(requester, id);
+        // An id outside the stream was never served, and its key would be
+        // another requester's.
+        if id.seq() >= self.stream_packets {
+            return false;
+        }
+        let key = self.key(requester, id);
         self.recent.contains(&key) || self.prev.contains(&key)
     }
 
-    /// Records that `id` was served to `requester`.
+    /// Records that `id`, a packet of the stream, was served to `requester`.
     pub(crate) fn mark_served(&mut self, requester: NodeId, id: PacketId) {
-        self.recent.insert(pack(requester, id));
+        self.recent.insert(self.key(requester, id));
     }
 
     /// Resident heap bytes of both tables, worked out from the standard
@@ -121,7 +141,7 @@ impl ServeDedup {
             .into_iter()
             .map(|set| match set.capacity() {
                 0 => 0,
-                capacity => table_buckets(capacity) * 9 + 16,
+                capacity => table_buckets(capacity) * 5 + 16,
             })
             .sum()
     }
@@ -140,7 +160,13 @@ fn table_buckets(capacity: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::hash::BuildHasher;
+
+    /// Packets in the stream of the unit tests' nodes.
+    const STREAM: u64 = 1_000;
 
     fn ms(millis: u64) -> SimTime {
         SimTime::from_millis(millis)
@@ -149,7 +175,7 @@ mod tests {
     #[test]
     fn a_serve_is_suppressed_until_the_second_rotation() {
         let (peer, id) = (NodeId::new(3), PacketId::new(40));
-        let mut dedup = ServeDedup::new();
+        let mut dedup = ServeDedup::new(STREAM);
         // Generation 0 began at time zero; the lookup at 1 s stays in it.
         assert!(!dedup.recently_served(peer, id, ms(1_000)));
         dedup.mark_served(peer, id);
@@ -169,7 +195,7 @@ mod tests {
     #[test]
     fn rotation_happens_on_the_first_lookup_a_window_past_the_generation_start() {
         let peer = NodeId::new(1);
-        let mut dedup = ServeDedup::new();
+        let mut dedup = ServeDedup::new(STREAM);
         // One tick short of the window: no rotation.
         assert!(!dedup.recently_served(peer, PacketId::new(0), ms(1_499)));
         assert_eq!(dedup.generation_start, SimTime::ZERO);
@@ -193,7 +219,7 @@ mod tests {
     #[test]
     fn rotation_keeps_both_tables() {
         let peer = NodeId::new(2);
-        let mut dedup = ServeDedup::new();
+        let mut dedup = ServeDedup::new(STREAM);
         for seq in 0..100 {
             dedup.mark_served(peer, PacketId::new(seq));
         }
@@ -218,56 +244,130 @@ mod tests {
         assert!(dedup.recent.capacity() < grown);
     }
 
-    #[test]
-    fn the_packed_key_keeps_pairs_apart_and_hashes_as_the_tuple_did() {
-        let build = BuildHasherDefault::<KeyHasher>::default();
-        let last = PacketId::new(u64::from(u32::MAX));
-        let pairs = [
-            (NodeId::new(0), PacketId::new(0)),
-            (NodeId::new(0), last),
-            (NodeId::new(1), PacketId::new(0)),
-            (NodeId::new(1), last),
-            (NodeId::new(u32::MAX), last),
-        ];
-        for (i, &(requester, id)) in pairs.iter().enumerate() {
-            let key = pack(requester, id);
-            let tuple = (requester.as_u32(), id.seq());
+    /// The dedup as the tuples it stands for: `(requester, seq)` pairs in
+    /// the same two-generation rotation, with no key to alias.
+    struct TupleModel {
+        recent: HashSet<(NodeId, u64)>,
+        prev: HashSet<(NodeId, u64)>,
+        generation_start: SimTime,
+    }
+
+    impl TupleModel {
+        fn recently_served(&mut self, requester: NodeId, id: PacketId, now: SimTime) -> bool {
+            if now.saturating_since(self.generation_start) >= SERVE_DEDUP_WINDOW {
+                self.prev = std::mem::take(&mut self.recent);
+                self.generation_start = now;
+            }
+            let pair = (requester, id.seq());
+            self.recent.contains(&pair) || self.prev.contains(&pair)
+        }
+    }
+
+    /// A number below `len`, one of the first or last three half the time.
+    fn edge(rng: &mut SmallRng, len: u64) -> u64 {
+        match rng.gen_range(0..4) {
+            0 => rng.gen_range(0..len.min(3)),
+            1 => len - 1 - rng.gen_range(0..len.min(3)),
+            _ => rng.gen_range(0..len),
+        }
+    }
+
+    /// Drives a node of an `n`-node run streaming `packets` packets and the
+    /// tuple model through the same random serves and lookups. Requesters
+    /// and sequence numbers crowd the edges of their ranges (`n − 1` with
+    /// packet `packets − 1` included), and every other lookup is a served
+    /// pair's alias: the requester before it, at a sequence number one
+    /// stream past it, an id outside the stream whose key would collide.
+    fn drive(n: u32, packets: u64, seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut dedup = ServeDedup::new(packets);
+        let mut model = TupleModel {
+            recent: HashSet::new(),
+            prev: HashSet::new(),
+            generation_start: SimTime::ZERO,
+        };
+        let mut served = Vec::new();
+        let mut now = SimTime::ZERO;
+        for step in 0..400 {
+            now += SimDuration::from_millis(rng.gen_range(0..400));
+            let requester = NodeId::new(edge(&mut rng, u64::from(n)) as u32);
+            let id = PacketId::new(edge(&mut rng, packets));
+            if rng.gen_bool(0.5) {
+                dedup.mark_served(requester, id);
+                model.recent.insert((requester, id.seq()));
+                served.push((requester, id));
+                continue;
+            }
+            let (requester, id) = match served.last() {
+                Some(&(peer, id)) if peer.as_u32() > 0 && rng.gen_bool(0.5) => (
+                    NodeId::new(peer.as_u32() - 1),
+                    PacketId::new(id.seq() + packets),
+                ),
+                Some(&pair) if rng.gen_bool(0.5) => pair,
+                _ => (requester, id),
+            };
             assert_eq!(
-                (key >> 32, key & 0xffff_ffff),
-                (u64::from(tuple.0), tuple.1)
+                dedup.recently_served(requester, id, now),
+                model.recently_served(requester, id, now),
+                "step {step}: {requester:?} {id:?} at {now:?}"
             );
-            assert_eq!(build.hash_one(key), build.hash_one(tuple), "{tuple:?}");
-            for &(other, other_id) in &pairs[i + 1..] {
-                assert_ne!(key, pack(other, other_id), "{tuple:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// At n × packets = 2³² (and well inside it), the 32-bit key keeps
+        /// every pair apart: the dedup answers as the tuples do.
+        #[test]
+        fn the_32_bit_key_answers_as_the_tuples_do(seed in 0u64..1_000_000) {
+            let shapes = [(2, 1 << 31), (1 << 16, 1 << 16), (1 << 31, 2), (3, 5), (271, 9_900)];
+            for (n, packets) in shapes {
+                drive(n, packets, seed);
             }
         }
-        // At the last sequence number, a serve to one requester does not
-        // suppress the next requester's first packet.
-        let mut dedup = ServeDedup::new();
-        dedup.mark_served(NodeId::new(0), last);
-        assert!(dedup.recently_served(NodeId::new(0), last, ms(1)));
-        assert!(!dedup.recently_served(NodeId::new(1), PacketId::new(0), ms(1)));
-        assert!(!dedup.recently_served(NodeId::new(1), last, ms(1)));
+    }
+
+    #[test]
+    fn the_last_pair_takes_the_last_key() {
+        // n × packets = 2³²: requester n − 1 with packet packets − 1 is
+        // u32::MAX, and its neighbours stay apart.
+        let (n, packets) = (1u32 << 16, 1u64 << 16);
+        let dedup = ServeDedup::new(packets);
+        let last = (NodeId::new(n - 1), PacketId::new(packets - 1));
+        assert_eq!(dedup.key(last.0, last.1), u32::MAX);
+        assert_eq!(
+            dedup.key(NodeId::new(n - 1), PacketId::new(0)),
+            u32::MAX - 0xffff
+        );
+        assert_eq!(dedup.key(NodeId::new(n - 2), last.1), u32::MAX - 0x1_0000);
+        let mut dedup = dedup;
+        dedup.mark_served(last.0, last.1);
+        assert!(dedup.recently_served(last.0, last.1, ms(1)));
+        assert!(!dedup.recently_served(NodeId::new(0), PacketId::new(0), ms(1)));
+        // Past the stream: never served, whatever its key would be.
+        assert!(!dedup.recently_served(NodeId::new(n - 2), PacketId::new(2 * packets - 1), ms(1)));
+        assert!(!dedup.recently_served(last.0, PacketId::new(u64::MAX), ms(1)));
     }
 
     #[test]
     fn heap_bytes_counts_both_tables() {
-        let mut dedup = ServeDedup::new();
+        let mut dedup = ServeDedup::new(STREAM);
         assert_eq!(dedup.heap_bytes(), 0);
         dedup.mark_served(NodeId::new(1), PacketId::new(1));
-        // Four buckets of an 8-byte key and a control byte, plus a group
-        // of trailing control bytes.
-        assert_eq!(dedup.heap_bytes(), 4 * 9 + 16);
+        // Four buckets of a 4-byte key and a control byte, plus a group of
+        // trailing control bytes.
+        assert_eq!(dedup.heap_bytes(), 4 * 5 + 16);
         for seq in 2..=100 {
             dedup.mark_served(NodeId::new(1), PacketId::new(seq));
         }
-        assert_eq!(dedup.heap_bytes(), 128 * 9 + 16);
+        assert_eq!(dedup.heap_bytes(), 128 * 5 + 16);
         // A rotation moves the table to the previous generation; the next
         // one starts in the other table, not allocated yet.
         assert!(!dedup.recently_served(NodeId::new(1), PacketId::new(0), ms(1_500)));
-        assert_eq!(dedup.heap_bytes(), 128 * 9 + 16);
+        assert_eq!(dedup.heap_bytes(), 128 * 5 + 16);
         dedup.mark_served(NodeId::new(1), PacketId::new(1));
-        assert_eq!(dedup.heap_bytes(), 128 * 9 + 16 + 4 * 9 + 16);
+        assert_eq!(dedup.heap_bytes(), 128 * 5 + 16 + 4 * 5 + 16);
     }
 
     /// Keys per bucket over the paper-scale grid, bucketed by `bucket_of`.
@@ -275,11 +375,13 @@ mod tests {
         const REQUESTERS: u32 = 271;
         const SEQS: u64 = 512;
         let build = BuildHasherDefault::<KeyHasher>::default();
+        // The paper's 90 windows of 110 packets.
+        let dedup = ServeDedup::new(9_900);
         let mut load = vec![0usize; buckets];
         for requester in 0..REQUESTERS {
             // A window's worth of consecutive packets, deep into the stream.
-            for seq in 20_000..20_000 + SEQS {
-                let key = pack(NodeId::new(requester), PacketId::new(seq));
+            for seq in 5_000..5_000 + SEQS {
+                let key = dedup.key(NodeId::new(requester), PacketId::new(seq));
                 load[bucket_of(build.hash_one(key))] += 1;
             }
         }

@@ -166,6 +166,12 @@ impl PartialView {
             self.entries.truncate(self.capacity);
         }
     }
+
+    /// Resident heap bytes held by this view (beyond `size_of::<Self>()`):
+    /// the entry buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<ViewEntry>()
+    }
 }
 
 #[cfg(test)]

@@ -199,6 +199,12 @@ pub trait Protocol {
     /// Invoked when the simulator crashes this node. The node will receive no
     /// further callbacks; the default implementation does nothing.
     fn on_crash(&mut self, _now: SimTime) {}
+
+    /// Resident heap bytes the node owns beyond `size_of::<Self>()`, for
+    /// [`Simulator::memory_footprint`]. The default reports none.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// What an event in the simulator queue does when it fires.
@@ -729,17 +735,20 @@ impl<P: Protocol> Simulator<P> {
 
     /// An itemised, capacity-based estimate of the simulator's resident
     /// heap — the `bytes_per_node` accounting hook of the scale campaign
-    /// (`docs/SCALE.md`). Covers the substrate (statistics columns, pending
-    /// events and the queue capacity retained beyond them, upload queues,
-    /// RNG streams, liveness, timer slots) plus the protocol instances at
-    /// `size_of::<P>()` each; heap owned *inside* protocol state is
-    /// invisible here (the counting-allocator regression guard covers it).
+    /// (`docs/SCALE.md`). Covers the protocol instances at `size_of::<P>()`
+    /// each, the heap they own as their [`Protocol::heap_bytes`] report it,
+    /// and the substrate (statistics columns, pending events and the queue
+    /// capacity retained beyond them, upload queues, RNG streams, liveness,
+    /// timer slots). Message payloads held by pending events beyond the
+    /// event itself are not walked.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let mut f = MemoryFootprint::new(self.len());
         f.record(
             "protocol state",
             (self.protocols.capacity() * std::mem::size_of::<P>()) as u64,
         );
+        let heap: usize = self.protocols.iter().map(P::heap_bytes).sum();
+        f.record("protocol heap", heap as u64);
         self.sub.record_footprint(&mut f, &self.batch);
         f
     }
@@ -871,6 +880,9 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _timer: TimerId, tag: u64) {
             self.timer_fired.push(tag);
         }
+        fn heap_bytes(&self) -> usize {
+            self.timer_fired.capacity() * std::mem::size_of::<u64>()
+        }
     }
 
     fn build(n: usize) -> Simulator<Echo> {
@@ -901,6 +913,17 @@ mod tests {
             assert!(bytes >= 32, "{label}: {bytes} bytes for 32 nodes");
         }
         assert!(f.bytes_per_node() > 0.0);
+
+        // What each node reports owning is summed into one component.
+        let protocol_heap = |sim: &Simulator<Echo>| {
+            let f = sim.memory_footprint();
+            let row = f.components().iter().find(|(l, _)| *l == "protocol heap");
+            row.map(|&(_, bytes)| bytes)
+        };
+        assert_eq!(protocol_heap(&sim), Some(0));
+        sim.node_mut(NodeId::new(3)).timer_fired.reserve_exact(5);
+        sim.node_mut(NodeId::new(9)).timer_fired.reserve_exact(2);
+        assert_eq!(protocol_heap(&sim), Some(7 * 8));
 
         // Once events have flowed, the page pool, the current-bucket buffer
         // and the run loop's batch buffer hold capacity beyond the pending

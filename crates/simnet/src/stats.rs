@@ -174,14 +174,15 @@ impl NetStats {
 /// `bytes_per_node` accounting hook of the scale campaign (`docs/SCALE.md`).
 ///
 /// Built by `Simulator::memory_footprint`, which records one `(label,
-/// bytes)` entry per substrate component (traffic statistics, pending
-/// events, upload queues, RNG streams, timer slots, protocol state);
+/// bytes)` entry per component (protocol state, the heap the protocols
+/// report owning, traffic statistics, pending events, upload queues, RNG
+/// streams, timer slots);
 /// [`bytes_per_node`](MemoryFootprint::bytes_per_node) divides the total by
 /// the node population so runs at different scales compare directly.
 ///
 /// The numbers are capacity-based estimates (`Vec` capacities × element
-/// sizes), not allocator measurements: they explain *where* the substrate's
-/// bytes live and how they scale with n. The allocator's ground-truth peak
+/// sizes), not allocator measurements: they explain *where* the bytes live
+/// and how they scale with n. The allocator's ground-truth peak
 /// is enforced separately by the counting-allocator regression guard
 /// (`crates/workloads/tests/memory_guard.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -29,12 +29,15 @@ pub const SMOKE_WINDOWS: u64 = 1;
 /// Bound on the smoke run's peak resident set (`VmHWM`) per node, in bytes:
 /// the measurement plus 10 %, as the allocator guards set theirs. `repro
 /// scale --smoke` exits non-zero above it ([`check_smoke_peak_rss`]).
-/// Measured 2026-10-17 on the 2-core, 15.7 GiB host, seed 42: 5 122
-/// B/node (488 MiB), with answered requests dropped from the retransmit
-/// queue before it grows and serve-dedup pairs packed into one `u64`;
-/// 9 214 B/node (878 MiB) before, with set-up's temporary vectors freed
-/// before the run (9 247 B/node while they lived to the end of it).
-pub const SMOKE_PEAK_RSS_BYTES_PER_NODE: u64 = 5_634;
+/// Measured 2026-10-18 on the 2-core, 15.7 GiB host, seed 42: 4 162
+/// B/node (396 MiB), with serve-dedup pairs in one `u32` key and proposal
+/// queues of `u32` sequence numbers, against 5 049 B/node (481 MiB) on the
+/// commit before, back to back; 5 122 B/node (488 MiB) measured 2026-10-17
+/// with answered requests dropped from the retransmit queue before it grows
+/// and serve-dedup pairs packed into one `u64`; 9 214 B/node (878 MiB)
+/// before, with set-up's temporary vectors freed before the run (9 247
+/// B/node while they lived to the end of it).
+pub const SMOKE_PEAK_RSS_BYTES_PER_NODE: u64 = 4_578;
 
 /// The campaign scenario at `n` nodes over `windows` stream windows:
 /// fig1's protocol configuration in compact result detail.
@@ -167,7 +170,7 @@ mod tests {
         if peak_rss_kb().is_some() {
             let err = check_smoke_peak_rss(1).unwrap_err();
             assert!(
-                err.contains("SMOKE_PEAK_RSS_BYTES_PER_NODE (5634 B/node)"),
+                err.contains("SMOKE_PEAK_RSS_BYTES_PER_NODE (4578 B/node)"),
                 "{err}"
             );
         }

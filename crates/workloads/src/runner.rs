@@ -1185,8 +1185,9 @@ mod tests {
             scale: Scale::test().with_windows(n_windows),
             ..base()
         };
-        // 110 packets a window: the first window count to reach 2³² packets.
-        let too_many = (1u64 << 32).div_ceil(110);
+        // 40 nodes and 110 packets a window: the first window count past 2³²
+        // (requester, packet) pairs.
+        let too_many = (1u64 << 32) / (40 * 110) + 1;
         let rows: Vec<(Scenario, ConfigError)> = vec![
             (
                 Scenario {
@@ -1312,13 +1313,14 @@ mod tests {
                 }),
                 NotAFraction("loss.p_bad", f64::NAN, closed),
             ),
+            (windows(too_many), TooManyPairs("scale", 40, too_many * 110)),
+            (windows(u64::MAX), TooManyPairs("scale", 40, u64::MAX)),
             (
-                windows(too_many),
-                StreamTooLong("scale.n_windows", too_many),
-            ),
-            (
-                windows(u64::MAX),
-                StreamTooLong("scale.n_windows", u64::MAX),
+                Scenario {
+                    scale: Scale::test().with_nodes(1_000_000).with_windows(40_000),
+                    ..base()
+                },
+                TooManyPairs("scale", 1_000_000, 4_400_000),
             ),
         ];
         for (scenario, expected) in rows {
@@ -1331,7 +1333,7 @@ mod tests {
         assert_eq!(
             windows(too_many - 1).validate(),
             Ok(()),
-            "2³² − 110 packets"
+            "4 096 pairs short of 2³²"
         );
     }
 

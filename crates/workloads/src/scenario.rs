@@ -564,11 +564,8 @@ impl Scenario {
         E::ensure(n >= 2, E::TooFewNodes("scale.n_nodes", n))?;
         let windows = self.scale.n_windows;
         E::ensure(windows >= 1, E::NoWindows("scale.n_windows"))?;
-        // Packet ids are packed into 32 bits: inline in `PacketIds`, and
-        // beside the requester in the serve-dedup key.
         let per_window = StreamConfig::paper(windows).window.total_packets() as u64;
-        let fits = windows.checked_mul(per_window).is_some_and(|p| p < 1 << 32);
-        E::ensure(fits, E::StreamTooLong("scale.n_windows", windows))?;
+        E::pair_space("scale", n, windows.saturating_mul(per_window))?;
         match &self.distribution {
             BandwidthDistribution::Unconstrained => {}
             BandwidthDistribution::Classes { classes, .. } => {

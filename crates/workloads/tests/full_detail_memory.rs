@@ -54,8 +54,10 @@ unsafe impl GlobalAlloc for PeakAlloc {
 static COUNTER: PeakAlloc = PeakAlloc;
 
 /// The full-detail peak bound, in bytes per node, for the guard scenario
-/// (40 nodes, 4 windows of 110 packets, seed 7). Measured 2026-10-17:
-/// 17 921 B/node in release and 17 940 in debug with answered requests
+/// (40 nodes, 4 windows of 110 packets, seed 7). Measured 2026-10-18:
+/// 16 511 B/node in release and 16 543 in debug with serve-dedup pairs in
+/// one `u32` key and proposal queues of `u32` sequence numbers, against
+/// 17 921 and 17 940 on the commit before, which had answered requests
 /// dropped from the retransmit queue before it grows and serve-dedup pairs
 /// packed into one `u64`, against 24 663 (both) on the commit before; 24 743
 /// B/node in release and in debug with inline, shared id lists in the
@@ -72,7 +74,7 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// the result). The bound is the debug measurement plus 10 %: a 16-byte log
 /// alone adds 5 280 B/node and trips it. The figure is an allocator count
 /// and repeats exactly on one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 19_734;
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 18_197;
 
 #[test]
 fn full_detail_peak_stays_under_documented_bound() {

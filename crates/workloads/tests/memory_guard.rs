@@ -8,11 +8,16 @@
 //! that capped the reproduction near 10⁴ nodes — fails this test the same
 //! way a fingerprint regression fails the determinism suite.
 //!
+//! The same run, walked every 100 ms of simulated time, must have
+//! `Simulator::memory_footprint()` report at least 85 % of that peak: the
+//! component table of `docs/SCALE.md` then accounts for the bound.
+//!
 //! The counting allocator wraps the system allocator; this file holds
 //! exactly one test so no concurrent test can perturb the watermark.
 
+use heap_simnet::time::{SimDuration, SimTime};
 use heap_workloads::experiments::scale_campaign;
-use heap_workloads::run_scenario;
+use heap_workloads::ScenarioRun;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,11 +60,14 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// The documented compact-mode peak bound, in bytes per node, for the
 /// 10⁴-node guard scenario (the campaign shape: unconstrained bandwidth,
 /// standard gossip at fanout 7, one stream window). See `docs/SCALE.md` for
-/// the component budget. Measured 2026-10-17: 4 581 B/node with answered
-/// requests dropped from the retransmit queue before it grows and each
-/// serve-dedup pair packed into one `u64`, against 8 542 B/node on the
-/// commit before, whose queue held every request for its full 2 s deadline
-/// and whose dedup sets had 16-byte `(u32, u64)` keys; 8 606 B/node with
+/// the component budget. Measured 2026-10-18: 3 793 B/node with each
+/// serve-dedup pair in one `u32` key, proposal queues of `u32` sequence
+/// numbers and the partial-membership state boxed, against 4 581 B/node on
+/// the commit before, which had answered requests dropped from the
+/// retransmit queue before it grows and each serve-dedup pair packed into
+/// one `u64`, against 8 542 B/node on the commit before that, whose queue
+/// held every request for its full 2 s deadline and whose dedup sets had
+/// 16-byte `(u32, u64)` keys; 8 606 B/node with
 /// inline, shared id lists in the gossip messages (no `Vec` per message or
 /// per fan-out clone), against 9 156 B/node on the commit before, which had the
 /// event queue's buckets in pooled 16-event pages and each receive log moved
@@ -73,7 +81,7 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// capacity for time elapsed (32 800 B/node when it last happened) and on a
 /// per-node vector in the result path; the figure is an allocator count and
 /// repeats exactly on one seed.
-const PEAK_BYTES_PER_NODE_BOUND: u64 = 5_039;
+const PEAK_BYTES_PER_NODE_BOUND: u64 = 4_172;
 
 #[test]
 #[cfg_attr(
@@ -89,7 +97,17 @@ fn compact_mode_peak_stays_under_documented_bound() {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
 
-    let result = run_scenario(&scenario);
+    // The run in 100 ms slices, walking the simulator's footprint after
+    // each: the most it reports is set against the allocator's peak below.
+    let mut run = ScenarioRun::setup(&scenario).expect("the guard shape is valid");
+    let mut walked = 0;
+    let mut now = SimTime::ZERO;
+    while now < run.end() {
+        now = (now + SimDuration::from_millis(100)).min(run.end());
+        run.run_until(now);
+        walked = walked.max(run.sim().memory_footprint().total_bytes());
+    }
+    let result = run.collect();
 
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
     let per_node = peak / N as u64;
@@ -108,7 +126,10 @@ fn compact_mode_peak_stays_under_documented_bound() {
     );
     assert!(result.packet_lag_series.is_some());
 
-    eprintln!("memory guard: peak heap {peak} bytes = {per_node} bytes/node");
+    eprintln!(
+        "memory guard: peak heap {peak} bytes = {per_node} bytes/node; \
+         walked footprint at most {walked} bytes"
+    );
     assert!(
         per_node <= PEAK_BYTES_PER_NODE_BOUND,
         "peak heap {peak} bytes = {per_node} bytes/node exceeds the documented \
@@ -116,5 +137,13 @@ fn compact_mode_peak_stays_under_documented_bound() {
          did a whole-run per-node vector sneak back into the result path, does the \
          event queue retain capacity for time elapsed instead of events pending, or \
          does every request arm its own retransmission timer again?"
+    );
+    // The walk must account for what the run holds at its peak, or the
+    // component table in docs/SCALE.md no longer explains the bound.
+    assert!(
+        walked * 100 >= peak * 85,
+        "memory_footprint() walked at most {walked} bytes, under 85 % of the \
+         allocator's peak of {peak}: some per-node table is not reported by \
+         Protocol::heap_bytes or the substrate's components"
     );
 }
