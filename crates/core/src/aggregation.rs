@@ -221,15 +221,23 @@ impl CapabilityAggregator {
         if self.below_full_cache(&sample, n) {
             return;
         }
-        if let Some(at) = self.freshest.iter().position(|s| s.node == sample.node) {
-            self.freshest.remove(at);
-        } else if self.freshest.len() == n {
-            self.freshest.pop();
-        }
-        let at = self
-            .freshest
-            .partition_point(|s| payload_order(s, &sample) == Ordering::Less);
-        self.freshest.insert(at, sample);
+        // The entry the sample takes over: its own stale one, the full
+        // cache's tail (which drops out), or a new last entry.
+        let old = match self.freshest.iter().position(|s| s.node == sample.node) {
+            Some(old) => old,
+            None if self.freshest.len() == n => n - 1,
+            None => {
+                self.freshest.push(sample);
+                self.freshest.len() - 1
+            }
+        };
+        // Its rank did not fall, so every entry after `old` still ranks
+        // after it: the new rank is found before `old`, and one rotation of
+        // the span between the two ranks moves the entry there.
+        let at =
+            self.freshest[..old].partition_point(|s| payload_order(s, &sample) == Ordering::Less);
+        self.freshest[at..=old].rotate_right(1);
+        self.freshest[at] = sample;
     }
 
     /// Whether the valid cache of the `n` freshest is full and its tail

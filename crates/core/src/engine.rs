@@ -151,6 +151,19 @@ impl DisseminationEngine {
         self.log.has(id)
     }
 
+    /// Hints packet `seq`'s `eRequested` word and receive-log slot, the
+    /// lines the next Propose, Request or Serve naming it reads first.
+    #[inline]
+    pub fn prefetch(&self, seq: u64) {
+        let word = self
+            .requested
+            .words
+            .as_ptr()
+            .wrapping_add(seq as usize / 64);
+        heap_simnet::prefetch(word);
+        self.log.prefetch(seq);
+    }
+
     /// Whether the packet has already been requested by this node.
     pub fn is_requested(&self, id: PacketId) -> bool {
         let idx = id.seq() as usize;

@@ -656,6 +656,20 @@ impl Protocol for GossipNode {
         self.handle_message(ctx, from, msg);
     }
 
+    /// Hints the first id's `eRequested` word and receive-log slot for the
+    /// three dissemination phases.
+    #[inline]
+    fn prefetch(&self, msg: &GossipMessage) {
+        if let GossipMessage::Propose { ids, .. }
+        | GossipMessage::Request { ids, .. }
+        | GossipMessage::Serve { ids, .. } = msg
+        {
+            if let Some(first) = ids.iter().next() {
+                self.engine.prefetch(first.seq());
+            }
+        }
+    }
+
     fn on_timer(&mut self, ctx: &mut Context<'_, GossipMessage>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_JOIN => {

@@ -31,10 +31,16 @@
 //!   within the extended reach migrate to the outer wheel; when both wheels
 //!   drain entirely, the cursor jumps straight to the earliest overflow
 //!   event. Only events scheduled minutes out ever touch the heap.
-//! * **Past guard** — a second, normally-empty min-heap accepts events pushed
-//!   *before* the current bucket, which cannot happen in the simulator
-//!   (events are never scheduled in the past) but keeps the structure
-//!   correct for arbitrary API users.
+//! * **Past guard** — a second min-heap accepts events pushed *before* the
+//!   current bucket. The simulator never schedules before its clock, but
+//!   the cursor can run ahead of the clock, and then it does reach the
+//!   guard: the first start-up push anchors the cursor, so an earlier
+//!   start-up timer goes here, and a push into an empty ring re-points the
+//!   cursor forward, so a later push that falls in between goes here too.
+//!   A count on seed 42 found about 11 k of the 30 000-node `wide-std`
+//!   benchmark workload's 30 k start-up timers here, and about 44 k pushes
+//!   (0.6 % of its events) in a `paper-std` run. Its events are popped one
+//!   at a time, outside bucket drains, in exact `(time, seq)` order.
 //!
 //! Determinism: every event carries a monotonically increasing sequence
 //! number, buckets are sorted by `(time, seq)`, and both heaps order by
@@ -451,7 +457,7 @@ impl<E> EventQueue<E> {
     ///   quantifies it). Scanning arrival order and incrementing each
     ///   offset's rank keeps equal-offset events in ascending `seq`, exactly
     ///   as the packed keys do.
-    #[allow(unsafe_code)] // the `set_len` below: the crate's one `unsafe`
+    #[allow(unsafe_code)] // the `set_len` below; `crate::prefetch` is the crate's other `unsafe`
     fn order_bucket(&mut self, slot: usize) {
         let chain = std::mem::replace(&mut self.buckets[slot], Chain::EMPTY);
         let k = chain.len as usize;
@@ -668,8 +674,9 @@ impl<E> EventQueue<E> {
                 self.current.push(event);
                 self.wheel_len = 1;
             } else {
-                // Before the current bucket: an out-of-order push by an
-                // external user (the simulator never schedules in the past).
+                // Before the current bucket, which the cursor's anchoring
+                // or re-pointing can leave ahead of the clock (see the
+                // module docs' past guard): hold it in the past heap.
                 self.past.push(event);
             }
         } else if bucket < self.window_end() {

@@ -49,7 +49,10 @@
 //!   borrow the whole substrate while the protocol instance is borrowed
 //!   separately. Queued events are slim: a delivery's wire size is
 //!   recomputed at the fire site and a timer's node and tag live in its
-//!   timer slot, not in the queue.
+//!   timer slot, not in the queue. Before each dispatch the loop hints the
+//!   node state of the batch entries [`sim::LOOK_AHEAD`] and twice that far
+//!   ahead ([`prefetch`], [`sim::Protocol::prefetch`]); a hint reads
+//!   nothing, so it cannot change a result.
 //! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
 //!   index and a generation; firing frees the slot, so cancellation — even of
 //!   a timer that already fired — is an O(1) stamp comparison and the
@@ -121,6 +124,26 @@ pub use node::NodeId;
 pub use sim::{Context, Protocol, Simulator, SimulatorBuilder, TimerId, WireSize};
 pub use stats::{MemoryFootprint, NetStats, NodeStats};
 pub use time::{SimDuration, SimTime};
+
+/// Hints the processor to pull the cache line holding `p` into L1, ahead of
+/// a load that will need it; a no-op off x86_64.
+///
+/// The engine's look-ahead ([`sim::LOOK_AHEAD`]) and
+/// [`sim::Protocol::prefetch`] implementations call it. Any address may be
+/// given, dangling or not: nothing is read, so no value can change.
+#[inline(always)]
+#[allow(unsafe_code)] // the crate's second `unsafe`, after `EventQueue::order_bucket`'s
+pub fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch reads nothing and cannot fault, whatever the
+    // address; SSE, which provides it, is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>())
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {

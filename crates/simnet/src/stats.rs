@@ -76,6 +76,12 @@ impl NetStats {
         self.per_node.is_empty()
     }
 
+    /// The row of `id`, by reference (the engine's look-ahead hints it).
+    #[inline]
+    pub(crate) fn row(&self, id: NodeId) -> &NodeStats {
+        &self.per_node[id.index()]
+    }
+
     /// Records a message of `bytes` bytes handed to `from`'s upload queue.
     #[inline]
     pub fn record_send(&mut self, from: NodeId, bytes: usize) {

@@ -223,6 +223,14 @@ impl ReceiverLog {
         self.arrivals.has(id.seq())
     }
 
+    /// Hints the cache line of packet `seq`'s arrival slot, ahead of a
+    /// [`has`](Self::has) or [`record`](Self::record) of it. An id outside
+    /// the stream hints a line nothing reads, harmlessly.
+    #[inline]
+    pub fn prefetch(&self, seq: u64) {
+        heap_simnet::prefetch(self.arrivals.column.as_ptr().wrapping_add(seq as usize));
+    }
+
     /// Number of distinct packets received.
     pub fn received_count(&self) -> u64 {
         self.received
