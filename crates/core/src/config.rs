@@ -1,7 +1,6 @@
 //! Protocol configuration, and [`ConfigError`], the one error type every
 //! configuration check returns.
 
-use heap_simnet::bandwidth::Bandwidth;
 use heap_simnet::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -35,6 +34,9 @@ pub enum ConfigError {
     /// A run of more than 2³² `(requester, packet)` pairs, `(nodes,
     /// packets)`: see [`pair_space`](Self::pair_space).
     TooManyPairs(&'static str, usize, u64),
+    /// A value that must equal another field's, `(got, other field, its
+    /// value)`.
+    Disagrees(&'static str, f64, &'static str, f64),
 }
 
 impl ConfigError {
@@ -105,31 +107,48 @@ impl fmt::Display for ConfigError {
                 f,
                 "{field} is {nodes} nodes × {packets} packets: more than 2^32 (requester, packet) pairs"
             ),
+            Disagrees(field, got, other, want) => {
+                write!(f, "{field} is {got} but {other} is {want}: they must be equal")
+            }
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// Parameters of the gossip dissemination protocol.
+/// Interval between gossip (propose) rounds (§3.1). Sensitivity: its row of
+/// `docs/ARCHITECTURE.md`, "protocol constants".
+pub const GOSSIP_PERIOD: SimDuration = SimDuration::from_millis(200);
+
+/// Interval between aggregation rounds (§3.1). Sensitivity: its row of
+/// `docs/ARCHITECTURE.md`, "protocol constants".
+pub const AGGREGATION_PERIOD: SimDuration = SimDuration::from_millis(200);
+
+/// Number of peers an aggregation message is sent to each round (not set by
+/// the paper). Sensitivity: its row of `docs/ARCHITECTURE.md`, "protocol
+/// constants".
+pub const AGGREGATION_FANOUT: usize = 1;
+
+/// Number of freshest capability samples included in each aggregation
+/// message (§3.1). Sensitivity: its row of `docs/ARCHITECTURE.md`,
+/// "protocol constants"; at 2× it moved one Table 3 cell past 4 pp.
+pub const AGGREGATION_FRESHEST: usize = 10;
+
+/// Parameters of the gossip dissemination protocol that an experiment or a
+/// test varies; the rest of the paper's setup is the constants above and the
+/// wire format in [`message`](crate::message).
 ///
-/// The defaults reproduce the paper's experimental setup (§3.1): 200 ms gossip
-/// period, average fanout 7, 200 ms aggregation period exchanging the 10
-/// freshest capability samples, and application-level retransmission on top of
-/// unreliable (UDP-like) transport.
+/// With those constants, the defaults reproduce the paper's experimental
+/// setup (§3.1): 200 ms gossip period, average fanout 7, 200 ms aggregation
+/// period exchanging the 10 freshest capability samples, and
+/// application-level retransmission on top of unreliable (UDP-like)
+/// transport.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GossipConfig {
-    /// Interval between gossip (propose) rounds.
-    pub gossip_period: SimDuration,
-    /// Average fanout `f = ln(n) + c`; the paper uses 7 for ~270 nodes.
+    /// Average fanout `f = ln(n) + c`; the paper uses 7 for ~270 nodes. No
+    /// node reads it (a scenario's fanout is its protocol's); kept because
+    /// `benchmark/` compiles against it, until ROADMAP item 2(b).
     pub fanout: f64,
-    /// Interval between aggregation rounds.
-    pub aggregation_period: SimDuration,
-    /// Number of peers an aggregation message is sent to each round.
-    pub aggregation_fanout: usize,
-    /// Number of freshest capability samples included in each aggregation
-    /// message.
-    pub aggregation_freshest: usize,
     /// How long to wait for a [Serve] after sending a [Request] before
     /// re-requesting the missing packets.
     ///
@@ -138,34 +157,15 @@ pub struct GossipConfig {
     pub retransmit_period: SimDuration,
     /// Maximum number of re-requests per proposal (0 disables retransmission).
     pub max_retransmits: u32,
-    /// Fixed per-message overhead (UDP/IP headers plus protocol framing), in
-    /// bytes, added to every message.
-    pub header_bytes: usize,
-    /// Bytes used to encode one packet id in [Propose]/[Request] messages.
-    ///
-    /// [Propose]: crate::message::GossipMessage::Propose
-    /// [Request]: crate::message::GossipMessage::Request
-    pub id_bytes: usize,
-    /// Bytes used to encode one capability sample in [Aggregation] messages.
-    ///
-    /// [Aggregation]: crate::message::GossipMessage::Aggregation
-    pub capability_sample_bytes: usize,
 }
 
 impl GossipConfig {
     /// The configuration used throughout the paper's evaluation.
     pub fn paper() -> Self {
         GossipConfig {
-            gossip_period: SimDuration::from_millis(200),
             fanout: 7.0,
-            aggregation_period: SimDuration::from_millis(200),
-            aggregation_fanout: 1,
-            aggregation_freshest: 10,
             retransmit_period: SimDuration::from_millis(2_000),
             max_retransmits: 2,
-            header_bytes: 28,
-            id_bytes: 8,
-            capability_sample_bytes: 10,
         }
     }
 
@@ -185,54 +185,15 @@ impl GossipConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first problem found: a period that is zero, a fanout that
-    /// is not positive and finite, or no capability samples per aggregation
-    /// message.
+    /// Returns the first problem found: a fanout that is not positive and
+    /// finite, or a zero retransmission period with retransmission on.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use ConfigError as E;
-        E::positive("gossip_period", self.gossip_period.as_secs_f64())?;
         E::positive("fanout", self.fanout)?;
-        E::positive("aggregation_period", self.aggregation_period.as_secs_f64())?;
-        E::positive("aggregation_freshest", self.aggregation_freshest as f64)?;
         if self.max_retransmits > 0 {
             E::positive("retransmit_period", self.retransmit_period.as_secs_f64())?;
         }
         Ok(())
-    }
-
-    /// The wire size of a [Propose] or [Request] message carrying `n_ids`
-    /// packet identifiers.
-    ///
-    /// [Propose]: crate::message::GossipMessage::Propose
-    /// [Request]: crate::message::GossipMessage::Request
-    pub fn control_message_bytes(&self, n_ids: usize) -> usize {
-        self.header_bytes + n_ids * self.id_bytes
-    }
-
-    /// The wire size of a [Serve] message carrying payloads totalling
-    /// `payload_bytes` bytes.
-    ///
-    /// [Serve]: crate::message::GossipMessage::Serve
-    pub fn serve_message_bytes(&self, payload_bytes: usize) -> usize {
-        self.header_bytes + payload_bytes
-    }
-
-    /// The wire size of an [Aggregation] message carrying `n_samples`
-    /// capability samples.
-    ///
-    /// [Aggregation]: crate::message::GossipMessage::Aggregation
-    pub fn aggregation_message_bytes(&self, n_samples: usize) -> usize {
-        self.header_bytes + n_samples * self.capability_sample_bytes
-    }
-
-    /// Approximate control-plane overhead rate (bits per second) generated by
-    /// the aggregation protocol with these parameters — the paper reports
-    /// ~1 KB/s, marginal compared to the 600 kbps stream.
-    pub fn aggregation_overhead(&self) -> Bandwidth {
-        let bytes_per_round =
-            self.aggregation_message_bytes(self.aggregation_freshest) * self.aggregation_fanout;
-        let rounds_per_sec = 1.0 / self.aggregation_period.as_secs_f64();
-        Bandwidth::from_bps((bytes_per_round as f64 * 8.0 * rounds_per_sec) as u64)
     }
 }
 
@@ -299,30 +260,12 @@ mod tests {
     #[test]
     fn paper_defaults_match_section_3_1() {
         let c = GossipConfig::paper();
-        assert_eq!(c.gossip_period, SimDuration::from_millis(200));
+        assert_eq!(GOSSIP_PERIOD, SimDuration::from_millis(200));
         assert_eq!(c.fanout, 7.0);
-        assert_eq!(c.aggregation_period, SimDuration::from_millis(200));
-        assert_eq!(c.aggregation_freshest, 10);
+        assert_eq!(AGGREGATION_PERIOD, SimDuration::from_millis(200));
+        assert_eq!(AGGREGATION_FRESHEST, 10);
         assert!(c.validate().is_ok());
         assert_eq!(GossipConfig::default(), c);
-    }
-
-    #[test]
-    fn aggregation_overhead_is_marginal() {
-        // The paper reports ~1 KB/s of aggregation traffic; our defaults stay
-        // in that ballpark and far below the 600 kbps stream rate.
-        let overhead = GossipConfig::paper().aggregation_overhead();
-        assert!(overhead.as_bps() < 20_000, "overhead {overhead}");
-        assert!(overhead.as_bps() > 1_000);
-    }
-
-    #[test]
-    fn message_size_helpers() {
-        let c = GossipConfig::paper();
-        assert_eq!(c.control_message_bytes(0), 28);
-        assert_eq!(c.control_message_bytes(11), 28 + 88);
-        assert_eq!(c.serve_message_bytes(1316), 28 + 1316);
-        assert_eq!(c.aggregation_message_bytes(10), 28 + 100);
     }
 
     #[test]
@@ -355,13 +298,8 @@ mod tests {
             assert_eq!(bad.validate(), Err(ConfigError::NotPositive(field, 0.0)));
         };
         rejects("fanout", |c| c.fanout = 0.0);
-        rejects("gossip_period", |c| c.gossip_period = SimDuration::ZERO);
-        rejects("aggregation_freshest", |c| c.aggregation_freshest = 0);
         rejects("retransmit_period", |c| {
             c.retransmit_period = SimDuration::ZERO
-        });
-        rejects("aggregation_period", |c| {
-            c.aggregation_period = SimDuration::ZERO
         });
         let mut ok = GossipConfig::paper();
         ok.retransmit_period = SimDuration::ZERO;

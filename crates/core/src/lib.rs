@@ -9,10 +9,10 @@
 //!
 //! Every node runs the same loop (Algorithm 1 of the paper):
 //!
-//! 1. **Propose** — every `gossip_period` (200 ms), send the identifiers of
-//!    the packets received since the last round to `fanout` peers chosen
-//!    uniformly at random (*infect-and-die*: each id is proposed exactly once
-//!    by each node).
+//! 1. **Propose** — every [`GOSSIP_PERIOD`](config::GOSSIP_PERIOD) (200 ms),
+//!    send the identifiers of the packets received since the last round to
+//!    `fanout` peers chosen uniformly at random (*infect-and-die*: each id is
+//!    proposed exactly once by each node).
 //! 2. **Request** — a node receiving a proposal requests the ids it has not
 //!    yet requested from the proposer.
 //! 3. **Serve** — the proposer answers with the actual payloads.

@@ -11,10 +11,13 @@
 //! bit for bit.
 
 use crate::aggregation::CapabilityAggregator;
-use crate::config::{ConfigError, GossipConfig, PartialMembershipConfig};
+use crate::config::{
+    ConfigError, GossipConfig, PartialMembershipConfig, AGGREGATION_FANOUT, AGGREGATION_FRESHEST,
+    AGGREGATION_PERIOD, GOSSIP_PERIOD,
+};
 use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
-use crate::message::GossipMessage;
+use crate::message::{serve_message_bytes, GossipMessage};
 use crate::packet_ids::PacketIds;
 use crate::retransmit::{PendingRequest, RetransmitTracker, RETRANSMIT_TAG_BASE};
 use crate::serve_dedup::ServeDedup;
@@ -302,8 +305,9 @@ pub struct GossipNode {
 }
 
 // Nodes sit side by side in the simulator's node table, and a delivery
-// touches one of them: keep the struct within fourteen cache lines.
-const _: () = assert!(std::mem::size_of::<GossipNode>() <= 896);
+// touches one of them: keep the struct at its measured 840 B, so that bytes
+// moved out of it (such as the protocol constants) cannot quietly return.
+const _: () = assert!(std::mem::size_of::<GossipNode>() <= 840);
 
 impl GossipNode {
     /// Starts building a node with identifier `id` in a system of `n` nodes
@@ -486,7 +490,7 @@ impl GossipNode {
             return;
         }
         self.gossip_ids(ctx, ids);
-        self.arm_gossip_timer(ctx, self.config.gossip_period);
+        self.arm_gossip_timer(ctx, GOSSIP_PERIOD);
     }
 
     /// Re-arms an idle gossip timer for the next instant of its grid, the
@@ -496,7 +500,7 @@ impl GossipNode {
         let Some(idle_at) = self.gossip_idle_at.take() else {
             return;
         };
-        let period = self.config.gossip_period.as_micros();
+        let period = GOSSIP_PERIOD.as_micros();
         let since = ctx.now().saturating_since(idle_at).as_micros();
         // The tick at `idle_at` itself has run: an arrival at that instant
         // waits a full period, as it would behind a re-armed timer.
@@ -513,15 +517,15 @@ impl GossipNode {
     fn on_aggregation_round(&mut self, ctx: &mut Context<'_, GossipMessage>) {
         let samples = self
             .aggregator
-            .freshest_samples(self.config.aggregation_freshest, ctx.now());
-        let targets = self.select_targets(self.config.aggregation_fanout, ctx.rng());
+            .freshest_samples(AGGREGATION_FRESHEST, ctx.now());
+        let targets = self.select_targets(AGGREGATION_FANOUT, ctx.rng());
         self.stats.aggregation_sent += targets.len() as u64;
         send_to_each(
             ctx,
             &targets,
             GossipMessage::aggregation(samples, &self.config),
         );
-        self.arm_aggregation_timer(ctx, self.config.aggregation_period);
+        self.arm_aggregation_timer(ctx, AGGREGATION_PERIOD);
     }
 
     /// One Cyclon round: evict the oldest peer from the view, age the rest,
@@ -710,7 +714,7 @@ impl GossipNode {
         let schedule = self.engine.schedule();
         let payload = ids.len() * schedule.config().window.packet_bytes;
         ids.iter().all(|id| id.seq() < schedule.total_packets())
-            && wire_bytes as usize == self.config.serve_message_bytes(payload)
+            && wire_bytes == serve_message_bytes(payload)
     }
 
     /// The regular start-up sequence: randomised periodic-timer phases and,
@@ -731,17 +735,13 @@ impl GossipNode {
         } else {
             SimDuration::ZERO
         };
-        let gossip_phase = SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..=self.config.gossip_period.as_micros()),
-        )
-        .max(min_phase);
+        let gossip_phase =
+            SimDuration::from_micros(ctx.rng().gen_range(0..=GOSSIP_PERIOD.as_micros()))
+                .max(min_phase);
         self.arm_gossip_timer(ctx, gossip_phase);
-        let agg_phase = SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..=self.config.aggregation_period.as_micros()),
-        )
-        .max(min_phase);
+        let agg_phase =
+            SimDuration::from_micros(ctx.rng().gen_range(0..=AGGREGATION_PERIOD.as_micros()))
+                .max(min_phase);
         // Standard gossip never gossips capabilities, so it arms no
         // aggregation timer; the phase is drawn regardless so every node's
         // RNG stream is the same under either policy.
@@ -974,7 +974,7 @@ mod tests {
     fn gossip_ticks_stay_on_the_node_grid() {
         let mut sim = lossy_spied_sim(30, 8, 3);
         sim.run_until(SimTime::from_secs(20));
-        let period = GossipConfig::paper().gossip_period.as_micros();
+        let period = GOSSIP_PERIOD.as_micros();
         let mut woken = 0;
         for (id, spy) in sim.iter_nodes() {
             let ticks: Vec<SimTime> = spy.gossip_ticks().map(|(at, _)| at).collect();

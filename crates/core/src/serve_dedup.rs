@@ -46,9 +46,11 @@ impl Hasher for KeyHasher {
 
 type KeySet = HashSet<u32, BuildHasherDefault<KeyHasher>>;
 
-/// How long a served `(requester, packet)` pair suppresses a re-serve: less
-/// than the paper's 2 s retransmission period, so a request retransmitted
-/// after a real loss is served again.
+/// The length of one dedup generation. A served `(requester, packet)` pair
+/// suppresses a re-serve for one to two generations, 1.5–3 s (see
+/// [`ServeDedup`]), which can outlast the paper's 2 s retransmission period,
+/// so a request retransmitted after a real loss may be refused once. ROADMAP
+/// item 16 tracks the contract this window should keep.
 pub(crate) const SERVE_DEDUP_WINDOW: SimDuration = SimDuration::from_millis(1_500);
 
 /// The `(requester, packet)` pairs a node served during the current and the

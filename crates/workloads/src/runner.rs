@@ -380,6 +380,7 @@ where
             builder = builder.upload_queue_limit(limit);
         }
         let policy = scenario.protocol.policy(scenario.distribution.average());
+        let source_policy = FanoutPolicy::fixed(scenario.protocol.fanout());
         let partial_membership = scenario.membership.partial_config();
         let mut sim = builder.build(|id| {
             let capability = advertised[id.index()].unwrap_or_else(|| Bandwidth::from_mbps(100));
@@ -388,7 +389,7 @@ where
                 // job is to inject each packet, not to carry the relay load,
                 // and letting it scale its fanout with its (large) capability
                 // would make it the target of most first-hand requests.
-                (Role::Source, FanoutPolicy::fixed(scenario.gossip.fanout))
+                (Role::Source, source_policy)
             } else {
                 (Role::Receiver, policy)
             };
@@ -1312,6 +1313,10 @@ mod tests {
                     p_bad: f64::NAN,
                 }),
                 NotAFraction("loss.p_bad", f64::NAN, closed),
+            ),
+            (
+                base().with_gossip(heap_gossip::GossipConfig::paper()),
+                Disagrees("gossip.fanout", 7.0, "protocol.fanout", 6.0),
             ),
             (windows(too_many), TooManyPairs("scale", 40, too_many * 110)),
             (windows(u64::MAX), TooManyPairs("scale", 40, u64::MAX)),

@@ -2,7 +2,7 @@
 
 use crate::bandwidth_dist::BandwidthDistribution;
 use crate::scale::Scale;
-use heap_gossip::config::{ConfigError, GossipConfig};
+use heap_gossip::config::{ConfigError, GossipConfig, PartialMembershipConfig};
 use heap_gossip::fanout::FanoutPolicy;
 use heap_simnet::bandwidth::Bandwidth;
 use heap_simnet::fault::RegionPolicy;
@@ -71,52 +71,31 @@ impl ProtocolChoice {
 pub enum MembershipChoice {
     /// Full membership knowledge, the paper's deployment assumption.
     Full,
-    /// Cyclon-style partial views refreshed by periodic shuffles
-    /// ([`heap_gossip::PartialMembershipConfig`]); gossip and aggregation
-    /// targets are drawn from the bounded view.
-    Cyclon {
-        /// Partial-view capacity per node.
-        view_size: usize,
-        /// Entries exchanged per shuffle.
-        shuffle_size: usize,
-        /// Interval between shuffle rounds, in milliseconds.
-        shuffle_period_ms: u64,
-    },
+    /// Cyclon-style partial views refreshed by periodic shuffles; gossip and
+    /// aggregation targets are drawn from the bounded view.
+    Cyclon(PartialMembershipConfig),
 }
 
 impl MembershipChoice {
     /// The default Cyclon parameterisation
-    /// ([`heap_gossip::PartialMembershipConfig::cyclon`]).
+    /// ([`PartialMembershipConfig::cyclon`]).
     pub fn cyclon() -> Self {
-        let config = heap_gossip::PartialMembershipConfig::cyclon();
-        MembershipChoice::Cyclon {
-            view_size: config.view_size,
-            shuffle_size: config.shuffle_size,
-            shuffle_period_ms: config.shuffle_period.as_millis(),
-        }
+        MembershipChoice::Cyclon(PartialMembershipConfig::cyclon())
     }
 
     /// A short label for figure legends.
     pub fn label(&self) -> &'static str {
         match self {
             MembershipChoice::Full => "full membership",
-            MembershipChoice::Cyclon { .. } => "cyclon",
+            MembershipChoice::Cyclon(_) => "cyclon",
         }
     }
 
     /// The partial-membership configuration to install on each node, if any.
-    pub fn partial_config(&self) -> Option<heap_gossip::PartialMembershipConfig> {
+    pub fn partial_config(&self) -> Option<PartialMembershipConfig> {
         match *self {
             MembershipChoice::Full => None,
-            MembershipChoice::Cyclon {
-                view_size,
-                shuffle_size,
-                shuffle_period_ms,
-            } => Some(heap_gossip::PartialMembershipConfig {
-                view_size,
-                shuffle_size,
-                shuffle_period: SimDuration::from_millis(shuffle_period_ms),
-            }),
+            MembershipChoice::Cyclon(config) => Some(config),
         }
     }
 }
@@ -406,7 +385,8 @@ pub struct Scenario {
     pub distribution: BandwidthDistribution,
     /// Protocol under test.
     pub protocol: ProtocolChoice,
-    /// Gossip parameters (period, retransmission, aggregation).
+    /// Gossip parameters: retransmission, and a fanout that must equal the
+    /// protocol's.
     pub gossip: GossipConfig,
     /// Link-latency model.
     pub latency: LatencyModel,
@@ -587,6 +567,9 @@ impl Scenario {
         self.validate_network()?;
         E::positive("protocol.fanout", self.protocol.fanout())?;
         self.gossip.validate()?;
+        let (got, want) = (self.gossip.fanout, self.protocol.fanout());
+        let disagrees = E::Disagrees("gossip.fanout", got, "protocol.fanout", want);
+        E::ensure(got == want, disagrees)?;
         if let Some(partial) = self.membership.partial_config() {
             partial.validate()?;
         }
@@ -709,7 +692,7 @@ mod tests {
         let config = cyclon.partial_config().expect("cyclon has a config");
         assert_eq!(
             config,
-            heap_gossip::PartialMembershipConfig::cyclon(),
+            PartialMembershipConfig::cyclon(),
             "round-trips through the scenario representation"
         );
         assert!(config.validate().is_ok());
