@@ -114,13 +114,6 @@ impl MembershipView {
         }
     }
 
-    /// Marks `id` as alive again (a re-join).
-    pub fn mark_alive(&mut self, id: NodeId) {
-        if let Ok(slot) = self.dead_slot(id) {
-            self.dead.remove(slot);
-        }
-    }
-
     /// When this peer noticed `id`'s death, if it did.
     pub fn death_noticed_at(&self, id: NodeId) -> Option<SimTime> {
         self.dead_slot(id).ok().map(|slot| self.dead[slot].noticed)
@@ -234,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn mark_dead_and_alive_roundtrip() {
+    fn mark_dead_records_when_it_was_noticed() {
         let mut view = MembershipView::full(3, NodeId::new(0));
         assert!(view.mark_dead_at(NodeId::new(1), SimTime::from_secs(70)));
         assert!(!view.mark_dead(NodeId::new(1)), "second mark is a no-op");
@@ -244,9 +237,6 @@ mod tests {
             Some(SimTime::from_secs(70))
         );
         assert_eq!(view.live_count(), 2);
-        view.mark_alive(NodeId::new(1));
-        assert!(view.is_live(NodeId::new(1)));
-        assert_eq!(view.death_noticed_at(NodeId::new(1)), None);
     }
 
     #[test]
@@ -255,7 +245,6 @@ mod tests {
         assert!(!view.is_live(NodeId::new(10)));
         assert!(!view.mark_dead(NodeId::new(10)));
         assert_eq!(view.death_noticed_at(NodeId::new(10)), None);
-        view.mark_alive(NodeId::new(10)); // no-op, no panic
     }
 
     /// The lazy accessors agree with the materialised peer list under every

@@ -48,16 +48,15 @@
 //!   dense vectors apart from the protocol instances, so the context can
 //!   borrow the whole substrate while the protocol instance is borrowed
 //!   separately. Queued events are slim: a delivery's wire size is
-//!   recomputed at the fire site and a timer's node and tag live in its
-//!   timer slot, not in the queue. Before each dispatch the loop hints the
+//!   recomputed at the fire site, and a timer is its queue entry alone,
+//!   holding its node and a 32-bit tag. Before each dispatch the loop hints the
 //!   node state of the batch entries [`sim::LOOK_AHEAD`] and twice that far
 //!   ahead ([`prefetch`], [`sim::Protocol::prefetch`]); a hint reads
 //!   nothing, so it cannot change a result.
-//! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
-//!   index and a generation; firing frees the slot, so cancellation — even of
-//!   a timer that already fired — is an O(1) stamp comparison and the
-//!   simulator's timer state is bounded by the number of *concurrently
-//!   pending* timers ([`sim::Simulator::timer_slots`]).
+//! * **Timers that always fire** — a [`sim::TimerId`] is the sequence
+//!   number of the timer's fire event and the simulator keeps no other timer
+//!   state: there is no cancellation, and a protocol that supersedes a timer
+//!   ignores fires of ids other than its latest.
 //! * **One reference** — the same simulator over a plain
 //!   [`event::BinaryHeapQueue`] popped one event at a time, with none of the
 //!   calendar's bucket drains or intrusion merges, exists only as the oracle

@@ -5,21 +5,21 @@
 //! [`Simulator`] hosts one protocol instance per node, delivers messages with
 //! per-node upload throttling, link latency and loss, fires timers and
 //! injects crashes. Protocol callbacks receive a [`Context`] with which they
-//! can send messages, arm and cancel timers and draw deterministic per-node
-//! randomness.
+//! can send messages, arm timers and draw deterministic per-node randomness.
 //!
 //! ## The engine and its reference
 //!
 //! One engine runs every simulation. The simulator owns its protocol
 //! instances and one *substrate*: the node state in dense vectors indexed by
 //! node id (upload queues, RNGs, liveness, one [`NetStats`] row each), the
-//! calendar queue, the clock, the timer table and the network state (network
-//! RNG, the loss model and its [`LossState`], the latency model, the fault
-//! plan). Its loop drains a whole calendar bucket at a time
-//! ([`EventQueue::drain_bucket`]) and dispatches each event in its own
-//! callback context. Context commands apply *eagerly* — `Context::send`
-//! runs the one transmit path inline: the upload-queue pass and the sender's
-//! statistics, then loss, latency and the queue push.
+//! calendar queue, the clock and the network state (network RNG, the loss
+//! model and its [`LossState`], the latency model, the fault plan). A timer
+//! is nothing but its queue entry, which carries its node and tag. The loop
+//! drains a whole calendar bucket at a time ([`EventQueue::drain_bucket`])
+//! and dispatches each event in its own callback context. Context commands
+//! apply *eagerly* — `Context::send` runs the one transmit path inline: the
+//! upload-queue pass and the sender's statistics, then loss, latency and the
+//! queue push.
 //!
 //! Beside the engine sits one whole-engine *reference*, reachable only
 //! through the hidden [`SimulatorBuilder::reference_core`]: the same
@@ -44,15 +44,14 @@ use rand::rngs::SmallRng;
 /// How many batch entries ahead of the one being dispatched the engine's
 /// run loop looks: *d* in its two-stage look-ahead.
 ///
-/// At 2d it hints what it can address without a load (a delivery's target
-/// protocol struct, [`NetStats`] row and upload queue; a timer's slot); at d
-/// it calls [`Protocol::prefetch`] for a delivery, and for a timer reads the
-/// slot hinted d entries ago to hint its owner's struct, row, upload queue
-/// and RNG. A hint must land before its callback runs but not so early that
-/// the line is evicted again: on the 30 000-node `wide-std` benchmark
-/// workload (2-core x86_64 host, seed 42, `wall_s` of three alternated runs
-/// each) d = 6, 12 and 24 read 5.6–6.4, 6.1–6.9 and 5.8–6.4 s, no distance
-/// apart from the host's noise, so d sits in the middle. Against the loop
+/// At 2d it hints a delivery's target protocol struct, [`NetStats`] row and
+/// upload queue; at d it calls [`Protocol::prefetch`] for a delivery, and
+/// for a timer hints its owner's struct, row, upload queue and RNG. A hint
+/// must land before its callback runs but not so early that the line is
+/// evicted again: on the 30 000-node `wide-std` benchmark workload (2-core
+/// x86_64 host, seed 42, `wall_s` of three alternated runs each) d = 6, 12
+/// and 24 read 5.6–6.4, 6.1–6.9 and 5.8–6.4 s, no distance apart from the
+/// host's noise, so d sits in the middle. Against the loop
 /// without the look-ahead, d = 12 ran `wide-std` 8.10 → 6.64 s (seed 7, the
 /// median of ten alternated pairs, ten won).
 pub const LOOK_AHEAD: usize = 12;
@@ -82,143 +81,15 @@ pub trait WireSize {
     fn wire_size(&self) -> usize;
 }
 
-/// Identifier of a pending timer.
+/// Identifier of a timer: the sequence number of its fire event in the
+/// simulator's queue, unique within a simulation.
 ///
-/// The id packs a *slot index* (low 32 bits) and a *generation stamp* (high
-/// 32 bits): the simulator reuses timer slots once their event has fired, and
-/// the generation lets it recognise stale handles — cancelling a timer that
-/// already fired is an O(1) no-op and leaves no state behind.
+/// [`Context::set_timer`] returns it and [`Protocol::on_timer`] receives it
+/// back when the timer fires. The simulator keeps no timer state beyond the
+/// queued event, so every timer fires; a protocol that supersedes a timer
+/// keeps the id of the latest one and ignores fires of the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerId(u64);
-
-impl TimerId {
-    fn pack(slot: u32, generation: u32) -> Self {
-        TimerId(((generation as u64) << 32) | slot as u64)
-    }
-
-    fn unpack(self) -> (u32, u32) {
-        (self.0 as u32, (self.0 >> 32) as u32)
-    }
-}
-
-/// Generation-stamped timer slots backing [`TimerId`].
-///
-/// Arming allocates a slot (reusing freed ones), cancelling disarms it in
-/// O(1), and firing frees the slot and bumps its generation so stale handles
-/// — in particular cancellations of timers that already fired — are
-/// recognised and ignored without recording them anywhere: the table is
-/// bounded by the peak number of *concurrently pending* timers. The slot
-/// also stores the timer's owning node and user tag, needed exactly once, at
-/// the fire site, which touches the slot anyway — so the queued `Timer`
-/// event is a bare [`TimerId`] (see [`EventKind`]).
-#[derive(Debug, Default)]
-struct TimerTable {
-    slots: Vec<TimerSlot>,
-    free: Vec<u32>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TimerSlot {
-    generation: u32,
-    armed: bool,
-    /// Raw id of the node that armed the timer.
-    node: u32,
-    /// The protocol-chosen tag passed back to `on_timer`.
-    tag: u64,
-}
-
-impl TimerTable {
-    /// Allocates an armed slot for `node` carrying `tag`, returning its
-    /// handle.
-    fn arm(&mut self, node: NodeId, tag: u64) -> TimerId {
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                // Invariant: slots are reused, and no run holds 2³² live timers.
-                let slot = u32::try_from(self.slots.len()).expect("timer slots exhausted");
-                self.slots.push(TimerSlot {
-                    generation: 0,
-                    armed: false,
-                    node: 0,
-                    tag: 0,
-                });
-                slot
-            }
-        };
-        let entry = &mut self.slots[slot as usize];
-        debug_assert!(!entry.armed, "free slot cannot be armed");
-        entry.armed = true;
-        entry.node = node.as_u32();
-        entry.tag = tag;
-        TimerId::pack(slot, entry.generation)
-    }
-
-    /// Disarms `id` if it is still pending; stale handles are ignored.
-    fn cancel(&mut self, id: TimerId) {
-        let (slot, generation) = id.unpack();
-        if let Some(entry) = self.slots.get_mut(slot as usize) {
-            if entry.generation == generation {
-                entry.armed = false;
-            }
-        }
-    }
-
-    /// Consumes the firing of `id`'s queue event: frees the slot and, if the
-    /// timer was still armed (i.e. the callback should run), returns the
-    /// owning node and tag.
-    fn fire(&mut self, id: TimerId) -> Option<(NodeId, u64)> {
-        let (slot, generation) = id.unpack();
-        let entry = &mut self.slots[slot as usize];
-        if entry.generation != generation {
-            // Stale event for an already-freed slot; cannot happen with the
-            // simulator's own scheduling (each slot has exactly one in-flight
-            // event) but keeps the table safe against double fires.
-            return None;
-        }
-        let was_armed = entry.armed;
-        entry.armed = false;
-        entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(slot);
-        if was_armed {
-            Some((NodeId::new(entry.node), entry.tag))
-        } else {
-            None
-        }
-    }
-
-    /// The node that armed `id`, if it is still pending; reads the slot
-    /// without freeing it (the engine's look-ahead).
-    #[inline]
-    fn owner(&self, id: TimerId) -> Option<NodeId> {
-        let (slot, generation) = id.unpack();
-        let entry = self.slots.get(slot as usize)?;
-        (entry.generation == generation && entry.armed).then(|| NodeId::new(entry.node))
-    }
-
-    /// Hints the cache line of `id`'s slot.
-    #[inline]
-    fn prefetch(&self, id: TimerId) {
-        if let Some(entry) = self.slots.get(id.unpack().0 as usize) {
-            crate::prefetch(entry);
-        }
-    }
-
-    /// Number of timers currently armed.
-    fn armed(&self) -> usize {
-        self.slots.iter().filter(|s| s.armed).count()
-    }
-
-    /// Number of slots ever allocated.
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Resident heap held by the slot and free-list vectors, in bytes.
-    fn heap_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<TimerSlot>()
-            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
 
 /// Behaviour of a single simulated node.
 ///
@@ -239,7 +110,10 @@ pub trait Protocol {
         msg: Self::Message,
     );
 
-    /// Invoked when a timer armed with [`Context::set_timer`] fires.
+    /// Invoked when a timer armed with [`Context::set_timer`] fires, with the
+    /// [`TimerId`] that call returned and its tag. Every timer fires (to a
+    /// live node): superseding one is the protocol's job, by keeping the
+    /// latest id and ignoring fires of older ones.
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Message>, timer: TimerId, tag: u64);
 
     /// Invoked by the engine [`LOOK_AHEAD`] callbacks before `msg` is
@@ -267,17 +141,21 @@ pub trait Protocol {
 /// Kept deliberately small — queue entries are the dominant memory traffic
 /// of the event loop, and an enum is as wide as its widest variant. A
 /// delivery's wire size is recomputed from the message at the fire site
-/// ([`WireSize`] is a pure function of the message), and a timer's owning
-/// node and tag live in its [`TimerTable`] slot.
+/// ([`WireSize`] is a pure function of the message), and a timer's id is
+/// its entry's sequence number.
 #[derive(Debug, Clone)]
 enum EventKind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
-    Timer { timer: TimerId },
+    Timer { node: NodeId, tag: u32 },
     Crash { node: NodeId },
 }
 
 /// A queue entry of the simulator.
 type Event<M> = ScheduledEvent<EventKind<M>>;
+
+// A timer entry is no wider than a small message's delivery: a wider timer
+// variant (a `u64` tag, say) would add 8 B to every standing timer.
+const _: () = assert!(std::mem::size_of::<Event<u32>>() == 32);
 
 /// Everything the simulator owns *except* its protocol instances: the
 /// queues and clock, the per-node state in dense vectors indexed by node id,
@@ -295,7 +173,8 @@ struct Substrate<M> {
     reference: Option<BinaryHeapQueue<EventKind<M>>>,
     /// The clock: the time of the event being processed.
     now: SimTime,
-    timers: TimerTable,
+    /// Timers set and not yet dispatched.
+    armed_timers: usize,
     /// Traffic counters, by node.
     stats: NetStats,
     uploads: Vec<UploadQueue>,
@@ -313,13 +192,15 @@ struct Substrate<M> {
 }
 
 impl<M> Substrate<M> {
-    /// Schedules `event` at `at` on whichever queue this core runs.
+    /// Schedules `event` at `at` on whichever queue this core runs and
+    /// returns the sequence number it was given (both queues number their
+    /// pushes alike).
     #[inline]
-    fn push(&mut self, at: SimTime, event: EventKind<M>) {
+    fn push(&mut self, at: SimTime, event: EventKind<M>) -> u64 {
         match &mut self.reference {
             None => self.queue.push(at, event),
             Some(heap) => heap.push(at, event),
-        };
+        }
     }
 
     /// Records the substrate components into `f`, the event queue's
@@ -345,7 +226,6 @@ impl<M> Substrate<M> {
             (self.rngs.capacity() * size_of::<SmallRng>()) as u64,
         );
         f.record("liveness flags", self.alive.capacity() as u64);
-        f.record("timer slots", self.timers.heap_bytes());
     }
 }
 
@@ -383,8 +263,8 @@ impl<M: WireSize> Substrate<M> {
 /// Command surface handed to protocol callbacks.
 ///
 /// Commands take effect immediately, on the engine and on the reference core
-/// alike: `send` runs the transmit path inline, `set_timer` arms the slot
-/// and schedules the fire event, `cancel_timer` disarms the slot.
+/// alike: `send` runs the transmit path inline and `set_timer` schedules the
+/// fire event.
 pub struct Context<'a, M> {
     node: NodeId,
     sub: &'a mut Substrate<M>,
@@ -414,19 +294,19 @@ impl<M: WireSize> Context<'_, M> {
         self.sub.transmit(self.node, to, msg)
     }
 
-    /// Arms a timer that fires `delay` from now, carrying an arbitrary `tag`
-    /// the protocol can use to distinguish timer purposes.
+    /// Arms a timer that fires `delay` from now, carrying a `tag` the
+    /// protocol can use to distinguish timer purposes. The returned id is
+    /// the one [`Protocol::on_timer`] receives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is 2³² or more: the queue entry stores it in 32 bits.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let timer = self.sub.timers.arm(self.node, tag);
-        self.sub
-            .push(self.sub.now + delay, EventKind::Timer { timer });
-        timer
-    }
-
-    /// Cancels a previously armed timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.sub.timers.cancel(id)
+        // Precondition: the tag fits the entry's 32-bit field.
+        let tag = u32::try_from(tag).expect("timer tags are below 2^32");
+        self.sub.armed_timers += 1;
+        let (at, node) = (self.sub.now + delay, self.node);
+        TimerId(self.sub.push(at, EventKind::Timer { node, tag }))
     }
 }
 
@@ -566,7 +446,7 @@ impl SimulatorBuilder {
                 queue: EventQueue::new(),
                 reference: self.reference.then(BinaryHeapQueue::new),
                 now: SimTime::ZERO,
-                timers: TimerTable::default(),
+                armed_timers: 0,
                 stats: NetStats::new(self.n),
                 uploads,
                 rngs,
@@ -687,20 +567,16 @@ impl<P: Protocol> Simulator<P> {
     fn look_ahead(&self, batch: &[Event<P::Message>]) {
         let len = batch.len();
         if let Some(far) = len.checked_sub(1 + 2 * LOOK_AHEAD) {
-            match &batch[far].payload {
-                EventKind::Deliver { to, .. } => self.prefetch_node(*to),
-                EventKind::Timer { timer } => self.sub.timers.prefetch(*timer),
-                EventKind::Crash { .. } => {}
+            if let EventKind::Deliver { to, .. } = &batch[far].payload {
+                self.prefetch_node(*to);
             }
         }
         if let Some(near) = len.checked_sub(1 + LOOK_AHEAD) {
             match &batch[near].payload {
                 EventKind::Deliver { to, msg, .. } => self.protocols[to.index()].prefetch(msg),
-                EventKind::Timer { timer } => {
-                    if let Some(node) = self.sub.timers.owner(*timer) {
-                        self.prefetch_node(node);
-                        prefetch_lines(&self.sub.rngs[node.index()]);
-                    }
+                EventKind::Timer { node, .. } => {
+                    self.prefetch_node(*node);
+                    prefetch_lines(&self.sub.rngs[node.index()]);
                 }
                 EventKind::Crash { .. } => {}
             }
@@ -760,18 +636,16 @@ impl<P: Protocol> Simulator<P> {
                     self.sub.stats.record_to_dead(to);
                 }
             }
-            EventKind::Timer { timer } => {
-                // Firing always frees the slot; a cancelled (or stale)
-                // timer, or one whose owner has crashed, is simply not
-                // delivered.
-                if let Some((node, tag)) = self.sub.timers.fire(timer) {
-                    if self.sub.alive[node.index()] {
-                        let mut ctx = Context {
-                            node,
-                            sub: &mut self.sub,
-                        };
-                        self.protocols[node.index()].on_timer(&mut ctx, timer, tag);
-                    }
+            EventKind::Timer { node, tag } => {
+                self.sub.armed_timers -= 1;
+                // A timer whose owner has crashed is simply not delivered.
+                if self.sub.alive[node.index()] {
+                    let mut ctx = Context {
+                        node,
+                        sub: &mut self.sub,
+                    };
+                    let timer = TimerId(ev.seq);
+                    self.protocols[node.index()].on_timer(&mut ctx, timer, tag.into());
                 }
             }
             EventKind::Crash { node } => {
@@ -833,9 +707,9 @@ impl<P: Protocol> Simulator<P> {
     /// (`docs/SCALE.md`). Covers the protocol instances at `size_of::<P>()`
     /// each, the heap they own as their [`Protocol::heap_bytes`] report it,
     /// and the substrate (statistics columns, pending events and the queue
-    /// capacity retained beyond them, upload queues, RNG streams, liveness,
-    /// timer slots). Message payloads held by pending events beyond the
-    /// event itself are not walked.
+    /// capacity retained beyond them, upload queues, RNG streams, liveness);
+    /// a timer is a pending event. Message payloads held by pending events
+    /// beyond the event itself are not walked.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let mut f = MemoryFootprint::new(self.len());
         f.record(
@@ -879,17 +753,17 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Number of timers currently armed (set and neither fired nor
-    /// cancelled).
+    /// Number of timers set and not yet fired (a timer of a crashed node
+    /// counts until its event is dispatched).
     pub fn armed_timers(&self) -> usize {
-        self.sub.timers.armed()
+        self.sub.armed_timers
     }
 
-    /// Number of timer slots ever allocated. Bounded by the peak number of
-    /// *concurrently pending* timers: firing frees a slot for reuse and
-    /// cancelling an already-fired timer leaves no state behind.
+    /// [`Simulator::armed_timers`] under its old name: timers were once
+    /// table slots. Kept for the repo benchmark until ROADMAP item 2(b)
+    /// removes it.
     pub fn timer_slots(&self) -> usize {
-        self.sub.timers.capacity()
+        self.armed_timers()
     }
 
     /// Runs until the event queue is exhausted or `deadline` is reached,
@@ -1114,38 +988,90 @@ mod tests {
         assert_eq!(sim.node(NodeId::new(1)).received, 1);
     }
 
-    #[test]
-    fn timers_fire_and_cancel() {
-        struct TimerProto {
-            fired: Vec<u64>,
+    /// Sets timers from `on_start` and from a timer callback, and records
+    /// what each `set_timer` returned and each `on_timer` received.
+    struct TimerProto {
+        set: Vec<(TimerId, u64)>,
+        fired: Vec<(TimerId, u64)>,
+    }
+
+    #[derive(Clone, Debug)]
+    struct Never;
+    impl WireSize for Never {
+        fn wire_size(&self) -> usize {
+            0
         }
-        #[derive(Clone, Debug)]
-        struct Never;
-        impl WireSize for Never {
-            fn wire_size(&self) -> usize {
-                0
+    }
+
+    impl TimerProto {
+        fn set(&mut self, ctx: &mut Context<'_, Never>, millis: u64, tag: u64) {
+            let id = ctx.set_timer(SimDuration::from_millis(millis), tag);
+            self.set.push((id, tag));
+        }
+    }
+
+    impl Protocol for TimerProto {
+        type Message = Never;
+        fn on_start(&mut self, ctx: &mut Context<'_, Never>) {
+            self.set(ctx, 30, 3);
+            self.set(ctx, 10, 1);
+            self.set(ctx, 20, 2);
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Never>, _: NodeId, _: Never) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Never>, timer: TimerId, tag: u64) {
+            self.fired.push((timer, tag));
+            if tag == 1 {
+                // Re-arm from within a timer callback.
+                self.set(ctx, 5, 4);
             }
         }
-        impl Protocol for TimerProto {
+    }
+
+    fn timer_run(reference: bool) -> TimerProto {
+        let mut builder = SimulatorBuilder::new(1, 0);
+        if reference {
+            builder = builder.reference_core();
+        }
+        let mut sim = builder.build(|_| TimerProto {
+            set: Vec::new(),
+            fired: Vec::new(),
+        });
+        assert_eq!(sim.armed_timers(), 3);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.armed_timers(), 0);
+        sim.protocols.pop().expect("one node")
+    }
+
+    #[test]
+    fn timers_fire_in_time_order_with_the_id_set_timer_returned() {
+        for reference in [false, true] {
+            let TimerProto { set, fired } = timer_run(reference);
+            let tags: Vec<u64> = fired.iter().map(|&(_, tag)| tag).collect();
+            assert_eq!(tags, [1, 4, 2, 3], "reference core: {reference}");
+            // Each id `set_timer` returned comes back once, with its tag.
+            let (mut set, mut fired) = (set, fired);
+            set.sort();
+            fired.sort();
+            assert_eq!(set, fired, "reference core: {reference}");
+            set.dedup_by_key(|&mut (id, _)| id);
+            assert_eq!(set.len(), 4, "ids are unique");
+        }
+        assert_eq!(timer_run(false).fired, timer_run(true).fired);
+    }
+
+    #[test]
+    #[should_panic(expected = "timer tags are below 2^32")]
+    fn a_tag_of_2_pow_32_is_refused_at_set_timer() {
+        struct Wide;
+        impl Protocol for Wide {
             type Message = Never;
             fn on_start(&mut self, ctx: &mut Context<'_, Never>) {
-                ctx.set_timer(SimDuration::from_millis(10), 1);
-                let t2 = ctx.set_timer(SimDuration::from_millis(20), 2);
-                ctx.set_timer(SimDuration::from_millis(30), 3);
-                ctx.cancel_timer(t2);
+                ctx.set_timer(SimDuration::from_millis(1), 1 << 32);
             }
             fn on_message(&mut self, _: &mut Context<'_, Never>, _: NodeId, _: Never) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, Never>, _timer: TimerId, tag: u64) {
-                self.fired.push(tag);
-                if tag == 1 {
-                    // Re-arm from within a timer callback.
-                    ctx.set_timer(SimDuration::from_millis(5), 4);
-                }
-            }
+            fn on_timer(&mut self, _: &mut Context<'_, Never>, _: TimerId, _: u64) {}
         }
-        let mut sim = SimulatorBuilder::new(1, 0).build(|_| TimerProto { fired: vec![] });
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.node(NodeId::new(0)).fired, vec![1, 4, 3]);
+        SimulatorBuilder::new(1, 0).build(|_| Wide);
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl NetStats {
 /// Built by `Simulator::memory_footprint`, which records one `(label,
 /// bytes)` entry per component (protocol state, the heap the protocols
 /// report owning, traffic statistics, pending events, upload queues, RNG
-/// streams, timer slots);
+/// streams, liveness);
 /// [`bytes_per_node`](MemoryFootprint::bytes_per_node) divides the total by
 /// the node population so runs at different scales compare directly.
 ///

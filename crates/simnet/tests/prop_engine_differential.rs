@@ -1,11 +1,11 @@
 //! Differential property test of the engine against its reference core.
 //!
 //! Drives randomly generated protocol workloads — random message walks,
-//! random timer arm/cancel churn, random upload-capacity caps with finite
-//! send buffers, random loss rates and mid-run crashes — through the engine
-//! and through the hidden whole-engine reference
-//! (`SimulatorBuilder::reference_core`), and requires *bit identity* on
-//! every observable:
+//! random timer churn in which a re-armed timer supersedes the pending one,
+//! random upload-capacity caps with finite send buffers, random loss rates
+//! and mid-run crashes — through the engine and through the hidden
+//! whole-engine reference (`SimulatorBuilder::reference_core`), and requires
+//! *bit identity* on every observable:
 //!
 //! * the per-node callback history (a rolling hash over every delivery,
 //!   timer firing and crash a node observes, including `now` at each),
@@ -33,8 +33,8 @@ struct Chaos {
     history: u64,
     /// Remaining timer re-arms.
     rounds: u32,
-    /// A cancellable timer handle, to exercise cancel and stale-cancel
-    /// paths.
+    /// The latest tag-2/3 timer: it supersedes the earlier ones, whose fires
+    /// are ignored.
     pending: Option<TimerId>,
 }
 
@@ -79,17 +79,17 @@ impl Protocol for Chaos {
             ctx.send(to, Token(msg.0 - 1, msg.1.wrapping_add(1)));
         }
         if ctx.rng().gen_range(0..8u32) == 0 {
-            // Cancel whatever is pending (possibly a stale handle) and
-            // re-arm, possibly inside the current calendar bucket.
-            if let Some(id) = self.pending.take() {
-                ctx.cancel_timer(id);
-            }
+            // Supersede whatever is pending and re-arm, possibly inside the
+            // current calendar bucket.
             let delay = SimDuration::from_micros(ctx.rng().gen_range(0..600_000u64));
             self.pending = Some(ctx.set_timer(delay, 3));
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Token>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, Token>, timer: TimerId, tag: u64) {
+        if tag != 1 && self.pending != Some(timer) {
+            return;
+        }
         self.observe(ctx.now().as_micros(), u64::MAX, tag);
         if self.rounds > 0 {
             self.rounds -= 1;

@@ -1,6 +1,9 @@
-//! Integration tests of the scheduling core: timer-slot memory bounds,
-//! stale-cancellation semantics, engine-vs-reference equivalence and a
-//! pinned 1000-node determinism fingerprint.
+//! Integration tests of the scheduling core: engine-vs-reference
+//! equivalence and a pinned 1000-node determinism fingerprint.
+//!
+//! Timers have no state of their own beyond their queue entry and cannot be
+//! cancelled, so there are no timer-slot bounds or stale cancellations left
+//! to test here.
 
 use heap_simnet::prelude::*;
 use rand::Rng;
@@ -199,121 +202,4 @@ fn thousand_node_fingerprint_is_dispatch_mode_independent() {
     let (processed, fingerprint) = run_fingerprint(&mut sim);
     assert_eq!(processed, 55_722);
     assert_eq!(fingerprint, 8_177_022_352_140_872_795);
-}
-
-// ---------------------------------------------------------------------------
-// Timer-slot memory bounds
-// ---------------------------------------------------------------------------
-
-/// A protocol that re-arms a 1 ms timer forever and, on every firing,
-/// cancels both the timer that just fired and the previously fired one —
-/// all stale cancellations. The pre-PR-3 core recorded every such cancel in
-/// a `HashSet` that was never drained, growing without bound; the
-/// generation-stamped slots must keep simulator memory constant.
-struct CancelChurn {
-    fired: u64,
-    limit: u64,
-    last: Option<TimerId>,
-}
-
-#[derive(Clone, Debug)]
-struct Never;
-impl WireSize for Never {
-    fn wire_size(&self) -> usize {
-        0
-    }
-}
-
-impl Protocol for CancelChurn {
-    type Message = Never;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Never>) {
-        ctx.set_timer(SimDuration::from_millis(1), 0);
-    }
-
-    fn on_message(&mut self, _: &mut Context<'_, Never>, _: NodeId, _: Never) {}
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Never>, timer: TimerId, _tag: u64) {
-        self.fired += 1;
-        // Both cancellations target timers that already fired: no-ops that
-        // must not accumulate any state.
-        ctx.cancel_timer(timer);
-        if let Some(prev) = self.last.take() {
-            ctx.cancel_timer(prev);
-        }
-        if self.fired < self.limit {
-            self.last = Some(ctx.set_timer(SimDuration::from_millis(1), 0));
-        }
-    }
-}
-
-#[test]
-fn cancelling_fired_timers_does_not_grow_simulator_memory() {
-    let n = 4;
-    let per_node = 250_000;
-    let mut sim = SimulatorBuilder::new(n, 1).build(|_| CancelChurn {
-        fired: 0,
-        limit: per_node,
-        last: None,
-    });
-    let Ok(processed) = sim.run_to_completion();
-    // One million timer events were processed and two million (stale)
-    // cancellations issued...
-    assert_eq!(processed, n as u64 * per_node);
-    for (_, node) in sim.iter_nodes() {
-        assert_eq!(node.fired, per_node);
-    }
-    // ...yet the simulator's timer state is bounded by the peak number of
-    // concurrently pending timers (one per node).
-    assert!(
-        sim.timer_slots() <= 2 * n,
-        "timer slots leaked: {}",
-        sim.timer_slots()
-    );
-    assert_eq!(sim.armed_timers(), 0);
-    assert_eq!(sim.pending_events(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Stale cancellation must not hit a reused slot
-// ---------------------------------------------------------------------------
-
-/// After a timer fires its slot is reused by the next armed timer; the
-/// generation stamp must protect the new timer from a late cancellation of
-/// the old handle.
-struct StaleCancel {
-    first: Option<TimerId>,
-    fired_tags: Vec<u64>,
-}
-
-impl Protocol for StaleCancel {
-    type Message = Never;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Never>) {
-        self.first = Some(ctx.set_timer(SimDuration::from_millis(10), 1));
-    }
-
-    fn on_message(&mut self, _: &mut Context<'_, Never>, _: NodeId, _: Never) {}
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Never>, _timer: TimerId, tag: u64) {
-        self.fired_tags.push(tag);
-        if tag == 1 {
-            // Arm the follow-up first (it reuses the freed slot), then cancel
-            // the stale handle of the timer that just fired.
-            ctx.set_timer(SimDuration::from_millis(10), 2);
-            let stale = self.first.expect("armed at start");
-            ctx.cancel_timer(stale);
-        }
-    }
-}
-
-#[test]
-fn stale_cancellation_does_not_kill_a_reused_slot() {
-    let mut sim = SimulatorBuilder::new(1, 9).build(|_| StaleCancel {
-        first: None,
-        fired_tags: Vec::new(),
-    });
-    sim.run_until(SimTime::from_secs(1));
-    assert_eq!(sim.node(NodeId::new(0)).fired_tags, vec![1, 2]);
-    assert_eq!(sim.timer_slots(), 1, "both timers shared one slot");
 }

@@ -648,13 +648,6 @@ impl NodeMetrics {
     }
 }
 
-/// Convenience: computes metrics for many nodes at once.
-pub fn compute_all(schedule: &StreamSchedule, logs: &[ReceiverLog]) -> Vec<NodeStreamMetrics> {
-    logs.iter()
-        .map(|log| NodeStreamMetrics::compute(schedule, log))
-        .collect()
-}
-
 /// Helper used by tests and experiments: the instant a node could decode
 /// `window` (publication completion plus decode lag), if ever.
 pub fn window_decode_time(
@@ -1010,13 +1003,11 @@ mod tests {
     }
 
     #[test]
-    fn compute_all_handles_multiple_nodes() {
+    fn an_empty_log_receives_nothing() {
         let s = schedule(1);
-        let logs = vec![ReceiverLog::for_schedule(&s), ReceiverLog::for_schedule(&s)];
-        let all = compute_all(&s, &logs);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].delivery_ratio(), 0.0);
-        assert_eq!(all[0].mean_packet_lag(), None);
-        assert_eq!(all[0].lag_for_jitter_free(1.0), Some(SimDuration::ZERO));
+        let m = NodeStreamMetrics::compute(&s, &ReceiverLog::for_schedule(&s));
+        assert_eq!(m.delivery_ratio(), 0.0);
+        assert_eq!(m.mean_packet_lag(), None);
+        assert_eq!(m.lag_for_jitter_free(1.0), Some(SimDuration::ZERO));
     }
 }
